@@ -229,7 +229,7 @@ def cache_key(params: OperatorParams, grid: GridSpec, tols: Tolerances = DEFAULT
         "n_x": grid.n_x,
         "n_theta": grid.n_theta,
         "tolerances": [tols.hermitian, tols.unitary, tols.eig_residual,
-                       tols.real_eigenvalue, tols.unit_modulus, tols.dedup],
+                       tols.unit_modulus, tols.dedup],
         "version": __version__,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -313,17 +313,16 @@ def _emit(text: str, out: str | None) -> None:
         _atomic_write(out, text)
 
 
-def _add_common(p: argparse.ArgumentParser, alpha_required: bool = True) -> None:
+def _add_operator_flags(p: argparse.ArgumentParser, alpha: bool = True, theta: bool = True) -> None:
     p.add_argument("--kind", choices=[k.value for k in OperatorKind], default="ukh")
-    p.add_argument("--alpha", required=alpha_required, help="frequency as a p/q literal")
+    if alpha:
+        p.add_argument("--alpha", required=True, help="frequency as a p/q literal")
     p.add_argument("--kappa", default="1", help="time scale (comma list allowed for SVG rings)")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="coupling")
-    p.add_argument("--theta", default=MOTHER, help="phase in [0,1) or 'mother'")
+    if theta:
+        p.add_argument("--theta", default=MOTHER, help="phase in [0,1) or 'mother'")
     p.add_argument("--grid", default="100", help="N or N,M grid points per axis")
     p.add_argument("--out", default=None, help="output path (default: standard output)")
-    p.add_argument("--format", choices=["csv", "svg", "json"], default="csv")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--seed", default="none", help="reserved; all computations are deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,23 +333,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="compute one spectrum and write CSV or SVG rings")
-    _add_common(p)
+    _add_operator_flags(p)
+    p.add_argument("--format", choices=["csv", "svg"], default="csv")
+    p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("bandwidth", help="band statistics over a list of alphas")
-    _add_common(p, alpha_required=False)
+    _add_operator_flags(p, alpha=False)
     p.add_argument("--alpha-list", required=True, help="fib:a..b or farey:qmax")
     p.add_argument("--merge-gap", default="auto",
                    help="'auto' (4x error bound), 'track' (per-band-index edges) or a number")
+    p.add_argument("--cache-dir", default=None, help="used unless --merge-gap track")
     p.set_defaults(func=_cmd_bandwidth)
 
     p = sub.add_parser("butterfly", help="union spectra over all Farey rationals")
-    _add_common(p, alpha_required=False)
+    _add_operator_flags(p, alpha=False, theta=False)
     p.add_argument("--alpha-list", required=True, help="farey:qmax")
     p.set_defaults(func=_cmd_butterfly)
 
     p = sub.add_parser("zoom", help="nested eigenphase windows around a center")
-    _add_common(p)
+    _add_operator_flags(p)
+    p.add_argument("--cache-dir", default=None)
     p.add_argument("--center", default=None, type=float,
                    help="window center (default: phase median)")
     p.add_argument("--factors", required=True, help="comma-separated zoom factors > 1")
@@ -367,9 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default=None)
     p.add_argument("--grid", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json"], default="json")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--seed", default="none")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cache", help="cache maintenance")
@@ -388,7 +388,7 @@ def _params_from_args(args, kappa: float) -> OperatorParams:
         kappa,
         args.lam,
         RationalAlpha.parse(args.alpha),
-        _parse_theta(args.theta) if isinstance(args.theta, str) else args.theta,
+        _parse_theta(args.theta),
     )
 
 

@@ -46,7 +46,6 @@ class Tolerances:
     hermitian: float = 1e-12
     unitary: float = 1e-10
     eig_residual: float = 1e-10
-    real_eigenvalue: float = 1e-12
     unit_modulus: float = 1e-10
     dedup: float = 1e-12
 

@@ -16,9 +16,10 @@ Four operator kinds are covered:
 * ``UORDKR``  the on-resonance double kicked rotor, diagonalized through
               the closed-form eigensystem of D C^p.
 
-All builders are pure and cheap; phases are assembled from exact integer
-arithmetic modulo q (or 2q) before a single complex exponential table
-lookup, so large q does not lose accuracy to argument reduction.
+``operator_stack`` is the one place any of them is assembled, for a whole
+batch of phase pairs at once; the per-point builders are views of it.
+Phases are assembled from exact integer arithmetic modulo q (or 2q), so
+large q does not lose accuracy to argument reduction.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidDimension, InvalidParams, NotCoprime
-from .linalg import DEFAULT_TOLS, Tolerances, expm_i_hermitian
+from .linalg import DEFAULT_TOLS, Tolerances, eigh_stack, require_unitary
 
 __all__ = [
     "MOTHER",
@@ -42,6 +43,7 @@ __all__ = [
     "dft_matrix",
     "clock_shift",
     "cos_diag",
+    "operator_stack",
     "harper_hermitian",
     "unitary_harper",
     "kicked_harper",
@@ -196,61 +198,16 @@ def clock_shift(q: int) -> tuple[np.ndarray, np.ndarray]:
 def cos_diag(k: int, y: float, q: int) -> np.ndarray:
     """Diagonal matrix diag(cos 2 pi (y + k j / q)) for j = 0..q-1."""
     q = _check_dim(q)
-    return np.diag(cos_row(k, y, q)).astype(np.complex128)
+    return np.diag(cos_rows(k, [y], q)[0]).astype(np.complex128)
 
 
-def cos_row(k: int, y: float, q: int) -> np.ndarray:
-    """Diagonal of cos_diag as a real vector; k j is reduced mod q exactly."""
-    j = (int(k) * np.arange(q, dtype=np.int64)) % q
-    return np.cos(2.0 * np.pi * (float(y) + j / q))
+def cos_rows(k: int, ys, q: int) -> np.ndarray:
+    """Diagonals of cos_diag(k, y, q) for each y in ys, shape (len(ys), q).
 
-
-def cos_rows(k: int, ys: np.ndarray, q: int) -> np.ndarray:
-    """Stack of cos_row values, shape (len(ys), q)."""
+    k j is reduced mod q exactly.
+    """
     j = (int(k) * np.arange(q, dtype=np.int64)) % q
     return np.cos(2.0 * np.pi * (np.asarray(ys, dtype=np.float64)[:, None] + j / q))
-
-
-# -- operator matrix builders -------------------------------------------------
-
-def _require_kind(params: OperatorParams, kind: OperatorKind) -> None:
-    if params.kind is not kind:
-        raise InvalidParams(f"expected params.kind = {kind.value!r}, got {params.kind.value!r}")
-
-
-def harper_hermitian(params: OperatorParams, x: float) -> np.ndarray:
-    """Harper matrix 2 G(1, x) + 2 lambda F G(p, theta) F^{-1} (Hermitian)."""
-    _require_kind(params, OperatorKind.H)
-    theta = params.fixed_theta()
-    p, q = params.alpha.p, params.alpha.q
-    f = _dft_cached(q)
-    circ = (f * cos_row(p, theta, q)[None, :]) @ f.conj().T
-    h = 2.0 * params.lam * circ
-    d = np.einsum("ii->i", h)
-    d += 2.0 * cos_row(1, float(x) % 1.0, q)
-    return h
-
-
-def unitary_harper(params: OperatorParams, x: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """exp(-i 2 kappa (G(1,x) + lambda F G(p,theta) F^{-1})) = exp(-i kappa H)."""
-    _require_kind(params, OperatorKind.UH)
-    hp = OperatorParams(OperatorKind.H, 0.0, params.lam, params.alpha, params.theta)
-    return expm_i_hermitian(harper_hermitian(hp, x), params.kappa, tols=tols)
-
-
-def kicked_harper(params: OperatorParams, x: float) -> np.ndarray:
-    """Kicked product exp(-i 2 kappa G(1,x)) F exp(-i 2 kappa lambda G(p,theta)) F^{-1}.
-
-    Both exponentials are diagonal, so this is assembled analytically with
-    no iterative solver.
-    """
-    _require_kind(params, OperatorKind.UKH)
-    theta = params.fixed_theta()
-    p, q = params.alpha.p, params.alpha.q
-    f = _dft_cached(q)
-    e1 = np.exp(-2j * params.kappa * cos_row(1, float(x) % 1.0, q))
-    e2 = np.exp(-2j * params.kappa * params.lam * cos_row(p, theta, q))
-    return (e1[:, None] * f * e2[None, :]) @ f.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,37 +256,78 @@ def dcp_eigensystem(alpha: RationalAlpha) -> DcpEigensystem:
     return _dcp_cached(alpha.p, alpha.q)
 
 
-def ordkr_beta(params: OperatorParams, x: float, theta: float) -> float:
-    """Combined phase beta = x + theta + alpha/2 + phi entering the second kick."""
-    alpha = params.alpha
-    phi = dcp_eigensystem(alpha).phi
-    return float(x) + float(theta) + alpha.value / 2.0 + phi
+# -- operator matrices ----------------------------------------------------------
+
+def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
+    """Matrices of params.kind at the phase pairs (xs[i], thetas[i]), shape (m, q, q).
+
+    This is the only place operator matrices are assembled; params.theta
+    is ignored in favour of ``thetas``.  With G(k, y) = diag(cos 2 pi (y + k j / q)):
+
+    * H       2 G(1, x) + 2 lambda F G(p, theta) F^{-1},
+    * UH      exp(-i kappa H), through the batched Hermitian eigensystem,
+    * UKH     exp(-i 2 kappa G(1, x)) F exp(-i 2 kappa lambda G(p, theta)) F^{-1},
+    * UORDKR  exp(-i 2 kappa G(1, x)) E exp(-i 2 kappa lambda G(1, beta)) E^{-1}
+              with beta = x + theta + alpha/2 + phi and (E, phi) the D C^p
+              eigensystem.
+
+    Diagonal kicks are exponentiated entrywise, so only UH needs an
+    eigensolver.  Apart from that eigensystem, the stack is the only array
+    of its size that is built: the factors are applied to it in place.
+    """
+    kind = params.kind
+    p, q = params.alpha.p, params.alpha.q
+    kap, lam = params.kappa, params.lam
+    xs = np.asarray(xs, dtype=np.float64) % 1.0
+    thetas = np.asarray(thetas, dtype=np.float64) % 1.0
+
+    if kind is OperatorKind.UORDKR:
+        dcp = dcp_eigensystem(params.alpha)
+        beta = xs + thetas + params.alpha.value / 2.0 + dcp.phi
+        stack = np.exp(-2j * kap * cos_rows(1, xs, q))[:, :, None] * dcp.vectors
+        stack *= np.exp(-2j * kap * lam * cos_rows(1, beta, q))[:, None, :]
+        return stack @ dcp.vectors.conj().T
+
+    # The theta factor F G F^{-1} repeats across a grid; build it once per
+    # distinct theta.
+    f = _dft_cached(q)
+    t_unique, t_inv = np.unique(thetas, return_inverse=True)
+    row = cos_rows(p, t_unique, q)
+    if kind is OperatorKind.UKH:
+        row = np.exp(-2j * kap * lam * row)
+    stack = ((f * row[:, None, :]) @ f.conj().T)[t_inv]
+    if kind is OperatorKind.UKH:
+        return np.multiply(np.exp(-2j * kap * cos_rows(1, xs, q))[:, :, None], stack, out=stack)
+    stack *= 2.0 * lam
+    idx = np.arange(q)
+    stack[:, idx, idx] += 2.0 * cos_rows(1, xs, q)
+    if kind is OperatorKind.H:
+        return stack
+    w, v = eigh_stack(stack)
+    return (v * np.exp(-1j * kap * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _at(params: OperatorParams, kind: OperatorKind, x: float) -> np.ndarray:
+    if params.kind is not kind:
+        raise InvalidParams(f"expected params.kind = {kind.value!r}, got {params.kind.value!r}")
+    return operator_stack(params, [x], [params.fixed_theta()])[0]
+
+
+def harper_hermitian(params: OperatorParams, x: float) -> np.ndarray:
+    """Harper matrix 2 G(1, x) + 2 lambda F G(p, theta) F^{-1} (Hermitian)."""
+    return _at(params, OperatorKind.H, x)
+
+
+def unitary_harper(params: OperatorParams, x: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """exp(-i 2 kappa (G(1,x) + lambda F G(p,theta) F^{-1})) = exp(-i kappa H)."""
+    return require_unitary(_at(params, OperatorKind.UH, x), tols.unitary)
+
+
+def kicked_harper(params: OperatorParams, x: float) -> np.ndarray:
+    """Kicked product exp(-i 2 kappa G(1,x)) F exp(-i 2 kappa lambda G(p,theta)) F^{-1}."""
+    return _at(params, OperatorKind.UKH, x)
 
 
 def ordkr(params: OperatorParams, x: float) -> np.ndarray:
-    """On-resonance double kicked rotor matrix.
-
-    exp(-i 2 kappa G(1,x)) E diag(exp(-i 2 kappa lambda cos 2 pi (beta + j/q))) E^{-1}
-    with beta = x + theta + alpha/2 + phi and (E, phi) the D C^p eigensystem.
-    """
-    _require_kind(params, OperatorKind.UORDKR)
-    theta = params.fixed_theta()
-    q = params.alpha.q
-    x = float(x) % 1.0
-    dcp = dcp_eigensystem(params.alpha)
-    beta = ordkr_beta(params, x, theta)
-    e1 = np.exp(-2j * params.kappa * cos_row(1, x, q))
-    e2 = np.exp(-2j * params.kappa * params.lam * cos_row(1, beta, q))
-    ev = dcp.vectors
-    return (e1[:, None] * ev * e2[None, :]) @ ev.conj().T
-
-
-def operator_matrix(params: OperatorParams, x: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Dispatch to the matrix builder for params.kind at Bloch phase x."""
-    if params.kind is OperatorKind.H:
-        return harper_hermitian(params, x)
-    if params.kind is OperatorKind.UH:
-        return unitary_harper(params, x, tols=tols)
-    if params.kind is OperatorKind.UKH:
-        return kicked_harper(params, x)
-    return ordkr(params, x)
+    """On-resonance double kicked rotor matrix (see operator_stack)."""
+    return _at(params, OperatorKind.UORDKR, x)

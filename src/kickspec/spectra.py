@@ -16,7 +16,7 @@ evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -25,19 +25,11 @@ from .errors import EmptySpectrum, InvalidParams, NumericalError, WrongKind
 from .linalg import (
     DEFAULT_TOLS,
     Tolerances,
-    eigh_stack,
     eigvalsh_stack,
     principal_args,
     unitary_eigvals_stack,
 )
-from .operators import (
-    MOTHER,
-    OperatorKind,
-    OperatorParams,
-    _dft_cached,
-    cos_rows,
-    dcp_eigensystem,
-)
+from .operators import MOTHER, OperatorKind, OperatorParams, operator_stack
 
 __all__ = [
     "SpectrumKind",
@@ -58,6 +50,10 @@ TWO_PI = 2.0 * np.pi
 
 # Rows per eigensolver batch are capped so a chunk stays around 64 MB.
 _CHUNK_COMPLEX = 4_000_000
+
+# Tracked band ranges this close are unioned; absorbs roundoff where true
+# bands touch (even-q Harper).
+_CLOSURE = 1e-12
 
 
 class SpectrumKind(str, Enum):
@@ -201,54 +197,29 @@ def grid_error_bound(params: OperatorParams, grid: GridSpec) -> float:
 
 # -- the sweep kernel ---------------------------------------------------------
 
+def _solve_chunks(params: OperatorParams, xv: np.ndarray, tv: np.ndarray, solve) -> np.ndarray:
+    """solve(operator_stack(...)) over the pairs (xv, tv), one chunk at a time; shape (m, q)."""
+    step = max(1, _CHUNK_COMPLEX // params.alpha.q ** 2)
+    return np.concatenate([
+        solve(operator_stack(params, xv[lo:lo + step], tv[lo:lo + step]))
+        for lo in range(0, xv.size, step)
+    ])
+
+
 def _sweep_values(
     params: OperatorParams, xv: np.ndarray, tv: np.ndarray, tols: Tolerances
 ) -> np.ndarray:
-    """Pooled eigenvalues of the operator matrices at grid pairs (xv, tv)."""
-    p, q = params.alpha.p, params.alpha.q
-    kind = params.kind
-    kap, lam = params.kappa, params.lam
-    f = _dft_cached(q)
-    fh = f.conj().T
+    """Pooled eigenvalues of the operator matrices at grid pairs (xv, tv).
 
-    # The theta-dependent factor repeats across the grid; build it once per
-    # distinct theta.
-    t_unique, t_inv = np.unique(tv, return_inverse=True)
-    if kind in (OperatorKind.H, OperatorKind.UH):
-        circ_u = (f[None, :, :] * cos_rows(p, t_unique, q)[:, None, :]) @ fh
-    elif kind is OperatorKind.UKH:
-        e2u = np.exp(-2j * kap * lam * cos_rows(p, t_unique, q))
-        kick_u = (f[None, :, :] * e2u[:, None, :]) @ fh
-    else:
-        dcp = dcp_eigensystem(params.alpha)
-        ev, evh = dcp.vectors, dcp.vectors.conj().T
-        beta = xv + tv + params.alpha.value / 2.0 + dcp.phi
-
-    m = xv.size
-    idx = np.arange(q)
-    chunk = max(1, _CHUNK_COMPLEX // (q * q))
-    out = np.empty((m, q), dtype=np.float64 if kind is OperatorKind.H else np.complex128)
-
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        sl = slice(lo, hi)
-        if kind in (OperatorKind.H, OperatorKind.UH):
-            stack = (2.0 * lam) * circ_u[t_inv[sl]]
-            stack[:, idx, idx] += 2.0 * cos_rows(1, xv[sl], q)
-            if kind is OperatorKind.H:
-                out[sl] = eigvalsh_stack(stack)
-                continue
-            w, vec = eigh_stack(stack)
-            stack = (vec * np.exp(-1j * kap * w)[:, None, :]) @ vec.conj().swapaxes(-1, -2)
-        elif kind is OperatorKind.UKH:
-            e1 = np.exp(-2j * kap * cos_rows(1, xv[sl], q))
-            stack = e1[:, :, None] * kick_u[t_inv[sl]]
-        else:
-            e1 = np.exp(-2j * kap * cos_rows(1, xv[sl], q))
-            e2 = np.exp(-2j * kap * lam * cos_rows(1, beta[sl], q))
-            stack = (e1[:, :, None] * ev[None, :, :] * e2[:, None, :]) @ evh
-        out[sl] = unitary_eigvals_stack(stack, tols=tols)
-    return out.ravel()
+    uh eigenvalues are exp(-i kappa w) for the Harper eigenvalues w
+    (spectral mapping), so uh sweeps run the Hermitian solver only.
+    """
+    if params.kind is OperatorKind.H:
+        return _solve_chunks(params, xv, tv, eigvalsh_stack).ravel()
+    if params.kind is OperatorKind.UH:
+        w = _solve_chunks(replace(params, kind=OperatorKind.H), xv, tv, eigvalsh_stack)
+        return np.exp(-1j * params.kappa * w).ravel()
+    return _solve_chunks(params, xv, tv, lambda st: unitary_eigvals_stack(st, tols=tols)).ravel()
 
 
 def _sweep(params: OperatorParams, xv, tv, grid, tols) -> SpectrumSet:
@@ -324,8 +295,7 @@ def tracked_bands(
     values = _sweep_values(params, xv, tv, tols).reshape(-1, q)
 
     if params.kind is OperatorKind.H:
-        lo, hi = values.min(axis=0), values.max(axis=0)
-        bands = _union_intervals(lo, hi)
+        bands = _line_runs(values.min(axis=0), values.max(axis=0), _CLOSURE)
         return BandList(SpectrumKind.REAL_LINE, bands, merge_gap=0.0)
 
     ph = np.sort(principal_args(values), axis=1)
@@ -337,8 +307,7 @@ def tracked_bands(
         i = int(gaps.argmax())
         delta = np.pi - (pooled[i] + gaps[i] / 2.0)
         ph = np.sort((ph + delta + np.pi) % TWO_PI - np.pi, axis=1)
-    lo, hi = ph.min(axis=0), ph.max(axis=0)
-    merged = _union_intervals(lo, hi)
+    merged = _line_runs(ph.min(axis=0), ph.max(axis=0), _CLOSURE)
     if len(merged) == 1 and merged[0][1] - merged[0][0] >= TWO_PI - 1e-12:
         return BandList(SpectrumKind.UNIT_CIRCLE, ((-np.pi, np.pi),), merge_gap=0.0)
 
@@ -350,19 +319,32 @@ def tracked_bands(
     return BandList(SpectrumKind.UNIT_CIRCLE, bands, merge_gap=0.0)
 
 
-def _union_intervals(
-    lo: np.ndarray, hi: np.ndarray, closure: float = 1e-12
-) -> tuple[tuple[float, float], ...]:
-    # closure absorbs roundoff where true bands touch (even-q Harper).
-    order = np.argsort(lo)
-    lo, hi = lo[order], hi[order]
-    out = [[float(lo[0]), float(hi[0])]]
-    for a, b in zip(lo[1:], hi[1:]):
-        if a <= out[-1][1] + closure:
-            out[-1][1] = max(out[-1][1], float(b))
-        else:
-            out.append([float(a), float(b)])
-    return tuple((a, b) for a, b in out)
+def _line_runs(lo, hi, gap: float) -> tuple[tuple[float, float], ...]:
+    """Union of the intervals [lo_i, hi_i] across gaps <= gap, sorted by lo."""
+    order = np.argsort(lo, kind="stable")
+    lo, hi = np.asarray(lo, dtype=np.float64)[order], np.asarray(hi, dtype=np.float64)[order]
+    reach = np.maximum.accumulate(hi)
+    cut = np.flatnonzero(lo[1:] - reach[:-1] > gap)
+    starts = np.concatenate(([0], cut + 1))
+    ends = np.concatenate((cut, [lo.size - 1]))
+    return tuple((float(lo[a]), float(reach[b])) for a, b in zip(starts, ends))
+
+
+def _circle_runs(lo, hi, gap: float) -> tuple[tuple[float, float], ...]:
+    """Union of the eigenphase arcs (lo_i, hi_i), sorted by lo, across gaps <= gap.
+
+    An arc with hi < lo wraps through +pi (only the last one can).  If
+    every gap closes, the result is the full circle (-pi, pi).  Endpoints
+    are copied from the input, so re-merging a result is exactly stable.
+    """
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    end = np.where(hi < lo, hi + TWO_PI, hi)
+    gaps = np.append(lo[1:], lo[0] + TWO_PI) - end
+    breaks = np.flatnonzero(gaps > gap)
+    if breaks.size == 0:
+        return ((-np.pi, np.pi),)
+    starts = (np.roll(breaks, 1) + 1) % lo.size
+    return tuple(sorted((float(lo[a]), float(hi[b])) for a, b in zip(starts, breaks)))
 
 
 def eigenphases(s: SpectrumSet) -> np.ndarray:
@@ -392,25 +374,11 @@ def merge_bands(s: SpectrumSet, merge_gap: float) -> BandList:
         raise EmptySpectrum("cannot merge an empty spectrum")
 
     if s.kind is SpectrumKind.REAL_LINE:
-        v = s.points
-        cut = np.flatnonzero(np.diff(v) > merge_gap)
-        starts = np.concatenate(([0], cut + 1))
-        ends = np.concatenate((cut, [v.size - 1]))
-        bands = tuple((float(v[a]), float(v[b])) for a, b in zip(starts, ends))
-        return BandList(kind=s.kind, bands=bands, merge_gap=float(merge_gap))
-
-    ph = eigenphases(s)
-    m = ph.size
-    gaps = np.concatenate((np.diff(ph), [ph[0] + TWO_PI - ph[-1]]))
-    breaks = np.flatnonzero(gaps > merge_gap)
-    if breaks.size == 0:
-        return BandList(kind=s.kind, bands=((-np.pi, np.pi),), merge_gap=float(merge_gap))
-    bands = []
-    for i, b in enumerate(breaks):
-        start = (breaks[i - 1] + 1) % m
-        bands.append((float(ph[start]), float(ph[b])))
-    bands.sort(key=lambda band: band[0])
-    return BandList(kind=s.kind, bands=tuple(bands), merge_gap=float(merge_gap))
+        bands = _line_runs(s.points, s.points, merge_gap)
+    else:
+        ph = eigenphases(s)
+        bands = _circle_runs(ph, ph, merge_gap)
+    return BandList(kind=s.kind, bands=bands, merge_gap=float(merge_gap))
 
 
 def merge_band_list(b: BandList, merge_gap: float) -> BandList:
@@ -423,27 +391,11 @@ def merge_band_list(b: BandList, merge_gap: float) -> BandList:
         raise InvalidParams(f"merge_gap must be > 0, got {merge_gap}")
     if not b.bands:
         raise EmptySpectrum("cannot merge an empty band list")
+    lo, hi = np.array(sorted(b.bands)).T
     if b.kind is SpectrumKind.REAL_LINE:
-        merged = [list(b.bands[0])]
-        for lo, hi in b.bands[1:]:
-            if lo - merged[-1][1] <= merge_gap:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return BandList(b.kind, tuple((lo, hi) for lo, hi in merged), float(merge_gap))
-
-    if b.bands == ((-np.pi, np.pi),):
-        return BandList(b.kind, b.bands, float(merge_gap))
-    # Same circular run logic as merge_bands, with whole bands as the units.
-    # Endpoints are copied, not recomputed, so re-merging is exactly stable.
-    arcs = sorted(b.bands)
-    m = len(arcs)
-    gaps = [(arcs[(i + 1) % m][0] - arcs[i][1]) % TWO_PI for i in range(m)]
-    breaks = [i for i, g in enumerate(gaps) if g > merge_gap]
-    if not breaks:
-        return BandList(b.kind, ((-np.pi, np.pi),), float(merge_gap))
-    merged = []
-    for j, brk in enumerate(breaks):
-        start = (breaks[j - 1] + 1) % m
-        merged.append((arcs[start][0], arcs[brk][1]))
-    return BandList(b.kind, tuple(sorted(merged)), float(merge_gap))
+        bands = _line_runs(lo, hi, merge_gap)
+    elif b.bands == ((-np.pi, np.pi),):
+        bands = b.bands
+    else:
+        bands = _circle_runs(lo, hi, merge_gap)
+    return BandList(b.kind, bands, float(merge_gap))

@@ -287,6 +287,21 @@ def test_unknown_check_rejected():
         run_check("NO_SUCH_CHECK", {})
 
 
+@pytest.mark.parametrize("scope", ["fixed", "mother"])
+def test_spectral_mapping_catches_a_wrong_uh_kernel(scope, monkeypatch):
+    import kickspec.spectra as spectra
+
+    cfg = {"alpha": "3/5", "n": 6, "scope": scope}
+    assert run_check("SPECTRAL_MAPPING", cfg).passed
+    # The uh sweep maps Harper eigenvalues w to exp(-i kappa w); scaling w
+    # by 1.05 there must not go unnoticed by the general-solver route.
+    solve = spectra.eigvalsh_stack
+    monkeypatch.setattr(spectra, "eigvalsh_stack", lambda stack: 1.05 * solve(stack))
+    r = run_check("SPECTRAL_MAPPING", cfg)
+    assert not r.passed
+    assert r.bound == 1e-10
+
+
 def test_check_id_spelling_is_flexible():
     r = run_check("spectral-mapping", {"alpha": "1/2", "n": 8})
     assert r.check_id == "SPECTRAL_MAPPING"

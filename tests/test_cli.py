@@ -193,6 +193,28 @@ def test_compute_bad_usage_is_exit_2():
     assert dispatch(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--alpha", "1/3", "--seed", "1"],
+    ["compute", "--alpha", "1/3", "--format", "json"],
+    ["bandwidth", "--alpha-list", "fib:1..2", "--seed", "1"],
+    ["bandwidth", "--alpha-list", "fib:1..2", "--format", "csv"],
+    ["bandwidth", "--alpha-list", "fib:1..2", "--alpha", "1/2"],
+    ["butterfly", "--alpha-list", "farey:3", "--seed", "1"],
+    ["butterfly", "--alpha-list", "farey:3", "--theta", "0.1"],
+    ["butterfly", "--alpha-list", "farey:3", "--format", "csv"],
+    ["butterfly", "--alpha-list", "farey:3", "--cache-dir", "c"],
+    ["butterfly", "--alpha-list", "farey:3", "--alpha", "1/2"],
+    ["zoom", "--alpha", "1/3", "--factors", "2", "--seed", "1"],
+    ["zoom", "--alpha", "1/3", "--factors", "2", "--format", "csv"],
+    ["verify", "--check", "all", "--seed", "1"],
+    ["verify", "--check", "all", "--format", "json"],
+    ["verify", "--check", "all", "--cache-dir", "c"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_unread_flags_are_rejected(argv, capsys):
+    assert dispatch(argv) == 2
+    capsys.readouterr()
+
+
 def test_help_is_exit_0(capsys):
     assert dispatch(["--help"]) == 0
     capsys.readouterr()

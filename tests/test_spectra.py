@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+import kickspec.spectra as spectra
 from kickspec.errors import EmptySpectrum, InvalidParams, WrongKind
-from kickspec.operators import MOTHER, OperatorParams, RationalAlpha
+from kickspec.linalg import DEFAULT_TOLS, eig_hermitian, eig_unitary, expm_i_hermitian
+from kickspec.operators import (
+    MOTHER,
+    OperatorParams,
+    RationalAlpha,
+    harper_hermitian,
+    kicked_harper,
+    ordkr,
+)
 from kickspec.spectra import (
     GridSpec,
     SpectrumKind,
@@ -27,6 +36,11 @@ def params(kind, kappa, lam, p, q, theta=0.0):
 
 def circle_set(phases, **kw):
     return SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, np.exp(1j * np.asarray(phases)), **kw)
+
+
+def set_distance(a, b):
+    d = np.abs(np.asarray(a).ravel()[:, None] - np.asarray(b).ravel()[None, :])
+    return max(d.min(axis=1).max(), d.min(axis=0).max())
 
 
 # -- grid error bounds ------------------------------------------------------------
@@ -152,6 +166,43 @@ def test_refinement_consistency(kind, scope):
     assert hausdorff(s1, s2) <= s1.error_bound + s2.error_bound
 
 
+def _oracle_values(kind, kappa, lam, alpha, x, theta):
+    """Eigenvalues of one grid node from the per-matrix builders and solvers."""
+    at = OperatorParams(kind, kappa, lam, alpha, theta)
+    if kind == "h":
+        return eig_hermitian(harper_hermitian(at, x)).values
+    if kind == "uh":
+        h = harper_hermitian(OperatorParams("h", 0.0, lam, alpha, theta), x)
+        return eig_unitary(expm_i_hermitian(h, kappa)).values
+    return eig_unitary({"ukh": kicked_harper, "uordkr": ordkr}[kind](at, x)).values
+
+
+@pytest.mark.parametrize("kind", ["h", "uh", "ukh", "uordkr"])
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (2, 5)])
+@pytest.mark.parametrize("scope", ["fixed", "mother"])
+def test_sweep_matches_per_matrix_oracles(kind, p, q, scope):
+    alpha = RationalAlpha(p, q)
+    pa = OperatorParams(kind, 0.9, 1.3, alpha, MOTHER if scope == "mother" else 0.37)
+    xv, tv = spectra._grid_pairs(pa, GridSpec(3, 3))
+    pooled = spectra._sweep_values(pa, xv, tv, DEFAULT_TOLS)
+    oracle = np.concatenate([_oracle_values(kind, 0.9, 1.3, alpha, x, t) for x, t in zip(xv, tv)])
+    assert pooled.size == oracle.size == xv.size * q
+    assert set_distance(pooled, oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["h", "uh", "ukh", "uordkr"])
+def test_chunked_sweep_is_identical(kind, monkeypatch):
+    q = 5
+    pa = params(kind, 0.9, 1.3, 2, q, theta=MOTHER)
+    xv, tv = spectra._grid_pairs(pa, GridSpec(4, 4))
+    single = spectra._sweep_values(pa, xv, tv, DEFAULT_TOLS)
+    # 5 matrices per chunk: 4 chunks over 16 nodes, each repeating a theta.
+    monkeypatch.setattr(spectra, "_CHUNK_COMPLEX", 5 * q * q)
+    chunked = spectra._sweep_values(pa, xv, tv, DEFAULT_TOLS)
+    assert np.unique(tv[:5]).size < 5
+    assert np.array_equal(chunked, single)
+
+
 def test_sweep_deterministic():
     pa = params("uordkr", 1.0, 1.0, 3, 5, theta=MOTHER)
     s1 = mother_spectrum(pa, GridSpec(7, 7))
@@ -238,13 +289,27 @@ def test_merge_bands_rejects_empty_and_bad_gap():
         merge_bands(empty, 0.1)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-def test_merge_bands_idempotent_at_band_level(seed):
+@pytest.mark.parametrize("seed,kind", [
+    *(pytest.param(seed, SpectrumKind.UNIT_CIRCLE, id=str(seed)) for seed in range(5)),
+    *(pytest.param(seed, SpectrumKind.REAL_LINE, id=f"real_line-{seed}") for seed in range(5)),
+])
+def test_merge_bands_idempotent_at_band_level(seed, kind):
     rng = np.random.default_rng(seed)
-    s = circle_set(rng.uniform(-np.pi, np.pi, size=60))
+    phases = rng.uniform(-np.pi, np.pi, size=60)
+    if kind is SpectrumKind.UNIT_CIRCLE:
+        s = circle_set(phases)
+    else:
+        s = SpectrumSet.build(kind, phases)
     gap = float(rng.uniform(0.01, 0.5))
     b = merge_bands(s, gap)
     assert merge_band_list(b, gap).bands == b.bands
+
+
+def test_merge_one_point_circle_is_degenerate_band():
+    b = merge_bands(circle_set([0.3]), 0.1)
+    assert b.bands == ((0.3, 0.3),)
+    assert merge_band_list(b, 0.1).bands == ((0.3, 0.3),)
+    assert total_bandwidth(b) == 0.0
 
 
 def test_auto_merge_gap_scales_with_bound():
