@@ -28,12 +28,13 @@ from .errors import (
     TooFewSamples,
     UnknownCheck,
 )
-from .linalg import principal_args, unitary_eigvals_stack
+from .linalg import _general_eigvals, principal_args
 from .operators import (
     MOTHER,
     OperatorKind,
     OperatorParams,
     RationalAlpha,
+    dcp_eigensystem,
 )
 from .spectra import (
     BandList,
@@ -342,6 +343,11 @@ def _mother(kind, kappa, lam, alpha, n) -> SpectrumSet:
     return mother_spectrum(params, GridSpec(n, n))
 
 
+# Bound for two sweeps whose grid nodes carry unitarily equivalent matrices,
+# so that only roundoff and the 1e-12 dedup separate the sampled sets.
+_MATCHED_GRID_TOL = 1e-10
+
+
 def _check_theta_period(cfg) -> CheckReport:
     kind = OperatorKind(cfg.get("kind", "ukh"))
     alpha = _alpha_of(cfg)
@@ -355,7 +361,9 @@ def _check_theta_period(cfg) -> CheckReport:
         s1 = spectrum_fixed_theta(OperatorParams(kind, kappa, lam, alpha, th), grid)
         s2 = spectrum_fixed_theta(OperatorParams(kind, kappa, lam, alpha, th + 1.0 / alpha.q), grid)
         worst = max(worst, hausdorff(s1, s2))
-    bound = 2.0 * grid_error_bound(OperatorParams(kind, kappa, lam, alpha, 0.0), grid)
+    # At each x the matrices at theta and theta + 1/q are permutation-similar.
+    bound = min(2.0 * grid_error_bound(OperatorParams(kind, kappa, lam, alpha, 0.0), grid),
+                _MATCHED_GRID_TOL)
     return CheckReport(
         "THETA_PERIOD",
         {"kind": kind.value, "alpha": str(alpha), "kappa": kappa, "lambda": lam,
@@ -402,6 +410,11 @@ def _check_mother_equality(cfg) -> CheckReport:
     s_or = _mother(OperatorKind.UORDKR, kappa, lam, alpha, n)
     measured = hausdorff(s_kh, s_or)
     bound = s_kh.error_bound + s_or.error_bound
+    # The rotor's theta kick sits at beta = x + theta + alpha/2 + phi, an
+    # offset of (p + 2 q phi)/(2q).  When that is a whole number of theta
+    # steps 1/(n q), both sweeps visit equivalent matrices node for node.
+    if n * (alpha.p + round(2 * alpha.q * dcp_eigensystem(alpha).phi)) % 2 == 0:
+        bound = min(bound, _MATCHED_GRID_TOL)
     return CheckReport(
         "MOTHER_EQUALITY",
         {"alpha": str(alpha), "kappa": kappa, "lambda": lam, "n": n},
@@ -414,7 +427,7 @@ def _check_spectral_mapping(cfg) -> CheckReport:
     alpha = _alpha_of(cfg)
     kappa, lam = float(cfg.get("kappa", 1.0)), float(cfg.get("lambda", 1.0))
     n = int(cfg.get("n", 50))
-    scope = cfg.get("scope", "fixed")
+    scope = MOTHER if cfg.get("theta") == MOTHER else cfg.get("scope", "fixed")
     tol = float(cfg.get("tolerance", 1e-10))
     if scope == "mother":
         params, grid = OperatorParams(OperatorKind.UH, kappa, lam, alpha, MOTHER), GridSpec(n, n)
@@ -424,10 +437,11 @@ def _check_spectral_mapping(cfg) -> CheckReport:
         params, grid = OperatorParams(OperatorKind.UH, kappa, lam, alpha, theta), GridSpec(n)
         s_uh = spectrum_fixed_theta(params, grid)
     # The sweep maps Harper eigenvalues through exp(-i kappa t); the
-    # independent route assembles exp(-i kappa H) and runs the general solver.
+    # independent route assembles exp(-i kappa H) and runs the general
+    # solver, not the Cayley route of the kicked sweeps.
     xv, tv = _grid_pairs(params, grid)
-    direct = SpectrumSet.build(SpectrumKind.UNIT_CIRCLE,
-                               _solve_chunks(params, xv, tv, unitary_eigvals_stack))
+    values = _solve_chunks(params, xv, tv, _general_eigvals)
+    direct = SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, values / np.abs(values))
     measured = hausdorff(s_uh, direct)
     return CheckReport(
         "SPECTRAL_MAPPING",

@@ -34,6 +34,7 @@ from .errors import (
     EmptySpectrum,
     InvalidParams,
     KindMismatch,
+    MalformedSpectrumFile,
     NumericalError,
     UsageError,
 )
@@ -124,7 +125,17 @@ def write_spectrum_csv(s: SpectrumSet, path: str) -> None:
 
 
 def read_spectrum_csv(path: str) -> SpectrumSet:
-    """Inverse of write_spectrum_csv; reproduces the SpectrumSet exactly."""
+    """Inverse of write_spectrum_csv; reproduces the SpectrumSet exactly.
+
+    Raises MalformedSpectrumFile if any row or header line does not parse.
+    """
+    try:
+        return _read_spectrum_csv(path)
+    except (ValueError, KeyError, UsageError) as exc:
+        raise MalformedSpectrumFile(f"malformed spectrum file {path}: {exc!r}") from exc
+
+
+def _read_spectrum_csv(path: str) -> SpectrumSet:
     header: dict[str, str] = {}
     values: list = []
     circle = None
@@ -247,7 +258,10 @@ def compute_spectrum(
         return _compute(params, grid, tols)
     path = os.path.join(cache_dir, cache_key(params, grid, tols) + ".csv")
     if os.path.exists(path):
-        return read_spectrum_csv(path)
+        try:
+            return read_spectrum_csv(path)
+        except MalformedSpectrumFile:
+            pass  # an unreadable entry is a miss: recompute and overwrite it
     s = _compute(params, grid, tols)
     write_spectrum_csv(s, path)
     return s

@@ -66,6 +66,10 @@ class UnknownCheck(UsageError):
     pass
 
 
+class MalformedSpectrumFile(UsageError):
+    """A spectrum CSV has a row or header line that does not parse."""
+
+
 # -- numerical ---------------------------------------------------------------
 
 class NonHermitian(NumericalError):

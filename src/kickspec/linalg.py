@@ -5,11 +5,18 @@ else builds matrices analytically and calls into here.  All functions are
 pure: inputs are never mutated and results are deterministic, so values may
 be shared freely across threads.
 
-Solver choice: LAPACK via numpy (``eigh``/``eigvals``) and, when unitary
-eigenvectors are requested, a complex Schur factorization (``zgees``), whose
-orthonormal Schur basis doubles as an eigenbasis because unitary matrices
-are normal.  The contracts below (residual, ordering, modulus bounds) are
-what is normative, not the solver.
+Solver choice: LAPACK via numpy.  Hermitian stacks go to ``eigvalsh``.
+Unitary stacks go there too, through the Cayley transform
+K = i (I - U)(I + U)^-1: K is Hermitian because U is normal, and an
+eigenvalue w of K is the eigenvalue (i - w)/(i + w) of U.  The transform has
+a pole at -1, where the eigenphase error grows like eps * max|w|, so a
+matrix with an eigenvalue close to -1, or whose K is not Hermitian, is
+re-solved by the general solver (``eigvals``), which is also the reference
+the tests compare against.  The per-matrix ``eig_unitary`` keeps ``eigvals``
+and, when eigenvectors are requested, a complex Schur factorization
+(``zgees``), whose orthonormal Schur basis doubles as an eigenbasis because
+unitary matrices are normal.  The contracts below (residual, ordering,
+modulus bounds) are what is normative, not the solver.
 """
 
 from __future__ import annotations
@@ -208,16 +215,73 @@ def eigh_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergence(f"batched Hermitian eigensolver failed: {exc}") from exc
 
 
+# Largest |w| the Cayley route accepts.  Its eigenphase error is about
+# 2 eps max|w| (eigvalsh is accurate to eps ||K|| = eps max|w| in w, and
+# d(phase)/dw = 2 / (1 + w^2) <= 2), so 1e3 keeps it near 4e-13, under a
+# 1e-12 target with room for LAPACK's growth in q.  |w| > 1e3 means an
+# eigenphase within about 2e-3 of pi.
+_CAYLEY_LIMIT = 1e3
+
+# Complex entries per Cayley batch.  The route holds a few temporaries the
+# size of its batch, so batches stay near 1 MB whatever the caller's chunk.
+_CAYLEY_BATCH = 1 << 16
+
+
+def _general_eigvals(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of square matrices by the general solver.
+
+    The fallback of unitary_eigvals_stack and the independent route it is
+    checked against.  Row order is the solver's; values are not renormalized.
+    """
+    try:
+        return np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"batched unitary eigensolver failed: {exc}") from exc
+
+
+def _cayley_eigvals(stack: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """(values, bad): eigenvalues through the Cayley transform, and a mask of
+    the matrices whose values are not to be trusted."""
+    eye = np.eye(stack.shape[-1], dtype=np.complex128)
+    try:
+        k = np.linalg.inv(stack + eye)
+    except np.linalg.LinAlgError:
+        # I + U is exactly singular somewhere in the batch, and the batched
+        # inverse does not say where.
+        return np.empty(stack.shape[:-1], dtype=np.complex128), np.ones(stack.shape[:-2], bool)
+    k *= 2j
+    k -= 1j * eye  # K = i (I - U)(I + U)^-1 = 2i (I + U)^-1 - iI
+    kh = k.conj().swapaxes(-1, -2)
+    # Every eigenvalue of U lies within ||K - K*||_2 of the unit circle, so a
+    # matrix past the modulus tolerance (or with non-finite entries) goes to
+    # the general solver, whose unit-modulus check then reports it.
+    bad = ~(np.linalg.norm(k - kh, axis=(-2, -1)) <= tols.unit_modulus)
+    k += kh
+    k[bad] = 0.0  # their values come from the general solver
+    try:
+        w = np.linalg.eigvalsh(k) / 2.0
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"batched unitary eigensolver failed: {exc}") from exc
+    bad |= ~(np.abs(w).max(axis=-1) <= _CAYLEY_LIMIT)
+    return (1j - w) / (1j + w), bad
+
+
 def unitary_eigvals_stack(stack: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Eigenvalues of a stack of unitary matrices, renormalized to |z| = 1.
 
-    Row order is the solver's; callers pool and re-sort, so no per-row
-    ordering is imposed here.
+    Solved through the Cayley transform and ``eigvalsh``; the matrices it
+    flags (an eigenvalue within about 2e-3 of -1, or a K that is not
+    Hermitian) are re-solved by the general solver.  Row order is the
+    solver's; callers pool and re-sort, so no per-row ordering is imposed
+    here.
     """
-    try:
-        values = np.linalg.eigvals(stack)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"batched unitary eigensolver failed: {exc}") from exc
+    values = np.empty(stack.shape[:-1], dtype=np.complex128)
+    bad = np.empty(stack.shape[:-2], dtype=bool)
+    step = max(1, _CAYLEY_BATCH // stack.shape[-1] ** 2)
+    for lo in range(0, stack.shape[0], step):
+        values[lo:lo + step], bad[lo:lo + step] = _cayley_eigvals(stack[lo:lo + step], tols)
+    if bad.any():
+        values[bad] = _general_eigvals(stack[bad])
     mods = np.abs(values)
     if values.size and np.abs(mods - 1.0).max() > tols.unit_modulus:
         worst = int(np.abs(mods - 1.0).max(axis=-1).argmax())

@@ -29,7 +29,7 @@ from kickspec.errors import (
     TooFewSamples,
     UnknownCheck,
 )
-from kickspec.operators import RationalAlpha
+from kickspec.operators import OperatorKind, RationalAlpha
 from kickspec.spectra import BandList, SpectrumKind, SpectrumSet, merge_bands
 
 
@@ -340,6 +340,36 @@ def test_band_count_other_numerators(alpha, expected):
 def test_theta_period_every_kind(kind):
     r = run_check("THETA_PERIOD", {"kind": kind, "alpha": "2/5", "n": 12, "trials": 4})
     assert r.passed, f"{kind}: {r.measured} > {r.bound}"
+    assert r.bound == 1e-10
+
+
+@pytest.mark.parametrize("alpha,n", [("8/13", 12), ("3/5", 10), ("1/2", 5)])
+def test_mother_equality_catches_a_perturbed_rotor_kick(alpha, n, monkeypatch):
+    import dataclasses
+
+    import kickspec.spectra as spectra
+
+    cfg = {"alpha": alpha, "n": n}
+    r = run_check("MOTHER_EQUALITY", cfg)
+    assert r.passed and r.bound == 1e-10
+    build = spectra.operator_stack
+
+    def perturbed(params, xs, thetas):
+        if params.kind is OperatorKind.UORDKR:
+            params = dataclasses.replace(params, kappa=params.kappa + 1e-6)
+        return build(params, xs, thetas)
+
+    monkeypatch.setattr(spectra, "operator_stack", perturbed)
+    r = run_check("MOTHER_EQUALITY", cfg)
+    assert not r.passed, f"measured={r.measured} bound={r.bound}"
+
+
+def test_mother_equality_keeps_the_grid_bound_off_matched_nodes():
+    # 3/5 puts the rotor's theta kick half a theta step off an odd grid.
+    r = run_check("MOTHER_EQUALITY", {"alpha": "3/5", "n": 3})
+    assert r.passed
+    assert r.measured > 1e-6
+    assert r.bound > 1e-2
 
 
 def test_checks_are_deterministic():

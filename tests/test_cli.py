@@ -13,7 +13,7 @@ from kickspec.cli import (
     write_rings_svg,
     write_spectrum_csv,
 )
-from kickspec.errors import EmptySpectrum, KindMismatch
+from kickspec.errors import EmptySpectrum, KindMismatch, MalformedSpectrumFile
 from kickspec.operators import MOTHER, OperatorParams, RationalAlpha
 from kickspec.spectra import (
     GridSpec,
@@ -250,6 +250,16 @@ def test_numerical_failure_is_exit_3(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_verify_spectral_mapping_mother_scope(tmp_path):
+    out = str(tmp_path / "report.json")
+    code = dispatch(["verify", "--check", "spectral-mapping", "--theta", "mother",
+                     "--grid", "4", "--out", out])
+    assert code == 0
+    (report,) = json.loads(open(out).read())
+    assert report["params"]["scope"] == "mother"
+    assert report["pass"]
+
+
 def test_verify_mother_equality(tmp_path):
     out = str(tmp_path / "report.json")
     code = dispatch([
@@ -321,6 +331,41 @@ def test_zoom_command(tmp_path):
 
 
 # -- cache -----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("row,header", [
+    ("garbage,row", None),
+    ("1.0,2.0", None),
+    ("", "# kappa=abc"),
+    ("", "# alpha=4/6"),
+    ("", "# n_x=three"),
+    ("", "# kind=nope"),
+])
+def test_read_spectrum_csv_rejects_malformed_input(tmp_path, row, header):
+    path = str(tmp_path / "s.csv")
+    write_spectrum_csv(mother_spectrum(params(), GridSpec(3, 3)), path)
+    lines = open(path).read().splitlines()
+    if row:
+        lines[-1] = row
+    if header:
+        key = header.partition("=")[0]
+        lines = [header if ln.partition("=")[0] == key else ln for ln in lines]
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(MalformedSpectrumFile):
+        read_spectrum_csv(path)
+
+
+def test_garbled_cache_entry_is_recomputed(tmp_path):
+    cache = str(tmp_path / "c")
+    cold, warm = str(tmp_path / "cold.csv"), str(tmp_path / "warm.csv")
+    argv = ["compute", "--alpha", "1/3", "--grid", "3", "--cache-dir", cache]
+    assert dispatch(argv + ["--out", cold]) == 0
+    (entry,) = [os.path.join(cache, name) for name in os.listdir(cache)]
+    lines = open(entry).read().splitlines()
+    open(entry, "w").write("\n".join(lines[:-1] + ["garbage,row"]) + "\n")
+    assert dispatch(argv + ["--out", warm]) == 0
+    assert open(warm, "rb").read() == open(cold, "rb").read()
+    assert open(entry).read().splitlines() == lines
 
 
 def test_cache_key_sensitivity():

@@ -1,14 +1,26 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kickspec.errors import NonHermitian, NonUnitary
+import kickspec.linalg as linalg
+from kickspec.errors import NoConvergence, NonHermitian, NonUnitary
 from kickspec.linalg import (
     eig_hermitian,
     eig_unitary,
     expm_i_hermitian,
     principal_args,
+    unitary_eigvals_stack,
 )
-from kickspec.operators import clock_shift, dft_matrix
+from kickspec.operators import (
+    OperatorParams,
+    RationalAlpha,
+    clock_shift,
+    dft_matrix,
+    operator_stack,
+)
 
 ROOT8 = 2.0 * np.sqrt(2.0)  # eigenvalues of [[2,2],[2,-2]]: roots of t^2 - 8
 
@@ -168,3 +180,98 @@ def test_principal_args_wraps_minus_pi_to_pi():
     assert args[0] == pytest.approx(np.pi)
     assert args[1] == 0.0
     assert args[2] == pytest.approx(np.pi / 2)
+
+
+# -- unitary_eigvals_stack: Cayley route, guard and general-solver fallback -----
+
+
+def eigvals_dev(values, stack):
+    """Largest matched deviation of each row from np.linalg.eigvals of its matrix."""
+    return max(set_distance(v, np.linalg.eigvals(u)) for v, u in zip(values, stack))
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Record how many matrices reach the general solver."""
+    seen = []
+    real = linalg._general_eigvals
+
+    def spy(stack):
+        seen.append(len(stack))
+        return real(stack)
+
+    monkeypatch.setattr(linalg, "_general_eigvals", spy)
+    return seen
+
+
+def rotate_to_pole(u, delta):
+    """u times a phase that puts one of its eigenvalues delta from -1."""
+    phase = np.angle(np.linalg.eigvals(u)[0])
+    return u * np.exp(1j * (np.pi - delta - phase))
+
+
+@st.composite
+def kicked_matrix(draw):
+    q = draw(st.integers(1, 21))
+    p = draw(st.sampled_from([p for p in range(q) if math.gcd(p, q) == 1] or [0]))
+    kind = draw(st.sampled_from(["ukh", "uordkr"]))
+    kappa, lam = draw(st.floats(-4, 4)), draw(st.floats(-3, 3))
+    x, theta = draw(st.floats(0, 1, exclude_max=True)), draw(st.floats(0, 1, exclude_max=True))
+    params = OperatorParams(kind, kappa, lam, RationalAlpha(p, q), theta)
+    return operator_stack(params, [x], [theta])
+
+
+@given(kicked_matrix())
+@settings(max_examples=200, deadline=None)
+def test_unitary_stack_matches_general_solver(stack):
+    values = unitary_eigvals_stack(stack)
+    assert np.abs(np.abs(values) - 1.0).max() <= 1e-15
+    assert eigvals_dev(values, stack) <= 1e-12
+
+
+def exact_pole_ukh():
+    # q = 1: exp(-i pi/2) squared, the eigenvalue -1 up to the last bit of the
+    # imaginary part, so I + U is nearly but not exactly singular.
+    params = OperatorParams("ukh", np.pi / 4, 1.0, RationalAlpha(0, 1), 0.0)
+    return operator_stack(params, [0.0], [0.0])
+
+
+def near_pole_q233():
+    params = OperatorParams("ukh", 1.0, 1.0, RationalAlpha(144, 233), "mother")
+    return rotate_to_pole(operator_stack(params, [0.001], [0.0007]), 1e-8)
+
+
+@pytest.mark.parametrize("make", [
+    exact_pole_ukh,
+    near_pole_q233,
+    lambda: -np.eye(3, dtype=complex)[None],  # I + U exactly singular
+], ids=["exact-pole-ukh", "near-pole-q233", "minus-identity"])
+def test_unitary_stack_pole_takes_the_fallback(make, fallback_rows):
+    stack = make()
+    values = unitary_eigvals_stack(stack)
+    assert fallback_rows == [1]
+    assert eigvals_dev(values, stack) <= 1e-12
+
+
+def test_unitary_stack_mixed_fallback_equals_per_matrix(fallback_rows):
+    params = OperatorParams("uordkr", 2.0, 1.5, RationalAlpha(8, 13), "mother")
+    rng = np.random.default_rng(7)
+    stack = operator_stack(params, rng.uniform(0, 1 / 13, 6), rng.uniform(0, 1 / 13, 6))
+    stack[1] = rotate_to_pole(stack[1], 0.0)
+    stack[4] = rotate_to_pole(stack[4], 1e-8)
+    values = unitary_eigvals_stack(stack)
+    assert fallback_rows[0] == 2
+    for i, u in enumerate(stack):
+        assert np.array_equal(values[i], unitary_eigvals_stack(u[None])[0])
+    assert eigvals_dev(values, stack) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [
+    2.0 * np.eye(3),
+    np.diag([1.0, 1.0 + 1e-6]),
+])
+def test_unitary_stack_rejects_non_unitary(bad):
+    rng = np.random.default_rng(3)
+    stack = np.stack([random_unitary(rng, bad.shape[0]), bad, random_unitary(rng, bad.shape[0])])
+    with pytest.raises(NoConvergence):
+        unitary_eigvals_stack(stack)
