@@ -68,6 +68,7 @@ __all__ = [
     "butterfly",
     "zoom_windows",
     "alpha_jump_witness",
+    "check_keys",
     "run_check",
 ]
 
@@ -277,7 +278,7 @@ def zoom_windows(eps, center: float, factors) -> list[ZoomWindow]:
     if not (-np.pi < center <= np.pi):
         raise CenterOutOfRange(f"center must lie in (-pi, pi], got {center}")
     factors = [float(f) for f in factors]
-    if any(f <= 1.0 for f in factors):
+    if not all(f > 1.0 for f in factors):
         raise InvalidParams(f"zoom factors must all be > 1, got {factors}")
     windows = [ZoomWindow(lo=-np.pi, hi=np.pi, points=eps)]
     width = TWO_PI
@@ -428,7 +429,7 @@ def _check_spectral_mapping(cfg) -> CheckReport:
     kappa, lam = float(cfg.get("kappa", 1.0)), float(cfg.get("lambda", 1.0))
     n = int(cfg.get("n", 50))
     scope = MOTHER if cfg.get("theta") == MOTHER else cfg.get("scope", "fixed")
-    tol = float(cfg.get("tolerance", 1e-10))
+    tol = 1e-10  # both routes solve the same matrices: roundoff only
     if scope == "mother":
         params, grid = OperatorParams(OperatorKind.UH, kappa, lam, alpha, MOTHER), GridSpec(n, n)
         s_uh = mother_spectrum(params, grid)
@@ -456,7 +457,7 @@ def _check_aubry_andre(cfg) -> CheckReport:
     alpha = _alpha_of(cfg)
     lam = float(cfg.get("lambda", 2.0))
     n = int(cfg.get("n", 20))
-    tol = float(cfg.get("tolerance", 1e-9))
+    tol = 1e-9
     if lam == 0:
         raise InvalidParams("AUBRY_ANDRE requires lambda != 0")
     s1 = _mother(OperatorKind.H, 0.0, lam, alpha, n)
@@ -558,28 +559,40 @@ def _check_last_measure_trend(cfg) -> CheckReport:
     )
 
 
+# Each check and the config keys it reads; run_check rejects any other key.
 _CHECKS = {
-    "THETA_PERIOD": _check_theta_period,
-    "THETA_CONTINUITY": _check_theta_continuity,
-    "MOTHER_EQUALITY": _check_mother_equality,
-    "SPECTRAL_MAPPING": _check_spectral_mapping,
-    "AUBRY_ANDRE": _check_aubry_andre,
-    "BAND_COUNT": _check_band_count,
-    "ALPHA_CONTINUITY": _check_alpha_continuity,
-    "KAPPA_CUBED": _check_kappa_cubed,
-    "LAST_MEASURE_TREND": _check_last_measure_trend,
+    "THETA_PERIOD": (_check_theta_period, "kind alpha kappa lambda n trials seed"),
+    "THETA_CONTINUITY": (_check_theta_continuity, "kind alpha kappa lambda n trials seed"),
+    "MOTHER_EQUALITY": (_check_mother_equality, "alpha kappa lambda n"),
+    "SPECTRAL_MAPPING": (_check_spectral_mapping, "alpha kappa lambda n theta scope"),
+    "AUBRY_ANDRE": (_check_aubry_andre, "alpha lambda n"),
+    "BAND_COUNT": (_check_band_count, "alpha lambda n merge_gap"),
+    "ALPHA_CONTINUITY": (_check_alpha_continuity, "kind alpha1 alpha2 kappa lambda n"),
+    "KAPPA_CUBED": (_check_kappa_cubed, "alpha lambda n kappas"),
+    "LAST_MEASURE_TREND": (_check_last_measure_trend, "alphas lambdas n"),
 }
 
 CHECK_IDS = tuple(_CHECKS)
 
 
 def _canonical(check_id: str) -> str:
-    return str(check_id).strip().replace("-", "_").upper()
+    cid = str(check_id).strip().replace("-", "_").upper()
+    if cid not in _CHECKS:
+        raise UnknownCheck(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
+    return cid
+
+
+def check_keys(check_id: str) -> frozenset[str]:
+    """The config keys the named check reads."""
+    return frozenset(_CHECKS[_canonical(check_id)][1].split())
 
 
 def run_check(check_id: str, cfg: dict | None = None) -> CheckReport:
-    """Run one named check with the given config; deterministic for fixed cfg."""
+    """Run one named check; deterministic for fixed cfg.  A key the check
+    does not read raises InvalidParams rather than being ignored."""
     cid = _canonical(check_id)
-    if cid not in _CHECKS:
-        raise UnknownCheck(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
-    return _CHECKS[cid](dict(cfg or {}))
+    check, keys = _CHECKS[cid]
+    unread = sorted(set(cfg or {}) - set(keys.split()))
+    if unread:
+        raise InvalidParams(f"{cid} does not read {', '.join(unread)}; it reads: {keys}")
+    return check(dict(cfg or {}))

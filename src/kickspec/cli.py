@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     CHECK_IDS,
+    check_keys,
     farey_rationals,
     golden_convergents,
     run_check,
@@ -38,7 +39,14 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .linalg import DEFAULT_TOLS, Tolerances, principal_args
+from .linalg import (
+    DEDUP_TOL,
+    EIG_RESIDUAL_TOL,
+    HERMITIAN_TOL,
+    UNIT_MODULUS_TOL,
+    UNITARY_TOL,
+    principal_args,
+)
 from .operators import MOTHER, OperatorKind, OperatorParams, RationalAlpha
 from .spectra import (
     GridSpec,
@@ -227,7 +235,7 @@ def write_rings_svg(spectra: list[SpectrumSet], path: str) -> None:
 
 # -- cache ---------------------------------------------------------------------
 
-def cache_key(params: OperatorParams, grid: GridSpec, tols: Tolerances = DEFAULT_TOLS) -> str:
+def cache_key(params: OperatorParams, grid: GridSpec) -> str:
     """Stable hash of everything a spectrum depends on; any change changes it."""
     payload = {
         "kind": params.kind.value,
@@ -239,8 +247,7 @@ def cache_key(params: OperatorParams, grid: GridSpec, tols: Tolerances = DEFAULT
         "theta": None if params.is_mother else params.theta,
         "n_x": grid.n_x,
         "n_theta": grid.n_theta,
-        "tolerances": [tols.hermitian, tols.unitary, tols.eig_residual,
-                       tols.unit_modulus, tols.dedup],
+        "tolerances": [HERMITIAN_TOL, UNITARY_TOL, EIG_RESIDUAL_TOL, UNIT_MODULUS_TOL, DEDUP_TOL],
         "version": __version__,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -248,29 +255,26 @@ def cache_key(params: OperatorParams, grid: GridSpec, tols: Tolerances = DEFAULT
 
 
 def compute_spectrum(
-    params: OperatorParams,
-    grid: GridSpec,
-    cache_dir: str | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
+    params: OperatorParams, grid: GridSpec, cache_dir: str | None = None
 ) -> SpectrumSet:
     """Compute a spectrum, consulting/propagating the CSV cache if enabled."""
     if cache_dir is None:
-        return _compute(params, grid, tols)
-    path = os.path.join(cache_dir, cache_key(params, grid, tols) + ".csv")
+        return _compute(params, grid)
+    path = os.path.join(cache_dir, cache_key(params, grid) + ".csv")
     if os.path.exists(path):
         try:
             return read_spectrum_csv(path)
         except MalformedSpectrumFile:
             pass  # an unreadable entry is a miss: recompute and overwrite it
-    s = _compute(params, grid, tols)
+    s = _compute(params, grid)
     write_spectrum_csv(s, path)
     return s
 
 
-def _compute(params: OperatorParams, grid: GridSpec, tols: Tolerances) -> SpectrumSet:
+def _compute(params: OperatorParams, grid: GridSpec) -> SpectrumSet:
     if params.is_mother:
-        return mother_spectrum(params, grid, tols=tols)
-    return spectrum_fixed_theta(params, grid, tols=tols)
+        return mother_spectrum(params, grid)
+    return spectrum_fixed_theta(params, grid)
 
 
 # -- argument plumbing -----------------------------------------------------------
@@ -302,6 +306,13 @@ def _parse_kappas(text: str) -> list[float]:
         return [float(tok) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
         raise InvalidParams(f"bad --kappa value {text!r}: {exc}") from exc
+
+
+def _parse_merge_gap(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise InvalidParams(f"--merge-gap expects auto, track or a number, got {text!r}") from exc
 
 
 def _parse_alpha_list(text: str) -> list[RationalAlpha]:
@@ -374,8 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_zoom)
 
     p = sub.add_parser("verify", help="run verification checks and report JSON records")
-    # Flags act as overrides; anything omitted falls back to the check's own
-    # documented defaults, so every check stays runnable bare.
+    # Flags override the config keys the selected checks read (a flag that no
+    # selected check reads is rejected); anything omitted falls back to the
+    # check's own documented defaults, so every check stays runnable bare.
     p.add_argument("--check", required=True, help="check id or 'all'")
     p.add_argument("--kind", choices=[k.value for k in OperatorKind], default=None)
     p.add_argument("--alpha", default=None)
@@ -446,7 +458,7 @@ def _cmd_bandwidth(args) -> int:
             bound = grid_error_bound(params, grid)
         else:
             s = compute_spectrum(params, grid, args.cache_dir)
-            gap = auto_merge_gap(s) if args.merge_gap == "auto" else float(args.merge_gap)
+            gap = auto_merge_gap(s) if args.merge_gap == "auto" else _parse_merge_gap(args.merge_gap)
             bands = merge_bands(s, gap)
             bound = s.error_bound
         lines.append(
@@ -508,21 +520,22 @@ def _cmd_zoom(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg: dict = {}
-    if args.kind is not None:
-        cfg["kind"] = args.kind
-    if args.alpha is not None:
-        cfg["alpha"] = args.alpha
-    if args.kappa is not None:
-        cfg["kappa"] = args.kappa
-    if args.lam is not None:
-        cfg["lambda"] = args.lam
-    if args.theta is not None:
-        cfg["theta"] = _parse_theta(args.theta)
-    if args.grid is not None:
-        cfg["n"] = _parse_grid(args.grid).n_x
     ids = CHECK_IDS if args.check == "all" else (args.check,)
-    reports = [run_check(cid, cfg).to_dict() for cid in ids]
+    keys = {cid: check_keys(cid) for cid in ids}
+    given = {"kind": args.kind, "alpha": args.alpha, "kappa": args.kappa, "lambda": args.lam,
+             "theta": args.theta, "n": args.grid}
+    cfg = {k: v for k, v in given.items() if v is not None}
+    unread = sorted(set(cfg) - frozenset().union(*keys.values()))
+    if unread:
+        flags = ", ".join("--grid" if k == "n" else f"--{k}" for k in unread)
+        raise InvalidParams(f"verify --check {args.check} does not read {flags}")
+    if "theta" in cfg:
+        cfg["theta"] = _parse_theta(cfg["theta"])
+    if "n" in cfg:
+        cfg["n"] = _parse_grid(cfg["n"]).n_x
+    reports = [
+        run_check(cid, {k: v for k, v in cfg.items() if k in keys[cid]}).to_dict() for cid in ids
+    ]
     text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)
     return 0

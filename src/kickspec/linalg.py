@@ -30,8 +30,11 @@ import scipy.linalg
 from .errors import InvalidParams, NoConvergence, NonHermitian, NonUnitary
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLS",
+    "HERMITIAN_TOL",
+    "UNITARY_TOL",
+    "EIG_RESIDUAL_TOL",
+    "UNIT_MODULUS_TOL",
+    "DEDUP_TOL",
     "EigenDecomposition",
     "eig_hermitian",
     "eig_unitary",
@@ -39,25 +42,13 @@ __all__ = [
     "principal_args",
 ]
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Absolute default tolerances; override per call where needed.
-
-    ``hermitian`` is relative to the max-abs entry of the matrix;
-    ``eig_residual`` is relative to the spectral norm.  Band merging
-    downstream depends on these staying fixed, so they are data, not
-    hard-coded constants.
-    """
-
-    hermitian: float = 1e-12
-    unitary: float = 1e-10
-    eig_residual: float = 1e-10
-    unit_modulus: float = 1e-10
-    dedup: float = 1e-12
-
-
-DEFAULT_TOLS = Tolerances()
+# Absolute tolerances.  Band merging downstream and the cache key depend on
+# these staying fixed.
+HERMITIAN_TOL = 1e-12  # ||A - A*||_max, relative to ||A||_max
+UNITARY_TOL = 1e-10  # ||A A* - I||_max
+EIG_RESIDUAL_TOL = 1e-10  # Schur eigenpair residual, relative to ||U||_2 = 1
+UNIT_MODULUS_TOL = 1e-10  # | |z| - 1 | of a unitary eigenvalue
+DEDUP_TOL = 1e-12  # spectrum points closer than this are one point
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,38 +83,36 @@ def _check_square_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLS.hermitian) -> np.ndarray:
-    """Validate ||A - A*||_max <= tol * ||A||_max and return A as complex128."""
+def require_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate ||A - A*||_max <= HERMITIAN_TOL * ||A||_max and return A as complex128."""
     a = _check_square_finite(a, "require_hermitian")
     scale = np.abs(a).max() if a.size else 0.0
     dev = np.abs(a - a.conj().T).max() if a.size else 0.0
-    if dev > tol * scale:
+    if dev > HERMITIAN_TOL * scale:
         raise NonHermitian(
             f"matrix is not Hermitian: ||A - A*||_max = {dev:.3e} "
-            f"exceeds {tol:.1e} * ||A||_max = {tol * scale:.3e}"
+            f"exceeds {HERMITIAN_TOL:.1e} * ||A||_max = {HERMITIAN_TOL * scale:.3e}"
         )
     return a
 
 
-def require_unitary(a: np.ndarray, tol: float = DEFAULT_TOLS.unitary) -> np.ndarray:
-    """Validate ||A A* - I||_max <= tol and return A as complex128."""
+def require_unitary(a: np.ndarray) -> np.ndarray:
+    """Validate ||A A* - I||_max <= UNITARY_TOL and return A as complex128."""
     a = _check_square_finite(a, "require_unitary")
     n = a.shape[0]
     dev = np.abs(a @ a.conj().T - np.eye(n)).max()
-    if dev > tol:
-        raise NonUnitary(f"matrix is not unitary: ||A A* - I||_max = {dev:.3e} > {tol:.1e}")
+    if dev > UNITARY_TOL:
+        raise NonUnitary(f"matrix is not unitary: ||A A* - I||_max = {dev:.3e} > {UNITARY_TOL:.1e}")
     return a
 
 
-def eig_hermitian(
-    a: np.ndarray, want_vectors: bool = False, tols: Tolerances = DEFAULT_TOLS
-) -> EigenDecomposition:
+def eig_hermitian(a: np.ndarray, want_vectors: bool = False) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, values ascending.
 
     Raises NonHermitian if the input violates the Hermitian tolerance and
     NoConvergence if the LAPACK iteration budget is exhausted.
     """
-    a = require_hermitian(a, tols.hermitian)
+    a = require_hermitian(a)
     try:
         if want_vectors:
             w, v = np.linalg.eigh(a)
@@ -137,16 +126,14 @@ def eig_hermitian(
     return EigenDecomposition(values=w, vectors=v)
 
 
-def eig_unitary(
-    u: np.ndarray, want_vectors: bool = False, tols: Tolerances = DEFAULT_TOLS
-) -> EigenDecomposition:
+def eig_unitary(u: np.ndarray, want_vectors: bool = False) -> EigenDecomposition:
     """Eigendecomposition of a unitary matrix.
 
     Eigenvalues are renormalized to exact unit modulus and sorted by
     principal argument in (-pi, pi].  With ``want_vectors`` the returned
     basis comes from a complex Schur factorization and is orthonormal.
     """
-    u = require_unitary(u, tols.unitary)
+    u = require_unitary(u)
     n = u.shape[0]
     try:
         if want_vectors:
@@ -158,9 +145,9 @@ def eig_unitary(
             colsq = np.diag(np.cumsum(np.abs(t) ** 2, axis=0))
             resid = np.sqrt(np.maximum(colsq - np.abs(values) ** 2, 0.0))
             worst = float(resid.max()) if n else 0.0
-            if worst > tols.eig_residual:
+            if worst > EIG_RESIDUAL_TOL:
                 raise NoConvergence(
-                    f"unitary eigensolver residual {worst:.3e} exceeds {tols.eig_residual:.1e} "
+                    f"unitary eigensolver residual {worst:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} "
                     f"(matrix sha256 {_matrix_hash(u)})"
                 )
         else:
@@ -173,7 +160,7 @@ def eig_unitary(
         ) from exc
 
     mods = np.abs(values)
-    if n and np.abs(mods - 1.0).max() > tols.unit_modulus:
+    if n and np.abs(mods - 1.0).max() > UNIT_MODULUS_TOL:
         raise NoConvergence(
             f"unitary eigenvalues deviate from the circle by {np.abs(mods - 1.0).max():.3e} "
             f"(matrix sha256 {_matrix_hash(u)})"
@@ -186,16 +173,14 @@ def eig_unitary(
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def expm_i_hermitian(
-    a: np.ndarray, s: float, tols: Tolerances = DEFAULT_TOLS
-) -> np.ndarray:
+def expm_i_hermitian(a: np.ndarray, s: float) -> np.ndarray:
     """exp(-i s A) for Hermitian A, via V exp(-i s L) V* from eig_hermitian."""
     if not np.isfinite(s):
         raise InvalidParams(f"expm_i_hermitian: scale must be finite, got {s}")
-    dec = eig_hermitian(a, want_vectors=True, tols=tols)
+    dec = eig_hermitian(a, want_vectors=True)
     v = dec.vectors
     out = (v * np.exp(-1j * s * dec.values)[np.newaxis, :]) @ v.conj().T
-    return require_unitary(out, tols.unitary)
+    return require_unitary(out)
 
 
 # -- batched kernels (stacks of matrices, shape (m, q, q)) --------------------
@@ -239,7 +224,7 @@ def _general_eigvals(stack: np.ndarray) -> np.ndarray:
         raise NoConvergence(f"batched unitary eigensolver failed: {exc}") from exc
 
 
-def _cayley_eigvals(stack: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _cayley_eigvals(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, bad): eigenvalues through the Cayley transform, and a mask of
     the matrices whose values are not to be trusted."""
     eye = np.eye(stack.shape[-1], dtype=np.complex128)
@@ -255,7 +240,7 @@ def _cayley_eigvals(stack: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np
     # Every eigenvalue of U lies within ||K - K*||_2 of the unit circle, so a
     # matrix past the modulus tolerance (or with non-finite entries) goes to
     # the general solver, whose unit-modulus check then reports it.
-    bad = ~(np.linalg.norm(k - kh, axis=(-2, -1)) <= tols.unit_modulus)
+    bad = ~(np.linalg.norm(k - kh, axis=(-2, -1)) <= UNIT_MODULUS_TOL)
     k += kh
     k[bad] = 0.0  # their values come from the general solver
     try:
@@ -266,7 +251,7 @@ def _cayley_eigvals(stack: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np
     return (1j - w) / (1j + w), bad
 
 
-def unitary_eigvals_stack(stack: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def unitary_eigvals_stack(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of unitary matrices, renormalized to |z| = 1.
 
     Solved through the Cayley transform and ``eigvalsh``; the matrices it
@@ -279,11 +264,11 @@ def unitary_eigvals_stack(stack: np.ndarray, tols: Tolerances = DEFAULT_TOLS) ->
     bad = np.empty(stack.shape[:-2], dtype=bool)
     step = max(1, _CAYLEY_BATCH // stack.shape[-1] ** 2)
     for lo in range(0, stack.shape[0], step):
-        values[lo:lo + step], bad[lo:lo + step] = _cayley_eigvals(stack[lo:lo + step], tols)
+        values[lo:lo + step], bad[lo:lo + step] = _cayley_eigvals(stack[lo:lo + step])
     if bad.any():
         values[bad] = _general_eigvals(stack[bad])
     mods = np.abs(values)
-    if values.size and np.abs(mods - 1.0).max() > tols.unit_modulus:
+    if values.size and np.abs(mods - 1.0).max() > UNIT_MODULUS_TOL:
         worst = int(np.abs(mods - 1.0).max(axis=-1).argmax())
         raise NoConvergence(
             f"batched unitary eigenvalues off the circle by {np.abs(mods - 1.0).max():.3e} "

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidDimension, InvalidParams, NotCoprime
-from .linalg import DEFAULT_TOLS, Tolerances, eigh_stack, require_unitary
+from .linalg import eigh_stack, require_unitary
 
 __all__ = [
     "MOTHER",
@@ -318,9 +318,9 @@ def harper_hermitian(params: OperatorParams, x: float) -> np.ndarray:
     return _at(params, OperatorKind.H, x)
 
 
-def unitary_harper(params: OperatorParams, x: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def unitary_harper(params: OperatorParams, x: float) -> np.ndarray:
     """exp(-i 2 kappa (G(1,x) + lambda F G(p,theta) F^{-1})) = exp(-i kappa H)."""
-    return require_unitary(_at(params, OperatorKind.UH, x), tols.unitary)
+    return require_unitary(_at(params, OperatorKind.UH, x))
 
 
 def kicked_harper(params: OperatorParams, x: float) -> np.ndarray:

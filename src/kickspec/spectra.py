@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import EmptySpectrum, InvalidParams, NumericalError, WrongKind
 from .linalg import (
-    DEFAULT_TOLS,
-    Tolerances,
+    DEDUP_TOL,
+    UNIT_MODULUS_TOL,
     eigvalsh_stack,
     principal_args,
     unitary_eigvals_stack,
@@ -109,7 +109,6 @@ class SpectrumSet:
         params: OperatorParams | None = None,
         grid: GridSpec | None = None,
         error_bound: float = 0.0,
-        tols: Tolerances = DEFAULT_TOLS,
     ) -> "SpectrumSet":
         kind = SpectrumKind(kind)
         if error_bound < 0:
@@ -119,20 +118,20 @@ class SpectrumSet:
             if pts.size and not np.all(np.isfinite(pts)):
                 raise InvalidParams("spectrum points must be finite")
             if pts.size:
-                keep = np.concatenate(([True], np.diff(pts) > tols.dedup))
+                keep = np.concatenate(([True], np.diff(pts) > DEDUP_TOL))
                 pts = pts[keep]
         else:
             pts = np.asarray(values, dtype=np.complex128).ravel()
             if pts.size and not np.all(np.isfinite(pts.view(np.float64))):
                 raise InvalidParams("spectrum points must be finite")
-            if pts.size and np.abs(np.abs(pts) - 1.0).max() > tols.unit_modulus:
+            if pts.size and np.abs(np.abs(pts) - 1.0).max() > UNIT_MODULUS_TOL:
                 raise InvalidParams("unit-circle spectrum points must have modulus 1")
             order = np.lexsort((pts.imag, principal_args(pts)))
             pts = pts[order]
             if pts.size > 1:
-                keep = np.concatenate(([True], np.abs(np.diff(pts)) > tols.dedup))
+                keep = np.concatenate(([True], np.abs(np.diff(pts)) > DEDUP_TOL))
                 pts = pts[keep]
-                if pts.size > 1 and abs(pts[0] - pts[-1]) <= tols.dedup:
+                if pts.size > 1 and abs(pts[0] - pts[-1]) <= DEDUP_TOL:
                     pts = pts[:-1]
         pts.setflags(write=False)
         return cls(kind=kind, points=pts, params=params, grid=grid, error_bound=float(error_bound))
@@ -206,9 +205,7 @@ def _solve_chunks(params: OperatorParams, xv: np.ndarray, tv: np.ndarray, solve)
     ])
 
 
-def _sweep_values(
-    params: OperatorParams, xv: np.ndarray, tv: np.ndarray, tols: Tolerances
-) -> np.ndarray:
+def _sweep_values(params: OperatorParams, xv: np.ndarray, tv: np.ndarray) -> np.ndarray:
     """Pooled eigenvalues of the operator matrices at grid pairs (xv, tv).
 
     uh eigenvalues are exp(-i kappa w) for the Harper eigenvalues w
@@ -219,17 +216,17 @@ def _sweep_values(
     if params.kind is OperatorKind.UH:
         w = _solve_chunks(replace(params, kind=OperatorKind.H), xv, tv, eigvalsh_stack)
         return np.exp(-1j * params.kappa * w).ravel()
-    return _solve_chunks(params, xv, tv, lambda st: unitary_eigvals_stack(st, tols=tols)).ravel()
+    return _solve_chunks(params, xv, tv, unitary_eigvals_stack).ravel()
 
 
-def _sweep(params: OperatorParams, xv, tv, grid, tols) -> SpectrumSet:
+def _sweep(params: OperatorParams, xv, tv, grid) -> SpectrumSet:
     try:
-        values = _sweep_values(params, xv, tv, tols)
+        values = _sweep_values(params, xv, tv)
     except NumericalError as exc:
         # Re-run point by point to name the offending grid node.
         for x, t in zip(xv, tv):
             try:
-                _sweep_values(params, np.array([x]), np.array([t]), tols)
+                _sweep_values(params, np.array([x]), np.array([t]))
             except NumericalError:
                 raise NumericalError(
                     f"eigensolver failed at grid point x={x!r}, theta={t!r}: {exc}"
@@ -237,12 +234,7 @@ def _sweep(params: OperatorParams, xv, tv, grid, tols) -> SpectrumSet:
         raise
     kind = SpectrumKind.REAL_LINE if params.kind is OperatorKind.H else SpectrumKind.UNIT_CIRCLE
     return SpectrumSet.build(
-        kind,
-        values,
-        params=params,
-        grid=grid,
-        error_bound=grid_error_bound(params, grid),
-        tols=tols,
+        kind, values, params=params, grid=grid, error_bound=grid_error_bound(params, grid)
     )
 
 
@@ -255,30 +247,24 @@ def _grid_pairs(params: OperatorParams, grid: GridSpec) -> tuple[np.ndarray, np.
     return xs, np.full(xs.size, params.fixed_theta(), dtype=np.float64)
 
 
-def spectrum_fixed_theta(
-    params: OperatorParams, grid: GridSpec, tols: Tolerances = DEFAULT_TOLS
-) -> SpectrumSet:
+def spectrum_fixed_theta(params: OperatorParams, grid: GridSpec) -> SpectrumSet:
     """Union of eigenvalues over the x grid at the fixed theta in params."""
     params.fixed_theta()
     xv, tv = _grid_pairs(params, grid)
-    return _sweep(params, xv, tv, grid, tols)
+    return _sweep(params, xv, tv, grid)
 
 
-def mother_spectrum(
-    params: OperatorParams, grid: GridSpec, tols: Tolerances = DEFAULT_TOLS
-) -> SpectrumSet:
+def mother_spectrum(params: OperatorParams, grid: GridSpec) -> SpectrumSet:
     """Union of eigenvalues over the (x, theta) grid on [0, 1/q)^2."""
     if not params.is_mother:
         raise InvalidParams(f"mother_spectrum requires theta = {MOTHER!r}")
     xv, tv = _grid_pairs(params, grid)
-    return _sweep(params, xv, tv, grid, tols)
+    return _sweep(params, xv, tv, grid)
 
 
 # -- eigenphases and bands ----------------------------------------------------
 
-def tracked_bands(
-    params: OperatorParams, grid: GridSpec, tols: Tolerances = DEFAULT_TOLS
-) -> BandList:
+def tracked_bands(params: OperatorParams, grid: GridSpec) -> BandList:
     """Band intervals from per-grid-point sorted eigenvalues.
 
     The j-th sorted eigenvalue over the grid traces the j-th spectral band,
@@ -292,7 +278,7 @@ def tracked_bands(
     """
     xv, tv = _grid_pairs(params, grid)
     q = params.alpha.q
-    values = _sweep_values(params, xv, tv, tols).reshape(-1, q)
+    values = _sweep_values(params, xv, tv).reshape(-1, q)
 
     if params.kind is OperatorKind.H:
         bands = _line_runs(values.min(axis=0), values.max(axis=0), _CLOSURE)
@@ -354,11 +340,11 @@ def eigenphases(s: SpectrumSet) -> np.ndarray:
     return principal_args(s.points)
 
 
-def auto_merge_gap(s: SpectrumSet, factor: float = 4.0) -> float:
+def auto_merge_gap(s: SpectrumSet) -> float:
     """Default merge gap: 4x the certified bound (adjacent true points can
     each be displaced by error_bound; the extra factor 2 avoids spurious
     splits).  Falls back to the dedup scale when the bound is zero."""
-    return max(factor * s.error_bound, 1e-12)
+    return max(4.0 * s.error_bound, DEDUP_TOL)
 
 
 def merge_bands(s: SpectrumSet, merge_gap: float) -> BandList:
@@ -368,7 +354,7 @@ def merge_bands(s: SpectrumSet, merge_gap: float) -> BandList:
     closes, the result is the single full-circle band of length 2 pi.
     Band endpoints are extreme member points.
     """
-    if merge_gap <= 0:
+    if not merge_gap > 0:
         raise InvalidParams(f"merge_gap must be > 0, got {merge_gap}")
     if len(s) == 0:
         raise EmptySpectrum("cannot merge an empty spectrum")
@@ -387,7 +373,7 @@ def merge_band_list(b: BandList, merge_gap: float) -> BandList:
     merge_bands is idempotent at this level: re-merging its output with the
     same gap returns it unchanged, because all surviving gaps exceed it.
     """
-    if merge_gap <= 0:
+    if not merge_gap > 0:
         raise InvalidParams(f"merge_gap must be > 0, got {merge_gap}")
     if not b.bands:
         raise EmptySpectrum("cannot merge an empty band list")

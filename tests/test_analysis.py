@@ -11,6 +11,7 @@ from kickspec.analysis import (
     alpha_jump_witness,
     bands_in_window,
     butterfly,
+    check_keys,
     farey_rationals,
     golden_convergents,
     hausdorff,
@@ -287,6 +288,12 @@ def test_unknown_check_rejected():
         run_check("NO_SUCH_CHECK", {})
 
 
+def test_run_check_rejects_a_key_the_check_does_not_read():
+    # The SPECTRAL_MAPPING bound is fixed; a config key cannot loosen it.
+    with pytest.raises(InvalidParams, match="tolerance"):
+        run_check("SPECTRAL_MAPPING", {"tolerance": 1.0})
+
+
 @pytest.mark.parametrize("scope", ["fixed", "mother"])
 def test_spectral_mapping_catches_a_wrong_uh_kernel(scope, monkeypatch):
     import kickspec.spectra as spectra
@@ -308,25 +315,50 @@ def test_check_id_spelling_is_flexible():
     assert r.passed
 
 
+_QUICK = {
+    "THETA_PERIOD": {"alpha": "2/3", "n": 10, "trials": 3},
+    "THETA_CONTINUITY": {"alpha": "2/3", "n": 10, "trials": 3},
+    "MOTHER_EQUALITY": {"alpha": "3/5", "n": 10},
+    "SPECTRAL_MAPPING": {"alpha": "3/5", "n": 10},
+    "AUBRY_ANDRE": {"alpha": "3/5", "lambda": 2.0, "n": 8},
+    "BAND_COUNT": {"alpha": "1/3", "n": 80},
+    "ALPHA_CONTINUITY": {"alpha1": "3/5", "alpha2": "5/8", "n": 8},
+    "KAPPA_CUBED": {"alpha": "3/5", "n": 24, "kappas": [0.05, 0.1]},
+    "LAST_MEASURE_TREND": {"alphas": ["3/5", "5/8"], "n": 30},
+}
+
+
 @pytest.mark.parametrize("cid", CHECK_IDS)
 def test_every_check_runs_and_reports(cid):
-    quick = {
-        "THETA_PERIOD": {"alpha": "2/3", "n": 10, "trials": 3},
-        "THETA_CONTINUITY": {"alpha": "2/3", "n": 10, "trials": 3},
-        "MOTHER_EQUALITY": {"alpha": "3/5", "n": 10},
-        "SPECTRAL_MAPPING": {"alpha": "3/5", "n": 10},
-        "AUBRY_ANDRE": {"alpha": "3/5", "lambda": 2.0, "n": 8},
-        "BAND_COUNT": {"alpha": "1/3", "n": 80},
-        "ALPHA_CONTINUITY": {"alpha1": "3/5", "alpha2": "5/8", "n": 8},
-        "KAPPA_CUBED": {"alpha": "3/5", "n": 24, "kappas": [0.05, 0.1]},
-        "LAST_MEASURE_TREND": {"alphas": ["3/5", "5/8"], "n": 30},
-    }[cid]
-    r = run_check(cid, quick)
+    r = run_check(cid, _QUICK[cid])
     assert r.passed == (r.measured <= r.bound)
     assert r.passed, f"{cid}: measured={r.measured} bound={r.bound} notes={r.notes}"
     blob = json.dumps(r.to_dict(), sort_keys=True)
     rec = json.loads(blob)
     assert rec["check"] == cid and "pass" in rec and "params" in rec
+
+
+class _ReadLog(dict):
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("cid", CHECK_IDS)
+def test_check_keys_are_the_keys_the_check_reads(cid):
+    from kickspec.analysis import _CHECKS
+
+    cfg = _ReadLog(_QUICK[cid])
+    _CHECKS[cid][0](cfg)
+    assert cfg.read == check_keys(cid)
 
 
 @pytest.mark.parametrize("alpha,expected", [("2/5", 5), ("3/7", 7), ("3/4", 3)])

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kickspec.cli import (
     _fmt,
@@ -92,6 +94,10 @@ def test_bad_list_values_are_exit_2(tmp_path):
     assert dispatch(["bandwidth", "--alpha-list", "farey:x", "--grid", "3"]) == 2
     assert dispatch(["butterfly", "--alpha-list", "fib:1..2", "--grid", "3"]) == 2
     assert dispatch(["zoom", "--alpha", "1/3", "--grid", "3", "--factors", "2,nope"]) == 2
+    assert dispatch(["zoom", "--alpha", "3/5", "--grid", "4", "--factors", "nan"]) == 2
+    for gap in ("abc", "nan"):
+        argv = ["bandwidth", "--alpha-list", "fib:1..3", "--grid", "4", "--merge-gap", gap]
+        assert dispatch(argv) == 2
 
 
 def test_csv_fixed_theta_round_trip(tmp_path):
@@ -209,10 +215,45 @@ def test_compute_bad_usage_is_exit_2():
     ["verify", "--check", "all", "--seed", "1"],
     ["verify", "--check", "all", "--format", "json"],
     ["verify", "--check", "all", "--cache-dir", "c"],
+    ["verify", "--check", "alpha-continuity", "--grid", "2", "--alpha", "1/3"],
+    ["verify", "--check", "mother-equality", "--grid", "2", "--kind", "h"],
+    ["verify", "--check", "last-measure-trend", "--grid", "2", "--lambda", "3"],
+    ["verify", "--check", "theta-period", "--grid", "2", "--theta", "0.3"],
+    ["verify", "--check", "kappa-cubed", "--grid", "2", "--kappa", "0.1"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_unread_flags_are_rejected(argv, capsys):
     assert dispatch(argv) == 2
     capsys.readouterr()
+
+
+_FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "", "abc", "0.5", "1", "2", "1,2", "1e308"]
+_FUZZ_COMMANDS = {  # fixed argv, flags always drawn, flags drawn or left out
+    "bandwidth": (["bandwidth", "--alpha-list", "fib:1..1"], ["--grid"],
+                  ["--merge-gap", "--kappa", "--lambda"]),
+    "zoom": (["zoom", "--alpha", "1/2"], ["--grid", "--factors"],
+             ["--center", "--kappa", "--lambda"]),
+    "verify": (["verify", "--check", "band-count", "--alpha", "1/2"], ["--grid"],
+               ["--kappa", "--lambda"]),
+}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    argv, always, maybe = _FUZZ_COMMANDS[draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))]
+    argv = list(argv)
+    for flag in always + [f for f in maybe if draw(st.booleans())]:
+        # Half the grids are valid, so the other flags get past grid parsing.
+        valid = ["1", "2", "2,1"] if flag == "--grid" else _FUZZ_VALUES
+        argv += [flag, draw(st.sampled_from(valid) | st.sampled_from(_FUZZ_VALUES))]
+    return argv
+
+
+@given(fuzzed_argv())
+@example(["bandwidth", "--alpha-list", "fib:1..1", "--grid", "2", "--merge-gap", "abc"])
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_argv_exits_with_a_contract_code(argv):
+    # Values from the pool keep every grid at 2 points or fewer per axis.
+    assert dispatch(argv) in (0, 2, 3, 4)
 
 
 def test_help_is_exit_0(capsys):
@@ -375,6 +416,15 @@ def test_cache_key_sensitivity():
     assert k1 != cache_key(params(kappa=2.0), grid)
     assert k1 != cache_key(pa, GridSpec(5, 6))
     assert k1 != cache_key(params(theta=0.0), grid)
+
+
+def test_cache_keys_are_pinned():
+    # Entries written by earlier versions stay valid only while these hold.
+    assert cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER),
+                     GridSpec(5, 5)) == (
+        "9bb4495a3a94acb3549b173fb7e833ea7bd5fbd6c02527b2114bc5111d3009eb")
+    assert cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7)) == (
+        "45705a3853f3f66c8db62cbf5d1628b7283ddb60be69154525a0dfa93f490743")
 
 
 def test_cache_differential_and_clear(tmp_path):

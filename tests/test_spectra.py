@@ -3,7 +3,7 @@ import pytest
 
 import kickspec.spectra as spectra
 from kickspec.errors import EmptySpectrum, InvalidParams, WrongKind
-from kickspec.linalg import DEFAULT_TOLS, eig_hermitian, eig_unitary, expm_i_hermitian
+from kickspec.linalg import eig_hermitian, eig_unitary, expm_i_hermitian
 from kickspec.operators import (
     MOTHER,
     OperatorParams,
@@ -184,7 +184,7 @@ def test_sweep_matches_per_matrix_oracles(kind, p, q, scope):
     alpha = RationalAlpha(p, q)
     pa = OperatorParams(kind, 0.9, 1.3, alpha, MOTHER if scope == "mother" else 0.37)
     xv, tv = spectra._grid_pairs(pa, GridSpec(3, 3))
-    pooled = spectra._sweep_values(pa, xv, tv, DEFAULT_TOLS)
+    pooled = spectra._sweep_values(pa, xv, tv)
     oracle = np.concatenate([_oracle_values(kind, 0.9, 1.3, alpha, x, t) for x, t in zip(xv, tv)])
     assert pooled.size == oracle.size == xv.size * q
     assert set_distance(pooled, oracle) <= 1e-12
@@ -195,10 +195,10 @@ def test_chunked_sweep_is_identical(kind, monkeypatch):
     q = 5
     pa = params(kind, 0.9, 1.3, 2, q, theta=MOTHER)
     xv, tv = spectra._grid_pairs(pa, GridSpec(4, 4))
-    single = spectra._sweep_values(pa, xv, tv, DEFAULT_TOLS)
+    single = spectra._sweep_values(pa, xv, tv)
     # 5 matrices per chunk: 4 chunks over 16 nodes, each repeating a theta.
     monkeypatch.setattr(spectra, "_CHUNK_COMPLEX", 5 * q * q)
-    chunked = spectra._sweep_values(pa, xv, tv, DEFAULT_TOLS)
+    chunked = spectra._sweep_values(pa, xv, tv)
     assert np.unique(tv[:5]).size < 5
     assert np.array_equal(chunked, single)
 
