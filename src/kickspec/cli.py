@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-list", required=True, help="fib:a..b or farey:qmax")
     p.add_argument("--merge-gap", default="auto",
                    help="'auto' (4x error bound), 'track' (per-band-index edges) or a number")
-    p.add_argument("--cache-dir", default=None, help="used unless --merge-gap track")
+    p.add_argument("--cache-dir", default=None, help="rejected with --merge-gap track")
     p.set_defaults(func=_cmd_bandwidth)
 
     p = sub.add_parser("butterfly", help="union spectra over all Farey rationals")
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--theta", default=None)
-    p.add_argument("--grid", default=None)
+    p.add_argument("--grid", default=None, help="N grid points per axis")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
@@ -440,6 +440,8 @@ def _cmd_bandwidth(args) -> int:
     kappas = _parse_kappas(args.kappa)
     if len(kappas) != 1:
         raise InvalidParams("bandwidth expects a single --kappa")
+    if args.merge_gap == "track" and args.cache_dir is not None:
+        raise InvalidParams("bandwidth --merge-gap track does not read --cache-dir")
     grid = _parse_grid(args.grid)
     theta = _parse_theta(args.theta)
     lines = [
@@ -532,7 +534,10 @@ def _cmd_verify(args) -> int:
     if "theta" in cfg:
         cfg["theta"] = _parse_theta(cfg["theta"])
     if "n" in cfg:
-        cfg["n"] = _parse_grid(cfg["n"]).n_x
+        try:
+            cfg["n"] = GridSpec(int(cfg["n"])).n_x
+        except ValueError as exc:
+            raise InvalidParams(f"verify --grid expects one integer N, got {args.grid!r}") from exc
     reports = [
         run_check(cid, {k: v for k, v in cfg.items() if k in keys[cid]}).to_dict() for cid in ids
     ]

@@ -12,20 +12,18 @@ eigenvalue w of K is the eigenvalue (i - w)/(i + w) of U.  The transform has
 a pole at -1, where the eigenphase error grows like eps * max|w|, so a
 matrix with an eigenvalue close to -1, or whose K is not Hermitian, is
 re-solved by the general solver (``eigvals``), which is also the reference
-the tests compare against.  The per-matrix ``eig_unitary`` keeps ``eigvals``
-and, when eigenvectors are requested, a complex Schur factorization
-(``zgees``), whose orthonormal Schur basis doubles as an eigenbasis because
-unitary matrices are normal.  The contracts below (residual, ordering,
-modulus bounds) are what is normative, not the solver.
+the tests compare against.  The per-matrix ``eig_hermitian``, ``eig_unitary``
+and ``expm_i_hermitian`` validate their input and then call the batched
+kernels, which also accept a single matrix; ``eig_unitary`` goes straight to
+the general solver.  The contracts below (ordering, modulus bounds) are what
+is normative, not the solver.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidParams, NoConvergence, NonHermitian, NonUnitary
 
@@ -46,14 +44,15 @@ __all__ = [
 # these staying fixed.
 HERMITIAN_TOL = 1e-12  # ||A - A*||_max, relative to ||A||_max
 UNITARY_TOL = 1e-10  # ||A A* - I||_max
-EIG_RESIDUAL_TOL = 1e-10  # Schur eigenpair residual, relative to ||U||_2 = 1
+EIG_RESIDUAL_TOL = 1e-10  # read by no solver; its only role is in the cache-key payload
 UNIT_MODULUS_TOL = 1e-10  # | |z| - 1 | of a unitary eigenvalue
 DEDUP_TOL = 1e-12  # spectrum points closer than this are one point
 
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Eigenvalues (and optionally an orthonormal eigenbasis) of a normal matrix.
+    """Eigenvalues (and, for Hermitian input, optionally an orthonormal
+    eigenbasis) of a normal matrix.
 
     Values are sorted ascending by real value for Hermitian input and by
     principal argument in (-pi, pi] for unitary input, ties broken by
@@ -68,10 +67,6 @@ def principal_args(values: np.ndarray) -> np.ndarray:
     """Principal arguments in (-pi, pi]; an argument of exactly -pi wraps to +pi."""
     ang = np.angle(values)
     return np.where(ang <= -np.pi, ang + 2.0 * np.pi, ang)
-
-
-def _matrix_hash(a: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
 
 def _check_square_finite(a: np.ndarray, what: str) -> np.ndarray:
@@ -113,91 +108,60 @@ def eig_hermitian(a: np.ndarray, want_vectors: bool = False) -> EigenDecompositi
     NoConvergence if the LAPACK iteration budget is exhausted.
     """
     a = require_hermitian(a)
-    try:
-        if want_vectors:
-            w, v = np.linalg.eigh(a)
-        else:
-            w, v = np.linalg.eigvalsh(a), None
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(
-            f"Hermitian eigensolver did not converge (matrix sha256 {_matrix_hash(a)}, "
-            f"LAPACK budget ~{30 * a.shape[0]} sweeps): {exc}"
-        ) from exc
-    return EigenDecomposition(values=w, vectors=v)
+    if want_vectors:
+        return EigenDecomposition(*eigh_stack(a))
+    return EigenDecomposition(eigvalsh_stack(a))
 
 
-def eig_unitary(u: np.ndarray, want_vectors: bool = False) -> EigenDecomposition:
-    """Eigendecomposition of a unitary matrix.
+def eig_unitary(u: np.ndarray) -> EigenDecomposition:
+    """Eigenvalues of a unitary matrix by the general solver.
 
     Eigenvalues are renormalized to exact unit modulus and sorted by
-    principal argument in (-pi, pi].  With ``want_vectors`` the returned
-    basis comes from a complex Schur factorization and is orthonormal.
+    principal argument in (-pi, pi].  This is the reference the Cayley
+    route of unitary_eigvals_stack is tested against.
     """
-    u = require_unitary(u)
-    n = u.shape[0]
-    try:
-        if want_vectors:
-            t, z = scipy.linalg.schur(u, output="complex")
-            values = np.diag(t).copy()
-            vectors = z
-            # For a normal matrix the Schur form is diagonal; the residual of
-            # eigenpair i is the strictly upper part of column i of T.
-            colsq = np.diag(np.cumsum(np.abs(t) ** 2, axis=0))
-            resid = np.sqrt(np.maximum(colsq - np.abs(values) ** 2, 0.0))
-            worst = float(resid.max()) if n else 0.0
-            if worst > EIG_RESIDUAL_TOL:
-                raise NoConvergence(
-                    f"unitary eigensolver residual {worst:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} "
-                    f"(matrix sha256 {_matrix_hash(u)})"
-                )
-        else:
-            values = np.linalg.eigvals(u)
-            vectors = None
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NoConvergence(
-            f"unitary eigensolver did not converge (matrix sha256 {_matrix_hash(u)}, "
-            f"LAPACK budget ~{30 * n} sweeps): {exc}"
-        ) from exc
-
-    mods = np.abs(values)
-    if n and np.abs(mods - 1.0).max() > UNIT_MODULUS_TOL:
-        raise NoConvergence(
-            f"unitary eigenvalues deviate from the circle by {np.abs(mods - 1.0).max():.3e} "
-            f"(matrix sha256 {_matrix_hash(u)})"
-        )
-    values = values / mods
-    order = np.lexsort((values.imag, principal_args(values)))
-    values = values[order]
-    if vectors is not None:
-        vectors = vectors[:, order]
-    return EigenDecomposition(values=values, vectors=vectors)
+    values = _on_unit_circle(_general_eigvals(require_unitary(u)))
+    return EigenDecomposition(values[np.lexsort((values.imag, principal_args(values)))])
 
 
 def expm_i_hermitian(a: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i s A) for Hermitian A, via V exp(-i s L) V* from eig_hermitian."""
+    """exp(-i s A) for Hermitian A (see expm_i_hermitian_stack)."""
     if not np.isfinite(s):
         raise InvalidParams(f"expm_i_hermitian: scale must be finite, got {s}")
-    dec = eig_hermitian(a, want_vectors=True)
-    v = dec.vectors
-    out = (v * np.exp(-1j * s * dec.values)[np.newaxis, :]) @ v.conj().T
-    return require_unitary(out)
+    return require_unitary(expm_i_hermitian_stack(require_hermitian(a), s))
 
 
-# -- batched kernels (stacks of matrices, shape (m, q, q)) --------------------
+# -- batched kernels (stacks of matrices, shape (m, q, q), or one matrix) ------
 
 def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of Hermitian matrices, each row ascending."""
     try:
         return np.linalg.eigvalsh(stack)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"batched Hermitian eigensolver failed: {exc}") from exc
+        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
 
 
 def eigh_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"batched Hermitian eigensolver failed: {exc}") from exc
+        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
+
+
+def expm_i_hermitian_stack(stack: np.ndarray, s: float) -> np.ndarray:
+    """exp(-i s A) for each Hermitian A of a stack, as V exp(-i s L) V*."""
+    w, v = eigh_stack(stack)
+    return (v * np.exp(-1j * s * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _on_unit_circle(values: np.ndarray) -> np.ndarray:
+    """values / |values|; NoConvergence if any |value| is off 1 by more than
+    UNIT_MODULUS_TOL."""
+    mods = np.abs(values)
+    dev = np.abs(mods - 1.0)
+    if values.size and dev.max() > UNIT_MODULUS_TOL:
+        raise NoConvergence(f"unitary eigenvalues off the circle by {dev.max():.3e}")
+    return values / mods
 
 
 # Largest |w| the Cayley route accepts.  Its eigenphase error is about
@@ -215,13 +179,14 @@ _CAYLEY_BATCH = 1 << 16
 def _general_eigvals(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of square matrices by the general solver.
 
-    The fallback of unitary_eigvals_stack and the independent route it is
-    checked against.  Row order is the solver's; values are not renormalized.
+    The fallback of unitary_eigvals_stack and, through eig_unitary, the
+    independent route it is checked against.  Row order is the solver's;
+    values are not renormalized.
     """
     try:
         return np.linalg.eigvals(stack)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"batched unitary eigensolver failed: {exc}") from exc
+        raise NoConvergence(f"general eigensolver failed: {exc}") from exc
 
 
 def _cayley_eigvals(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,10 +208,7 @@ def _cayley_eigvals(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bad = ~(np.linalg.norm(k - kh, axis=(-2, -1)) <= UNIT_MODULUS_TOL)
     k += kh
     k[bad] = 0.0  # their values come from the general solver
-    try:
-        w = np.linalg.eigvalsh(k) / 2.0
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"batched unitary eigensolver failed: {exc}") from exc
+    w = eigvalsh_stack(k) / 2.0
     bad |= ~(np.abs(w).max(axis=-1) <= _CAYLEY_LIMIT)
     return (1j - w) / (1j + w), bad
 
@@ -267,11 +229,4 @@ def unitary_eigvals_stack(stack: np.ndarray) -> np.ndarray:
         values[lo:lo + step], bad[lo:lo + step] = _cayley_eigvals(stack[lo:lo + step])
     if bad.any():
         values[bad] = _general_eigvals(stack[bad])
-    mods = np.abs(values)
-    if values.size and np.abs(mods - 1.0).max() > UNIT_MODULUS_TOL:
-        worst = int(np.abs(mods - 1.0).max(axis=-1).argmax())
-        raise NoConvergence(
-            f"batched unitary eigenvalues off the circle by {np.abs(mods - 1.0).max():.3e} "
-            f"(stack index {worst})"
-        )
-    return values / mods
+    return _on_unit_circle(values)

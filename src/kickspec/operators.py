@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidDimension, InvalidParams, NotCoprime
-from .linalg import eigh_stack, require_unitary
+from .linalg import expm_i_hermitian_stack, require_unitary
 
 __all__ = [
     "MOTHER",
@@ -121,6 +121,10 @@ class OperatorParams:
         lam = float(self.lam)
         if not (np.isfinite(kappa) and np.isfinite(lam)):
             raise InvalidParams(f"kappa and lambda must be finite, got {kappa}, {lam}")
+        # Bounds every kick phase, the hopping scale 2 lambda, the uh phase
+        # kappa * (2 + 2 |lambda|) and the grid Lipschitz constants.
+        if not np.isfinite(4.0 * np.pi * max(abs(kappa), 1.0) * (1.0 + abs(lam))):
+            raise InvalidParams(f"kappa and lambda are too large, got {kappa}, {lam}")
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "lam", lam)
         if not isinstance(self.alpha, RationalAlpha):
@@ -265,7 +269,7 @@ def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
     is ignored in favour of ``thetas``.  With G(k, y) = diag(cos 2 pi (y + k j / q)):
 
     * H       2 G(1, x) + 2 lambda F G(p, theta) F^{-1},
-    * UH      exp(-i kappa H), through the batched Hermitian eigensystem,
+    * UH      exp(-i kappa H), by linalg.expm_i_hermitian_stack,
     * UKH     exp(-i 2 kappa G(1, x)) F exp(-i 2 kappa lambda G(p, theta)) F^{-1},
     * UORDKR  exp(-i 2 kappa G(1, x)) E exp(-i 2 kappa lambda G(1, beta)) E^{-1}
               with beta = x + theta + alpha/2 + phi and (E, phi) the D C^p
@@ -303,8 +307,7 @@ def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
     stack[:, idx, idx] += 2.0 * cos_rows(1, xs, q)
     if kind is OperatorKind.H:
         return stack
-    w, v = eigh_stack(stack)
-    return (v * np.exp(-1j * kap * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return expm_i_hermitian_stack(stack, kap)
 
 
 def _at(params: OperatorParams, kind: OperatorKind, x: float) -> np.ndarray:

@@ -205,33 +205,41 @@ def _solve_chunks(params: OperatorParams, xv: np.ndarray, tv: np.ndarray, solve)
     ])
 
 
-def _sweep_values(params: OperatorParams, xv: np.ndarray, tv: np.ndarray) -> np.ndarray:
-    """Pooled eigenvalues of the operator matrices at grid pairs (xv, tv).
+def _node_values(params: OperatorParams, xv: np.ndarray, tv: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the operator matrices at grid pairs (xv, tv), shape (m, q).
 
     uh eigenvalues are exp(-i kappa w) for the Harper eigenvalues w
     (spectral mapping), so uh sweeps run the Hermitian solver only.
     """
     if params.kind is OperatorKind.H:
-        return _solve_chunks(params, xv, tv, eigvalsh_stack).ravel()
+        return _solve_chunks(params, xv, tv, eigvalsh_stack)
     if params.kind is OperatorKind.UH:
         w = _solve_chunks(replace(params, kind=OperatorKind.H), xv, tv, eigvalsh_stack)
-        return np.exp(-1j * params.kappa * w).ravel()
-    return _solve_chunks(params, xv, tv, unitary_eigvals_stack).ravel()
+        return np.exp(-1j * params.kappa * w)
+    return _solve_chunks(params, xv, tv, unitary_eigvals_stack)
+
+
+def _sweep_values(params: OperatorParams, xv: np.ndarray, tv: np.ndarray) -> np.ndarray:
+    """Pooled eigenvalues of the operator matrices at grid pairs (xv, tv).
+
+    On a solver failure the nodes are re-run one by one, so that the error
+    names the first grid point that fails on its own.
+    """
+    try:
+        return _node_values(params, xv, tv).ravel()
+    except NumericalError as exc:
+        for x, t in zip(xv, tv):
+            try:
+                _node_values(params, np.array([x]), np.array([t]))
+            except NumericalError:
+                raise NumericalError(
+                    f"eigensolver failed at grid point x={float(x)!r}, theta={float(t)!r}: {exc}"
+                ) from exc
+        raise
 
 
 def _sweep(params: OperatorParams, xv, tv, grid) -> SpectrumSet:
-    try:
-        values = _sweep_values(params, xv, tv)
-    except NumericalError as exc:
-        # Re-run point by point to name the offending grid node.
-        for x, t in zip(xv, tv):
-            try:
-                _sweep_values(params, np.array([x]), np.array([t]))
-            except NumericalError:
-                raise NumericalError(
-                    f"eigensolver failed at grid point x={x!r}, theta={t!r}: {exc}"
-                ) from exc
-        raise
+    values = _sweep_values(params, xv, tv)
     kind = SpectrumKind.REAL_LINE if params.kind is OperatorKind.H else SpectrumKind.UNIT_CIRCLE
     return SpectrumSet.build(
         kind, values, params=params, grid=grid, error_bound=grid_error_bound(params, grid)

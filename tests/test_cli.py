@@ -98,6 +98,9 @@ def test_bad_list_values_are_exit_2(tmp_path):
     for gap in ("abc", "nan"):
         argv = ["bandwidth", "--alpha-list", "fib:1..3", "--grid", "4", "--merge-gap", gap]
         assert dispatch(argv) == 2
+    # Finite, but a kick phase or the hopping scale would overflow.
+    for big in (["--kappa", "1e308"], ["--kappa", "1e200", "--lambda", "1e200"]):
+        assert dispatch(["compute", "--kind", "ukh", "--alpha", "1/2", "--grid", "2"] + big) == 2
 
 
 def test_csv_fixed_theta_round_trip(tmp_path):
@@ -220,6 +223,8 @@ def test_compute_bad_usage_is_exit_2():
     ["verify", "--check", "last-measure-trend", "--grid", "2", "--lambda", "3"],
     ["verify", "--check", "theta-period", "--grid", "2", "--theta", "0.3"],
     ["verify", "--check", "kappa-cubed", "--grid", "2", "--kappa", "0.1"],
+    ["verify", "--check", "aubry-andre", "--grid", "6,99"],
+    ["bandwidth", "--alpha-list", "fib:1..2", "--merge-gap", "track", "--cache-dir", "c"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_unread_flags_are_rejected(argv, capsys):
     assert dispatch(argv) == 2

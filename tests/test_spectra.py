@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import kickspec.spectra as spectra
-from kickspec.errors import EmptySpectrum, InvalidParams, WrongKind
+from kickspec.errors import EmptySpectrum, InvalidParams, NoConvergence, NumericalError, WrongKind
 from kickspec.linalg import eig_hermitian, eig_unitary, expm_i_hermitian
 from kickspec.operators import (
     MOTHER,
@@ -10,6 +12,7 @@ from kickspec.operators import (
     RationalAlpha,
     harper_hermitian,
     kicked_harper,
+    operator_stack,
     ordkr,
 )
 from kickspec.spectra import (
@@ -208,6 +211,22 @@ def test_sweep_deterministic():
     s1 = mother_spectrum(pa, GridSpec(7, 7))
     s2 = mother_spectrum(pa, GridSpec(7, 7))
     assert np.array_equal(s1.points, s2.points)
+
+
+@pytest.mark.parametrize("run", [mother_spectrum, tracked_bands])
+def test_solver_failure_names_the_grid_point(run, monkeypatch):
+    pa = params("h", 0.0, 1.0, 1, 3, theta=MOTHER)
+    bad = operator_stack(pa, [1 / 6], [0.0])[0]  # node (1, 0) of the 2 x 2 grid
+    real = spectra.eigvalsh_stack
+
+    def fail_at_bad(stack):
+        if any(np.array_equal(m, bad) for m in stack):
+            raise NoConvergence("injected")
+        return real(stack)
+
+    monkeypatch.setattr(spectra, "eigvalsh_stack", fail_at_bad)
+    with pytest.raises(NumericalError, match=re.escape(f"grid point x={1 / 6!r}, theta=0.0:")):
+        run(pa, GridSpec(2, 2))
 
 
 # -- SpectrumSet invariants --------------------------------------------------------------
