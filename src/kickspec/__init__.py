@@ -23,28 +23,15 @@ from .analysis import (
     total_bandwidth,
     zoom_windows,
 )
-from .linalg import (
-    EigenDecomposition,
-    eig_hermitian,
-    eig_unitary,
-    expm_i_hermitian,
-    principal_args,
-)
+from .linalg import eig_unitary, principal_args
 from .operators import (
     MOTHER,
     DcpEigensystem,
     OperatorKind,
     OperatorParams,
     RationalAlpha,
-    clock_shift,
-    cos_diag,
     dcp_eigensystem,
-    dft_matrix,
-    harper_hermitian,
-    kicked_harper,
     operator_stack,
-    ordkr,
-    unitary_harper,
 )
 from .spectra import (
     BandList,
@@ -68,7 +55,6 @@ __all__ = [
     "CheckReport",
     "CHECK_IDS",
     "DcpEigensystem",
-    "EigenDecomposition",
     "GridSpec",
     "OperatorKind",
     "OperatorParams",
@@ -81,30 +67,21 @@ __all__ = [
     "auto_merge_gap",
     "bands_in_window",
     "butterfly",
-    "clock_shift",
-    "cos_diag",
     "dcp_eigensystem",
-    "dft_matrix",
-    "eig_hermitian",
     "eig_unitary",
     "eigenphases",
-    "expm_i_hermitian",
     "farey_rationals",
     "golden_convergents",
     "grid_error_bound",
-    "harper_hermitian",
     "hausdorff",
-    "kicked_harper",
     "merge_bands",
     "mother_spectrum",
     "operator_stack",
-    "ordkr",
     "powerlaw_fit",
     "principal_args",
     "run_check",
     "spectrum_fixed_theta",
     "total_bandwidth",
     "tracked_bands",
-    "unitary_harper",
     "zoom_windows",
 ]

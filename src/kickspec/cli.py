@@ -279,8 +279,12 @@ def _compute(params: OperatorParams, grid: GridSpec) -> SpectrumSet:
 
 # -- argument plumbing -----------------------------------------------------------
 
-def _parse_grid(text: str) -> GridSpec:
+def _parse_grid(text: str, mother: bool) -> GridSpec:
+    """N gives N x N; N,M (n_x, n_theta) only for a mother sweep, the one that reads M."""
     parts = text.split(",")
+    if len(parts) == 2 and not mother:
+        raise InvalidParams(f"--grid expects one N here, got {text!r} "
+                            "(N,M is read only by compute, bandwidth and zoom with --theta mother)")
     try:
         if len(parts) == 1:
             n = int(parts[0])
@@ -346,7 +350,8 @@ def _add_operator_flags(p: argparse.ArgumentParser, alpha: bool = True, theta: b
     p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="coupling")
     if theta:
         p.add_argument("--theta", default=MOTHER, help="phase in [0,1) or 'mother'")
-    p.add_argument("--grid", default="100", help="N or N,M grid points per axis")
+    p.add_argument("--grid", default="100",
+                   help="N grid points per axis, or N,M (x, theta) with --theta mother")
     p.add_argument("--out", default=None, help="output path (default: standard output)")
 
 
@@ -420,7 +425,7 @@ def _params_from_args(args, kappa: float) -> OperatorParams:
 
 def _cmd_compute(args) -> int:
     kappas = _parse_kappas(args.kappa)
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, args.theta == MOTHER)
     if args.format == "svg":
         if args.out is None:
             raise InvalidParams("--format svg requires --out")
@@ -442,8 +447,8 @@ def _cmd_bandwidth(args) -> int:
         raise InvalidParams("bandwidth expects a single --kappa")
     if args.merge_gap == "track" and args.cache_dir is not None:
         raise InvalidParams("bandwidth --merge-gap track does not read --cache-dir")
-    grid = _parse_grid(args.grid)
     theta = _parse_theta(args.theta)
+    grid = _parse_grid(args.grid, theta == MOTHER)
     lines = [
         f"# kind={args.kind}",
         f"# kappa={kappas[0]!r}",
@@ -482,7 +487,7 @@ def _cmd_butterfly(args) -> int:
         q_max = int(listed.partition(":")[2])
     except ValueError as exc:
         raise InvalidParams(f"bad --alpha-list value {listed!r}: {exc}") from exc
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, mother=False)
     ds = butterfly_dataset(args.kind, kappas[0], args.lam, q_max, grid.n_x)
     lines = [
         f"# kind={ds.kind.value}",
@@ -501,7 +506,7 @@ def _cmd_zoom(args) -> int:
     kappas = _parse_kappas(args.kappa)
     if len(kappas) != 1:
         raise InvalidParams("zoom expects a single --kappa")
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, args.theta == MOTHER)
     s = compute_spectrum(_params_from_args(args, kappas[0]), grid, args.cache_dir)
     phases = eigenphases(s)
     center = float(np.median(phases)) if args.center is None else args.center
@@ -534,10 +539,7 @@ def _cmd_verify(args) -> int:
     if "theta" in cfg:
         cfg["theta"] = _parse_theta(cfg["theta"])
     if "n" in cfg:
-        try:
-            cfg["n"] = GridSpec(int(cfg["n"])).n_x
-        except ValueError as exc:
-            raise InvalidParams(f"verify --grid expects one integer N, got {args.grid!r}") from exc
+        cfg["n"] = _parse_grid(cfg["n"], mother=False).n_x
     reports = [
         run_check(cid, {k: v for k, v in cfg.items() if k in keys[cid]}).to_dict() for cid in ids
     ]
@@ -568,6 +570,10 @@ def dispatch(argv) -> int:
         return 2
     except NumericalError as exc:
         print(f"spectra: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"spectra: numerical failure: out of memory: {exc or 'allocation failed'}",
+              file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"spectra: I/O failure: {exc}", file=sys.stderr)

@@ -72,10 +72,6 @@ class MalformedSpectrumFile(UsageError):
 
 # -- numerical ---------------------------------------------------------------
 
-class NonHermitian(NumericalError):
-    pass
-
-
 class NonUnitary(NumericalError):
     pass
 

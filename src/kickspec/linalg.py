@@ -1,4 +1,4 @@
-"""Dense complex eigensolvers for Hermitian and unitary matrices.
+"""Dense complex eigensolvers for Hermitian and unitary matrix stacks.
 
 This is the only numerically iterative kernel in the package.  Everything
 else builds matrices analytically and calls into here.  All functions are
@@ -11,21 +11,18 @@ K = i (I - U)(I + U)^-1: K is Hermitian because U is normal, and an
 eigenvalue w of K is the eigenvalue (i - w)/(i + w) of U.  The transform has
 a pole at -1, where the eigenphase error grows like eps * max|w|, so a
 matrix with an eigenvalue close to -1, or whose K is not Hermitian, is
-re-solved by the general solver (``eigvals``), which is also the reference
-the tests compare against.  The per-matrix ``eig_hermitian``, ``eig_unitary``
-and ``expm_i_hermitian`` validate their input and then call the batched
-kernels, which also accept a single matrix; ``eig_unitary`` goes straight to
-the general solver.  The contracts below (ordering, modulus bounds) are what
-is normative, not the solver.
+re-solved by the general solver (``eigvals``).  The tests compare the Cayley
+route against ``np.linalg.eigvals``.  ``eig_unitary`` is the one per-matrix
+function: it validates a single unitary matrix and solves it by the general
+solver.  The contracts below (ordering, modulus bounds) are what is
+normative, not the solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidParams, NoConvergence, NonHermitian, NonUnitary
+from .errors import InvalidParams, NoConvergence, NonUnitary
 
 __all__ = [
     "HERMITIAN_TOL",
@@ -33,34 +30,17 @@ __all__ = [
     "EIG_RESIDUAL_TOL",
     "UNIT_MODULUS_TOL",
     "DEDUP_TOL",
-    "EigenDecomposition",
-    "eig_hermitian",
     "eig_unitary",
-    "expm_i_hermitian",
     "principal_args",
 ]
 
 # Absolute tolerances.  Band merging downstream and the cache key depend on
 # these staying fixed.
-HERMITIAN_TOL = 1e-12  # ||A - A*||_max, relative to ||A||_max
+HERMITIAN_TOL = 1e-12  # read by no solver; its only role is in the cache-key payload
 UNITARY_TOL = 1e-10  # ||A A* - I||_max
 EIG_RESIDUAL_TOL = 1e-10  # read by no solver; its only role is in the cache-key payload
 UNIT_MODULUS_TOL = 1e-10  # | |z| - 1 | of a unitary eigenvalue
 DEDUP_TOL = 1e-12  # spectrum points closer than this are one point
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues (and, for Hermitian input, optionally an orthonormal
-    eigenbasis) of a normal matrix.
-
-    Values are sorted ascending by real value for Hermitian input and by
-    principal argument in (-pi, pi] for unitary input, ties broken by
-    ascending imaginary part, so output order is deterministic.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray | None = None
 
 
 def principal_args(values: np.ndarray) -> np.ndarray:
@@ -69,66 +49,29 @@ def principal_args(values: np.ndarray) -> np.ndarray:
     return np.where(ang <= -np.pi, ang + 2.0 * np.pi, ang)
 
 
-def _check_square_finite(a: np.ndarray, what: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidParams(f"{what}: expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(np.float64))):
-        raise InvalidParams(f"{what}: matrix contains non-finite entries")
-    return a
-
-
-def require_hermitian(a: np.ndarray) -> np.ndarray:
-    """Validate ||A - A*||_max <= HERMITIAN_TOL * ||A||_max and return A as complex128."""
-    a = _check_square_finite(a, "require_hermitian")
-    scale = np.abs(a).max() if a.size else 0.0
-    dev = np.abs(a - a.conj().T).max() if a.size else 0.0
-    if dev > HERMITIAN_TOL * scale:
-        raise NonHermitian(
-            f"matrix is not Hermitian: ||A - A*||_max = {dev:.3e} "
-            f"exceeds {HERMITIAN_TOL:.1e} * ||A||_max = {HERMITIAN_TOL * scale:.3e}"
-        )
-    return a
-
-
 def require_unitary(a: np.ndarray) -> np.ndarray:
     """Validate ||A A* - I||_max <= UNITARY_TOL and return A as complex128."""
-    a = _check_square_finite(a, "require_unitary")
-    n = a.shape[0]
-    dev = np.abs(a @ a.conj().T - np.eye(n)).max()
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidParams(f"require_unitary: expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a.view(np.float64))):
+        raise InvalidParams("require_unitary: matrix contains non-finite entries")
+    dev = np.abs(a @ a.conj().T - np.eye(a.shape[0])).max()
     if dev > UNITARY_TOL:
         raise NonUnitary(f"matrix is not unitary: ||A A* - I||_max = {dev:.3e} > {UNITARY_TOL:.1e}")
     return a
 
 
-def eig_hermitian(a: np.ndarray, want_vectors: bool = False) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, values ascending.
-
-    Raises NonHermitian if the input violates the Hermitian tolerance and
-    NoConvergence if the LAPACK iteration budget is exhausted.
-    """
-    a = require_hermitian(a)
-    if want_vectors:
-        return EigenDecomposition(*eigh_stack(a))
-    return EigenDecomposition(eigvalsh_stack(a))
-
-
-def eig_unitary(u: np.ndarray) -> EigenDecomposition:
+def eig_unitary(u: np.ndarray) -> np.ndarray:
     """Eigenvalues of a unitary matrix by the general solver.
 
     Eigenvalues are renormalized to exact unit modulus and sorted by
-    principal argument in (-pi, pi].  This is the reference the Cayley
-    route of unitary_eigvals_stack is tested against.
+    principal argument in (-pi, pi], ties broken by ascending imaginary
+    part, so output order is deterministic.  This is the validated
+    general-solver reference for the Cayley route of unitary_eigvals_stack.
     """
     values = _on_unit_circle(_general_eigvals(require_unitary(u)))
-    return EigenDecomposition(values[np.lexsort((values.imag, principal_args(values)))])
-
-
-def expm_i_hermitian(a: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i s A) for Hermitian A (see expm_i_hermitian_stack)."""
-    if not np.isfinite(s):
-        raise InvalidParams(f"expm_i_hermitian: scale must be finite, got {s}")
-    return require_unitary(expm_i_hermitian_stack(require_hermitian(a), s))
+    return values[np.lexsort((values.imag, principal_args(values)))]
 
 
 # -- batched kernels (stacks of matrices, shape (m, q, q), or one matrix) ------
@@ -141,16 +84,12 @@ def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
         raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
 
 
-def eigh_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.linalg.eigh(stack)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
-
-
 def expm_i_hermitian_stack(stack: np.ndarray, s: float) -> np.ndarray:
     """exp(-i s A) for each Hermitian A of a stack, as V exp(-i s L) V*."""
-    w, v = eigh_stack(stack)
+    try:
+        w, v = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
     return (v * np.exp(-1j * s * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
@@ -179,9 +118,8 @@ _CAYLEY_BATCH = 1 << 16
 def _general_eigvals(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of square matrices by the general solver.
 
-    The fallback of unitary_eigvals_stack and, through eig_unitary, the
-    independent route it is checked against.  Row order is the solver's;
-    values are not renormalized.
+    The fallback of unitary_eigvals_stack and the solver of eig_unitary.
+    Row order is the solver's; values are not renormalized.
     """
     try:
         return np.linalg.eigvals(stack)

@@ -17,7 +17,7 @@ Four operator kinds are covered:
               the closed-form eigensystem of D C^p.
 
 ``operator_stack`` is the one place any of them is assembled, for a whole
-batch of phase pairs at once; the per-point builders are views of it.
+batch of phase pairs at once.
 Phases are assembled from exact integer arithmetic modulo q (or 2q), so
 large q does not lose accuracy to argument reduction.
 """
@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidDimension, InvalidParams, NotCoprime
-from .linalg import expm_i_hermitian_stack, require_unitary
+from .linalg import expm_i_hermitian_stack
 
 __all__ = [
     "MOTHER",
@@ -40,15 +40,8 @@ __all__ = [
     "RationalAlpha",
     "OperatorParams",
     "DcpEigensystem",
-    "dft_matrix",
-    "clock_shift",
-    "cos_diag",
     "operator_stack",
-    "harper_hermitian",
-    "unitary_harper",
-    "kicked_harper",
     "dcp_eigensystem",
-    "ordkr",
 ]
 
 #: Sentinel for the theta scope that unions over the whole phase torus.
@@ -150,12 +143,6 @@ class OperatorParams:
 
 # -- primitive matrices -------------------------------------------------------
 
-def _check_dim(q: int) -> int:
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise InvalidDimension(f"matrix dimension must be an integer >= 1, got {q!r}")
-    return int(q)
-
-
 @lru_cache(maxsize=None)
 def _roots(q: int) -> np.ndarray:
     """q-th roots of unity exp(i 2 pi k / q), k = 0..q-1; read-only."""
@@ -174,41 +161,17 @@ def _half_roots(q: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _dft_cached(q: int) -> np.ndarray:
+    """Discrete Fourier matrix F[j, k] = w^{jk} / sqrt(q), unitary and symmetric; read-only."""
     j = np.arange(q)
     f = _roots(q)[np.outer(j, j) % q] / np.sqrt(q)
     f.setflags(write=False)
     return f
 
 
-def dft_matrix(q: int) -> np.ndarray:
-    """Discrete Fourier matrix F[j, k] = w^{jk} / sqrt(q), unitary and symmetric."""
-    return _dft_cached(_check_dim(q)).copy()
-
-
-def clock_shift(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cyclic shift C (ones at [j, (j+1) mod q]) and clock D = diag(w^j).
-
-    Satisfies C F = F D, hence C = F D F^{-1}, and the commutation relation
-    C^p D = exp(i 2 pi p / q) D C^p for every power p.
-    """
-    q = _check_dim(q)
-    c = np.zeros((q, q), dtype=np.complex128)
-    idx = np.arange(q)
-    c[idx, (idx + 1) % q] = 1.0
-    d = np.diag(_roots(q)).astype(np.complex128)
-    return c, d
-
-
-def cos_diag(k: int, y: float, q: int) -> np.ndarray:
-    """Diagonal matrix diag(cos 2 pi (y + k j / q)) for j = 0..q-1."""
-    q = _check_dim(q)
-    return np.diag(cos_rows(k, [y], q)[0]).astype(np.complex128)
-
-
 def cos_rows(k: int, ys, q: int) -> np.ndarray:
-    """Diagonals of cos_diag(k, y, q) for each y in ys, shape (len(ys), q).
+    """Rows cos 2 pi (y + k j / q), j = 0..q-1, for each y in ys, shape (len(ys), q).
 
-    k j is reduced mod q exactly.
+    These are the diagonals of G(k, y); k j is reduced mod q exactly.
     """
     j = (int(k) * np.arange(q, dtype=np.int64)) % q
     return np.cos(2.0 * np.pi * (np.asarray(ys, dtype=np.float64)[:, None] + j / q))
@@ -309,28 +272,3 @@ def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
         return stack
     return expm_i_hermitian_stack(stack, kap)
 
-
-def _at(params: OperatorParams, kind: OperatorKind, x: float) -> np.ndarray:
-    if params.kind is not kind:
-        raise InvalidParams(f"expected params.kind = {kind.value!r}, got {params.kind.value!r}")
-    return operator_stack(params, [x], [params.fixed_theta()])[0]
-
-
-def harper_hermitian(params: OperatorParams, x: float) -> np.ndarray:
-    """Harper matrix 2 G(1, x) + 2 lambda F G(p, theta) F^{-1} (Hermitian)."""
-    return _at(params, OperatorKind.H, x)
-
-
-def unitary_harper(params: OperatorParams, x: float) -> np.ndarray:
-    """exp(-i 2 kappa (G(1,x) + lambda F G(p,theta) F^{-1})) = exp(-i kappa H)."""
-    return require_unitary(_at(params, OperatorKind.UH, x))
-
-
-def kicked_harper(params: OperatorParams, x: float) -> np.ndarray:
-    """Kicked product exp(-i 2 kappa G(1,x)) F exp(-i 2 kappa lambda G(p,theta)) F^{-1}."""
-    return _at(params, OperatorKind.UKH, x)
-
-
-def ordkr(params: OperatorParams, x: float) -> np.ndarray:
-    """On-resonance double kicked rotor matrix (see operator_stack)."""
-    return _at(params, OperatorKind.UORDKR, x)

@@ -1,0 +1,47 @@
+"""Reference matrices for the tests, written out from their formulas in numpy.
+
+None of these reads ``kickspec``: they are the independent route the tests
+check the package's arrays against.  ``matrix_at`` is the exception, a
+convenience that calls the code under test.
+"""
+
+import numpy as np
+
+from kickspec.operators import operator_stack
+
+
+def dft(q):
+    """Fourier matrix F[j, k] = exp(2 pi i j k / q) / sqrt(q)."""
+    j = np.arange(q)
+    return np.exp(2j * np.pi * (np.outer(j, j) % q) / q) / np.sqrt(q)
+
+
+def clock_shift(q):
+    """Cyclic shift C (ones at [j, j + 1 mod q]) and clock D = diag(exp(2 pi i j / q))."""
+    c = np.roll(np.eye(q, dtype=complex), 1, axis=1)
+    return c, np.diag(np.exp(2j * np.pi * np.arange(q) / q))
+
+
+def cos_diag(k, y, q):
+    """G(k, y) = diag(cos 2 pi (y + k j / q)), j = 0..q-1."""
+    return np.diag(np.cos(2 * np.pi * (y + (k * np.arange(q) % q) / q))).astype(complex)
+
+
+def expm_i(a, s):
+    """exp(-i s A) by scaling and squaring of the Taylor series."""
+    b = -1j * s * np.asarray(a, dtype=complex)
+    norm = np.abs(b).sum(axis=1).max()
+    squarings = int(np.ceil(np.log2(norm / 0.25))) if norm > 0.25 else 0
+    b /= 2.0**squarings  # now ||b|| <= 1/4, where 19 terms reach roundoff
+    term = out = np.eye(len(b), dtype=complex)
+    for n in range(1, 20):
+        term = term @ b / n
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def matrix_at(params, x):
+    """The operator_stack matrix of params at (x, params.theta): code under test."""
+    return operator_stack(params, [x], [params.fixed_theta()])[0]

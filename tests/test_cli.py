@@ -225,6 +225,10 @@ def test_compute_bad_usage_is_exit_2():
     ["verify", "--check", "kappa-cubed", "--grid", "2", "--kappa", "0.1"],
     ["verify", "--check", "aubry-andre", "--grid", "6,99"],
     ["bandwidth", "--alpha-list", "fib:1..2", "--merge-gap", "track", "--cache-dir", "c"],
+    ["compute", "--kind", "ukh", "--alpha", "1/3", "--theta", "0.2", "--grid", "4,7"],
+    ["bandwidth", "--alpha-list", "fib:1..2", "--theta", "0.3", "--grid", "4,9"],
+    ["zoom", "--alpha", "1/3", "--factors", "2", "--theta", "0.2", "--grid", "4,7"],
+    ["butterfly", "--alpha-list", "farey:3", "--grid", "8,3"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_unread_flags_are_rejected(argv, capsys):
     assert dispatch(argv) == 2
@@ -294,6 +298,20 @@ def test_numerical_failure_is_exit_3(tmp_path, monkeypatch):
     code = dispatch(["compute", "--alpha", "1/3", "--grid", "3",
                      "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+def test_memory_error_is_exit_3(tmp_path, monkeypatch, capsys):
+    import kickspec.cli as cli
+
+    def boom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(cli, "_compute", boom)
+    code = dispatch(["compute", "--alpha", "1/3", "--grid", "3",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.strip().count("\n") == 0  # one line, no traceback
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_verify_spectral_mapping_mother_scope(tmp_path):
