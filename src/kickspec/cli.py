@@ -41,8 +41,6 @@ from .errors import (
 )
 from .linalg import (
     DEDUP_TOL,
-    EIG_RESIDUAL_TOL,
-    HERMITIAN_TOL,
     UNIT_MODULUS_TOL,
     UNITARY_TOL,
     principal_args,
@@ -247,7 +245,7 @@ def cache_key(params: OperatorParams, grid: GridSpec) -> str:
         "theta": None if params.is_mother else params.theta,
         "n_x": grid.n_x,
         "n_theta": grid.n_theta,
-        "tolerances": [HERMITIAN_TOL, UNITARY_TOL, EIG_RESIDUAL_TOL, UNIT_MODULUS_TOL, DEDUP_TOL],
+        "tolerances": [UNITARY_TOL, UNIT_MODULUS_TOL, DEDUP_TOL],
         "version": __version__,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

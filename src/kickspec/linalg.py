@@ -25,9 +25,7 @@ import numpy as np
 from .errors import InvalidParams, NoConvergence, NonUnitary
 
 __all__ = [
-    "HERMITIAN_TOL",
     "UNITARY_TOL",
-    "EIG_RESIDUAL_TOL",
     "UNIT_MODULUS_TOL",
     "DEDUP_TOL",
     "eig_unitary",
@@ -36,9 +34,7 @@ __all__ = [
 
 # Absolute tolerances.  Band merging downstream and the cache key depend on
 # these staying fixed.
-HERMITIAN_TOL = 1e-12  # read by no solver; its only role is in the cache-key payload
 UNITARY_TOL = 1e-10  # ||A A* - I||_max
-EIG_RESIDUAL_TOL = 1e-10  # read by no solver; its only role is in the cache-key payload
 UNIT_MODULUS_TOL = 1e-10  # | |z| - 1 | of a unitary eigenvalue
 DEDUP_TOL = 1e-12  # spectrum points closer than this are one point
 

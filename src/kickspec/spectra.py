@@ -8,14 +8,20 @@ spectrum is bounded by an explicit Lipschitz constant divided by N q; the
 bound is stored on the result so downstream merging and comparisons can be
 certified.
 
-Grid points are independent, and the sweep evaluates them as one batched
-eigensolver call per chunk; results are pooled, sorted and deduplicated, so
-the outcome is a deterministic function of (params, grid) regardless of
-evaluation order.
+The spectrum is 1/q-periodic on both axes, so on a grid anchored at 0 node
+j mirrors node (n - j) mod n.  The sweep solves one node per mirror orbit:
+h, uh and ukh have the same eigenvalues at (x, theta), (-x, theta) and
+(x, -theta), uordkr only at (x, theta) and (-x, -theta).  The solved
+nodes carry the same eigenvalues as the full grid in exact arithmetic, so
+the sampled set, and with it the grid error bound, is unchanged.  The
+nodes are evaluated as one batched eigensolver call per chunk; results are
+pooled, sorted and deduplicated, so the outcome is a deterministic
+function of (params, grid).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -66,7 +72,8 @@ class GridSpec:
     """Uniform sampling grid: x_j = j/(n_x q), theta_k = k/(n_theta q).
 
     Both axes are anchored at 0 and span [0, 1/q); n_theta is ignored for
-    fixed-theta sweeps.
+    fixed-theta sweeps.  A sweep solves one node per mirror orbit of the
+    grid, where node j mirrors node (n - j) mod n (see _grid_pairs).
     """
 
     n_x: int
@@ -246,13 +253,50 @@ def _sweep(params: OperatorParams, xv, tv, grid) -> SpectrumSet:
     )
 
 
+def _pair_count(params: OperatorParams, grid: GridSpec) -> int:
+    """Number of grid nodes _grid_pairs returns: one per mirror orbit."""
+    half_x, half_t = grid.n_x // 2 + 1, grid.n_theta // 2 + 1
+    if not params.is_mother:
+        return grid.n_x if params.kind is OperatorKind.UORDKR else half_x
+    if params.kind is not OperatorKind.UORDKR:
+        return half_x * half_t
+    self_mirror = 2 - grid.n_x % 2  # x rows 0 and, for even n_x, n_x / 2
+    return self_mirror * half_t + (half_x - self_mirror) * grid.n_theta
+
+
+def _sweep_bytes(params: OperatorParams, grid: GridSpec) -> int:
+    """Bytes of a sweep's (x, theta) pair arrays and its (m, q) complex eigenvalues."""
+    return _pair_count(params, grid) * (2 * 8 + 16 * params.alpha.q)
+
+
 def _grid_pairs(params: OperatorParams, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    q = params.alpha.q
-    if params.is_mother:
-        xs, ts = grid.xs(q), grid.thetas(q)
-        return np.repeat(xs, ts.size), np.tile(ts, xs.size)
-    xs = grid.xs(q)
-    return xs, np.full(xs.size, params.fixed_theta(), dtype=np.float64)
+    """One (x, theta) node per mirror orbit of the grid, as flat arrays.
+
+    h, uh and ukh keep x and theta nodes 0..n // 2 (x only at fixed
+    theta).  uordkr keeps, of each joint mirror pair (j, k) and
+    (-j mod n_x, -k mod n_theta), the node with the lower flat index
+    j n_theta + k, and its whole fixed-theta axis.  A request whose arrays
+    would exceed the machine's physical memory is refused before any is built.
+    """
+    need = _sweep_bytes(params, grid)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise InvalidParams(
+            f"grid {grid.n_x}x{grid.n_theta} at q = {params.alpha.q} needs about "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+    q, half_x = params.alpha.q, grid.n_x // 2 + 1
+    if not params.is_mother:
+        xs = grid.xs(q) if params.kind is OperatorKind.UORDKR else grid.xs(q)[:half_x]
+        return xs, np.full(xs.size, params.fixed_theta(), dtype=np.float64)
+    xs, ts = grid.xs(q)[:half_x], grid.thetas(q)
+    half_t = grid.n_theta // 2 + 1
+    if params.kind is not OperatorKind.UORDKR:
+        return np.repeat(xs, half_t), np.tile(ts[:half_t], half_x)
+    # Row j < n_x - j outranks its mirror row; a self-mirror row keeps k <= n_theta / 2.
+    width = np.where(2 * np.arange(half_x) % grid.n_x == 0, half_t, grid.n_theta)
+    xv = np.repeat(xs, width)
+    return xv, ts[np.arange(xv.size) - np.repeat(np.cumsum(width) - width, width)]
 
 
 def spectrum_fixed_theta(params: OperatorParams, grid: GridSpec) -> SpectrumSet:
@@ -297,8 +341,10 @@ def tracked_bands(params: OperatorParams, grid: GridSpec) -> BandList:
     gaps = np.diff(pooled)
     wrap_gap = pooled[0] + TWO_PI - pooled[-1]
     delta = 0.0
-    if gaps.size and gaps.max() > wrap_gap:
-        i = int(gaps.argmax())
+    # Gaps level within _CLOSURE are ties: the wrap gap wins, then the lowest
+    # one, so the seam does not hinge on which node of a mirror orbit was solved.
+    if gaps.size and gaps.max() > wrap_gap + _CLOSURE:
+        i = int(np.flatnonzero(gaps >= gaps.max() - _CLOSURE)[0])
         delta = np.pi - (pooled[i] + gaps[i] / 2.0)
         ph = np.sort((ph + delta + np.pi) % TWO_PI - np.pi, axis=1)
     merged = _line_runs(ph.min(axis=0), ph.max(axis=0), _CLOSURE)

@@ -314,6 +314,15 @@ def test_memory_error_is_exit_3(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_oversized_grid_is_exit_2_before_allocating(tmp_path, capsys):
+    # 1.5e6^2 reduced nodes would need about 500 TB; the preflight refuses them from arithmetic.
+    code = dispatch(["compute", "--alpha", "8/13", "--grid", "3000000",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_verify_spectral_mapping_mother_scope(tmp_path):
     out = str(tmp_path / "report.json")
     code = dispatch(["verify", "--check", "spectral-mapping", "--theta", "mother",
@@ -432,6 +441,13 @@ def test_garbled_cache_entry_is_recomputed(tmp_path):
     assert open(entry).read().splitlines() == lines
 
 
+# Keys of version 0.1.0 for the two configurations of test_cache_keys_are_pinned.
+V010_KEYS = {
+    "ukh": "9bb4495a3a94acb3549b173fb7e833ea7bd5fbd6c02527b2114bc5111d3009eb",
+    "h": "45705a3853f3f66c8db62cbf5d1628b7283ddb60be69154525a0dfa93f490743",
+}
+
+
 def test_cache_key_sensitivity():
     pa, grid = params(), GridSpec(5, 5)
     k1 = cache_key(pa, grid)
@@ -443,11 +459,26 @@ def test_cache_key_sensitivity():
 
 def test_cache_keys_are_pinned():
     # Entries written by earlier versions stay valid only while these hold.
-    assert cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER),
-                     GridSpec(5, 5)) == (
-        "9bb4495a3a94acb3549b173fb7e833ea7bd5fbd6c02527b2114bc5111d3009eb")
-    assert cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7)) == (
-        "45705a3853f3f66c8db62cbf5d1628b7283ddb60be69154525a0dfa93f490743")
+    ukh = cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER), GridSpec(5, 5))
+    h = cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7))
+    assert ukh == "21f64d88512ee3ef9e36b47807b8d8042d1abcb1ef236543e0513b51a8ef4354"
+    assert h == "c1f66c926bc97d81a449c9c6d090cc6f7285e2945bbb502f08e30aee09872041"
+    # Version 0.1.0 swept every grid node; its entries differ in the last bits.
+    assert {ukh, h}.isdisjoint(V010_KEYS.values())
+
+
+def test_parent_cache_entry_is_not_served(tmp_path):
+    cache = tmp_path / "c"
+    cache.mkdir()
+    cold, warm = str(tmp_path / "cold.csv"), str(tmp_path / "warm.csv")
+    argv = ["compute", "--alpha", "8/13", "--grid", "5"]  # ukh, kappa = lambda = 1, mother
+    assert dispatch(argv + ["--out", cold]) == 0
+    s = read_spectrum_csv(cold)
+    planted = SpectrumSet.build(s.kind, s.points * np.exp(0.125j), params=s.params,
+                                grid=s.grid, error_bound=s.error_bound)
+    write_spectrum_csv(planted, str(cache / (V010_KEYS["ukh"] + ".csv")))
+    assert dispatch(argv + ["--cache-dir", str(cache), "--out", warm]) == 0
+    assert open(warm, "rb").read() == open(cold, "rb").read()
 
 
 def test_cache_differential_and_clear(tmp_path):

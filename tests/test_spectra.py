@@ -222,6 +222,118 @@ def test_solver_failure_names_the_grid_point(run, monkeypatch):
         run(pa, GridSpec(2, 2))
 
 
+# -- mirror-orbit reduction of the grid ---------------------------------------------------
+
+_ALPHAS = [(0, 1), (1, 2), (2, 3), (2, 5), (3, 8), (8, 13)]
+
+
+def _reflected_distances(kind, rng):
+    """Largest eigenvalue moves under (-x, theta), (x, -theta) and (-x, -theta)."""
+    worst = np.zeros(3)
+    for p, q in _ALPHAS:
+        for kappa, lam in [(0.9, 1.3), (2.0, 0.5), (0.3, 2.2)]:
+            for x, t in rng.random((3, 2)):
+                at = _oracle_values(kind, kappa, lam, RationalAlpha(p, q), x, t)
+                moved = [_oracle_values(kind, kappa, lam, RationalAlpha(p, q), mx % 1.0, mt % 1.0)
+                         for mx, mt in [(-x, t), (x, -t), (-x, -t)]]
+                worst = np.maximum(worst, [set_distance(at, m) for m in moved])
+    return worst
+
+
+@pytest.mark.parametrize("kind", ["h", "uh", "ukh"])
+def test_one_sided_phase_reflections_hold(kind):
+    assert np.all(_reflected_distances(kind, np.random.default_rng(11)) <= 1e-12)
+
+
+def test_rotor_keeps_only_the_joint_reflection():
+    one_x, one_t, joint = _reflected_distances("uordkr", np.random.default_rng(12))
+    assert joint <= 1e-12
+    # The one-sided reduction must never reach the rotor.
+    assert max(one_x, one_t) > 1e-3
+
+
+def _full_pairs(pa, grid):
+    """Every node of the grid, built without spectra._grid_pairs."""
+    q = pa.alpha.q
+    if pa.is_mother:
+        xs, ts = grid.xs(q), grid.thetas(q)
+        return np.repeat(xs, ts.size), np.tile(ts, xs.size)
+    return grid.xs(q), np.full(grid.n_x, pa.theta)
+
+
+@pytest.mark.parametrize("kind", ["h", "uh", "ukh", "uordkr"])
+@pytest.mark.parametrize("scope", ["fixed", "mother"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_reduced_grid_matches_the_full_grid(kind, scope, n, monkeypatch):
+    for p, q in [(0, 1), (1, 2), (2, 5), (8, 13)]:
+        pa = params(kind, 0.9, 1.3, p, q, theta=MOTHER if scope == "mother" else 0.37)
+        grid = GridSpec(n, n)
+        run = mother_spectrum if scope == "mother" else spectrum_fixed_theta
+        swept = run(pa, grid)
+        xv, tv = _full_pairs(pa, grid)
+        full = SpectrumSet.build(swept.kind, spectra._node_values(pa, xv, tv))
+        assert hausdorff(swept, full) <= spectra.DEDUP_TOL
+
+        reduced = tracked_bands(pa, grid)
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "_grid_pairs", _full_pairs)
+            unreduced = tracked_bands(pa, grid)
+        assert len(reduced) == len(unreduced)
+        assert np.allclose(reduced.bands, unreduced.bands, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,theta,grid,count", [
+    ("h", MOTHER, GridSpec(48, 48), 625),
+    ("uh", MOTHER, GridSpec(48, 48), 625),
+    ("ukh", MOTHER, GridSpec(48, 48), 625),
+    ("uordkr", MOTHER, GridSpec(48, 48), 1154),
+    ("h", 0.3, GridSpec(400), 201),
+    ("ukh", 0.3, GridSpec(400), 201),
+    ("uordkr", 0.3, GridSpec(400), 400),
+])
+def test_representative_counts_are_pinned(kind, theta, grid, count):
+    pa = params(kind, 1.0, 1.0, 8, 13, theta=theta)
+    xv, tv = spectra._grid_pairs(pa, grid)
+    assert xv.size == tv.size == spectra._pair_count(pa, grid) == count
+
+
+@pytest.mark.parametrize("kind", ["ukh", "uordkr"])
+@pytest.mark.parametrize("n_x,n_theta", [(1, 1), (2, 5), (5, 2), (6, 6), (7, 4)])
+def test_representatives_cover_every_mirror_orbit_once(kind, n_x, n_theta):
+    pa, grid = params(kind, 1.0, 1.0, 2, 5, theta=MOTHER), GridSpec(n_x, n_theta)
+    xv, tv = spectra._grid_pairs(pa, grid)
+    j, k = np.rint(xv * 5 * n_x).astype(int), np.rint(tv * 5 * n_theta).astype(int)
+    if kind == "uordkr":
+        orbits = [{(a, b), (-a % n_x, -b % n_theta)} for a, b in zip(j, k)]
+    else:
+        orbits = [{(a, b), (-a % n_x, b), (a, -b % n_theta), (-a % n_x, -b % n_theta)}
+                  for a, b in zip(j, k)]
+    covered = [node for orbit in orbits for node in orbit]
+    assert len(covered) == len(set(covered)) == n_x * n_theta
+
+
+def test_sweep_size_estimate():
+    ukh = params("ukh", 1.0, 1.0, 8, 13, theta=MOTHER)
+    assert spectra._sweep_bytes(ukh, GridSpec(48, 48)) == 625 * (2 * 8 + 13 * 16)
+    rotor = params("uordkr", 1.0, 1.0, 8, 13, theta=MOTHER)
+    assert spectra._sweep_bytes(rotor, GridSpec(48, 48)) == 1154 * 224
+    huge = GridSpec(3_000_000, 3_000_000)
+    assert spectra._sweep_bytes(ukh, huge) == 1_500_001 ** 2 * 224
+    assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 3), huge) == 1_500_001 * (16 + 48)
+
+
+def test_preflight_refuses_a_sweep_larger_than_memory(monkeypatch):
+    pa = params("ukh", 1.0, 1.0, 8, 13, theta=MOTHER)
+    need = spectra._sweep_bytes(pa, GridSpec(48, 48))
+    page = 4096
+    sizes = {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": need // page}
+    monkeypatch.setattr(spectra.os, "sysconf", sizes.__getitem__)
+    with pytest.raises(InvalidParams, match="physical memory"):
+        mother_spectrum(pa, GridSpec(48, 48))
+    sizes["SC_PHYS_PAGES"] = need // page + 1
+    assert len(mother_spectrum(pa, GridSpec(48, 48))) > 0
+
+
 # -- SpectrumSet invariants --------------------------------------------------------------
 
 
