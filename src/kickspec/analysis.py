@@ -5,9 +5,10 @@ quantities against certified bounds: theta periodicity and continuity, the
 equality of the two kicked mother spectra, spectral mapping under the
 exponential, the coupling-inversion identity for the Harper family, band
 counting, alpha continuity, the cubic closeness of the kicked and
-exponential Harper spectra, and the bandwidth trend in q.  Each check is
-driven by a plain serializable config dict, so a whole verification run is
-reproducible from one manifest.
+exponential Harper spectra, and the bandwidth trend in q.  Each check
+declares its config keys and their defaults once, in one table; one parser
+per key reads a plain config dict, and every report carries the full parsed
+config, so a whole verification run is reproducible from one manifest.
 """
 
 from __future__ import annotations
@@ -82,31 +83,21 @@ def _directed_line(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.maximum.reduce(np.minimum(np.abs(a - left), np.abs(a - right))))
 
 
-def _arc_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs((a - b + np.pi) % TWO_PI - np.pi)
-
-
-def _directed_circle(az: np.ndarray, bz: np.ndarray, arc: bool) -> float:
+def _directed_circle(az: np.ndarray, bz: np.ndarray) -> float:
     # Chordal distance |z - w| = 2 |sin((a-b)/2)| grows with circular angular
     # distance, so the nearest point is an angular neighbour; find it with a
     # wrapped binary search instead of a full distance matrix.
-    aa, ba = principal_args(az), principal_args(bz)
-    pos = np.searchsorted(ba, aa)
-    right = pos % ba.size
-    left = (pos - 1) % ba.size
-    if arc:
-        d = np.minimum(_arc_dist(aa, ba[right]), _arc_dist(aa, ba[left]))
-    else:
-        d = np.minimum(np.abs(az - bz[right]), np.abs(az - bz[left]))
-    return float(d.max())
+    pos = np.searchsorted(principal_args(bz), principal_args(az))
+    right = pos % bz.size
+    left = (pos - 1) % bz.size
+    return float(np.minimum(np.abs(az - bz[right]), np.abs(az - bz[left])).max())
 
 
-def hausdorff(x: SpectrumSet, y: SpectrumSet, metric: str = "chordal") -> float:
+def hausdorff(x: SpectrumSet, y: SpectrumSet) -> float:
     """Hausdorff distance between two finite spectra of the same kind.
 
-    Circle spectra use the chordal metric |x - y| in the plane by default
-    (the metric the certified bounds are stated in); pass metric="arc" for
-    eigenphase arc distance.
+    Circle spectra use the chordal metric |x - y| in the plane, the metric
+    the certified bounds are stated in.
     """
     if x.kind is not y.kind:
         raise KindMismatch(f"cannot compare {x.kind.value} with {y.kind.value}")
@@ -114,13 +105,7 @@ def hausdorff(x: SpectrumSet, y: SpectrumSet, metric: str = "chordal") -> float:
         raise EmptySpectrum("hausdorff requires nonempty spectra")
     if x.kind is SpectrumKind.REAL_LINE:
         return max(_directed_line(x.points, y.points), _directed_line(y.points, x.points))
-    if metric not in ("chordal", "arc"):
-        raise InvalidParams(f"metric must be 'chordal' or 'arc', got {metric!r}")
-    arc = metric == "arc"
-    return max(
-        _directed_circle(x.points, y.points, arc),
-        _directed_circle(y.points, x.points, arc),
-    )
+    return max(_directed_circle(x.points, y.points), _directed_circle(y.points, x.points))
 
 
 def total_bandwidth(b: BandList) -> float:
@@ -318,7 +303,11 @@ def alpha_jump_witness(lam: float, alpha1: float, alpha2: float, theta: float, n
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one verification check: measured quantity against a bound."""
+    """Outcome of one verification check: measured quantity against a bound.
+
+    ``params`` is the check's full parsed config in plain JSON form, so
+    ``run_check(check_id, params)`` repeats the run.
+    """
 
     check_id: str
     params: dict
@@ -334,242 +323,226 @@ class CheckReport:
         return d
 
 
-def _alpha_of(cfg, key="alpha", default="8/13") -> RationalAlpha:
-    a = cfg.get(key, default)
-    return a if isinstance(a, RationalAlpha) else RationalAlpha.parse(str(a))
-
-
 def _mother(kind, kappa, lam, alpha, n) -> SpectrumSet:
     params = OperatorParams(kind, kappa, lam, alpha, MOTHER)
     return mother_spectrum(params, GridSpec(n, n))
+
+
+def _at(cfg, theta) -> OperatorParams:
+    """The config's operator at phase theta."""
+    return OperatorParams(cfg["kind"], cfg["kappa"], cfg["lambda"], cfg["alpha"], theta)
+
+
+def _kick_scale(cfg) -> float:
+    """The phase-kick prefactor: |lambda| for Harper, |kappa lambda| otherwise."""
+    lam = cfg["lambda"]
+    return abs(lam) if cfg["kind"] is OperatorKind.H else abs(cfg["kappa"] * lam)
 
 
 # Bound for two sweeps whose grid nodes carry unitarily equivalent matrices,
 # so that only roundoff and the 1e-12 dedup separate the sampled sets.
 _MATCHED_GRID_TOL = 1e-10
 
+# Each check below takes its parsed config and returns (measured, bound, notes).
 
-def _check_theta_period(cfg) -> CheckReport:
-    kind = OperatorKind(cfg.get("kind", "ukh"))
-    alpha = _alpha_of(cfg)
-    kappa, lam = float(cfg.get("kappa", 1.0)), float(cfg.get("lambda", 1.0))
-    n, trials = int(cfg.get("n", 25)), int(cfg.get("trials", 10))
-    rng = np.random.default_rng(int(cfg.get("seed", 20260810)))
-    grid = GridSpec(n)
+
+def _check_theta_period(cfg):
+    grid, rng = GridSpec(cfg["n"]), np.random.default_rng(cfg["seed"])
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(cfg["trials"]):
         th = float(rng.uniform())
-        s1 = spectrum_fixed_theta(OperatorParams(kind, kappa, lam, alpha, th), grid)
-        s2 = spectrum_fixed_theta(OperatorParams(kind, kappa, lam, alpha, th + 1.0 / alpha.q), grid)
+        s1 = spectrum_fixed_theta(_at(cfg, th), grid)
+        s2 = spectrum_fixed_theta(_at(cfg, th + 1.0 / cfg["alpha"].q), grid)
         worst = max(worst, hausdorff(s1, s2))
     # At each x the matrices at theta and theta + 1/q are permutation-similar.
-    bound = min(2.0 * grid_error_bound(OperatorParams(kind, kappa, lam, alpha, 0.0), grid),
-                _MATCHED_GRID_TOL)
-    return CheckReport(
-        "THETA_PERIOD",
-        {"kind": kind.value, "alpha": str(alpha), "kappa": kappa, "lambda": lam,
-         "n": n, "trials": trials},
-        measured=worst, bound=bound, passed=worst <= bound,
-        notes=f"max d_H(sigma(theta), sigma(theta + 1/q)) over {trials} random thetas",
-    )
+    bound = min(2.0 * grid_error_bound(_at(cfg, 0.0), grid), _MATCHED_GRID_TOL)
+    return worst, bound, (f"max d_H(sigma(theta), sigma(theta + 1/q)) over {cfg['trials']} "
+                          "random thetas")
 
 
-def _check_theta_continuity(cfg) -> CheckReport:
-    kind = OperatorKind(cfg.get("kind", "ukh"))
-    alpha = _alpha_of(cfg)
-    kappa, lam = float(cfg.get("kappa", 1.0)), float(cfg.get("lambda", 1.0))
-    n, trials = int(cfg.get("n", 25)), int(cfg.get("trials", 10))
-    rng = np.random.default_rng(int(cfg.get("seed", 20260810)))
-    grid = GridSpec(n)
+def _check_theta_continuity(cfg):
+    grid, rng = GridSpec(cfg["n"]), np.random.default_rng(cfg["seed"])
     # Lipschitz constant of the theta kick: the cosine row moves by
     # 2 |sin(pi dtheta)| in sup norm, times the 2 kappa lambda prefactor.
     # (At q = 2 the spectral distance saturates this, so no smaller
     # coefficient can hold.)
-    lip = 4.0 * abs(lam) if kind is OperatorKind.H else 4.0 * abs(kappa * lam)
+    lip = 4.0 * _kick_scale(cfg)
     worst = -np.inf
-    for _ in range(trials):
+    for _ in range(cfg["trials"]):
         t1, t2 = (float(v) for v in rng.uniform(size=2))
-        s1 = spectrum_fixed_theta(OperatorParams(kind, kappa, lam, alpha, t1), grid)
-        s2 = spectrum_fixed_theta(OperatorParams(kind, kappa, lam, alpha, t2), grid)
-        analytic = lip * abs(math.sin(math.pi * (t1 - t2)))
-        worst = max(worst, hausdorff(s1, s2) - analytic)
-    bound = 2.0 * grid_error_bound(OperatorParams(kind, kappa, lam, alpha, 0.0), grid)
-    return CheckReport(
-        "THETA_CONTINUITY",
-        {"kind": kind.value, "alpha": str(alpha), "kappa": kappa, "lambda": lam,
-         "n": n, "trials": trials},
-        measured=worst, bound=bound, passed=worst <= bound,
-        notes="max over random theta pairs of d_H minus the sine modulus bound",
-    )
+        s1 = spectrum_fixed_theta(_at(cfg, t1), grid)
+        s2 = spectrum_fixed_theta(_at(cfg, t2), grid)
+        worst = max(worst, hausdorff(s1, s2) - lip * abs(math.sin(math.pi * (t1 - t2))))
+    bound = 2.0 * grid_error_bound(_at(cfg, 0.0), grid)
+    return worst, bound, "max over random theta pairs of d_H minus the sine modulus bound"
 
 
-def _check_mother_equality(cfg) -> CheckReport:
-    alpha = _alpha_of(cfg)
-    kappa, lam = float(cfg.get("kappa", 0.5)), float(cfg.get("lambda", 1.0))
-    n = int(cfg.get("n", 40))
-    s_kh = _mother(OperatorKind.UKH, kappa, lam, alpha, n)
-    s_or = _mother(OperatorKind.UORDKR, kappa, lam, alpha, n)
-    measured = hausdorff(s_kh, s_or)
+def _check_mother_equality(cfg):
+    alpha, n = cfg["alpha"], cfg["n"]
+    s_kh = _mother(OperatorKind.UKH, cfg["kappa"], cfg["lambda"], alpha, n)
+    s_or = _mother(OperatorKind.UORDKR, cfg["kappa"], cfg["lambda"], alpha, n)
     bound = s_kh.error_bound + s_or.error_bound
     # The rotor's theta kick sits at beta = x + theta + alpha/2 + phi, an
     # offset of (p + 2 q phi)/(2q).  When that is a whole number of theta
     # steps 1/(n q), both sweeps visit equivalent matrices node for node.
     if n * (alpha.p + round(2 * alpha.q * dcp_eigensystem(alpha).phi)) % 2 == 0:
         bound = min(bound, _MATCHED_GRID_TOL)
-    return CheckReport(
-        "MOTHER_EQUALITY",
-        {"alpha": str(alpha), "kappa": kappa, "lambda": lam, "n": n},
-        measured=measured, bound=bound, passed=measured <= bound,
-        notes="kicked Harper vs double kicked rotor mother spectra share a true spectrum",
-    )
+    return (hausdorff(s_kh, s_or), bound,
+            "kicked Harper vs double kicked rotor mother spectra share a true spectrum")
 
 
-def _check_spectral_mapping(cfg) -> CheckReport:
-    alpha = _alpha_of(cfg)
-    kappa, lam = float(cfg.get("kappa", 1.0)), float(cfg.get("lambda", 1.0))
-    n = int(cfg.get("n", 50))
-    scope = MOTHER if cfg.get("theta") == MOTHER else cfg.get("scope", "fixed")
-    tol = 1e-10  # both routes solve the same matrices: roundoff only
-    if scope == "mother":
-        params, grid = OperatorParams(OperatorKind.UH, kappa, lam, alpha, MOTHER), GridSpec(n, n)
-        s_uh = mother_spectrum(params, grid)
-    else:
-        theta = float(cfg.get("theta", 0.0))
-        params, grid = OperatorParams(OperatorKind.UH, kappa, lam, alpha, theta), GridSpec(n)
-        s_uh = spectrum_fixed_theta(params, grid)
+def _check_spectral_mapping(cfg):
+    n, theta = cfg["n"], cfg["theta"]
+    params = OperatorParams(OperatorKind.UH, cfg["kappa"], cfg["lambda"], cfg["alpha"], theta)
+    grid = GridSpec(n, n) if params.is_mother else GridSpec(n)
+    s_uh = (mother_spectrum if params.is_mother else spectrum_fixed_theta)(params, grid)
     # The sweep maps Harper eigenvalues through exp(-i kappa t); the
     # independent route assembles exp(-i kappa H) and runs the general
-    # solver, not the Cayley route of the kicked sweeps.
+    # solver, not the Cayley route of the kicked sweeps.  Both routes solve
+    # the same matrices, so only roundoff separates them.
     xv, tv = _grid_pairs(params, grid)
     values = _solve_chunks(params, xv, tv, _general_eigvals)
     direct = SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, values / np.abs(values))
-    measured = hausdorff(s_uh, direct)
-    return CheckReport(
-        "SPECTRAL_MAPPING",
-        {"alpha": str(alpha), "kappa": kappa, "lambda": lam, "n": n, "scope": scope},
-        measured=measured, bound=tol, passed=measured <= tol,
-        notes="exponential image of the Harper spectrum matches the general eigensolve "
-              "of the unitary Harper matrices",
-    )
+    return (hausdorff(s_uh, direct), _MATCHED_GRID_TOL,
+            "exponential image of the Harper spectrum matches the general eigensolve "
+            "of the unitary Harper matrices")
 
 
-def _check_aubry_andre(cfg) -> CheckReport:
-    alpha = _alpha_of(cfg)
-    lam = float(cfg.get("lambda", 2.0))
-    n = int(cfg.get("n", 20))
-    tol = 1e-9
+def _check_aubry_andre(cfg):
+    alpha, lam, n = cfg["alpha"], cfg["lambda"], cfg["n"]
     if lam == 0:
         raise InvalidParams("AUBRY_ANDRE requires lambda != 0")
     s1 = _mother(OperatorKind.H, 0.0, lam, alpha, n)
     s2 = _mother(OperatorKind.H, 0.0, 1.0 / lam, alpha, n)
     scaled = SpectrumSet.build(SpectrumKind.REAL_LINE, lam * s2.points)
-    measured = hausdorff(s1, scaled)
-    return CheckReport(
-        "AUBRY_ANDRE",
-        {"alpha": str(alpha), "lambda": lam, "n": n},
-        measured=measured, bound=tol, passed=measured <= tol,
-        notes="coupling inversion: sigma(lam) equals lam * sigma(1/lam) on a square grid",
-    )
+    return (hausdorff(s1, scaled), 1e-9,
+            "coupling inversion: sigma(lam) equals lam * sigma(1/lam) on a square grid")
 
 
-def _check_band_count(cfg) -> CheckReport:
-    alpha = _alpha_of(cfg, default="1/5")
-    lam = float(cfg.get("lambda", 1.0))
-    n = int(cfg.get("n", 200))
-    s = _mother(OperatorKind.H, 0.0, lam, alpha, n)
-    gap = cfg.get("merge_gap", "auto")
-    gap = auto_merge_gap(s) if gap == "auto" else float(gap)
+def _check_band_count(cfg):
+    q = cfg["alpha"].q
+    s = _mother(OperatorKind.H, 0.0, cfg["lambda"], cfg["alpha"], cfg["n"])
+    gap = auto_merge_gap(s) if cfg["merge_gap"] == "auto" else cfg["merge_gap"]
     bands = merge_bands(s, gap)
-    q = alpha.q
     expected = q if q % 2 == 1 else q - 1
-    measured = float(abs(len(bands) - expected))
-    return CheckReport(
-        "BAND_COUNT",
-        {"alpha": str(alpha), "lambda": lam, "n": n, "merge_gap": gap},
-        measured=measured, bound=0.0, passed=measured <= 0.0,
-        notes=f"got {len(bands)} bands, expected {expected} (q odd -> q, q even -> q-1)",
-    )
+    return (float(abs(len(bands) - expected)), 0.0,
+            f"got {len(bands)} bands, expected {expected} (q odd -> q, q even -> q-1) "
+            f"at merge gap {gap!r}")
 
 
-def _check_alpha_continuity(cfg) -> CheckReport:
-    a1 = _alpha_of(cfg, key="alpha1", default="89/144")
-    a2 = _alpha_of(cfg, key="alpha2", default="144/233")
-    kappa, lam = float(cfg.get("kappa", 1.0)), float(cfg.get("lambda", 1.0))
-    n = int(cfg.get("n", 10))
-    kind = OperatorKind(cfg.get("kind", "ukh"))
-    s1 = _mother(kind, kappa, lam, a1, n)
-    s2 = _mother(kind, kappa, lam, a2, n)
-    measured = hausdorff(s1, s2)
+def _check_alpha_continuity(cfg):
+    a1, a2 = cfg["alpha1"], cfg["alpha2"]
+    s1 = _mother(cfg["kind"], cfg["kappa"], cfg["lambda"], a1, cfg["n"])
+    s2 = _mother(cfg["kind"], cfg["kappa"], cfg["lambda"], a2, cfg["n"])
     dalpha = abs(a2.value - a1.value)
-    coeff = abs(lam) if kind is OperatorKind.H else abs(kappa * lam)
-    bound = 36.0 * math.sqrt(6.0 * math.pi * coeff * dalpha) + s1.error_bound + s2.error_bound
-    return CheckReport(
-        "ALPHA_CONTINUITY",
-        {"kind": kind.value, "alpha1": str(a1), "alpha2": str(a2),
-         "kappa": kappa, "lambda": lam, "n": n},
-        measured=measured, bound=bound, passed=measured <= bound,
-        notes="mother spectra of nearby rationals within the square-root modulus",
-    )
+    bound = (36.0 * math.sqrt(6.0 * math.pi * _kick_scale(cfg) * dalpha)
+             + s1.error_bound + s2.error_bound)
+    return (hausdorff(s1, s2), bound,
+            "mother spectra of nearby rationals within the square-root modulus")
 
 
-def _check_kappa_cubed(cfg) -> CheckReport:
-    alpha = _alpha_of(cfg)
-    lam = float(cfg.get("lambda", 1.0))
-    n = int(cfg.get("n", 60))
-    kappas = [float(k) for k in cfg.get("kappas", (0.025, 0.05, 0.1))]
-    dist = {}
+def _check_kappa_cubed(cfg):
+    kappas, dist = cfg["kappas"], {}
     for k in sorted({k for base in kappas for k in (base, 2.0 * base)}):
-        s_kh = _mother(OperatorKind.UKH, k, lam, alpha, n)
-        s_uh = _mother(OperatorKind.UH, k, lam, alpha, n)
+        s_kh = _mother(OperatorKind.UKH, k, cfg["lambda"], cfg["alpha"], cfg["n"])
+        s_uh = _mother(OperatorKind.UH, k, cfg["lambda"], cfg["alpha"], cfg["n"])
         dist[k] = hausdorff(s_kh, s_uh)
     ratios = [dist[2.0 * k] / dist[k] for k in kappas]
     # Cubic leading order means doubling kappa multiplies the distance by
     # about 8; [4, 16] is |log2 ratio - 3| <= 1.
-    measured = max(abs(math.log2(r) - 3.0) for r in ratios)
-    return CheckReport(
-        "KAPPA_CUBED",
-        {"alpha": str(alpha), "lambda": lam, "n": n, "kappas": kappas},
-        measured=measured, bound=1.0, passed=measured <= 1.0,
-        notes="ratios D(2k)/D(k) = " + ", ".join(f"{r:.3f}" for r in ratios),
-    )
+    return (max(abs(math.log2(r) - 3.0) for r in ratios), 1.0,
+            "ratios D(2k)/D(k) = " + ", ".join(f"{r:.3f}" for r in ratios))
 
 
-def _check_last_measure_trend(cfg) -> CheckReport:
-    alphas = [a if isinstance(a, RationalAlpha) else RationalAlpha.parse(str(a))
-              for a in cfg.get("alphas", ("5/8", "8/13", "13/21"))]
-    lams = [float(v) for v in cfg.get("lambdas", (0.5, 1.0, 2.0))]
-    n = int(cfg.get("n", 60))
-    widths = {}
-    for alpha in alphas:
-        for lam in lams:
-            params = OperatorParams(OperatorKind.H, 0.0, lam, alpha, MOTHER)
-            widths[(alpha, lam)] = total_bandwidth(tracked_bands(params, GridSpec(n, n)))
-    margins = []
-    for alpha in alphas:
-        others = [widths[(alpha, lam)] for lam in lams if lam != 1.0]
-        margins.append(widths[(alpha, 1.0)] - min(others))
-    for a_prev, a_next in zip(alphas, alphas[1:]):
-        margins.append(widths[(a_next, 1.0)] - widths[(a_prev, 1.0)])
-    measured = max(margins)
-    return CheckReport(
-        "LAST_MEASURE_TREND",
-        {"alphas": [str(a) for a in alphas], "lambdas": lams, "n": n},
-        measured=measured, bound=0.0, passed=measured <= 0.0,
-        notes="critical coupling bandwidth smallest and decreasing along the Fibonacci q",
-    )
+def _check_last_measure_trend(cfg):
+    alphas, lams, grid = cfg["alphas"], cfg["lambdas"], GridSpec(cfg["n"], cfg["n"])
+    widths = {
+        (alpha, lam): total_bandwidth(
+            tracked_bands(OperatorParams(OperatorKind.H, 0.0, lam, alpha, MOTHER), grid))
+        for alpha in alphas for lam in lams
+    }
+    margins = [widths[(a, 1.0)] - min(widths[(a, lam)] for lam in lams if lam != 1.0)
+               for a in alphas]
+    margins += [widths[(b, 1.0)] - widths[(a, 1.0)] for a, b in zip(alphas, alphas[1:])]
+    return (max(margins), 0.0,
+            "critical coupling bandwidth smallest and decreasing along the Fibonacci q")
 
 
-# Each check and the config keys it reads; run_check rejects any other key.
+# -- check configs -----------------------------------------------------------------
+
+def _at_least(lo: int):
+    def parse(v) -> int:
+        if int(v) < lo:
+            raise ValueError(f"expected an integer >= {lo}")
+        return int(v)
+    return parse
+
+
+def _alpha(v) -> RationalAlpha:
+    return v if isinstance(v, RationalAlpha) else RationalAlpha.parse(str(v))
+
+
+def _nonempty(parse):
+    def parse_list(v) -> list:
+        out = [] if isinstance(v, str) else [parse(x) for x in v]
+        if not out:
+            raise ValueError("expected a nonempty list")
+        return out
+    return parse_list
+
+
+def _lambdas(v) -> list[float]:
+    lams = _nonempty(float)(v)
+    if 1.0 not in lams or set(lams) == {1.0}:
+        raise ValueError("expected the critical coupling 1.0 and at least one other value")
+    return lams
+
+
+# One parser per config key, shared by every check that reads the key.  A
+# value a parser cannot use raises TypeError, ValueError or OverflowError,
+# which run_check reports as InvalidParams (RationalAlpha.parse raises its
+# own usage errors).
+_PARSE = {
+    "kind": OperatorKind, "alpha": _alpha, "alpha1": _alpha, "alpha2": _alpha,
+    "kappa": float, "lambda": float, "theta": lambda v: MOTHER if v == MOTHER else float(v),
+    "n": _at_least(1), "trials": _at_least(1), "seed": _at_least(0),
+    "merge_gap": lambda v: "auto" if v == "auto" else float(v),
+    "kappas": _nonempty(float), "alphas": _nonempty(_alpha), "lambdas": _lambdas,
+}
+
+
+def _plain(v):
+    """A parsed config value in the JSON form its parser reads back unchanged."""
+    if isinstance(v, list):
+        return [_plain(x) for x in v]
+    if isinstance(v, OperatorKind):
+        return v.value
+    return str(v) if isinstance(v, RationalAlpha) else v
+
+
+_THETA_DEFAULTS = {"kind": "ukh", "alpha": "8/13", "kappa": 1.0, "lambda": 1.0,
+                   "n": 25, "trials": 10, "seed": 20260810}
+
+# Each check and the config keys it reads, with their defaults; run_check
+# rejects any other key.
 _CHECKS = {
-    "THETA_PERIOD": (_check_theta_period, "kind alpha kappa lambda n trials seed"),
-    "THETA_CONTINUITY": (_check_theta_continuity, "kind alpha kappa lambda n trials seed"),
-    "MOTHER_EQUALITY": (_check_mother_equality, "alpha kappa lambda n"),
-    "SPECTRAL_MAPPING": (_check_spectral_mapping, "alpha kappa lambda n theta scope"),
-    "AUBRY_ANDRE": (_check_aubry_andre, "alpha lambda n"),
-    "BAND_COUNT": (_check_band_count, "alpha lambda n merge_gap"),
-    "ALPHA_CONTINUITY": (_check_alpha_continuity, "kind alpha1 alpha2 kappa lambda n"),
-    "KAPPA_CUBED": (_check_kappa_cubed, "alpha lambda n kappas"),
-    "LAST_MEASURE_TREND": (_check_last_measure_trend, "alphas lambdas n"),
+    "THETA_PERIOD": (_check_theta_period, _THETA_DEFAULTS),
+    "THETA_CONTINUITY": (_check_theta_continuity, _THETA_DEFAULTS),
+    "MOTHER_EQUALITY": (_check_mother_equality,
+                        {"alpha": "8/13", "kappa": 0.5, "lambda": 1.0, "n": 40}),
+    "SPECTRAL_MAPPING": (_check_spectral_mapping,
+                         {"alpha": "8/13", "kappa": 1.0, "lambda": 1.0, "n": 50, "theta": 0.0}),
+    "AUBRY_ANDRE": (_check_aubry_andre, {"alpha": "8/13", "lambda": 2.0, "n": 20}),
+    "BAND_COUNT": (_check_band_count,
+                   {"alpha": "1/5", "lambda": 1.0, "n": 200, "merge_gap": "auto"}),
+    "ALPHA_CONTINUITY": (_check_alpha_continuity,
+                         {"kind": "ukh", "alpha1": "89/144", "alpha2": "144/233",
+                          "kappa": 1.0, "lambda": 1.0, "n": 10}),
+    "KAPPA_CUBED": (_check_kappa_cubed,
+                    {"alpha": "8/13", "lambda": 1.0, "n": 60, "kappas": [0.025, 0.05, 0.1]}),
+    "LAST_MEASURE_TREND": (_check_last_measure_trend,
+                           {"alphas": ["5/8", "8/13", "13/21"], "lambdas": [0.5, 1.0, 2.0],
+                            "n": 60}),
 }
 
 CHECK_IDS = tuple(_CHECKS)
@@ -584,15 +557,35 @@ def _canonical(check_id: str) -> str:
 
 def check_keys(check_id: str) -> frozenset[str]:
     """The config keys the named check reads."""
-    return frozenset(_CHECKS[_canonical(check_id)][1].split())
+    return frozenset(_CHECKS[_canonical(check_id)][1])
+
+
+def _config(cid: str, cfg: dict) -> dict:
+    """The check's defaults overlaid with cfg, each value parsed by its key's parser."""
+    defaults = _CHECKS[cid][1]
+    unread = sorted(set(cfg) - set(defaults))
+    if unread:
+        raise InvalidParams(f"{cid} does not read {', '.join(unread)}; "
+                            f"it reads: {' '.join(defaults)}")
+    parsed = {}
+    for key, value in {**defaults, **cfg}.items():
+        try:
+            parsed[key] = _PARSE[key](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidParams(f"{cid}: bad {key} {value!r}: {exc}") from exc
+    return parsed
 
 
 def run_check(check_id: str, cfg: dict | None = None) -> CheckReport:
-    """Run one named check; deterministic for fixed cfg.  A key the check
-    does not read raises InvalidParams rather than being ignored."""
+    """Run one named check; deterministic for fixed cfg.
+
+    Keys left out take the check's defaults.  A key the check does not
+    read, or a value its parser rejects, raises InvalidParams.  The report
+    carries the full parsed config, so run_check(check_id, report.params)
+    repeats the run.
+    """
     cid = _canonical(check_id)
-    check, keys = _CHECKS[cid]
-    unread = sorted(set(cfg or {}) - set(keys.split()))
-    if unread:
-        raise InvalidParams(f"{cid} does not read {', '.join(unread)}; it reads: {keys}")
-    return check(dict(cfg or {}))
+    parsed = _config(cid, cfg or {})
+    measured, bound, notes = _CHECKS[cid][0](parsed)
+    return CheckReport(cid, {k: _plain(v) for k, v in parsed.items()}, measured, bound,
+                       passed=bool(measured <= bound), notes=notes)

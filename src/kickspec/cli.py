@@ -389,13 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification checks and report JSON records")
     # Flags override the config keys the selected checks read (a flag that no
-    # selected check reads is rejected); anything omitted falls back to the
-    # check's own documented defaults, so every check stays runnable bare.
+    # selected check reads is rejected) and reach run_check as strings, which
+    # its per-key parsers read; anything omitted falls back to the check's own
+    # defaults, so every check stays runnable bare.
     p.add_argument("--check", required=True, help="check id or 'all'")
     p.add_argument("--kind", choices=[k.value for k in OperatorKind], default=None)
     p.add_argument("--alpha", default=None)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--kappa", default=None)
+    p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--theta", default=None)
     p.add_argument("--grid", default=None, help="N grid points per axis")
     p.add_argument("--out", default=None)
@@ -534,10 +535,6 @@ def _cmd_verify(args) -> int:
     if unread:
         flags = ", ".join("--grid" if k == "n" else f"--{k}" for k in unread)
         raise InvalidParams(f"verify --check {args.check} does not read {flags}")
-    if "theta" in cfg:
-        cfg["theta"] = _parse_theta(cfg["theta"])
-    if "n" in cfg:
-        cfg["n"] = _parse_grid(cfg["n"], mother=False).n_x
     reports = [
         run_check(cid, {k: v for k, v in cfg.items() if k in keys[cid]}).to_dict() for cid in ids
     ]

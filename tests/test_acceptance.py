@@ -194,11 +194,11 @@ def test_09_spectral_mapping():
     ok = True
     details = []
     for alpha in ("1/2", "8/13"):
-        for scope, n in (("fixed", 50), ("mother", 20)):
+        for theta, n in ((0.0, 50), ("mother", 20)):
             r = run_check("SPECTRAL_MAPPING", {"alpha": alpha, "kappa": 1.0, "lambda": 1.0,
-                                               "n": n, "scope": scope})
+                                               "n": n, "theta": theta})
             ok &= r.passed
-            details.append(f"{alpha}/{scope}: {r.measured:.2e}")
+            details.append(f"{alpha}/theta={theta}: {r.measured:.2e}")
     _report("09 spectral-mapping", ok, "; ".join(details) + " (tol 1e-10)")
 
 

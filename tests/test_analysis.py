@@ -99,11 +99,6 @@ def test_hausdorff_metric_axioms(seed):
     assert hausdorff(a, c) <= hausdorff(a, b) + hausdorff(b, c) + 1e-12
 
 
-def test_hausdorff_arc_metric_option():
-    d = hausdorff(circle_set([0.0]), circle_set([np.pi / 2]), metric="arc")
-    assert d == pytest.approx(np.pi / 2)
-
-
 # -- bandwidth -----------------------------------------------------------------------
 
 
@@ -294,11 +289,44 @@ def test_run_check_rejects_a_key_the_check_does_not_read():
         run_check("SPECTRAL_MAPPING", {"tolerance": 1.0})
 
 
-@pytest.mark.parametrize("scope", ["fixed", "mother"])
-def test_spectral_mapping_catches_a_wrong_uh_kernel(scope, monkeypatch):
+@pytest.mark.parametrize("cid,cfg", [
+    ("BAND_COUNT", {"n": "abc"}),
+    ("BAND_COUNT", {"merge_gap": "wide"}),
+    ("THETA_PERIOD", {"kind": "x"}),
+    ("THETA_PERIOD", {"seed": -1}),
+    ("SPECTRAL_MAPPING", {"theta": "fixed"}),
+    ("KAPPA_CUBED", {"kappas": "0.1"}),
+    ("LAST_MEASURE_TREND", {"alphas": 5}),
+])
+def test_run_check_rejects_a_value_that_does_not_parse(cid, cfg):
+    (key,) = cfg
+    with pytest.raises(InvalidParams, match=key):
+        run_check(cid, cfg)
+
+
+@pytest.mark.parametrize("cid,cfg", [
+    ("THETA_PERIOD", {"trials": 0, "n": 4}),
+    ("THETA_CONTINUITY", {"trials": 0, "n": 4}),
+    ("THETA_PERIOD", {"n": 0}),
+    ("AUBRY_ANDRE", {"n": -3}),
+    ("KAPPA_CUBED", {"kappas": []}),
+    ("LAST_MEASURE_TREND", {"alphas": [], "n": 4}),
+    ("LAST_MEASURE_TREND", {"lambdas": [], "n": 4}),
+    ("LAST_MEASURE_TREND", {"lambdas": [0.5, 2.0], "n": 4}),
+    ("LAST_MEASURE_TREND", {"lambdas": [1.0], "n": 4}),
+])
+def test_a_config_that_measures_nothing_is_a_usage_error(cid, cfg):
+    # Zero trials or an empty sweep would report a vacuous pass (measured
+    # 0 or -inf) or fail deep inside the check; both are usage errors.
+    with pytest.raises(InvalidParams):
+        run_check(cid, cfg)
+
+
+@pytest.mark.parametrize("theta", [0.0, "mother"], ids=["fixed", "mother"])
+def test_spectral_mapping_catches_a_wrong_uh_kernel(theta, monkeypatch):
     import kickspec.spectra as spectra
 
-    cfg = {"alpha": "3/5", "n": 6, "scope": scope}
+    cfg = {"alpha": "3/5", "n": 6, "theta": theta}
     assert run_check("SPECTRAL_MAPPING", cfg).passed
     # The uh sweep maps Harper eigenvalues w to exp(-i kappa w); scaling w
     # by 1.05 there must not go unnoticed by the general-solver route.
@@ -354,11 +382,27 @@ class _ReadLog(dict):
 
 @pytest.mark.parametrize("cid", CHECK_IDS)
 def test_check_keys_are_the_keys_the_check_reads(cid):
-    from kickspec.analysis import _CHECKS
+    from kickspec.analysis import _CHECKS, _config
 
-    cfg = _ReadLog(_QUICK[cid])
+    cfg = _ReadLog(_config(cid, _QUICK[cid]))
     _CHECKS[cid][0](cfg)
     assert cfg.read == check_keys(cid)
+
+
+_REPLAY = {**_QUICK,
+           "THETA_PERIOD": {**_QUICK["THETA_PERIOD"], "seed": 7},
+           "THETA_CONTINUITY": {**_QUICK["THETA_CONTINUITY"], "seed": 7},
+           "SPECTRAL_MAPPING": {**_QUICK["SPECTRAL_MAPPING"], "theta": 0.3}}
+
+
+@pytest.mark.parametrize("cid", CHECK_IDS)
+def test_report_params_replay_the_run(cid):
+    # A report's params are the full parsed config: fed back, after a trip
+    # through JSON, they reproduce the same report.
+    r = run_check(cid, _REPLAY[cid])
+    params = json.loads(json.dumps(r.to_dict()["params"]))
+    assert params.keys() == check_keys(cid)
+    assert run_check(cid, params) == r
 
 
 @pytest.mark.parametrize("alpha,expected", [("2/5", 5), ("3/7", 7), ("3/4", 3)])

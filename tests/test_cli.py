@@ -236,13 +236,25 @@ def test_unread_flags_are_rejected(argv, capsys):
 
 
 _FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "", "abc", "0.5", "1", "2", "1,2", "1e308"]
+# Valid values, drawn half the time so that the other flags get past parsing.
+_FUZZ_VALID = {"--grid": ["1", "2", "2,1"], "--theta": ["mother", "0.25"],
+               "--alpha-list": ["farey:2", "farey:3"]}
+# Cache directories stay inside the test's temporary directory; "file" is a
+# regular file there, so a cache write under it is an I/O failure.
+_FUZZ_CACHE_DIRS = ["{tmp}/cache", "{tmp}/file"]
 _FUZZ_COMMANDS = {  # fixed argv, flags always drawn, flags drawn or left out
     "bandwidth": (["bandwidth", "--alpha-list", "fib:1..1"], ["--grid"],
                   ["--merge-gap", "--kappa", "--lambda"]),
+    "butterfly": (["butterfly"], ["--alpha-list", "--grid"], ["--kappa", "--lambda"]),
+    "cache": (["cache", "clear"], ["--cache-dir"], []),
+    "compute": (["compute", "--alpha", "1/2"], ["--grid"],
+                ["--theta", "--kappa", "--lambda", "--cache-dir"]),
     "zoom": (["zoom", "--alpha", "1/2"], ["--grid", "--factors"],
              ["--center", "--kappa", "--lambda"]),
     "verify": (["verify", "--check", "band-count", "--alpha", "1/2"], ["--grid"],
                ["--kappa", "--lambda"]),
+    "verify-mapping": (["verify", "--check", "spectral-mapping", "--alpha", "1/2"],
+                       ["--grid", "--theta"], ["--kappa", "--lambda"]),
 }
 
 
@@ -251,17 +263,27 @@ def fuzzed_argv(draw):
     argv, always, maybe = _FUZZ_COMMANDS[draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))]
     argv = list(argv)
     for flag in always + [f for f in maybe if draw(st.booleans())]:
-        # Half the grids are valid, so the other flags get past grid parsing.
-        valid = ["1", "2", "2,1"] if flag == "--grid" else _FUZZ_VALUES
+        if flag == "--cache-dir":
+            argv += [flag, draw(st.sampled_from(_FUZZ_CACHE_DIRS))]
+            continue
+        valid = _FUZZ_VALID.get(flag, _FUZZ_VALUES)
         argv += [flag, draw(st.sampled_from(valid) | st.sampled_from(_FUZZ_VALUES))]
     return argv
 
 
-@given(fuzzed_argv())
-@example(["bandwidth", "--alpha-list", "fib:1..1", "--grid", "2", "--merge-gap", "abc"])
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "file").write_text("x")
+    return d
+
+
+@given(argv=fuzzed_argv())
+@example(argv=["bandwidth", "--alpha-list", "fib:1..1", "--grid", "2", "--merge-gap", "abc"])
 @settings(max_examples=100, deadline=None)
-def test_fuzzed_argv_exits_with_a_contract_code(argv):
+def test_fuzzed_argv_exits_with_a_contract_code(fuzz_dir, argv):
     # Values from the pool keep every grid at 2 points or fewer per axis.
+    argv = [a.replace("{tmp}", str(fuzz_dir)) for a in argv]
     assert dispatch(argv) in (0, 2, 3, 4)
 
 
@@ -329,7 +351,7 @@ def test_verify_spectral_mapping_mother_scope(tmp_path):
                      "--grid", "4", "--out", out])
     assert code == 0
     (report,) = json.loads(open(out).read())
-    assert report["params"]["scope"] == "mother"
+    assert report["params"]["theta"] == "mother"
     assert report["pass"]
 
 

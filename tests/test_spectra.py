@@ -192,9 +192,11 @@ def test_chunked_sweep_is_identical(kind, monkeypatch):
     pa = params(kind, 0.9, 1.3, 2, q, theta=MOTHER)
     xv, tv = spectra._grid_pairs(pa, GridSpec(4, 4))
     single = spectra._sweep_values(pa, xv, tv)
-    # 5 matrices per chunk: 4 chunks over 16 nodes, each repeating a theta.
+    # 5 matrices per chunk: the reflection-reduced 4 x 4 grid keeps 9 nodes
+    # (10 for uordkr), so 2 chunks, each repeating a theta.
     monkeypatch.setattr(spectra, "_CHUNK_COMPLEX", 5 * q * q)
     chunked = spectra._sweep_values(pa, xv, tv)
+    assert xv.size > 5
     assert np.unique(tv[:5]).size < 5
     assert np.array_equal(chunked, single)
 
