@@ -6,7 +6,8 @@ Computes and persists spectra, band statistics, butterflies, zooms and
 verification reports.  Outputs are deterministic: identical configurations
 produce byte-identical CSV/SVG files.  Data goes to files or standard
 output only; diagnostics go to the error stream.  Exit codes: 0 success,
-2 usage error, 3 numerical failure, 4 I/O failure.
+2 usage error, 3 numerical failure, 4 I/O failure.  Every flag value is
+parsed and checked before anything is swept or written.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _PARSE,
     CHECK_IDS,
     check_keys,
     farey_rationals,
@@ -161,18 +163,12 @@ def _read_spectrum_csv(path: str) -> SpectrumSet:
                 values.append(complex(float(re_s), float(im_s)))
             else:
                 values.append(float(line))
-    kind_s = header.get("kind", "ukh")
+    kind_s = header.setdefault("kind", "ukh")
     params = None
     if "kappa" in header:
-        theta_s = header.get("theta", MOTHER)
-        theta = MOTHER if theta_s == MOTHER else float(theta_s)
-        params = OperatorParams(
-            OperatorKind(kind_s),
-            float(header["kappa"]),
-            float(header["lambda"]),
-            RationalAlpha.parse(header["alpha"]),
-            theta,
-        )
+        header.setdefault("theta", MOTHER)
+        params = OperatorParams(*(_PARSE[key](header[key])
+                                  for key in ("kind", "kappa", "lambda", "alpha", "theta")))
     grid = None
     if "n_x" in header:
         grid = GridSpec(int(header["n_x"]), int(header.get("n_theta", "1")))
@@ -277,60 +273,58 @@ def _compute(params: OperatorParams, grid: GridSpec) -> SpectrumSet:
 
 # -- argument plumbing -----------------------------------------------------------
 
-def _parse_grid(text: str, mother: bool) -> GridSpec:
-    """N gives N x N; N,M (n_x, n_theta) only for a mother sweep, the one that reads M."""
-    parts = text.split(",")
-    if len(parts) == 2 and not mother:
-        raise InvalidParams(f"--grid expects one N here, got {text!r} "
-                            "(N,M is read only by compute, bandwidth and zoom with --theta mother)")
+def _parsed(flag: str, parse, text):
+    """parse(text), reporting a value it cannot use as a usage error that names the flag."""
     try:
-        if len(parts) == 1:
-            n = int(parts[0])
-            return GridSpec(n, n)
-        if len(parts) == 2:
-            return GridSpec(int(parts[0]), int(parts[1]))
-    except ValueError as exc:
-        raise InvalidParams(f"bad --grid value {text!r}: {exc}") from exc
-    raise InvalidParams(f"--grid expects N or N,M, got {text!r}")
+        return parse(text)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParams(f"bad {flag} value {text!r}: {exc}") from exc
 
 
-def _parse_theta(text: str):
-    if text == MOTHER:
-        return MOTHER
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise InvalidParams(f"--theta expects a real or 'mother', got {text!r}") from exc
+def _floats(text: str) -> list[float]:
+    """A comma list of numbers, by the nonempty float-list parser of the checks' kappas."""
+    return _PARSE["kappas"](text.split(","))
 
 
-def _parse_kappas(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
-    except ValueError as exc:
-        raise InvalidParams(f"bad --kappa value {text!r}: {exc}") from exc
-
-
-def _parse_merge_gap(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise InvalidParams(f"--merge-gap expects auto, track or a number, got {text!r}") from exc
-
-
-def _parse_alpha_list(text: str) -> list[RationalAlpha]:
+def _alpha_list(text: str) -> list[RationalAlpha]:
+    """farey:qmax, or fib:a..b for the a-th to b-th golden-ratio convergents."""
     kind, _, arg = text.partition(":")
-    try:
-        if kind == "farey":
-            return farey_rationals(int(arg))
-        if kind == "fib":
-            a, _, b = arg.partition("..")
-            lo, hi = int(a), int(b)
-            if lo < 1 or hi < lo:
-                raise InvalidParams(f"bad fib range {arg!r}")
+    if kind == "farey":
+        return farey_rationals(int(arg))
+    if kind == "fib":
+        a, _, b = arg.partition("..")
+        lo, hi = int(a), int(b)
+        if 1 <= lo <= hi:
             return golden_convergents(hi)[lo - 1:]
-    except ValueError as exc:
-        raise InvalidParams(f"bad --alpha-list value {text!r}: {exc}") from exc
-    raise InvalidParams(f"--alpha-list expects fib:a..b or farey:qmax, got {text!r}")
+    raise ValueError("expected fib:a..b with 1 <= a <= b, or farey:qmax")
+
+
+def _operators(args, alphas=()) -> tuple[list[float], float, GridSpec, list[OperatorParams]]:
+    """A command's operator flags, each parsed once, and checked before anything is swept.
+
+    Returns (kappas, lambda, grid, params), params holding one OperatorParams
+    per kappa and alpha: the --alpha flag if the command has one, else
+    ``alphas``.  Only compute --format svg reads a --kappa list, --grid N,M
+    needs --theta mother (the one scope with a theta axis), and eigenphase
+    outputs (zoom, SVG rings) need a unit-circle kind.
+    """
+    if hasattr(args, "alpha"):
+        alphas = [_parsed("--alpha", _PARSE["alpha"], args.alpha)]
+    kind = _parsed("--kind", _PARSE["kind"], args.kind)
+    kappas = _parsed("--kappa", _floats, args.kappa)
+    lam = _parsed("--lambda", _PARSE["lambda"], args.lam)
+    theta = _parsed("--theta", _PARSE["theta"], getattr(args, "theta", MOTHER))
+    sizes = _parsed("--grid", lambda text: [int(n) for n in text.split(",")], args.grid)
+    svg = getattr(args, "format", None) == "svg"
+    if len(kappas) > 1 and not svg:
+        raise InvalidParams(f"{args.command} reads a single --kappa; "
+                            "a list is read only by compute --format svg")
+    if len(sizes) > 2 or len(sizes) == 2 and not (hasattr(args, "theta") and theta == MOTHER):
+        raise InvalidParams(f"--grid expects N, or N,M with --theta mother, got {args.grid!r}")
+    if kind is OperatorKind.H and (svg or args.command == "zoom"):
+        raise InvalidParams(f"{args.command} shows eigenphases; --kind h has a real spectrum")
+    params = [OperatorParams(kind, k, lam, a, theta) for k in kappas for a in alphas]
+    return kappas, lam, GridSpec(sizes[0], sizes[-1]), params
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -345,7 +339,7 @@ def _add_operator_flags(p: argparse.ArgumentParser, alpha: bool = True, theta: b
     if alpha:
         p.add_argument("--alpha", required=True, help="frequency as a p/q literal")
     p.add_argument("--kappa", default="1", help="time scale (comma list allowed for SVG rings)")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="coupling")
+    p.add_argument("--lambda", dest="lam", default=1.0, help="coupling")
     if theta:
         p.add_argument("--theta", default=MOTHER, help="phase in [0,1) or 'mother'")
     p.add_argument("--grid", default="100",
@@ -382,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zoom", help="nested eigenphase windows around a center")
     _add_operator_flags(p)
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--center", default=None, type=float,
-                   help="window center (default: phase median)")
+    p.add_argument("--center", default=None, help="window center (default: phase median)")
     p.add_argument("--factors", required=True, help="comma-separated zoom factors > 1")
     p.set_defaults(func=_cmd_zoom)
 
@@ -412,61 +405,47 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- commands --------------------------------------------------------------------
 
-def _params_from_args(args, kappa: float) -> OperatorParams:
-    return OperatorParams(
-        OperatorKind(args.kind),
-        kappa,
-        args.lam,
-        RationalAlpha.parse(args.alpha),
-        _parse_theta(args.theta),
-    )
-
-
 def _cmd_compute(args) -> int:
-    kappas = _parse_kappas(args.kappa)
-    grid = _parse_grid(args.grid, args.theta == MOTHER)
+    if args.format == "svg" and args.out is None:
+        raise InvalidParams("--format svg requires --out")
+    _, _, grid, params = _operators(args)
+    spectra = [compute_spectrum(pa, grid, args.cache_dir) for pa in params]
     if args.format == "svg":
-        if args.out is None:
-            raise InvalidParams("--format svg requires --out")
-        spectra = [
-            compute_spectrum(_params_from_args(args, k), grid, args.cache_dir) for k in kappas
-        ]
         write_rings_svg(spectra, args.out)
-        return 0
-    if len(kappas) != 1:
-        raise InvalidParams("a kappa list is only supported with --format svg")
-    s = compute_spectrum(_params_from_args(args, kappas[0]), grid, args.cache_dir)
-    _emit(spectrum_csv_text(s), args.out)
+    else:
+        _emit(spectrum_csv_text(spectra[0]), args.out)
     return 0
 
 
 def _cmd_bandwidth(args) -> int:
-    kappas = _parse_kappas(args.kappa)
-    if len(kappas) != 1:
-        raise InvalidParams("bandwidth expects a single --kappa")
     if args.merge_gap == "track" and args.cache_dir is not None:
         raise InvalidParams("bandwidth --merge-gap track does not read --cache-dir")
-    theta = _parse_theta(args.theta)
-    grid = _parse_grid(args.grid, theta == MOTHER)
+    gap = args.merge_gap
+    if gap != "track":
+        gap = _parsed("--merge-gap", _PARSE["merge_gap"], gap)
+        if gap != "auto" and not gap > 0:
+            raise InvalidParams("--merge-gap must be auto, track or a number > 0, "
+                                f"got {args.merge_gap!r}")
+    alphas = _parsed("--alpha-list", _alpha_list, args.alpha_list)
+    kappas, lam, grid, params = _operators(args, alphas)
     lines = [
         f"# kind={args.kind}",
         f"# kappa={kappas[0]!r}",
-        f"# lambda={args.lam!r}",
+        f"# lambda={lam!r}",
         f"# n_x={grid.n_x}",
         f"# n_theta={grid.n_theta}",
         f"# merge_gap={args.merge_gap}",
         "p,q,alpha,bands,width,error_bound",
     ]
-    for alpha in _parse_alpha_list(args.alpha_list):
-        params = OperatorParams(OperatorKind(args.kind), kappas[0], args.lam, alpha, theta)
-        if args.merge_gap == "track":
-            bands = tracked_bands(params, grid)
-            bound = grid_error_bound(params, grid)
+    for pa in params:
+        if gap == "track":
+            bands = tracked_bands(pa, grid)
+            bound = grid_error_bound(pa, grid)
         else:
-            s = compute_spectrum(params, grid, args.cache_dir)
-            gap = auto_merge_gap(s) if args.merge_gap == "auto" else _parse_merge_gap(args.merge_gap)
-            bands = merge_bands(s, gap)
+            s = compute_spectrum(pa, grid, args.cache_dir)
+            bands = merge_bands(s, auto_merge_gap(s) if gap == "auto" else gap)
             bound = s.error_bound
+        alpha = pa.alpha
         lines.append(
             f"{alpha.p},{alpha.q},{_fmt(alpha.value)},{len(bands)},"
             f"{_fmt(total_bandwidth(bands))},{_fmt(bound)}"
@@ -476,18 +455,11 @@ def _cmd_bandwidth(args) -> int:
 
 
 def _cmd_butterfly(args) -> int:
-    kappas = _parse_kappas(args.kappa)
-    if len(kappas) != 1:
-        raise InvalidParams("butterfly expects a single --kappa")
-    listed = args.alpha_list
-    if not listed.startswith("farey:"):
+    if not args.alpha_list.startswith("farey:"):
         raise InvalidParams("butterfly sweeps Farey rationals; use --alpha-list farey:qmax")
-    try:
-        q_max = int(listed.partition(":")[2])
-    except ValueError as exc:
-        raise InvalidParams(f"bad --alpha-list value {listed!r}: {exc}") from exc
-    grid = _parse_grid(args.grid, mother=False)
-    ds = butterfly_dataset(args.kind, kappas[0], args.lam, q_max, grid.n_x)
+    q_max = _parsed("--alpha-list", lambda text: int(text.partition(":")[2]), args.alpha_list)
+    kappas, lam, grid, _ = _operators(args)
+    ds = butterfly_dataset(args.kind, kappas[0], lam, q_max, grid.n_x)
     lines = [
         f"# kind={ds.kind.value}",
         f"# kappa={ds.kappa!r}",
@@ -502,17 +474,15 @@ def _cmd_butterfly(args) -> int:
 
 
 def _cmd_zoom(args) -> int:
-    kappas = _parse_kappas(args.kappa)
-    if len(kappas) != 1:
-        raise InvalidParams("zoom expects a single --kappa")
-    grid = _parse_grid(args.grid, args.theta == MOTHER)
-    s = compute_spectrum(_params_from_args(args, kappas[0]), grid, args.cache_dir)
-    phases = eigenphases(s)
-    center = float(np.median(phases)) if args.center is None else args.center
-    try:
-        factors = [float(tok) for tok in args.factors.split(",") if tok != ""]
-    except ValueError as exc:
-        raise InvalidParams(f"bad --factors value {args.factors!r}: {exc}") from exc
+    center = None if args.center is None else _parsed("--center", float, args.center)
+    if center is not None and not -np.pi < center <= np.pi:
+        raise InvalidParams(f"--center must lie in (-pi, pi], got {args.center!r}")
+    factors = _parsed("--factors", _floats, args.factors)
+    if not all(f > 1.0 for f in factors):
+        raise InvalidParams(f"--factors must all be > 1, got {args.factors!r}")
+    _, _, grid, (pa,) = _operators(args)
+    phases = eigenphases(compute_spectrum(pa, grid, args.cache_dir))
+    center = float(np.median(phases)) if center is None else center
     windows = zoom_windows(phases, center, factors)
     lines = [
         f"# center={center!r}",
@@ -530,11 +500,14 @@ def _cmd_verify(args) -> int:
     keys = {cid: check_keys(cid) for cid in ids}
     given = {"kind": args.kind, "alpha": args.alpha, "kappa": args.kappa, "lambda": args.lam,
              "theta": args.theta, "n": args.grid}
+    flag = {k: "--grid" if k == "n" else f"--{k}" for k in given}
     cfg = {k: v for k, v in given.items() if v is not None}
     unread = sorted(set(cfg) - frozenset().union(*keys.values()))
     if unread:
-        flags = ", ".join("--grid" if k == "n" else f"--{k}" for k in unread)
-        raise InvalidParams(f"verify --check {args.check} does not read {flags}")
+        raise InvalidParams(f"verify --check {args.check} does not read "
+                            f"{', '.join(flag[k] for k in unread)}")
+    # Parsed before the first check sweeps; run_check's parsers accept their own output.
+    cfg = {k: _parsed(flag[k], _PARSE[k], v) for k, v in cfg.items()}
     reports = [
         run_check(cid, {k: v for k, v in cfg.items() if k in keys[cid]}).to_dict() for cid in ids
     ]

@@ -144,26 +144,10 @@ class OperatorParams:
 # -- primitive matrices -------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _roots(q: int) -> np.ndarray:
-    """q-th roots of unity exp(i 2 pi k / q), k = 0..q-1; read-only."""
-    r = np.exp(2j * np.pi * np.arange(q) / q)
-    r.setflags(write=False)
-    return r
-
-
-@lru_cache(maxsize=None)
-def _half_roots(q: int) -> np.ndarray:
-    """2q-th roots exp(i pi k / q), k = 0..2q-1; read-only."""
-    r = np.exp(1j * np.pi * np.arange(2 * q) / q)
-    r.setflags(write=False)
-    return r
-
-
-@lru_cache(maxsize=None)
 def _dft_cached(q: int) -> np.ndarray:
     """Discrete Fourier matrix F[j, k] = w^{jk} / sqrt(q), unitary and symmetric; read-only."""
     j = np.arange(q)
-    f = _roots(q)[np.outer(j, j) % q] / np.sqrt(q)
+    f = np.exp(2j * np.pi * j / q)[np.outer(j, j) % q] / np.sqrt(q)
     f.setflags(write=False)
     return f
 
@@ -197,7 +181,7 @@ class DcpEigensystem:
 def _dcp_cached(p: int, q: int) -> DcpEigensystem:
     odd = (p * (q - 1)) % 2
     phi = 0.0 if odd == 0 else 1.0 / (2 * q)
-    roots = _half_roots(q)
+    roots = np.exp(1j * np.pi * np.arange(2 * q) / q)  # 2q-th roots of unity
     k = np.arange(q, dtype=np.int64)
     values = roots[(2 * k + odd) % (2 * q)].copy()
 

@@ -47,7 +47,6 @@ __all__ = [
     "mother_spectrum",
     "eigenphases",
     "merge_bands",
-    "merge_band_list",
     "tracked_bands",
     "auto_merge_gap",
 ]
@@ -203,9 +202,13 @@ def grid_error_bound(params: OperatorParams, grid: GridSpec) -> float:
 
 # -- the sweep kernel ---------------------------------------------------------
 
+def _chunk_rows(q: int) -> int:
+    return max(1, _CHUNK_COMPLEX // q ** 2)
+
+
 def _solve_chunks(params: OperatorParams, xv: np.ndarray, tv: np.ndarray, solve) -> np.ndarray:
     """solve(operator_stack(...)) over the pairs (xv, tv), one chunk at a time; shape (m, q)."""
-    step = max(1, _CHUNK_COMPLEX // params.alpha.q ** 2)
+    step = _chunk_rows(params.alpha.q)
     return np.concatenate([
         solve(operator_stack(params, xv[lo:lo + step], tv[lo:lo + step]))
         for lo in range(0, xv.size, step)
@@ -265,8 +268,14 @@ def _pair_count(params: OperatorParams, grid: GridSpec) -> int:
 
 
 def _sweep_bytes(params: OperatorParams, grid: GridSpec) -> int:
-    """Bytes of a sweep's (x, theta) pair arrays and its (m, q) complex eigenvalues."""
-    return _pair_count(params, grid) * (2 * 8 + 16 * params.alpha.q)
+    """Bytes a sweep holds at once, from its (x, theta) pair count m.
+
+    The pair arrays and the (m, q) complex eigenvalues; one chunk's
+    (min(m, chunk), q, q) complex matrix stack; and the q x q complex DFT
+    (or D C^p eigenvector) matrix with its int64 index array.
+    """
+    m, q = _pair_count(params, grid), params.alpha.q
+    return m * (2 * 8 + 16 * q) + (16 * min(m, _chunk_rows(q)) + 16 + 8) * q * q
 
 
 def _grid_pairs(params: OperatorParams, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -370,21 +379,18 @@ def _line_runs(lo, hi, gap: float) -> tuple[tuple[float, float], ...]:
     return tuple((float(lo[a]), float(reach[b])) for a, b in zip(starts, ends))
 
 
-def _circle_runs(lo, hi, gap: float) -> tuple[tuple[float, float], ...]:
-    """Union of the eigenphase arcs (lo_i, hi_i), sorted by lo, across gaps <= gap.
+def _circle_runs(ph: np.ndarray, gap: float) -> tuple[tuple[float, float], ...]:
+    """Union of the ascending eigenphases ph across circular gaps <= gap, sorted by lo.
 
-    An arc with hi < lo wraps through +pi (only the last one can).  If
-    every gap closes, the result is the full circle (-pi, pi).  Endpoints
-    are copied from the input, so re-merging a result is exactly stable.
+    A run with hi < lo wraps through +pi (only the last one can).  If
+    every gap closes, the result is the full circle (-pi, pi).
     """
-    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
-    end = np.where(hi < lo, hi + TWO_PI, hi)
-    gaps = np.append(lo[1:], lo[0] + TWO_PI) - end
+    gaps = np.append(ph[1:], ph[0] + TWO_PI) - ph
     breaks = np.flatnonzero(gaps > gap)
     if breaks.size == 0:
         return ((-np.pi, np.pi),)
-    starts = (np.roll(breaks, 1) + 1) % lo.size
-    return tuple(sorted((float(lo[a]), float(hi[b])) for a, b in zip(starts, breaks)))
+    starts = (np.roll(breaks, 1) + 1) % ph.size
+    return tuple(sorted((float(ph[a]), float(ph[b])) for a, b in zip(starts, breaks)))
 
 
 def eigenphases(s: SpectrumSet) -> np.ndarray:
@@ -416,26 +422,5 @@ def merge_bands(s: SpectrumSet, merge_gap: float) -> BandList:
     if s.kind is SpectrumKind.REAL_LINE:
         bands = _line_runs(s.points, s.points, merge_gap)
     else:
-        ph = eigenphases(s)
-        bands = _circle_runs(ph, ph, merge_gap)
+        bands = _circle_runs(eigenphases(s), merge_gap)
     return BandList(kind=s.kind, bands=bands, merge_gap=float(merge_gap))
-
-
-def merge_band_list(b: BandList, merge_gap: float) -> BandList:
-    """Merge adjacent bands of an existing BandList with gap <= merge_gap.
-
-    merge_bands is idempotent at this level: re-merging its output with the
-    same gap returns it unchanged, because all surviving gaps exceed it.
-    """
-    if not merge_gap > 0:
-        raise InvalidParams(f"merge_gap must be > 0, got {merge_gap}")
-    if not b.bands:
-        raise EmptySpectrum("cannot merge an empty band list")
-    lo, hi = np.array(sorted(b.bands)).T
-    if b.kind is SpectrumKind.REAL_LINE:
-        bands = _line_runs(lo, hi, merge_gap)
-    elif b.bands == ((-np.pi, np.pi),):
-        bands = b.bands
-    else:
-        bands = _circle_runs(lo, hi, merge_gap)
-    return BandList(b.kind, bands, float(merge_gap))

@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from kickspec.cli import (
     _fmt,
+    build_parser,
     cache_key,
     dispatch,
     read_spectrum_csv,
@@ -90,17 +94,45 @@ def test_csv_synthetic_real_line_round_trip(tmp_path):
     assert np.array_equal(back.points, s.points)
 
 
-def test_bad_list_values_are_exit_2(tmp_path):
-    assert dispatch(["bandwidth", "--alpha-list", "farey:x", "--grid", "3"]) == 2
-    assert dispatch(["butterfly", "--alpha-list", "fib:1..2", "--grid", "3"]) == 2
-    assert dispatch(["zoom", "--alpha", "1/3", "--grid", "3", "--factors", "2,nope"]) == 2
-    assert dispatch(["zoom", "--alpha", "3/5", "--grid", "4", "--factors", "nan"]) == 2
-    for gap in ("abc", "nan"):
-        argv = ["bandwidth", "--alpha-list", "fib:1..3", "--grid", "4", "--merge-gap", gap]
-        assert dispatch(argv) == 2
-    # Finite, but a kick phase or the hopping scale would overflow.
-    for big in (["--kappa", "1e308"], ["--kappa", "1e200", "--lambda", "1e200"]):
-        assert dispatch(["compute", "--kind", "ukh", "--alpha", "1/2", "--grid", "2"] + big) == 2
+def test_bad_list_values_are_exit_2(capsys):
+    fib = ["bandwidth", "--alpha-list", "fib:1..3", "--grid", "4", "--merge-gap"]
+    cases = [
+        ("--alpha-list", ["bandwidth", "--alpha-list", "farey:x", "--grid", "3"]),
+        ("--alpha-list", ["butterfly", "--alpha-list", "fib:1..2", "--grid", "3"]),
+        ("--factors", ["zoom", "--alpha", "1/3", "--grid", "3", "--factors", "2,nope"]),
+        ("--factors", ["zoom", "--alpha", "3/5", "--grid", "4", "--factors", "nan"]),
+        ("--factors", ["zoom", "--alpha", "3/5", "--grid", "2", "--factors", ","]),
+        ("--kappa", ["compute", "--alpha", "1/3", "--grid", "2", "--kappa", "1,"]),
+        ("--merge-gap", fib + ["abc"]),
+        ("--merge-gap", fib + ["nan"]),
+        # Finite, but a kick phase or the hopping scale would overflow.
+        ("kappa", ["compute", "--alpha", "1/2", "--grid", "2", "--kappa", "1e308"]),
+        ("kappa", ["compute", "--alpha", "1/2", "--grid", "2", "--kappa", "1e200",
+                   "--lambda", "1e200"]),
+    ]
+    for flag, argv in cases:
+        assert dispatch(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("spectra: ") and err.count("\n") == 1 and flag in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bandwidth", "--alpha-list", "fib:1..2", "--grid", "2", "--merge-gap", "abc"],
+    ["bandwidth", "--alpha-list", "fib:1..2", "--grid", "2", "--merge-gap", "-1"],
+    ["zoom", "--alpha", "3/5", "--grid", "2", "--factors", "0.5"],
+    ["zoom", "--alpha", "3/5", "--grid", "2", "--factors", "2", "--center", "4"],
+    ["zoom", "--kind", "h", "--alpha", "3/5", "--grid", "2", "--factors", "2"],
+    ["compute", "--kind", "h", "--alpha", "3/5", "--grid", "2", "--format", "svg",
+     "--kappa", "1,2"],
+], ids=["merge-gap-abc", "merge-gap-negative", "factors-below-1", "center-out-of-range",
+        "zoom-kind-h", "svg-kind-h"])
+def test_usage_error_sweeps_and_writes_nothing(tmp_path, capsys, argv):
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    cache.mkdir()
+    assert dispatch(argv + ["--cache-dir", str(cache), "--out", str(out)]) == 2
+    assert os.listdir(cache) == []
+    assert not out.exists()
+    capsys.readouterr()
 
 
 def test_csv_fixed_theta_round_trip(tmp_path):
@@ -287,6 +319,21 @@ def test_fuzzed_argv_exits_with_a_contract_code(fuzz_dir, argv):
     assert dispatch(argv) in (0, 2, 3, 4)
 
 
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| command "):].split("\n\n")[0].splitlines()[2:]
+    documented = {}
+    for row in table:
+        command, flags = row.strip("|").split("|", 1)
+        documented[command.strip().strip("`")] = set(re.findall(r"--[\w-]+", flags))
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert documented == parsed
+
+
 def test_help_is_exit_0(capsys):
     assert dispatch(["--help"]) == 0
     capsys.readouterr()
@@ -343,6 +390,30 @@ def test_oversized_grid_is_exit_2_before_allocating(tmp_path, capsys):
     assert code == 2
     assert "physical memory" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_verify_parses_every_value_before_the_first_check(monkeypatch, capsys):
+    import kickspec.cli as cli
+
+    monkeypatch.setattr(cli, "run_check", lambda *args: pytest.fail("a check ran"))
+    # --theta is read only by the fourth check, spectral-mapping.
+    assert dispatch(["verify", "--check", "all", "--grid", "2", "--theta", "abc"]) == 2
+    assert "--theta" in capsys.readouterr().err
+
+
+def test_preflight_counts_the_q_by_q_arrays(tmp_path, monkeypatch, capsys):
+    # One grid node at q = 1499: 24 kB of pairs and eigenvalues, but about
+    # 90 MB of q x q matrices, so 64 MiB of physical memory refuses it.
+    import kickspec.spectra as spectra
+
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64 * 2**20 // 4096}
+    monkeypatch.setattr(spectra.os, "sysconf", sizes.__getitem__)
+    out = tmp_path / "x.csv"
+    code = dispatch(["compute", "--kind", "h", "--alpha", "1/1499", "--grid", "1",
+                     "--theta", "0", "--out", str(out)])
+    assert code == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_spectral_mapping_mother_scope(tmp_path):

@@ -14,7 +14,6 @@ from kickspec.spectra import (
     auto_merge_gap,
     eigenphases,
     grid_error_bound,
-    merge_band_list,
     merge_bands,
     mother_spectrum,
     spectrum_fixed_theta,
@@ -315,13 +314,21 @@ def test_representatives_cover_every_mirror_orbit_once(kind, n_x, n_theta):
 
 
 def test_sweep_size_estimate():
+    # m pairs (two float64 and q complex128 eigenvalues each), one chunk of
+    # min(m, 4e6 // q^2) complex q x q matrices, and a complex q x q matrix
+    # with its int64 index.
     ukh = params("ukh", 1.0, 1.0, 8, 13, theta=MOTHER)
-    assert spectra._sweep_bytes(ukh, GridSpec(48, 48)) == 625 * (2 * 8 + 13 * 16)
+    assert spectra._sweep_bytes(ukh, GridSpec(48, 48)) == (
+        625 * (2 * 8 + 13 * 16) + (625 * 16 + 24) * 169)
     rotor = params("uordkr", 1.0, 1.0, 8, 13, theta=MOTHER)
-    assert spectra._sweep_bytes(rotor, GridSpec(48, 48)) == 1154 * 224
+    assert spectra._sweep_bytes(rotor, GridSpec(48, 48)) == 1154 * 224 + (1154 * 16 + 24) * 169
     huge = GridSpec(3_000_000, 3_000_000)
-    assert spectra._sweep_bytes(ukh, huge) == 1_500_001 ** 2 * 224
-    assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 3), huge) == 1_500_001 * (16 + 48)
+    assert spectra._sweep_bytes(ukh, huge) == 1_500_001 ** 2 * 224 + (23_668 * 16 + 24) * 169
+    assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 3), huge) == (
+        1_500_001 * (16 + 48) + (444_444 * 16 + 24) * 9)
+    # One matrix at large q: the q x q arrays, not the eigenvalues, dominate.
+    assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 1499), GridSpec(1)) == (
+        (16 + 1499 * 16) + (16 + 24) * 1499 ** 2)
 
 
 def test_preflight_refuses_a_sweep_larger_than_memory(monkeypatch):
@@ -420,6 +427,8 @@ def test_merge_bands_rejects_empty_and_bad_gap():
     *(pytest.param(seed, SpectrumKind.REAL_LINE, id=f"real_line-{seed}") for seed in range(5)),
 ])
 def test_merge_bands_idempotent_at_band_level(seed, kind):
+    # Merging the returned bands again with the same gap would join nothing:
+    # every gap left between neighbouring bands (cyclically on the circle) exceeds it.
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-np.pi, np.pi, size=60)
     if kind is SpectrumKind.UNIT_CIRCLE:
@@ -428,13 +437,19 @@ def test_merge_bands_idempotent_at_band_level(seed, kind):
         s = SpectrumSet.build(kind, phases)
     gap = float(rng.uniform(0.01, 0.5))
     b = merge_bands(s, gap)
-    assert merge_band_list(b, gap).bands == b.bands
+    lo, hi = np.array(b.bands).T
+    if kind is SpectrumKind.REAL_LINE:
+        between = lo[1:] - hi[:-1]
+    elif b.bands == ((-np.pi, np.pi),):
+        between = np.array([])
+    else:
+        between = (np.append(lo[1:], lo[0]) - hi) % (2 * np.pi)
+    assert np.all(between > gap)
 
 
 def test_merge_one_point_circle_is_degenerate_band():
     b = merge_bands(circle_set([0.3]), 0.1)
     assert b.bands == ((0.3, 0.3),)
-    assert merge_band_list(b, 0.1).bands == ((0.3, 0.3),)
     assert total_bandwidth(b) == 0.0
 
 
