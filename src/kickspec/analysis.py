@@ -45,6 +45,7 @@ from .spectra import (
     TWO_PI,
     _grid_pairs,
     _solve_chunks,
+    _sweep_values,
     auto_merge_gap,
     eigenphases,
     grid_error_bound,
@@ -442,10 +443,13 @@ def _check_alpha_continuity(cfg):
 
 
 def _check_kappa_cubed(cfg):
-    kappas, dist = cfg["kappas"], {}
+    kappas, grid, dist = cfg["kappas"], GridSpec(cfg["n"], cfg["n"]), {}
+    # The uh spectra are exp(-i kappa w) of one kappa-independent Harper sweep w.
+    harper = OperatorParams(OperatorKind.H, 0.0, cfg["lambda"], cfg["alpha"], MOTHER)
+    w = _sweep_values(harper, *_grid_pairs(harper, grid))
     for k in sorted({k for base in kappas for k in (base, 2.0 * base)}):
         s_kh = _mother(OperatorKind.UKH, k, cfg["lambda"], cfg["alpha"], cfg["n"])
-        s_uh = _mother(OperatorKind.UH, k, cfg["lambda"], cfg["alpha"], cfg["n"])
+        s_uh = SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, np.exp(-1j * k * w))
         dist[k] = hausdorff(s_kh, s_uh)
     ratios = [dist[2.0 * k] / dist[k] for k in kappas]
     # Cubic leading order means doubling kappa multiplies the distance by

@@ -52,6 +52,7 @@ from .spectra import (
     GridSpec,
     SpectrumKind,
     SpectrumSet,
+    _preflight,
     auto_merge_gap,
     eigenphases,
     grid_error_bound,
@@ -143,47 +144,43 @@ def read_spectrum_csv(path: str) -> SpectrumSet:
         raise MalformedSpectrumFile(f"malformed spectrum file {path}: {exc!r}") from exc
 
 
+_OPERATOR_KEYS = ("kind", "kappa", "lambda", "alpha", "theta")
+_GRID_KEYS = ("n_x", "n_theta")
+
+
 def _read_spectrum_csv(path: str) -> SpectrumSet:
     header: dict[str, str] = {}
-    values: list = []
-    circle = None
+    rows: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                header[key.strip()] = val.strip()
-                continue
-            if circle is None:
-                circle = "," in line
-            if circle:
-                re_s, im_s, _ = line.split(",")
-                values.append(complex(float(re_s), float(im_s)))
-            else:
-                values.append(float(line))
-    kind_s = header.setdefault("kind", "ukh")
+                key, _, val = (part.strip() for part in line[1:].partition("="))
+                if key in header:
+                    raise ValueError(f"repeated header line {line!r}")
+                header[key] = val
+            elif line:
+                rows.append(line)
+    # Exactly the lines spectrum_csv_text writes: kind and error_bound always,
+    # the operator lines all or none, the grid lines both or neither.
+    has_params, has_grid = "kappa" in header, "n_x" in header
+    expected = {"kind", "error_bound"}.union(_OPERATOR_KEYS if has_params else (),
+                                             _GRID_KEYS if has_grid else ())
+    if set(header) != expected:
+        raise ValueError(f"header keys {sorted(header)}, expected {sorted(expected)}")
     params = None
-    if "kappa" in header:
-        header.setdefault("theta", MOTHER)
-        params = OperatorParams(*(_PARSE[key](header[key])
-                                  for key in ("kind", "kappa", "lambda", "alpha", "theta")))
-    grid = None
-    if "n_x" in header:
-        grid = GridSpec(int(header["n_x"]), int(header.get("n_theta", "1")))
-    set_kind = (
-        SpectrumKind.REAL_LINE
-        if kind_s in ("h", SpectrumKind.REAL_LINE.value)
-        else SpectrumKind.UNIT_CIRCLE
-    )
-    return SpectrumSet.build(
-        set_kind,
-        np.asarray(values),
-        params=params,
-        grid=grid,
-        error_bound=float(header.get("error_bound", "0")),
-    )
+    if has_params:
+        params = OperatorParams(*(_PARSE[key](header[key]) for key in _OPERATOR_KEYS))
+    grid = GridSpec(*(int(header[key]) for key in _GRID_KEYS)) if has_grid else None
+    # Rows are read by the header's kind: one number on the line, three on the circle.
+    header_kind = params.kind if params else SpectrumKind(header["kind"])
+    if header_kind in (OperatorKind.H, SpectrumKind.REAL_LINE):
+        kind, values = SpectrumKind.REAL_LINE, [float(row) for row in rows]
+    else:
+        kind, values = SpectrumKind.UNIT_CIRCLE, [
+            complex(float(re_s), float(im_s)) for re_s, im_s, _ in (row.split(",") for row in rows)]
+    return SpectrumSet.build(kind, np.asarray(values), params=params, grid=grid,
+                             error_bound=float(header["error_bound"]))
 
 
 # -- ring SVG ------------------------------------------------------------------
@@ -255,11 +252,15 @@ def compute_spectrum(
     if cache_dir is None:
         return _compute(params, grid)
     path = os.path.join(cache_dir, cache_key(params, grid) + ".csv")
-    if os.path.exists(path):
-        try:
-            return read_spectrum_csv(path)
-        except MalformedSpectrumFile:
-            pass  # an unreadable entry is a miss: recompute and overwrite it
+    try:
+        s = read_spectrum_csv(path)
+    except (FileNotFoundError, MalformedSpectrumFile):
+        s = None
+    # A missing, unreadable or empty entry, or one that is not of this request,
+    # is a miss: recompute and overwrite it.
+    if s is not None and len(s) and (s.params, s.grid, s.error_bound) == (
+            params, grid, grid_error_bound(params, grid)):
+        return s
     s = _compute(params, grid)
     write_spectrum_csv(s, path)
     return s
@@ -305,8 +306,9 @@ def _operators(args, alphas=()) -> tuple[list[float], float, GridSpec, list[Oper
     Returns (kappas, lambda, grid, params), params holding one OperatorParams
     per kappa and alpha: the --alpha flag if the command has one, else
     ``alphas``.  Only compute --format svg reads a --kappa list, --grid N,M
-    needs --theta mother (the one scope with a theta axis), and eigenphase
-    outputs (zoom, SVG rings) need a unit-circle kind.
+    needs --theta mother (the one scope with a theta axis), eigenphase
+    outputs (zoom, SVG rings) need a unit-circle kind, and every sweep must
+    pass the size preflight before the first one runs.
     """
     if hasattr(args, "alpha"):
         alphas = [_parsed("--alpha", _PARSE["alpha"], args.alpha)]
@@ -324,7 +326,10 @@ def _operators(args, alphas=()) -> tuple[list[float], float, GridSpec, list[Oper
     if kind is OperatorKind.H and (svg or args.command == "zoom"):
         raise InvalidParams(f"{args.command} shows eigenphases; --kind h has a real spectrum")
     params = [OperatorParams(kind, k, lam, a, theta) for k in kappas for a in alphas]
-    return kappas, lam, GridSpec(sizes[0], sizes[-1]), params
+    grid = GridSpec(sizes[0], sizes[-1])
+    for pa in params:
+        _preflight(pa, grid)
+    return kappas, lam, grid, params
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -106,10 +106,6 @@ def _on_unit_circle(values: np.ndarray) -> np.ndarray:
 # eigenphase within about 2e-3 of pi.
 _CAYLEY_LIMIT = 1e3
 
-# Complex entries per Cayley batch.  The route holds a few temporaries the
-# size of its batch, so batches stay near 1 MB whatever the caller's chunk.
-_CAYLEY_BATCH = 1 << 16
-
 
 def _general_eigvals(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of square matrices by the general solver.
@@ -156,11 +152,7 @@ def unitary_eigvals_stack(stack: np.ndarray) -> np.ndarray:
     solver's; callers pool and re-sort, so no per-row ordering is imposed
     here.
     """
-    values = np.empty(stack.shape[:-1], dtype=np.complex128)
-    bad = np.empty(stack.shape[:-2], dtype=bool)
-    step = max(1, _CAYLEY_BATCH // stack.shape[-1] ** 2)
-    for lo in range(0, stack.shape[0], step):
-        values[lo:lo + step], bad[lo:lo + step] = _cayley_eigvals(stack[lo:lo + step])
+    values, bad = _cayley_eigvals(stack)
     if bad.any():
         values[bad] = _general_eigvals(stack[bad])
     return _on_unit_circle(values)

@@ -143,15 +143,6 @@ class OperatorParams:
 
 # -- primitive matrices -------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _dft_cached(q: int) -> np.ndarray:
-    """Discrete Fourier matrix F[j, k] = w^{jk} / sqrt(q), unitary and symmetric; read-only."""
-    j = np.arange(q)
-    f = np.exp(2j * np.pi * j / q)[np.outer(j, j) % q] / np.sqrt(q)
-    f.setflags(write=False)
-    return f
-
-
 def cos_rows(k: int, ys, q: int) -> np.ndarray:
     """Rows cos 2 pi (y + k j / q), j = 0..q-1, for each y in ys, shape (len(ys), q).
 
@@ -223,8 +214,9 @@ def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
               eigensystem.
 
     Diagonal kicks are exponentiated entrywise, so only UH needs an
-    eigensolver.  Apart from that eigensystem, the stack is the only array
-    of its size that is built: the factors are applied to it in place.
+    eigensolver.  The F-conjugated theta kicks are circulants, gathered
+    from the inverse FFT of their diagonal through one q x q int64 index;
+    the x kicks are applied to the stack in place.
     """
     kind = params.kind
     p, q = params.alpha.p, params.alpha.q
@@ -239,19 +231,19 @@ def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
         stack *= np.exp(-2j * kap * lam * cos_rows(1, beta, q))[:, None, :]
         return stack @ dcp.vectors.conj().T
 
-    # The theta factor F G F^{-1} repeats across a grid; build it once per
-    # distinct theta.
-    f = _dft_cached(q)
+    # F diag(r) F^{-1} = [c[(j - k) mod q]] with c = ifft(r), since F carries D^p
+    # to a power of C.  Built once per distinct theta, by np.take, which keeps
+    # the stack C-ordered for the solvers (a fancy index would not).
     t_unique, t_inv = np.unique(thetas, return_inverse=True)
     row = cos_rows(p, t_unique, q)
     if kind is OperatorKind.UKH:
         row = np.exp(-2j * kap * lam * row)
-    stack = ((f * row[:, None, :]) @ f.conj().T)[t_inv]
+    j = np.arange(q)
+    stack = np.take(np.fft.ifft(row), (j[:, None] - j) % q, axis=1)[t_inv]
     if kind is OperatorKind.UKH:
         return np.multiply(np.exp(-2j * kap * cos_rows(1, xs, q))[:, :, None], stack, out=stack)
     stack *= 2.0 * lam
-    idx = np.arange(q)
-    stack[:, idx, idx] += 2.0 * cos_rows(1, xs, q)
+    stack[:, j, j] += 2.0 * cos_rows(1, xs, q)
     if kind is OperatorKind.H:
         return stack
     return expm_i_hermitian_stack(stack, kap)

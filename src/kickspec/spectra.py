@@ -53,8 +53,10 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-# Rows per eigensolver batch are capped so a chunk stays around 64 MB.
-_CHUNK_COMPLEX = 4_000_000
+# Complex entries per chunk, the one bound on how many matrices a sweep
+# builds and solves at once.  A chunk row holds up to 7 q x q temporaries
+# (_sweep_bytes), so at q = 233 a chunk of four or more would set the peak RSS.
+_CHUNK_COMPLEX = 1 << 16
 
 # Tracked band ranges this close are unioned; absorbs roundoff where true
 # bands touch (even-q Harper).
@@ -156,7 +158,6 @@ class BandList:
 
     kind: SpectrumKind
     bands: tuple[tuple[float, float], ...]
-    merge_gap: float
 
     def lengths(self) -> np.ndarray:
         if self.kind is SpectrumKind.REAL_LINE:
@@ -248,8 +249,8 @@ def _sweep_values(params: OperatorParams, xv: np.ndarray, tv: np.ndarray) -> np.
         raise
 
 
-def _sweep(params: OperatorParams, xv, tv, grid) -> SpectrumSet:
-    values = _sweep_values(params, xv, tv)
+def _sweep(params: OperatorParams, grid: GridSpec) -> SpectrumSet:
+    values = _sweep_values(params, *_grid_pairs(params, grid))
     kind = SpectrumKind.REAL_LINE if params.kind is OperatorKind.H else SpectrumKind.UNIT_CIRCLE
     return SpectrumSet.build(
         kind, values, params=params, grid=grid, error_bound=grid_error_bound(params, grid)
@@ -268,14 +269,29 @@ def _pair_count(params: OperatorParams, grid: GridSpec) -> int:
 
 
 def _sweep_bytes(params: OperatorParams, grid: GridSpec) -> int:
-    """Bytes a sweep holds at once, from its (x, theta) pair count m.
+    """Bytes a sweep holds at its peak, from its (x, theta) pair count m.
 
-    The pair arrays and the (m, q) complex eigenvalues; one chunk's
-    (min(m, chunk), q, q) complex matrix stack; and the q x q complex DFT
-    (or D C^p eigenvector) matrix with its int64 index array.
+    Per pair, two float64 phases and q eigenvalues, held up to five times
+    over as complex128 while pooled and sorted (measured: up to 72 B each).  Per
+    chunk row, the q x q complex arrays of the solve: the stack and the
+    solver's copy on the Hermitian route; on the Cayley route also I, I + U,
+    its inverse and the inverse's two solver buffers (measured: up to 8, E
+    included).  Per chunk, the int64 circulant index and the rotor's q x q E.
     """
     m, q = _pair_count(params, grid), params.alpha.q
-    return m * (2 * 8 + 16 * q) + (16 * min(m, _chunk_rows(q)) + 16 + 8) * q * q
+    arrays = 2 if params.kind in (OperatorKind.H, OperatorKind.UH) else 7
+    return m * (2 * 8 + 5 * 16 * q) + (16 * arrays * min(m, _chunk_rows(q)) + 8 + 16) * q * q
+
+
+def _preflight(params: OperatorParams, grid: GridSpec) -> None:
+    """Refuse a sweep whose arrays would exceed the machine's physical memory."""
+    need = _sweep_bytes(params, grid)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise InvalidParams(
+            f"grid {grid.n_x}x{grid.n_theta} at q = {params.alpha.q} needs about "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _grid_pairs(params: OperatorParams, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -284,16 +300,10 @@ def _grid_pairs(params: OperatorParams, grid: GridSpec) -> tuple[np.ndarray, np.
     h, uh and ukh keep x and theta nodes 0..n // 2 (x only at fixed
     theta).  uordkr keeps, of each joint mirror pair (j, k) and
     (-j mod n_x, -k mod n_theta), the node with the lower flat index
-    j n_theta + k, and its whole fixed-theta axis.  A request whose arrays
-    would exceed the machine's physical memory is refused before any is built.
+    j n_theta + k, and its whole fixed-theta axis.  The preflight runs
+    before any array is built.
     """
-    need = _sweep_bytes(params, grid)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise InvalidParams(
-            f"grid {grid.n_x}x{grid.n_theta} at q = {params.alpha.q} needs about "
-            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+    _preflight(params, grid)
     q, half_x = params.alpha.q, grid.n_x // 2 + 1
     if not params.is_mother:
         xs = grid.xs(q) if params.kind is OperatorKind.UORDKR else grid.xs(q)[:half_x]
@@ -311,16 +321,14 @@ def _grid_pairs(params: OperatorParams, grid: GridSpec) -> tuple[np.ndarray, np.
 def spectrum_fixed_theta(params: OperatorParams, grid: GridSpec) -> SpectrumSet:
     """Union of eigenvalues over the x grid at the fixed theta in params."""
     params.fixed_theta()
-    xv, tv = _grid_pairs(params, grid)
-    return _sweep(params, xv, tv, grid)
+    return _sweep(params, grid)
 
 
 def mother_spectrum(params: OperatorParams, grid: GridSpec) -> SpectrumSet:
     """Union of eigenvalues over the (x, theta) grid on [0, 1/q)^2."""
     if not params.is_mother:
         raise InvalidParams(f"mother_spectrum requires theta = {MOTHER!r}")
-    xv, tv = _grid_pairs(params, grid)
-    return _sweep(params, xv, tv, grid)
+    return _sweep(params, grid)
 
 
 # -- eigenphases and bands ----------------------------------------------------
@@ -337,13 +345,11 @@ def tracked_bands(params: OperatorParams, grid: GridSpec) -> BandList:
     one side of it; the q disjoint-arc structure at rational alpha is what
     makes position tracking legitimate.
     """
-    xv, tv = _grid_pairs(params, grid)
-    q = params.alpha.q
-    values = _sweep_values(params, xv, tv).reshape(-1, q)
+    values = _sweep_values(params, *_grid_pairs(params, grid)).reshape(-1, params.alpha.q)
 
     if params.kind is OperatorKind.H:
         bands = _line_runs(values.min(axis=0), values.max(axis=0), _CLOSURE)
-        return BandList(SpectrumKind.REAL_LINE, bands, merge_gap=0.0)
+        return BandList(SpectrumKind.REAL_LINE, bands)
 
     ph = np.sort(principal_args(values), axis=1)
     pooled = np.sort(ph.ravel())
@@ -358,14 +364,14 @@ def tracked_bands(params: OperatorParams, grid: GridSpec) -> BandList:
         ph = np.sort((ph + delta + np.pi) % TWO_PI - np.pi, axis=1)
     merged = _line_runs(ph.min(axis=0), ph.max(axis=0), _CLOSURE)
     if len(merged) == 1 and merged[0][1] - merged[0][0] >= TWO_PI - 1e-12:
-        return BandList(SpectrumKind.UNIT_CIRCLE, ((-np.pi, np.pi),), merge_gap=0.0)
+        return BandList(SpectrumKind.UNIT_CIRCLE, ((-np.pi, np.pi),))
 
     def unrotate(t: float) -> float:
         w = (t - delta + np.pi) % TWO_PI - np.pi
         return np.pi if w == -np.pi else float(w)
 
     bands = tuple(sorted((unrotate(a), unrotate(b)) for a, b in merged))
-    return BandList(SpectrumKind.UNIT_CIRCLE, bands, merge_gap=0.0)
+    return BandList(SpectrumKind.UNIT_CIRCLE, bands)
 
 
 def _line_runs(lo, hi, gap: float) -> tuple[tuple[float, float], ...]:
@@ -423,4 +429,4 @@ def merge_bands(s: SpectrumSet, merge_gap: float) -> BandList:
         bands = _line_runs(s.points, s.points, merge_gap)
     else:
         bands = _circle_runs(eigenphases(s), merge_gap)
-    return BandList(kind=s.kind, bands=bands, merge_gap=float(merge_gap))
+    return BandList(kind=s.kind, bands=bands)

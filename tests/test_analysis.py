@@ -103,12 +103,12 @@ def test_hausdorff_metric_axioms(seed):
 
 
 def test_total_bandwidth_full_circle():
-    b = BandList(SpectrumKind.UNIT_CIRCLE, ((-np.pi, np.pi),), 0.1)
+    b = BandList(SpectrumKind.UNIT_CIRCLE, ((-np.pi, np.pi),))
     assert total_bandwidth(b) == pytest.approx(2 * np.pi)
 
 
 def test_total_bandwidth_intervals():
-    b = BandList(SpectrumKind.REAL_LINE, ((0.0, 0.1), (1.0, 1.2)), 0.1)
+    b = BandList(SpectrumKind.REAL_LINE, ((0.0, 0.1), (1.0, 1.2)))
     assert total_bandwidth(b) == pytest.approx(0.3)
 
 
@@ -118,7 +118,7 @@ def test_total_bandwidth_singletons():
 
 
 def test_bands_in_window_wrapped():
-    b = BandList(SpectrumKind.UNIT_CIRCLE, ((3.0, -3.0), (0.0, 0.5)), 0.1)
+    b = BandList(SpectrumKind.UNIT_CIRCLE, ((3.0, -3.0), (0.0, 0.5)))
     assert bands_in_window(b, -0.1, 0.1) == 1
     assert bands_in_window(b, 3.05, 3.1) == 1
     assert bands_in_window(b, -3.1, -3.05) == 1
@@ -446,6 +446,34 @@ def test_mother_equality_keeps_the_grid_bound_off_matched_nodes():
     assert r.passed
     assert r.measured > 1e-6
     assert r.bound > 1e-2
+
+
+def test_kappa_cubed_solves_the_harper_problem_once(monkeypatch):
+    import kickspec.spectra as spectra
+    from kickspec.operators import MOTHER, OperatorParams
+    from kickspec.spectra import GridSpec, mother_spectrum
+
+    cfg = {"alpha": "3/5", "n": 12, "kappas": [0.1, 0.3, 0.5]}  # six kappas k and 2k
+    solve, kinds = spectra._solve_chunks, []
+
+    def counted(params, xv, tv, solver):
+        kinds.append(params.kind)
+        return solve(params, xv, tv, solver)
+
+    monkeypatch.setattr(spectra, "_solve_chunks", counted)
+    r = run_check("KAPPA_CUBED", cfg)
+    assert kinds.count(OperatorKind.H) == 1
+    monkeypatch.undo()
+
+    # The same measurement from six uh sweeps, each solving the Harper problem.
+    def spectrum(kind, k):
+        return mother_spectrum(OperatorParams(kind, k, 1.0, RationalAlpha(3, 5), MOTHER),
+                               GridSpec(12, 12))
+
+    dist = {k: hausdorff(spectrum("ukh", k), spectrum("uh", k))
+            for k in (0.1, 0.2, 0.3, 0.6, 0.5, 1.0)}
+    assert r.measured == max(abs(math.log2(dist[2 * k] / dist[k]) - 3.0)
+                             for k in cfg["kappas"])
 
 
 def test_checks_are_deterministic():

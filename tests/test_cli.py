@@ -534,6 +534,56 @@ def test_garbled_cache_entry_is_recomputed(tmp_path):
     assert open(entry).read().splitlines() == lines
 
 
+def _lines(text, keep):
+    return "".join(ln for ln in text.splitlines(True) if keep(ln))
+
+
+_BANDWIDTH = ["bandwidth", "--alpha-list", "fib:3..4", "--grid", "8"]
+_COMPUTE = ["compute", "--alpha", "1/3", "--grid", "3"]
+_ZOOM = ["zoom", "--alpha", "1/3", "--grid", "3", "--factors", "2"]
+
+
+@pytest.mark.parametrize("argv,tamper", [
+    (_BANDWIDTH, lambda text: _lines(text, lambda ln: not ln.startswith("# error_bound="))),
+    (_COMPUTE, lambda text: text.replace("# kind=ukh", "# kind=h")),
+    (_COMPUTE, lambda text: text.replace("# n_theta=3", "# n_theta=4")),
+    (_COMPUTE, lambda text: re.sub(r"# error_bound=.*", "# error_bound=0.5", text)),
+    (_COMPUTE, lambda text: ""),
+    (_ZOOM, lambda text: ""),
+    (_BANDWIDTH, lambda text: ""),
+    (_ZOOM, lambda text: _lines(text, lambda ln: ln.startswith("#"))),
+], ids=["no-error-bound", "kind-h", "other-grid", "other-bound", "empty-compute", "empty-zoom",
+        "empty-bandwidth", "no-rows"])
+def test_a_cache_hit_checks_what_it_reads(tmp_path, argv, tamper):
+    # An entry whose header is incomplete or names another request, or whose
+    # rows are missing or do not parse by its kind, is recomputed and overwritten.
+    cache = tmp_path / "c"
+    cold, warm = str(tmp_path / "cold.csv"), str(tmp_path / "warm.csv")
+    assert dispatch(argv + ["--cache-dir", str(cache), "--out", cold]) == 0
+    entries = {path: path.read_text() for path in cache.iterdir()}
+    for path, text in entries.items():
+        path.write_text(tamper(text))
+    assert dispatch(argv + ["--cache-dir", str(cache), "--out", warm]) == 0
+    assert open(warm, "rb").read() == open(cold, "rb").read()
+    assert {path: path.read_text() for path in cache.iterdir()} == entries
+
+
+def test_every_alpha_is_size_checked_before_the_first_sweep(tmp_path, monkeypatch, capsys):
+    import kickspec.spectra as spectra
+
+    grid = GridSpec(400, 400)
+    fits = spectra._sweep_bytes(params(p=5, q=8), grid)
+    too_big = spectra._sweep_bytes(params(p=8, q=13), grid)
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (fits + too_big) // 2 // 4096}
+    monkeypatch.setattr(spectra.os, "sysconf", sizes.__getitem__)
+    cache = tmp_path / "c"
+    code = dispatch(["bandwidth", "--alpha-list", "fib:1..5", "--grid", "400",
+                     "--cache-dir", str(cache), "--out", str(tmp_path / "b.csv")])
+    assert code == 2
+    assert "at q = 13" in capsys.readouterr().err
+    assert not cache.exists() or not any(cache.iterdir())
+
+
 # Keys of version 0.1.0 for the two configurations of test_cache_keys_are_pinned.
 V010_KEYS = {
     "ukh": "9bb4495a3a94acb3549b173fb7e833ea7bd5fbd6c02527b2114bc5111d3009eb",
@@ -550,14 +600,23 @@ def test_cache_key_sensitivity():
     assert k1 != cache_key(params(theta=0.0), grid)
 
 
+# Keys of version 0.2.0, whose theta kicks were dense Fourier products.
+V020_KEYS = {
+    "ukh": "21f64d88512ee3ef9e36b47807b8d8042d1abcb1ef236543e0513b51a8ef4354",
+    "h": "c1f66c926bc97d81a449c9c6d090cc6f7285e2945bbb502f08e30aee09872041",
+}
+
+
 def test_cache_keys_are_pinned():
     # Entries written by earlier versions stay valid only while these hold.
     ukh = cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER), GridSpec(5, 5))
     h = cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7))
-    assert ukh == "21f64d88512ee3ef9e36b47807b8d8042d1abcb1ef236543e0513b51a8ef4354"
-    assert h == "c1f66c926bc97d81a449c9c6d090cc6f7285e2945bbb502f08e30aee09872041"
-    # Version 0.1.0 swept every grid node; its entries differ in the last bits.
+    assert ukh == "3e98cfab2c924fca104573aa0b6f1e133cbb436b86c73e58ee317c433da7d7ac"
+    assert h == "76bcd5c1c674e9ea436641d16504845ba3b07bc1b44dc1f598efc62095e242ce"
+    # Version 0.1.0 swept every grid node and 0.2.0 built the theta kicks as
+    # dense Fourier products; their entries differ in the last bits.
     assert {ukh, h}.isdisjoint(V010_KEYS.values())
+    assert {ukh, h}.isdisjoint(V020_KEYS.values())
 
 
 def test_parent_cache_entry_is_not_served(tmp_path):

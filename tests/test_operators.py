@@ -9,7 +9,6 @@ from kickspec.operators import (
     MOTHER,
     OperatorParams,
     RationalAlpha,
-    _dft_cached,
     cos_rows,
     dcp_eigensystem,
 )
@@ -72,20 +71,23 @@ def g_at(k, y, q):
 
 @pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 13, 24])
 def test_primitive_arrays_match_oracles(q):
-    assert np.abs(_dft_cached(q) - dft(q)).max() <= 1e-14
+    # F carries the clock D to the shift C, which makes F G F^{-1} a circulant.
+    c, d = clock_shift(q)
+    f = dft(q)
+    assert np.abs(f @ d @ f.conj().T - c).max() <= 1e-14 * q
     for k in range(q):
         for y in (0.0, 0.3, 0.71):
             assert np.abs(g_at(k, y, q) - cos_diag(k, y, q)).max() <= 1e-14
 
 
 def test_dft_q1_and_q2():
-    assert np.allclose(_dft_cached(1), [[1.0]])
+    assert np.allclose(dft(1), [[1.0]])
     expected = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    assert np.abs(_dft_cached(2) - expected).max() <= 1e-15
+    assert np.abs(dft(2) - expected).max() <= 1e-15
 
 
 def test_dft_q4_unitary():
-    f = _dft_cached(4)
+    f = dft(4)
     assert np.abs(f @ f.conj().T - np.eye(4)).max() <= 1e-14
 
 
@@ -97,7 +99,7 @@ def test_clock_shift_q2():
 
 def test_cf_equals_fd_q3():
     c, d = clock_shift(3)
-    f = _dft_cached(3)
+    f = dft(3)
     assert np.abs(c @ f - f @ d).max() <= 1e-14
 
 
@@ -185,22 +187,28 @@ def test_kicked_harper_hand_product_q2():
     assert np.abs(m - hand).max() <= 1e-14
 
 
-@pytest.mark.parametrize("pq", [(1, 3), (2, 5), (3, 7), (8, 13)])
+@pytest.mark.parametrize("pq", [(1, 3, 1.1, 0.7), (2, 5, 1.1, 0.7), (3, 7, 1.1, 0.7),
+                                (8, 13, 1.1, 0.7), (89, 144, 1.0, 30.0), (144, 233, 1.0, 30.0)])
 def test_kicked_harper_matches_circulant_similarity_form(pq):
     # D1 F D2 F^{-1} is similar to (F^{-1} D1 F) D2, a circulant times a
-    # diagonal; both routes must produce the same eigenvalue set.
-    rng = np.random.default_rng(sum(pq))
-    p_, q_ = pq
-    kappa, lam = 1.1, 0.7
+    # diagonal; both routes must produce the same eigenvalue set.  Both
+    # theta kicks, h's and ukh's, equal their dense product with the oracle F.
+    rng = np.random.default_rng(sum(pq[:2]))
+    p_, q_, kappa, lam = pq
     x, th = (float(v) for v in rng.uniform(size=2))
     pa = OperatorParams("ukh", kappa, lam, RationalAlpha(p_, q_), th)
     m = matrix_at(pa, x)
     f = dft(q_)
     jj = np.arange(q_)
-    d1 = np.diag(np.exp(-2j * kappa * np.cos(2 * np.pi * (x + jj / q_))))
-    d2 = np.diag(np.exp(-2j * kappa * lam * np.cos(2 * np.pi * (th + (p_ * jj % q_) / q_))))
+    g1 = np.cos(2 * np.pi * (x + jj / q_))
+    g2 = np.cos(2 * np.pi * (th + (p_ * jj % q_) / q_))
+    d1, d2 = np.diag(np.exp(-2j * kappa * g1)), np.diag(np.exp(-2j * kappa * lam * g2))
+    assert np.abs(m - d1 @ f @ d2 @ f.conj().T).max() <= 1e-13
     alt = f.conj().T @ d1 @ f @ d2
     assert set_distance(eig_unitary(m), eig_unitary(alt)) <= 1e-12
+    h = matrix_at(OperatorParams("h", 0.0, lam, RationalAlpha(p_, q_), th), x)
+    dense = np.diag(2 * g1) + 2 * lam * f @ np.diag(g2) @ f.conj().T
+    assert np.abs(h - dense).max() <= 1e-13 * (1 + lam)
 
 
 def test_kicked_harper_x_shift_covariance():

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -314,21 +317,53 @@ def test_representatives_cover_every_mirror_orbit_once(kind, n_x, n_theta):
 
 
 def test_sweep_size_estimate():
-    # m pairs (two float64 and q complex128 eigenvalues each), one chunk of
-    # min(m, 4e6 // q^2) complex q x q matrices, and a complex q x q matrix
-    # with its int64 index.
+    # m pairs (two float64 phases, and q eigenvalues held as up to five
+    # complex128 copies while pooled), 2 (Hermitian route) or 7 (Cayley
+    # route) complex q x q arrays per row of a chunk of min(m, 2^16 // q^2)
+    # matrices, and the int64 circulant index with the rotor's complex E.
     ukh = params("ukh", 1.0, 1.0, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(ukh, GridSpec(48, 48)) == (
-        625 * (2 * 8 + 13 * 16) + (625 * 16 + 24) * 169)
+        625 * (2 * 8 + 5 * 16 * 13) + (16 * 7 * 387 + 8 + 16) * 169)
     rotor = params("uordkr", 1.0, 1.0, 8, 13, theta=MOTHER)
-    assert spectra._sweep_bytes(rotor, GridSpec(48, 48)) == 1154 * 224 + (1154 * 16 + 24) * 169
+    assert spectra._sweep_bytes(rotor, GridSpec(48, 48)) == (
+        1154 * 1056 + (16 * 7 * 387 + 24) * 169)
     huge = GridSpec(3_000_000, 3_000_000)
-    assert spectra._sweep_bytes(ukh, huge) == 1_500_001 ** 2 * 224 + (23_668 * 16 + 24) * 169
+    assert spectra._sweep_bytes(ukh, huge) == 1_500_001 ** 2 * 1056 + (16 * 7 * 387 + 24) * 169
     assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 3), huge) == (
-        1_500_001 * (16 + 48) + (444_444 * 16 + 24) * 9)
+        1_500_001 * (16 + 240) + (16 * 2 * 7281 + 24) * 9)
     # One matrix at large q: the q x q arrays, not the eigenvalues, dominate.
     assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 1499), GridSpec(1)) == (
-        (16 + 1499 * 16) + (16 + 24) * 1499 ** 2)
+        (16 + 1499 * 80) + (16 * 2 + 24) * 1499 ** 2)
+
+
+# The peak RSS of the process's own address space (VmHWM, in kB).  ru_maxrss
+# would not do: exec carries the launching process's peak over into it.
+_PEAK_RSS = """
+import sys
+from kickspec import GridSpec, OperatorParams, RationalAlpha, spectrum_fixed_theta
+from kickspec.spectra import _sweep_bytes
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith("VmHWM:"))
+
+pa, grid = OperatorParams(sys.argv[1], 1.0, 1.0, RationalAlpha(1, 610), 0.0), GridSpec(1)
+before = peak()
+spectrum_fixed_theta(pa, grid)
+print(peak() - before, _sweep_bytes(pa, grid))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+@pytest.mark.parametrize("kind", ["ukh", "uordkr"])
+def test_one_node_peak_memory_is_within_the_estimate(kind):
+    # A fresh process, so that the peak RSS growth is this one sweep's.
+    src = os.path.dirname(os.path.dirname(spectra.__file__))
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS, kind], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    grown, estimate = (int(v) for v in out.stdout.split())
+    assert 0 < grown <= estimate
 
 
 def test_preflight_refuses_a_sweep_larger_than_memory(monkeypatch):
