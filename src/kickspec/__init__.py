@@ -4,7 +4,7 @@ q x q representations, with certified grid-error bounds and an analysis
 suite that turns the family's spectral identities into executable checks.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .analysis import (
     ButterflyDataset,
@@ -23,7 +23,7 @@ from .analysis import (
     total_bandwidth,
     zoom_windows,
 )
-from .linalg import eig_unitary, principal_args
+from .linalg import principal_args
 from .operators import (
     MOTHER,
     DcpEigensystem,
@@ -68,7 +68,6 @@ __all__ = [
     "bands_in_window",
     "butterfly",
     "dcp_eigensystem",
-    "eig_unitary",
     "eigenphases",
     "farey_rationals",
     "golden_convergents",

@@ -19,16 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    CenterOutOfRange,
-    DegenerateAlphas,
-    EmptySpectrum,
-    InvalidParams,
-    KindMismatch,
-    NonPositiveSample,
-    TooFewSamples,
-    UnknownCheck,
-)
+from .errors import InvalidParams
 from .linalg import _general_eigvals, principal_args
 from .operators import (
     MOTHER,
@@ -44,6 +35,7 @@ from .spectra import (
     SpectrumSet,
     TWO_PI,
     _grid_pairs,
+    _preflight,
     _solve_chunks,
     _sweep_values,
     auto_merge_gap,
@@ -101,9 +93,9 @@ def hausdorff(x: SpectrumSet, y: SpectrumSet) -> float:
     the certified bounds are stated in.
     """
     if x.kind is not y.kind:
-        raise KindMismatch(f"cannot compare {x.kind.value} with {y.kind.value}")
+        raise InvalidParams(f"cannot compare {x.kind.value} with {y.kind.value}")
     if len(x) == 0 or len(y) == 0:
-        raise EmptySpectrum("hausdorff requires nonempty spectra")
+        raise InvalidParams("hausdorff requires nonempty spectra")
     if x.kind is SpectrumKind.REAL_LINE:
         return max(_directed_line(x.points, y.points), _directed_line(y.points, x.points))
     return max(_directed_circle(x.points, y.points), _directed_circle(y.points, x.points))
@@ -146,13 +138,13 @@ def powerlaw_fit(samples) -> PowerLawFit:
     """Ordinary least squares on (ln q, ln w); residual is the RMS in log space."""
     samples = list(samples)
     if len(samples) < 2:
-        raise TooFewSamples(f"power-law fit needs >= 2 samples, got {len(samples)}")
+        raise InvalidParams(f"power-law fit needs >= 2 samples, got {len(samples)}")
     qs = np.array([s[0] for s in samples], dtype=np.float64)
     ws = np.array([s[1] for s in samples], dtype=np.float64)
     if np.any(qs <= 0) or np.any(ws <= 0):
-        raise NonPositiveSample("power-law fit requires q > 0 and w > 0")
+        raise InvalidParams("power-law fit requires q > 0 and w > 0")
     if np.unique(qs).size < 2:
-        raise TooFewSamples("power-law fit needs at least two distinct q values")
+        raise InvalidParams("power-law fit needs at least two distinct q values")
     lq, lw = np.log(qs), np.log(ws)
     slope, intercept = np.polyfit(lq, lw, 1)
     resid = float(np.sqrt(np.mean((lw - (slope * lq + intercept)) ** 2)))
@@ -262,7 +254,7 @@ def zoom_windows(eps, center: float, factors) -> list[ZoomWindow]:
     """
     eps = np.sort(np.asarray(eps, dtype=np.float64))
     if not (-np.pi < center <= np.pi):
-        raise CenterOutOfRange(f"center must lie in (-pi, pi], got {center}")
+        raise InvalidParams(f"center must lie in (-pi, pi], got {center}")
     factors = [float(f) for f in factors]
     if not all(f > 1.0 for f in factors):
         raise InvalidParams(f"zoom factors must all be > 1, got {factors}")
@@ -290,7 +282,7 @@ def alpha_jump_witness(lam: float, alpha1: float, alpha2: float, theta: float, n
     for name, v in (("alpha1", alpha1), ("alpha2", alpha2),
                     ("alpha1+alpha2", alpha1 + alpha2), ("alpha1-alpha2", alpha1 - alpha2)):
         if float(v) == round(float(v)):
-            raise DegenerateAlphas(f"{name} = {v} is an integer")
+            raise InvalidParams(f"{name} = {v} is an integer")
     n = np.arange(-n_max, n_max + 1, dtype=np.float64)
     vals = np.abs(
         2.0 * lam
@@ -396,6 +388,8 @@ def _check_spectral_mapping(cfg):
     n, theta = cfg["n"], cfg["theta"]
     params = OperatorParams(OperatorKind.UH, cfg["kappa"], cfg["lambda"], cfg["alpha"], theta)
     grid = GridSpec(n, n) if params.is_mother else GridSpec(n)
+    # The general route below holds more q x q arrays than the uh sweep.
+    _preflight(params, grid, "general")
     s_uh = (mother_spectrum if params.is_mother else spectrum_fixed_theta)(params, grid)
     # The sweep maps Harper eigenvalues through exp(-i kappa t); the
     # independent route assembles exp(-i kappa H) and runs the general
@@ -459,6 +453,9 @@ def _check_kappa_cubed(cfg):
 
 
 def _check_last_measure_trend(cfg):
+    if cfg["n"] < 2:
+        raise InvalidParams("LAST_MEASURE_TREND requires n >= 2: on a one-node grid "
+                            "every band has zero width")
     alphas, lams, grid = cfg["alphas"], cfg["lambdas"], GridSpec(cfg["n"], cfg["n"])
     widths = {
         (alpha, lam): total_bandwidth(
@@ -555,7 +552,7 @@ CHECK_IDS = tuple(_CHECKS)
 def _canonical(check_id: str) -> str:
     cid = str(check_id).strip().replace("-", "_").upper()
     if cid not in _CHECKS:
-        raise UnknownCheck(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
+        raise InvalidParams(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
     return cid
 
 

@@ -33,20 +33,8 @@ from .analysis import (
     zoom_windows,
     butterfly as butterfly_dataset,
 )
-from .errors import (
-    EmptySpectrum,
-    InvalidParams,
-    KindMismatch,
-    MalformedSpectrumFile,
-    NumericalError,
-    UsageError,
-)
-from .linalg import (
-    DEDUP_TOL,
-    UNIT_MODULUS_TOL,
-    UNITARY_TOL,
-    principal_args,
-)
+from .errors import InvalidParams, MalformedSpectrumFile, NumericalError, UsageError
+from .linalg import DEDUP_TOL, UNIT_MODULUS_TOL, principal_args
 from .operators import MOTHER, OperatorKind, OperatorParams, RationalAlpha
 from .spectra import (
     GridSpec,
@@ -106,6 +94,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 # -- spectrum CSV --------------------------------------------------------------
 
+def _rows_sha256(rows: list[str]) -> str:
+    """SHA-256 of the row lines as spectrum_csv_text writes them."""
+    return hashlib.sha256("\n".join([*rows, ""]).encode("utf-8")).hexdigest()
+
+
 def spectrum_csv_text(s: SpectrumSet) -> str:
     lines = [f"# kind={s.params.kind.value}" if s.params else f"# kind={s.kind.value}"]
     if s.params is not None:
@@ -117,14 +110,12 @@ def spectrum_csv_text(s: SpectrumSet) -> str:
         ]
     if s.grid is not None:
         lines += [f"# n_x={s.grid.n_x}", f"# n_theta={s.grid.n_theta}"]
-    lines.append(f"# error_bound={s.error_bound!r}")
     if s.kind is SpectrumKind.REAL_LINE:
-        lines.extend(_fmt(v) for v in s.points)
+        rows = [_fmt(v) for v in s.points]
     else:
         phases = principal_args(s.points)
-        lines.extend(
-            f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(ph)}" for z, ph in zip(s.points, phases)
-        )
+        rows = [f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(ph)}" for z, ph in zip(s.points, phases)]
+    lines += [f"# error_bound={s.error_bound!r}", f"# rows_sha256={_rows_sha256(rows)}", *rows]
     return "\n".join(lines) + "\n"
 
 
@@ -136,7 +127,8 @@ def write_spectrum_csv(s: SpectrumSet, path: str) -> None:
 def read_spectrum_csv(path: str) -> SpectrumSet:
     """Inverse of write_spectrum_csv; reproduces the SpectrumSet exactly.
 
-    Raises MalformedSpectrumFile if any row or header line does not parse.
+    Raises MalformedSpectrumFile if any row or header line does not parse,
+    or if the rows do not hash to the header's rows_sha256.
     """
     try:
         return _read_spectrum_csv(path)
@@ -161,13 +153,15 @@ def _read_spectrum_csv(path: str) -> SpectrumSet:
                 header[key] = val
             elif line:
                 rows.append(line)
-    # Exactly the lines spectrum_csv_text writes: kind and error_bound always,
-    # the operator lines all or none, the grid lines both or neither.
+    # Exactly the lines spectrum_csv_text writes: kind, error_bound and rows_sha256
+    # always, the operator lines all or none, the grid lines both or neither.
     has_params, has_grid = "kappa" in header, "n_x" in header
-    expected = {"kind", "error_bound"}.union(_OPERATOR_KEYS if has_params else (),
-                                             _GRID_KEYS if has_grid else ())
+    expected = {"kind", "error_bound", "rows_sha256"}.union(
+        _OPERATOR_KEYS if has_params else (), _GRID_KEYS if has_grid else ())
     if set(header) != expected:
         raise ValueError(f"header keys {sorted(header)}, expected {sorted(expected)}")
+    if _rows_sha256(rows) != header["rows_sha256"]:
+        raise ValueError("rows do not match rows_sha256")
     params = None
     if has_params:
         params = OperatorParams(*(_PARSE[key](header[key]) for key in _OPERATOR_KEYS))
@@ -193,12 +187,12 @@ def write_rings_svg(spectra: list[SpectrumSet], path: str) -> None:
     bytes are a deterministic function of the input.
     """
     if not spectra:
-        raise EmptySpectrum("write_rings_svg needs at least one spectrum")
+        raise InvalidParams("write_rings_svg needs at least one spectrum")
     alphas = {str(s.params.alpha) for s in spectra if s.params is not None}
     if any(s.kind is not SpectrumKind.UNIT_CIRCLE for s in spectra):
-        raise KindMismatch("ring plots require UNIT_CIRCLE spectra")
+        raise InvalidParams("ring plots require UNIT_CIRCLE spectra")
     if len(alphas) > 1:
-        raise KindMismatch(f"ring plots require a single alpha, got {sorted(alphas)}")
+        raise InvalidParams(f"ring plots require a single alpha, got {sorted(alphas)}")
 
     r0, dr, pad = 60.0, 36.0, 24.0
     outer = r0 + dr * (len(spectra) - 1)
@@ -238,7 +232,7 @@ def cache_key(params: OperatorParams, grid: GridSpec) -> str:
         "theta": None if params.is_mother else params.theta,
         "n_x": grid.n_x,
         "n_theta": grid.n_theta,
-        "tolerances": [UNITARY_TOL, UNIT_MODULUS_TOL, DEDUP_TOL],
+        "tolerances": [UNIT_MODULUS_TOL, DEDUP_TOL],
         "version": __version__,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

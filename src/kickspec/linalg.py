@@ -12,29 +12,24 @@ eigenvalue w of K is the eigenvalue (i - w)/(i + w) of U.  The transform has
 a pole at -1, where the eigenphase error grows like eps * max|w|, so a
 matrix with an eigenvalue close to -1, or whose K is not Hermitian, is
 re-solved by the general solver (``eigvals``).  The tests compare the Cayley
-route against ``np.linalg.eigvals``.  ``eig_unitary`` is the one per-matrix
-function: it validates a single unitary matrix and solves it by the general
-solver.  The contracts below (ordering, modulus bounds) are what is
-normative, not the solver.
+route against ``np.linalg.eigvals``.  The contracts below (ordering, modulus
+bounds) are what is normative, not the solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParams, NoConvergence, NonUnitary
+from .errors import NumericalError
 
 __all__ = [
-    "UNITARY_TOL",
     "UNIT_MODULUS_TOL",
     "DEDUP_TOL",
-    "eig_unitary",
     "principal_args",
 ]
 
 # Absolute tolerances.  Band merging downstream and the cache key depend on
 # these staying fixed.
-UNITARY_TOL = 1e-10  # ||A A* - I||_max
 UNIT_MODULUS_TOL = 1e-10  # | |z| - 1 | of a unitary eigenvalue
 DEDUP_TOL = 1e-12  # spectrum points closer than this are one point
 
@@ -45,31 +40,6 @@ def principal_args(values: np.ndarray) -> np.ndarray:
     return np.where(ang <= -np.pi, ang + 2.0 * np.pi, ang)
 
 
-def require_unitary(a: np.ndarray) -> np.ndarray:
-    """Validate ||A A* - I||_max <= UNITARY_TOL and return A as complex128."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidParams(f"require_unitary: expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(np.float64))):
-        raise InvalidParams("require_unitary: matrix contains non-finite entries")
-    dev = np.abs(a @ a.conj().T - np.eye(a.shape[0])).max()
-    if dev > UNITARY_TOL:
-        raise NonUnitary(f"matrix is not unitary: ||A A* - I||_max = {dev:.3e} > {UNITARY_TOL:.1e}")
-    return a
-
-
-def eig_unitary(u: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a unitary matrix by the general solver.
-
-    Eigenvalues are renormalized to exact unit modulus and sorted by
-    principal argument in (-pi, pi], ties broken by ascending imaginary
-    part, so output order is deterministic.  This is the validated
-    general-solver reference for the Cayley route of unitary_eigvals_stack.
-    """
-    values = _on_unit_circle(_general_eigvals(require_unitary(u)))
-    return values[np.lexsort((values.imag, principal_args(values)))]
-
-
 # -- batched kernels (stacks of matrices, shape (m, q, q), or one matrix) ------
 
 def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
@@ -77,7 +47,7 @@ def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(stack)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
+        raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
 
 
 def expm_i_hermitian_stack(stack: np.ndarray, s: float) -> np.ndarray:
@@ -85,17 +55,17 @@ def expm_i_hermitian_stack(stack: np.ndarray, s: float) -> np.ndarray:
     try:
         w, v = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
+        raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
     return (v * np.exp(-1j * s * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _on_unit_circle(values: np.ndarray) -> np.ndarray:
-    """values / |values|; NoConvergence if any |value| is off 1 by more than
+    """values / |values|; NumericalError if any |value| is off 1 by more than
     UNIT_MODULUS_TOL."""
     mods = np.abs(values)
     dev = np.abs(mods - 1.0)
     if values.size and dev.max() > UNIT_MODULUS_TOL:
-        raise NoConvergence(f"unitary eigenvalues off the circle by {dev.max():.3e}")
+        raise NumericalError(f"unitary eigenvalues off the circle by {dev.max():.3e}")
     return values / mods
 
 
@@ -110,13 +80,13 @@ _CAYLEY_LIMIT = 1e3
 def _general_eigvals(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of square matrices by the general solver.
 
-    The fallback of unitary_eigvals_stack and the solver of eig_unitary.
-    Row order is the solver's; values are not renormalized.
+    The fallback of unitary_eigvals_stack.  Row order is the solver's;
+    values are not renormalized.
     """
     try:
         return np.linalg.eigvals(stack)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"general eigensolver failed: {exc}") from exc
+        raise NumericalError(f"general eigensolver failed: {exc}") from exc
 
 
 def _cayley_eigvals(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

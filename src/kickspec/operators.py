@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidParams, NotCoprime
+from .errors import InvalidParams
 from .linalg import expm_i_hermitian_stack
 
 __all__ = [
@@ -66,11 +66,12 @@ class RationalAlpha:
         if not isinstance(self.p, int) or not isinstance(self.q, int):
             raise InvalidParams(f"alpha components must be integers, got {self.p!r}/{self.q!r}")
         if self.q < 1:
-            raise InvalidDimension(f"alpha denominator must be >= 1, got {self.q}")
+            raise InvalidParams(f"alpha denominator must be >= 1, got {self.q}")
         if not (0 <= self.p < self.q or (self.p, self.q) == (0, 1)):
             raise InvalidParams(f"alpha must lie in [0, 1): got {self.p}/{self.q}")
         if math.gcd(self.p, self.q) != 1:
-            raise NotCoprime(f"{self.p}/{self.q} is not reduced (gcd = {math.gcd(self.p, self.q)})")
+            raise InvalidParams(
+                f"{self.p}/{self.q} is not reduced (gcd = {math.gcd(self.p, self.q)})")
 
     @classmethod
     def parse(cls, text: str) -> "RationalAlpha":

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptySpectrum, InvalidParams, NumericalError, WrongKind
+from .errors import InvalidParams, NumericalError
 from .linalg import (
     DEDUP_TOL,
     UNIT_MODULUS_TOL,
@@ -268,24 +268,36 @@ def _pair_count(params: OperatorParams, grid: GridSpec) -> int:
     return self_mirror * half_t + (half_x - self_mirror) * grid.n_theta
 
 
-def _sweep_bytes(params: OperatorParams, grid: GridSpec) -> int:
+# The q x q complex arrays one chunk row holds while a solver route builds
+# and solves it: on the Hermitian route (h and uh sweeps, eigvalsh_stack) the
+# stack and the solver's copy; on the Cayley route (ukh and uordkr sweeps,
+# unitary_eigvals_stack) also I, I + U, its inverse and the inverse's two
+# solver buffers (measured: up to 8, E included); on the general route
+# (SPECTRAL_MAPPING's eigvals of the uh matrices) the uh build's H, its
+# eigenvectors and their products, and the solver's copy (measured: 4.6 at
+# q = 610).  Routes are named, not keyed by function, so that a rebound
+# solver (a tracer or a test double) is sized as the one it stands in for.
+_ROW_ARRAYS = {"hermitian": 2, "cayley": 7, "general": 5}
+
+
+def _sweep_bytes(params: OperatorParams, grid: GridSpec, route: str | None = None) -> int:
     """Bytes a sweep holds at its peak, from its (x, theta) pair count m.
 
     Per pair, two float64 phases and q eigenvalues, held up to five times
     over as complex128 while pooled and sorted (measured: up to 72 B each).  Per
-    chunk row, the q x q complex arrays of the solve: the stack and the
-    solver's copy on the Hermitian route; on the Cayley route also I, I + U,
-    its inverse and the inverse's two solver buffers (measured: up to 8, E
-    included).  Per chunk, the int64 circulant index and the rotor's q x q E.
+    chunk row, the q x q complex arrays of the solver route (``_ROW_ARRAYS``;
+    by default the route the kind's own sweep runs).  Per chunk, the int64
+    circulant index and the rotor's q x q E.
     """
     m, q = _pair_count(params, grid), params.alpha.q
-    arrays = 2 if params.kind in (OperatorKind.H, OperatorKind.UH) else 7
+    kicked = params.kind in (OperatorKind.UKH, OperatorKind.UORDKR)
+    arrays = _ROW_ARRAYS[route or ("cayley" if kicked else "hermitian")]
     return m * (2 * 8 + 5 * 16 * q) + (16 * arrays * min(m, _chunk_rows(q)) + 8 + 16) * q * q
 
 
-def _preflight(params: OperatorParams, grid: GridSpec) -> None:
+def _preflight(params: OperatorParams, grid: GridSpec, route: str | None = None) -> None:
     """Refuse a sweep whose arrays would exceed the machine's physical memory."""
-    need = _sweep_bytes(params, grid)
+    need = _sweep_bytes(params, grid, route)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise InvalidParams(
@@ -402,7 +414,7 @@ def _circle_runs(ph: np.ndarray, gap: float) -> tuple[tuple[float, float], ...]:
 def eigenphases(s: SpectrumSet) -> np.ndarray:
     """Principal arguments in (-pi, pi] of a unit-circle spectrum, ascending."""
     if s.kind is not SpectrumKind.UNIT_CIRCLE:
-        raise WrongKind("eigenphases requires a UNIT_CIRCLE spectrum")
+        raise InvalidParams("eigenphases requires a UNIT_CIRCLE spectrum")
     return principal_args(s.points)
 
 
@@ -423,7 +435,7 @@ def merge_bands(s: SpectrumSet, merge_gap: float) -> BandList:
     if not merge_gap > 0:
         raise InvalidParams(f"merge_gap must be > 0, got {merge_gap}")
     if len(s) == 0:
-        raise EmptySpectrum("cannot merge an empty spectrum")
+        raise InvalidParams("cannot merge an empty spectrum")
 
     if s.kind is SpectrumKind.REAL_LINE:
         bands = _line_runs(s.points, s.points, merge_gap)

@@ -42,6 +42,19 @@ def expm_i(a, s):
     return out
 
 
+def unitary_eigvals(u):
+    """Eigenvalues of a unitary matrix by np.linalg.eigvals, scaled to modulus 1.
+
+    Sorted by principal argument in (-pi, pi], ties by imaginary part: the
+    general-solver reference the Cayley route is compared against.
+    """
+    z = np.linalg.eigvals(np.asarray(u, dtype=complex))
+    z = z / np.abs(z)
+    arg = np.angle(z)
+    arg = np.where(arg <= -np.pi, arg + 2.0 * np.pi, arg)
+    return z[np.lexsort((z.imag, arg))]
+
+
 def matrix_at(params, x):
     """The operator_stack matrix of params at (x, params.theta): code under test."""
     return operator_stack(params, [x], [params.fixed_theta()])[0]

@@ -19,7 +19,7 @@ from kickspec.cli import (
     write_rings_svg,
     write_spectrum_csv,
 )
-from kickspec.errors import EmptySpectrum, KindMismatch, MalformedSpectrumFile
+from kickspec.errors import InvalidParams, MalformedSpectrumFile, NumericalError
 from kickspec.operators import MOTHER, OperatorParams, RationalAlpha
 from kickspec.spectra import (
     GridSpec,
@@ -166,14 +166,15 @@ def test_rings_svg_layout_and_determinism(tmp_path):
 
 
 def test_rings_svg_rejects_bad_input(tmp_path):
-    with pytest.raises(EmptySpectrum):
+    with pytest.raises(InvalidParams, match="write_rings_svg needs at least one spectrum"):
         write_rings_svg([], str(tmp_path / "x.svg"))
     real = SpectrumSet.build(SpectrumKind.REAL_LINE, [0.0])
-    with pytest.raises(KindMismatch):
+    with pytest.raises(InvalidParams, match="ring plots require UNIT_CIRCLE spectra"):
         write_rings_svg([real], str(tmp_path / "x.svg"))
     s1 = mother_spectrum(params(q=3), GridSpec(2, 2))
     s2 = mother_spectrum(params(q=5, p=2), GridSpec(2, 2))
-    with pytest.raises(KindMismatch):
+    with pytest.raises(InvalidParams, match=re.escape("ring plots require a single alpha, "
+                                                      "got ['1/3', '2/5']")):
         write_rings_svg([s1, s2], str(tmp_path / "x.svg"))
     assert not os.path.exists(str(tmp_path / "x.svg"))
 
@@ -358,10 +359,9 @@ def test_compute_io_failure_is_exit_4(tmp_path):
 
 def test_numerical_failure_is_exit_3(tmp_path, monkeypatch):
     import kickspec.cli as cli
-    from kickspec.errors import NoConvergence
 
     def boom(*args, **kwargs):
-        raise NoConvergence("synthetic solver failure")
+        raise NumericalError("synthetic solver failure")
 
     monkeypatch.setattr(cli, "compute_spectrum", boom)
     code = dispatch(["compute", "--alpha", "1/3", "--grid", "3",
@@ -538,6 +538,15 @@ def _lines(text, keep):
     return "".join(ln for ln in text.splitlines(True) if keep(ln))
 
 
+def _retouched_first_row(text):
+    """The entry with the last three digits of its first row's first field changed."""
+    lines = text.splitlines(True)
+    i = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    field, sep, rest = lines[i].partition(",")
+    lines[i] = field[:-3] + ("999" if field[-3:] != "999" else "000") + sep + rest
+    return "".join(lines)
+
+
 _BANDWIDTH = ["bandwidth", "--alpha-list", "fib:3..4", "--grid", "8"]
 _COMPUTE = ["compute", "--alpha", "1/3", "--grid", "3"]
 _ZOOM = ["zoom", "--alpha", "1/3", "--grid", "3", "--factors", "2"]
@@ -552,11 +561,13 @@ _ZOOM = ["zoom", "--alpha", "1/3", "--grid", "3", "--factors", "2"]
     (_ZOOM, lambda text: ""),
     (_BANDWIDTH, lambda text: ""),
     (_ZOOM, lambda text: _lines(text, lambda ln: ln.startswith("#"))),
+    (_COMPUTE, _retouched_first_row),
 ], ids=["no-error-bound", "kind-h", "other-grid", "other-bound", "empty-compute", "empty-zoom",
-        "empty-bandwidth", "no-rows"])
+        "empty-bandwidth", "no-rows", "retouched-row"])
 def test_a_cache_hit_checks_what_it_reads(tmp_path, argv, tamper):
     # An entry whose header is incomplete or names another request, or whose
-    # rows are missing or do not parse by its kind, is recomputed and overwritten.
+    # rows are missing, do not parse by its kind or do not match its
+    # rows_sha256, is recomputed and overwritten.
     cache = tmp_path / "c"
     cold, warm = str(tmp_path / "cold.csv"), str(tmp_path / "warm.csv")
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", cold]) == 0
@@ -607,16 +618,25 @@ V020_KEYS = {
 }
 
 
+# Keys of version 0.3.0, whose entries carried no rows_sha256 line.
+V030_KEYS = {
+    "ukh": "3e98cfab2c924fca104573aa0b6f1e133cbb436b86c73e58ee317c433da7d7ac",
+    "h": "76bcd5c1c674e9ea436641d16504845ba3b07bc1b44dc1f598efc62095e242ce",
+}
+
+
 def test_cache_keys_are_pinned():
     # Entries written by earlier versions stay valid only while these hold.
     ukh = cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER), GridSpec(5, 5))
     h = cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7))
-    assert ukh == "3e98cfab2c924fca104573aa0b6f1e133cbb436b86c73e58ee317c433da7d7ac"
-    assert h == "76bcd5c1c674e9ea436641d16504845ba3b07bc1b44dc1f598efc62095e242ce"
-    # Version 0.1.0 swept every grid node and 0.2.0 built the theta kicks as
-    # dense Fourier products; their entries differ in the last bits.
+    assert ukh == "74ea5df9eb4702b1c8b1b3bded4535508c48b90c3204021a362f3f23b4a5eef6"
+    assert h == "2a3e1a3db04dfaec37b8c2cb29eda3600b29d44fb8cd6967342fbea1c2a557a6"
+    # Version 0.1.0 swept every grid node, 0.2.0 built the theta kicks as
+    # dense Fourier products, and 0.3.0 wrote no rows_sha256 line; their
+    # entries differ in the last bits or in the header.
     assert {ukh, h}.isdisjoint(V010_KEYS.values())
     assert {ukh, h}.isdisjoint(V020_KEYS.values())
+    assert {ukh, h}.isdisjoint(V030_KEYS.values())
 
 
 def test_parent_cache_entry_is_not_served(tmp_path):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import kickspec.spectra as spectra
-from kickspec.errors import EmptySpectrum, InvalidParams, NoConvergence, NumericalError, WrongKind
-from kickspec.linalg import eig_unitary
+from kickspec.errors import InvalidParams, NumericalError
 from kickspec.operators import MOTHER, OperatorParams, RationalAlpha, operator_stack
 from kickspec.spectra import (
     GridSpec,
@@ -22,8 +21,8 @@ from kickspec.spectra import (
     spectrum_fixed_theta,
     tracked_bands,
 )
-from kickspec.analysis import hausdorff, total_bandwidth
-from oracles import expm_i, matrix_at
+from kickspec.analysis import hausdorff, run_check, total_bandwidth
+from oracles import expm_i, matrix_at, unitary_eigvals
 
 ROOT8 = 2.0 * np.sqrt(2.0)
 
@@ -171,8 +170,8 @@ def _oracle_values(kind, kappa, lam, alpha, x, theta):
         return np.linalg.eigvalsh(matrix_at(at, x))
     if kind == "uh":
         h = matrix_at(OperatorParams("h", 0.0, lam, alpha, theta), x)
-        return eig_unitary(expm_i(h, kappa))
-    return eig_unitary(matrix_at(at, x))
+        return unitary_eigvals(expm_i(h, kappa))
+    return unitary_eigvals(matrix_at(at, x))
 
 
 @pytest.mark.parametrize("kind", ["h", "uh", "ukh", "uordkr"])
@@ -218,7 +217,7 @@ def test_solver_failure_names_the_grid_point(run, monkeypatch):
 
     def fail_at_bad(stack):
         if any(np.array_equal(m, bad) for m in stack):
-            raise NoConvergence("injected")
+            raise NumericalError("injected")
         return real(stack)
 
     monkeypatch.setattr(spectra, "eigvalsh_stack", fail_at_bad)
@@ -318,9 +317,10 @@ def test_representatives_cover_every_mirror_orbit_once(kind, n_x, n_theta):
 
 def test_sweep_size_estimate():
     # m pairs (two float64 phases, and q eigenvalues held as up to five
-    # complex128 copies while pooled), 2 (Hermitian route) or 7 (Cayley
-    # route) complex q x q arrays per row of a chunk of min(m, 2^16 // q^2)
-    # matrices, and the int64 circulant index with the rotor's complex E.
+    # complex128 copies while pooled), 2 (Hermitian route), 7 (Cayley route)
+    # or 5 (general route) complex q x q arrays per row of a chunk of
+    # min(m, 2^16 // q^2) matrices, and the int64 circulant index with the
+    # rotor's complex E.
     ukh = params("ukh", 1.0, 1.0, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(ukh, GridSpec(48, 48)) == (
         625 * (2 * 8 + 5 * 16 * 13) + (16 * 7 * 387 + 8 + 16) * 169)
@@ -334,32 +334,40 @@ def test_sweep_size_estimate():
     # One matrix at large q: the q x q arrays, not the eigenvalues, dominate.
     assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 1499), GridSpec(1)) == (
         (16 + 1499 * 80) + (16 * 2 + 24) * 1499 ** 2)
+    # SPECTRAL_MAPPING's general solve of the uh matrices holds 5 per row.
+    assert spectra._sweep_bytes(params("uh", 1.0, 1.0, 1, 1499), GridSpec(1), "general") == (
+        (16 + 1499 * 80) + (16 * 5 + 24) * 1499 ** 2)
 
 
 # The peak RSS of the process's own address space (VmHWM, in kB).  ru_maxrss
 # would not do: exec carries the launching process's peak over into it.
 _PEAK_RSS = """
 import sys
-from kickspec import GridSpec, OperatorParams, RationalAlpha, spectrum_fixed_theta
+from kickspec import GridSpec, OperatorParams, RationalAlpha, run_check, spectrum_fixed_theta
 from kickspec.spectra import _sweep_bytes
 
 def peak():
     with open("/proc/self/status") as fh:
         return next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith("VmHWM:"))
 
-pa, grid = OperatorParams(sys.argv[1], 1.0, 1.0, RationalAlpha(1, 610), 0.0), GridSpec(1)
+kind, route = sys.argv[1], sys.argv[2:]
+pa, grid = OperatorParams(kind, 1.0, 1.0, RationalAlpha(1, 610), 0.0), GridSpec(1)
 before = peak()
-spectrum_fixed_theta(pa, grid)
-print(peak() - before, _sweep_bytes(pa, grid))
+if route:  # SPECTRAL_MAPPING: the uh sweep, then the general solve of the same node
+    run_check("SPECTRAL_MAPPING", {"alpha": "1/610", "n": 1, "theta": 0.0})
+else:
+    spectrum_fixed_theta(pa, grid)
+print(peak() - before, _sweep_bytes(pa, grid, *route))
 """
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
-@pytest.mark.parametrize("kind", ["ukh", "uordkr"])
-def test_one_node_peak_memory_is_within_the_estimate(kind):
+@pytest.mark.parametrize("argv", [["ukh"], ["uordkr"], ["uh", "general"]],
+                         ids=["ukh", "uordkr", "spectral-mapping"])
+def test_one_node_peak_memory_is_within_the_estimate(argv):
     # A fresh process, so that the peak RSS growth is this one sweep's.
     src = os.path.dirname(os.path.dirname(spectra.__file__))
-    out = subprocess.run([sys.executable, "-c", _PEAK_RSS, kind], capture_output=True,
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
     grown, estimate = (int(v) for v in out.stdout.split())
@@ -376,6 +384,11 @@ def test_preflight_refuses_a_sweep_larger_than_memory(monkeypatch):
         mother_spectrum(pa, GridSpec(48, 48))
     sizes["SC_PHYS_PAGES"] = need // page + 1
     assert len(mother_spectrum(pa, GridSpec(48, 48))) > 0
+    # SPECTRAL_MAPPING sizes its general route, which holds more than its uh sweep.
+    uh = params("uh", 1.0, 1.0, 8, 13, theta=MOTHER)
+    sizes["SC_PHYS_PAGES"] = spectra._sweep_bytes(uh, GridSpec(48, 48), "general") // page
+    with pytest.raises(InvalidParams, match="physical memory"):
+        run_check("SPECTRAL_MAPPING", {"alpha": "8/13", "n": 48, "theta": MOTHER})
 
 
 # -- SpectrumSet invariants --------------------------------------------------------------
@@ -405,7 +418,7 @@ def test_eigenphases_examples():
 
 
 def test_eigenphases_rejects_real_line():
-    with pytest.raises(WrongKind):
+    with pytest.raises(InvalidParams, match="eigenphases requires a UNIT_CIRCLE spectrum"):
         eigenphases(SpectrumSet.build(SpectrumKind.REAL_LINE, [1.0]))
 
 
@@ -453,7 +466,7 @@ def test_merge_bands_rejects_empty_and_bad_gap():
     with pytest.raises(InvalidParams):
         merge_bands(s, 0.0)
     empty = SpectrumSet.build(SpectrumKind.REAL_LINE, [])
-    with pytest.raises(EmptySpectrum):
+    with pytest.raises(InvalidParams, match="cannot merge an empty spectrum"):
         merge_bands(empty, 0.1)
 
 
