@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import _general_eigvals, principal_args
+from .linalg import principal_args
 from .operators import (
     MOTHER,
     OperatorKind,
@@ -34,9 +34,7 @@ from .spectra import (
     SpectrumKind,
     SpectrumSet,
     TWO_PI,
-    _grid_pairs,
     _preflight,
-    _solve_chunks,
     _sweep_values,
     auto_merge_gap,
     eigenphases,
@@ -212,24 +210,20 @@ def butterfly(kind, kappa: float, lam: float, q_max: int, grid_n: int) -> Butter
     keeping the total point budget roughly flat across denominators.
     """
     kind = OperatorKind(kind)
-    ps, qs, vals = [], [], []
-    for alpha in farey_rationals(q_max):
-        n = max(1, round(grid_n / alpha.q))
-        params = OperatorParams(kind, kappa, lam, alpha, MOTHER)
-        s = mother_spectrum(params, GridSpec(n, n))
-        v = s.points if s.kind is SpectrumKind.REAL_LINE else eigenphases(s)
-        ps.append(np.full(v.size, alpha.p, dtype=np.int64))
-        qs.append(np.full(v.size, alpha.q, dtype=np.int64))
-        vals.append(np.asarray(v, dtype=np.float64))
-    if ps:
-        p = np.concatenate(ps)
-        q = np.concatenate(qs)
-        v = np.concatenate(vals)
-        order = np.lexsort((v, p, q))
-        p, q, v = p[order], q[order], v[order]
-    else:
-        p = q = np.empty(0, dtype=np.int64)
-        v = np.empty(0, dtype=np.float64)
+    sweeps = [(OperatorParams(kind, kappa, lam, alpha, MOTHER), GridSpec(n, n))
+              for alpha in farey_rationals(q_max) for n in [max(1, round(grid_n / alpha.q))]]
+    for params, grid in sweeps:  # every sweep is size-checked before the first one runs
+        _preflight(params, grid)
+    vals = []
+    for params, grid in sweeps:
+        s = mother_spectrum(params, grid)
+        vals.append(s.points if s.kind is SpectrumKind.REAL_LINE else eigenphases(s))
+    sizes = [v.size for v in vals]
+    p = np.repeat(np.array([pa.alpha.p for pa, _ in sweeps], dtype=np.int64), sizes)
+    q = np.repeat(np.array([pa.alpha.q for pa, _ in sweeps], dtype=np.int64), sizes)
+    v = np.concatenate([np.empty(0), *vals])
+    order = np.lexsort((v, p, q))
+    p, q, v = p[order], q[order], v[order]
     for arr in (p, q, v):
         arr.setflags(write=False)
     return ButterflyDataset(kind=kind, kappa=float(kappa), lam=float(lam),
@@ -388,16 +382,14 @@ def _check_spectral_mapping(cfg):
     n, theta = cfg["n"], cfg["theta"]
     params = OperatorParams(OperatorKind.UH, cfg["kappa"], cfg["lambda"], cfg["alpha"], theta)
     grid = GridSpec(n, n) if params.is_mother else GridSpec(n)
-    # The general route below holds more q x q arrays than the uh sweep.
-    _preflight(params, grid, "general")
-    s_uh = (mother_spectrum if params.is_mother else spectrum_fixed_theta)(params, grid)
     # The sweep maps Harper eigenvalues through exp(-i kappa t); the
     # independent route assembles exp(-i kappa H) and runs the general
     # solver, not the Cayley route of the kicked sweeps.  Both routes solve
-    # the same matrices, so only roundoff separates them.
-    xv, tv = _grid_pairs(params, grid)
-    values = _solve_chunks(params, xv, tv, _general_eigvals)
+    # the same matrices, so only roundoff separates them.  The general route
+    # holds more q x q arrays, so it runs first and refuses before any solve.
+    values = _sweep_values(params, grid, "general")
     direct = SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, values / np.abs(values))
+    s_uh = SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, _sweep_values(params, grid))
     return (hausdorff(s_uh, direct), _MATCHED_GRID_TOL,
             "exponential image of the Harper spectrum matches the general eigensolve "
             "of the unitary Harper matrices")
@@ -440,7 +432,7 @@ def _check_kappa_cubed(cfg):
     kappas, grid, dist = cfg["kappas"], GridSpec(cfg["n"], cfg["n"]), {}
     # The uh spectra are exp(-i kappa w) of one kappa-independent Harper sweep w.
     harper = OperatorParams(OperatorKind.H, 0.0, cfg["lambda"], cfg["alpha"], MOTHER)
-    w = _sweep_values(harper, *_grid_pairs(harper, grid))
+    w = _sweep_values(harper, grid)
     for k in sorted({k for base in kappas for k in (base, 2.0 * base)}):
         s_kh = _mother(OperatorKind.UKH, k, cfg["lambda"], cfg["alpha"], cfg["n"])
         s_uh = SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, np.exp(-1j * k * w))

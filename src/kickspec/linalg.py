@@ -80,8 +80,8 @@ _CAYLEY_LIMIT = 1e3
 def _general_eigvals(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of square matrices by the general solver.
 
-    The fallback of unitary_eigvals_stack.  Row order is the solver's;
-    values are not renormalized.
+    The fallback of unitary_eigvals_stack, and the solver of the sweep's
+    general route.  Row order is the solver's; values are not renormalized.
     """
     try:
         return np.linalg.eigvals(stack)

@@ -31,6 +31,7 @@ from .errors import InvalidParams, NumericalError
 from .linalg import (
     DEDUP_TOL,
     UNIT_MODULUS_TOL,
+    _general_eigvals,
     eigvalsh_stack,
     principal_args,
     unitary_eigvals_stack,
@@ -207,50 +208,66 @@ def _chunk_rows(q: int) -> int:
     return max(1, _CHUNK_COMPLEX // q ** 2)
 
 
-def _solve_chunks(params: OperatorParams, xv: np.ndarray, tv: np.ndarray, solve) -> np.ndarray:
-    """solve(operator_stack(...)) over the pairs (xv, tv), one chunk at a time; shape (m, q)."""
+# The solver routes: each names its solver, looked up as a module global when
+# a sweep runs (so a rebound solver, a tracer or a test double, runs and is
+# sized as the one it stands in for), and the q x q complex arrays one chunk
+# row holds while the route builds and solves it.  The Hermitian route (h and
+# uh sweeps) holds the stack and the solver's copy; the Cayley route (ukh and
+# uordkr sweeps) also I, I + U, its inverse and the inverse's two solver
+# buffers (measured: up to 8, E included); the general route
+# (SPECTRAL_MAPPING's eigvals of the uh matrices) the uh build's H, its
+# eigenvectors and their products, and the solver's copy (measured: 4.6 at
+# q = 610).
+_ROUTES = {
+    "hermitian": ("eigvalsh_stack", 2),
+    "cayley": ("unitary_eigvals_stack", 7),
+    "general": ("_general_eigvals", 5),
+}
+
+
+def _route(params: OperatorParams, route: str | None) -> str:
+    """The named route, or by default the one the kind's own sweep runs."""
+    kicked = params.kind in (OperatorKind.UKH, OperatorKind.UORDKR)
+    return route or ("cayley" if kicked else "hermitian")
+
+
+def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = None) -> np.ndarray:
+    """Eigenvalues at one node per mirror orbit of the grid, shape (m, q).
+
+    The one sweep kernel: it sizes the sweep for its route (``_ROUTES``),
+    then builds and solves ``operator_stack`` one chunk at a time.  uh
+    eigenvalues are exp(-i kappa w) for the Harper eigenvalues w (spectral
+    mapping), so the Hermitian route of a uh sweep solves the Harper
+    matrices.  On a solver failure the nodes are re-run one by one, so that
+    the error names the first grid point that fails on its own.
+    """
+    route = _route(params, route)
+    _preflight(params, grid, route)
+    solve = globals()[_ROUTES[route][0]]
+    mapped = params.kind is OperatorKind.UH and route == "hermitian"
+    built = replace(params, kind=OperatorKind.H) if mapped else params
+    xv, tv = _grid_pairs(params, grid)
     step = _chunk_rows(params.alpha.q)
-    return np.concatenate([
-        solve(operator_stack(params, xv[lo:lo + step], tv[lo:lo + step]))
-        for lo in range(0, xv.size, step)
-    ])
 
+    def nodes(lo: int, hi: int) -> np.ndarray:
+        return solve(operator_stack(built, xv[lo:hi], tv[lo:hi]))
 
-def _node_values(params: OperatorParams, xv: np.ndarray, tv: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the operator matrices at grid pairs (xv, tv), shape (m, q).
-
-    uh eigenvalues are exp(-i kappa w) for the Harper eigenvalues w
-    (spectral mapping), so uh sweeps run the Hermitian solver only.
-    """
-    if params.kind is OperatorKind.H:
-        return _solve_chunks(params, xv, tv, eigvalsh_stack)
-    if params.kind is OperatorKind.UH:
-        w = _solve_chunks(replace(params, kind=OperatorKind.H), xv, tv, eigvalsh_stack)
-        return np.exp(-1j * params.kappa * w)
-    return _solve_chunks(params, xv, tv, unitary_eigvals_stack)
-
-
-def _sweep_values(params: OperatorParams, xv: np.ndarray, tv: np.ndarray) -> np.ndarray:
-    """Pooled eigenvalues of the operator matrices at grid pairs (xv, tv).
-
-    On a solver failure the nodes are re-run one by one, so that the error
-    names the first grid point that fails on its own.
-    """
     try:
-        return _node_values(params, xv, tv).ravel()
+        values = np.concatenate([nodes(lo, lo + step) for lo in range(0, xv.size, step)])
     except NumericalError as exc:
-        for x, t in zip(xv, tv):
+        for i, (x, t) in enumerate(zip(xv, tv)):
             try:
-                _node_values(params, np.array([x]), np.array([t]))
+                nodes(i, i + 1)
             except NumericalError:
                 raise NumericalError(
                     f"eigensolver failed at grid point x={float(x)!r}, theta={float(t)!r}: {exc}"
                 ) from exc
         raise
+    return np.exp(-1j * params.kappa * values) if mapped else values
 
 
-def _sweep(params: OperatorParams, grid: GridSpec) -> SpectrumSet:
-    values = _sweep_values(params, *_grid_pairs(params, grid))
+def _spectrum(params: OperatorParams, grid: GridSpec, values: np.ndarray) -> SpectrumSet:
+    """The SpectrumSet of a sweep's values, with the grid's certified bound."""
     kind = SpectrumKind.REAL_LINE if params.kind is OperatorKind.H else SpectrumKind.UNIT_CIRCLE
     return SpectrumSet.build(
         kind, values, params=params, grid=grid, error_bound=grid_error_bound(params, grid)
@@ -268,30 +285,19 @@ def _pair_count(params: OperatorParams, grid: GridSpec) -> int:
     return self_mirror * half_t + (half_x - self_mirror) * grid.n_theta
 
 
-# The q x q complex arrays one chunk row holds while a solver route builds
-# and solves it: on the Hermitian route (h and uh sweeps, eigvalsh_stack) the
-# stack and the solver's copy; on the Cayley route (ukh and uordkr sweeps,
-# unitary_eigvals_stack) also I, I + U, its inverse and the inverse's two
-# solver buffers (measured: up to 8, E included); on the general route
-# (SPECTRAL_MAPPING's eigvals of the uh matrices) the uh build's H, its
-# eigenvectors and their products, and the solver's copy (measured: 4.6 at
-# q = 610).  Routes are named, not keyed by function, so that a rebound
-# solver (a tracer or a test double) is sized as the one it stands in for.
-_ROW_ARRAYS = {"hermitian": 2, "cayley": 7, "general": 5}
-
-
 def _sweep_bytes(params: OperatorParams, grid: GridSpec, route: str | None = None) -> int:
     """Bytes a sweep holds at its peak, from its (x, theta) pair count m.
 
     Per pair, two float64 phases and q eigenvalues, held up to five times
     over as complex128 while pooled and sorted (measured: up to 72 B each).  Per
-    chunk row, the q x q complex arrays of the solver route (``_ROW_ARRAYS``;
-    by default the route the kind's own sweep runs).  Per chunk, the int64
-    circulant index and the rotor's q x q E.
+    chunk row, the q x q complex arrays of the solver route (``_ROUTES``).
+    Per chunk, the int64 circulant index and the rotor's q x q E.  LAPACK
+    allocates a further 2-4 MB of workspace on first use, which this leaves
+    out, so for a sweep below about 10 MB the figure is an estimate, not an
+    upper bound.
     """
     m, q = _pair_count(params, grid), params.alpha.q
-    kicked = params.kind in (OperatorKind.UKH, OperatorKind.UORDKR)
-    arrays = _ROW_ARRAYS[route or ("cayley" if kicked else "hermitian")]
+    arrays = _ROUTES[_route(params, route)][1]
     return m * (2 * 8 + 5 * 16 * q) + (16 * arrays * min(m, _chunk_rows(q)) + 8 + 16) * q * q
 
 
@@ -312,10 +318,8 @@ def _grid_pairs(params: OperatorParams, grid: GridSpec) -> tuple[np.ndarray, np.
     h, uh and ukh keep x and theta nodes 0..n // 2 (x only at fixed
     theta).  uordkr keeps, of each joint mirror pair (j, k) and
     (-j mod n_x, -k mod n_theta), the node with the lower flat index
-    j n_theta + k, and its whole fixed-theta axis.  The preflight runs
-    before any array is built.
+    j n_theta + k, and its whole fixed-theta axis.
     """
-    _preflight(params, grid)
     q, half_x = params.alpha.q, grid.n_x // 2 + 1
     if not params.is_mother:
         xs = grid.xs(q) if params.kind is OperatorKind.UORDKR else grid.xs(q)[:half_x]
@@ -333,14 +337,14 @@ def _grid_pairs(params: OperatorParams, grid: GridSpec) -> tuple[np.ndarray, np.
 def spectrum_fixed_theta(params: OperatorParams, grid: GridSpec) -> SpectrumSet:
     """Union of eigenvalues over the x grid at the fixed theta in params."""
     params.fixed_theta()
-    return _sweep(params, grid)
+    return _spectrum(params, grid, _sweep_values(params, grid))
 
 
 def mother_spectrum(params: OperatorParams, grid: GridSpec) -> SpectrumSet:
     """Union of eigenvalues over the (x, theta) grid on [0, 1/q)^2."""
     if not params.is_mother:
         raise InvalidParams(f"mother_spectrum requires theta = {MOTHER!r}")
-    return _sweep(params, grid)
+    return _spectrum(params, grid, _sweep_values(params, grid))
 
 
 # -- eigenphases and bands ----------------------------------------------------
@@ -357,8 +361,11 @@ def tracked_bands(params: OperatorParams, grid: GridSpec) -> BandList:
     one side of it; the q disjoint-arc structure at rational alpha is what
     makes position tracking legitimate.
     """
-    values = _sweep_values(params, *_grid_pairs(params, grid)).reshape(-1, params.alpha.q)
+    return _tracked(params, _sweep_values(params, grid))
 
+
+def _tracked(params: OperatorParams, values: np.ndarray) -> BandList:
+    """The tracked bands of a sweep's (m, q) values."""
     if params.kind is OperatorKind.H:
         bands = _line_runs(values.min(axis=0), values.max(axis=0), _CLOSURE)
         return BandList(SpectrumKind.REAL_LINE, bands)

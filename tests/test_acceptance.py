@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import kickspec.spectra as spectra
 from kickspec.analysis import (
     alpha_jump_witness,
     bands_in_window,
@@ -216,8 +217,10 @@ def test_11_zoom_self_similarity():
     alpha = RationalAlpha(233, 377)
     params = OperatorParams("ukh", 1.0, 1.0, alpha, MOTHER)
     grid = GridSpec(8, 8)
-    s = mother_spectrum(params, grid)
-    bl = tracked_bands(params, grid)
+    # One sweep gives both the points and the tracked bands.
+    values = spectra._sweep_values(params, grid)
+    s = spectra._spectrum(params, grid, values)
+    bl = spectra._tracked(params, values)
     phases = eigenphases(s)
     center = float(np.median(phases))
     wins = zoom_windows(phases, center, [20.0, 10.0])

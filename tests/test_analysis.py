@@ -447,13 +447,13 @@ def test_kappa_cubed_solves_the_harper_problem_once(monkeypatch):
     from kickspec.spectra import GridSpec, mother_spectrum
 
     cfg = {"alpha": "3/5", "n": 12, "kappas": [0.1, 0.3, 0.5]}  # six kappas k and 2k
-    solve, kinds = spectra._solve_chunks, []
+    build, kinds = spectra.operator_stack, []
 
-    def counted(params, xv, tv, solver):
+    def counted(params, xs, thetas):
         kinds.append(params.kind)
-        return solve(params, xv, tv, solver)
+        return build(params, xs, thetas)
 
-    monkeypatch.setattr(spectra, "_solve_chunks", counted)
+    monkeypatch.setattr(spectra, "operator_stack", counted)
     r = run_check("KAPPA_CUBED", cfg)
     assert kinds.count(OperatorKind.H) == 1
     monkeypatch.undo()

@@ -595,6 +595,31 @@ def test_every_alpha_is_size_checked_before_the_first_sweep(tmp_path, monkeypatc
     assert not cache.exists() or not any(cache.iterdir())
 
 
+def test_every_butterfly_grid_is_size_checked_before_the_first_sweep(tmp_path, monkeypatch,
+                                                                      capsys):
+    import kickspec.spectra as spectra
+
+    # At --grid 200, 1/2 gets a 100 x 100 grid, the largest estimate of farey:13,
+    # and 1/3 a 67 x 67 grid, the next; 28 alphas come before 1/2 in Farey order.
+    fits = spectra._sweep_bytes(params(p=1, q=3), GridSpec(67, 67))
+    too_big = spectra._sweep_bytes(params(p=1, q=2), GridSpec(100, 100))
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (fits + too_big) // 2 // 4096}
+    monkeypatch.setattr(spectra.os, "sysconf", sizes.__getitem__)
+    build, built = spectra.operator_stack, []
+
+    def counted(pa, xs, thetas):
+        built.append(pa.alpha)
+        return build(pa, xs, thetas)
+
+    monkeypatch.setattr(spectra, "operator_stack", counted)
+    out = tmp_path / "b.csv"
+    code = dispatch(["butterfly", "--alpha-list", "farey:13", "--grid", "200", "--out", str(out)])
+    assert code == 2
+    assert "at q = 2" in capsys.readouterr().err
+    assert built == []
+    assert not out.exists()
+
+
 # Keys of version 0.1.0 for the two configurations of test_cache_keys_are_pinned.
 V010_KEYS = {
     "ukh": "9bb4495a3a94acb3549b173fb7e833ea7bd5fbd6c02527b2114bc5111d3009eb",

@@ -1,0 +1,53 @@
+"""The layer boundary: the private names one kickspec module takes from another."""
+
+import ast
+import pathlib
+
+import kickspec
+
+SRC = pathlib.Path(kickspec.__file__).parent
+MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+
+# Each private name a module may take from another, and the modules that may
+# take it: the sweep kernel and its size check from spectra, the general
+# solver of spectra's general route, and the per-key parsers the command line
+# shares with the checks.
+ALLOWED = {
+    ("spectra", "_sweep_values"): {"analysis", "cli"},
+    ("spectra", "_preflight"): {"analysis", "cli"},
+    ("linalg", "_general_eigvals"): {"spectra"},
+    ("analysis", "_PARSE"): {"cli"},
+}
+
+
+def _source(node: ast.ImportFrom) -> str | None:
+    """The kickspec module an import reads from, or None for another package."""
+    if node.level == 1:
+        return node.module or "__init__"
+    if node.module and node.module.split(".")[0] == "kickspec":
+        return node.module.partition(".")[2] or "__init__"
+    return None
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports():
+    """(importer, source, name) for every private name, or whole module, that a
+    kickspec module imports from another; a whole module would put its private
+    names one attribute away."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and _source(node) is not None:
+                found.update((path.stem, _source(node), alias.name) for alias in node.names
+                             if _private(alias.name) or alias.name in MODULES)
+    return found
+
+
+def test_modules_take_only_the_kernel_entry_points_private():
+    found = private_imports()
+    assert ("analysis", "spectra", "_sweep_values") in found
+    stray = sorted(f for f in found if f[0] not in ALLOWED.get(f[1:], ()))
+    assert stray == []

@@ -181,7 +181,7 @@ def test_sweep_matches_per_matrix_oracles(kind, p, q, scope):
     alpha = RationalAlpha(p, q)
     pa = OperatorParams(kind, 0.9, 1.3, alpha, MOTHER if scope == "mother" else 0.37)
     xv, tv = spectra._grid_pairs(pa, GridSpec(3, 3))
-    pooled = spectra._sweep_values(pa, xv, tv)
+    pooled = spectra._sweep_values(pa, GridSpec(3, 3))
     oracle = np.concatenate([_oracle_values(kind, 0.9, 1.3, alpha, x, t) for x, t in zip(xv, tv)])
     assert pooled.size == oracle.size == xv.size * q
     assert set_distance(pooled, oracle) <= 1e-12
@@ -192,11 +192,11 @@ def test_chunked_sweep_is_identical(kind, monkeypatch):
     q = 5
     pa = params(kind, 0.9, 1.3, 2, q, theta=MOTHER)
     xv, tv = spectra._grid_pairs(pa, GridSpec(4, 4))
-    single = spectra._sweep_values(pa, xv, tv)
+    single = spectra._sweep_values(pa, GridSpec(4, 4))
     # 5 matrices per chunk: the reflection-reduced 4 x 4 grid keeps 9 nodes
     # (10 for uordkr), so 2 chunks, each repeating a theta.
     monkeypatch.setattr(spectra, "_CHUNK_COMPLEX", 5 * q * q)
-    chunked = spectra._sweep_values(pa, xv, tv)
+    chunked = spectra._sweep_values(pa, GridSpec(4, 4))
     assert xv.size > 5
     assert np.unique(tv[:5]).size < 5
     assert np.array_equal(chunked, single)
@@ -273,14 +273,12 @@ def test_reduced_grid_matches_the_full_grid(kind, scope, n, monkeypatch):
         grid = GridSpec(n, n)
         run = mother_spectrum if scope == "mother" else spectrum_fixed_theta
         swept = run(pa, grid)
-        xv, tv = _full_pairs(pa, grid)
-        full = SpectrumSet.build(swept.kind, spectra._node_values(pa, xv, tv))
-        assert hausdorff(swept, full) <= spectra.DEDUP_TOL
-
         reduced = tracked_bands(pa, grid)
         with monkeypatch.context() as m:
             m.setattr(spectra, "_grid_pairs", _full_pairs)
+            full = SpectrumSet.build(swept.kind, spectra._sweep_values(pa, grid))
             unreduced = tracked_bands(pa, grid)
+        assert hausdorff(swept, full) <= spectra.DEDUP_TOL
         assert len(reduced) == len(unreduced)
         assert np.allclose(reduced.bands, unreduced.bands, rtol=0.0, atol=1e-12)
 
@@ -527,9 +525,11 @@ def test_tracked_bands_small_kick_three_arcs():
 
 
 def test_tracked_bands_agree_with_merged_on_fine_grid():
-    pa = params("h", 0, 1.0, 1, 3, theta=MOTHER)
-    tracked = tracked_bands(pa, GridSpec(100, 100))
-    s = mother_spectrum(pa, GridSpec(100, 100))
+    pa, grid = params("h", 0, 1.0, 1, 3, theta=MOTHER), GridSpec(100, 100)
+    # One sweep gives both the tracked bands and the points.
+    values = spectra._sweep_values(pa, grid)
+    tracked = spectra._tracked(pa, values)
+    s = spectra._spectrum(pa, grid, values)
     merged = merge_bands(s, 4.0 * s.error_bound)
     assert len(tracked) == len(merged)
     assert total_bandwidth(tracked) == pytest.approx(total_bandwidth(merged), abs=8 * s.error_bound)
