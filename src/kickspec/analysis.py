@@ -60,6 +60,7 @@ __all__ = [
     "butterfly",
     "zoom_windows",
     "alpha_jump_witness",
+    "check_config",
     "check_keys",
     "run_check",
 ]
@@ -397,8 +398,6 @@ def _check_spectral_mapping(cfg):
 
 def _check_aubry_andre(cfg):
     alpha, lam, n = cfg["alpha"], cfg["lambda"], cfg["n"]
-    if lam == 0:
-        raise InvalidParams("AUBRY_ANDRE requires lambda != 0")
     s1 = _mother(OperatorKind.H, 0.0, lam, alpha, n)
     s2 = _mother(OperatorKind.H, 0.0, 1.0 / lam, alpha, n)
     scaled = SpectrumSet.build(SpectrumKind.REAL_LINE, lam * s2.points)
@@ -445,9 +444,6 @@ def _check_kappa_cubed(cfg):
 
 
 def _check_last_measure_trend(cfg):
-    if cfg["n"] < 2:
-        raise InvalidParams("LAST_MEASURE_TREND requires n >= 2: on a one-node grid "
-                            "every band has zero width")
     alphas, lams, grid = cfg["alphas"], cfg["lambdas"], GridSpec(cfg["n"], cfg["n"])
     widths = {
         (alpha, lam): total_bandwidth(
@@ -553,8 +549,13 @@ def check_keys(check_id: str) -> frozenset[str]:
     return frozenset(_CHECKS[_canonical(check_id)][1])
 
 
-def _config(cid: str, cfg: dict) -> dict:
-    """The check's defaults overlaid with cfg, each value parsed by its key's parser."""
+def check_config(check_id: str, cfg: dict) -> dict:
+    """The check's defaults overlaid with cfg, each value parsed by its key's parser.
+
+    Raises InvalidParams for a key the check does not read, a value its
+    parser rejects, or a config on which the check measures nothing.
+    """
+    cid = _canonical(check_id)
     defaults = _CHECKS[cid][1]
     unread = sorted(set(cfg) - set(defaults))
     if unread:
@@ -566,6 +567,11 @@ def _config(cid: str, cfg: dict) -> dict:
             parsed[key] = _PARSE[key](value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidParams(f"{cid}: bad {key} {value!r}: {exc}") from exc
+    if cid == "AUBRY_ANDRE" and parsed["lambda"] == 0:
+        raise InvalidParams("AUBRY_ANDRE requires lambda != 0")
+    if cid == "LAST_MEASURE_TREND" and parsed["n"] < 2:
+        raise InvalidParams("LAST_MEASURE_TREND requires n >= 2: on a one-node grid "
+                            "every band has zero width")
     return parsed
 
 
@@ -578,7 +584,7 @@ def run_check(check_id: str, cfg: dict | None = None) -> CheckReport:
     repeats the run.
     """
     cid = _canonical(check_id)
-    parsed = _config(cid, cfg or {})
+    parsed = check_config(cid, cfg or {})
     measured, bound, notes = _CHECKS[cid][0](parsed)
     return CheckReport(cid, {k: _plain(v) for k, v in parsed.items()}, measured, bound,
                        passed=bool(measured <= bound), notes=notes)

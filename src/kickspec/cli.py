@@ -25,6 +25,7 @@ from . import __version__
 from .analysis import (
     _PARSE,
     CHECK_IDS,
+    check_config,
     check_keys,
     farey_rationals,
     golden_convergents,
@@ -73,7 +74,7 @@ def _fmt(v: float) -> str:
     if v == 0.0:
         return "0"
     if 0.0625 <= abs(v) < 1e16:
-        return np.format_float_positional(v, precision=17, unique=False, fractional=True, trim="k")
+        return f"{v:.17f}"
     return repr(v)
 
 
@@ -99,7 +100,8 @@ def _rows_sha256(rows: list[str]) -> str:
     return hashlib.sha256("\n".join([*rows, ""]).encode("utf-8")).hexdigest()
 
 
-def spectrum_csv_text(s: SpectrumSet) -> str:
+def _header_lines(s: SpectrumSet) -> list[str]:
+    """The header lines spectrum_csv_text writes for s before its rows_sha256 line."""
     lines = [f"# kind={s.params.kind.value}" if s.params else f"# kind={s.kind.value}"]
     if s.params is not None:
         lines += [
@@ -110,71 +112,74 @@ def spectrum_csv_text(s: SpectrumSet) -> str:
         ]
     if s.grid is not None:
         lines += [f"# n_x={s.grid.n_x}", f"# n_theta={s.grid.n_theta}"]
+    return [*lines, f"# error_bound={s.error_bound!r}"]
+
+
+def spectrum_csv_text(s: SpectrumSet) -> str:
     if s.kind is SpectrumKind.REAL_LINE:
         rows = [_fmt(v) for v in s.points]
     else:
         phases = principal_args(s.points)
         rows = [f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(ph)}" for z, ph in zip(s.points, phases)]
-    lines += [f"# error_bound={s.error_bound!r}", f"# rows_sha256={_rows_sha256(rows)}", *rows]
-    return "\n".join(lines) + "\n"
+    return "\n".join([*_header_lines(s), f"# rows_sha256={_rows_sha256(rows)}", *rows, ""])
 
 
-def write_spectrum_csv(s: SpectrumSet, path: str) -> None:
-    """Persist a SpectrumSet: `# key=value` header lines, then sorted rows."""
-    _atomic_write(path, spectrum_csv_text(s))
+def write_spectrum_csv(s: SpectrumSet, path: str) -> str:
+    """Persist a SpectrumSet (`# key=value` header lines, then sorted rows); return the text."""
+    text = spectrum_csv_text(s)
+    _atomic_write(path, text)
+    return text
 
 
 def read_spectrum_csv(path: str) -> SpectrumSet:
-    """Inverse of write_spectrum_csv; reproduces the SpectrumSet exactly.
+    """Inverse of write_spectrum_csv; reproduces the SpectrumSet exactly."""
+    return read_spectrum_text(path)[0]
 
-    Raises MalformedSpectrumFile if any row or header line does not parse,
-    or if the rows do not hash to the header's rows_sha256.
+
+def read_spectrum_text(path: str) -> tuple[SpectrumSet, str]:
+    """The spectrum a spectrum_csv_text file holds, and the file's text.
+
+    The file is accepted only as the writer writes it: its header lines
+    are _header_lines of the spectrum it describes (same text, same
+    order), its rows hash to its rows_sha256 and they parse.  Anything
+    else raises MalformedSpectrumFile.
     """
     try:
-        return _read_spectrum_csv(path)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        return _parse_spectrum_csv(text), text
     except (ValueError, KeyError, UsageError) as exc:
         raise MalformedSpectrumFile(f"malformed spectrum file {path}: {exc!r}") from exc
 
 
-_OPERATOR_KEYS = ("kind", "kappa", "lambda", "alpha", "theta")
-_GRID_KEYS = ("n_x", "n_theta")
-
-
-def _read_spectrum_csv(path: str) -> SpectrumSet:
-    header: dict[str, str] = {}
-    rows: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                key, _, val = (part.strip() for part in line[1:].partition("="))
-                if key in header:
-                    raise ValueError(f"repeated header line {line!r}")
-                header[key] = val
-            elif line:
-                rows.append(line)
-    # Exactly the lines spectrum_csv_text writes: kind, error_bound and rows_sha256
-    # always, the operator lines all or none, the grid lines both or neither.
-    has_params, has_grid = "kappa" in header, "n_x" in header
-    expected = {"kind", "error_bound", "rows_sha256"}.union(
-        _OPERATOR_KEYS if has_params else (), _GRID_KEYS if has_grid else ())
-    if set(header) != expected:
-        raise ValueError(f"header keys {sorted(header)}, expected {sorted(expected)}")
-    if _rows_sha256(rows) != header["rows_sha256"]:
+def _parse_spectrum_csv(text: str) -> SpectrumSet:
+    lines = text.split("\n")
+    if lines.pop() != "":
+        raise ValueError("no newline at the end of the file")
+    n_head = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
+    *header, digest = lines[:n_head]
+    rows = lines[n_head:]
+    if digest != f"# rows_sha256={_rows_sha256(rows)}":
         raise ValueError("rows do not match rows_sha256")
-    params = None
-    if has_params:
-        params = OperatorParams(*(_PARSE[key](header[key]) for key in _OPERATOR_KEYS))
-    grid = GridSpec(*(int(header[key]) for key in _GRID_KEYS)) if has_grid else None
+    value = dict(ln[2:].partition("=")[::2] for ln in header)
+    params = grid = None
+    if "kappa" in value:
+        params = OperatorParams(*(_PARSE[key](value[key])
+                                  for key in ("kind", "kappa", "lambda", "alpha", "theta")))
+    if "n_x" in value:
+        grid = GridSpec(int(value["n_x"]), int(value["n_theta"]))
     # Rows are read by the header's kind: one number on the line, three on the circle.
-    header_kind = params.kind if params else SpectrumKind(header["kind"])
+    header_kind = params.kind if params else SpectrumKind(value["kind"])
     if header_kind in (OperatorKind.H, SpectrumKind.REAL_LINE):
         kind, values = SpectrumKind.REAL_LINE, [float(row) for row in rows]
     else:
         kind, values = SpectrumKind.UNIT_CIRCLE, [
             complex(float(re_s), float(im_s)) for re_s, im_s, _ in (row.split(",") for row in rows)]
-    return SpectrumSet.build(kind, np.asarray(values), params=params, grid=grid,
-                             error_bound=float(header["error_bound"]))
+    s = SpectrumSet.build(kind, np.asarray(values), params=params, grid=grid,
+                          error_bound=float(value["error_bound"]))
+    if header != _header_lines(s):
+        raise ValueError("the header is not the one spectrum_csv_text writes for its values")
+    return s
 
 
 # -- ring SVG ------------------------------------------------------------------
@@ -241,23 +246,26 @@ def cache_key(params: OperatorParams, grid: GridSpec) -> str:
 
 def compute_spectrum(
     params: OperatorParams, grid: GridSpec, cache_dir: str | None = None
-) -> SpectrumSet:
-    """Compute a spectrum, consulting/propagating the CSV cache if enabled."""
+) -> tuple[SpectrumSet, str | None]:
+    """Compute a spectrum, consulting/propagating the CSV cache if enabled.
+
+    Returns the spectrum and its entry's text: the bytes read on a hit, the
+    bytes just written on a miss, None without a cache.
+    """
     if cache_dir is None:
-        return _compute(params, grid)
+        return _compute(params, grid), None
     path = os.path.join(cache_dir, cache_key(params, grid) + ".csv")
     try:
-        s = read_spectrum_csv(path)
+        s, text = read_spectrum_text(path)
     except (FileNotFoundError, MalformedSpectrumFile):
         s = None
     # A missing, unreadable or empty entry, or one that is not of this request,
     # is a miss: recompute and overwrite it.
     if s is not None and len(s) and (s.params, s.grid, s.error_bound) == (
             params, grid, grid_error_bound(params, grid)):
-        return s
+        return s, text
     s = _compute(params, grid)
-    write_spectrum_csv(s, path)
-    return s
+    return s, write_spectrum_csv(s, path)
 
 
 def _compute(params: OperatorParams, grid: GridSpec) -> SpectrumSet:
@@ -410,9 +418,10 @@ def _cmd_compute(args) -> int:
     _, _, grid, params = _operators(args)
     spectra = [compute_spectrum(pa, grid, args.cache_dir) for pa in params]
     if args.format == "svg":
-        write_rings_svg(spectra, args.out)
+        write_rings_svg([s for s, _ in spectra], args.out)
     else:
-        _emit(spectrum_csv_text(spectra[0]), args.out)
+        s, text = spectra[0]
+        _emit(text or spectrum_csv_text(s), args.out)
     return 0
 
 
@@ -441,7 +450,7 @@ def _cmd_bandwidth(args) -> int:
             bands = tracked_bands(pa, grid)
             bound = grid_error_bound(pa, grid)
         else:
-            s = compute_spectrum(pa, grid, args.cache_dir)
+            s, _ = compute_spectrum(pa, grid, args.cache_dir)
             bands = merge_bands(s, auto_merge_gap(s) if gap == "auto" else gap)
             bound = s.error_bound
         alpha = pa.alpha
@@ -480,7 +489,7 @@ def _cmd_zoom(args) -> int:
     if not all(f > 1.0 for f in factors):
         raise InvalidParams(f"--factors must all be > 1, got {args.factors!r}")
     _, _, grid, (pa,) = _operators(args)
-    phases = eigenphases(compute_spectrum(pa, grid, args.cache_dir))
+    phases = eigenphases(compute_spectrum(pa, grid, args.cache_dir)[0])
     center = float(np.median(phases)) if center is None else center
     windows = zoom_windows(phases, center, factors)
     lines = [
@@ -505,11 +514,11 @@ def _cmd_verify(args) -> int:
     if unread:
         raise InvalidParams(f"verify --check {args.check} does not read "
                             f"{', '.join(flag[k] for k in unread)}")
-    # Parsed before the first check sweeps; run_check's parsers accept their own output.
+    # Every check's config is parsed and checked before the first check sweeps;
+    # run_check's parsers accept their own output.
     cfg = {k: _parsed(flag[k], _PARSE[k], v) for k, v in cfg.items()}
-    reports = [
-        run_check(cid, {k: v for k, v in cfg.items() if k in keys[cid]}).to_dict() for cid in ids
-    ]
+    cfgs = [check_config(cid, {k: v for k, v in cfg.items() if k in keys[cid]}) for cid in ids]
+    reports = [run_check(cid, c).to_dict() for cid, c in zip(ids, cfgs)]
     text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)
     return 0

@@ -186,19 +186,10 @@ def grid_error_bound(params: OperatorParams, grid: GridSpec) -> float:
     """
     q = params.alpha.q
     kap, lam = abs(params.kappa), abs(params.lam)
-    kind = params.kind
-    if kind is OperatorKind.H:
-        per_x = TWO_PI / (q * grid.n_x)
-        per_t = TWO_PI * lam / (q * grid.n_theta)
-    elif kind in (OperatorKind.UH, OperatorKind.UKH):
-        per_x = TWO_PI * kap / (q * grid.n_x)
-        per_t = TWO_PI * kap * lam / (q * grid.n_theta)
-    else:
-        if params.is_mother:
-            per_x = TWO_PI * kap / (q * grid.n_x)
-        else:
-            per_x = TWO_PI * kap * (1.0 + lam) / (q * grid.n_x)
-        per_t = TWO_PI * kap * lam / (q * grid.n_theta)
+    scale = 1.0 if params.kind is OperatorKind.H else kap
+    fixed_rotor = params.kind is OperatorKind.UORDKR and not params.is_mother
+    per_x = TWO_PI * scale * (1.0 + lam if fixed_rotor else 1.0) / (q * grid.n_x)
+    per_t = TWO_PI * scale * lam / (q * grid.n_theta)
     return per_x + (per_t if params.is_mother else 0.0)
 
 
@@ -404,20 +395,6 @@ def _line_runs(lo, hi, gap: float) -> tuple[tuple[float, float], ...]:
     return tuple((float(lo[a]), float(reach[b])) for a, b in zip(starts, ends))
 
 
-def _circle_runs(ph: np.ndarray, gap: float) -> tuple[tuple[float, float], ...]:
-    """Union of the ascending eigenphases ph across circular gaps <= gap, sorted by lo.
-
-    A run with hi < lo wraps through +pi (only the last one can).  If
-    every gap closes, the result is the full circle (-pi, pi).
-    """
-    gaps = np.append(ph[1:], ph[0] + TWO_PI) - ph
-    breaks = np.flatnonzero(gaps > gap)
-    if breaks.size == 0:
-        return ((-np.pi, np.pi),)
-    starts = (np.roll(breaks, 1) + 1) % ph.size
-    return tuple(sorted((float(ph[a]), float(ph[b])) for a, b in zip(starts, breaks)))
-
-
 def eigenphases(s: SpectrumSet) -> np.ndarray:
     """Principal arguments in (-pi, pi] of a unit-circle spectrum, ascending."""
     if s.kind is not SpectrumKind.UNIT_CIRCLE:
@@ -445,7 +422,11 @@ def merge_bands(s: SpectrumSet, merge_gap: float) -> BandList:
         raise InvalidParams("cannot merge an empty spectrum")
 
     if s.kind is SpectrumKind.REAL_LINE:
-        bands = _line_runs(s.points, s.points, merge_gap)
-    else:
-        bands = _circle_runs(eigenphases(s), merge_gap)
-    return BandList(kind=s.kind, bands=bands)
+        return BandList(s.kind, _line_runs(s.points, s.points, merge_gap))
+    ph = eigenphases(s)
+    bands = _line_runs(ph, ph, merge_gap)
+    # The gap through +-pi closes: the last run wraps into the first.
+    if ph[0] + TWO_PI - ph[-1] <= merge_gap:
+        bands = ((-np.pi, np.pi),) if len(bands) == 1 else (
+            *bands[1:-1], (bands[-1][0], bands[0][1]))
+    return BandList(s.kind, bands)

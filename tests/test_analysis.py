@@ -375,9 +375,9 @@ class _ReadLog(dict):
 
 @pytest.mark.parametrize("cid", CHECK_IDS)
 def test_check_keys_are_the_keys_the_check_reads(cid):
-    from kickspec.analysis import _CHECKS, _config
+    from kickspec.analysis import _CHECKS, check_config
 
-    cfg = _ReadLog(_config(cid, _QUICK[cid]))
+    cfg = _ReadLog(check_config(cid, _QUICK[cid]))
     _CHECKS[cid][0](cfg)
     assert cfg.read == check_keys(cid)
 

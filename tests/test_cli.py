@@ -50,6 +50,19 @@ def test_fmt_round_trips():
         assert float(_fmt(v)) == v
 
 
+def test_fmt_is_numpys_17_digit_positional_form():
+    # Over [1/16, 1e16), _fmt's f-string gives the string of numpy's
+    # non-unique positional formatter: random magnitudes of either sign and
+    # the exact binary ties m / 2^k, where a rounding rule would show.
+    rng = np.random.default_rng(3)
+    mags = 2.0 ** rng.uniform(-4.0, np.log2(1e16), size=2000)
+    ties = [m / 2.0 ** k for k in range(19) for m in range(1, 4000, 2)]
+    for v in [*mags, *-mags, *ties]:
+        if 0.0625 <= abs(v) < 1e16:
+            assert _fmt(v) == np.format_float_positional(v, precision=17, unique=False,
+                                                         fractional=True, trim="k")
+
+
 def test_single_point_csv_row():
     s = SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, [1.0 + 0.0j])
     text = spectrum_csv_text(s)
@@ -401,6 +414,26 @@ def test_verify_parses_every_value_before_the_first_check(monkeypatch, capsys):
     assert "--theta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--lambda", "0", "--grid", "4"], "AUBRY_ANDRE requires lambda != 0"),
+    (["--grid", "1"], "LAST_MEASURE_TREND requires n >= 2"),
+], ids=["lambda-0", "grid-1"])
+def test_verify_refuses_a_config_that_measures_nothing_before_it_sweeps(argv, message,
+                                                                        monkeypatch, capsys):
+    import kickspec.spectra as spectra
+
+    build, built = spectra.operator_stack, []
+
+    def counted(pa, xs, thetas):
+        built.append(pa)
+        return build(pa, xs, thetas)
+
+    monkeypatch.setattr(spectra, "operator_stack", counted)
+    assert dispatch(["verify", "--check", "all", *argv]) == 2
+    assert message in capsys.readouterr().err
+    assert built == []
+
+
 def test_preflight_counts_the_q_by_q_arrays(tmp_path, monkeypatch, capsys):
     # One grid node at q = 1499: 24 kB of pairs and eigenvalues, but about
     # 90 MB of q x q matrices, so 64 MiB of physical memory refuses it.
@@ -499,26 +532,55 @@ def test_zoom_command(tmp_path):
 # -- cache -----------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("row,header", [
-    ("garbage,row", None),
-    ("1.0,2.0", None),
-    ("", "# kappa=abc"),
-    ("", "# alpha=4/6"),
-    ("", "# n_x=three"),
-    ("", "# kind=nope"),
-])
-def test_read_spectrum_csv_rejects_malformed_input(tmp_path, row, header):
-    path = str(tmp_path / "s.csv")
-    write_spectrum_csv(mother_spectrum(params(), GridSpec(3, 3)), path)
-    lines = open(path).read().splitlines()
-    if row:
-        lines[-1] = row
-    if header:
-        key = header.partition("=")[0]
-        lines = [header if ln.partition("=")[0] == key else ln for ln in lines]
-    open(path, "w").write("\n".join(lines) + "\n")
+def _last_row(row):
+    return lambda text: "".join(text.splitlines(True)[:-1]) + row + "\n"
+
+
+def _header_line(line):
+    key = line.partition("=")[0]
+    return lambda text: "".join(line + "\n" if ln.partition("=")[0] == key else ln
+                                for ln in text.splitlines(True))
+
+
+def _swapped_first_lines(text):
+    first, second, rest = text.split("\n", 2)
+    return "\n".join([second, first, rest])
+
+
+def _blank_line_after_first_row(text):
+    lines = text.splitlines(True)
+    i = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    return "".join([*lines[:i + 1], "\n", *lines[i + 1:]])
+
+
+# Entries that keep every header value (kind ukh, kappa = lambda = 1) and
+# every row but are not the text spectrum_csv_text writes.
+_NOT_THE_WRITERS_TEXT = {
+    "kappa-digits": lambda text: text.replace("# kappa=1.0\n", "# kappa=1.00\n"),
+    "kappa-spaces": lambda text: text.replace("# kappa=1.0\n", "# kappa = 1.0\n"),
+    "swapped-lines": _swapped_first_lines,
+    "blank-row": _blank_line_after_first_row,
+}
+
+
+@pytest.mark.parametrize("tamper", [
+    _last_row("garbage,row"),
+    _last_row("1.0,2.0"),
+    _header_line("# kappa=abc"),
+    _header_line("# alpha=4/6"),
+    _header_line("# n_x=three"),
+    _header_line("# kind=nope"),
+    *_NOT_THE_WRITERS_TEXT.values(),
+], ids=["garbage,row-None", "1.0,2.0-None", "-# kappa=abc", "-# alpha=4/6", "-# n_x=three",
+        "-# kind=nope", *_NOT_THE_WRITERS_TEXT])
+def test_read_spectrum_csv_rejects_malformed_input(tmp_path, tamper):
+    path = tmp_path / "s.csv"
+    write_spectrum_csv(mother_spectrum(params(), GridSpec(3, 3)), str(path))
+    text = path.read_text()
+    assert tamper(text) != text
+    path.write_text(tamper(text))
     with pytest.raises(MalformedSpectrumFile):
-        read_spectrum_csv(path)
+        read_spectrum_csv(str(path))
 
 
 def test_garbled_cache_entry_is_recomputed(tmp_path):
@@ -562,12 +624,13 @@ _ZOOM = ["zoom", "--alpha", "1/3", "--grid", "3", "--factors", "2"]
     (_BANDWIDTH, lambda text: ""),
     (_ZOOM, lambda text: _lines(text, lambda ln: ln.startswith("#"))),
     (_COMPUTE, _retouched_first_row),
+    *((_COMPUTE, tamper) for tamper in _NOT_THE_WRITERS_TEXT.values()),
 ], ids=["no-error-bound", "kind-h", "other-grid", "other-bound", "empty-compute", "empty-zoom",
-        "empty-bandwidth", "no-rows", "retouched-row"])
+        "empty-bandwidth", "no-rows", "retouched-row", *_NOT_THE_WRITERS_TEXT])
 def test_a_cache_hit_checks_what_it_reads(tmp_path, argv, tamper):
-    # An entry whose header is incomplete or names another request, or whose
-    # rows are missing, do not parse by its kind or do not match its
-    # rows_sha256, is recomputed and overwritten.
+    # An entry whose header is incomplete, names another request or is not
+    # the writer's text, or whose rows are missing, do not parse by its kind
+    # or do not match its rows_sha256, is recomputed and overwritten.
     cache = tmp_path / "c"
     cold, warm = str(tmp_path / "cold.csv"), str(tmp_path / "warm.csv")
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", cold]) == 0
@@ -577,6 +640,28 @@ def test_a_cache_hit_checks_what_it_reads(tmp_path, argv, tamper):
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", warm]) == 0
     assert open(warm, "rb").read() == open(cold, "rb").read()
     assert {path: path.read_text() for path in cache.iterdir()} == entries
+
+
+def test_a_cached_compute_renders_its_spectrum_at_most_once(tmp_path, monkeypatch):
+    # A miss renders the entry once and prints those bytes; a hit prints the
+    # bytes it read and renders nothing.
+    import kickspec.cli as cli
+
+    render, rendered = cli.spectrum_csv_text, []
+
+    def counted(s):
+        rendered.append(s)
+        return render(s)
+
+    monkeypatch.setattr(cli, "spectrum_csv_text", counted)
+    cache = tmp_path / "c"
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    assert dispatch(_COMPUTE + ["--cache-dir", str(cache), "--out", str(cold)]) == 0
+    assert len(rendered) == 1
+    assert dispatch(_COMPUTE + ["--cache-dir", str(cache), "--out", str(warm)]) == 0
+    assert len(rendered) == 1
+    (entry,) = cache.iterdir()
+    assert cold.read_bytes() == warm.read_bytes() == entry.read_bytes()
 
 
 def test_every_alpha_is_size_checked_before_the_first_sweep(tmp_path, monkeypatch, capsys):
