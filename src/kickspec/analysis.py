@@ -204,6 +204,13 @@ class ButterflyDataset:
         return int(self.values.size)
 
 
+def _butterfly_sweeps(kind, kappa: float, lam: float, q_max: int,
+                      grid_n: int) -> list[tuple[OperatorParams, GridSpec]]:
+    """The (params, grid) of each butterfly sweep, in Farey order."""
+    return [(OperatorParams(kind, kappa, lam, alpha, MOTHER), GridSpec(n, n))
+            for alpha in farey_rationals(q_max) for n in [max(1, round(grid_n / alpha.q))]]
+
+
 def butterfly(kind, kappa: float, lam: float, q_max: int, grid_n: int) -> ButterflyDataset:
     """Mother spectra over all Farey rationals with q <= q_max.
 
@@ -211,8 +218,7 @@ def butterfly(kind, kappa: float, lam: float, q_max: int, grid_n: int) -> Butter
     keeping the total point budget roughly flat across denominators.
     """
     kind = OperatorKind(kind)
-    sweeps = [(OperatorParams(kind, kappa, lam, alpha, MOTHER), GridSpec(n, n))
-              for alpha in farey_rationals(q_max) for n in [max(1, round(grid_n / alpha.q))]]
+    sweeps = _butterfly_sweeps(kind, kappa, lam, q_max, grid_n)
     for params, grid in sweeps:  # every sweep is size-checked before the first one runs
         _preflight(params, grid)
     vals = []
@@ -567,8 +573,9 @@ def check_config(check_id: str, cfg: dict) -> dict:
             parsed[key] = _PARSE[key](value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidParams(f"{cid}: bad {key} {value!r}: {exc}") from exc
-    if cid == "AUBRY_ANDRE" and parsed["lambda"] == 0:
-        raise InvalidParams("AUBRY_ANDRE requires lambda != 0")
+    if cid == "AUBRY_ANDRE" and parsed["lambda"] in (0.0, 1.0):
+        raise InvalidParams("AUBRY_ANDRE requires lambda != 0 and lambda != 1: at lambda = 1 "
+                            "both sweeps are sigma(1)")
     if cid == "LAST_MEASURE_TREND" and parsed["n"] < 2:
         raise InvalidParams("LAST_MEASURE_TREND requires n >= 2: on a one-node grid "
                             "every band has zero width")

@@ -11,12 +11,15 @@ certified.
 The spectrum is 1/q-periodic on both axes, so on a grid anchored at 0 node
 j mirrors node (n - j) mod n.  The sweep solves one node per mirror orbit:
 h, uh and ukh have the same eigenvalues at (x, theta), (-x, theta) and
-(x, -theta), uordkr only at (x, theta) and (-x, -theta).  The solved
-nodes carry the same eigenvalues as the full grid in exact arithmetic, so
-the sampled set, and with it the grid error bound, is unchanged.  The
-nodes are evaluated as one batched eigensolver call per chunk; results are
-pooled, sorted and deduplicated, so the outcome is a deterministic
-function of (params, grid).
+(x, -theta), uordkr only at (x, theta) and (-x, -theta).  At lambda = 1
+on a square grid, Aubry duality adds the swap (x, theta) -> (theta, x) for
+h, uh and ukh: the swapped Harper matrix is unitarily equivalent to the
+original, and the swapped ukh matrix to its two kicks taken in the other
+order, which has the same eigenvalues.  The solved nodes carry the same
+eigenvalues as the full grid in exact arithmetic, so the sampled set, and
+with it the grid error bound, is unchanged.  The nodes are evaluated as
+one batched eigensolver call per chunk; results are pooled, sorted and
+deduplicated, so the outcome is a deterministic function of (params, grid).
 """
 
 from __future__ import annotations
@@ -75,7 +78,9 @@ class GridSpec:
 
     Both axes are anchored at 0 and span [0, 1/q); n_theta is ignored for
     fixed-theta sweeps.  A sweep solves one node per mirror orbit of the
-    grid, where node j mirrors node (n - j) mod n (see _grid_pairs).
+    grid, where node j mirrors node (n - j) mod n; with n_x == n_theta the
+    two axes share one lattice, so a self-dual sweep also folds (j, k) onto
+    (k, j) (see _grid_pairs).
     """
 
     n_x: int
@@ -265,11 +270,23 @@ def _spectrum(params: OperatorParams, grid: GridSpec, values: np.ndarray) -> Spe
     )
 
 
+def _self_dual(params: OperatorParams, grid: GridSpec) -> bool:
+    """Whether the phase swap (x, theta) -> (theta, x) folds the sweep's grid.
+
+    It does for an h, uh or ukh mother sweep at lambda = 1 on a square grid:
+    Aubry duality keeps the eigenvalues, and equal n keeps the nodes on the grid.
+    """
+    return (params.is_mother and params.kind is not OperatorKind.UORDKR
+            and params.lam == 1.0 and grid.n_x == grid.n_theta)
+
+
 def _pair_count(params: OperatorParams, grid: GridSpec) -> int:
     """Number of grid nodes _grid_pairs returns: one per mirror orbit."""
     half_x, half_t = grid.n_x // 2 + 1, grid.n_theta // 2 + 1
     if not params.is_mother:
         return grid.n_x if params.kind is OperatorKind.UORDKR else half_x
+    if _self_dual(params, grid):
+        return half_x * (half_x + 1) // 2
     if params.kind is not OperatorKind.UORDKR:
         return half_x * half_t
     self_mirror = 2 - grid.n_x % 2  # x rows 0 and, for even n_x, n_x / 2
@@ -307,15 +324,19 @@ def _grid_pairs(params: OperatorParams, grid: GridSpec) -> tuple[np.ndarray, np.
     """One (x, theta) node per mirror orbit of the grid, as flat arrays.
 
     h, uh and ukh keep x and theta nodes 0..n // 2 (x only at fixed
-    theta).  uordkr keeps, of each joint mirror pair (j, k) and
-    (-j mod n_x, -k mod n_theta), the node with the lower flat index
-    j n_theta + k, and its whole fixed-theta axis.
+    theta); when the swap (x, theta) -> (theta, x) also holds (_self_dual),
+    of those only the triangle k <= j.  uordkr keeps, of each joint mirror
+    pair (j, k) and (-j mod n_x, -k mod n_theta), the node with the lower
+    flat index j n_theta + k, and its whole fixed-theta axis.
     """
     q, half_x = params.alpha.q, grid.n_x // 2 + 1
     if not params.is_mother:
         xs = grid.xs(q) if params.kind is OperatorKind.UORDKR else grid.xs(q)[:half_x]
         return xs, np.full(xs.size, params.fixed_theta(), dtype=np.float64)
     xs, ts = grid.xs(q)[:half_x], grid.thetas(q)
+    if _self_dual(params, grid):
+        j, k = np.tril_indices(half_x)
+        return xs[j], ts[k]
     half_t = grid.n_theta // 2 + 1
     if params.kind is not OperatorKind.UORDKR:
         return np.repeat(xs, half_t), np.tile(ts[:half_t], half_x)

@@ -55,6 +55,37 @@ def unitary_eigvals(u):
     return z[np.lexsort((z.imag, arg))]
 
 
+def kick(k, y, q, s):
+    """exp(-i 2 s G(k, y)), entrywise on the diagonal."""
+    return np.diag(np.exp(-2j * s * np.diag(cos_diag(k, y, q))))
+
+
+def operator_matrix(kind, kappa, lam, p, q, x, theta):
+    """The q x q matrix of one operator kind at (x, theta), from its formula.
+
+    h is 2 G(1, x) + 2 lambda F G(p, theta) F^{-1} and uh its exponential;
+    ukh is the product of the two kicks; uordkr is the x kick times the
+    exponential of lambda (z D C^p + its adjoint), z = exp(2 pi i beta),
+    beta = x + theta + p / 2q.
+    """
+    f = dft(q)
+    if kind in ("h", "uh"):
+        h = 2 * cos_diag(1, x, q) + 2 * lam * f @ cos_diag(p, theta, q) @ f.conj().T
+        return h if kind == "h" else expm_i(h, kappa)
+    if kind == "ukh":
+        return kick(1, x, q, kappa) @ f @ kick(p, theta, q, kappa * lam) @ f.conj().T
+    c, d = clock_shift(q)
+    dc = d @ np.linalg.matrix_power(c, p)
+    z = np.exp(2j * np.pi * (theta + p / (2 * q) + x))
+    return kick(1, x, q, kappa) @ expm_i(lam * (z * dc + np.conj(z) * dc.conj().T), kappa)
+
+
+def operator_eigvals(kind, kappa, lam, p, q, x, theta):
+    """Eigenvalues of operator_matrix: ascending for h, else by principal argument."""
+    m = operator_matrix(kind, kappa, lam, p, q, x, theta)
+    return np.linalg.eigvalsh(m) if kind == "h" else unitary_eigvals(m)
+
+
 def matrix_at(params, x):
     """The operator_stack matrix of params at (x, params.theta): code under test."""
     return operator_stack(params, [x], [params.fixed_theta()])[0]

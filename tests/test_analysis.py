@@ -306,6 +306,7 @@ def test_run_check_rejects_a_value_that_does_not_parse(cid, cfg):
     ("LAST_MEASURE_TREND", {"lambdas": [0.5, 2.0], "n": 4}),
     ("LAST_MEASURE_TREND", {"lambdas": [1.0], "n": 4}),
     ("LAST_MEASURE_TREND", {"n": 1}),
+    ("AUBRY_ANDRE", {"lambda": 1.0, "n": 4}),
 ])
 def test_a_config_that_measures_nothing_is_a_usage_error(cid, cfg):
     # Zero trials, an empty sweep or a one-node grid (every tracked band of

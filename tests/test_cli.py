@@ -417,7 +417,8 @@ def test_verify_parses_every_value_before_the_first_check(monkeypatch, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["--lambda", "0", "--grid", "4"], "AUBRY_ANDRE requires lambda != 0"),
     (["--grid", "1"], "LAST_MEASURE_TREND requires n >= 2"),
-], ids=["lambda-0", "grid-1"])
+    (["--lambda", "1", "--grid", "4"], "AUBRY_ANDRE requires lambda != 0 and lambda != 1"),
+], ids=["lambda-0", "grid-1", "lambda-1"])
 def test_verify_refuses_a_config_that_measures_nothing_before_it_sweeps(argv, message,
                                                                         monkeypatch, capsys):
     import kickspec.spectra as spectra
@@ -683,11 +684,15 @@ def test_every_alpha_is_size_checked_before_the_first_sweep(tmp_path, monkeypatc
 def test_every_butterfly_grid_is_size_checked_before_the_first_sweep(tmp_path, monkeypatch,
                                                                       capsys):
     import kickspec.spectra as spectra
+    from kickspec.analysis import _butterfly_sweeps
 
-    # At --grid 200, 1/2 gets a 100 x 100 grid, the largest estimate of farey:13,
-    # and 1/3 a 67 x 67 grid, the next; 28 alphas come before 1/2 in Farey order.
-    fits = spectra._sweep_bytes(params(p=1, q=3), GridSpec(67, 67))
-    too_big = spectra._sweep_bytes(params(p=1, q=2), GridSpec(100, 100))
+    # Memory between the largest estimate of the command's sweeps and the next
+    # one refuses only the largest, which comes after others in Farey order.
+    sweeps = _butterfly_sweeps("ukh", 1.0, 1.0, 13, 200)
+    need = [spectra._sweep_bytes(pa, grid) for pa, grid in sweeps]
+    too_big, fits = max(need), max(n for n in need if n < max(need))
+    largest = need.index(too_big)
+    assert largest > 0
     sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (fits + too_big) // 2 // 4096}
     monkeypatch.setattr(spectra.os, "sysconf", sizes.__getitem__)
     build, built = spectra.operator_stack, []
@@ -700,7 +705,7 @@ def test_every_butterfly_grid_is_size_checked_before_the_first_sweep(tmp_path, m
     out = tmp_path / "b.csv"
     code = dispatch(["butterfly", "--alpha-list", "farey:13", "--grid", "200", "--out", str(out)])
     assert code == 2
-    assert "at q = 2" in capsys.readouterr().err
+    assert f"at q = {sweeps[largest][0].alpha.q} needs" in capsys.readouterr().err
     assert built == []
     assert not out.exists()
 
@@ -735,18 +740,27 @@ V030_KEYS = {
 }
 
 
+# Keys of version 0.4.0, which solved both nodes of every self-dual swap pair.
+V040_KEYS = {
+    "ukh": "74ea5df9eb4702b1c8b1b3bded4535508c48b90c3204021a362f3f23b4a5eef6",
+    "h": "2a3e1a3db04dfaec37b8c2cb29eda3600b29d44fb8cd6967342fbea1c2a557a6",
+}
+
+
 def test_cache_keys_are_pinned():
     # Entries written by earlier versions stay valid only while these hold.
     ukh = cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER), GridSpec(5, 5))
     h = cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7))
-    assert ukh == "74ea5df9eb4702b1c8b1b3bded4535508c48b90c3204021a362f3f23b4a5eef6"
-    assert h == "2a3e1a3db04dfaec37b8c2cb29eda3600b29d44fb8cd6967342fbea1c2a557a6"
+    assert ukh == "eafe02055b1c4baf43a9e9714b7b9a429e7162918b3b9dc58bb35a3f4fbb7f4b"
+    assert h == "4d708e0acac2492ebe52a17478bf19bb0104982024c183e643e2bf7f2c7b0afe"
     # Version 0.1.0 swept every grid node, 0.2.0 built the theta kicks as
-    # dense Fourier products, and 0.3.0 wrote no rows_sha256 line; their
-    # entries differ in the last bits or in the header.
+    # dense Fourier products, 0.3.0 wrote no rows_sha256 line, and 0.4.0
+    # solved both nodes of each self-dual swap pair; their entries differ in
+    # the last bits or in the header.
     assert {ukh, h}.isdisjoint(V010_KEYS.values())
     assert {ukh, h}.isdisjoint(V020_KEYS.values())
     assert {ukh, h}.isdisjoint(V030_KEYS.values())
+    assert {ukh, h}.isdisjoint(V040_KEYS.values())
 
 
 def test_parent_cache_entry_is_not_served(tmp_path):

@@ -11,7 +11,7 @@ from kickspec.operators import (
     cos_rows,
     dcp_eigensystem,
 )
-from oracles import clock_shift, cos_diag, dft, expm_i, matrix_at, unitary_eigvals
+from oracles import clock_shift, cos_diag, dft, matrix_at, operator_matrix, unitary_eigvals
 
 ROOT8 = 2.0 * np.sqrt(2.0)
 
@@ -272,13 +272,7 @@ def test_ordkr_lambda_zero_is_first_kick_only():
 def _ordkr_via_exponential(p, x):
     """Independent route: exponential of the analytic Hermitian generator."""
     alpha = p.alpha
-    q = alpha.q
-    c, d = clock_shift(q)
-    dc = d @ np.linalg.matrix_power(c, alpha.p)
-    z = np.exp(2j * np.pi * (p.theta + alpha.value / 2.0 + x))
-    herm = z * dc + np.conj(z) * dc.conj().T  # 2 Re(z D C^p)
-    first = np.diag(np.exp(-2j * p.kappa * np.cos(2 * np.pi * (x + np.arange(q) / q))))
-    return first @ expm_i(p.lam * herm, p.kappa)
+    return operator_matrix("uordkr", p.kappa, p.lam, alpha.p, alpha.q, x, p.theta)
 
 
 def test_ordkr_two_routes_q2():

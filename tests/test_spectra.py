@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import subprocess
@@ -22,7 +23,7 @@ from kickspec.spectra import (
     tracked_bands,
 )
 from kickspec.analysis import hausdorff, run_check, total_bandwidth
-from oracles import expm_i, matrix_at, unitary_eigvals
+from oracles import expm_i, matrix_at, operator_eigvals, unitary_eigvals
 
 ROOT8 = 2.0 * np.sqrt(2.0)
 
@@ -255,6 +256,36 @@ def test_rotor_keeps_only_the_joint_reflection():
     assert max(one_x, one_t) > 1e-3
 
 
+def _swapped_distances(kind, lam, alphas, rng):
+    """Per alpha, the largest eigenvalue move under (x, theta) -> (theta, x).
+
+    Both sides come from oracles.operator_eigvals, not from operator_stack.
+    """
+    worst = []
+    for p, q in alphas:
+        moves = [set_distance(operator_eigvals(kind, kappa, lam, p, q, x, t),
+                              operator_eigvals(kind, kappa, lam, p, q, t, x))
+                 for kappa in (0.5, 3.0) for x, t in rng.random((2, 2))]
+        worst.append(max(moves))
+    return np.array(worst)
+
+
+@pytest.mark.parametrize("kind", ["h", "uh", "ukh"])
+def test_phase_swap_holds_at_the_self_dual_coupling(kind):
+    alphas = [(0, 1), (1, 2), (2, 7), (8, 13), (55, 89), (144, 233)]
+    assert np.all(_swapped_distances(kind, 1.0, alphas, np.random.default_rng(13)) <= 1e-12)
+
+
+@pytest.mark.parametrize("kind,lam", [
+    ("h", -1.0), ("h", 0.7), ("uh", -1.0), ("uh", 0.7), ("ukh", -1.0), ("ukh", 0.7),
+    ("uordkr", 1.0),
+])
+def test_phase_swap_fails_off_the_self_dual_coupling_and_for_the_rotor(kind, lam):
+    # The swap reduction must never reach these sweeps (spectra._self_dual).
+    alphas = [(2, 7), (3, 5), (8, 13)]
+    assert np.all(_swapped_distances(kind, lam, alphas, np.random.default_rng(14)) > 1e-3)
+
+
 def _full_pairs(pa, grid):
     """Every node of the grid, built without spectra._grid_pairs."""
     q = pa.alpha.q
@@ -268,8 +299,9 @@ def _full_pairs(pa, grid):
 @pytest.mark.parametrize("scope", ["fixed", "mother"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
 def test_reduced_grid_matches_the_full_grid(kind, scope, n, monkeypatch):
-    for p, q in [(0, 1), (1, 2), (2, 5), (8, 13)]:
-        pa = params(kind, 0.9, 1.3, p, q, theta=MOTHER if scope == "mother" else 0.37)
+    # At lambda = 1 h, uh and ukh mother sweeps also fold the phase swap.
+    for lam, (p, q) in itertools.product([1.3, 1.0], [(0, 1), (1, 2), (2, 5), (8, 13)]):
+        pa = params(kind, 0.9, lam, p, q, theta=MOTHER if scope == "mother" else 0.37)
         grid = GridSpec(n, n)
         run = mother_spectrum if scope == "mother" else spectrum_fixed_theta
         swept = run(pa, grid)
@@ -293,24 +325,43 @@ def test_reduced_grid_matches_the_full_grid(kind, scope, n, monkeypatch):
     ("uordkr", 0.3, GridSpec(400), 400),
 ])
 def test_representative_counts_are_pinned(kind, theta, grid, count):
-    pa = params(kind, 1.0, 1.0, 8, 13, theta=theta)
+    # lambda = 1.3: the mirror reflections alone.
+    pa = params(kind, 1.0, 1.3, 8, 13, theta=theta)
     xv, tv = spectra._grid_pairs(pa, grid)
     assert xv.size == tv.size == spectra._pair_count(pa, grid) == count
 
 
-@pytest.mark.parametrize("kind", ["ukh", "uordkr"])
-@pytest.mark.parametrize("n_x,n_theta", [(1, 1), (2, 5), (5, 2), (6, 6), (7, 4)])
-def test_representatives_cover_every_mirror_orbit_once(kind, n_x, n_theta):
-    pa, grid = params(kind, 1.0, 1.0, 2, 5, theta=MOTHER), GridSpec(n_x, n_theta)
+@pytest.mark.parametrize("kind,grid,count", [
+    ("h", GridSpec(48, 48), 325),
+    ("uh", GridSpec(48, 48), 325),
+    ("ukh", GridSpec(48, 48), 325),
+    ("uordkr", GridSpec(48, 48), 1154),
+    ("ukh", GridSpec(48, 47), 600),
+])
+def test_self_dual_representative_counts_are_pinned(kind, grid, count):
+    # lambda = 1: on a square grid h, uh and ukh keep the triangle k <= j of
+    # the 25 x 25 mirror representatives; the rotor and a 48 x 47 grid do not.
+    pa = params(kind, 1.0, 1.0, 8, 13, theta=MOTHER)
     xv, tv = spectra._grid_pairs(pa, grid)
-    j, k = np.rint(xv * 5 * n_x).astype(int), np.rint(tv * 5 * n_theta).astype(int)
-    if kind == "uordkr":
-        orbits = [{(a, b), (-a % n_x, -b % n_theta)} for a, b in zip(j, k)]
-    else:
-        orbits = [{(a, b), (-a % n_x, b), (a, -b % n_theta), (-a % n_x, -b % n_theta)}
-                  for a, b in zip(j, k)]
-    covered = [node for orbit in orbits for node in orbit]
-    assert len(covered) == len(set(covered)) == n_x * n_theta
+    assert xv.size == tv.size == spectra._pair_count(pa, grid) == count
+
+
+@pytest.mark.parametrize("kind", ["h", "ukh", "uordkr"])
+@pytest.mark.parametrize("n_x,n_theta", [(1, 1), (2, 5), (5, 2), (6, 6), (7, 4), (7, 7)])
+def test_representatives_cover_every_mirror_orbit_once(kind, n_x, n_theta):
+    for lam in (1.3, 1.0):
+        pa, grid = params(kind, 1.0, lam, 2, 5, theta=MOTHER), GridSpec(n_x, n_theta)
+        xv, tv = spectra._grid_pairs(pa, grid)
+        j, k = np.rint(xv * 5 * n_x).astype(int), np.rint(tv * 5 * n_theta).astype(int)
+        if kind == "uordkr":
+            orbits = [{(a, b), (-a % n_x, -b % n_theta)} for a, b in zip(j, k)]
+        else:
+            orbits = [{(a, b), (-a % n_x, b), (a, -b % n_theta), (-a % n_x, -b % n_theta)}
+                      for a, b in zip(j, k)]
+        if kind != "uordkr" and lam == 1.0 and n_x == n_theta:
+            orbits = [orbit | {(b, a) for a, b in orbit} for orbit in orbits]
+        covered = [node for orbit in orbits for node in orbit]
+        assert len(covered) == len(set(covered)) == n_x * n_theta
 
 
 def test_sweep_size_estimate():
@@ -319,14 +370,17 @@ def test_sweep_size_estimate():
     # or 5 (general route) complex q x q arrays per row of a chunk of
     # min(m, 2^16 // q^2) matrices, and the int64 circulant index with the
     # rotor's complex E.
-    ukh = params("ukh", 1.0, 1.0, 8, 13, theta=MOTHER)
+    ukh = params("ukh", 1.0, 1.3, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(ukh, GridSpec(48, 48)) == (
         625 * (2 * 8 + 5 * 16 * 13) + (16 * 7 * 387 + 8 + 16) * 169)
-    rotor = params("uordkr", 1.0, 1.0, 8, 13, theta=MOTHER)
+    rotor = params("uordkr", 1.0, 1.3, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(rotor, GridSpec(48, 48)) == (
         1154 * 1056 + (16 * 7 * 387 + 24) * 169)
     huge = GridSpec(3_000_000, 3_000_000)
     assert spectra._sweep_bytes(ukh, huge) == 1_500_001 ** 2 * 1056 + (16 * 7 * 387 + 24) * 169
+    # At lambda = 1 the swap leaves 325 pairs, fewer than a chunk holds.
+    dual = params("ukh", 1.0, 1.0, 8, 13, theta=MOTHER)
+    assert spectra._sweep_bytes(dual, GridSpec(48, 48)) == 325 * 1056 + (16 * 7 * 325 + 24) * 169
     assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 3), huge) == (
         1_500_001 * (16 + 240) + (16 * 2 * 7281 + 24) * 9)
     # One matrix at large q: the q x q arrays, not the eigenvalues, dominate.
