@@ -233,8 +233,10 @@ def butterfly(kind, kappa: float, lam: float, q_max: int, grid_n: int) -> Butter
     p, q, v = p[order], q[order], v[order]
     for arr in (p, q, v):
         arr.setflags(write=False)
-    return ButterflyDataset(kind=kind, kappa=float(kappa), lam=float(lam),
-                            q_max=int(q_max), grid_n=int(grid_n), p=p, q=q, values=v)
+    # The kappa swept: kind H has none, and OperatorParams records it as 0.
+    return ButterflyDataset(kind=kind, kappa=0.0 if kind is OperatorKind.H else float(kappa),
+                            lam=float(lam), q_max=int(q_max), grid_n=int(grid_n),
+                            p=p, q=q, values=v)
 
 
 # -- zoom windows ---------------------------------------------------------------

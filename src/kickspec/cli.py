@@ -100,28 +100,31 @@ def _rows_sha256(rows: list[str]) -> str:
     return hashlib.sha256("\n".join([*rows, ""]).encode("utf-8")).hexdigest()
 
 
-def _header_lines(s: SpectrumSet) -> list[str]:
-    """The header lines spectrum_csv_text writes for s before its rows_sha256 line."""
-    lines = [f"# kind={s.params.kind.value}" if s.params else f"# kind={s.kind.value}"]
-    if s.params is not None:
-        lines += [
-            f"# kappa={s.params.kappa!r}",
-            f"# lambda={s.params.lam!r}",
-            f"# alpha={s.params.alpha}",
-            f"# theta={MOTHER if s.params.is_mother else repr(s.params.theta)}",
-        ]
-    if s.grid is not None:
-        lines += [f"# n_x={s.grid.n_x}", f"# n_theta={s.grid.n_theta}"]
-    return [*lines, f"# error_bound={s.error_bound!r}"]
+def _header_lines(params: OperatorParams, grid: GridSpec) -> list[str]:
+    """The one description of a request: its spectrum CSV's lines before rows_sha256."""
+    return [
+        f"# kind={params.kind.value}",
+        f"# kappa={params.kappa!r}",
+        f"# lambda={params.lam!r}",
+        f"# alpha={params.alpha}",
+        f"# theta={MOTHER if params.is_mother else repr(params.theta)}",
+        f"# n_x={grid.n_x}",
+        f"# n_theta={grid.n_theta}",
+        f"# error_bound={grid_error_bound(params, grid)!r}",
+    ]
 
 
 def spectrum_csv_text(s: SpectrumSet) -> str:
+    """The spectrum CSV of a sweep's spectrum; any other spectrum is refused."""
+    if s.params is None or s.grid is None or s.error_bound != grid_error_bound(s.params, s.grid):
+        raise InvalidParams("only a sweep's spectrum, with its params, grid and bound, is written")
     if s.kind is SpectrumKind.REAL_LINE:
         rows = [_fmt(v) for v in s.points]
     else:
         phases = principal_args(s.points)
         rows = [f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(ph)}" for z, ph in zip(s.points, phases)]
-    return "\n".join([*_header_lines(s), f"# rows_sha256={_rows_sha256(rows)}", *rows, ""])
+    return "\n".join([*_header_lines(s.params, s.grid), f"# rows_sha256={_rows_sha256(rows)}",
+                      *rows, ""])
 
 
 def write_spectrum_csv(s: SpectrumSet, path: str) -> str:
@@ -136,50 +139,44 @@ def read_spectrum_csv(path: str) -> SpectrumSet:
     return read_spectrum_text(path)[0]
 
 
-def read_spectrum_text(path: str) -> tuple[SpectrumSet, str]:
-    """The spectrum a spectrum_csv_text file holds, and the file's text.
+def read_spectrum_text(
+    path: str, request: tuple[OperatorParams, GridSpec] | None = None
+) -> tuple[SpectrumSet, str]:
+    """The spectrum a spectrum CSV file holds for a request, and the file's text.
 
-    The file is accepted only as the writer writes it: its header lines
-    are _header_lines of the spectrum it describes (same text, same
-    order), its rows hash to its rows_sha256 and they parse.  Anything
-    else raises MalformedSpectrumFile.
+    The request (params, grid) defaults to the one the file's kind, kappa,
+    lambda, alpha, theta, n_x and n_theta lines name.  One rule accepts the
+    file: its header lines are _header_lines(params, grid), its rows match
+    its rows_sha256 line, it has at least one row and the rows parse by
+    params.kind.  Anything else raises MalformedSpectrumFile.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
-        return _parse_spectrum_csv(text), text
+        if request is None:
+            value = dict(ln[2:].partition("=")[::2] for ln in text.split("\n", 7)[:7])
+            request = (OperatorParams(*(_PARSE[key](value[key])
+                                        for key in ("kind", "kappa", "lambda", "alpha", "theta"))),
+                       GridSpec(int(value["n_x"]), int(value["n_theta"])))
+        params, grid = request
+        header = _header_lines(params, grid)
+        *lines, last = text.split("\n")
+        rows = lines[len(header) + 1:]
+        if last or not rows or lines[:len(header) + 1] != [
+                *header, f"# rows_sha256={_rows_sha256(rows)}"]:
+            raise ValueError("not this request's header, or no rows matching rows_sha256")
+        # Rows are read by the request's kind: one number on the line, three on the circle.
+        if params.kind is OperatorKind.H:
+            kind, values = SpectrumKind.REAL_LINE, [float(row) for row in rows]
+        else:
+            kind, values = SpectrumKind.UNIT_CIRCLE, [
+                complex(float(re_s), float(im_s))
+                for re_s, im_s, _ in (row.split(",") for row in rows)]
+        s = SpectrumSet.build(kind, np.asarray(values), params=params, grid=grid,
+                              error_bound=grid_error_bound(params, grid))
+        return s, text
     except (ValueError, KeyError, UsageError) as exc:
         raise MalformedSpectrumFile(f"malformed spectrum file {path}: {exc!r}") from exc
-
-
-def _parse_spectrum_csv(text: str) -> SpectrumSet:
-    lines = text.split("\n")
-    if lines.pop() != "":
-        raise ValueError("no newline at the end of the file")
-    n_head = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
-    *header, digest = lines[:n_head]
-    rows = lines[n_head:]
-    if digest != f"# rows_sha256={_rows_sha256(rows)}":
-        raise ValueError("rows do not match rows_sha256")
-    value = dict(ln[2:].partition("=")[::2] for ln in header)
-    params = grid = None
-    if "kappa" in value:
-        params = OperatorParams(*(_PARSE[key](value[key])
-                                  for key in ("kind", "kappa", "lambda", "alpha", "theta")))
-    if "n_x" in value:
-        grid = GridSpec(int(value["n_x"]), int(value["n_theta"]))
-    # Rows are read by the header's kind: one number on the line, three on the circle.
-    header_kind = params.kind if params else SpectrumKind(value["kind"])
-    if header_kind in (OperatorKind.H, SpectrumKind.REAL_LINE):
-        kind, values = SpectrumKind.REAL_LINE, [float(row) for row in rows]
-    else:
-        kind, values = SpectrumKind.UNIT_CIRCLE, [
-            complex(float(re_s), float(im_s)) for re_s, im_s, _ in (row.split(",") for row in rows)]
-    s = SpectrumSet.build(kind, np.asarray(values), params=params, grid=grid,
-                          error_bound=float(value["error_bound"]))
-    if header != _header_lines(s):
-        raise ValueError("the header is not the one spectrum_csv_text writes for its values")
-    return s
 
 
 # -- ring SVG ------------------------------------------------------------------
@@ -226,21 +223,9 @@ def write_rings_svg(spectra: list[SpectrumSet], path: str) -> None:
 # -- cache ---------------------------------------------------------------------
 
 def cache_key(params: OperatorParams, grid: GridSpec) -> str:
-    """Stable hash of everything a spectrum depends on; any change changes it."""
-    payload = {
-        "kind": params.kind.value,
-        "kappa": params.kappa,
-        "lambda": params.lam,
-        "p": params.alpha.p,
-        "q": params.alpha.q,
-        "scope": MOTHER if params.is_mother else "fixed",
-        "theta": None if params.is_mother else params.theta,
-        "n_x": grid.n_x,
-        "n_theta": grid.n_theta,
-        "tolerances": [UNIT_MODULUS_TOL, DEDUP_TOL],
-        "version": __version__,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """SHA-256 of the version, the tolerances and the request's header lines."""
+    blob = "\n".join([__version__, repr(UNIT_MODULUS_TOL), repr(DEDUP_TOL),
+                      *_header_lines(params, grid)])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -256,14 +241,9 @@ def compute_spectrum(
         return _compute(params, grid), None
     path = os.path.join(cache_dir, cache_key(params, grid) + ".csv")
     try:
-        s, text = read_spectrum_text(path)
+        return read_spectrum_text(path, (params, grid))
     except (FileNotFoundError, MalformedSpectrumFile):
-        s = None
-    # A missing, unreadable or empty entry, or one that is not of this request,
-    # is a miss: recompute and overwrite it.
-    if s is not None and len(s) and (s.params, s.grid, s.error_bound) == (
-            params, grid, grid_error_bound(params, grid)):
-        return s, text
+        pass  # a missing entry, or one not accepted for this request, is recomputed
     s = _compute(params, grid)
     return s, write_spectrum_csv(s, path)
 
@@ -290,16 +270,18 @@ def _floats(text: str) -> list[float]:
 
 
 def _alpha_list(text: str) -> list[RationalAlpha]:
-    """farey:qmax, or fib:a..b for the a-th to b-th golden-ratio convergents."""
+    """farey:qmax, or fib:a..b for the a-th to b-th golden-ratio convergents; never empty."""
     kind, _, arg = text.partition(":")
     if kind == "farey":
-        return farey_rationals(int(arg))
+        q_max = int(arg)
+        if q_max >= 2:  # farey:1 names no alpha
+            return farey_rationals(q_max)
     if kind == "fib":
         a, _, b = arg.partition("..")
         lo, hi = int(a), int(b)
         if 1 <= lo <= hi:
             return golden_convergents(hi)[lo - 1:]
-    raise ValueError("expected fib:a..b with 1 <= a <= b, or farey:qmax")
+    raise ValueError("expected fib:a..b with 1 <= a <= b, or farey:qmax with qmax >= 2")
 
 
 def _operators(args, alphas=()) -> tuple[list[float], float, GridSpec, list[OperatorParams]]:
@@ -435,16 +417,11 @@ def _cmd_bandwidth(args) -> int:
             raise InvalidParams("--merge-gap must be auto, track or a number > 0, "
                                 f"got {args.merge_gap!r}")
     alphas = _parsed("--alpha-list", _alpha_list, args.alpha_list)
-    kappas, lam, grid, params = _operators(args, alphas)
-    lines = [
-        f"# kind={args.kind}",
-        f"# kappa={kappas[0]!r}",
-        f"# lambda={lam!r}",
-        f"# n_x={grid.n_x}",
-        f"# n_theta={grid.n_theta}",
-        f"# merge_gap={args.merge_gap}",
-        "p,q,alpha,bands,width,error_bound",
-    ]
+    _, _, grid, params = _operators(args, alphas)
+    # The sweeps' shared header: the request's lines but the per-alpha ones.
+    lines = [ln for ln in _header_lines(params[0], grid)
+             if not ln.startswith(("# alpha=", "# error_bound="))]
+    lines += [f"# merge_gap={args.merge_gap}", "p,q,alpha,bands,width,error_bound"]
     for pa in params:
         if gap == "track":
             bands = tracked_bands(pa, grid)
@@ -465,7 +442,7 @@ def _cmd_bandwidth(args) -> int:
 def _cmd_butterfly(args) -> int:
     if not args.alpha_list.startswith("farey:"):
         raise InvalidParams("butterfly sweeps Farey rationals; use --alpha-list farey:qmax")
-    q_max = _parsed("--alpha-list", lambda text: int(text.partition(":")[2]), args.alpha_list)
+    q_max = max(a.q for a in _parsed("--alpha-list", _alpha_list, args.alpha_list))
     kappas, lam, grid, _ = _operators(args)
     ds = butterfly_dataset(args.kind, kappas[0], lam, q_max, grid.n_x)
     lines = [

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -11,10 +12,13 @@ from hypothesis import strategies as st
 
 from kickspec.cli import (
     _fmt,
+    _header_lines,
     build_parser,
     cache_key,
+    compute_spectrum,
     dispatch,
     read_spectrum_csv,
+    read_spectrum_text,
     spectrum_csv_text,
     write_rings_svg,
     write_spectrum_csv,
@@ -27,6 +31,7 @@ from kickspec.spectra import (
     SpectrumSet,
     grid_error_bound,
     mother_spectrum,
+    spectrum_fixed_theta,
 )
 
 
@@ -64,9 +69,26 @@ def test_fmt_is_numpys_17_digit_positional_form():
 
 
 def test_single_point_csv_row():
-    s = SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, [1.0 + 0.0j])
+    # ukh at kappa = 0 is the identity: one point, 1.
+    s = spectrum_fixed_theta(params(kappa=0.0, theta=0.0), GridSpec(1))
+    assert len(s) == 1
     text = spectrum_csv_text(s)
     assert text.splitlines()[-1] == "1.00000000000000000,0,0"
+
+
+def test_the_writer_refuses_a_spectrum_that_is_not_a_sweeps(tmp_path):
+    s = mother_spectrum(params(), GridSpec(3, 3))
+    path = tmp_path / "s.csv"
+    for other in [
+        SpectrumSet.build(SpectrumKind.REAL_LINE, [-1.5, 0.25, 3.0]),
+        SpectrumSet.build(s.kind, s.points, params=s.params, error_bound=s.error_bound),
+        SpectrumSet.build(s.kind, s.points, grid=s.grid, error_bound=s.error_bound),
+        SpectrumSet.build(s.kind, s.points, params=s.params, grid=s.grid,
+                          error_bound=2 * s.error_bound),
+    ]:
+        with pytest.raises(InvalidParams):
+            write_spectrum_csv(other, str(path))
+        assert not path.exists()
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -98,20 +120,16 @@ def test_csv_real_line_round_trip(tmp_path):
     assert np.array_equal(back.points, s.points)
 
 
-def test_csv_synthetic_real_line_round_trip(tmp_path):
-    s = SpectrumSet.build(SpectrumKind.REAL_LINE, [-1.5, 0.25, 3.0])
-    path = str(tmp_path / "bare.csv")
-    write_spectrum_csv(s, path)
-    back = read_spectrum_csv(path)
-    assert back.kind is SpectrumKind.REAL_LINE
-    assert np.array_equal(back.points, s.points)
-
-
 def test_bad_list_values_are_exit_2(capsys):
     fib = ["bandwidth", "--alpha-list", "fib:1..3", "--grid", "4", "--merge-gap"]
     cases = [
         ("--alpha-list", ["bandwidth", "--alpha-list", "farey:x", "--grid", "3"]),
         ("--alpha-list", ["butterfly", "--alpha-list", "fib:1..2", "--grid", "3"]),
+        # Lists that name no alpha.
+        ("--alpha-list", ["bandwidth", "--alpha-list", "farey:1", "--grid", "3"]),
+        ("--alpha-list", ["butterfly", "--alpha-list", "farey:1", "--grid", "3"]),
+        ("--alpha-list", ["bandwidth", "--alpha-list", "farey:0", "--grid", "3"]),
+        ("--alpha-list", ["butterfly", "--alpha-list", "farey:0", "--grid", "3"]),
         ("--factors", ["zoom", "--alpha", "1/3", "--grid", "3", "--factors", "2,nope"]),
         ("--factors", ["zoom", "--alpha", "3/5", "--grid", "4", "--factors", "nan"]),
         ("--factors", ["zoom", "--alpha", "3/5", "--grid", "2", "--factors", ","]),
@@ -148,9 +166,46 @@ def test_usage_error_sweeps_and_writes_nothing(tmp_path, capsys, argv):
     capsys.readouterr()
 
 
-def test_csv_fixed_theta_round_trip(tmp_path):
-    from kickspec.spectra import spectrum_fixed_theta
+@st.composite
+def requests(draw, q_max=13):
+    """A sweep request (params, grid) on a grid of at most 3 x 3 nodes."""
+    q = draw(st.integers(1, q_max))
+    p = draw(st.sampled_from([p for p in range(q) if math.gcd(p, q) == 1]))
+    theta = draw(st.just(MOTHER) | st.sampled_from([0.0, 0.25, 1.25])
+                 | st.floats(0.0, 1.0, exclude_max=True))
+    pa = params(kind=draw(st.sampled_from(["h", "uh", "ukh", "uordkr"])),
+                kappa=draw(st.sampled_from([0.5, 1.0])), p=p, q=q, theta=theta)
+    return pa, GridSpec(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
 
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@given(req=requests())
+@settings(max_examples=60, deadline=None)
+def test_a_sweeps_csv_round_trips(csv_dir, req):
+    pa, grid = req
+    s = (mother_spectrum if pa.is_mother else spectrum_fixed_theta)(pa, grid)
+    path = str(csv_dir / "s.csv")
+    write_spectrum_csv(s, path)
+    back = read_spectrum_csv(path)
+    assert (back.kind, back.params, back.grid, back.error_bound) == (
+        s.kind, s.params, s.grid, s.error_bound)
+    assert np.array_equal(back.points, s.points)
+
+
+@given(a=requests(q_max=3), b=requests(q_max=3))
+@example(a=(params("h", kappa=0.5), GridSpec(2, 3)), b=(params("h"), GridSpec(2, 3)))
+@example(a=(params(theta=0.25), GridSpec(2, 3)), b=(params(theta=1.25), GridSpec(2, 3)))
+@example(a=(params(theta=0.25), GridSpec(2, 3)), b=(params(theta=0.25), GridSpec(2, 2)))
+@settings(max_examples=100, deadline=None)
+def test_cache_keys_are_equal_exactly_when_headers_are(a, b):
+    assert (cache_key(*a) == cache_key(*b)) == (_header_lines(*a) == _header_lines(*b))
+
+
+def test_csv_fixed_theta_round_trip(tmp_path):
     s = spectrum_fixed_theta(params(theta=0.125), GridSpec(7))
     path = str(tmp_path / "f.csv")
     write_spectrum_csv(s, path)
@@ -517,6 +572,27 @@ def test_butterfly_command(tmp_path):
     assert len(lines) > 1
 
 
+def test_table_headers_describe_the_sweep(tmp_path):
+    # A bandwidth table records the theta it swept, and bandwidth and
+    # butterfly tables the kappa: 0.0 for kind h, as in its spectrum CSV.
+    def header(argv):
+        out = tmp_path / "t.csv"
+        assert dispatch(argv + ["--out", str(out)]) == 0
+        return [ln for ln in out.read_text().splitlines() if ln.startswith("#")]
+
+    bandwidth = ["bandwidth", "--alpha-list", "fib:1..2", "--grid", "4"]
+    assert "# theta=mother" in header(bandwidth + ["--theta", "mother"])
+    assert "# theta=0.3" in header(bandwidth + ["--theta", "0.3"])
+    h = ["--kind", "h", "--kappa", "2", "--theta", "0.3", "--grid", "4"]
+    spectrum = header(["compute", "--alpha", "1/2"] + h)
+    table = header(["bandwidth", "--alpha-list", "fib:1..2"] + h)
+    assert "# kappa=0.0" in spectrum
+    assert set(table) - set(spectrum) == {"# merge_gap=auto"}
+    butterfly = header(["butterfly", "--alpha-list", "farey:3", "--kind", "h", "--kappa", "2",
+                        "--grid", "4"])
+    assert "# kappa=0.0" in butterfly
+
+
 def test_zoom_command(tmp_path):
     out = str(tmp_path / "z.csv")
     code = dispatch([
@@ -643,6 +719,20 @@ def test_a_cache_hit_checks_what_it_reads(tmp_path, argv, tamper):
     assert {path: path.read_text() for path in cache.iterdir()} == entries
 
 
+def test_a_file_of_another_request_is_not_accepted(tmp_path):
+    # A valid file of 2/3 planted under the key of 1/3: only its alpha line
+    # differs from this request's header, and it is recomputed.
+    mine, other, grid = params(p=1, q=3), params(p=2, q=3), GridSpec(3, 3)
+    entry = tmp_path / (cache_key(mine, grid) + ".csv")
+    write_spectrum_csv(mother_spectrum(other, grid), str(entry))
+    assert read_spectrum_csv(str(entry)).params == other
+    with pytest.raises(MalformedSpectrumFile):
+        read_spectrum_text(str(entry), (mine, grid))
+    s, text = compute_spectrum(mine, grid, str(tmp_path))
+    assert s.params == mine
+    assert text == entry.read_text() == spectrum_csv_text(mother_spectrum(mine, grid))
+
+
 def test_a_cached_compute_renders_its_spectrum_at_most_once(tmp_path, monkeypatch):
     # A miss renders the entry once and prints those bytes; a hit prints the
     # bytes it read and renders nothing.
@@ -747,20 +837,29 @@ V040_KEYS = {
 }
 
 
+# Keys of version 0.5.0, which hashed a JSON payload of the request.
+V050_KEYS = {
+    "ukh": "eafe02055b1c4baf43a9e9714b7b9a429e7162918b3b9dc58bb35a3f4fbb7f4b",
+    "h": "4d708e0acac2492ebe52a17478bf19bb0104982024c183e643e2bf7f2c7b0afe",
+}
+
+
 def test_cache_keys_are_pinned():
     # Entries written by earlier versions stay valid only while these hold.
     ukh = cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER), GridSpec(5, 5))
     h = cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7))
-    assert ukh == "eafe02055b1c4baf43a9e9714b7b9a429e7162918b3b9dc58bb35a3f4fbb7f4b"
-    assert h == "4d708e0acac2492ebe52a17478bf19bb0104982024c183e643e2bf7f2c7b0afe"
+    assert ukh == "c1499a57b2adc935e37498bbc5cca88ead5cbe9027f2e5533bd43230ad50c31a"
+    assert h == "58cd6a2dcba2eae7b613e507b1353125c2e6fafd7e20d5160f709dd6e35b261f"
     # Version 0.1.0 swept every grid node, 0.2.0 built the theta kicks as
     # dense Fourier products, 0.3.0 wrote no rows_sha256 line, and 0.4.0
     # solved both nodes of each self-dual swap pair; their entries differ in
-    # the last bits or in the header.
+    # the last bits or in the header.  0.5.0 wrote the same entries under
+    # keys of a JSON payload; they are recomputed, not served.
     assert {ukh, h}.isdisjoint(V010_KEYS.values())
     assert {ukh, h}.isdisjoint(V020_KEYS.values())
     assert {ukh, h}.isdisjoint(V030_KEYS.values())
     assert {ukh, h}.isdisjoint(V040_KEYS.values())
+    assert {ukh, h}.isdisjoint(V050_KEYS.values())
 
 
 def test_parent_cache_entry_is_not_served(tmp_path):
@@ -772,9 +871,11 @@ def test_parent_cache_entry_is_not_served(tmp_path):
     s = read_spectrum_csv(cold)
     planted = SpectrumSet.build(s.kind, s.points * np.exp(0.125j), params=s.params,
                                 grid=s.grid, error_bound=s.error_bound)
-    write_spectrum_csv(planted, str(cache / (V010_KEYS["ukh"] + ".csv")))
+    for keys in (V010_KEYS, V050_KEYS):
+        write_spectrum_csv(planted, str(cache / (keys["ukh"] + ".csv")))
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", warm]) == 0
     assert open(warm, "rb").read() == open(cold, "rb").read()
+    assert len(os.listdir(cache)) == 3
 
 
 def test_cache_differential_and_clear(tmp_path):
