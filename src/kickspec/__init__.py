@@ -4,7 +4,7 @@ q x q representations, with certified grid-error bounds and an analysis
 suite that turns the family's spectral identities into executable checks.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .analysis import (
     ButterflyDataset,

@@ -492,10 +492,18 @@ def _cmd_verify(args) -> int:
         raise InvalidParams(f"verify --check {args.check} does not read "
                             f"{', '.join(flag[k] for k in unread)}")
     # Every check's config is parsed and checked before the first check sweeps;
-    # run_check's parsers accept their own output.
+    # run_check's parsers accept their own output.  Of several checks, one whose
+    # own rule refuses the values is left out, and named on the error stream.
     cfg = {k: _parsed(flag[k], _PARSE[k], v) for k, v in cfg.items()}
-    cfgs = [check_config(cid, {k: v for k, v in cfg.items() if k in keys[cid]}) for cid in ids]
-    reports = [run_check(cid, c).to_dict() for cid, c in zip(ids, cfgs)]
+    cfgs = {}
+    for cid in ids:
+        try:
+            cfgs[cid] = check_config(cid, {k: v for k, v in cfg.items() if k in keys[cid]})
+        except InvalidParams as exc:
+            if len(ids) == 1:
+                raise
+            print(f"spectra: verify: leaving out {cid}: {exc}", file=sys.stderr)
+    reports = [run_check(cid, c).to_dict() for cid, c in cfgs.items()]
     text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)
     return 0

@@ -11,15 +11,20 @@ certified.
 The spectrum is 1/q-periodic on both axes, so on a grid anchored at 0 node
 j mirrors node (n - j) mod n.  The sweep solves one node per mirror orbit:
 h, uh and ukh have the same eigenvalues at (x, theta), (-x, theta) and
-(x, -theta), uordkr only at (x, theta) and (-x, -theta).  At lambda = 1
-on a square grid, Aubry duality adds the swap (x, theta) -> (theta, x) for
-h, uh and ukh: the swapped Harper matrix is unitarily equivalent to the
-original, and the swapped ukh matrix to its two kicks taken in the other
-order, which has the same eigenvalues.  The solved nodes carry the same
-eigenvalues as the full grid in exact arithmetic, so the sampled set, and
-with it the grid error bound, is unchanged.  The nodes are evaluated as
-one batched eigensolver call per chunk; results are pooled, sorted and
-deduplicated, so the outcome is a deterministic function of (params, grid).
+(x, -theta).  uordkr has that group in the sheared phases (x, beta), with
+beta = x + theta + alpha/2 + phi the phase of its theta kick: on a square
+grid it folds (x, beta) -> (-x, beta) and (x, -beta), on a rectangular one
+only the joint (x, theta) -> (-x, -theta).  At lambda = 1 on a square grid,
+Aubry duality adds the swap (x, theta) -> (theta, x) for h, uh and ukh: the
+swapped Harper matrix is unitarily equivalent to the original, and the
+swapped ukh matrix to its two kicks taken in the other order, which has
+the same eigenvalues.  For uordkr it adds (x, beta) -> (beta, x) when beta,
+too, falls on the x nodes, that is when s = n q (alpha/2 + phi) is an
+integer.  The solved nodes carry the same eigenvalues as the full grid in
+exact arithmetic, so the sampled set, and with it the grid error bound, is
+unchanged.  The nodes are evaluated as one batched eigensolver call per
+chunk; results are pooled, sorted and deduplicated, so the outcome is a
+deterministic function of (params, grid).
 """
 
 from __future__ import annotations
@@ -80,7 +85,8 @@ class GridSpec:
     fixed-theta sweeps.  A sweep solves one node per mirror orbit of the
     grid, where node j mirrors node (n - j) mod n; with n_x == n_theta the
     two axes share one lattice, so a self-dual sweep also folds (j, k) onto
-    (k, j) (see _grid_pairs).
+    (k, j), and a uordkr sweep folds the nodes b = j + k + s of its
+    sheared phase beta as ukh folds k (see _grid_pairs).
     """
 
     n_x: int
@@ -270,14 +276,30 @@ def _spectrum(params: OperatorParams, grid: GridSpec, values: np.ndarray) -> Spe
     )
 
 
-def _self_dual(params: OperatorParams, grid: GridSpec) -> bool:
-    """Whether the phase swap (x, theta) -> (theta, x) folds the sweep's grid.
+def _shear(params: OperatorParams, grid: GridSpec) -> int | None:
+    """2s for a uordkr mother sweep on a square grid, else None.
 
-    It does for an h, uh or ukh mother sweep at lambda = 1 on a square grid:
-    Aubry duality keeps the eigenvalues, and equal n keeps the nodes on the grid.
+    There the node (j, k) has the sheared phase beta = (j + k + s) / (n q),
+    with s = n q (alpha/2 + phi) = n (p + odd) / 2 and odd = p (q - 1) mod 2,
+    the parity that sets phi (operators.dcp_eigensystem).
     """
-    return (params.is_mother and params.kind is not OperatorKind.UORDKR
-            and params.lam == 1.0 and grid.n_x == grid.n_theta)
+    if params.kind is not OperatorKind.UORDKR or grid.n_x != grid.n_theta:
+        return None
+    p, q = params.alpha.p, params.alpha.q
+    return grid.n_x * (p + p * (q - 1) % 2)
+
+
+def _self_dual(params: OperatorParams, grid: GridSpec) -> bool:
+    """Whether the phase swap folds the sweep's grid.
+
+    It does for a mother sweep at lambda = 1 on a square grid, where
+    Aubry duality keeps the eigenvalues under (x, theta) -> (theta, x) for
+    h, uh and ukh and under (x, beta) -> (beta, x) for uordkr; equal n keeps
+    the swapped node on the grid, and for uordkr so does an integer s.
+    """
+    two_s = _shear(params, grid)
+    return (params.is_mother and params.lam == 1.0 and grid.n_x == grid.n_theta
+            and (two_s is None or two_s % 2 == 0))
 
 
 def _pair_count(params: OperatorParams, grid: GridSpec) -> int:
@@ -287,7 +309,7 @@ def _pair_count(params: OperatorParams, grid: GridSpec) -> int:
         return grid.n_x if params.kind is OperatorKind.UORDKR else half_x
     if _self_dual(params, grid):
         return half_x * (half_x + 1) // 2
-    if params.kind is not OperatorKind.UORDKR:
+    if params.kind is not OperatorKind.UORDKR or _shear(params, grid) is not None:
         return half_x * half_t
     self_mirror = 2 - grid.n_x % 2  # x rows 0 and, for even n_x, n_x / 2
     return self_mirror * half_t + (half_x - self_mirror) * grid.n_theta
@@ -325,25 +347,32 @@ def _grid_pairs(params: OperatorParams, grid: GridSpec) -> tuple[np.ndarray, np.
 
     h, uh and ukh keep x and theta nodes 0..n // 2 (x only at fixed
     theta); when the swap (x, theta) -> (theta, x) also holds (_self_dual),
-    of those only the triangle k <= j.  uordkr keeps, of each joint mirror
-    pair (j, k) and (-j mod n_x, -k mod n_theta), the node with the lower
-    flat index j n_theta + k, and its whole fixed-theta axis.
+    of those only the triangle k <= j.  A uordkr mother sweep on a square
+    grid keeps the same set in (j, b), b = j + k + s (_shear), mapped back
+    through k = (b - j - s) mod n: at a half-integer s (p, q and n odd) its
+    b runs over 1/2..n/2, whose mirror orbits under b -> -b it covers once,
+    and the swap does not fold.  On a rectangular grid uordkr keeps, of each
+    joint mirror pair (j, k) and (-j mod n_x, -k mod n_theta), the node with
+    the lower flat index j n_theta + k; at fixed theta, its whole x axis.
     """
-    q, half_x = params.alpha.q, grid.n_x // 2 + 1
+    q, half_x, half_t = params.alpha.q, grid.n_x // 2 + 1, grid.n_theta // 2 + 1
     if not params.is_mother:
         xs = grid.xs(q) if params.kind is OperatorKind.UORDKR else grid.xs(q)[:half_x]
         return xs, np.full(xs.size, params.fixed_theta(), dtype=np.float64)
     xs, ts = grid.xs(q)[:half_x], grid.thetas(q)
+    two_s = _shear(params, grid)
+    if params.kind is OperatorKind.UORDKR and two_s is None:
+        # Row j < n_x - j outranks its mirror row; a self-mirror row keeps k <= n_theta / 2.
+        width = np.where(2 * np.arange(half_x) % grid.n_x == 0, half_t, grid.n_theta)
+        xv = np.repeat(xs, width)
+        return xv, ts[np.arange(xv.size) - np.repeat(np.cumsum(width) - width, width)]
     if _self_dual(params, grid):
         j, k = np.tril_indices(half_x)
-        return xs[j], ts[k]
-    half_t = grid.n_theta // 2 + 1
-    if params.kind is not OperatorKind.UORDKR:
-        return np.repeat(xs, half_t), np.tile(ts[:half_t], half_x)
-    # Row j < n_x - j outranks its mirror row; a self-mirror row keeps k <= n_theta / 2.
-    width = np.where(2 * np.arange(half_x) % grid.n_x == 0, half_t, grid.n_theta)
-    xv = np.repeat(xs, width)
-    return xv, ts[np.arange(xv.size) - np.repeat(np.cumsum(width) - width, width)]
+    else:
+        j, k = np.divmod(np.arange(half_x * half_t), half_t)
+    if two_s is not None:
+        k = (k - j - two_s // 2) % grid.n_theta
+    return xs[j], ts[k]
 
 
 def spectrum_fixed_theta(params: OperatorParams, grid: GridSpec) -> SpectrumSet:

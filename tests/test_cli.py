@@ -23,6 +23,7 @@ from kickspec.cli import (
     write_rings_svg,
     write_spectrum_csv,
 )
+from kickspec.analysis import CHECK_IDS
 from kickspec.errors import InvalidParams, MalformedSpectrumFile, NumericalError
 from kickspec.operators import MOTHER, OperatorParams, RationalAlpha
 from kickspec.spectra import (
@@ -469,12 +470,16 @@ def test_verify_parses_every_value_before_the_first_check(monkeypatch, capsys):
     assert "--theta" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["--lambda", "0", "--grid", "4"], "AUBRY_ANDRE requires lambda != 0"),
-    (["--grid", "1"], "LAST_MEASURE_TREND requires n >= 2"),
-    (["--lambda", "1", "--grid", "4"], "AUBRY_ANDRE requires lambda != 0 and lambda != 1"),
-], ids=["lambda-0", "grid-1", "lambda-1"])
-def test_verify_refuses_a_config_that_measures_nothing_before_it_sweeps(argv, message,
+_REFUSED = [
+    (["--lambda", "0", "--grid", "4"], "AUBRY_ANDRE", "AUBRY_ANDRE requires lambda != 0"),
+    (["--grid", "1"], "LAST_MEASURE_TREND", "LAST_MEASURE_TREND requires n >= 2"),
+    (["--lambda", "1", "--grid", "4"], "AUBRY_ANDRE",
+     "AUBRY_ANDRE requires lambda != 0 and lambda != 1"),
+]
+
+
+@pytest.mark.parametrize("argv,check,message", _REFUSED, ids=["lambda-0", "grid-1", "lambda-1"])
+def test_verify_refuses_a_config_that_measures_nothing_before_it_sweeps(argv, check, message,
                                                                         monkeypatch, capsys):
     import kickspec.spectra as spectra
 
@@ -485,9 +490,24 @@ def test_verify_refuses_a_config_that_measures_nothing_before_it_sweeps(argv, me
         return build(pa, xs, thetas)
 
     monkeypatch.setattr(spectra, "operator_stack", counted)
-    assert dispatch(["verify", "--check", "all", *argv]) == 2
+    assert dispatch(["verify", "--check", check, *argv]) == 2
     assert message in capsys.readouterr().err
     assert built == []
+
+
+@pytest.mark.parametrize("argv,check,message", _REFUSED, ids=["lambda-0", "grid-1", "lambda-1"])
+def test_verify_all_leaves_out_a_check_that_refuses_the_values(argv, check, message,
+                                                               tmp_path, capsys):
+    # Of several checks, one whose own rule refuses an override is left out
+    # and named; the others run with it.  A value that fails to parse still refuses all.
+    out = tmp_path / "all.json"
+    assert dispatch(["verify", "--check", "all", *argv, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert f"leaving out {check}: {message}" in err and err.count("leaving out") == 1
+    reports = {r["check"]: r for r in json.loads(out.read_text())}
+    assert list(reports) == [cid for cid in CHECK_IDS if cid != check]
+    assert reports["MOTHER_EQUALITY"]["pass"]
+    assert dispatch(["verify", "--check", "all", *argv, "--lambda", "one"]) == 2
 
 
 def test_preflight_counts_the_q_by_q_arrays(tmp_path, monkeypatch, capsys):
@@ -844,22 +864,32 @@ V050_KEYS = {
 }
 
 
+# Keys of version 0.6.0, which solved every joint-mirror pair of a uordkr mother grid.
+V060_KEYS = {
+    "ukh": "c1499a57b2adc935e37498bbc5cca88ead5cbe9027f2e5533bd43230ad50c31a",
+    "h": "58cd6a2dcba2eae7b613e507b1353125c2e6fafd7e20d5160f709dd6e35b261f",
+}
+
+
 def test_cache_keys_are_pinned():
     # Entries written by earlier versions stay valid only while these hold.
     ukh = cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER), GridSpec(5, 5))
     h = cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7))
-    assert ukh == "c1499a57b2adc935e37498bbc5cca88ead5cbe9027f2e5533bd43230ad50c31a"
-    assert h == "58cd6a2dcba2eae7b613e507b1353125c2e6fafd7e20d5160f709dd6e35b261f"
+    assert ukh == "c258d0b40e39fc5c03c221529c56101f52df7c0640181f3b9e1290c5500cc064"
+    assert h == "77fd6bf27618f81167c8ff4c3ffe3fc07df8163131bdd3e357174ffa3c7771ba"
     # Version 0.1.0 swept every grid node, 0.2.0 built the theta kicks as
     # dense Fourier products, 0.3.0 wrote no rows_sha256 line, and 0.4.0
     # solved both nodes of each self-dual swap pair; their entries differ in
     # the last bits or in the header.  0.5.0 wrote the same entries under
-    # keys of a JSON payload; they are recomputed, not served.
+    # keys of a JSON payload; they are recomputed, not served.  0.6.0
+    # solved other nodes of a uordkr mother grid, whose values differ in the
+    # last bits.
     assert {ukh, h}.isdisjoint(V010_KEYS.values())
     assert {ukh, h}.isdisjoint(V020_KEYS.values())
     assert {ukh, h}.isdisjoint(V030_KEYS.values())
     assert {ukh, h}.isdisjoint(V040_KEYS.values())
     assert {ukh, h}.isdisjoint(V050_KEYS.values())
+    assert {ukh, h}.isdisjoint(V060_KEYS.values())
 
 
 def test_parent_cache_entry_is_not_served(tmp_path):
@@ -871,11 +901,11 @@ def test_parent_cache_entry_is_not_served(tmp_path):
     s = read_spectrum_csv(cold)
     planted = SpectrumSet.build(s.kind, s.points * np.exp(0.125j), params=s.params,
                                 grid=s.grid, error_bound=s.error_bound)
-    for keys in (V010_KEYS, V050_KEYS):
+    for keys in (V010_KEYS, V050_KEYS, V060_KEYS):
         write_spectrum_csv(planted, str(cache / (keys["ukh"] + ".csv")))
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", warm]) == 0
     assert open(warm, "rb").read() == open(cold, "rb").read()
-    assert len(os.listdir(cache)) == 3
+    assert len(os.listdir(cache)) == 4
 
 
 def test_cache_differential_and_clear(tmp_path):

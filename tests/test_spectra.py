@@ -195,7 +195,7 @@ def test_chunked_sweep_is_identical(kind, monkeypatch):
     xv, tv = spectra._grid_pairs(pa, GridSpec(4, 4))
     single = spectra._sweep_values(pa, GridSpec(4, 4))
     # 5 matrices per chunk: the reflection-reduced 4 x 4 grid keeps 9 nodes
-    # (10 for uordkr), so 2 chunks, each repeating a theta.
+    # (uordkr's in its sheared phases), so 2 chunks, each repeating a theta.
     monkeypatch.setattr(spectra, "_CHUNK_COMPLEX", 5 * q * q)
     chunked = spectra._sweep_values(pa, GridSpec(4, 4))
     assert xv.size > 5
@@ -286,6 +286,46 @@ def test_phase_swap_fails_off_the_self_dual_coupling_and_for_the_rotor(kind, lam
     assert np.all(_swapped_distances(kind, lam, alphas, np.random.default_rng(14)) > 1e-3)
 
 
+def _shear(p, q, n):
+    """s = n q (alpha/2 + phi) of an n x n grid, phi = 1/(2q) when p (q - 1) is odd."""
+    return n * (p + p * (q - 1) % 2) / 2
+
+
+def _rotor_node_moves(maps, lam, rng):
+    """Largest uordkr eigenvalue move under the grid maps (j, k) -> f(j, k, s), mod n.
+
+    The nodes lie on n x n grids, n = 6 and 7; a map returns None where it
+    does not apply.  Both sides come from oracles.operator_eigvals, not from
+    operator_stack.
+    """
+    moves = []
+    for (p, q), n in itertools.product([(1, 2), (2, 7), (3, 5), (3, 8), (8, 13), (21, 34)],
+                                       [6, 7]):
+        s = _shear(p, q, n)
+        for kappa, (j, k) in zip((0.4, 2.0, 3.0), rng.integers(0, n, (3, 2))):
+            def eig(a, b):
+                return operator_eigvals("uordkr", kappa, lam, p, q, a % n / (n * q), b % n / (n * q))
+            at = eig(j, k)
+            moves += [set_distance(at, eig(*node)) for node in (f(j, k, s) for f in maps) if node]
+    return max(moves)
+
+
+@pytest.mark.parametrize("lam", [1.3, -1.2, 1.0])
+def test_rotor_keeps_the_sheared_reflections(lam):
+    # In (x, beta), beta = x + theta + alpha/2 + phi, the rotor has ukh's mirror
+    # reflections: x -> -x at fixed beta and beta -> -beta at fixed x.
+    maps = [lambda j, k, s: (-j, k + 2 * j), lambda j, k, s: (j, -k - 2 * j)]
+    assert _rotor_node_moves(maps, lam, np.random.default_rng(15)) <= 1e-12
+
+
+def test_rotor_keeps_the_sheared_swap_at_the_self_dual_coupling():
+    # At lambda = 1, (x, beta) -> (beta, x), a grid map whenever s is an integer.
+    def swap(j, k, s):
+        return (j + k + int(s), -k - 2 * int(s)) if s == int(s) else None
+
+    assert _rotor_node_moves([swap], 1.0, np.random.default_rng(16)) <= 1e-12
+
+
 def _full_pairs(pa, grid):
     """Every node of the grid, built without spectra._grid_pairs."""
     q = pa.alpha.q
@@ -295,31 +335,44 @@ def _full_pairs(pa, grid):
     return grid.xs(q), np.full(grid.n_x, pa.theta)
 
 
+def _assert_reduced_matches_full(pa, grid, monkeypatch):
+    """The reduced sweep's points and tracked bands against every node's."""
+    run = mother_spectrum if pa.is_mother else spectrum_fixed_theta
+    swept = run(pa, grid)
+    reduced = tracked_bands(pa, grid)
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_grid_pairs", _full_pairs)
+        full = SpectrumSet.build(swept.kind, spectra._sweep_values(pa, grid))
+        unreduced = tracked_bands(pa, grid)
+    assert hausdorff(swept, full) <= spectra.DEDUP_TOL
+    assert len(reduced) == len(unreduced)
+    assert np.allclose(reduced.bands, unreduced.bands, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("kind", ["h", "uh", "ukh", "uordkr"])
 @pytest.mark.parametrize("scope", ["fixed", "mother"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7])
 def test_reduced_grid_matches_the_full_grid(kind, scope, n, monkeypatch):
-    # At lambda = 1 h, uh and ukh mother sweeps also fold the phase swap.
-    for lam, (p, q) in itertools.product([1.3, 1.0], [(0, 1), (1, 2), (2, 5), (8, 13)]):
+    # At lambda = 1 the mother sweeps also fold the phase swap.  For uordkr at
+    # 3/5, s = 3n/2: a half-integer at n = 3 and 7, where the swap does not fold.
+    alphas = [(0, 1), (1, 2), (2, 5), (3, 5), (8, 13)]
+    for lam, (p, q) in itertools.product([1.3, 1.0, -1.2], alphas):
         pa = params(kind, 0.9, lam, p, q, theta=MOTHER if scope == "mother" else 0.37)
-        grid = GridSpec(n, n)
-        run = mother_spectrum if scope == "mother" else spectrum_fixed_theta
-        swept = run(pa, grid)
-        reduced = tracked_bands(pa, grid)
-        with monkeypatch.context() as m:
-            m.setattr(spectra, "_grid_pairs", _full_pairs)
-            full = SpectrumSet.build(swept.kind, spectra._sweep_values(pa, grid))
-            unreduced = tracked_bands(pa, grid)
-        assert hausdorff(swept, full) <= spectra.DEDUP_TOL
-        assert len(reduced) == len(unreduced)
-        assert np.allclose(reduced.bands, unreduced.bands, rtol=0.0, atol=1e-12)
+        _assert_reduced_matches_full(pa, GridSpec(n, n), monkeypatch)
+
+
+@pytest.mark.parametrize("p,n,lam", [(89, 3, 1.0), (89, 4, 1.0), (144, 3, 1.3)])
+def test_reduced_rotor_grid_matches_the_full_grid_at_q_233(p, n, lam, monkeypatch):
+    # 89/233: s = 89n/2, a half-integer at n = 3; 144/233: s = 72n.
+    _assert_reduced_matches_full(params("uordkr", 1.1, lam, p, 233, theta=MOTHER),
+                                 GridSpec(n, n), monkeypatch)
 
 
 @pytest.mark.parametrize("kind,theta,grid,count", [
     ("h", MOTHER, GridSpec(48, 48), 625),
     ("uh", MOTHER, GridSpec(48, 48), 625),
     ("ukh", MOTHER, GridSpec(48, 48), 625),
-    ("uordkr", MOTHER, GridSpec(48, 48), 1154),
+    ("uordkr", MOTHER, GridSpec(48, 48), 625),
     ("h", 0.3, GridSpec(400), 201),
     ("ukh", 0.3, GridSpec(400), 201),
     ("uordkr", 0.3, GridSpec(400), 400),
@@ -335,33 +388,71 @@ def test_representative_counts_are_pinned(kind, theta, grid, count):
     ("h", GridSpec(48, 48), 325),
     ("uh", GridSpec(48, 48), 325),
     ("ukh", GridSpec(48, 48), 325),
-    ("uordkr", GridSpec(48, 48), 1154),
+    ("uordkr", GridSpec(48, 48), 325),
     ("ukh", GridSpec(48, 47), 600),
 ])
 def test_self_dual_representative_counts_are_pinned(kind, grid, count):
-    # lambda = 1: on a square grid h, uh and ukh keep the triangle k <= j of
-    # the 25 x 25 mirror representatives; the rotor and a 48 x 47 grid do not.
+    # lambda = 1: on a square grid every kind keeps the triangle of the
+    # 25 x 25 mirror representatives (the rotor in (j, b)); a 48 x 47 grid does not.
     pa = params(kind, 1.0, 1.0, 8, 13, theta=MOTHER)
     xv, tv = spectra._grid_pairs(pa, grid)
     assert xv.size == tv.size == spectra._pair_count(pa, grid) == count
 
 
+def _orbit(node, maps, n_x, n_theta):
+    """The nodes (j, k) that the maps reach from node, mod (n_x, n_theta)."""
+    orbit, todo = {node}, [node]
+    while todo:
+        a, b = todo.pop()
+        for j, k in (f(a, b) for f in maps):
+            if (j % n_x, k % n_theta) not in orbit:
+                orbit.add((j % n_x, k % n_theta))
+                todo.append((j % n_x, k % n_theta))
+    return orbit
+
+
 @pytest.mark.parametrize("kind", ["h", "ukh", "uordkr"])
 @pytest.mark.parametrize("n_x,n_theta", [(1, 1), (2, 5), (5, 2), (6, 6), (7, 4), (7, 7)])
 def test_representatives_cover_every_mirror_orbit_once(kind, n_x, n_theta):
-    for lam in (1.3, 1.0):
-        pa, grid = params(kind, 1.0, lam, 2, 5, theta=MOTHER), GridSpec(n_x, n_theta)
+    # 3/5 puts a half-integer s on the 7 x 7 grid, where the rotor's swap does not fold.
+    for lam, (p, q) in itertools.product((1.3, 1.0), [(2, 5), (3, 5)]):
+        pa, grid = params(kind, 1.0, lam, p, q, theta=MOTHER), GridSpec(n_x, n_theta)
         xv, tv = spectra._grid_pairs(pa, grid)
-        j, k = np.rint(xv * 5 * n_x).astype(int), np.rint(tv * 5 * n_theta).astype(int)
-        if kind == "uordkr":
-            orbits = [{(a, b), (-a % n_x, -b % n_theta)} for a, b in zip(j, k)]
+        j, k = np.rint(xv * q * n_x).astype(int), np.rint(tv * q * n_theta).astype(int)
+        square, s = n_x == n_theta, _shear(p, q, n_x)
+        if kind != "uordkr":
+            maps = [lambda a, b: (-a, b), lambda a, b: (a, -b)]
+            if lam == 1.0 and square:
+                maps.append(lambda a, b: (b, a))
+        elif square:
+            maps = [lambda a, b: (-a, b + 2 * a), lambda a, b: (a, -b - 2 * a)]
+            if lam == 1.0 and s == int(s):
+                maps.append(lambda a, b: (a + b + int(s), -b - 2 * int(s)))
         else:
-            orbits = [{(a, b), (-a % n_x, b), (a, -b % n_theta), (-a % n_x, -b % n_theta)}
-                      for a, b in zip(j, k)]
-        if kind != "uordkr" and lam == 1.0 and n_x == n_theta:
-            orbits = [orbit | {(b, a) for a, b in orbit} for orbit in orbits]
-        covered = [node for orbit in orbits for node in orbit]
+            maps = [lambda a, b: (-a, -b)]
+        covered = [node for a, b in zip(j, k) for node in _orbit((a, b), maps, n_x, n_theta)]
         assert len(covered) == len(set(covered)) == n_x * n_theta
+
+
+@pytest.mark.parametrize("p,q,n,lam,count", [
+    (8, 13, 16, 1.3, 81),
+    (89, 233, 16, 1.0, 45),
+    (144, 233, 2, 1.0, 3),
+    (3, 5, 7, 1.0, 16),
+])
+def test_rotor_representative_counts_are_pinned(p, q, n, lam, count):
+    # ((n + gcd(2, n)) / 2)^2 nodes, or at lambda = 1 with an integer s the triangle.
+    pa = params("uordkr", 1.0, lam, p, q, theta=MOTHER)
+    xv, tv = spectra._grid_pairs(pa, GridSpec(n, n))
+    assert xv.size == tv.size == spectra._pair_count(pa, GridSpec(n, n)) == count
+
+
+@pytest.mark.parametrize("kind", ["h", "ukh", "uordkr"])
+def test_pair_count_is_the_number_of_grid_pairs(kind):
+    for n, lam, (p, q) in itertools.product(range(1, 31), (1.3, 1.0), [(2, 5), (3, 5), (3, 8)]):
+        for grid in (GridSpec(n, n), GridSpec(n, n + 1)):
+            pa = params(kind, 1.0, lam, p, q, theta=MOTHER)
+            assert spectra._pair_count(pa, grid) == spectra._grid_pairs(pa, grid)[0].size
 
 
 def test_sweep_size_estimate():
@@ -373,9 +464,10 @@ def test_sweep_size_estimate():
     ukh = params("ukh", 1.0, 1.3, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(ukh, GridSpec(48, 48)) == (
         625 * (2 * 8 + 5 * 16 * 13) + (16 * 7 * 387 + 8 + 16) * 169)
+    # The rotor folds its sheared phases to the same 625 pairs.
     rotor = params("uordkr", 1.0, 1.3, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(rotor, GridSpec(48, 48)) == (
-        1154 * 1056 + (16 * 7 * 387 + 24) * 169)
+        625 * 1056 + (16 * 7 * 387 + 24) * 169)
     huge = GridSpec(3_000_000, 3_000_000)
     assert spectra._sweep_bytes(ukh, huge) == 1_500_001 ** 2 * 1056 + (16 * 7 * 387 + 24) * 169
     # At lambda = 1 the swap leaves 325 pairs, fewer than a chunk holds.
