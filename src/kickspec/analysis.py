@@ -488,6 +488,12 @@ def _nonempty(parse):
     return parse_list
 
 
+def _merge_gap(v):
+    if v != "auto" and not float(v) > 0:  # nan is not > 0
+        raise ValueError("expected auto or a number > 0")
+    return v if v == "auto" else float(v)
+
+
 def _lambdas(v) -> list[float]:
     lams = _nonempty(float)(v)
     if 1.0 not in lams or set(lams) == {1.0}:
@@ -503,7 +509,7 @@ _PARSE = {
     "kind": OperatorKind, "alpha": _alpha, "alpha1": _alpha, "alpha2": _alpha,
     "kappa": float, "lambda": float, "theta": lambda v: MOTHER if v == MOTHER else float(v),
     "n": _at_least(1), "trials": _at_least(1), "seed": _at_least(0),
-    "merge_gap": lambda v: "auto" if v == "auto" else float(v),
+    "merge_gap": _merge_gap,
     "kappas": _nonempty(float), "alphas": _nonempty(_alpha), "lambdas": _lambdas,
 }
 
@@ -578,6 +584,9 @@ def check_config(check_id: str, cfg: dict) -> dict:
     if cid == "AUBRY_ANDRE" and parsed["lambda"] in (0.0, 1.0):
         raise InvalidParams("AUBRY_ANDRE requires lambda != 0 and lambda != 1: at lambda = 1 "
                             "both sweeps are sigma(1)")
+    if cid == "KAPPA_CUBED" and parsed["lambda"] == 0.0:
+        raise InvalidParams("KAPPA_CUBED requires lambda != 0: at lambda = 0 the two kicks "
+                            "commute, so ukh and uh are one operator")
     if cid == "LAST_MEASURE_TREND" and parsed["n"] < 2:
         raise InvalidParams("LAST_MEASURE_TREND requires n >= 2: on a one-node grid "
                             "every band has zero width")

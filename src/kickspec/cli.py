@@ -6,13 +6,16 @@ Computes and persists spectra, band statistics, butterflies, zooms and
 verification reports.  Outputs are deterministic: identical configurations
 produce byte-identical CSV/SVG files.  Data goes to files or standard
 output only; diagnostics go to the error stream.  Exit codes: 0 success,
-2 usage error, 3 numerical failure, 4 I/O failure.  Every flag value is
-parsed and checked before anything is swept or written.
+2 usage error, 3 numerical failure, 4 I/O failure.  ``verify`` reports
+only: exit 0 once every selected check has run, whatever its reports' pass
+fields say.  Every flag value is parsed and checked before anything is
+swept or written.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -288,13 +291,15 @@ def _operators(args, alphas=()) -> tuple[list[float], float, GridSpec, list[Oper
     """A command's operator flags, each parsed once, and checked before anything is swept.
 
     Returns (kappas, lambda, grid, params), params holding one OperatorParams
-    per kappa and alpha: the --alpha flag if the command has one, else
-    ``alphas``.  Only compute --format svg reads a --kappa list, --grid N,M
+    per kappa and alpha: the --alpha flag, which a command that has it
+    requires, else ``alphas``.  Only compute --format svg reads a --kappa list, --grid N,M
     needs --theta mother (the one scope with a theta axis), eigenphase
     outputs (zoom, SVG rings) need a unit-circle kind, and every sweep must
     pass the size preflight before the first one runs.
     """
     if hasattr(args, "alpha"):
+        if args.alpha is None:
+            raise InvalidParams(f"{args.command} requires --alpha")
         alphas = [_parsed("--alpha", _PARSE["alpha"], args.alpha)]
     kind = _parsed("--kind", _PARSE["kind"], args.kind)
     kappas = _parsed("--kappa", _floats, args.kappa)
@@ -326,7 +331,7 @@ def _emit(text: str, out: str | None) -> None:
 def _add_operator_flags(p: argparse.ArgumentParser, alpha: bool = True, theta: bool = True) -> None:
     p.add_argument("--kind", choices=[k.value for k in OperatorKind], default="ukh")
     if alpha:
-        p.add_argument("--alpha", required=True, help="frequency as a p/q literal")
+        p.add_argument("--alpha", help="frequency as a p/q literal")
     p.add_argument("--kappa", default="1", help="time scale (comma list allowed for SVG rings)")
     p.add_argument("--lambda", dest="lam", default=1.0, help="coupling")
     if theta:
@@ -336,7 +341,9 @@ def _add_operator_flags(p: argparse.ArgumentParser, alpha: bool = True, theta: b
     p.add_argument("--out", default=None, help="output path (default: standard output)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; every dispatch reuses it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spectra",
         description="Spectra of Harper-family and kicked-rotor operators at rational frequency.",
@@ -372,17 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification checks and report JSON records")
     # Flags override the config keys the selected checks read (a flag that no
     # selected check reads is rejected) and reach run_check as strings, which
-    # its per-key parsers read; anything omitted falls back to the check's own
-    # defaults, so every check stays runnable bare.
+    # its per-key parsers read; anything omitted has no command default and
+    # falls back to the check's own, so every check stays runnable bare.
     p.add_argument("--check", required=True, help="check id or 'all'")
-    p.add_argument("--kind", choices=[k.value for k in OperatorKind], default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--kappa", default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--theta", default=None)
-    p.add_argument("--grid", default=None, help="N grid points per axis")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_verify)
+    _add_operator_flags(p)
+    p.set_defaults(func=_cmd_verify, kind=None, kappa=None, lam=None, theta=None, grid=None)
 
     p = sub.add_parser("cache", help="cache maintenance")
     p.add_argument("action", choices=["clear"])
@@ -413,9 +414,6 @@ def _cmd_bandwidth(args) -> int:
     gap = args.merge_gap
     if gap != "track":
         gap = _parsed("--merge-gap", _PARSE["merge_gap"], gap)
-        if gap != "auto" and not gap > 0:
-            raise InvalidParams("--merge-gap must be auto, track or a number > 0, "
-                                f"got {args.merge_gap!r}")
     alphas = _parsed("--alpha-list", _alpha_list, args.alpha_list)
     _, _, grid, params = _operators(args, alphas)
     # The sweeps' shared header: the request's lines but the per-alpha ones.

@@ -67,10 +67,6 @@ TWO_PI = 2.0 * np.pi
 # (_sweep_bytes), so at q = 233 a chunk of four or more would set the peak RSS.
 _CHUNK_COMPLEX = 1 << 16
 
-# Tracked band ranges this close are unioned; absorbs roundoff where true
-# bands touch (even-q Harper).
-_CLOSURE = 1e-12
-
 
 class SpectrumKind(str, Enum):
     REAL_LINE = "real_line"
@@ -408,7 +404,8 @@ def tracked_bands(params: OperatorParams, grid: GridSpec) -> BandList:
 def _tracked(params: OperatorParams, values: np.ndarray) -> BandList:
     """The tracked bands of a sweep's (m, q) values."""
     if params.kind is OperatorKind.H:
-        bands = _line_runs(values.min(axis=0), values.max(axis=0), _CLOSURE)
+        # Ranges within DEDUP_TOL are unioned: roundoff where true bands touch (even-q Harper).
+        bands = _line_runs(values.min(axis=0), values.max(axis=0), DEDUP_TOL)
         return BandList(SpectrumKind.REAL_LINE, bands)
 
     ph = np.sort(principal_args(values), axis=1)
@@ -416,14 +413,14 @@ def _tracked(params: OperatorParams, values: np.ndarray) -> BandList:
     gaps = np.diff(pooled)
     wrap_gap = pooled[0] + TWO_PI - pooled[-1]
     delta = 0.0
-    # Gaps level within _CLOSURE are ties: the wrap gap wins, then the lowest
+    # Gaps level within DEDUP_TOL are ties: the wrap gap wins, then the lowest
     # one, so the seam does not hinge on which node of a mirror orbit was solved.
-    if gaps.size and gaps.max() > wrap_gap + _CLOSURE:
-        i = int(np.flatnonzero(gaps >= gaps.max() - _CLOSURE)[0])
+    if gaps.size and gaps.max() > wrap_gap + DEDUP_TOL:
+        i = int(np.flatnonzero(gaps >= gaps.max() - DEDUP_TOL)[0])
         delta = np.pi - (pooled[i] + gaps[i] / 2.0)
         ph = np.sort((ph + delta + np.pi) % TWO_PI - np.pi, axis=1)
-    merged = _line_runs(ph.min(axis=0), ph.max(axis=0), _CLOSURE)
-    if len(merged) == 1 and merged[0][1] - merged[0][0] >= TWO_PI - 1e-12:
+    merged = _line_runs(ph.min(axis=0), ph.max(axis=0), DEDUP_TOL)
+    if len(merged) == 1 and merged[0][1] - merged[0][0] >= TWO_PI - DEDUP_TOL:
         return BandList(SpectrumKind.UNIT_CIRCLE, ((-np.pi, np.pi),))
 
     def unrotate(t: float) -> float:

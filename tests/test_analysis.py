@@ -288,11 +288,15 @@ def test_run_check_rejects_a_key_the_check_does_not_read():
     ("SPECTRAL_MAPPING", {"theta": "fixed"}),
     ("KAPPA_CUBED", {"kappas": "0.1"}),
     ("LAST_MEASURE_TREND", {"alphas": 5}),
+    ("BAND_COUNT", {"merge_gap": 0}),
+    ("BAND_COUNT", {"merge_gap": -1}),
+    ("BAND_COUNT", {"merge_gap": math.nan}),
 ])
-def test_run_check_rejects_a_value_that_does_not_parse(cid, cfg):
+def test_run_check_rejects_a_value_that_does_not_parse(cid, cfg, built):
     (key,) = cfg
     with pytest.raises(InvalidParams, match=key):
         run_check(cid, cfg)
+    assert built == []
 
 
 @pytest.mark.parametrize("cid,cfg", [
@@ -307,13 +311,15 @@ def test_run_check_rejects_a_value_that_does_not_parse(cid, cfg):
     ("LAST_MEASURE_TREND", {"lambdas": [1.0], "n": 4}),
     ("LAST_MEASURE_TREND", {"n": 1}),
     ("AUBRY_ANDRE", {"lambda": 1.0, "n": 4}),
+    ("KAPPA_CUBED", {"lambda": 0.0, "n": 4}),
 ])
-def test_a_config_that_measures_nothing_is_a_usage_error(cid, cfg):
+def test_a_config_that_measures_nothing_is_a_usage_error(cid, cfg, built):
     # Zero trials, an empty sweep or a one-node grid (every tracked band of
     # zero width) would report a vacuous pass (measured 0 or -inf) or fail
-    # deep inside the check; all are usage errors.
+    # deep inside the check; all are usage errors, raised before any sweep.
     with pytest.raises(InvalidParams):
         run_check(cid, cfg)
+    assert built == []
 
 
 @pytest.mark.parametrize("theta", [0.0, "mother"], ids=["fixed", "mother"])
@@ -442,21 +448,13 @@ def test_mother_equality_keeps_the_grid_bound_off_matched_nodes():
     assert r.bound > 1e-2
 
 
-def test_kappa_cubed_solves_the_harper_problem_once(monkeypatch):
-    import kickspec.spectra as spectra
+def test_kappa_cubed_solves_the_harper_problem_once(monkeypatch, built):
     from kickspec.operators import MOTHER, OperatorParams
     from kickspec.spectra import GridSpec, mother_spectrum
 
     cfg = {"alpha": "3/5", "n": 12, "kappas": [0.1, 0.3, 0.5]}  # six kappas k and 2k
-    build, kinds = spectra.operator_stack, []
-
-    def counted(params, xs, thetas):
-        kinds.append(params.kind)
-        return build(params, xs, thetas)
-
-    monkeypatch.setattr(spectra, "operator_stack", counted)
     r = run_check("KAPPA_CUBED", cfg)
-    assert kinds.count(OperatorKind.H) == 1
+    assert [pa.kind for pa in built].count(OperatorKind.H) == 1
     monkeypatch.undo()
 
     # The same measurement from six uh sweeps, each solving the Harper problem.

@@ -137,6 +137,8 @@ def test_bad_list_values_are_exit_2(capsys):
         ("--kappa", ["compute", "--alpha", "1/3", "--grid", "2", "--kappa", "1,"]),
         ("--merge-gap", fib + ["abc"]),
         ("--merge-gap", fib + ["nan"]),
+        ("compute requires --alpha", ["compute", "--grid", "2"]),
+        ("zoom requires --alpha", ["zoom", "--grid", "2", "--factors", "2"]),
         # Finite, but a kick phase or the hopping scale would overflow.
         ("kappa", ["compute", "--alpha", "1/2", "--grid", "2", "--kappa", "1e308"]),
         ("kappa", ["compute", "--alpha", "1/2", "--grid", "2", "--kappa", "1e200",
@@ -156,14 +158,17 @@ def test_bad_list_values_are_exit_2(capsys):
     ["zoom", "--kind", "h", "--alpha", "3/5", "--grid", "2", "--factors", "2"],
     ["compute", "--kind", "h", "--alpha", "3/5", "--grid", "2", "--format", "svg",
      "--kappa", "1,2"],
+    ["compute", "--grid", "2"],
+    ["zoom", "--grid", "2", "--factors", "2"],
 ], ids=["merge-gap-abc", "merge-gap-negative", "factors-below-1", "center-out-of-range",
-        "zoom-kind-h", "svg-kind-h"])
-def test_usage_error_sweeps_and_writes_nothing(tmp_path, capsys, argv):
+        "zoom-kind-h", "svg-kind-h", "compute-no-alpha", "zoom-no-alpha"])
+def test_usage_error_sweeps_and_writes_nothing(tmp_path, capsys, built, argv):
     cache, out = tmp_path / "cache", tmp_path / "out"
     cache.mkdir()
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", str(out)]) == 2
     assert os.listdir(cache) == []
     assert not out.exists()
+    assert built == []
     capsys.readouterr()
 
 
@@ -472,42 +477,74 @@ def test_verify_parses_every_value_before_the_first_check(monkeypatch, capsys):
 
 _REFUSED = [
     (["--lambda", "0", "--grid", "4"], "AUBRY_ANDRE", "AUBRY_ANDRE requires lambda != 0"),
+    (["--lambda", "0", "--grid", "4"], "KAPPA_CUBED", "KAPPA_CUBED requires lambda != 0"),
     (["--grid", "1"], "LAST_MEASURE_TREND", "LAST_MEASURE_TREND requires n >= 2"),
     (["--lambda", "1", "--grid", "4"], "AUBRY_ANDRE",
      "AUBRY_ANDRE requires lambda != 0 and lambda != 1"),
 ]
 
 
-@pytest.mark.parametrize("argv,check,message", _REFUSED, ids=["lambda-0", "grid-1", "lambda-1"])
+@pytest.mark.parametrize("argv,check,message", _REFUSED,
+                         ids=["lambda-0", "kappa-cubed-lambda-0", "grid-1", "lambda-1"])
 def test_verify_refuses_a_config_that_measures_nothing_before_it_sweeps(argv, check, message,
-                                                                        monkeypatch, capsys):
-    import kickspec.spectra as spectra
-
-    build, built = spectra.operator_stack, []
-
-    def counted(pa, xs, thetas):
-        built.append(pa)
-        return build(pa, xs, thetas)
-
-    monkeypatch.setattr(spectra, "operator_stack", counted)
+                                                                        built, capsys):
     assert dispatch(["verify", "--check", check, *argv]) == 2
     assert message in capsys.readouterr().err
     assert built == []
 
 
-@pytest.mark.parametrize("argv,check,message", _REFUSED, ids=["lambda-0", "grid-1", "lambda-1"])
-def test_verify_all_leaves_out_a_check_that_refuses_the_values(argv, check, message,
-                                                               tmp_path, capsys):
-    # Of several checks, one whose own rule refuses an override is left out
+@pytest.mark.parametrize("argv", [["--lambda", "0", "--grid", "4"], ["--grid", "1"],
+                                  ["--lambda", "1", "--grid", "4"]],
+                         ids=["lambda-0", "grid-1", "lambda-1"])
+def test_verify_all_leaves_out_a_check_that_refuses_the_values(argv, tmp_path, capsys):
+    # Of several checks, each one whose own rule refuses an override is left out
     # and named; the others run with it.  A value that fails to parse still refuses all.
+    left_out = {check: message for a, check, message in _REFUSED if a == argv}
     out = tmp_path / "all.json"
     assert dispatch(["verify", "--check", "all", *argv, "--out", str(out)]) == 0
     err = capsys.readouterr().err
-    assert f"leaving out {check}: {message}" in err and err.count("leaving out") == 1
+    assert all(f"leaving out {check}: {message}" in err for check, message in left_out.items())
+    assert err.count("leaving out") == len(left_out)
     reports = {r["check"]: r for r in json.loads(out.read_text())}
-    assert list(reports) == [cid for cid in CHECK_IDS if cid != check]
+    assert list(reports) == [cid for cid in CHECK_IDS if cid not in left_out]
     assert reports["MOTHER_EQUALITY"]["pass"]
     assert dispatch(["verify", "--check", "all", *argv, "--lambda", "one"]) == 2
+
+
+def test_verify_reports_only(tmp_path):
+    # A check that runs and fails is reported, not an exit code: on a 4 x 4
+    # grid the auto merge gap joins the five bands of 1/5 into one.
+    out = tmp_path / "band.json"
+    assert dispatch(["verify", "--check", "band-count", "--grid", "4", "--out", str(out)]) == 0
+    (report,) = json.loads(out.read_text())
+    assert report["pass"] is False
+
+
+@pytest.mark.parametrize("flag", ["--kappa", "--lambda", "--grid", "--theta"])
+@pytest.mark.parametrize("command", [["compute", "--alpha", "3/5"],
+                                     ["verify", "--check", "spectral-mapping"]],
+                         ids=["compute", "verify"])
+def test_an_empty_operator_flag_is_a_usage_error(command, flag, built, capsys):
+    # An empty value is parsed like any other, not taken for the flag's absence.
+    assert dispatch([*command, flag, ""]) == 2
+    assert f"bad {flag} value ''" in capsys.readouterr().err
+    assert built == []
+
+
+def test_dispatch_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    made, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    argv = ["cache", "clear", "--cache-dir", str(tmp_path / "none")]
+    assert dispatch(argv) == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert dispatch(argv) == 0
+    assert dispatch(["compute", "--alpha", "3/5", "--kappa", ""]) == 2
+    assert made == []
+    capsys.readouterr()
 
 
 def test_preflight_counts_the_q_by_q_arrays(tmp_path, monkeypatch, capsys):
@@ -792,7 +829,7 @@ def test_every_alpha_is_size_checked_before_the_first_sweep(tmp_path, monkeypatc
 
 
 def test_every_butterfly_grid_is_size_checked_before_the_first_sweep(tmp_path, monkeypatch,
-                                                                      capsys):
+                                                                      built, capsys):
     import kickspec.spectra as spectra
     from kickspec.analysis import _butterfly_sweeps
 
@@ -805,13 +842,6 @@ def test_every_butterfly_grid_is_size_checked_before_the_first_sweep(tmp_path, m
     assert largest > 0
     sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (fits + too_big) // 2 // 4096}
     monkeypatch.setattr(spectra.os, "sysconf", sizes.__getitem__)
-    build, built = spectra.operator_stack, []
-
-    def counted(pa, xs, thetas):
-        built.append(pa.alpha)
-        return build(pa, xs, thetas)
-
-    monkeypatch.setattr(spectra, "operator_stack", counted)
     out = tmp_path / "b.csv"
     code = dispatch(["butterfly", "--alpha-list", "farey:13", "--grid", "200", "--out", str(out)])
     assert code == 2

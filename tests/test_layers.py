@@ -13,7 +13,7 @@ MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
 # solver of spectra's general route, and the per-key parsers the command line
 # shares with the checks.
 ALLOWED = {
-    ("spectra", "_sweep_values"): {"analysis", "cli"},
+    ("spectra", "_sweep_values"): {"analysis"},
     ("spectra", "_preflight"): {"analysis", "cli"},
     ("linalg", "_general_eigvals"): {"spectra"},
     ("analysis", "_PARSE"): {"cli"},
