@@ -12,8 +12,6 @@ from .analysis import (
     CHECK_IDS,
     PowerLawFit,
     ZoomWindow,
-    alpha_jump_witness,
-    bands_in_window,
     butterfly,
     farey_rationals,
     golden_convergents,
@@ -63,9 +61,7 @@ __all__ = [
     "SpectrumKind",
     "SpectrumSet",
     "ZoomWindow",
-    "alpha_jump_witness",
     "auto_merge_gap",
-    "bands_in_window",
     "butterfly",
     "dcp_eigensystem",
     "eigenphases",

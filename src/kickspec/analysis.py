@@ -53,13 +53,11 @@ __all__ = [
     "CHECK_IDS",
     "hausdorff",
     "total_bandwidth",
-    "bands_in_window",
     "powerlaw_fit",
     "golden_convergents",
     "farey_rationals",
     "butterfly",
     "zoom_windows",
-    "alpha_jump_witness",
     "check_config",
     "check_keys",
     "run_check",
@@ -103,22 +101,6 @@ def hausdorff(x: SpectrumSet, y: SpectrumSet) -> float:
 def total_bandwidth(b: BandList) -> float:
     """Sum of band lengths; circle bands measured in eigenphase radians."""
     return float(b.lengths().sum()) if b.bands else 0.0
-
-
-def bands_in_window(b: BandList, lo: float, hi: float) -> int:
-    """Number of bands intersecting the closed window [lo, hi].
-
-    Circle bands with hi < lo wrap through +pi and intersect the window if
-    either arm does.
-    """
-    count = 0
-    for a, c in b.bands:
-        if b.kind is SpectrumKind.REAL_LINE or a <= c:
-            if not (c < lo or a > hi):
-                count += 1
-        elif a <= hi or c >= lo:
-            count += 1
-    return count
 
 
 # -- fitting and rational generators -------------------------------------------
@@ -269,30 +251,6 @@ def zoom_windows(eps, center: float, factors) -> list[ZoomWindow]:
         inside = eps[(eps >= lo) & (eps <= hi)]
         windows.append(ZoomWindow(lo=lo, hi=hi, points=inside))
     return windows
-
-
-# -- alpha discontinuity witness -------------------------------------------------
-
-def alpha_jump_witness(lam: float, alpha1: float, alpha2: float, theta: float, n_max: int) -> float:
-    """max over |n| <= n_max of |2 lam sin(pi n (a1+a2) + 2 pi theta) sin(pi n (a1-a2))|.
-
-    This lower-bounds the operator-norm distance between the two Harper
-    operators; for admissible alphas it approaches at least (sqrt(3)/2)|lam|,
-    witnessing that the spectrum is not continuous in alpha.
-    """
-    if not (isinstance(n_max, int) and n_max >= 1):
-        raise InvalidParams(f"n_max must be an integer >= 1, got {n_max!r}")
-    for name, v in (("alpha1", alpha1), ("alpha2", alpha2),
-                    ("alpha1+alpha2", alpha1 + alpha2), ("alpha1-alpha2", alpha1 - alpha2)):
-        if float(v) == round(float(v)):
-            raise InvalidParams(f"{name} = {v} is an integer")
-    n = np.arange(-n_max, n_max + 1, dtype=np.float64)
-    vals = np.abs(
-        2.0 * lam
-        * np.sin(np.pi * n * (alpha1 + alpha2) + 2.0 * np.pi * theta)
-        * np.sin(np.pi * n * (alpha1 - alpha2))
-    )
-    return float(vals.max())
 
 
 # -- executable checks ------------------------------------------------------------

@@ -9,7 +9,9 @@ output only; diagnostics go to the error stream.  Exit codes: 0 success,
 2 usage error, 3 numerical failure, 4 I/O failure.  ``verify`` reports
 only: exit 0 once every selected check has run, whatever its reports' pass
 fields say.  Every flag value is parsed and checked before anything is
-swept or written.
+swept or written.  A cached ``compute`` hit checks the entry it reads and
+prints its bytes; only the commands that read points (``zoom``,
+``bandwidth``, SVG rings) parse an entry's numbers.
 """
 
 from __future__ import annotations
@@ -98,9 +100,9 @@ def _atomic_write(path: str, text: str) -> None:
 
 # -- spectrum CSV --------------------------------------------------------------
 
-def _rows_sha256(rows: list[str]) -> str:
-    """SHA-256 of the row lines as spectrum_csv_text writes them."""
-    return hashlib.sha256("\n".join([*rows, ""]).encode("utf-8")).hexdigest()
+def _rows_sha256(body: bytes) -> str:
+    """SHA-256 of a spectrum CSV's body, the bytes after its rows_sha256 line."""
+    return hashlib.sha256(body).hexdigest()
 
 
 def _header_lines(params: OperatorParams, grid: GridSpec) -> list[str]:
@@ -126,8 +128,9 @@ def spectrum_csv_text(s: SpectrumSet) -> str:
     else:
         phases = principal_args(s.points)
         rows = [f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(ph)}" for z, ph in zip(s.points, phases)]
-    return "\n".join([*_header_lines(s.params, s.grid), f"# rows_sha256={_rows_sha256(rows)}",
-                      *rows, ""])
+    body = "\n".join([*rows, ""])
+    return "\n".join([*_header_lines(s.params, s.grid),
+                      f"# rows_sha256={_rows_sha256(body.encode('utf-8'))}", body])
 
 
 def write_spectrum_csv(s: SpectrumSet, path: str) -> str:
@@ -139,47 +142,66 @@ def write_spectrum_csv(s: SpectrumSet, path: str) -> str:
 
 def read_spectrum_csv(path: str) -> SpectrumSet:
     """Inverse of write_spectrum_csv; reproduces the SpectrumSet exactly."""
-    return read_spectrum_text(path)[0]
+    return read_spectrum_text(path, points=True)[0]
+
+
+# Every byte but the row and field separators, which a body's shape is read from.
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
 
 
 def read_spectrum_text(
-    path: str, request: tuple[OperatorParams, GridSpec] | None = None
-) -> tuple[SpectrumSet, str]:
-    """The spectrum a spectrum CSV file holds for a request, and the file's text.
+    path: str, request: tuple[OperatorParams, GridSpec] | None = None, points: bool = False
+) -> tuple[SpectrumSet | None, str]:
+    """A spectrum CSV file's spectrum for a request (None without ``points``) and its text.
 
     The request (params, grid) defaults to the one the file's kind, kappa,
     lambda, alpha, theta, n_x and n_theta lines name.  One rule accepts the
-    file: its header lines are _header_lines(params, grid), its rows match
-    its rows_sha256 line, it has at least one row and the rows parse by
-    params.kind.  Anything else raises MalformedSpectrumFile.
+    file: its header lines are _header_lines(params, grid), its rows_sha256
+    line is the SHA-256 of the body after it, and the body is at least one
+    nonempty row, each ending in a newline and holding its kind's field
+    count: one on the line, three on the circle.  The rule parses no number;
+    only with ``points`` are the rows read as numbers by params.kind and
+    built into the spectrum, and a field that is not a number, or points
+    SpectrumSet.build refuses, fail the file too.  Anything else raises
+    MalformedSpectrumFile.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
         if request is None:
             value = dict(ln[2:].partition("=")[::2] for ln in text.split("\n", 7)[:7])
             request = (OperatorParams(*(_PARSE[key](value[key])
                                         for key in ("kind", "kappa", "lambda", "alpha", "theta"))),
                        GridSpec(int(value["n_x"]), int(value["n_theta"])))
         params, grid = request
-        header = _header_lines(params, grid)
-        *lines, last = text.split("\n")
-        rows = lines[len(header) + 1:]
-        if last or not rows or lines[:len(header) + 1] != [
-                *header, f"# rows_sha256={_rows_sha256(rows)}"]:
-            raise ValueError("not this request's header, or no rows matching rows_sha256")
-        # Rows are read by the request's kind: one number on the line, three on the circle.
-        if params.kind is OperatorKind.H:
-            kind, values = SpectrumKind.REAL_LINE, [float(row) for row in rows]
-        else:
-            kind, values = SpectrumKind.UNIT_CIRCLE, [
-                complex(float(re_s), float(im_s))
-                for re_s, im_s, _ in (row.split(",") for row in rows)]
-        s = SpectrumSet.build(kind, np.asarray(values), params=params, grid=grid,
-                              error_bound=grid_error_bound(params, grid))
-        return s, text
+        head = "\n".join([*_header_lines(params, grid), "# rows_sha256="]).encode("utf-8")
+        # The sha line ends in 64 hex digits and a newline; the body is every byte after it.
+        sha, body = data[len(head):len(head) + 65], data[len(head) + 65:]
+        row = b"\n" if params.kind is OperatorKind.H else b",,\n"
+        seps = body.translate(None, _NOT_SEPARATOR)
+        if not (data.startswith(head) and sha == f"{_rows_sha256(body)}\n".encode("utf-8")
+                and body.endswith(b"\n") and seps == row * (len(seps) // len(row))
+                # A row of fields joined by commas is never empty; a row of one field
+                # is empty where two newlines meet.
+                and (row != b"\n" or b"\n\n" not in b"\n" + body)):
+            raise ValueError("not this request's header, or rows that do not match rows_sha256 "
+                             "or their kind's field count")
+        return (_spectrum(text, params, grid) if points else None), text
     except (ValueError, KeyError, UsageError) as exc:
         raise MalformedSpectrumFile(f"malformed spectrum file {path}: {exc!r}") from exc
+
+
+def _spectrum(text: str, params: OperatorParams, grid: GridSpec) -> SpectrumSet:
+    """The spectrum of an accepted spectrum CSV text: its rows read as numbers by params.kind."""
+    rows = text.split("\n")[len(_header_lines(params, grid)) + 1:-1]
+    if params.kind is OperatorKind.H:
+        kind, values = SpectrumKind.REAL_LINE, [float(row) for row in rows]
+    else:
+        kind, values = SpectrumKind.UNIT_CIRCLE, [
+            complex(float(re_s), float(im_s)) for re_s, im_s, _ in (row.split(",") for row in rows)]
+    return SpectrumSet.build(kind, np.asarray(values), params=params, grid=grid,
+                             error_bound=grid_error_bound(params, grid))
 
 
 # -- ring SVG ------------------------------------------------------------------
@@ -233,18 +255,19 @@ def cache_key(params: OperatorParams, grid: GridSpec) -> str:
 
 
 def compute_spectrum(
-    params: OperatorParams, grid: GridSpec, cache_dir: str | None = None
-) -> tuple[SpectrumSet, str | None]:
+    params: OperatorParams, grid: GridSpec, cache_dir: str | None = None, points: bool = True
+) -> tuple[SpectrumSet | None, str | None]:
     """Compute a spectrum, consulting/propagating the CSV cache if enabled.
 
     Returns the spectrum and its entry's text: the bytes read on a hit, the
-    bytes just written on a miss, None without a cache.
+    bytes just written on a miss, None without a cache.  A hit reads its
+    rows as numbers only for ``points``; without, its spectrum is None.
     """
     if cache_dir is None:
         return _compute(params, grid), None
     path = os.path.join(cache_dir, cache_key(params, grid) + ".csv")
     try:
-        return read_spectrum_text(path, (params, grid))
+        return read_spectrum_text(path, (params, grid), points)
     except (FileNotFoundError, MalformedSpectrumFile):
         pass  # a missing entry, or one not accepted for this request, is recomputed
     s = _compute(params, grid)
@@ -399,8 +422,9 @@ def _cmd_compute(args) -> int:
     if args.format == "svg" and args.out is None:
         raise InvalidParams("--format svg requires --out")
     _, _, grid, params = _operators(args)
-    spectra = [compute_spectrum(pa, grid, args.cache_dir) for pa in params]
-    if args.format == "svg":
+    svg = args.format == "svg"
+    spectra = [compute_spectrum(pa, grid, args.cache_dir, points=svg) for pa in params]
+    if svg:
         write_rings_svg([s for s, _ in spectra], args.out)
     else:
         s, text = spectra[0]

@@ -1,13 +1,19 @@
-"""Reference matrices for the tests, written out from their formulas in numpy.
+"""Reference matrices for the tests, written out from their formulas in numpy,
+and the two test-only measures of the acceptance suite.
 
-None of these reads ``kickspec``: they are the independent route the tests
-check the package's arrays against.  ``matrix_at`` is the exception, a
-convenience that calls the code under test.
+The matrices read nothing of ``kickspec``: they are the independent route
+the tests check the package's arrays against.  ``matrix_at`` is the
+exception, a convenience that calls the code under test.
+``bands_in_window`` and ``alpha_jump_witness`` are the measures that
+``test_11`` and ``test_12`` take of the paper's zoom and alpha-jump claims;
+no command or check uses them.
 """
 
 import numpy as np
 
+from kickspec.errors import InvalidParams
 from kickspec.operators import operator_stack
+from kickspec.spectra import BandList, SpectrumKind
 
 
 def dft(q):
@@ -89,3 +95,41 @@ def operator_eigvals(kind, kappa, lam, p, q, x, theta):
 def matrix_at(params, x):
     """The operator_stack matrix of params at (x, params.theta): code under test."""
     return operator_stack(params, [x], [params.fixed_theta()])[0]
+
+
+def bands_in_window(b: BandList, lo: float, hi: float) -> int:
+    """Number of bands intersecting the closed window [lo, hi].
+
+    Circle bands with hi < lo wrap through +pi and intersect the window if
+    either arm does.
+    """
+    count = 0
+    for a, c in b.bands:
+        if b.kind is SpectrumKind.REAL_LINE or a <= c:
+            if not (c < lo or a > hi):
+                count += 1
+        elif a <= hi or c >= lo:
+            count += 1
+    return count
+
+
+def alpha_jump_witness(lam: float, alpha1: float, alpha2: float, theta: float, n_max: int) -> float:
+    """max over |n| <= n_max of |2 lam sin(pi n (a1+a2) + 2 pi theta) sin(pi n (a1-a2))|.
+
+    This lower-bounds the operator-norm distance between the two Harper
+    operators; for admissible alphas it approaches at least (sqrt(3)/2)|lam|,
+    witnessing that the spectrum is not continuous in alpha.
+    """
+    if not (isinstance(n_max, int) and n_max >= 1):
+        raise InvalidParams(f"n_max must be an integer >= 1, got {n_max!r}")
+    for name, v in (("alpha1", alpha1), ("alpha2", alpha2),
+                    ("alpha1+alpha2", alpha1 + alpha2), ("alpha1-alpha2", alpha1 - alpha2)):
+        if float(v) == round(float(v)):
+            raise InvalidParams(f"{name} = {v} is an integer")
+    n = np.arange(-n_max, n_max + 1, dtype=np.float64)
+    vals = np.abs(
+        2.0 * lam
+        * np.sin(np.pi * n * (alpha1 + alpha2) + 2.0 * np.pi * theta)
+        * np.sin(np.pi * n * (alpha1 - alpha2))
+    )
+    return float(vals.max())

@@ -11,8 +11,6 @@ import pytest
 
 import kickspec.spectra as spectra
 from kickspec.analysis import (
-    alpha_jump_witness,
-    bands_in_window,
     hausdorff,
     powerlaw_fit,
     run_check,
@@ -35,7 +33,7 @@ from kickspec.spectra import (
     spectrum_fixed_theta,
     tracked_bands,
 )
-from oracles import clock_shift, unitary_eigvals
+from oracles import alpha_jump_witness, bands_in_window, clock_shift, unitary_eigvals
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from kickspec.analysis import (
     CHECK_IDS,
-    alpha_jump_witness,
-    bands_in_window,
     butterfly,
     check_keys,
     farey_rationals,
@@ -23,6 +21,7 @@ from kickspec.analysis import (
 from kickspec.errors import InvalidParams
 from kickspec.operators import OperatorKind, RationalAlpha
 from kickspec.spectra import BandList, SpectrumKind, SpectrumSet, merge_bands
+from oracles import alpha_jump_witness, bands_in_window
 
 
 def line_set(vals):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -743,9 +744,30 @@ def _retouched_first_row(text):
     return "".join(lines)
 
 
+def _rehashed(edit):
+    """A tamper that edits an entry's row lines, then sets rows_sha256 to match them."""
+    def tamper(text):
+        head, sha, rest = text.partition("# rows_sha256=")
+        body = "".join(edit(rest.split("\n", 1)[1].splitlines(True)))
+        return f"{head}{sha}{hashlib.sha256(body.encode('utf-8')).hexdigest()}\n{body}"
+    return tamper
+
+
+def _first_row(row):
+    return _rehashed(lambda rows: [row(rows[0][:-1]) + "\n", *rows[1:]])
+
+
+_BLANK_ROW = _rehashed(lambda rows: [rows[0], "\n", *rows[1:]])
+_THREE_FIELDS = _first_row(lambda row: f"{row},0,0")
+_ONE_FIELD = _first_row(lambda row: row.split(",")[0])
+_NOT_A_NUMBER = _first_row(lambda row: ",".join(["abc", *row.split(",")[1:]]))
+_OFF_THE_CIRCLE = _first_row(lambda row: "2.0,0,0")
+
+
 _BANDWIDTH = ["bandwidth", "--alpha-list", "fib:3..4", "--grid", "8"]
 _COMPUTE = ["compute", "--alpha", "1/3", "--grid", "3"]
 _ZOOM = ["zoom", "--alpha", "1/3", "--grid", "3", "--factors", "2"]
+_H = ["--kind", "h"]
 
 
 @pytest.mark.parametrize("argv,tamper", [
@@ -759,12 +781,28 @@ _ZOOM = ["zoom", "--alpha", "1/3", "--grid", "3", "--factors", "2"]
     (_ZOOM, lambda text: _lines(text, lambda ln: ln.startswith("#"))),
     (_COMPUTE, _retouched_first_row),
     *((_COMPUTE, tamper) for tamper in _NOT_THE_WRITERS_TEXT.values()),
+    # Tampers that rows_sha256 matches.
+    *((argv, _BLANK_ROW) for argv in (_COMPUTE, _ZOOM, _BANDWIDTH, _COMPUTE + _H, _BANDWIDTH + _H)),
+    (_COMPUTE + _H, _THREE_FIELDS),
+    (_BANDWIDTH + _H, _THREE_FIELDS),
+    *((argv, _ONE_FIELD) for argv in (_COMPUTE, _ZOOM, _BANDWIDTH)),
+    *((argv, _NOT_A_NUMBER) for argv in (_ZOOM, _BANDWIDTH, _BANDWIDTH + _H)),
+    (_ZOOM, _OFF_THE_CIRCLE),
+    (_BANDWIDTH, _OFF_THE_CIRCLE),
 ], ids=["no-error-bound", "kind-h", "other-grid", "other-bound", "empty-compute", "empty-zoom",
-        "empty-bandwidth", "no-rows", "retouched-row", *_NOT_THE_WRITERS_TEXT])
+        "empty-bandwidth", "no-rows", "retouched-row", *_NOT_THE_WRITERS_TEXT,
+        "rehashed-blank-compute", "rehashed-blank-zoom", "rehashed-blank-bandwidth",
+        "rehashed-blank-compute-h", "rehashed-blank-bandwidth-h", "rehashed-three-fields-compute-h",
+        "rehashed-three-fields-bandwidth-h", "rehashed-one-field-compute",
+        "rehashed-one-field-zoom", "rehashed-one-field-bandwidth", "rehashed-not-a-number-zoom",
+        "rehashed-not-a-number-bandwidth", "rehashed-not-a-number-bandwidth-h",
+        "rehashed-off-the-circle-zoom", "rehashed-off-the-circle-bandwidth"])
 def test_a_cache_hit_checks_what_it_reads(tmp_path, argv, tamper):
     # An entry whose header is incomplete, names another request or is not
-    # the writer's text, or whose rows are missing, do not parse by its kind
-    # or do not match its rows_sha256, is recomputed and overwritten.
+    # the writer's text, or whose rows are missing, lack their kind's field
+    # count or do not match its rows_sha256, is recomputed and overwritten,
+    # re-hashed or not; so, where points are read, is one whose fields are
+    # not numbers or not the kind's points.
     cache = tmp_path / "c"
     cold, warm = str(tmp_path / "cold.csv"), str(tmp_path / "warm.csv")
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", cold]) == 0
@@ -810,6 +848,49 @@ def test_a_cached_compute_renders_its_spectrum_at_most_once(tmp_path, monkeypatc
     assert len(rendered) == 1
     (entry,) = cache.iterdir()
     assert cold.read_bytes() == warm.read_bytes() == entry.read_bytes()
+
+
+@pytest.mark.parametrize("argv,builds", [(_COMPUTE, 0), (_ZOOM, 1), (_BANDWIDTH, 1)],
+                         ids=["compute", "zoom", "bandwidth"])
+def test_a_hit_reads_numbers_only_where_points_are_read(tmp_path, monkeypatch, argv, builds):
+    # A compute CSV hit checks its entry and prints its bytes; zoom and
+    # bandwidth --merge-gap auto read the points, one spectrum per entry.
+    import kickspec.cli as cli
+
+    cache = tmp_path / "c"
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    assert dispatch(argv + ["--cache-dir", str(cache), "--out", str(cold)]) == 0
+    entries = sorted(cache.iterdir())
+    build, built = SpectrumSet.build.__func__, []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return build(cls, *args, **kwargs)
+
+    def no_sweep(*args):
+        raise AssertionError("a hit sweeps nothing")
+
+    monkeypatch.setattr(SpectrumSet, "build", classmethod(counted))
+    monkeypatch.setattr(cli, "_compute", no_sweep)
+    assert dispatch(argv + ["--cache-dir", str(cache), "--out", str(warm)]) == 0
+    assert len(built) == builds * len(entries)
+    assert warm.read_bytes() == cold.read_bytes()
+    if argv is _COMPUTE:
+        assert warm.read_bytes() == entries[0].read_bytes()
+
+
+@pytest.mark.parametrize("argv", [_COMPUTE, _COMPUTE + _H], ids=["ukh", "h"])
+def test_a_compute_hit_serves_rehashed_rows_that_are_not_numbers(tmp_path, argv):
+    # rows_sha256 is an integrity check, not a signature, and compute reads no
+    # number: an entry edited to a non-number and re-hashed is served as written.
+    cache = tmp_path / "c"
+    warm = tmp_path / "warm.csv"
+    assert dispatch(argv + ["--cache-dir", str(cache), "--out", str(tmp_path / "cold.csv")]) == 0
+    (entry,) = cache.iterdir()
+    entry.write_text(_NOT_A_NUMBER(entry.read_text()))
+    assert dispatch(argv + ["--cache-dir", str(cache), "--out", str(warm)]) == 0
+    assert warm.read_bytes() == entry.read_bytes()
+    assert "\nabc" in warm.read_text()
 
 
 def test_every_alpha_is_size_checked_before_the_first_sweep(tmp_path, monkeypatch, capsys):
