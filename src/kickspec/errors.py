@@ -21,7 +21,7 @@ class InvalidParams(UsageError):
 
 
 class MalformedSpectrumFile(UsageError):
-    """A spectrum CSV has a row or header line that does not parse."""
+    """A spectrum CSV the acceptance rule refuses, or whose points, where read, do not parse."""
 
 
 class NumericalError(KickspecError):
