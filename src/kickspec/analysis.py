@@ -13,9 +13,9 @@ config, so a whole verification run is reproducible from one manifest.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -137,34 +137,40 @@ def powerlaw_fit(samples) -> PowerLawFit:
     )
 
 
+def _golden(count: int):
+    """The first count golden convergents, each made as it is drawn."""
+    if not (isinstance(count, int) and count >= 1):
+        raise InvalidParams(f"count must be an integer >= 1, got {count!r}")
+    p, q = 1, 2
+    for _ in range(count):
+        yield RationalAlpha(p, q)
+        p, q = q, p + q
+
+
+def _farey(q_max: int):
+    """The Farey rationals up to q_max in ascending order, from 1/q_max, each made as it
+    is drawn: after a/b and c/d comes (k c - a)/(k d - b) with k = (q_max + b) // d."""
+    if not (isinstance(q_max, int) and q_max >= 1):
+        raise InvalidParams(f"q_max must be an integer >= 1, got {q_max!r}")
+    a, b, c, d = 0, 1, 1, q_max
+    while c < d:
+        yield RationalAlpha(c, d)
+        k = (q_max + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+
+
 def golden_convergents(count: int) -> list[RationalAlpha]:
     """Continued-fraction convergents of (sqrt(5)-1)/2: 1/2, 2/3, 3/5, 5/8, ...
 
     Consecutive Fibonacci ratios; consecutive entries satisfy
     |p1 q2 - p2 q1| = 1.
     """
-    if not (isinstance(count, int) and count >= 1):
-        raise InvalidParams(f"count must be an integer >= 1, got {count!r}")
-    out = []
-    p, q = 1, 2
-    for _ in range(count):
-        out.append(RationalAlpha(p, q))
-        p, q = q, p + q
-    return out
+    return list(_golden(count))
 
 
 def farey_rationals(q_max: int) -> list[RationalAlpha]:
     """All reduced p/q with 1 <= q <= q_max and 0 < p < q, ascending by value."""
-    if not (isinstance(q_max, int) and q_max >= 1):
-        raise InvalidParams(f"q_max must be an integer >= 1, got {q_max!r}")
-    out = [
-        RationalAlpha(p, q)
-        for q in range(2, q_max + 1)
-        for p in range(1, q)
-        if math.gcd(p, q) == 1
-    ]
-    out.sort(key=lambda a: Fraction(a.p, a.q))
-    return out
+    return list(_farey(q_max))
 
 
 # -- butterfly dataset ----------------------------------------------------------
@@ -188,9 +194,14 @@ class ButterflyDataset:
 
 def _butterfly_sweeps(kind, kappa: float, lam: float, q_max: int,
                       grid_n: int) -> list[tuple[OperatorParams, GridSpec]]:
-    """The (params, grid) of each butterfly sweep, in Farey order."""
-    return [(OperatorParams(kind, kappa, lam, alpha, MOTHER), GridSpec(n, n))
-            for alpha in farey_rationals(q_max) for n in [max(1, round(grid_n / alpha.q))]]
+    """The (params, grid) of each butterfly sweep, in Farey order, each size-checked
+    as it is drawn, so that an oversized request is refused before the rest is made."""
+    sweeps = []
+    for alpha in _farey(q_max):
+        n = max(1, round(grid_n / alpha.q))
+        sweeps.append((OperatorParams(kind, kappa, lam, alpha, MOTHER), GridSpec(n, n)))
+        _preflight(*sweeps[-1])
+    return sweeps
 
 
 def butterfly(kind, kappa: float, lam: float, q_max: int, grid_n: int) -> ButterflyDataset:
@@ -199,10 +210,7 @@ def butterfly(kind, kappa: float, lam: float, q_max: int, grid_n: int) -> Butter
     Each alpha = p/q gets an n x n grid with n = max(1, round(grid_n / q)),
     keeping the total point budget roughly flat across denominators.
     """
-    kind = OperatorKind(kind)
     sweeps = _butterfly_sweeps(kind, kappa, lam, q_max, grid_n)
-    for params, grid in sweeps:  # every sweep is size-checked before the first one runs
-        _preflight(params, grid)
     vals = []
     for params, grid in sweeps:
         s = mother_spectrum(params, grid)
@@ -215,10 +223,10 @@ def butterfly(kind, kappa: float, lam: float, q_max: int, grid_n: int) -> Butter
     p, q, v = p[order], q[order], v[order]
     for arr in (p, q, v):
         arr.setflags(write=False)
-    # The kappa swept: kind H has none, and OperatorParams records it as 0.
-    return ButterflyDataset(kind=kind, kappa=0.0 if kind is OperatorKind.H else float(kappa),
-                            lam=float(lam), q_max=int(q_max), grid_n=int(grid_n),
-                            p=p, q=q, values=v)
+    # kind, kappa and lambda as the sweeps' OperatorParams record them.
+    pa = OperatorParams(kind, kappa, lam, RationalAlpha(0, 1), MOTHER)
+    return ButterflyDataset(kind=pa.kind, kappa=pa.kappa, lam=pa.lam, q_max=int(q_max),
+                            grid_n=int(grid_n), p=p, q=q, values=v)
 
 
 # -- zoom windows ---------------------------------------------------------------
@@ -238,11 +246,10 @@ def zoom_windows(eps, center: float, factors) -> list[ZoomWindow]:
     contained subset of the (sorted) input phases.
     """
     eps = np.sort(np.asarray(eps, dtype=np.float64))
-    if not (-np.pi < center <= np.pi):
-        raise InvalidParams(f"center must lie in (-pi, pi], got {center}")
-    factors = [float(f) for f in factors]
-    if not all(f > 1.0 for f in factors):
-        raise InvalidParams(f"zoom factors must all be > 1, got {factors}")
+    try:
+        center, factors = _PARSE["center"](center), _PARSE["factors"](factors)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParams(str(exc)) from exc
     windows = [ZoomWindow(lo=-np.pi, hi=np.pi, points=eps)]
     width = TWO_PI
     for f in factors:
@@ -337,9 +344,9 @@ def _check_mother_equality(cfg):
     s_or = _mother(OperatorKind.UORDKR, cfg["kappa"], cfg["lambda"], alpha, n)
     bound = s_kh.error_bound + s_or.error_bound
     # The rotor's theta kick sits at beta = x + theta + alpha/2 + phi, an
-    # offset of (p + 2 q phi)/(2q).  When that is a whole number of theta
-    # steps 1/(n q), both sweeps visit equivalent matrices node for node.
-    if n * (alpha.p + round(2 * alpha.q * dcp_eigensystem(alpha).phi)) % 2 == 0:
+    # offset of shift/(2q).  When that is a whole number of theta steps
+    # 1/(n q), both sweeps visit equivalent matrices node for node.
+    if n * dcp_eigensystem(alpha).shift % 2 == 0:
         bound = min(bound, _MATCHED_GRID_TOL)
     return (hausdorff(s_kh, s_or), bound,
             "kicked Harper vs double kicked rotor mother spectra share a true spectrum")
@@ -452,6 +459,35 @@ def _merge_gap(v):
     return v if v == "auto" else float(v)
 
 
+def _center(v) -> float:
+    if not -np.pi < float(v) <= np.pi:  # nor is nan
+        raise ValueError(f"center must lie in (-pi, pi], got {float(v)}")
+    return float(v)
+
+
+def _factors(v) -> list[float]:
+    factors = [float(f) for f in v]
+    if not all(f > 1.0 for f in factors):  # nan is not > 1
+        raise ValueError(f"zoom factors must all be > 1, got {factors}")
+    return factors
+
+
+def _alpha_list(v):
+    """farey:qmax, or fib:a..b for the a-th to b-th golden convergents; never empty.
+
+    The alphas are made as they are drawn, so that a caller can refuse an
+    oversized one before the rest of the list is made.
+    """
+    kind, _, arg = str(v).partition(":")
+    if kind == "farey" and int(arg) >= 2:  # farey:1 names no alpha
+        return _farey(int(arg))
+    if kind == "fib":
+        a, _, b = arg.partition("..")
+        if 1 <= int(a) <= int(b):
+            return itertools.islice(_golden(int(b)), int(a) - 1, None)
+    raise ValueError("expected fib:a..b with 1 <= a <= b, or farey:qmax with qmax >= 2")
+
+
 def _lambdas(v) -> list[float]:
     lams = _nonempty(float)(v)
     if 1.0 not in lams or set(lams) == {1.0}:
@@ -459,8 +495,9 @@ def _lambdas(v) -> list[float]:
     return lams
 
 
-# One parser per config key, shared by every check that reads the key.  A
-# value a parser cannot use raises TypeError, ValueError or OverflowError,
+# One parser per config key, shared by every check that reads the key and
+# by the command line, whose alpha lists and zoom window rules live here too.
+# A value a parser cannot use raises TypeError, ValueError or OverflowError,
 # which run_check reports as InvalidParams (RationalAlpha.parse raises its
 # own usage errors).
 _PARSE = {
@@ -469,6 +506,7 @@ _PARSE = {
     "n": _at_least(1), "trials": _at_least(1), "seed": _at_least(0),
     "merge_gap": _merge_gap,
     "kappas": _nonempty(float), "alphas": _nonempty(_alpha), "lambdas": _lambdas,
+    "center": _center, "factors": _factors, "alpha_list": _alpha_list,
 }
 
 

@@ -32,8 +32,6 @@ from .analysis import (
     CHECK_IDS,
     check_config,
     check_keys,
-    farey_rationals,
-    golden_convergents,
     run_check,
     total_bandwidth,
     zoom_windows,
@@ -41,7 +39,7 @@ from .analysis import (
 )
 from .errors import InvalidParams, MalformedSpectrumFile, NumericalError, UsageError
 from .linalg import DEDUP_TOL, UNIT_MODULUS_TOL, principal_args
-from .operators import MOTHER, OperatorKind, OperatorParams, RationalAlpha
+from .operators import MOTHER, OperatorKind, OperatorParams
 from .spectra import (
     GridSpec,
     SpectrumKind,
@@ -295,21 +293,6 @@ def _floats(text: str) -> list[float]:
     return _PARSE["kappas"](text.split(","))
 
 
-def _alpha_list(text: str) -> list[RationalAlpha]:
-    """farey:qmax, or fib:a..b for the a-th to b-th golden-ratio convergents; never empty."""
-    kind, _, arg = text.partition(":")
-    if kind == "farey":
-        q_max = int(arg)
-        if q_max >= 2:  # farey:1 names no alpha
-            return farey_rationals(q_max)
-    if kind == "fib":
-        a, _, b = arg.partition("..")
-        lo, hi = int(a), int(b)
-        if 1 <= lo <= hi:
-            return golden_convergents(hi)[lo - 1:]
-    raise ValueError("expected fib:a..b with 1 <= a <= b, or farey:qmax with qmax >= 2")
-
-
 def _operators(args, alphas=()) -> tuple[list[float], float, GridSpec, list[OperatorParams]]:
     """A command's operator flags, each parsed once, and checked before anything is swept.
 
@@ -318,7 +301,8 @@ def _operators(args, alphas=()) -> tuple[list[float], float, GridSpec, list[Oper
     requires, else ``alphas``.  Only compute --format svg reads a --kappa list, --grid N,M
     needs --theta mother (the one scope with a theta axis), eigenphase
     outputs (zoom, SVG rings) need a unit-circle kind, and every sweep must
-    pass the size preflight before the first one runs.
+    pass the size preflight before the first one runs.  Each alpha is
+    size-checked as it is drawn, so an oversized one stops a lazy list there.
     """
     if hasattr(args, "alpha"):
         if args.alpha is None:
@@ -337,10 +321,10 @@ def _operators(args, alphas=()) -> tuple[list[float], float, GridSpec, list[Oper
         raise InvalidParams(f"--grid expects N, or N,M with --theta mother, got {args.grid!r}")
     if kind is OperatorKind.H and (svg or args.command == "zoom"):
         raise InvalidParams(f"{args.command} shows eigenphases; --kind h has a real spectrum")
-    params = [OperatorParams(kind, k, lam, a, theta) for k in kappas for a in alphas]
-    grid = GridSpec(sizes[0], sizes[-1])
-    for pa in params:
+    grid, params = GridSpec(sizes[0], sizes[-1]), []
+    for pa in (OperatorParams(kind, k, lam, a, theta) for a in alphas for k in kappas):
         _preflight(pa, grid)
+        params.append(pa)
     return kappas, lam, grid, params
 
 
@@ -438,7 +422,7 @@ def _cmd_bandwidth(args) -> int:
     gap = args.merge_gap
     if gap != "track":
         gap = _parsed("--merge-gap", _PARSE["merge_gap"], gap)
-    alphas = _parsed("--alpha-list", _alpha_list, args.alpha_list)
+    alphas = _parsed("--alpha-list", _PARSE["alpha_list"], args.alpha_list)
     _, _, grid, params = _operators(args, alphas)
     # The sweeps' shared header: the request's lines but the per-alpha ones.
     lines = [ln for ln in _header_lines(params[0], grid)
@@ -464,29 +448,22 @@ def _cmd_bandwidth(args) -> int:
 def _cmd_butterfly(args) -> int:
     if not args.alpha_list.startswith("farey:"):
         raise InvalidParams("butterfly sweeps Farey rationals; use --alpha-list farey:qmax")
-    q_max = max(a.q for a in _parsed("--alpha-list", _alpha_list, args.alpha_list))
+    # Farey order opens with 1/q_max; butterfly_dataset draws the list itself.
+    first = next(_parsed("--alpha-list", _PARSE["alpha_list"], args.alpha_list))
     kappas, lam, grid, _ = _operators(args)
-    ds = butterfly_dataset(args.kind, kappas[0], lam, q_max, grid.n_x)
-    lines = [
-        f"# kind={ds.kind.value}",
-        f"# kappa={ds.kappa!r}",
-        f"# lambda={ds.lam!r}",
-        f"# q_max={ds.q_max}",
-        f"# grid_n={ds.grid_n}",
-        "p,q,value",
-    ]
+    ds = butterfly_dataset(args.kind, kappas[0], lam, first.q, grid.n_x)
+    # The kind, kappa and lambda lines of the first sweep's request head the table.
+    request = OperatorParams(ds.kind, ds.kappa, ds.lam, first, MOTHER)
+    lines = [*_header_lines(request, grid)[:3], f"# q_max={ds.q_max}", f"# grid_n={ds.grid_n}",
+             "p,q,value"]
     lines.extend(f"{p},{q},{_fmt(v)}" for p, q, v in zip(ds.p, ds.q, ds.values))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_zoom(args) -> int:
-    center = None if args.center is None else _parsed("--center", float, args.center)
-    if center is not None and not -np.pi < center <= np.pi:
-        raise InvalidParams(f"--center must lie in (-pi, pi], got {args.center!r}")
-    factors = _parsed("--factors", _floats, args.factors)
-    if not all(f > 1.0 for f in factors):
-        raise InvalidParams(f"--factors must all be > 1, got {args.factors!r}")
+    center = None if args.center is None else _parsed("--center", _PARSE["center"], args.center)
+    factors = _parsed("--factors", lambda text: _PARSE["factors"](_floats(text)), args.factors)
     _, _, grid, (pa,) = _operators(args)
     phases = eigenphases(compute_spectrum(pa, grid, args.cache_dir)[0])
     center = float(np.median(phases)) if center is None else center

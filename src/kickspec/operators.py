@@ -153,26 +153,43 @@ def cos_rows(k: int, ys, q: int) -> np.ndarray:
     return np.cos(2.0 * np.pi * (np.asarray(ys, dtype=np.float64)[:, None] + j / q))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DcpEigensystem:
-    """Closed-form eigensystem of D C^p.
+    """Closed-form eigensystem of D C^p at alpha = p/q.
 
-    ``values[k]`` = mu * w^k (k = 0..q-1) with mu = exp(i 2 pi phi), where
-    phi = 0 when p(q-1) is even and 1/(2q) when odd.  ``vectors`` is the
-    unitary matrix E of normalized eigenvectors, columns ordered to match
-    ``values``, built from the index recursion u_{jp+1} = w^{-p j(j-1)/2}
-    nu^j u_1 with indices taken mod q and u_1 = 1/sqrt(q).
+    ``shift`` = p + 2 q phi is the one integer that sets the rest, with
+    phi = 0 when p(q-1) is even and 1/(2q) when odd, so that
+    alpha/2 + phi = shift / (2q).  ``values[k]`` = mu * w^k (k = 0..q-1)
+    with mu = exp(i 2 pi phi).  ``vectors`` is the unitary matrix E of
+    normalized eigenvectors, columns ordered to match ``values``, built from
+    the index recursion u_{jp+1} = w^{-p j(j-1)/2} nu^j u_1 with indices
+    taken mod q and u_1 = 1/sqrt(q).  The arrays are built on first read, so
+    shift and phi cost no q x q work.
     """
 
-    values: np.ndarray
-    vectors: np.ndarray
-    phi: float
+    p: int
+    q: int
+
+    @property
+    def shift(self) -> int:
+        return self.p + self.p * (self.q - 1) % 2
+
+    @property
+    def phi(self) -> float:
+        return (self.shift - self.p) / (2 * self.q)
+
+    @property
+    def values(self) -> np.ndarray:
+        return _dcp_arrays(self.p, self.q, self.shift)[0]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return _dcp_arrays(self.p, self.q, self.shift)[1]
 
 
 @lru_cache(maxsize=None)
-def _dcp_cached(p: int, q: int) -> DcpEigensystem:
-    odd = (p * (q - 1)) % 2
-    phi = 0.0 if odd == 0 else 1.0 / (2 * q)
+def _dcp_arrays(p: int, q: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    odd = shift - p
     roots = np.exp(1j * np.pi * np.arange(2 * q) / q)  # 2q-th roots of unity
     k = np.arange(q, dtype=np.int64)
     values = roots[(2 * k + odd) % (2 * q)].copy()
@@ -186,17 +203,17 @@ def _dcp_cached(p: int, q: int) -> DcpEigensystem:
 
     values.setflags(write=False)
     e.setflags(write=False)
-    return DcpEigensystem(values=values, vectors=e, phi=phi)
+    return values, e
 
 
 def dcp_eigensystem(alpha: RationalAlpha) -> DcpEigensystem:
-    """Eigenvalues, eigenvectors and phase offset phi of D C^p for alpha = p/q.
+    """Eigenvalues, eigenvectors, phase offset phi and shift of D C^p for alpha = p/q.
 
-    Results are memoized per (p, q); the returned arrays are read-only.
+    The arrays are memoized per (p, q) and read-only.
     """
     if not isinstance(alpha, RationalAlpha):
         raise InvalidParams("dcp_eigensystem expects a RationalAlpha")
-    return _dcp_cached(alpha.p, alpha.q)
+    return DcpEigensystem(alpha.p, alpha.q)
 
 
 # -- operator matrices ----------------------------------------------------------

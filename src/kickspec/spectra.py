@@ -44,7 +44,7 @@ from .linalg import (
     principal_args,
     unitary_eigvals_stack,
 )
-from .operators import MOTHER, OperatorKind, OperatorParams, operator_stack
+from .operators import MOTHER, OperatorKind, OperatorParams, dcp_eigensystem, operator_stack
 
 __all__ = [
     "SpectrumKind",
@@ -276,13 +276,11 @@ def _shear(params: OperatorParams, grid: GridSpec) -> int | None:
     """2s for a uordkr mother sweep on a square grid, else None.
 
     There the node (j, k) has the sheared phase beta = (j + k + s) / (n q),
-    with s = n q (alpha/2 + phi) = n (p + odd) / 2 and odd = p (q - 1) mod 2,
-    the parity that sets phi (operators.dcp_eigensystem).
+    with s = n q (alpha/2 + phi) = n shift / 2 (operators.DcpEigensystem).
     """
     if params.kind is not OperatorKind.UORDKR or grid.n_x != grid.n_theta:
         return None
-    p, q = params.alpha.p, params.alpha.q
-    return grid.n_x * (p + p * (q - 1) % 2)
+    return grid.n_x * dcp_eigensystem(params.alpha).shift
 
 
 def _self_dual(params: OperatorParams, grid: GridSpec) -> bool:

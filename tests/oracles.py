@@ -3,11 +3,16 @@ and the two test-only measures of the acceptance suite.
 
 The matrices read nothing of ``kickspec``: they are the independent route
 the tests check the package's arrays against.  ``matrix_at`` is the
-exception, a convenience that calls the code under test.
+exception, a convenience that calls the code under test.  ``farey_reference``
+lists the Farey rationals by the gcd filter and a sort, the route the
+package's next-term recurrence is checked against.
 ``bands_in_window`` and ``alpha_jump_witness`` are the measures that
 ``test_11`` and ``test_12`` take of the paper's zoom and alpha-jump claims;
 no command or check uses them.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -95,6 +100,12 @@ def operator_eigvals(kind, kappa, lam, p, q, x, theta):
 def matrix_at(params, x):
     """The operator_stack matrix of params at (x, params.theta): code under test."""
     return operator_stack(params, [x], [params.fixed_theta()])[0]
+
+
+def farey_reference(q_max):
+    """(p, q) of every reduced p/q with 0 < p < q <= q_max, ascending by value."""
+    pairs = [(p, q) for q in range(2, q_max + 1) for p in range(1, q) if math.gcd(p, q) == 1]
+    return sorted(pairs, key=lambda pq: Fraction(*pq))
 
 
 def bands_in_window(b: BandList, lo: float, hi: float) -> int:

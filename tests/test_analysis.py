@@ -21,7 +21,7 @@ from kickspec.analysis import (
 from kickspec.errors import InvalidParams
 from kickspec.operators import OperatorKind, RationalAlpha
 from kickspec.spectra import BandList, SpectrumKind, SpectrumSet, merge_bands
-from oracles import alpha_jump_witness, bands_in_window
+from oracles import alpha_jump_witness, bands_in_window, farey_reference
 
 
 def line_set(vals):
@@ -171,6 +171,11 @@ def test_farey_examples():
     assert len(f5) == 9
     assert f5[-1] == RationalAlpha(4, 5)
     assert farey_rationals(1) == []
+
+
+def test_farey_recurrence_matches_the_gcd_and_sort_reference():
+    for q_max in range(1, 81):
+        assert [(a.p, a.q) for a in farey_rationals(q_max)] == farey_reference(q_max), q_max
 
 
 # -- butterfly --------------------------------------------------------------------------------

@@ -651,6 +651,17 @@ def test_table_headers_describe_the_sweep(tmp_path):
     assert "# kappa=0.0" in butterfly
 
 
+@pytest.mark.parametrize("kind,kappa", [("ukh", "0.5"), ("h", "2")])
+def test_butterfly_table_header_is_pinned(tmp_path, kind, kappa):
+    out = tmp_path / "b.csv"
+    assert dispatch(["butterfly", "--kind", kind, "--kappa", kappa, "--alpha-list", "farey:13",
+                     "--grid", "48", "--out", str(out)]) == 0
+    swept = "0.0" if kind == "h" else kappa  # kind h sweeps no kappa
+    assert out.read_text().splitlines()[:6] == [
+        f"# kind={kind}", f"# kappa={float(swept)!r}", "# lambda=1.0", "# q_max=13",
+        "# grid_n=48", "p,q,value"]
+
+
 def test_zoom_command(tmp_path):
     out = str(tmp_path / "z.csv")
     code = dispatch([
@@ -928,6 +939,41 @@ def test_every_butterfly_grid_is_size_checked_before_the_first_sweep(tmp_path, m
     assert code == 2
     assert f"at q = {sweeps[largest][0].alpha.q} needs" in capsys.readouterr().err
     assert built == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,refused,most", [
+    (["bandwidth", "--alpha-list", "fib:1..100000"], 10946, 19),
+    (["bandwidth", "--kind", "uordkr", "--alpha-list", "fib:1..100000"], 10946, 19),
+    (["butterfly", "--alpha-list", "farey:20000"], 20000, 2),
+], ids=["fib", "fib-uordkr", "farey"])
+def test_an_oversized_alpha_list_is_refused_before_it_is_made(tmp_path, monkeypatch, built,
+                                                               capsys, argv, refused, most):
+    # The lists hold 10^5 and about 1.2 * 10^8 alphas.  Each alpha is made as
+    # it is drawn and size-checked at once, so the command stops at the first
+    # too large for 8 GiB, having made a handful, and builds no matrix, not
+    # even the rotor's D C^p eigenvectors.
+    import kickspec.analysis as analysis
+    import kickspec.operators as operators
+    import kickspec.spectra as spectra
+
+    made, eigensystems = [], []
+
+    class Counted(RationalAlpha):
+        def __post_init__(self):
+            made.append(self)
+            assert len(made) <= most, "the list is made before its entries are size-checked"
+            super().__post_init__()
+
+    monkeypatch.setattr(analysis, "RationalAlpha", Counted)
+    monkeypatch.setattr(operators, "_dcp_arrays", lambda *key: eigensystems.append(key))
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8 * 2**30 // 4096}
+    monkeypatch.setattr(spectra.os, "sysconf", sizes.__getitem__)
+    out = tmp_path / "t.csv"
+    assert dispatch(argv + ["--grid", "2", "--out", str(out)]) == 2
+    assert f"at q = {refused} needs" in capsys.readouterr().err
+    assert 0 < len(made) <= most
+    assert built == [] and eigensystems == []
     assert not out.exists()
 
 

@@ -51,3 +51,22 @@ def test_modules_take_only_the_kernel_entry_points_private():
     assert ("analysis", "spectra", "_sweep_values") in found
     stray = sorted(f for f in found if f[0] not in ALLOWED.get(f[1:], ()))
     assert stray == []
+
+
+def test_the_package_exports_its_layer_modules_public_names():
+    # __init__ names no public symbol itself: it star-imports the four layer
+    # modules and joins their __all__ lists, so each name is declared once.
+    import kickspec.analysis
+    import kickspec.linalg
+    import kickspec.operators
+    import kickspec.spectra
+
+    layers = [kickspec.analysis, kickspec.linalg, kickspec.operators, kickspec.spectra]
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported == {"*", "__all__"}
+    owners = {name: m for m in layers for name in m.__all__}
+    assert sorted(kickspec.__all__) == sorted(["__version__", *owners])
+    for name, module in owners.items():
+        assert getattr(kickspec, name) is getattr(module, name)

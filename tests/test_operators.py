@@ -254,6 +254,28 @@ def test_dcp_against_brute_force(q):
         assert dc.phi == pytest.approx(expected_phi)
 
 
+def test_dcp_shift_is_the_one_integer_behind_phi():
+    # shift = p + 2 q phi, so the rotor's beta offset alpha/2 + phi is shift/(2q).
+    for q in range(1, 13):
+        for p in range(q) if q > 1 else [0]:
+            if math.gcd(p, q) != 1:
+                continue
+            dc = dcp_eigensystem(RationalAlpha(p, q))
+            assert dc.shift == p + round(2 * q * dc.phi)
+            assert dc.shift - p in (0, 1)
+            assert p / (2 * q) + dc.phi == pytest.approx(dc.shift / (2 * q), abs=1e-15)
+
+
+def test_dcp_shift_builds_no_q_by_q_array(monkeypatch):
+    import kickspec.operators as operators
+
+    built = []
+    monkeypatch.setattr(operators, "_dcp_arrays", lambda *key: built.append(key))
+    dc = dcp_eigensystem(RationalAlpha(1, 10**6))
+    assert (dc.shift, dc.phi) == (2, 1 / (2 * 10**6))
+    assert built == []
+
+
 # -- double kicked rotor -----------------------------------------------------------------
 
 
