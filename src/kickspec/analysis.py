@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -66,21 +67,12 @@ __all__ = [
 
 # -- Hausdorff metric ---------------------------------------------------------
 
-def _directed_line(a: np.ndarray, b: np.ndarray) -> float:
-    pos = np.searchsorted(b, a)
-    left = b[np.clip(pos - 1, 0, b.size - 1)]
-    right = b[np.clip(pos, 0, b.size - 1)]
-    return float(np.maximum.reduce(np.minimum(np.abs(a - left), np.abs(a - right))))
-
-
-def _directed_circle(az: np.ndarray, bz: np.ndarray) -> float:
-    # Chordal distance |z - w| = 2 |sin((a-b)/2)| grows with circular angular
-    # distance, so the nearest point is an angular neighbour; find it with a
-    # wrapped binary search instead of a full distance matrix.
-    pos = np.searchsorted(principal_args(bz), principal_args(az))
-    right = pos % bz.size
-    left = (pos - 1) % bz.size
-    return float(np.minimum(np.abs(az - bz[right]), np.abs(az - bz[left])).max())
+def _directed(a: np.ndarray, b: np.ndarray, key) -> float:
+    """max over a of the distance to the nearest point of b, both sorted by key: one of
+    its two neighbours in key order, wrapped round the ends (the chord |z - w| grows
+    with the angle on the circle; on the line the wrapped one is the farther)."""
+    pos = np.searchsorted(key(b), key(a))
+    return float(np.minimum(np.abs(a - b[pos % b.size]), np.abs(a - b[pos - 1])).max())
 
 
 def hausdorff(x: SpectrumSet, y: SpectrumSet) -> float:
@@ -93,9 +85,8 @@ def hausdorff(x: SpectrumSet, y: SpectrumSet) -> float:
         raise InvalidParams(f"cannot compare {x.kind.value} with {y.kind.value}")
     if len(x) == 0 or len(y) == 0:
         raise InvalidParams("hausdorff requires nonempty spectra")
-    if x.kind is SpectrumKind.REAL_LINE:
-        return max(_directed_line(x.points, y.points), _directed_line(y.points, x.points))
-    return max(_directed_circle(x.points, y.points), _directed_circle(y.points, x.points))
+    key = np.asarray if x.kind is SpectrumKind.REAL_LINE else principal_args
+    return max(_directed(x.points, y.points, key), _directed(y.points, x.points, key))
 
 
 def total_bandwidth(b: BandList) -> float:
@@ -137,8 +128,11 @@ def powerlaw_fit(samples) -> PowerLawFit:
     )
 
 
-def _golden(count: int):
-    """The first count golden convergents, each made as it is drawn."""
+def golden_convergents(count: int) -> Iterator[RationalAlpha]:
+    """The first count continued-fraction convergents of (sqrt(5)-1)/2: 1/2, 2/3, 3/5,
+    5/8, ..., each made as it is drawn.  Consecutive Fibonacci ratios; consecutive
+    entries satisfy |p1 q2 - p2 q1| = 1.
+    """
     if not (isinstance(count, int) and count >= 1):
         raise InvalidParams(f"count must be an integer >= 1, got {count!r}")
     p, q = 1, 2
@@ -147,9 +141,10 @@ def _golden(count: int):
         p, q = q, p + q
 
 
-def _farey(q_max: int):
-    """The Farey rationals up to q_max in ascending order, from 1/q_max, each made as it
-    is drawn: after a/b and c/d comes (k c - a)/(k d - b) with k = (q_max + b) // d."""
+def farey_rationals(q_max: int) -> Iterator[RationalAlpha]:
+    """All reduced p/q with 1 <= q <= q_max and 0 < p < q, ascending by value from
+    1/q_max, each made as it is drawn: after a/b and c/d comes (k c - a)/(k d - b)
+    with k = (q_max + b) // d."""
     if not (isinstance(q_max, int) and q_max >= 1):
         raise InvalidParams(f"q_max must be an integer >= 1, got {q_max!r}")
     a, b, c, d = 0, 1, 1, q_max
@@ -157,20 +152,6 @@ def _farey(q_max: int):
         yield RationalAlpha(c, d)
         k = (q_max + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-
-
-def golden_convergents(count: int) -> list[RationalAlpha]:
-    """Continued-fraction convergents of (sqrt(5)-1)/2: 1/2, 2/3, 3/5, 5/8, ...
-
-    Consecutive Fibonacci ratios; consecutive entries satisfy
-    |p1 q2 - p2 q1| = 1.
-    """
-    return list(_golden(count))
-
-
-def farey_rationals(q_max: int) -> list[RationalAlpha]:
-    """All reduced p/q with 1 <= q <= q_max and 0 < p < q, ascending by value."""
-    return list(_farey(q_max))
 
 
 # -- butterfly dataset ----------------------------------------------------------
@@ -197,7 +178,7 @@ def _butterfly_sweeps(kind, kappa: float, lam: float, q_max: int,
     """The (params, grid) of each butterfly sweep, in Farey order, each size-checked
     as it is drawn, so that an oversized request is refused before the rest is made."""
     sweeps = []
-    for alpha in _farey(q_max):
+    for alpha in farey_rationals(q_max):
         n = max(1, round(grid_n / alpha.q))
         sweeps.append((OperatorParams(kind, kappa, lam, alpha, MOTHER), GridSpec(n, n)))
         _preflight(*sweeps[-1])
@@ -381,7 +362,7 @@ def _check_aubry_andre(cfg):
 def _check_band_count(cfg):
     q = cfg["alpha"].q
     s = _mother(OperatorKind.H, 0.0, cfg["lambda"], cfg["alpha"], cfg["n"])
-    gap = auto_merge_gap(s) if cfg["merge_gap"] == "auto" else cfg["merge_gap"]
+    gap = auto_merge_gap(s, cfg["merge_gap"])
     bands = merge_bands(s, gap)
     expected = q if q % 2 == 1 else q - 1
     return (float(abs(len(bands) - expected)), 0.0,
@@ -480,11 +461,11 @@ def _alpha_list(v):
     """
     kind, _, arg = str(v).partition(":")
     if kind == "farey" and int(arg) >= 2:  # farey:1 names no alpha
-        return _farey(int(arg))
+        return farey_rationals(int(arg))
     if kind == "fib":
         a, _, b = arg.partition("..")
         if 1 <= int(a) <= int(b):
-            return itertools.islice(_golden(int(b)), int(a) - 1, None)
+            return itertools.islice(golden_convergents(int(b)), int(a) - 1, None)
     raise ValueError("expected fib:a..b with 1 <= a <= b, or farey:qmax with qmax >= 2")
 
 
@@ -580,9 +561,13 @@ def check_config(check_id: str, cfg: dict) -> dict:
     if cid == "AUBRY_ANDRE" and parsed["lambda"] in (0.0, 1.0):
         raise InvalidParams("AUBRY_ANDRE requires lambda != 0 and lambda != 1: at lambda = 1 "
                             "both sweeps are sigma(1)")
-    if cid == "KAPPA_CUBED" and parsed["lambda"] == 0.0:
-        raise InvalidParams("KAPPA_CUBED requires lambda != 0: at lambda = 0 the two kicks "
-                            "commute, so ukh and uh are one operator")
+    if cid == "KAPPA_CUBED" and (parsed["lambda"] == 0.0 or parsed["alpha"].q < 2):
+        raise InvalidParams("KAPPA_CUBED requires lambda != 0 and q >= 2: at lambda = 0, or on "
+                            "the 1 x 1 matrices of q = 1, the two kicks commute, so ukh and uh "
+                            "are one operator")
+    if cid == "KAPPA_CUBED" and 0.0 in parsed["kappas"]:
+        raise InvalidParams("KAPPA_CUBED requires kappas != 0: at kappa = 0 both spectra "
+                            "are the point 1")
     if cid == "LAST_MEASURE_TREND" and parsed["n"] < 2:
         raise InvalidParams("LAST_MEASURE_TREND requires n >= 2: on a one-node grid "
                             "every band has zero width")

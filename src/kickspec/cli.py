@@ -119,8 +119,8 @@ def _header_lines(params: OperatorParams, grid: GridSpec) -> list[str]:
 
 def spectrum_csv_text(s: SpectrumSet) -> str:
     """The spectrum CSV of a sweep's spectrum; any other spectrum is refused."""
-    if s.params is None or s.grid is None or s.error_bound != grid_error_bound(s.params, s.grid):
-        raise InvalidParams("only a sweep's spectrum, with its params, grid and bound, is written")
+    if s.params is None or s.grid is None:
+        raise InvalidParams("only a sweep's spectrum, with its params and grid, is written")
     if s.kind is SpectrumKind.REAL_LINE:
         rows = [_fmt(v) for v in s.points]
     else:
@@ -176,7 +176,7 @@ def read_spectrum_text(
         head = "\n".join([*_header_lines(params, grid), "# rows_sha256="]).encode("utf-8")
         # The sha line ends in 64 hex digits and a newline; the body is every byte after it.
         sha, body = data[len(head):len(head) + 65], data[len(head) + 65:]
-        row = b"\n" if params.kind is OperatorKind.H else b",,\n"
+        row = b"\n" if SpectrumKind.of(params.kind) is SpectrumKind.REAL_LINE else b",,\n"
         seps = body.translate(None, _NOT_SEPARATOR)
         if not (data.startswith(head) and sha == f"{_rows_sha256(body)}\n".encode("utf-8")
                 and body.endswith(b"\n") and seps == row * (len(seps) // len(row))
@@ -191,15 +191,16 @@ def read_spectrum_text(
 
 
 def _spectrum(text: str, params: OperatorParams, grid: GridSpec) -> SpectrumSet:
-    """The spectrum of an accepted spectrum CSV text: its rows read as numbers by params.kind."""
+    """The spectrum of an accepted spectrum CSV text: each row's first field, a real point,
+    or its first two, a complex one."""
     rows = text.split("\n")[len(_header_lines(params, grid)) + 1:-1]
-    if params.kind is OperatorKind.H:
-        kind, values = SpectrumKind.REAL_LINE, [float(row) for row in rows]
+    kind = SpectrumKind.of(params.kind)
+    if kind is SpectrumKind.REAL_LINE:
+        values = [float(row) for row in rows]
     else:
-        kind, values = SpectrumKind.UNIT_CIRCLE, [
-            complex(float(re_s), float(im_s)) for re_s, im_s, _ in (row.split(",") for row in rows)]
-    return SpectrumSet.build(kind, np.asarray(values), params=params, grid=grid,
-                             error_bound=grid_error_bound(params, grid))
+        values = [complex(float(re_s), float(im_s))
+                  for re_s, im_s, _ in (row.split(",") for row in rows)]
+    return SpectrumSet.build(kind, np.asarray(values), params=params, grid=grid)
 
 
 # -- ring SVG ------------------------------------------------------------------
@@ -319,8 +320,9 @@ def _operators(args, alphas=()) -> tuple[list[float], float, GridSpec, list[Oper
                             "a list is read only by compute --format svg")
     if len(sizes) > 2 or len(sizes) == 2 and not (hasattr(args, "theta") and theta == MOTHER):
         raise InvalidParams(f"--grid expects N, or N,M with --theta mother, got {args.grid!r}")
-    if kind is OperatorKind.H and (svg or args.command == "zoom"):
-        raise InvalidParams(f"{args.command} shows eigenphases; --kind h has a real spectrum")
+    if SpectrumKind.of(kind) is SpectrumKind.REAL_LINE and (svg or args.command == "zoom"):
+        raise InvalidParams(f"{args.command} shows eigenphases; --kind {kind.value} has a "
+                            "real spectrum")
     grid, params = GridSpec(sizes[0], sizes[-1]), []
     for pa in (OperatorParams(kind, k, lam, a, theta) for a in alphas for k in kappas):
         _preflight(pa, grid)
@@ -431,15 +433,13 @@ def _cmd_bandwidth(args) -> int:
     for pa in params:
         if gap == "track":
             bands = tracked_bands(pa, grid)
-            bound = grid_error_bound(pa, grid)
         else:
             s, _ = compute_spectrum(pa, grid, args.cache_dir)
-            bands = merge_bands(s, auto_merge_gap(s) if gap == "auto" else gap)
-            bound = s.error_bound
+            bands = merge_bands(s, auto_merge_gap(s, gap))
         alpha = pa.alpha
         lines.append(
             f"{alpha.p},{alpha.q},{_fmt(alpha.value)},{len(bands)},"
-            f"{_fmt(total_bandwidth(bands))},{_fmt(bound)}"
+            f"{_fmt(total_bandwidth(bands))},{_fmt(grid_error_bound(pa, grid))}"
         )
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -5,8 +5,8 @@ eigenvalues of its matrix over x in [0, 1/q) (fixed theta) or over
 (x, theta) in [0, 1/q)^2 (mother scope).  Sampling that union on a uniform
 grid anchored at 0 gives an estimate whose Hausdorff distance to the true
 spectrum is bounded by an explicit Lipschitz constant divided by N q; the
-bound is stored on the result so downstream merging and comparisons can be
-certified.
+result carries its request, and so that bound, so downstream merging and
+comparisons can be certified.
 
 The spectrum is 1/q-periodic on both axes, so on a grid anchored at 0 node
 j mirrors node (n - j) mod n.  The sweep solves one node per mirror orbit:
@@ -72,6 +72,11 @@ class SpectrumKind(str, Enum):
     REAL_LINE = "real_line"
     UNIT_CIRCLE = "unit_circle"
 
+    @classmethod
+    def of(cls, kind: OperatorKind | str) -> "SpectrumKind":
+        """Where a kind's spectrum lies: h's on the real line, the others' on the unit circle."""
+        return cls.REAL_LINE if OperatorKind(kind) is OperatorKind.H else cls.UNIT_CIRCLE
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -107,28 +112,25 @@ class SpectrumSet:
 
     ``points`` is sorted and deduplicated: ascending reals on the line,
     unit-modulus complex values sorted by principal argument on the circle.
-    ``error_bound`` is a certified Hausdorff distance to the true spectrum
-    (0 for synthetic sets).
+    ``error_bound`` is a certified Hausdorff distance to the true spectrum:
+    the grid's bound for a sweep's set, which has params and a grid, else 0.
     """
 
     kind: SpectrumKind
     points: np.ndarray
     params: OperatorParams | None = None
     grid: GridSpec | None = None
-    error_bound: float = 0.0
+
+    @property
+    def error_bound(self) -> float:
+        if self.params is None or self.grid is None:
+            return 0.0
+        return grid_error_bound(self.params, self.grid)
 
     @classmethod
-    def build(
-        cls,
-        kind: SpectrumKind,
-        values,
-        params: OperatorParams | None = None,
-        grid: GridSpec | None = None,
-        error_bound: float = 0.0,
-    ) -> "SpectrumSet":
+    def build(cls, kind: SpectrumKind, values, params: OperatorParams | None = None,
+              grid: GridSpec | None = None) -> "SpectrumSet":
         kind = SpectrumKind(kind)
-        if error_bound < 0:
-            raise InvalidParams(f"error_bound must be >= 0, got {error_bound}")
         if kind is SpectrumKind.REAL_LINE:
             pts = np.sort(np.asarray(values, dtype=np.float64).ravel())
             if pts.size and not np.all(np.isfinite(pts)):
@@ -150,7 +152,7 @@ class SpectrumSet:
                 if pts.size > 1 and abs(pts[0] - pts[-1]) <= DEDUP_TOL:
                     pts = pts[:-1]
         pts.setflags(write=False)
-        return cls(kind=kind, points=pts, params=params, grid=grid, error_bound=float(error_bound))
+        return cls(kind=kind, points=pts, params=params, grid=grid)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -265,11 +267,8 @@ def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = No
 
 
 def _spectrum(params: OperatorParams, grid: GridSpec, values: np.ndarray) -> SpectrumSet:
-    """The SpectrumSet of a sweep's values, with the grid's certified bound."""
-    kind = SpectrumKind.REAL_LINE if params.kind is OperatorKind.H else SpectrumKind.UNIT_CIRCLE
-    return SpectrumSet.build(
-        kind, values, params=params, grid=grid, error_bound=grid_error_bound(params, grid)
-    )
+    """The SpectrumSet of a sweep's values, which carries the grid's certified bound."""
+    return SpectrumSet.build(SpectrumKind.of(params.kind), values, params=params, grid=grid)
 
 
 def _shear(params: OperatorParams, grid: GridSpec) -> int | None:
@@ -401,7 +400,7 @@ def tracked_bands(params: OperatorParams, grid: GridSpec) -> BandList:
 
 def _tracked(params: OperatorParams, values: np.ndarray) -> BandList:
     """The tracked bands of a sweep's (m, q) values."""
-    if params.kind is OperatorKind.H:
+    if SpectrumKind.of(params.kind) is SpectrumKind.REAL_LINE:
         # Ranges within DEDUP_TOL are unioned: roundoff where true bands touch (even-q Harper).
         bands = _line_runs(values.min(axis=0), values.max(axis=0), DEDUP_TOL)
         return BandList(SpectrumKind.REAL_LINE, bands)
@@ -417,9 +416,9 @@ def _tracked(params: OperatorParams, values: np.ndarray) -> BandList:
         i = int(np.flatnonzero(gaps >= gaps.max() - DEDUP_TOL)[0])
         delta = np.pi - (pooled[i] + gaps[i] / 2.0)
         ph = np.sort((ph + delta + np.pi) % TWO_PI - np.pi, axis=1)
+    # No run spans the circle: the largest pooled gap stays at the seam, and a run of
+    # 2 pi - DEDUP_TOL needs every gap within 2e-12, over 3e12 values the preflight refuses.
     merged = _line_runs(ph.min(axis=0), ph.max(axis=0), DEDUP_TOL)
-    if len(merged) == 1 and merged[0][1] - merged[0][0] >= TWO_PI - DEDUP_TOL:
-        return BandList(SpectrumKind.UNIT_CIRCLE, ((-np.pi, np.pi),))
 
     def unrotate(t: float) -> float:
         w = (t - delta + np.pi) % TWO_PI - np.pi
@@ -447,11 +446,12 @@ def eigenphases(s: SpectrumSet) -> np.ndarray:
     return principal_args(s.points)
 
 
-def auto_merge_gap(s: SpectrumSet) -> float:
-    """Default merge gap: 4x the certified bound (adjacent true points can
-    each be displaced by error_bound; the extra factor 2 avoids spurious
-    splits).  Falls back to the dedup scale when the bound is zero."""
-    return max(4.0 * s.error_bound, DEDUP_TOL)
+def auto_merge_gap(s: SpectrumSet, merge_gap: float | str = "auto") -> float:
+    """The merge gap a request names: merge_gap itself, or for "auto" 4x the
+    certified bound (adjacent true points can each be displaced by
+    error_bound; the extra factor 2 avoids spurious splits), falling back to
+    the dedup scale when the bound is zero."""
+    return max(4.0 * s.error_bound, DEDUP_TOL) if merge_gap == "auto" else merge_gap
 
 
 def merge_bands(s: SpectrumSet, merge_gap: float) -> BandList:

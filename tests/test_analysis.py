@@ -146,7 +146,7 @@ def test_powerlaw_errors():
 
 
 def test_golden_convergents_first_five():
-    assert golden_convergents(5) == [
+    assert list(golden_convergents(5)) == [
         RationalAlpha(1, 2),
         RationalAlpha(2, 3),
         RationalAlpha(3, 5),
@@ -156,21 +156,29 @@ def test_golden_convergents_first_five():
 
 
 def test_golden_convergents_seventeenth():
-    assert golden_convergents(17)[-1] == RationalAlpha(2584, 4181)
+    assert list(golden_convergents(17))[-1] == RationalAlpha(2584, 4181)
 
 
 def test_golden_convergents_unimodular():
-    cs = golden_convergents(12)
+    cs = list(golden_convergents(12))
     for a, b in zip(cs, cs[1:]):
         assert abs(a.p * b.q - b.p * a.q) == 1
 
 
 def test_farey_examples():
-    assert farey_rationals(3) == [RationalAlpha(1, 3), RationalAlpha(1, 2), RationalAlpha(2, 3)]
-    f5 = farey_rationals(5)
+    assert list(farey_rationals(3)) == [RationalAlpha(1, 3), RationalAlpha(1, 2),
+                                        RationalAlpha(2, 3)]
+    f5 = list(farey_rationals(5))
     assert len(f5) == 9
     assert f5[-1] == RationalAlpha(4, 5)
-    assert farey_rationals(1) == []
+    assert list(farey_rationals(1)) == []
+
+
+@pytest.mark.parametrize("make,count", [(golden_convergents, 0), (golden_convergents, 2.0),
+                                        (farey_rationals, 0), (farey_rationals, "5")])
+def test_alpha_sequences_refuse_a_count_that_is_not_a_positive_integer(make, count):
+    with pytest.raises(InvalidParams, match="must be an integer >= 1"):
+        next(make(count))
 
 
 def test_farey_recurrence_matches_the_gcd_and_sort_reference():
@@ -316,6 +324,10 @@ def test_run_check_rejects_a_value_that_does_not_parse(cid, cfg, built):
     ("LAST_MEASURE_TREND", {"n": 1}),
     ("AUBRY_ANDRE", {"lambda": 1.0, "n": 4}),
     ("KAPPA_CUBED", {"lambda": 0.0, "n": 4}),
+    # At q = 1 the 1 x 1 kicks commute; at kappa = 0 both spectra are the point 1.
+    ("KAPPA_CUBED", {"alpha": "0/1", "n": 4}),
+    ("KAPPA_CUBED", {"kappas": [0.0], "n": 4}),
+    ("KAPPA_CUBED", {"kappas": [0.05, -0.0], "n": 4}),
 ])
 def test_a_config_that_measures_nothing_is_a_usage_error(cid, cfg, built):
     # Zero trials, an empty sweep or a one-node grid (every tracked band of

@@ -83,10 +83,8 @@ def test_the_writer_refuses_a_spectrum_that_is_not_a_sweeps(tmp_path):
     path = tmp_path / "s.csv"
     for other in [
         SpectrumSet.build(SpectrumKind.REAL_LINE, [-1.5, 0.25, 3.0]),
-        SpectrumSet.build(s.kind, s.points, params=s.params, error_bound=s.error_bound),
-        SpectrumSet.build(s.kind, s.points, grid=s.grid, error_bound=s.error_bound),
-        SpectrumSet.build(s.kind, s.points, params=s.params, grid=s.grid,
-                          error_bound=2 * s.error_bound),
+        SpectrumSet.build(s.kind, s.points, params=s.params),
+        SpectrumSet.build(s.kind, s.points, grid=s.grid),
     ]:
         with pytest.raises(InvalidParams):
             write_spectrum_csv(other, str(path))
@@ -136,10 +134,14 @@ def test_bad_list_values_are_exit_2(capsys):
         ("--factors", ["zoom", "--alpha", "3/5", "--grid", "4", "--factors", "nan"]),
         ("--factors", ["zoom", "--alpha", "3/5", "--grid", "2", "--factors", ","]),
         ("--kappa", ["compute", "--alpha", "1/3", "--grid", "2", "--kappa", "1,"]),
+        ("reads a single --kappa", ["zoom", "--alpha", "3/5", "--grid", "2", "--factors", "2",
+                                    "--kappa", "1,2"]),
         ("--merge-gap", fib + ["abc"]),
         ("--merge-gap", fib + ["nan"]),
         ("compute requires --alpha", ["compute", "--grid", "2"]),
         ("zoom requires --alpha", ["zoom", "--grid", "2", "--factors", "2"]),
+        ("--format svg requires --out", ["compute", "--alpha", "1/3", "--grid", "2",
+                                         "--format", "svg"]),
         # Finite, but a kick phase or the hopping scale would overflow.
         ("kappa", ["compute", "--alpha", "1/2", "--grid", "2", "--kappa", "1e308"]),
         ("kappa", ["compute", "--alpha", "1/2", "--grid", "2", "--kappa", "1e200",
@@ -430,6 +432,13 @@ def test_compute_io_failure_is_exit_4(tmp_path):
     blocker.write_text("x")
     out = str(blocker / "sub" / "s.csv")  # parent is a regular file
     assert dispatch(["compute", "--alpha", "1/3", "--grid", "3", "--out", out]) == 4
+    # os.replace onto a directory fails after the temp file, written beside it, is
+    # complete; the temp file is removed.
+    (tmp_path / "dir").mkdir()
+    out = str(tmp_path / "dir")
+    assert dispatch(["compute", "--alpha", "1/3", "--grid", "3", "--out", out]) == 4
+    assert sorted(os.listdir(tmp_path)) == ["dir", "file"]
+    assert os.listdir(out) == []
 
 
 def test_numerical_failure_is_exit_3(tmp_path, monkeypatch):
@@ -482,11 +491,14 @@ _REFUSED = [
     (["--grid", "1"], "LAST_MEASURE_TREND", "LAST_MEASURE_TREND requires n >= 2"),
     (["--lambda", "1", "--grid", "4"], "AUBRY_ANDRE",
      "AUBRY_ANDRE requires lambda != 0 and lambda != 1"),
+    (["--alpha", "0/1", "--grid", "2"], "KAPPA_CUBED",
+     "KAPPA_CUBED requires lambda != 0 and q >= 2"),
 ]
 
 
 @pytest.mark.parametrize("argv,check,message", _REFUSED,
-                         ids=["lambda-0", "kappa-cubed-lambda-0", "grid-1", "lambda-1"])
+                         ids=["lambda-0", "kappa-cubed-lambda-0", "grid-1", "lambda-1",
+                              "kappa-cubed-q-1"])
 def test_verify_refuses_a_config_that_measures_nothing_before_it_sweeps(argv, check, message,
                                                                         built, capsys):
     assert dispatch(["verify", "--check", check, *argv]) == 2
@@ -495,8 +507,9 @@ def test_verify_refuses_a_config_that_measures_nothing_before_it_sweeps(argv, ch
 
 
 @pytest.mark.parametrize("argv", [["--lambda", "0", "--grid", "4"], ["--grid", "1"],
-                                  ["--lambda", "1", "--grid", "4"]],
-                         ids=["lambda-0", "grid-1", "lambda-1"])
+                                  ["--lambda", "1", "--grid", "4"],
+                                  ["--alpha", "0/1", "--grid", "2"]],
+                         ids=["lambda-0", "grid-1", "lambda-1", "alpha-0-1"])
 def test_verify_all_leaves_out_a_check_that_refuses_the_values(argv, tmp_path, capsys):
     # Of several checks, each one whose own rule refuses an override is left out
     # and named; the others run with it.  A value that fails to parse still refuses all.
@@ -1056,8 +1069,7 @@ def test_parent_cache_entry_is_not_served(tmp_path):
     argv = ["compute", "--alpha", "8/13", "--grid", "5"]  # ukh, kappa = lambda = 1, mother
     assert dispatch(argv + ["--out", cold]) == 0
     s = read_spectrum_csv(cold)
-    planted = SpectrumSet.build(s.kind, s.points * np.exp(0.125j), params=s.params,
-                                grid=s.grid, error_bound=s.error_bound)
+    planted = SpectrumSet.build(s.kind, s.points * np.exp(0.125j), params=s.params, grid=s.grid)
     for keys in (V010_KEYS, V050_KEYS, V060_KEYS):
         write_spectrum_csv(planted, str(cache / (keys["ukh"] + ".csv")))
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", warm]) == 0

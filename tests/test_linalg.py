@@ -258,3 +258,17 @@ def test_unitary_stack_rejects_non_unitary(bad):
     stack = np.stack([random_unitary(rng, bad.shape[0]), bad, random_unitary(rng, bad.shape[0])])
     with pytest.raises(NumericalError, match="unitary eigenvalues off the circle"):
         unitary_eigvals_stack(stack)
+
+
+@pytest.mark.parametrize("name,solve,message", [
+    ("eigvalsh", eigvalsh_stack, "Hermitian eigensolver failed"),
+    ("eigh", lambda stack: expm_i_hermitian_stack(stack, 1.0), "Hermitian eigensolver failed"),
+    ("eigvals", linalg._general_eigvals, "general eigensolver failed"),
+])
+def test_a_lapack_failure_is_a_numerical_error(name, solve, message, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, name, fail)
+    with pytest.raises(NumericalError, match=f"{message}: did not converge"):
+        solve(np.eye(2, dtype=complex)[None])

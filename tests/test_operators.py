@@ -45,6 +45,21 @@ def test_alpha_rejects_bad_input():
         RationalAlpha(0, 0)
     with pytest.raises(InvalidParams):
         RationalAlpha.parse("0.5")
+    with pytest.raises(InvalidParams, match="alpha must be given as p/q with integers"):
+        RationalAlpha.parse("a/b")
+    with pytest.raises(InvalidParams, match="alpha components must be integers"):
+        RationalAlpha(1.0, 2)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: OperatorParams("ukh", 1.0, 1.0, "1/2"), "alpha must be a RationalAlpha"),
+    (lambda: params("ukh", 1.0, 1.0, 1, 2, theta="fixed"), "theta must be a real in"),
+    (lambda: params("ukh", 1.0, 1.0, 1, 2, theta=float("inf")), "theta must be finite"),
+    (lambda: dcp_eigensystem("1/2"), "dcp_eigensystem expects a RationalAlpha"),
+], ids=["params-alpha-str", "params-theta-word", "params-theta-inf", "dcp-alpha-str"])
+def test_an_alpha_that_is_not_rational_or_a_theta_that_is_not_a_phase_is_refused(make, message):
+    with pytest.raises(InvalidParams, match=message):
+        make()
 
 
 def test_params_reduce_theta_and_zero_kappa_for_h():

@@ -9,7 +9,7 @@ import pytest
 
 import kickspec.spectra as spectra
 from kickspec.errors import InvalidParams, NumericalError
-from kickspec.operators import MOTHER, OperatorParams, RationalAlpha, operator_stack
+from kickspec.operators import MOTHER, OperatorKind, OperatorParams, RationalAlpha, operator_stack
 from kickspec.spectra import (
     GridSpec,
     SpectrumKind,
@@ -224,6 +224,20 @@ def test_solver_failure_names_the_grid_point(run, monkeypatch):
     monkeypatch.setattr(spectra, "eigvalsh_stack", fail_at_bad)
     with pytest.raises(NumericalError, match=re.escape(f"grid point x={1 / 6!r}, theta=0.0:")):
         run(pa, GridSpec(2, 2))
+
+
+def test_a_chunk_failure_that_no_node_repeats_alone_is_raised_as_is(monkeypatch):
+    pa = params("h", 0.0, 1.0, 1, 3, theta=MOTHER)
+    real = spectra.eigvalsh_stack
+
+    def fail_on_batches(stack):
+        if len(stack) > 1:
+            raise NumericalError("injected batch failure")
+        return real(stack)
+
+    monkeypatch.setattr(spectra, "eigvalsh_stack", fail_on_batches)
+    with pytest.raises(NumericalError, match="^injected batch failure$"):
+        mother_spectrum(pa, GridSpec(2, 2))
 
 
 # -- mirror-orbit reduction of the grid ---------------------------------------------------
@@ -553,6 +567,30 @@ def test_build_rejects_off_circle_points():
         SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, [0.5 + 0.0j])
 
 
+@pytest.mark.parametrize("kind,values", [
+    (SpectrumKind.REAL_LINE, [1.0, np.nan]),
+    (SpectrumKind.REAL_LINE, [-np.inf]),
+    (SpectrumKind.UNIT_CIRCLE, [1.0, complex(np.nan, 0.0)]),
+    (SpectrumKind.UNIT_CIRCLE, [complex(0.0, np.inf)]),
+])
+def test_build_rejects_non_finite_points(kind, values):
+    with pytest.raises(InvalidParams, match="spectrum points must be finite"):
+        SpectrumSet.build(kind, values)
+
+
+@pytest.mark.parametrize("n_x,n_theta,axis", [(2.0, 1, "n_x"), (0, 1, "n_x"), (3, 0, "n_theta"),
+                                              (3, 1.5, "n_theta")])
+def test_grid_spec_refuses_an_axis_that_is_not_a_positive_integer(n_x, n_theta, axis):
+    with pytest.raises(InvalidParams, match=f"{axis} must be an integer >= 1"):
+        GridSpec(n_x, n_theta)
+
+
+def test_kind_rule_puts_h_on_the_line_and_the_unitary_kinds_on_the_circle():
+    assert SpectrumKind.of("h") is SpectrumKind.REAL_LINE
+    for kind in ["uh", "ukh", "uordkr"]:
+        assert SpectrumKind.of(OperatorKind(kind)) is SpectrumKind.UNIT_CIRCLE
+
+
 def test_eigenphases_examples():
     assert np.allclose(eigenphases(circle_set([0.0])), [0.0])
     assert np.allclose(eigenphases(circle_set([np.pi / 2, -np.pi / 2])), [-np.pi / 2, np.pi / 2])
@@ -646,9 +684,13 @@ def test_merge_one_point_circle_is_degenerate_band():
 
 
 def test_auto_merge_gap_scales_with_bound():
-    s = circle_set([0.0], error_bound=0.01)
-    assert auto_merge_gap(s) == pytest.approx(0.04)
+    s = mother_spectrum(params("ukh", 1.0, 1.0, 1, 3, theta=MOTHER), GridSpec(4, 4))
+    assert s.error_bound > 0
+    assert auto_merge_gap(s) == pytest.approx(4.0 * s.error_bound)
     assert auto_merge_gap(circle_set([0.0])) > 0
+    # A number is the gap itself; "auto" is resolved here and nowhere else.
+    assert auto_merge_gap(s, 0.05) == 0.05
+    assert auto_merge_gap(s, "auto") == auto_merge_gap(s)
 
 
 # -- tracked bands --------------------------------------------------------------------------
