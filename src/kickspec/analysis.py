@@ -315,8 +315,12 @@ def _check_theta_continuity(cfg):
         s1 = spectrum_fixed_theta(_at(cfg, t1), grid)
         s2 = spectrum_fixed_theta(_at(cfg, t2), grid)
         worst = max(worst, hausdorff(s1, s2) - lip * abs(math.sin(math.pi * (t1 - t2))))
-    bound = 2.0 * grid_error_bound(_at(cfg, 0.0), grid)
-    return worst, bound, "max over random theta pairs of d_H minus the sine modulus bound"
+    return (worst, _theta_continuity_bound(cfg),
+            "max over random theta pairs of d_H minus the sine modulus bound")
+
+
+def _theta_continuity_bound(cfg) -> float:
+    return 2.0 * grid_error_bound(_at(cfg, 0.0), GridSpec(cfg["n"]))
 
 
 def _check_mother_equality(cfg):
@@ -337,11 +341,13 @@ def _check_spectral_mapping(cfg):
     n, theta = cfg["n"], cfg["theta"]
     params = OperatorParams(OperatorKind.UH, cfg["kappa"], cfg["lambda"], cfg["alpha"], theta)
     grid = GridSpec(n, n) if params.is_mother else GridSpec(n)
-    # The sweep maps Harper eigenvalues through exp(-i kappa t); the
-    # independent route assembles exp(-i kappa H) and runs the general
-    # solver, not the Cayley route of the kicked sweeps.  Both routes solve
-    # the same matrices, so only roundoff separates them.  The general route
-    # holds more q x q arrays, so it runs first and refuses before any solve.
+    # The sweep maps the eigenvalues of the real Jacobi form of the Harper
+    # matrices through exp(-i kappa t); the independent route assembles
+    # exp(-i kappa H) from the circulant H and runs the general solver, not
+    # the Cayley route of the kicked sweeps.  The two routes solve different
+    # matrices with the same eigenvalues at each node, so only roundoff
+    # separates them.  The general route holds more q x q arrays, so it runs
+    # first and refuses before any solve.
     values = _sweep_values(params, grid, "general")
     direct = SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, values / np.abs(values))
     s_uh = SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, _sweep_values(params, grid))
@@ -352,7 +358,13 @@ def _check_spectral_mapping(cfg):
 
 def _check_aubry_andre(cfg):
     alpha, lam, n = cfg["alpha"], cfg["lambda"], cfg["n"]
-    s1 = _mother(OperatorKind.H, 0.0, lam, alpha, n)
+    # For |lambda| > 1 the sweep's Jacobi matrices are built in the Fourier
+    # frame, by this very identity, so sigma(lam) is taken from the general
+    # solve of the circulant H instead.  Its route holds more q x q arrays, so
+    # it runs first and refuses before any solve.
+    harper = OperatorParams(OperatorKind.H, 0.0, lam, alpha, MOTHER)
+    s1 = SpectrumSet.build(SpectrumKind.REAL_LINE,
+                           _sweep_values(harper, GridSpec(n, n), "general").real)
     s2 = _mother(OperatorKind.H, 0.0, 1.0 / lam, alpha, n)
     scaled = SpectrumSet.build(SpectrumKind.REAL_LINE, lam * s2.points)
     return (hausdorff(s1, scaled), 1e-9,
@@ -568,6 +580,16 @@ def check_config(check_id: str, cfg: dict) -> dict:
     if cid == "KAPPA_CUBED" and 0.0 in parsed["kappas"]:
         raise InvalidParams("KAPPA_CUBED requires kappas != 0: at kappa = 0 both spectra "
                             "are the point 1")
+    if cid == "THETA_CONTINUITY":
+        # The farthest two spectra can be apart: the chord 2 on the circle, and
+        # 4 + 4 |lambda| on the line, since ||H|| <= 2 + 2 |lambda|.
+        reach = (2.0 if SpectrumKind.of(parsed["kind"]) is SpectrumKind.UNIT_CIRCLE
+                 else 4.0 + 4.0 * abs(parsed["lambda"]))
+        bound = _theta_continuity_bound(parsed)
+        if bound >= reach:
+            raise InvalidParams(f"THETA_CONTINUITY requires a grid whose bound is below {reach:g}, "
+                                f"the farthest its spectra can be apart: got {bound:.4g} at "
+                                f"n = {parsed['n']}")
     if cid == "LAST_MEASURE_TREND" and parsed["n"] < 2:
         raise InvalidParams("LAST_MEASURE_TREND requires n >= 2: on a one-node grid "
                             "every band has zero width")

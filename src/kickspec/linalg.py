@@ -1,11 +1,13 @@
-"""Dense complex eigensolvers for Hermitian and unitary matrix stacks.
+"""Dense eigensolvers for symmetric, Hermitian and unitary matrix stacks.
 
 This is the only numerically iterative kernel in the package.  Everything
 else builds matrices analytically and calls into here.  All functions are
 pure: inputs are never mutated and results are deterministic, so values may
 be shared freely across threads.
 
-Solver choice: LAPACK via numpy.  Hermitian stacks go to ``eigvalsh``.
+Solver choice: LAPACK via numpy.  Hermitian stacks go to ``eigvalsh``, which
+takes the real symmetric Jacobi stacks of the h and uh sweeps as they are
+(LAPACK's real routine, about half the work of the complex one).
 Unitary stacks go there too, through the Cayley transform
 K = i (I - U)(I + U)^-1: K is Hermitian because U is normal, and an
 eigenvalue w of K is the eigenvalue (i - w)/(i + w) of U.  The transform has
@@ -43,7 +45,7 @@ def principal_args(values: np.ndarray) -> np.ndarray:
 # -- batched kernels (stacks of matrices, shape (m, q, q), or one matrix) ------
 
 def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a stack of Hermitian matrices, each row ascending."""
+    """Eigenvalues of a stack of Hermitian (or real symmetric) matrices, each row ascending."""
     try:
         return np.linalg.eigvalsh(stack)
     except np.linalg.LinAlgError as exc:

@@ -17,7 +17,9 @@ Four operator kinds are covered:
               the closed-form eigensystem of D C^p.
 
 ``operator_stack`` is the one place any of them is assembled, for a whole
-batch of phase pairs at once.
+batch of phase pairs at once.  ``harper_jacobi_stack`` builds, for the same
+pairs, real symmetric matrices with the eigenvalues of H, which the h and uh
+sweeps solve instead (Chambers' relation).
 Phases are assembled from exact integer arithmetic modulo q (or 2q), so
 large q does not lose accuracy to argument reduction.
 """
@@ -41,6 +43,7 @@ __all__ = [
     "OperatorParams",
     "DcpEigensystem",
     "operator_stack",
+    "harper_jacobi_stack",
     "dcp_eigensystem",
 ]
 
@@ -221,8 +224,11 @@ def dcp_eigensystem(alpha: RationalAlpha) -> DcpEigensystem:
 def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
     """Matrices of params.kind at the phase pairs (xs[i], thetas[i]), shape (m, q, q).
 
-    This is the only place operator matrices are assembled; params.theta
-    is ignored in favour of ``thetas``.  With G(k, y) = diag(cos 2 pi (y + k j / q)):
+    This is the only place the operator matrices themselves are assembled;
+    params.theta is ignored in favour of ``thetas``.  Sweeps reach h (and,
+    through its eigenvalues, uh) by the Jacobi builder ``harper_jacobi_stack``;
+    the circulant H built here serves the UH build, the general route and the
+    tests.  With G(k, y) = diag(cos 2 pi (y + k j / q)):
 
     * H       2 G(1, x) + 2 lambda F G(p, theta) F^{-1},
     * UH      exp(-i kappa H), by linalg.expm_i_hermitian_stack,
@@ -265,4 +271,50 @@ def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
     if kind is OperatorKind.H:
         return stack
     return expm_i_hermitian_stack(stack, kap)
+
+
+def harper_jacobi_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
+    """Real symmetric matrices with the eigenvalues of H at (xs[i], thetas[i]), shape (m, q, q).
+
+    Relabelling site j as j p^{-1} mod q and gauging the hop phases into
+    one corner turns H into the periodic Jacobi matrix with diagonal
+    2 cos 2 pi (x + m p / q), hops lambda and corner lambda exp(i 2 pi q theta).
+    Its characteristic polynomial depends on (x, theta) only through
+    c = cos 2 pi q x + lambda^q cos 2 pi q theta (Chambers), so the real
+    corner +-lambda, theta = 0 or 1/(2q), at the x' with the same c has the
+    same eigenvalues.  With L = |lambda|^q, S = sin^2 pi q x + L sin^2 pi q theta
+    and C = cos^2 pi q x + L cos^2 pi q theta (S + C = 1 + L), x' solves
+    sin^2 pi q x' = S (corner +) or cos^2 pi q x' = C (corner -); the smaller
+    of S and C is at most 1 when L <= 1, and its half-angle form has no
+    cancellation where bands touch.  A negative lambda^q is theta shifted by
+    1/(2q).  For |lambda| > 1 the matrix is built in the Fourier frame,
+    lambda (2 G(p, theta) + F^{-1} 2 G(1, x) F / lambda), where theta is the
+    potential's phase and x the hops'.  At q = 2 the hop and the corner are
+    one entry, and at q = 1 the 1 x 1 value is 2c.  params.kind must be H.
+    """
+    if params.kind is not OperatorKind.H:
+        raise InvalidParams(f"harper_jacobi_stack builds h matrices, got kind {params.kind.value}")
+    p, q, lam = params.alpha.p, params.alpha.q, params.lam
+    scale, hop, u, v = (1.0, lam, xs, thetas) if abs(lam) <= 1.0 else (lam, 1.0 / lam, thetas, xs)
+    # Phases in units of 1/q, reduced mod 1: the spectrum is 1/q-periodic in both.
+    tu = (q * np.asarray(u, dtype=np.float64)) % 1.0
+    tv = (q * np.asarray(v, dtype=np.float64) + (0.5 if hop < 0 and q % 2 else 0.0)) % 1.0
+    hop, hop_q = abs(hop), abs(hop) ** q
+    s = np.sin(np.pi * tu) ** 2 + hop_q * np.sin(np.pi * tv) ** 2
+    c = np.cos(np.pi * tu) ** 2 + hop_q * np.cos(np.pi * tv) ** 2
+    plus = s <= c
+    half = np.sqrt(np.minimum(np.where(plus, s, c), 1.0))  # rounding can pass 1 at L = 1
+    phase = np.where(plus, np.arcsin(half), np.arccos(half)) / (np.pi * q)
+
+    j = np.arange(q)
+    stack = np.zeros((phase.size, q, q))
+    stack[:, j, j] = 2.0 * cos_rows(p, phase, q)
+    stack[:, j[:-1], j[1:]] = hop
+    stack[:, j[1:], j[:-1]] = hop
+    # += : at q = 2 the corner is the hop's own entry, at q = 1 the diagonal.
+    corner = np.where(plus, hop, -hop)
+    stack[:, 0, q - 1] += corner
+    stack[:, q - 1, 0] += corner
+    stack *= scale
+    return stack
 

@@ -24,7 +24,9 @@ integer.  The solved nodes carry the same eigenvalues as the full grid in
 exact arithmetic, so the sampled set, and with it the grid error bound, is
 unchanged.  The nodes are evaluated as one batched eigensolver call per
 chunk; results are pooled, sorted and deduplicated, so the outcome is a
-deterministic function of (params, grid).
+deterministic function of (params, grid).  The h and uh sweeps solve, at
+each node, the real Jacobi matrix with the Harper eigenvalues
+(operators.harper_jacobi_stack), not the complex circulant one.
 """
 
 from __future__ import annotations
@@ -44,7 +46,14 @@ from .linalg import (
     principal_args,
     unitary_eigvals_stack,
 )
-from .operators import MOTHER, OperatorKind, OperatorParams, dcp_eigensystem, operator_stack
+from .operators import (
+    MOTHER,
+    OperatorKind,
+    OperatorParams,
+    dcp_eigensystem,
+    harper_jacobi_stack,
+    operator_stack,
+)
 
 __all__ = [
     "SpectrumKind",
@@ -208,20 +217,23 @@ def _chunk_rows(q: int) -> int:
     return max(1, _CHUNK_COMPLEX // q ** 2)
 
 
-# The solver routes: each names its solver, looked up as a module global when
-# a sweep runs (so a rebound solver, a tracer or a test double, runs and is
-# sized as the one it stands in for), and the q x q complex arrays one chunk
-# row holds while the route builds and solves it.  The Hermitian route (h and
-# uh sweeps) holds the stack and the solver's copy; the Cayley route (ukh and
-# uordkr sweeps) also I, I + U, its inverse and the inverse's two solver
-# buffers (measured: up to 8, E included); the general route
-# (SPECTRAL_MAPPING's eigvals of the uh matrices) the uh build's H, its
+# The routes of a sweep.  A row names the builder of its chunks' matrices
+# and their solver, both looked up as module globals when a sweep runs (so a
+# rebound one, a tracer or a test double, runs and is sized as the one it
+# stands in for), and the q x q complex arrays one chunk row holds while the
+# route builds and solves it.  The Hermitian route (h and uh sweeps) builds
+# the real Jacobi matrices of the Harper problem and holds them and the
+# solver's copy (two real arrays, sized as two complex ones); the Cayley
+# route (ukh and uordkr sweeps) builds the unitary matrices and also holds
+# I, I + U, its inverse and the inverse's two solver buffers (measured: up to
+# 8, E included); the general route (SPECTRAL_MAPPING's eigvals of the uh
+# matrices, AUBRY_ANDRE's of the circulant h matrices) the uh build's H, its
 # eigenvectors and their products, and the solver's copy (measured: 4.6 at
 # q = 610).
 _ROUTES = {
-    "hermitian": ("eigvalsh_stack", 2),
-    "cayley": ("unitary_eigvals_stack", 7),
-    "general": ("_general_eigvals", 5),
+    "hermitian": ("harper_jacobi_stack", "eigvalsh_stack", 2),
+    "cayley": ("operator_stack", "unitary_eigvals_stack", 7),
+    "general": ("operator_stack", "_general_eigvals", 5),
 }
 
 
@@ -235,7 +247,7 @@ def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = No
     """Eigenvalues at one node per mirror orbit of the grid, shape (m, q).
 
     The one sweep kernel: it sizes the sweep for its route (``_ROUTES``),
-    then builds and solves ``operator_stack`` one chunk at a time.  uh
+    then builds and solves the route's matrices one chunk at a time.  uh
     eigenvalues are exp(-i kappa w) for the Harper eigenvalues w (spectral
     mapping), so the Hermitian route of a uh sweep solves the Harper
     matrices.  On a solver failure the nodes are re-run one by one, so that
@@ -243,14 +255,14 @@ def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = No
     """
     route = _route(params, route)
     _preflight(params, grid, route)
-    solve = globals()[_ROUTES[route][0]]
+    build, solve = (globals()[name] for name in _ROUTES[route][:2])
     mapped = params.kind is OperatorKind.UH and route == "hermitian"
     built = replace(params, kind=OperatorKind.H) if mapped else params
     xv, tv = _grid_pairs(params, grid)
     step = _chunk_rows(params.alpha.q)
 
     def nodes(lo: int, hi: int) -> np.ndarray:
-        return solve(operator_stack(built, xv[lo:hi], tv[lo:hi]))
+        return solve(build(built, xv[lo:hi], tv[lo:hi]))
 
     try:
         values = np.concatenate([nodes(lo, lo + step) for lo in range(0, xv.size, step)])
@@ -320,7 +332,7 @@ def _sweep_bytes(params: OperatorParams, grid: GridSpec, route: str | None = Non
     upper bound.
     """
     m, q = _pair_count(params, grid), params.alpha.q
-    arrays = _ROUTES[_route(params, route)][1]
+    arrays = _ROUTES[_route(params, route)][2]
     return m * (2 * 8 + 5 * 16 * q) + (16 * arrays * min(m, _chunk_rows(q)) + 8 + 16) * q * q
 
 

@@ -328,6 +328,10 @@ def test_run_check_rejects_a_value_that_does_not_parse(cid, cfg, built):
     ("KAPPA_CUBED", {"alpha": "0/1", "n": 4}),
     ("KAPPA_CUBED", {"kappas": [0.0], "n": 4}),
     ("KAPPA_CUBED", {"kappas": [0.05, -0.0], "n": 4}),
+    # A bound past the largest distance two spectra can be apart: 2 on the circle,
+    # 4 + 4 |lambda| on the line.
+    ("THETA_CONTINUITY", {"alpha": "0/1", "n": 2}),
+    ("THETA_CONTINUITY", {"kind": "h", "alpha": "0/1", "lambda": 0.0, "n": 1}),
 ])
 def test_a_config_that_measures_nothing_is_a_usage_error(cid, cfg, built):
     # Zero trials, an empty sweep or a one-node grid (every tracked band of
@@ -482,6 +486,12 @@ def test_kappa_cubed_solves_the_harper_problem_once(monkeypatch, built):
             for k in (0.1, 0.2, 0.3, 0.6, 0.5, 1.0)}
     assert r.measured == max(abs(math.log2(dist[2 * k] / dist[k]) - 3.0)
                              for k in cfg["kappas"])
+
+
+def test_theta_continuity_keeps_a_line_bound_below_the_lines_diameter():
+    # h spectra can lie 8 apart at lambda = 1, so a bound of 6.28 can still fail.
+    r = run_check("THETA_CONTINUITY", {"kind": "h", "alpha": "0/1", "n": 2})
+    assert r.bound == pytest.approx(2 * np.pi) and r.passed
 
 
 def test_checks_are_deterministic():

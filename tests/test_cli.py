@@ -493,12 +493,15 @@ _REFUSED = [
      "AUBRY_ANDRE requires lambda != 0 and lambda != 1"),
     (["--alpha", "0/1", "--grid", "2"], "KAPPA_CUBED",
      "KAPPA_CUBED requires lambda != 0 and q >= 2"),
+    # Its bound there, 6.28, passes every chordal distance.
+    (["--alpha", "0/1", "--grid", "2"], "THETA_CONTINUITY",
+     "THETA_CONTINUITY requires a grid whose bound is below 2"),
 ]
 
 
 @pytest.mark.parametrize("argv,check,message", _REFUSED,
                          ids=["lambda-0", "kappa-cubed-lambda-0", "grid-1", "lambda-1",
-                              "kappa-cubed-q-1"])
+                              "kappa-cubed-q-1", "theta-continuity-q-1"])
 def test_verify_refuses_a_config_that_measures_nothing_before_it_sweeps(argv, check, message,
                                                                         built, capsys):
     assert dispatch(["verify", "--check", check, *argv]) == 2
@@ -1040,26 +1043,34 @@ V060_KEYS = {
     "h": "58cd6a2dcba2eae7b613e507b1353125c2e6fafd7e20d5160f709dd6e35b261f",
 }
 
+# Keys of version 0.7.0, which solved the circulant Harper matrices of h and uh sweeps.
+V070_KEYS = {
+    "ukh": "c258d0b40e39fc5c03c221529c56101f52df7c0640181f3b9e1290c5500cc064",
+    "h": "77fd6bf27618f81167c8ff4c3ffe3fc07df8163131bdd3e357174ffa3c7771ba",
+}
+
 
 def test_cache_keys_are_pinned():
     # Entries written by earlier versions stay valid only while these hold.
     ukh = cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER), GridSpec(5, 5))
     h = cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7))
-    assert ukh == "c258d0b40e39fc5c03c221529c56101f52df7c0640181f3b9e1290c5500cc064"
-    assert h == "77fd6bf27618f81167c8ff4c3ffe3fc07df8163131bdd3e357174ffa3c7771ba"
+    assert ukh == "c311d45f106785c8f45a53726ce76cd1b21f981e719c06909e68ccd7cd91377e"
+    assert h == "69d23e0626e7e5fa694f35bf9bb00c9a9eb4320b9f66d350cb9353f216587eff"
     # Version 0.1.0 swept every grid node, 0.2.0 built the theta kicks as
     # dense Fourier products, 0.3.0 wrote no rows_sha256 line, and 0.4.0
     # solved both nodes of each self-dual swap pair; their entries differ in
     # the last bits or in the header.  0.5.0 wrote the same entries under
     # keys of a JSON payload; they are recomputed, not served.  0.6.0
     # solved other nodes of a uordkr mother grid, whose values differ in the
-    # last bits.
+    # last bits, and 0.7.0 the circulant Harper matrices, whose h and uh values
+    # differ from the Jacobi matrices' in the last bits.
     assert {ukh, h}.isdisjoint(V010_KEYS.values())
     assert {ukh, h}.isdisjoint(V020_KEYS.values())
     assert {ukh, h}.isdisjoint(V030_KEYS.values())
     assert {ukh, h}.isdisjoint(V040_KEYS.values())
     assert {ukh, h}.isdisjoint(V050_KEYS.values())
     assert {ukh, h}.isdisjoint(V060_KEYS.values())
+    assert {ukh, h}.isdisjoint(V070_KEYS.values())
 
 
 def test_parent_cache_entry_is_not_served(tmp_path):
@@ -1070,11 +1081,11 @@ def test_parent_cache_entry_is_not_served(tmp_path):
     assert dispatch(argv + ["--out", cold]) == 0
     s = read_spectrum_csv(cold)
     planted = SpectrumSet.build(s.kind, s.points * np.exp(0.125j), params=s.params, grid=s.grid)
-    for keys in (V010_KEYS, V050_KEYS, V060_KEYS):
+    for keys in (V010_KEYS, V050_KEYS, V060_KEYS, V070_KEYS):
         write_spectrum_csv(planted, str(cache / (keys["ukh"] + ".csv")))
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", warm]) == 0
     assert open(warm, "rb").read() == open(cold, "rb").read()
-    assert len(os.listdir(cache)) == 4
+    assert len(os.listdir(cache)) == 5
 
 
 def test_cache_differential_and_clear(tmp_path):

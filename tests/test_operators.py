@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kickspec.errors import InvalidParams
 from kickspec.operators import (
@@ -10,6 +12,7 @@ from kickspec.operators import (
     RationalAlpha,
     cos_rows,
     dcp_eigensystem,
+    harper_jacobi_stack,
 )
 from oracles import clock_shift, cos_diag, dft, matrix_at, operator_matrix, unitary_eigvals
 
@@ -340,3 +343,51 @@ def test_builders_are_unitary_or_hermitian():
         assert np.abs(m @ m.conj().T - np.eye(7)).max() <= 1e-10
     h = matrix_at(params("h", 0, 0.9, 3, 7, theta=0.2), 0.37)
     assert np.abs(h - h.conj().T).max() <= 1e-12 * np.abs(h).max()
+
+
+# -- harper_jacobi_stack: the h sweeps' real matrices, against the oracle's H ----------
+
+def _jacobi_deviation(p, q, lam, xs, thetas):
+    """Largest eigenvalue difference, in units of 2 + 2 |lambda| (the bound on ||H||),
+    between harper_jacobi_stack and np.linalg.eigvalsh of oracles.operator_matrix."""
+    got = np.linalg.eigvalsh(harper_jacobi_stack(params("h", 0, lam, p, q), xs, thetas))
+    want = [np.linalg.eigvalsh(operator_matrix("h", 0, lam, p, q, x, t))
+            for x, t in zip(xs, thetas)]
+    return np.abs(got - np.array(want)).max() / (2.0 + 2.0 * abs(lam))
+
+
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (1, 3), (3, 4), (3, 8), (8, 13), (144, 233)])
+@pytest.mark.parametrize("scope", ["fixed", "mother"])
+def test_jacobi_matrices_have_the_harper_eigenvalues(p, q, scope):
+    # Even q: bands touch at lambda = +-1.  lambda < 0 at odd q: lambda^q < 0.
+    # |lambda| > 1: the Fourier frame.  The nodes are those of an n-node grid,
+    # with the cell corner 1/(2q), and a random phase.
+    n = 1 if q == 233 else 5
+    nodes = np.concatenate((np.arange(n) / (n * q), [0.5 / q, np.random.default_rng(q).random()]))
+    if scope == "mother":
+        xs, thetas = np.repeat(nodes, nodes.size), np.tile(nodes, nodes.size)
+    else:
+        xs, thetas = nodes, np.full(nodes.size, 0.1)
+    lams = [-0.7, 1.0, -1.3] if q == 233 else [0.0, 0.7, -0.7, 1.0, -1.0, 1.3, -1.3, 2.5]
+    for lam in lams:
+        assert _jacobi_deviation(p, q, lam, xs, thetas) <= 1e-12, lam
+
+
+@st.composite
+def _alphas(draw):
+    q = draw(st.integers(1, 21))
+    return draw(st.sampled_from([p for p in range(q) if math.gcd(p, q) == 1])), q
+
+
+@settings(max_examples=100, deadline=None)
+@given(_alphas(), st.floats(-3.0, 3.0), st.floats(0.0, 1.0, exclude_max=True),
+       st.floats(0.0, 1.0, exclude_max=True))
+@example((3, 8), 1.0, 0.0, 1 / 16)  # touching bands, both phases at the cell's corners
+@example((2, 5), -1.0, 1 / 10, 0.0)
+def test_jacobi_eigenvalues_match_the_oracle_at_any_phases(pq, lam, x, theta):
+    assert _jacobi_deviation(*pq, lam, [x], [theta]) <= 1e-12
+
+
+def test_jacobi_builder_builds_h_only():
+    with pytest.raises(InvalidParams, match="builds h matrices"):
+        harper_jacobi_stack(params("uh", 1.0, 1.0, 1, 3), [0.0], [0.0])

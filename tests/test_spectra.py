@@ -9,7 +9,13 @@ import pytest
 
 import kickspec.spectra as spectra
 from kickspec.errors import InvalidParams, NumericalError
-from kickspec.operators import MOTHER, OperatorKind, OperatorParams, RationalAlpha, operator_stack
+from kickspec.operators import (
+    MOTHER,
+    OperatorKind,
+    OperatorParams,
+    RationalAlpha,
+    harper_jacobi_stack,
+)
 from kickspec.spectra import (
     GridSpec,
     SpectrumKind,
@@ -81,6 +87,20 @@ def test_bound_ordkr_both_scopes():
     assert mother == pytest.approx(4 * np.pi / (n * q))
 
 
+@pytest.mark.parametrize("kind,p,q,lam,kappa", [
+    ("h", 0, 1, 2.0, 0.0), ("uh", 0, 1, 2.0, 0.5), ("ukh", 1, 3, 2.0, 1.0),
+    ("uordkr", 0, 1, 0.5, 0.5),
+])
+def test_bound_is_nearly_reached(kind, p, q, lam, kappa):
+    # A witness of the bound's tightness: a 5-node fixed-theta grid against a
+    # 96x finer one, which is within its own bound of the true spectrum, sits at
+    # more than 0.8 of the coarse bound (0.85-0.95 measured).  A bound 20% too
+    # small would fail here against the spectrum, not against its own formula.
+    pa = params(kind, kappa, lam, p, q, theta=0.0)
+    coarse, fine = spectrum_fixed_theta(pa, GridSpec(5)), spectrum_fixed_theta(pa, GridSpec(480))
+    assert (hausdorff(coarse, fine) - fine.error_bound) / coarse.error_bound >= 0.8
+
+
 # -- fixed-theta sweeps -------------------------------------------------------------
 
 
@@ -105,6 +125,21 @@ def test_fixed_theta_uh_is_exponential_of_h():
     su = spectrum_fixed_theta(params("uh", kappa, 1.0, 3, 5, theta=0.2), grid)
     mapped = SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, np.exp(-1j * kappa * sh.points))
     assert hausdorff(su, mapped) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["h", "uh"])
+@pytest.mark.parametrize("theta,n", [(0.1, 6), (MOTHER, 5)])
+def test_negative_coupling_at_odd_q_matches_the_oracle(kind, theta, n):
+    # lambda^q < 0: a builder that took |lambda| for lambda would shift theta by
+    # 1/(2q).  At theta = 0.1 the lowest h eigenvalue is -2.2666 where |lambda|
+    # gives -2.2881; on the odd mother grid the shift falls between the nodes.
+    pa = params(kind, 0.9, -0.7, 2, 5, theta=theta)
+    grid = GridSpec(n, n)
+    s = (mother_spectrum if pa.is_mother else spectrum_fixed_theta)(pa, grid)
+    want = [operator_eigvals(kind, 0.9, -0.7, 2, 5, x, t) for x, t in zip(*_full_pairs(pa, grid))]
+    assert hausdorff(s, SpectrumSet.build(s.kind, np.concatenate(want))) <= 1e-12
+    if kind == "h" and not pa.is_mother:
+        assert s.points[0] == pytest.approx(-2.2666, abs=1e-4)
 
 
 def test_fixed_theta_rejects_mother():
@@ -213,7 +248,7 @@ def test_sweep_deterministic():
 @pytest.mark.parametrize("run", [mother_spectrum, tracked_bands])
 def test_solver_failure_names_the_grid_point(run, monkeypatch):
     pa = params("h", 0.0, 1.0, 1, 3, theta=MOTHER)
-    bad = operator_stack(pa, [1 / 6], [0.0])[0]  # node (1, 0) of the 2 x 2 grid
+    bad = harper_jacobi_stack(pa, [1 / 6], [0.0])[0]  # node (1, 0) of the 2 x 2 grid
     real = spectra.eigvalsh_stack
 
     def fail_at_bad(stack):
