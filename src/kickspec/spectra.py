@@ -20,12 +20,20 @@ swapped Harper matrix is unitarily equivalent to the original, and the
 swapped ukh matrix to its two kicks taken in the other order, which has
 the same eigenvalues.  For uordkr it adds (x, beta) -> (beta, x) when beta,
 too, falls on the x nodes, that is when s = n q (alpha/2 + phi) is an
-integer.  The solved nodes carry the same eigenvalues as the full grid in
-exact arithmetic, so the sampled set, and with it the grid error bound, is
-unchanged.  The nodes are evaluated as one batched eigensolver call per
-chunk; results are pooled, sorted and deduplicated, so the outcome is a
-deterministic function of (params, grid).  The h and uh sweeps solve, at
-each node, the real Jacobi matrix with the Harper eigenvalues
+integer.  At odd q the half-period shift folds the grid once more where it
+moves even axes: (x, theta) -> (x + 1/2q, theta + 1/2q) negates the h
+eigenvalues and conjugates the uh and ukh ones, and x -> x + 1/2q (in
+(x, beta), both move) conjugates uordkr's, at any theta.  For h,
+-H(x, theta, lambda) is H(x + 1/2, theta, -lambda), and the gauge (-1)^j
+on the odd ring turns -lambda back into lambda at theta + 1/(2q);
+x + 1/2 is x + 1/(2q) modulo 1/q.  The sweep solves one node per orbit
+and appends the image of its rows.  The solved nodes and their images
+carry the same eigenvalues as the full grid in exact arithmetic, so the
+sampled set, and with it the grid error bound, is unchanged.  The nodes
+are evaluated as one batched eigensolver call per chunk; results are
+pooled, sorted and deduplicated, so the outcome is a deterministic
+function of (params, grid).  The h and uh sweeps solve, at each node, the
+real Jacobi matrix with the Harper eigenvalues
 (operators.harper_jacobi_stack), not the complex circulant one.
 """
 
@@ -96,7 +104,10 @@ class GridSpec:
     grid, where node j mirrors node (n - j) mod n; with n_x == n_theta the
     two axes share one lattice, so a self-dual sweep also folds (j, k) onto
     (k, j), and a uordkr sweep folds the nodes b = j + k + s of its
-    sheared phase beta as ukh folds k (see _grid_pairs).
+    sheared phase beta as ukh folds k (see _grid_pairs).  At odd q, an even
+    axis also folds node j onto j + n/2, a shift by 1/(2q) that negates or
+    conjugates the eigenvalues (Chambers: it sends cos 2 pi q x + lambda^q
+    cos 2 pi q theta to its negative, and the Harper discriminant is odd in E).
     """
 
     n_x: int
@@ -223,7 +234,7 @@ def _chunk_rows(q: int) -> int:
 # stands in for), and the q x q complex arrays one chunk row holds while the
 # route builds and solves it.  The Hermitian route (h and uh sweeps) builds
 # the real Jacobi matrices of the Harper problem and holds them and the
-# solver's copy (two real arrays, sized as two complex ones); the Cayley
+# solver's copy (two real arrays, the bytes of one complex one); the Cayley
 # route (ukh and uordkr sweeps) builds the unitary matrices and also holds
 # I, I + U, its inverse and the inverse's two solver buffers (measured: up to
 # 8, E included); the general route (SPECTRAL_MAPPING's eigvals of the uh
@@ -231,7 +242,7 @@ def _chunk_rows(q: int) -> int:
 # eigenvectors and their products, and the solver's copy (measured: 4.6 at
 # q = 610).
 _ROUTES = {
-    "hermitian": ("harper_jacobi_stack", "eigvalsh_stack", 2),
+    "hermitian": ("harper_jacobi_stack", "eigvalsh_stack", 1),
     "cayley": ("operator_stack", "unitary_eigvals_stack", 7),
     "general": ("operator_stack", "_general_eigvals", 5),
 }
@@ -244,10 +255,12 @@ def _route(params: OperatorParams, route: str | None) -> str:
 
 
 def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = None) -> np.ndarray:
-    """Eigenvalues at one node per mirror orbit of the grid, shape (m, q).
+    """Eigenvalues at the m solved nodes, then at their m shifted ones if the half shift folds.
 
     The one sweep kernel: it sizes the sweep for its route (``_ROUTES``),
-    then builds and solves the route's matrices one chunk at a time.  uh
+    then builds and solves the route's matrices one chunk at a time, at one
+    node per orbit (_grid_pairs); where the half shift folds (_half_shift),
+    it appends the shifted nodes' rows, the image of the solved ones.  uh
     eigenvalues are exp(-i kappa w) for the Harper eigenvalues w (spectral
     mapping), so the Hermitian route of a uh sweep solves the Harper
     matrices.  On a solver failure the nodes are re-run one by one, so that
@@ -275,6 +288,11 @@ def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = No
                     f"eigensolver failed at grid point x={float(x)!r}, theta={float(t)!r}: {exc}"
                 ) from exc
         raise
+    if _half_shift(params, grid):
+        # The shifted nodes' rows: negated (and kept ascending) for the built
+        # Harper matrices, conjugated for the unitary ones.
+        shifted = -values[:, ::-1] if built.kind is OperatorKind.H else values.conj()
+        values = np.concatenate((values, shifted))
     return np.exp(-1j * params.kappa * values) if mapped else values
 
 
@@ -307,24 +325,44 @@ def _self_dual(params: OperatorParams, grid: GridSpec) -> bool:
             and (two_s is None or two_s % 2 == 0))
 
 
+def _half_shift(params: OperatorParams, grid: GridSpec) -> bool:
+    """Whether the half-period shift folds the sweep's grid.
+
+    At odd q, moving x and theta by 1/(2q) negates the h eigenvalues and
+    conjugates the uh and ukh ones, and moving x alone conjugates the uordkr
+    ones (in (x, beta), both move).  The shift keeps the nodes on the grid
+    when the axes it moves have even n: n_x and n_theta of a mother sweep,
+    n_x alone for uordkr, in either scope.
+    """
+    if params.alpha.q % 2 == 0 or grid.n_x % 2:
+        return False
+    return params.kind is OperatorKind.UORDKR or (params.is_mother and grid.n_theta % 2 == 0)
+
+
 def _pair_count(params: OperatorParams, grid: GridSpec) -> int:
-    """Number of grid nodes _grid_pairs returns: one per mirror orbit."""
+    """Number of grid nodes _grid_pairs returns: one per orbit."""
     half_x, half_t = grid.n_x // 2 + 1, grid.n_theta // 2 + 1
+    shift = _half_shift(params, grid)
     if not params.is_mother:
-        return grid.n_x if params.kind is OperatorKind.UORDKR else half_x
+        if params.kind is OperatorKind.UORDKR:
+            return grid.n_x // 2 if shift else grid.n_x
+        return half_x
+    if params.kind is OperatorKind.UORDKR and _shear(params, grid) is None:
+        fold = 4 if shift else 2
+        self_mirror = 1 + (grid.n_x % fold == 0)  # x rows 0 and, if on the grid, n_x / fold
+        return self_mirror * half_t + (grid.n_x // fold + 1 - self_mirror) * grid.n_theta
     if _self_dual(params, grid):
-        return half_x * (half_x + 1) // 2
-    if params.kind is not OperatorKind.UORDKR or _shear(params, grid) is not None:
-        return half_x * half_t
-    self_mirror = 2 - grid.n_x % 2  # x rows 0 and, for even n_x, n_x / 2
-    return self_mirror * half_t + (half_x - self_mirror) * grid.n_theta
+        triangle = half_x * (half_x + 1) // 2
+        return (triangle + grid.n_x // 4 + 1) // 2 if shift else triangle
+    return (half_x * half_t + 1) // 2 if shift else half_x * half_t
 
 
 def _sweep_bytes(params: OperatorParams, grid: GridSpec, route: str | None = None) -> int:
     """Bytes a sweep holds at its peak, from its (x, theta) pair count m.
 
-    Per pair, two float64 phases and q eigenvalues, held up to five times
-    over as complex128 while pooled and sorted (measured: up to 72 B each).  Per
+    Per pair, two float64 phases; per row of values (two per pair where the
+    half shift folds), q eigenvalues, held up to five times over as
+    complex128 while pooled and sorted (measured: up to 72 B each).  Per
     chunk row, the q x q complex arrays of the solver route (``_ROUTES``).
     Per chunk, the int64 circulant index and the rotor's q x q E.  LAPACK
     allocates a further 2-4 MB of workspace on first use, which this leaves
@@ -332,8 +370,9 @@ def _sweep_bytes(params: OperatorParams, grid: GridSpec, route: str | None = Non
     upper bound.
     """
     m, q = _pair_count(params, grid), params.alpha.q
+    rows = 2 * m if _half_shift(params, grid) else m
     arrays = _ROUTES[_route(params, route)][2]
-    return m * (2 * 8 + 5 * 16 * q) + (16 * arrays * min(m, _chunk_rows(q)) + 8 + 16) * q * q
+    return m * 2 * 8 + rows * 5 * 16 * q + (16 * arrays * min(m, _chunk_rows(q)) + 8 + 16) * q * q
 
 
 def _preflight(params: OperatorParams, grid: GridSpec, route: str | None = None) -> None:
@@ -348,33 +387,47 @@ def _preflight(params: OperatorParams, grid: GridSpec, route: str | None = None)
 
 
 def _grid_pairs(params: OperatorParams, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """One (x, theta) node per mirror orbit of the grid, as flat arrays.
+    """One (x, theta) node per orbit of the grid, as flat arrays.
 
     h, uh and ukh keep x and theta nodes 0..n // 2 (x only at fixed
     theta); when the swap (x, theta) -> (theta, x) also holds (_self_dual),
-    of those only the triangle k <= j.  A uordkr mother sweep on a square
-    grid keeps the same set in (j, b), b = j + k + s (_shear), mapped back
-    through k = (b - j - s) mod n: at a half-integer s (p, q and n odd) its
-    b runs over 1/2..n/2, whose mirror orbits under b -> -b it covers once,
-    and the swap does not fold.  On a rectangular grid uordkr keeps, of each
-    joint mirror pair (j, k) and (-j mod n_x, -k mod n_theta), the node with
-    the lower flat index j n_theta + k; at fixed theta, its whole x axis.
+    of those only the triangle k <= j.  Where the half shift folds
+    (_half_shift), it maps those sets onto themselves: the quarter by the
+    point reflection (j, k) -> (n_x/2 - j, n_theta/2 - k), of which the
+    first half in flat order is kept, the triangle by the reflection across
+    j + k = n/2, of which j + k <= n/2 is kept.  A uordkr mother sweep on a
+    square grid keeps the same set in (j, b), b = j + k + s (_shear), mapped
+    back through k = (b - j - s) mod n: at a half-integer s (p, q and n odd)
+    its b runs over 1/2..n/2, whose mirror orbits under b -> -b it covers
+    once, and the swap does not fold.  On a rectangular grid uordkr keeps,
+    of each joint mirror pair (j, k) and (-j mod n_x, -k mod n_theta), the
+    node with the lower flat index j n_theta + k, and with the half shift
+    (j + n_x/2, k) joins the orbit; at fixed theta, its whole x axis, or
+    with the shift its first half.
     """
     q, half_x, half_t = params.alpha.q, grid.n_x // 2 + 1, grid.n_theta // 2 + 1
+    shift = _half_shift(params, grid)
     if not params.is_mother:
-        xs = grid.xs(q) if params.kind is OperatorKind.UORDKR else grid.xs(q)[:half_x]
+        xs = grid.xs(q)[:_pair_count(params, grid)]
         return xs, np.full(xs.size, params.fixed_theta(), dtype=np.float64)
     xs, ts = grid.xs(q)[:half_x], grid.thetas(q)
     two_s = _shear(params, grid)
     if params.kind is OperatorKind.UORDKR and two_s is None:
-        # Row j < n_x - j outranks its mirror row; a self-mirror row keeps k <= n_theta / 2.
-        width = np.where(2 * np.arange(half_x) % grid.n_x == 0, half_t, grid.n_theta)
-        xv = np.repeat(xs, width)
+        # Row j outranks the rows its orbit reaches (-j, and with the shift j + n_x / 2
+        # and n_x / 2 - j); a row that one of them maps to itself keeps k <= n_theta / 2.
+        fold = 4 if shift else 2
+        rows = np.arange(grid.n_x // fold + 1)
+        width = np.where(fold * rows % grid.n_x == 0, half_t, grid.n_theta)
+        xv = np.repeat(xs[rows], width)
         return xv, ts[np.arange(xv.size) - np.repeat(np.cumsum(width) - width, width)]
     if _self_dual(params, grid):
         j, k = np.tril_indices(half_x)
+        if shift:  # which reflects the triangle across j + k = n / 2
+            keep = j + k <= grid.n_x // 2
+            j, k = j[keep], k[keep]
     else:
-        j, k = np.divmod(np.arange(half_x * half_t), half_t)
+        # The shift is the quarter grid's point reflection, flat index i -> size - 1 - i.
+        j, k = np.divmod(np.arange(_pair_count(params, grid)), half_t)
     if two_s is not None:
         k = (k - j - two_s // 2) % grid.n_theta
     return xs[j], ts[k]

@@ -1049,13 +1049,19 @@ V070_KEYS = {
     "h": "77fd6bf27618f81167c8ff4c3ffe3fc07df8163131bdd3e357174ffa3c7771ba",
 }
 
+# Keys of version 0.8.0, which solved both nodes of every half-shift pair at odd q.
+V080_KEYS = {
+    "ukh": "c311d45f106785c8f45a53726ce76cd1b21f981e719c06909e68ccd7cd91377e",
+    "h": "69d23e0626e7e5fa694f35bf9bb00c9a9eb4320b9f66d350cb9353f216587eff",
+}
+
 
 def test_cache_keys_are_pinned():
     # Entries written by earlier versions stay valid only while these hold.
     ukh = cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER), GridSpec(5, 5))
     h = cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7))
-    assert ukh == "c311d45f106785c8f45a53726ce76cd1b21f981e719c06909e68ccd7cd91377e"
-    assert h == "69d23e0626e7e5fa694f35bf9bb00c9a9eb4320b9f66d350cb9353f216587eff"
+    assert ukh == "d19998cbea4d3f6c29b306308e489f787108298e5aa99c37a869bc7903bc93a9"
+    assert h == "8665e53fd21ef5f4127c5141ecbf4135e087fa244b22be1b97f68ad684e77342"
     # Version 0.1.0 swept every grid node, 0.2.0 built the theta kicks as
     # dense Fourier products, 0.3.0 wrote no rows_sha256 line, and 0.4.0
     # solved both nodes of each self-dual swap pair; their entries differ in
@@ -1063,7 +1069,8 @@ def test_cache_keys_are_pinned():
     # keys of a JSON payload; they are recomputed, not served.  0.6.0
     # solved other nodes of a uordkr mother grid, whose values differ in the
     # last bits, and 0.7.0 the circulant Harper matrices, whose h and uh values
-    # differ from the Jacobi matrices' in the last bits.
+    # differ from the Jacobi matrices' in the last bits.  0.8.0 solved both
+    # nodes of each half-shift pair at odd q, whose values differ in the last bits.
     assert {ukh, h}.isdisjoint(V010_KEYS.values())
     assert {ukh, h}.isdisjoint(V020_KEYS.values())
     assert {ukh, h}.isdisjoint(V030_KEYS.values())
@@ -1071,6 +1078,7 @@ def test_cache_keys_are_pinned():
     assert {ukh, h}.isdisjoint(V050_KEYS.values())
     assert {ukh, h}.isdisjoint(V060_KEYS.values())
     assert {ukh, h}.isdisjoint(V070_KEYS.values())
+    assert {ukh, h}.isdisjoint(V080_KEYS.values())
 
 
 def test_parent_cache_entry_is_not_served(tmp_path):
@@ -1081,11 +1089,11 @@ def test_parent_cache_entry_is_not_served(tmp_path):
     assert dispatch(argv + ["--out", cold]) == 0
     s = read_spectrum_csv(cold)
     planted = SpectrumSet.build(s.kind, s.points * np.exp(0.125j), params=s.params, grid=s.grid)
-    for keys in (V010_KEYS, V050_KEYS, V060_KEYS, V070_KEYS):
+    for keys in (V010_KEYS, V050_KEYS, V060_KEYS, V070_KEYS, V080_KEYS):
         write_spectrum_csv(planted, str(cache / (keys["ukh"] + ".csv")))
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", warm]) == 0
     assert open(warm, "rb").read() == open(cold, "rb").read()
-    assert len(os.listdir(cache)) == 5
+    assert len(os.listdir(cache)) == 6
 
 
 def test_cache_differential_and_clear(tmp_path):

@@ -227,12 +227,12 @@ def test_sweep_matches_per_matrix_oracles(kind, p, q, scope):
 def test_chunked_sweep_is_identical(kind, monkeypatch):
     q = 5
     pa = params(kind, 0.9, 1.3, 2, q, theta=MOTHER)
-    xv, tv = spectra._grid_pairs(pa, GridSpec(4, 4))
-    single = spectra._sweep_values(pa, GridSpec(4, 4))
-    # 5 matrices per chunk: the reflection-reduced 4 x 4 grid keeps 9 nodes
+    xv, tv = spectra._grid_pairs(pa, GridSpec(5, 5))
+    single = spectra._sweep_values(pa, GridSpec(5, 5))
+    # 5 matrices per chunk: the reflection-reduced 5 x 5 grid keeps 9 nodes
     # (uordkr's in its sheared phases), so 2 chunks, each repeating a theta.
     monkeypatch.setattr(spectra, "_CHUNK_COMPLEX", 5 * q * q)
-    chunked = spectra._sweep_values(pa, GridSpec(4, 4))
+    chunked = spectra._sweep_values(pa, GridSpec(5, 5))
     assert xv.size > 5
     assert np.unique(tv[:5]).size < 5
     assert np.array_equal(chunked, single)
@@ -375,6 +375,41 @@ def test_rotor_keeps_the_sheared_swap_at_the_self_dual_coupling():
     assert _rotor_node_moves([swap], 1.0, np.random.default_rng(16)) <= 1e-12
 
 
+def _half_shift_moves(kind, alphas, rng):
+    """Per alpha, the largest distance of the half-shifted node's eigenvalues from their image.
+
+    The shift moves x and theta by 1/(2q), the rotor's x alone; the image
+    negates h's eigenvalues, relative to 2 + 2|lambda|, and conjugates the
+    unitary kinds', in eigenphase.  Theta is fixed at 0 and 0.37, or drawn.
+    Both sides come from oracles.operator_eigvals, not from operator_stack.
+    """
+    worst = []
+    for p, q in alphas:
+        moves = []
+        for (kappa, lam), theta in itertools.product(
+                [(0.5, 1.0), (2.3, -1.3), (1.0, 0.7), (0.5, 2.0)], [0.0, 0.37, None]):
+            x, t = rng.random(2)
+            t = t if theta is None else theta
+            at = operator_eigvals(kind, kappa, lam, p, q, x, t)
+            moved = operator_eigvals(kind, kappa, lam, p, q, x + 0.5 / q,
+                                     t + (0.0 if kind == "uordkr" else 0.5 / q))
+            if kind == "h":
+                moves.append(set_distance(at, -moved) / (2 + 2 * abs(lam)))
+            else:
+                arcs = np.abs(np.angle(at[:, None] * moved[None, :]))  # a conj(conj(b))
+                moves.append(max(arcs.min(axis=0).max(), arcs.min(axis=1).max()))
+        worst.append(max(moves))
+    return np.array(worst)
+
+
+@pytest.mark.parametrize("kind", ["h", "uh", "ukh", "uordkr"])
+def test_half_shift_negates_or_conjugates_the_eigenvalues_at_odd_q(kind):
+    # The fold of spectra._half_shift; at even q the map misses.
+    odd = [(0, 1), (1, 3), (2, 5), (3, 7), (8, 13), (21, 55)]
+    assert np.all(_half_shift_moves(kind, odd, np.random.default_rng(17)) <= 1e-13)
+    assert np.all(_half_shift_moves(kind, [(1, 2), (3, 8)], np.random.default_rng(18)) > 0.1)
+
+
 def _full_pairs(pa, grid):
     """Every node of the grid, built without spectra._grid_pairs."""
     q = pa.alpha.q
@@ -427,8 +462,8 @@ def test_reduced_rotor_grid_matches_the_full_grid_at_q_233(p, n, lam, monkeypatc
     ("uordkr", 0.3, GridSpec(400), 400),
 ])
 def test_representative_counts_are_pinned(kind, theta, grid, count):
-    # lambda = 1.3: the mirror reflections alone.
-    pa = params(kind, 1.0, 1.3, 8, 13, theta=theta)
+    # lambda = 1.3 at even q: the mirror reflections alone.
+    pa = params(kind, 1.0, 1.3, 5, 8, theta=theta)
     xv, tv = spectra._grid_pairs(pa, grid)
     assert xv.size == tv.size == spectra._pair_count(pa, grid) == count
 
@@ -441,9 +476,37 @@ def test_representative_counts_are_pinned(kind, theta, grid, count):
     ("ukh", GridSpec(48, 47), 600),
 ])
 def test_self_dual_representative_counts_are_pinned(kind, grid, count):
-    # lambda = 1: on a square grid every kind keeps the triangle of the
+    # lambda = 1 at even q: on a square grid every kind keeps the triangle of the
     # 25 x 25 mirror representatives (the rotor in (j, b)); a 48 x 47 grid does not.
-    pa = params(kind, 1.0, 1.0, 8, 13, theta=MOTHER)
+    pa = params(kind, 1.0, 1.0, 5, 8, theta=MOTHER)
+    xv, tv = spectra._grid_pairs(pa, grid)
+    assert xv.size == tv.size == spectra._pair_count(pa, grid) == count
+
+
+@pytest.mark.parametrize("kind,theta,grid,lam,count", [
+    ("h", MOTHER, GridSpec(48, 48), 1.3, 313),
+    ("uh", MOTHER, GridSpec(48, 48), 1.3, 313),
+    ("ukh", MOTHER, GridSpec(48, 48), 1.3, 313),
+    ("uordkr", MOTHER, GridSpec(48, 48), 1.3, 313),
+    ("h", MOTHER, GridSpec(48, 48), 1.0, 169),
+    ("uh", MOTHER, GridSpec(48, 48), 1.0, 169),
+    ("ukh", MOTHER, GridSpec(48, 48), 1.0, 169),
+    ("uordkr", MOTHER, GridSpec(48, 48), 1.0, 169),
+    ("h", MOTHER, GridSpec(160, 160), 1.0, 1681),
+    ("ukh", MOTHER, GridSpec(48, 47), 1.0, 600),
+    ("uordkr", MOTHER, GridSpec(48, 47), 1.3, 565),
+    ("h", 0.3, GridSpec(400), 1.3, 201),
+    ("ukh", 0.3, GridSpec(400), 1.3, 201),
+    ("uordkr", 0.3, GridSpec(400), 1.3, 200),
+])
+def test_half_shift_representative_counts_are_pinned(kind, theta, grid, lam, count):
+    # At odd q the half shift pairs the 625 mirror representatives of a 48 x 48
+    # grid by the point reflection, which fixes one, and the 325 of the
+    # triangle by the reflection across j + k = 24, which fixes 13.  It moves
+    # theta too for h, uh and ukh, so their 48 x 47 and fixed-theta sweeps do
+    # not fold; the rotor's moves x alone: 1,129 joint-mirror pairs of the
+    # 48 x 47 grid become 565, and its 400 fixed-theta nodes 200.
+    pa = params(kind, 1.0, lam, 8, 13, theta=theta)
     xv, tv = spectra._grid_pairs(pa, grid)
     assert xv.size == tv.size == spectra._pair_count(pa, grid) == count
 
@@ -461,9 +524,11 @@ def _orbit(node, maps, n_x, n_theta):
 
 
 @pytest.mark.parametrize("kind", ["h", "ukh", "uordkr"])
-@pytest.mark.parametrize("n_x,n_theta", [(1, 1), (2, 5), (5, 2), (6, 6), (7, 4), (7, 7)])
+@pytest.mark.parametrize("n_x,n_theta", [(1, 1), (2, 5), (5, 2), (6, 6), (7, 4), (7, 7), (4, 6)])
 def test_representatives_cover_every_mirror_orbit_once(kind, n_x, n_theta):
     # 3/5 puts a half-integer s on the 7 x 7 grid, where the rotor's swap does not fold.
+    # At odd q the half shift moves x and theta by n / 2 nodes (the rotor's x
+    # alone), where those axes are even: the 6 x 6 and 4 x 6 grids, and the rotor's 2 x 5.
     for lam, (p, q) in itertools.product((1.3, 1.0), [(2, 5), (3, 5)]):
         pa, grid = params(kind, 1.0, lam, p, q, theta=MOTHER), GridSpec(n_x, n_theta)
         xv, tv = spectra._grid_pairs(pa, grid)
@@ -479,18 +544,23 @@ def test_representatives_cover_every_mirror_orbit_once(kind, n_x, n_theta):
                 maps.append(lambda a, b: (a + b + int(s), -b - 2 * int(s)))
         else:
             maps = [lambda a, b: (-a, -b)]
+        if kind != "uordkr" and n_x % 2 == n_theta % 2 == 0:
+            maps.append(lambda a, b: (a + n_x // 2, b + n_theta // 2))
+        elif kind == "uordkr" and n_x % 2 == 0:
+            maps.append(lambda a, b: (a + n_x // 2, b))
         covered = [node for a, b in zip(j, k) for node in _orbit((a, b), maps, n_x, n_theta)]
         assert len(covered) == len(set(covered)) == n_x * n_theta
 
 
 @pytest.mark.parametrize("p,q,n,lam,count", [
-    (8, 13, 16, 1.3, 81),
-    (89, 233, 16, 1.0, 45),
-    (144, 233, 2, 1.0, 3),
+    (8, 13, 16, 1.3, 41),
+    (89, 233, 16, 1.0, 25),
+    (144, 233, 2, 1.0, 2),
     (3, 5, 7, 1.0, 16),
 ])
 def test_rotor_representative_counts_are_pinned(p, q, n, lam, count):
-    # ((n + gcd(2, n)) / 2)^2 nodes, or at lambda = 1 with an integer s the triangle.
+    # ((n + gcd(2, n)) / 2)^2 nodes, or at lambda = 1 with an integer s the
+    # triangle; at odd q and even n the half shift halves them (81 -> 41, 45 -> 25, 3 -> 2).
     pa = params("uordkr", 1.0, lam, p, q, theta=MOTHER)
     xv, tv = spectra._grid_pairs(pa, GridSpec(n, n))
     assert xv.size == tv.size == spectra._pair_count(pa, GridSpec(n, n)) == count
@@ -505,28 +575,34 @@ def test_pair_count_is_the_number_of_grid_pairs(kind):
 
 
 def test_sweep_size_estimate():
-    # m pairs (two float64 phases, and q eigenvalues held as up to five
-    # complex128 copies while pooled), 2 (Hermitian route), 7 (Cayley route)
-    # or 5 (general route) complex q x q arrays per row of a chunk of
+    # m pairs (two float64 phases), 2m rows of values where the half shift
+    # folds, else m (q eigenvalues held as up to five complex128 copies while
+    # pooled), 1 (Hermitian route: two real arrays), 7 (Cayley route) or 5
+    # (general route) complex q x q arrays per row of a chunk of
     # min(m, 2^16 // q^2) matrices, and the int64 circulant index with the
     # rotor's complex E.
     ukh = params("ukh", 1.0, 1.3, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(ukh, GridSpec(48, 48)) == (
-        625 * (2 * 8 + 5 * 16 * 13) + (16 * 7 * 387 + 8 + 16) * 169)
-    # The rotor folds its sheared phases to the same 625 pairs.
+        313 * 2 * 8 + 626 * 5 * 16 * 13 + (16 * 7 * 313 + 8 + 16) * 169)
+    # The rotor folds its sheared phases to the same 313 pairs.
     rotor = params("uordkr", 1.0, 1.3, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(rotor, GridSpec(48, 48)) == (
-        625 * 1056 + (16 * 7 * 387 + 24) * 169)
+        313 * 16 + 626 * 1040 + (16 * 7 * 313 + 24) * 169)
     huge = GridSpec(3_000_000, 3_000_000)
-    assert spectra._sweep_bytes(ukh, huge) == 1_500_001 ** 2 * 1056 + (16 * 7 * 387 + 24) * 169
-    # At lambda = 1 the swap leaves 325 pairs, fewer than a chunk holds.
+    m = 1_500_001 ** 2 // 2 + 1
+    assert spectra._sweep_bytes(ukh, huge) == m * 16 + 2 * m * 1040 + (16 * 7 * 387 + 24) * 169
+    # At lambda = 1 the swap leaves 169 pairs, fewer than a chunk holds.
     dual = params("ukh", 1.0, 1.0, 8, 13, theta=MOTHER)
-    assert spectra._sweep_bytes(dual, GridSpec(48, 48)) == 325 * 1056 + (16 * 7 * 325 + 24) * 169
+    assert spectra._sweep_bytes(dual, GridSpec(48, 48)) == (
+        169 * 16 + 338 * 1040 + (16 * 7 * 169 + 24) * 169)
+    # Even q and fixed-theta h do not fold.
+    assert spectra._sweep_bytes(params("ukh", 1.0, 1.3, 5, 8, theta=MOTHER), GridSpec(48, 48)) == (
+        625 * (16 + 5 * 16 * 8) + (16 * 7 * 625 + 24) * 64)
     assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 3), huge) == (
-        1_500_001 * (16 + 240) + (16 * 2 * 7281 + 24) * 9)
+        1_500_001 * (16 + 240) + (16 * 7281 + 24) * 9)
     # One matrix at large q: the q x q arrays, not the eigenvalues, dominate.
     assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 1499), GridSpec(1)) == (
-        (16 + 1499 * 80) + (16 * 2 + 24) * 1499 ** 2)
+        (16 + 1499 * 80) + (16 + 24) * 1499 ** 2)
     # SPECTRAL_MAPPING's general solve of the uh matrices holds 5 per row.
     assert spectra._sweep_bytes(params("uh", 1.0, 1.0, 1, 1499), GridSpec(1), "general") == (
         (16 + 1499 * 80) + (16 * 5 + 24) * 1499 ** 2)
@@ -555,8 +631,8 @@ print(peak() - before, _sweep_bytes(pa, grid, *route))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
-@pytest.mark.parametrize("argv", [["ukh"], ["uordkr"], ["uh", "general"]],
-                         ids=["ukh", "uordkr", "spectral-mapping"])
+@pytest.mark.parametrize("argv", [["h"], ["uh"], ["ukh"], ["uordkr"], ["uh", "general"]],
+                         ids=["h", "uh", "ukh", "uordkr", "spectral-mapping"])
 def test_one_node_peak_memory_is_within_the_estimate(argv):
     # A fresh process, so that the peak RSS growth is this one sweep's.
     src = os.path.dirname(os.path.dirname(spectra.__file__))
