@@ -11,11 +11,12 @@ comparisons can be certified.
 The spectrum is 1/q-periodic on both axes, so on a grid anchored at 0 node
 j mirrors node (n - j) mod n.  The sweep solves one node per mirror orbit:
 h, uh and ukh have the same eigenvalues at (x, theta), (-x, theta) and
-(x, -theta).  uordkr has that group in the sheared phases (x, beta), with
-beta = x + theta + alpha/2 + phi the phase of its theta kick: on a square
-grid it folds (x, beta) -> (-x, beta) and (x, -beta), on a rectangular one
-only the joint (x, theta) -> (-x, -theta).  At lambda = 1 on a square grid,
-Aubry duality adds the swap (x, theta) -> (theta, x) for h, uh and ukh: the
+(x, -theta).  uordkr at (x, theta) has the eigenvalues of ukh at (x, beta),
+with beta = x + theta + alpha/2 + phi the phase of its theta kick, so it
+has that group in the sheared phases (x, beta): on a square grid it folds
+(x, beta) -> (-x, beta) and (x, -beta), on a rectangular one only the
+joint (x, theta) -> (-x, -theta).  At lambda = 1 on a square grid, Aubry
+duality adds the swap (x, theta) -> (theta, x) for h, uh and ukh: the
 swapped Harper matrix is unitarily equivalent to the original, and the
 swapped ukh matrix to its two kicks taken in the other order, which has
 the same eigenvalues.  For uordkr it adds (x, beta) -> (beta, x) when beta,
@@ -26,20 +27,24 @@ eigenvalues and conjugates the uh and ukh ones, and x -> x + 1/2q (in
 (x, beta), both move) conjugates uordkr's, at any theta.  For h,
 -H(x, theta, lambda) is H(x + 1/2, theta, -lambda), and the gauge (-1)^j
 on the odd ring turns -lambda back into lambda at theta + 1/(2q);
-x + 1/2 is x + 1/(2q) modulo 1/q.  The sweep solves one node per orbit
-and appends the image of its rows.  The solved nodes and their images
-carry the same eigenvalues as the full grid in exact arithmetic, so the
-sampled set, and with it the grid error bound, is unchanged.  The nodes
-are evaluated as one batched eigensolver call per chunk; results are
-pooled, sorted and deduplicated, so the outcome is a deterministic
-function of (params, grid).  The h and uh sweeps solve, at each node, the
-real Jacobi matrix with the Harper eigenvalues
-(operators.harper_jacobi_stack), not the complex circulant one.
+x + 1/2 is x + 1/(2q) modulo 1/q.  In Chambers' terms the shift sends
+cos 2 pi q x + lambda^q cos 2 pi q theta to its negative, and at odd q the
+Harper discriminant is odd in E.  The sweep solves one node per orbit and
+appends the image of its rows; _orbits is the one rule that decides,
+counts and lists them.  The solved nodes and their images carry the same
+eigenvalues as the full grid in exact arithmetic, so the sampled set, and
+with it the grid error bound, is unchanged.  The nodes are evaluated as
+one batched eigensolver call per chunk; results are pooled, sorted and
+deduplicated, so the outcome is a deterministic function of (params,
+grid).  The h and uh sweeps solve, at each node, the real Jacobi matrix
+with the Harper eigenvalues (operators.harper_jacobi_stack), not the
+complex circulant one.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -100,14 +105,8 @@ class GridSpec:
     """Uniform sampling grid: x_j = j/(n_x q), theta_k = k/(n_theta q).
 
     Both axes are anchored at 0 and span [0, 1/q); n_theta is ignored for
-    fixed-theta sweeps.  A sweep solves one node per mirror orbit of the
-    grid, where node j mirrors node (n - j) mod n; with n_x == n_theta the
-    two axes share one lattice, so a self-dual sweep also folds (j, k) onto
-    (k, j), and a uordkr sweep folds the nodes b = j + k + s of its
-    sheared phase beta as ukh folds k (see _grid_pairs).  At odd q, an even
-    axis also folds node j onto j + n/2, a shift by 1/(2q) that negates or
-    conjugates the eigenvalues (Chambers: it sends cos 2 pi q x + lambda^q
-    cos 2 pi q theta to its negative, and the Harper discriminant is odd in E).
+    fixed-theta sweeps.  A sweep solves one node per orbit of the maps that
+    fold the grid: the module docstring derives them, and _orbits applies them.
     """
 
     n_x: int
@@ -255,23 +254,23 @@ def _route(params: OperatorParams, route: str | None) -> str:
 
 
 def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = None) -> np.ndarray:
-    """Eigenvalues at the m solved nodes, then at their m shifted ones if the half shift folds.
+    """Eigenvalues at the m solved nodes, then their m images where the half shift folds.
 
     The one sweep kernel: it sizes the sweep for its route (``_ROUTES``),
-    then builds and solves the route's matrices one chunk at a time, at one
-    node per orbit (_grid_pairs); where the half shift folds (_half_shift),
-    it appends the shifted nodes' rows, the image of the solved ones.  uh
-    eigenvalues are exp(-i kappa w) for the Harper eigenvalues w (spectral
-    mapping), so the Hermitian route of a uh sweep solves the Harper
-    matrices.  On a solver failure the nodes are re-run one by one, so that
-    the error names the first grid point that fails on its own.
+    then builds and solves the route's matrices one chunk at a time at the
+    nodes of _orbits.  uh eigenvalues are exp(-i kappa w) for the Harper
+    eigenvalues w (spectral mapping), so the Hermitian route of a uh sweep
+    solves the Harper matrices.  On a solver failure the nodes are re-run
+    one by one, so that the error names the first grid point that fails on
+    its own.
     """
     route = _route(params, route)
     _preflight(params, grid, route)
     build, solve = (globals()[name] for name in _ROUTES[route][:2])
     mapped = params.kind is OperatorKind.UH and route == "hermitian"
     built = replace(params, kind=OperatorKind.H) if mapped else params
-    xv, tv = _grid_pairs(params, grid)
+    _, image, pairs = _orbits(params, grid)
+    xv, tv = pairs()
     step = _chunk_rows(params.alpha.q)
 
     def nodes(lo: int, hi: int) -> np.ndarray:
@@ -288,7 +287,7 @@ def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = No
                     f"eigensolver failed at grid point x={float(x)!r}, theta={float(t)!r}: {exc}"
                 ) from exc
         raise
-    if _half_shift(params, grid):
+    if image:
         # The shifted nodes' rows: negated (and kept ascending) for the built
         # Harper matrices, conjugated for the unitary ones.
         shifted = -values[:, ::-1] if built.kind is OperatorKind.H else values.conj()
@@ -301,78 +300,104 @@ def _spectrum(params: OperatorParams, grid: GridSpec, values: np.ndarray) -> Spe
     return SpectrumSet.build(SpectrumKind.of(params.kind), values, params=params, grid=grid)
 
 
-def _shear(params: OperatorParams, grid: GridSpec) -> int | None:
-    """2s for a uordkr mother sweep on a square grid, else None.
+def _orbits(params: OperatorParams, grid: GridSpec) -> tuple[int, bool, Callable]:
+    """The grid's fold, decided once: (m, image, nodes).
 
-    There the node (j, k) has the sheared phase beta = (j + k + s) / (n q),
-    with s = n q (alpha/2 + phi) = n shift / 2 (operators.DcpEigensystem).
+    m nodes are solved, one per orbit of the maps that fold the grid
+    (module docstring); ``nodes()`` lists them as flat x and theta arrays,
+    and only it builds arrays, so a size check costs O(1).  ``image`` says
+    whether each solved row also stands for its half-shifted node's: at odd
+    q, where the axes the shift moves have even n (n_x and n_theta of a
+    mother sweep, n_x alone for uordkr, in either scope).
+
+    At fixed theta, h, uh and ukh keep x nodes 0..n/2; uordkr keeps its
+    whole axis, or with the shift its first half.  On a rectangular grid
+    uordkr keeps, of each joint mirror pair (j, k) and (-j mod n_x, -k mod
+    n_theta), the node with the lower flat index j n_theta + k, and with the
+    shift (j + n_x/2, k) joins the orbit.  Otherwise a mother sweep keeps
+    the quarter, nodes 0..n/2 on both axes, or where the swap folds its
+    triangle k <= j: at lambda = 1 on a square grid, which keeps the swapped
+    node on the grid, as for uordkr does an integer s.  The shift maps the
+    quarter onto itself by the point reflection (j, k) -> (n_x/2 - j,
+    n_theta/2 - k), of which the first half in flat order is kept, and the
+    triangle by the reflection across j + k = n/2, of which j + k <= n/2 is
+    kept.  uordkr on a square grid keeps the same set in (j, b), b = j + k +
+    s with s = n q (alpha/2 + phi) = n shift / 2 (operators.DcpEigensystem),
+    mapped back through k = (b - j - s) mod n: at a half-integer s (p, q and
+    n odd) its b runs over 1/2..n/2, whose mirror orbits under b -> -b it
+    covers once.
     """
-    if params.kind is not OperatorKind.UORDKR or grid.n_x != grid.n_theta:
-        return None
-    return grid.n_x * dcp_eigensystem(params.alpha).shift
+    q, n_x, n_t = params.alpha.q, grid.n_x, grid.n_theta
+    half_x, half_t = n_x // 2 + 1, n_t // 2 + 1
+    rotor = params.kind is OperatorKind.UORDKR
+    image = q % 2 == 1 and n_x % 2 == 0 and (rotor or (params.is_mother and n_t % 2 == 0))
 
-
-def _self_dual(params: OperatorParams, grid: GridSpec) -> bool:
-    """Whether the phase swap folds the sweep's grid.
-
-    It does for a mother sweep at lambda = 1 on a square grid, where
-    Aubry duality keeps the eigenvalues under (x, theta) -> (theta, x) for
-    h, uh and ukh and under (x, beta) -> (beta, x) for uordkr; equal n keeps
-    the swapped node on the grid, and for uordkr so does an integer s.
-    """
-    two_s = _shear(params, grid)
-    return (params.is_mother and params.lam == 1.0 and grid.n_x == grid.n_theta
-            and (two_s is None or two_s % 2 == 0))
-
-
-def _half_shift(params: OperatorParams, grid: GridSpec) -> bool:
-    """Whether the half-period shift folds the sweep's grid.
-
-    At odd q, moving x and theta by 1/(2q) negates the h eigenvalues and
-    conjugates the uh and ukh ones, and moving x alone conjugates the uordkr
-    ones (in (x, beta), both move).  The shift keeps the nodes on the grid
-    when the axes it moves have even n: n_x and n_theta of a mother sweep,
-    n_x alone for uordkr, in either scope.
-    """
-    if params.alpha.q % 2 == 0 or grid.n_x % 2:
-        return False
-    return params.kind is OperatorKind.UORDKR or (params.is_mother and grid.n_theta % 2 == 0)
-
-
-def _pair_count(params: OperatorParams, grid: GridSpec) -> int:
-    """Number of grid nodes _grid_pairs returns: one per orbit."""
-    half_x, half_t = grid.n_x // 2 + 1, grid.n_theta // 2 + 1
-    shift = _half_shift(params, grid)
     if not params.is_mother:
-        if params.kind is OperatorKind.UORDKR:
-            return grid.n_x // 2 if shift else grid.n_x
-        return half_x
-    if params.kind is OperatorKind.UORDKR and _shear(params, grid) is None:
-        fold = 4 if shift else 2
-        self_mirror = 1 + (grid.n_x % fold == 0)  # x rows 0 and, if on the grid, n_x / fold
-        return self_mirror * half_t + (grid.n_x // fold + 1 - self_mirror) * grid.n_theta
-    if _self_dual(params, grid):
+        m = (n_x // 2 if image else n_x) if rotor else half_x
+
+        def nodes():
+            return grid.xs(q)[:m], np.full(m, params.fixed_theta(), dtype=np.float64)
+        return m, image, nodes
+
+    if rotor and n_x != n_t:
+        # Row j outranks the rows its orbit reaches (-j, and with the shift j + n_x/2 and
+        # n_x/2 - j); rows 0 and n_x/fold, if on the grid, map to themselves: k <= n_theta/2.
+        fold = 4 if image else 2
+        rows, self_mirror = n_x // fold + 1, 1 + (n_x % fold == 0)
+        m = self_mirror * half_t + (rows - self_mirror) * n_t
+
+        def nodes():
+            width = np.where(fold * np.arange(rows) % n_x == 0, half_t, n_t)
+            xv = np.repeat(grid.xs(q)[:rows], width)
+            return xv, grid.thetas(q)[np.arange(m) - np.repeat(np.cumsum(width) - width, width)]
+        return m, image, nodes
+
+    two_s = n_x * dcp_eigensystem(params.alpha).shift if rotor else 0
+    if params.lam == 1.0 and n_x == n_t and two_s % 2 == 0:
         triangle = half_x * (half_x + 1) // 2
-        return (triangle + grid.n_x // 4 + 1) // 2 if shift else triangle
-    return (half_x * half_t + 1) // 2 if shift else half_x * half_t
+        m = (triangle + n_x // 4 + 1) // 2 if image else triangle
+
+        def quarter():
+            j, k = np.tril_indices(half_x)
+            if image:  # which reflects the triangle across j + k = n / 2
+                keep = j + k <= n_x // 2
+                j, k = j[keep], k[keep]
+            return j, k
+    else:
+        m = (half_x * half_t + 1) // 2 if image else half_x * half_t
+
+        def quarter():
+            # The shift is the quarter grid's point reflection, flat index i -> size - 1 - i.
+            return np.divmod(np.arange(m), half_t)
+
+    def nodes():
+        j, k = quarter()
+        if rotor:
+            k = (k - j - two_s // 2) % n_t
+        return grid.xs(q)[j], grid.thetas(q)[k]
+    return m, image, nodes
 
 
 def _sweep_bytes(params: OperatorParams, grid: GridSpec, route: str | None = None) -> int:
-    """Bytes a sweep holds at its peak, from its (x, theta) pair count m.
+    """Bytes a sweep holds at its peak, from its solved node count m (_orbits).
 
-    Per pair, two float64 phases; per row of values (two per pair where the
+    Per node, two float64 phases; per row of values (two per node where the
     half shift folds), q eigenvalues, held up to five times over as
     complex128 while pooled and sorted (measured: up to 72 B each).  Per
-    chunk row, the q x q complex arrays of the solver route (``_ROUTES``).
-    Per chunk, the int64 circulant index and the rotor's q x q E.  LAPACK
-    allocates a further 2-4 MB of workspace on first use, which this leaves
-    out, so for a sweep below about 10 MB the figure is an estimate, not an
-    upper bound.
+    chunk row, the q x q complex arrays of the solver route (``_ROUTES``),
+    and for uordkr one more, the product stack @ E* that its build makes
+    next to the stack.  Per chunk, the int64 circulant index and the
+    rotor's q x q E, and for uordkr the conjugate E* its build copies.
+    LAPACK allocates a further 2-4 MB of workspace on first use, which this
+    leaves out, so for a sweep below about 10 MB the figure is an estimate,
+    not an upper bound.
     """
-    m, q = _pair_count(params, grid), params.alpha.q
-    rows = 2 * m if _half_shift(params, grid) else m
-    arrays = _ROUTES[_route(params, route)][2]
-    return m * 2 * 8 + rows * 5 * 16 * q + (16 * arrays * min(m, _chunk_rows(q)) + 8 + 16) * q * q
+    m, image, _ = _orbits(params, grid)
+    q, rotor = params.alpha.q, params.kind is OperatorKind.UORDKR
+    rows = 2 * m if image else m
+    arrays = _ROUTES[_route(params, route)][2] + rotor
+    per_chunk = 16 * arrays * min(m, _chunk_rows(q)) + 8 + 16 + 16 * rotor
+    return m * 2 * 8 + rows * 5 * 16 * q + per_chunk * q * q
 
 
 def _preflight(params: OperatorParams, grid: GridSpec, route: str | None = None) -> None:
@@ -384,53 +409,6 @@ def _preflight(params: OperatorParams, grid: GridSpec, route: str | None = None)
             f"grid {grid.n_x}x{grid.n_theta} at q = {params.alpha.q} needs about "
             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
         )
-
-
-def _grid_pairs(params: OperatorParams, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """One (x, theta) node per orbit of the grid, as flat arrays.
-
-    h, uh and ukh keep x and theta nodes 0..n // 2 (x only at fixed
-    theta); when the swap (x, theta) -> (theta, x) also holds (_self_dual),
-    of those only the triangle k <= j.  Where the half shift folds
-    (_half_shift), it maps those sets onto themselves: the quarter by the
-    point reflection (j, k) -> (n_x/2 - j, n_theta/2 - k), of which the
-    first half in flat order is kept, the triangle by the reflection across
-    j + k = n/2, of which j + k <= n/2 is kept.  A uordkr mother sweep on a
-    square grid keeps the same set in (j, b), b = j + k + s (_shear), mapped
-    back through k = (b - j - s) mod n: at a half-integer s (p, q and n odd)
-    its b runs over 1/2..n/2, whose mirror orbits under b -> -b it covers
-    once, and the swap does not fold.  On a rectangular grid uordkr keeps,
-    of each joint mirror pair (j, k) and (-j mod n_x, -k mod n_theta), the
-    node with the lower flat index j n_theta + k, and with the half shift
-    (j + n_x/2, k) joins the orbit; at fixed theta, its whole x axis, or
-    with the shift its first half.
-    """
-    q, half_x, half_t = params.alpha.q, grid.n_x // 2 + 1, grid.n_theta // 2 + 1
-    shift = _half_shift(params, grid)
-    if not params.is_mother:
-        xs = grid.xs(q)[:_pair_count(params, grid)]
-        return xs, np.full(xs.size, params.fixed_theta(), dtype=np.float64)
-    xs, ts = grid.xs(q)[:half_x], grid.thetas(q)
-    two_s = _shear(params, grid)
-    if params.kind is OperatorKind.UORDKR and two_s is None:
-        # Row j outranks the rows its orbit reaches (-j, and with the shift j + n_x / 2
-        # and n_x / 2 - j); a row that one of them maps to itself keeps k <= n_theta / 2.
-        fold = 4 if shift else 2
-        rows = np.arange(grid.n_x // fold + 1)
-        width = np.where(fold * rows % grid.n_x == 0, half_t, grid.n_theta)
-        xv = np.repeat(xs[rows], width)
-        return xv, ts[np.arange(xv.size) - np.repeat(np.cumsum(width) - width, width)]
-    if _self_dual(params, grid):
-        j, k = np.tril_indices(half_x)
-        if shift:  # which reflects the triangle across j + k = n / 2
-            keep = j + k <= grid.n_x // 2
-            j, k = j[keep], k[keep]
-    else:
-        # The shift is the quarter grid's point reflection, flat index i -> size - 1 - i.
-        j, k = np.divmod(np.arange(_pair_count(params, grid)), half_t)
-    if two_s is not None:
-        k = (k - j - two_s // 2) % grid.n_theta
-    return xs[j], ts[k]
 
 
 def spectrum_fixed_theta(params: OperatorParams, grid: GridSpec) -> SpectrumSet:

@@ -476,6 +476,15 @@ def test_oversized_grid_is_exit_2_before_allocating(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_a_grid_of_10_to_the_12_nodes_is_exit_2(tmp_path, capsys):
+    # Axes this long fail with a MemoryError if built before the size check.
+    code = dispatch(["compute", "--alpha", "8/13", "--grid", "1000000000000",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_verify_parses_every_value_before_the_first_check(monkeypatch, capsys):
     import kickspec.cli as cli
 

@@ -38,6 +38,11 @@ def params(kind, kappa, lam, p, q, theta=0.0):
     return OperatorParams(kind, kappa, lam, RationalAlpha(p, q), theta)
 
 
+def _nodes(pa, grid):
+    """The (x, theta) nodes a sweep solves, as spectra._orbits lists them."""
+    return spectra._orbits(pa, grid)[2]()
+
+
 def circle_set(phases, **kw):
     return SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, np.exp(1j * np.asarray(phases)), **kw)
 
@@ -216,7 +221,7 @@ def _oracle_values(kind, kappa, lam, alpha, x, theta):
 def test_sweep_matches_per_matrix_oracles(kind, p, q, scope):
     alpha = RationalAlpha(p, q)
     pa = OperatorParams(kind, 0.9, 1.3, alpha, MOTHER if scope == "mother" else 0.37)
-    xv, tv = spectra._grid_pairs(pa, GridSpec(3, 3))
+    xv, tv = _nodes(pa, GridSpec(3, 3))
     pooled = spectra._sweep_values(pa, GridSpec(3, 3))
     oracle = np.concatenate([_oracle_values(kind, 0.9, 1.3, alpha, x, t) for x, t in zip(xv, tv)])
     assert pooled.size == oracle.size == xv.size * q
@@ -227,7 +232,7 @@ def test_sweep_matches_per_matrix_oracles(kind, p, q, scope):
 def test_chunked_sweep_is_identical(kind, monkeypatch):
     q = 5
     pa = params(kind, 0.9, 1.3, 2, q, theta=MOTHER)
-    xv, tv = spectra._grid_pairs(pa, GridSpec(5, 5))
+    xv, tv = _nodes(pa, GridSpec(5, 5))
     single = spectra._sweep_values(pa, GridSpec(5, 5))
     # 5 matrices per chunk: the reflection-reduced 5 x 5 grid keeps 9 nodes
     # (uordkr's in its sheared phases), so 2 chunks, each repeating a theta.
@@ -330,7 +335,7 @@ def test_phase_swap_holds_at_the_self_dual_coupling(kind):
     ("uordkr", 1.0),
 ])
 def test_phase_swap_fails_off_the_self_dual_coupling_and_for_the_rotor(kind, lam):
-    # The swap reduction must never reach these sweeps (spectra._self_dual).
+    # The swap reduction must never reach these sweeps (spectra._orbits).
     alphas = [(2, 7), (3, 5), (8, 13)]
     assert np.all(_swapped_distances(kind, lam, alphas, np.random.default_rng(14)) > 1e-3)
 
@@ -375,6 +380,38 @@ def test_rotor_keeps_the_sheared_swap_at_the_self_dual_coupling():
     assert _rotor_node_moves([swap], 1.0, np.random.default_rng(16)) <= 1e-12
 
 
+def _sheared_moves(alphas, rng, shear=1.0):
+    """Per alpha, the largest eigenphase distance of uordkr(x, theta) from ukh(x, beta).
+
+    beta = shear x + theta + alpha/2 + phi, with alpha/2 + phi = shift/(2q)
+    from the parity rule of _shear.  Both sides come from
+    oracles.operator_eigvals, not from operator_stack.
+    """
+    worst = []
+    for p, q in alphas:
+        moves = []
+        for kappa, lam in itertools.product((0.5, 1.0, 2.3), (1.0, 0.7, -1.3, 2.0)):
+            x, t = rng.random(2)
+            beta = shear * x + t + _shear(p, q, 1) / q
+            at = operator_eigvals("uordkr", kappa, lam, p, q, x, t)
+            kicked = operator_eigvals("ukh", kappa, lam, p, q, x, beta)
+            arcs = np.abs(np.angle(at[:, None] * kicked[None, :].conj()))
+            moves.append(max(arcs.min(axis=0).max(), arcs.min(axis=1).max()))
+        worst.append(max(moves))
+    return np.array(worst)
+
+
+def test_rotor_is_the_kicked_harper_on_sheared_phases():
+    # uordkr(x, theta) and ukh(x, beta) have the same eigenvalues: the identity
+    # behind the sheared fold and MOTHER_EQUALITY's matched-grid bound.
+    alphas = [(0, 1), (1, 2), (1, 3), (2, 5), (3, 7), (3, 8), (8, 13), (13, 21), (21, 34), (34, 55)]
+    assert np.all(_sheared_moves(alphas, np.random.default_rng(19)) <= 1e-13)
+    # Without the x term the map misses.  At large q the theta dependence
+    # flattens, so the control stays at small q.
+    assert np.all(_sheared_moves([(1, 3), (2, 5), (3, 7), (3, 8)], np.random.default_rng(20),
+                                 shear=0.0) > 0.1)
+
+
 def _half_shift_moves(kind, alphas, rng):
     """Per alpha, the largest distance of the half-shifted node's eigenvalues from their image.
 
@@ -404,19 +441,25 @@ def _half_shift_moves(kind, alphas, rng):
 
 @pytest.mark.parametrize("kind", ["h", "uh", "ukh", "uordkr"])
 def test_half_shift_negates_or_conjugates_the_eigenvalues_at_odd_q(kind):
-    # The fold of spectra._half_shift; at even q the map misses.
+    # The half-shift fold of spectra._orbits; at even q the map misses.
     odd = [(0, 1), (1, 3), (2, 5), (3, 7), (8, 13), (21, 55)]
     assert np.all(_half_shift_moves(kind, odd, np.random.default_rng(17)) <= 1e-13)
     assert np.all(_half_shift_moves(kind, [(1, 2), (3, 8)], np.random.default_rng(18)) > 0.1)
 
 
 def _full_pairs(pa, grid):
-    """Every node of the grid, built without spectra._grid_pairs."""
+    """Every node of the grid, built without spectra._orbits."""
     q = pa.alpha.q
     if pa.is_mother:
         xs, ts = grid.xs(q), grid.thetas(q)
         return np.repeat(xs, ts.size), np.tile(ts, xs.size)
     return grid.xs(q), np.full(grid.n_x, pa.theta)
+
+
+def _full_orbits(pa, grid):
+    """spectra._orbits of a grid that nothing folds: every node, and no images."""
+    xv, tv = _full_pairs(pa, grid)
+    return xv.size, False, lambda: (xv, tv)
 
 
 def _assert_reduced_matches_full(pa, grid, monkeypatch):
@@ -425,7 +468,7 @@ def _assert_reduced_matches_full(pa, grid, monkeypatch):
     swept = run(pa, grid)
     reduced = tracked_bands(pa, grid)
     with monkeypatch.context() as m:
-        m.setattr(spectra, "_grid_pairs", _full_pairs)
+        m.setattr(spectra, "_orbits", _full_orbits)
         full = SpectrumSet.build(swept.kind, spectra._sweep_values(pa, grid))
         unreduced = tracked_bands(pa, grid)
     assert hausdorff(swept, full) <= spectra.DEDUP_TOL
@@ -464,8 +507,8 @@ def test_reduced_rotor_grid_matches_the_full_grid_at_q_233(p, n, lam, monkeypatc
 def test_representative_counts_are_pinned(kind, theta, grid, count):
     # lambda = 1.3 at even q: the mirror reflections alone.
     pa = params(kind, 1.0, 1.3, 5, 8, theta=theta)
-    xv, tv = spectra._grid_pairs(pa, grid)
-    assert xv.size == tv.size == spectra._pair_count(pa, grid) == count
+    xv, tv = _nodes(pa, grid)
+    assert xv.size == tv.size == spectra._orbits(pa, grid)[0] == count
 
 
 @pytest.mark.parametrize("kind,grid,count", [
@@ -479,8 +522,8 @@ def test_self_dual_representative_counts_are_pinned(kind, grid, count):
     # lambda = 1 at even q: on a square grid every kind keeps the triangle of the
     # 25 x 25 mirror representatives (the rotor in (j, b)); a 48 x 47 grid does not.
     pa = params(kind, 1.0, 1.0, 5, 8, theta=MOTHER)
-    xv, tv = spectra._grid_pairs(pa, grid)
-    assert xv.size == tv.size == spectra._pair_count(pa, grid) == count
+    xv, tv = _nodes(pa, grid)
+    assert xv.size == tv.size == spectra._orbits(pa, grid)[0] == count
 
 
 @pytest.mark.parametrize("kind,theta,grid,lam,count", [
@@ -507,8 +550,8 @@ def test_half_shift_representative_counts_are_pinned(kind, theta, grid, lam, cou
     # not fold; the rotor's moves x alone: 1,129 joint-mirror pairs of the
     # 48 x 47 grid become 565, and its 400 fixed-theta nodes 200.
     pa = params(kind, 1.0, lam, 8, 13, theta=theta)
-    xv, tv = spectra._grid_pairs(pa, grid)
-    assert xv.size == tv.size == spectra._pair_count(pa, grid) == count
+    xv, tv = _nodes(pa, grid)
+    assert xv.size == tv.size == spectra._orbits(pa, grid)[0] == count
 
 
 def _orbit(node, maps, n_x, n_theta):
@@ -531,7 +574,7 @@ def test_representatives_cover_every_mirror_orbit_once(kind, n_x, n_theta):
     # alone), where those axes are even: the 6 x 6 and 4 x 6 grids, and the rotor's 2 x 5.
     for lam, (p, q) in itertools.product((1.3, 1.0), [(2, 5), (3, 5)]):
         pa, grid = params(kind, 1.0, lam, p, q, theta=MOTHER), GridSpec(n_x, n_theta)
-        xv, tv = spectra._grid_pairs(pa, grid)
+        xv, tv = _nodes(pa, grid)
         j, k = np.rint(xv * q * n_x).astype(int), np.rint(tv * q * n_theta).astype(int)
         square, s = n_x == n_theta, _shear(p, q, n_x)
         if kind != "uordkr":
@@ -562,8 +605,8 @@ def test_rotor_representative_counts_are_pinned(p, q, n, lam, count):
     # ((n + gcd(2, n)) / 2)^2 nodes, or at lambda = 1 with an integer s the
     # triangle; at odd q and even n the half shift halves them (81 -> 41, 45 -> 25, 3 -> 2).
     pa = params("uordkr", 1.0, lam, p, q, theta=MOTHER)
-    xv, tv = spectra._grid_pairs(pa, GridSpec(n, n))
-    assert xv.size == tv.size == spectra._pair_count(pa, GridSpec(n, n)) == count
+    xv, tv = _nodes(pa, GridSpec(n, n))
+    assert xv.size == tv.size == spectra._orbits(pa, GridSpec(n, n))[0] == count
 
 
 @pytest.mark.parametrize("kind", ["h", "ukh", "uordkr"])
@@ -571,7 +614,7 @@ def test_pair_count_is_the_number_of_grid_pairs(kind):
     for n, lam, (p, q) in itertools.product(range(1, 31), (1.3, 1.0), [(2, 5), (3, 5), (3, 8)]):
         for grid in (GridSpec(n, n), GridSpec(n, n + 1)):
             pa = params(kind, 1.0, lam, p, q, theta=MOTHER)
-            assert spectra._pair_count(pa, grid) == spectra._grid_pairs(pa, grid)[0].size
+            assert spectra._orbits(pa, grid)[0] == _nodes(pa, grid)[0].size
 
 
 def test_sweep_size_estimate():
@@ -580,14 +623,15 @@ def test_sweep_size_estimate():
     # pooled), 1 (Hermitian route: two real arrays), 7 (Cayley route) or 5
     # (general route) complex q x q arrays per row of a chunk of
     # min(m, 2^16 // q^2) matrices, and the int64 circulant index with the
-    # rotor's complex E.
+    # rotor's complex E.  uordkr's build adds one array per row (the product
+    # stack @ E*) and, per chunk, the copy E*.
     ukh = params("ukh", 1.0, 1.3, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(ukh, GridSpec(48, 48)) == (
         313 * 2 * 8 + 626 * 5 * 16 * 13 + (16 * 7 * 313 + 8 + 16) * 169)
     # The rotor folds its sheared phases to the same 313 pairs.
     rotor = params("uordkr", 1.0, 1.3, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(rotor, GridSpec(48, 48)) == (
-        313 * 16 + 626 * 1040 + (16 * 7 * 313 + 24) * 169)
+        313 * 16 + 626 * 1040 + (16 * 8 * 313 + 40) * 169)
     huge = GridSpec(3_000_000, 3_000_000)
     m = 1_500_001 ** 2 // 2 + 1
     assert spectra._sweep_bytes(ukh, huge) == m * 16 + 2 * m * 1040 + (16 * 7 * 387 + 24) * 169
@@ -641,6 +685,18 @@ def test_one_node_peak_memory_is_within_the_estimate(argv):
     assert out.returncode == 0, out.stderr
     grown, estimate = (int(v) for v in out.stdout.split())
     assert 0 < grown <= estimate
+
+
+@pytest.mark.parametrize("kind", ["h", "uh", "ukh", "uordkr"])
+@pytest.mark.parametrize("lam", [1.3, 1.0])
+def test_size_checks_allocate_nothing_per_node(kind, lam):
+    # Axes of 10^12 nodes: a sweep that built one before its size check would
+    # fail at once with a MemoryError (8 TB) instead of the refusal.
+    with pytest.raises(InvalidParams, match="physical memory"):
+        spectrum_fixed_theta(params(kind, 1.0, lam, 8, 13), GridSpec(10**12))
+    for grid in (GridSpec(10**12, 10**12), GridSpec(10**12, 10**12 + 2)):
+        with pytest.raises(InvalidParams, match="physical memory"):
+            mother_spectrum(params(kind, 1.0, lam, 8, 13, theta=MOTHER), grid)
 
 
 def test_preflight_refuses_a_sweep_larger_than_memory(monkeypatch):
