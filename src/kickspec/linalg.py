@@ -13,9 +13,11 @@ K = i (I - U)(I + U)^-1: K is Hermitian because U is normal, and an
 eigenvalue w of K is the eigenvalue (i - w)/(i + w) of U.  The transform has
 a pole at -1, where the eigenphase error grows like eps * max|w|, so a
 matrix with an eigenvalue close to -1, or whose K is not Hermitian, is
-re-solved by the general solver (``eigvals``).  The tests compare the Cayley
-route against ``np.linalg.eigvals``.  The contracts below (ordering, modulus
-bounds) are what is normative, not the solver.
+solved again as -U, which moves the pole to U's +1; only a matrix that the
+retry flags as well is re-solved by the general solver (``eigvals``).  The
+tests compare the Cayley route against ``np.linalg.eigvals``.  The
+contracts below (ordering, modulus bounds) are what is normative, not the
+solver.
 """
 
 from __future__ import annotations
@@ -121,13 +123,20 @@ def _cayley_eigvals(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def unitary_eigvals_stack(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of unitary matrices, renormalized to |z| = 1.
 
-    Solved through the Cayley transform and ``eigvalsh``; the matrices it
+    Solved through the Cayley transform and ``eigvalsh``.  The matrices it
     flags (an eigenvalue within about 2e-3 of -1, or a K that is not
-    Hermitian) are re-solved by the general solver.  Row order is the
+    Hermitian) are solved again as -U, whose pole is U's +1; those the
+    retry flags too (eigenvalues near both -1 and +1, or a U that is not
+    unitary) are re-solved by the general solver.  Row order is the
     solver's; callers pool and re-sort, so no per-row ordering is imposed
     here.
     """
     values, bad = _cayley_eigvals(stack)
     if bad.any():
-        values[bad] = _general_eigvals(stack[bad])
+        retry = stack[bad]
+        flipped, still = _cayley_eigvals(-retry)
+        flipped *= -1.0
+        if still.any():
+            flipped[still] = _general_eigvals(retry[still])
+        values[bad] = flipped
     return _on_unit_circle(values)

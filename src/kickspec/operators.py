@@ -19,7 +19,10 @@ Four operator kinds are covered:
 ``operator_stack`` is the one place any of them is assembled, for a whole
 batch of phase pairs at once.  ``harper_jacobi_stack`` builds, for the same
 pairs, real symmetric matrices with the eigenvalues of H, which the h and uh
-sweeps solve instead (Chambers' relation).
+sweeps solve instead (Chambers' relation).  At a corner node, where 2 q x
+and 2 q theta are integers, the UKH and UORDKR matrices commute with an
+involution P = D^t C^{-s} R_0 (``_parity_blocks``), and split into two
+blocks of about q/2.
 Phases are assembled from exact integer arithmetic modulo q (or 2q), so
 large q does not lose accuracy to argument reduction.
 """
@@ -191,7 +194,7 @@ class DcpEigensystem:
 
 
 @lru_cache(maxsize=None)
-def _dcp_arrays(p: int, q: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+def _dcp_arrays(p: int, q: int, shift: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     odd = shift - p
     roots = np.exp(1j * np.pi * np.arange(2 * q) / q)  # 2q-th roots of unity
     k = np.arange(q, dtype=np.int64)
@@ -206,7 +209,9 @@ def _dcp_arrays(p: int, q: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
 
     values.setflags(write=False)
     e.setflags(write=False)
-    return values, e
+    e_conj = e.conj()  # E^{-1} = E*, kept as the transposed view that operator_stack takes
+    e_conj.setflags(write=False)
+    return values, e, e_conj.T
 
 
 def dcp_eigensystem(alpha: RationalAlpha) -> DcpEigensystem:
@@ -250,10 +255,11 @@ def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
 
     if kind is OperatorKind.UORDKR:
         dcp = dcp_eigensystem(params.alpha)
+        _, e, e_inv = _dcp_arrays(p, q, dcp.shift)
         beta = xs + thetas + params.alpha.value / 2.0 + dcp.phi
-        stack = np.exp(-2j * kap * cos_rows(1, xs, q))[:, :, None] * dcp.vectors
+        stack = np.exp(-2j * kap * cos_rows(1, xs, q))[:, :, None] * e
         stack *= np.exp(-2j * kap * lam * cos_rows(1, beta, q))[:, None, :]
-        return stack @ dcp.vectors.conj().T
+        return stack @ e_inv
 
     # F diag(r) F^{-1} = [c[(j - k) mod q]] with c = ifft(r), since F carries D^p
     # to a power of C.  Built once per distinct theta, by np.take, which keeps
@@ -271,6 +277,39 @@ def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
     if kind is OperatorKind.H:
         return stack
     return expm_i_hermitian_stack(stack, kap)
+
+
+@lru_cache(maxsize=64)
+def _parity_blocks(alpha: RationalAlpha, half_x: int, half_theta: int) -> tuple[tuple, ...]:
+    """The two eigenspaces of the involution P that commutes with the UKH and UORDKR matrices.
+
+    At a corner, half_x = 2 q x and half_theta = 2 q theta are integers and
+    the joint reflection (x, theta) -> (-x, -theta) fixes the node.  Both
+    kinds' matrices (operator_stack) commute there with P e_k =
+    w^{t sigma(k)} e_sigma(k), sigma(k) = s - k, for s = -half_x and
+    t = -p^{-1} half_theta mod q; P = D^t C^{-s} R_0 with (R_0 v)_k = v_{-k}
+    and C^p D = w^p D C^p, and P^2 = c I with c = w^{t s}.  Its eigenvectors
+    for +-sqrt(c) are e_k at the fixed points of sigma and
+    (e_k +- w^{t sigma(k)} c^{-1/2} e_sigma(k)) / sqrt(2) on its 2-cycles
+    k < sigma(k).  Returns (k, sigma(k), a, b) per nonempty block, its
+    vectors a e_k + b e_sigma(k); the arrays are cached and read-only.
+    """
+    p, q = alpha.p, alpha.q
+    k = np.arange(q, dtype=np.int64)
+    s, t = -half_x % q, -pow(p, -1, q) * half_theta % q
+    sigma = (s - k) % q
+    # w^{t sigma(k)} c^{-1/2} = exp(i pi t (s - 2k) / q): exactly -1 or 1 at a fixed point.
+    rel = t * (s - 2 * k) % (2 * q)
+    blocks = []
+    for sign in (1, -1):
+        at = (k < sigma) | ((k == sigma) & ((rel == 0) == (sign == 1)))
+        cycle = k[at] != sigma[at]
+        b = np.where(cycle, sign * np.sqrt(0.5) * np.exp(1j * np.pi * rel[at] / q), 0.0)
+        blocks.append((k[at], sigma[at], np.where(cycle, np.sqrt(0.5), 1.0), b))
+    for block in blocks:
+        for arr in block:
+            arr.setflags(write=False)
+    return tuple(block for block in blocks if block[0].size)
 
 
 def harper_jacobi_stack(params: OperatorParams, xs, thetas) -> np.ndarray:

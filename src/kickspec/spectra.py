@@ -36,9 +36,13 @@ eigenvalues as the full grid in exact arithmetic, so the sampled set, and
 with it the grid error bound, is unchanged.  The nodes are evaluated as
 one batched eigensolver call per chunk; results are pooled, sorted and
 deduplicated, so the outcome is a deterministic function of (params,
-grid).  The h and uh sweeps solve, at each node, the real Jacobi matrix
-with the Harper eigenvalues (operators.harper_jacobi_stack), not the
-complex circulant one.
+grid).  A node that the joint reflection fixes, a corner where 2 q x and
+2 q theta are integers (_corners), is not folded but split: at q >=
+_SPLIT_FLOOR the ukh and uordkr sweeps solve its matrix as the two blocks
+of about q/2 of its parity involution (operators._parity_blocks), and its
+row is their values side by side.  The h and uh sweeps solve, at each
+node, the real Jacobi matrix with the Harper eigenvalues
+(operators.harper_jacobi_stack), not the complex circulant one.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from .operators import (
     MOTHER,
     OperatorKind,
     OperatorParams,
+    _parity_blocks,
     dcp_eigensystem,
     harper_jacobi_stack,
     operator_stack,
@@ -88,6 +93,13 @@ TWO_PI = 2.0 * np.pi
 # builds and solves at once.  A chunk row holds up to 7 q x q temporaries
 # (_sweep_bytes), so at q = 233 a chunk of four or more would set the peak RSS.
 _CHUNK_COMPLEX = 1 << 16
+
+# Smallest q at which the Cayley route solves a corner node (_corners) as the
+# two half-size blocks of its parity involution, in a chunk of its own.
+# Measured on whole ukh and uordkr sweeps (mother grids of 1 to 10, fixed
+# theta): below q = 64 the extra builds and solver calls cost more than the
+# blocks save; from q = 80 every case gains.
+_SPLIT_FLOOR = 80
 
 
 class SpectrumKind(str, Enum):
@@ -258,9 +270,10 @@ def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = No
 
     The one sweep kernel: it sizes the sweep for its route (``_ROUTES``),
     then builds and solves the route's matrices one chunk at a time at the
-    nodes of _orbits.  uh eigenvalues are exp(-i kappa w) for the Harper
-    eigenvalues w (spectral mapping), so the Hermitian route of a uh sweep
-    solves the Harper matrices.  On a solver failure the nodes are re-run
+    nodes of _orbits, each split corner (_corners) in a chunk of its own.
+    uh eigenvalues are exp(-i kappa w) for the Harper eigenvalues w
+    (spectral mapping), so the Hermitian route of a uh sweep solves the
+    Harper matrices.  On a solver failure the nodes are re-run
     one by one, so that the error names the first grid point that fails on
     its own.
     """
@@ -272,12 +285,21 @@ def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = No
     _, image, pairs = _orbits(params, grid)
     xv, tv = pairs()
     step = _chunk_rows(params.alpha.q)
+    split = route == "cayley" and params.alpha.q >= _SPLIT_FLOOR
+    corners = _corners(params, grid, xv, tv) if split else {}
+    # Chunks of step nodes, each corner a chunk of its own.
+    cuts = sorted({*range(0, xv.size, step), *corners, *(i + 1 for i in corners)} - {xv.size})
 
     def nodes(lo: int, hi: int) -> np.ndarray:
-        return solve(build(built, xv[lo:hi], tv[lo:hi]))
+        stack = build(built, xv[lo:hi], tv[lo:hi])
+        if lo not in corners:
+            return solve(stack)
+        # The corner's row: its two blocks' values side by side.
+        blocks = _parity_blocks(params.alpha, *corners[lo])
+        return np.concatenate([solve(_block(stack, *b)) for b in blocks], axis=-1)
 
     try:
-        values = np.concatenate([nodes(lo, lo + step) for lo in range(0, xv.size, step)])
+        values = np.concatenate([nodes(lo, hi) for lo, hi in zip(cuts, [*cuts[1:], xv.size])])
     except NumericalError as exc:
         for i, (x, t) in enumerate(zip(xv, tv)):
             try:
@@ -378,6 +400,50 @@ def _orbits(params: OperatorParams, grid: GridSpec) -> tuple[int, bool, Callable
     return m, image, nodes
 
 
+def _corners(params: OperatorParams, grid: GridSpec, xv: np.ndarray, tv: np.ndarray) -> dict:
+    """The solved nodes (xv, tv) that split, decided once per sweep: {index: (2 q x, 2 q theta)}.
+
+    A corner is a node whose half steps 2 q x and 2 q theta are integers:
+    the joint reflection fixes it, and its ukh or uordkr matrix splits by the
+    involution of operators._parity_blocks.  The test is on integers: grid
+    node j of an axis of n nodes is a corner when 2j/n is one (j = 0, and
+    n/2 at even n), and a fixed theta when it is the double nearest K/(2q)
+    for the integer K nearest 2 q theta.  So a mother sweep has at most 4
+    corners, all its nodes at n <= 2, and a fixed-theta sweep at most 2.
+    """
+    q = params.alpha.q
+
+    def half_steps(values: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        n, out = ys.size, np.full(values.size, -1)
+        for j in (0, n // 2):
+            if 2 * j % n == 0:
+                out[values == ys[j]] = 2 * j // n
+        return out
+
+    hx = half_steps(xv, grid.xs(q))
+    if params.is_mother:
+        ht = half_steps(tv, grid.thetas(q))
+    else:
+        theta = params.fixed_theta()
+        k = round(2 * q * theta)
+        ht = np.full(tv.size, k if k / (2 * q) == theta else -1)
+    return {int(i): (int(hx[i]), int(ht[i])) for i in np.flatnonzero((hx >= 0) & (ht >= 0))}
+
+
+def _block(stack: np.ndarray, k, sk, a, b) -> np.ndarray:
+    """V* U V for each U of the stack, V's columns a_j e_k[j] + b_j e_sk[j] (a parity block).
+
+    Each entry is gathered from 4 entries of U: O(q^2), not a product with V.
+    """
+    uv = stack[..., :, k]
+    uv *= a
+    uv += stack[..., :, sk] * b
+    out = uv[..., k, :]
+    out *= a[:, None]
+    out += uv[..., sk, :] * b.conj()[:, None]
+    return out
+
+
 def _sweep_bytes(params: OperatorParams, grid: GridSpec, route: str | None = None) -> int:
     """Bytes a sweep holds at its peak, from its solved node count m (_orbits).
 
@@ -387,7 +453,8 @@ def _sweep_bytes(params: OperatorParams, grid: GridSpec, route: str | None = Non
     chunk row, the q x q complex arrays of the solver route (``_ROUTES``),
     and for uordkr one more, the product stack @ E* that its build makes
     next to the stack.  Per chunk, the int64 circulant index and the
-    rotor's q x q E, and for uordkr the conjugate E* its build copies.
+    rotor's q x q E, and for uordkr E*, cached beside E.  A split corner
+    (_corners) holds less than a whole node: its blocks are about q/2.
     LAPACK allocates a further 2-4 MB of workspace on first use, which this
     leaves out, so for a sweep below about 10 MB the figure is an estimate,
     not an upper bound.

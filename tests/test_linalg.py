@@ -174,16 +174,22 @@ def eigvals_dev(values, stack):
 
 
 @pytest.fixture
-def fallback_rows(monkeypatch):
-    """Record how many matrices reach the general solver."""
-    seen = []
-    real = linalg._general_eigvals
+def routed_rows(monkeypatch):
+    """Record how many matrices each Cayley solve and each general solve receives.
 
-    def spy(stack):
-        seen.append(len(stack))
-        return real(stack)
+    unitary_eigvals_stack's first Cayley solve takes the whole stack; a second
+    one is the -U retry of the matrices the first flagged.
+    """
+    seen = {"cayley": [], "eigvals": []}
 
-    monkeypatch.setattr(linalg, "_general_eigvals", spy)
+    def spy(route, real):
+        def solve(stack):
+            seen[route].append(len(stack))
+            return real(stack)
+        return solve
+
+    monkeypatch.setattr(linalg, "_cayley_eigvals", spy("cayley", linalg._cayley_eigvals))
+    monkeypatch.setattr(linalg, "_general_eigvals", spy("eigvals", linalg._general_eigvals))
     return seen
 
 
@@ -224,26 +230,36 @@ def near_pole_q233():
     return rotate_to_pole(operator_stack(params, [0.001], [0.0007]), 1e-8)
 
 
-@pytest.mark.parametrize("make", [
-    exact_pole_ukh,
-    near_pole_q233,
-    lambda: -np.eye(3, dtype=complex)[None],  # I + U exactly singular
-], ids=["exact-pole-ukh", "near-pole-q233", "minus-identity"])
-def test_unitary_stack_pole_takes_the_fallback(make, fallback_rows):
+def both_poles():
+    # Eigenphases 1e-3 from pi and 1e-3 from 0: -U has the first pole's problem.
+    u = random_unitary(np.random.default_rng(11), 6)
+    return (u * np.exp(1j * np.array([np.pi - 1e-3, 1e-3, 1.0, -1.0, 2.0, -2.0]))) @ u.conj().T
+
+
+# Each pole matrix is retried as -U; eigvals solves only the one that the retry
+# flags too.  near_pole_q233's column phases leave it eigenphases within 9e-4
+# of both -1 and +1.
+@pytest.mark.parametrize("make,general", [
+    (exact_pole_ukh, []),
+    (near_pole_q233, [1]),
+    (lambda: -np.eye(3, dtype=complex)[None], []),  # I + U exactly singular
+    (lambda: both_poles()[None], [1]),
+], ids=["exact-pole-ukh", "near-pole-q233", "minus-identity", "both-poles"])
+def test_unitary_stack_pole_takes_the_fallback(make, general, routed_rows):
     stack = make()
     values = unitary_eigvals_stack(stack)
-    assert fallback_rows == [1]
+    assert routed_rows == {"cayley": [1, 1], "eigvals": general}
     assert eigvals_dev(values, stack) <= 1e-12
 
 
-def test_unitary_stack_mixed_fallback_equals_per_matrix(fallback_rows):
+def test_unitary_stack_mixed_fallback_equals_per_matrix(routed_rows):
     params = OperatorParams("uordkr", 2.0, 1.5, RationalAlpha(8, 13), "mother")
     rng = np.random.default_rng(7)
     stack = operator_stack(params, rng.uniform(0, 1 / 13, 6), rng.uniform(0, 1 / 13, 6))
     stack[1] = rotate_to_pole(stack[1], 0.0)
     stack[4] = rotate_to_pole(stack[4], 1e-8)
     values = unitary_eigvals_stack(stack)
-    assert fallback_rows[0] == 2
+    assert routed_rows == {"cayley": [6, 2], "eigvals": []}
     for i, u in enumerate(stack):
         assert np.array_equal(values[i], unitary_eigvals_stack(u[None])[0])
     assert eigvals_dev(values, stack) <= 1e-12

@@ -10,6 +10,7 @@ from kickspec.operators import (
     MOTHER,
     OperatorParams,
     RationalAlpha,
+    _parity_blocks,
     cos_rows,
     dcp_eigensystem,
     harper_jacobi_stack,
@@ -236,6 +237,63 @@ def test_kicked_harper_x_shift_covariance():
         v1 = unitary_eigvals(matrix_at(pa, x))
         v2 = unitary_eigvals(matrix_at(pa, x + 1.0 / 5.0))
         assert set_distance(v1, v2) <= 1e-10
+
+
+# -- the parity involution of a corner node ------------------------------------------
+
+
+def involution(p, q, half_x, half_theta):
+    """P = D^t C^{-s} R_0 with the oracle's C, s = -2qx and t = -p^{-1} 2q theta mod q.
+
+    D^t = diag(w^{t j}) is taken with t j reduced mod q, as D's own phases are.
+    """
+    c, _ = clock_shift(q)
+    s, t = -half_x % q, -pow(p, -1, q) * half_theta % q
+    d_t = np.diag(np.exp(2j * np.pi * (t * np.arange(q) % q) / q))
+    r0 = np.eye(q)[:, -np.arange(q) % q]  # (R_0 v)_k = v_{-k}
+    return d_t @ np.linalg.matrix_power(c.T, s) @ r0
+
+
+def block_vectors(q, k, sk, a, b):
+    """The columns a e_k + b e_sk of one block of _parity_blocks, as a q x h matrix."""
+    v = np.zeros((q, k.size), dtype=complex)
+    v[k, np.arange(k.size)] += a
+    v[sk, np.arange(k.size)] += b
+    return v
+
+
+_KICKS = [(0.5, 1.0), (1.0, 0.7), (2.3, -1.3), (30.0, 2.0)]  # (kappa, lambda)
+
+
+@pytest.mark.parametrize("kind", ["ukh", "uordkr"])
+@pytest.mark.parametrize("p,q", [(1, 2), (3, 4), (2, 5), (5, 8), (8, 13), (21, 34), (144, 233)])
+def test_parity_involution_commutes_with_the_kicked_matrices(kind, p, q):
+    # Every corner (2qx, 2q theta) in {0, 1}^2, and fixed theta = K/(2q) for K >= 2, each at
+    # the next (kappa, lambda) of _KICKS.  3/4 and 21/34 have even q; 5/8 and 21/34 an odd
+    # p(q-1), where the oracle's rotor phase leaves out operators' phi.
+    halves = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 3), (1, q), (0, 2 * q - 1)]
+    for i, (hx, ht) in enumerate(halves):
+        kappa, lam = _KICKS[i % len(_KICKS)]
+        u = operator_matrix(kind, kappa, lam, p, q, hx / (2 * q), ht / (2 * q))
+        pm = involution(p, q, hx, ht)
+        assert np.abs(pm @ u - u @ pm).max() <= 1e-13
+        # _parity_blocks lists P's eigenvectors: one eigenvalue per block, and together a
+        # unitary W with W* U W block diagonal.
+        blocks = [block_vectors(q, *b) for b in _parity_blocks(RationalAlpha(p, q), hx, ht)]
+        w = np.hstack(blocks)
+        assert np.abs(w.conj().T @ w - np.eye(q)).max() <= 1e-14
+        for v in blocks:
+            ev = v[:, 0].conj() @ pm @ v[:, 0]
+            assert np.abs(pm @ v - ev * v).max() <= 1e-14
+        h = blocks[0].shape[1]
+        t = w.conj().T @ u @ w
+        assert max(np.abs(t[:h, h:]).max(initial=0.0), np.abs(t[h:, :h]).max(initial=0.0)) <= 1e-13
+    if q > 2:  # at q = 2 the (0, 0) involution is the identity
+        # Control: x = 1/(4q) is no corner, and neither corner's involution commutes there.
+        u = operator_matrix(kind, 1.0, 0.7, p, q, 1 / (4 * q), 0.0)
+        for hx in (0, 1):
+            pm = involution(p, q, hx, 0)
+            assert np.abs(pm @ u - u @ pm).max() > 1e-3
 
 
 # -- DC^p eigensystem ------------------------------------------------------------------

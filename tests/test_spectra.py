@@ -716,6 +716,101 @@ def test_preflight_refuses_a_sweep_larger_than_memory(monkeypatch):
         run_check("SPECTRAL_MAPPING", {"alpha": "8/13", "n": 48, "theta": MOTHER})
 
 
+# -- corner nodes split by their parity involution ---------------------------------------
+
+# Each (kind, alpha) sweeps the nine scopes of _split_scopes, one per (kappa, lambda) pair.
+_SPLIT_KICKS = list(itertools.product([0.5, 1.0, 2.3], [1.0, 0.7, -1.3]))
+
+
+def _split_scopes(q):
+    """Mother grids of 1, 2 and 4, and fixed theta in {0, 1/(2q), 1/2} on x grids of 2 and 4."""
+    mother = [(MOTHER, GridSpec(n, n)) for n in (1, 2, 4)]
+    return mother + [(th, GridSpec(n)) for th in (0.0, 1 / (2 * q), 0.5) for n in (2, 4)]
+
+
+def _cayley_noise(row):
+    """The Cayley route's documented eigenphase error of two solves of a row.
+
+    2 eps max|w| per solve, with w = tan(phase / 2) the eigenvalues of K
+    (linalg._CAYLEY_LIMIT).
+    """
+    return 4 * np.finfo(float).eps * np.abs(np.tan(np.angle(row) / 2)).max()
+
+
+@pytest.mark.parametrize("kind", ["ukh", "uordkr"])
+@pytest.mark.parametrize("p,q", [(1, 2), (3, 4), (21, 34), (55, 89), (144, 233)])
+def test_a_split_sweep_is_the_unsplit_sweep(kind, p, q, monkeypatch):
+    for (theta, grid), (kappa, lam) in zip(_split_scopes(q), _SPLIT_KICKS, strict=True):
+        pa = params(kind, kappa, lam, p, q, theta=theta)
+        xv, tv = _nodes(pa, grid)
+        corners = spectra._corners(pa, grid, xv, tv)
+        monkeypatch.setattr(spectra, "_SPLIT_FLOOR", 1)
+        split = spectra._sweep_values(pa, grid)
+        monkeypatch.setattr(spectra, "_SPLIT_FLOOR", 10**9)
+        whole = spectra._sweep_values(pa, grid)
+        assert split.shape == whole.shape
+        # Each row within 1e-13, or where an eigenphase nears pi, within the route's own error.
+        for a, b in zip(split, whole):
+            assert set_distance(a, b) <= max(1e-13, _cayley_noise(b))
+        for j in corners:  # the split rows, against each node's own matrix and eigvals
+            oracle = _oracle_values(kind, kappa, lam, pa.alpha, xv[j], tv[j])
+            assert set_distance(split[j], oracle) <= 1e-12
+        # Node 0 is a corner in every scope here, and on a mother grid of n <= 2 every node is.
+        assert 0 in corners
+        if pa.is_mother and grid.n_x <= 2:
+            assert len(corners) == spectra._orbits(pa, grid)[0]
+
+
+def test_below_the_floor_a_sweep_builds_and_solves_as_without_the_split(monkeypatch):
+    builds, blocks = [], []
+    build, parity = spectra.operator_stack, spectra._parity_blocks
+    monkeypatch.setattr(spectra, "operator_stack",
+                        lambda pa, xs, ts: builds.append(len(xs)) or build(pa, xs, ts))
+    monkeypatch.setattr(spectra, "_parity_blocks", lambda *key: blocks.append(key) or parity(*key))
+    floor, grid = spectra._SPLIT_FLOOR, GridSpec(4, 4)
+    for kind in ("ukh", "uordkr"):
+        # One q below the floor: one chunk of every node, no blocks, the same values
+        # as with the split out of reach.
+        below = params(kind, 1.0, 1.3, 1, floor - 1, theta=MOTHER)
+        builds.clear()
+        values = spectra._sweep_values(below, grid)
+        assert builds == [spectra._orbits(below, grid)[0]] and blocks == []
+        monkeypatch.setattr(spectra, "_SPLIT_FLOOR", 10**9)
+        assert np.array_equal(spectra._sweep_values(below, grid), values)
+        monkeypatch.setattr(spectra, "_SPLIT_FLOOR", floor)
+        # At the floor (1/80, no image): corners 0, 2, 6 and 8 of the 3 x 3 quarter grid,
+        # uordkr's in its sheared phases too, are each a chunk of their own, split in two.
+        builds.clear()
+        spectra._sweep_values(params(kind, 1.0, 1.3, 1, floor, theta=MOTHER), grid)
+        assert builds == [1, 1, 1, 3, 1, 1, 1]
+        assert sorted(blocks) == sorted((RationalAlpha(1, floor), hx, ht)
+                                        for hx in (0, 1) for ht in (0, 1))
+        blocks.clear()
+
+
+@pytest.mark.parametrize("n_x,n_theta", [(1, 1), (2, 2), (3, 3), (4, 4), (6, 6), (4, 6), (5, 2)])
+def test_corners_are_the_grid_nodes_whose_half_steps_are_integers(n_x, n_theta):
+    grid = GridSpec(n_x, n_theta)
+    for kind in ("ukh", "uordkr"):
+        pa = params(kind, 1.0, 1.3, 89, 144, theta=MOTHER)
+        xv, tv = _nodes(pa, grid)
+        j, k = np.rint(xv * n_x * 144).astype(int), np.rint(tv * n_theta * 144).astype(int)
+        expected = {i: (2 * j[i] // n_x, 2 * k[i] // n_theta) for i in range(xv.size)
+                    if 2 * j[i] % n_x == 0 and 2 * k[i] % n_theta == 0}
+        assert spectra._corners(pa, grid, xv, tv) == expected
+
+
+def test_a_fixed_theta_is_a_corner_when_it_is_the_double_nearest_a_half_step():
+    # As the command line parses it: theta = K/(2q) for an integer K, and not a neighbour.
+    grid = GridSpec(4)
+    for text, half in [("0", 0), (repr(1 / 466), 1), ("0.5", 233), (repr(465 / 466), 465)]:
+        pa = params("ukh", 1.0, 1.3, 144, 233, theta=float(text))
+        assert spectra._corners(pa, grid, *_nodes(pa, grid)) == {0: (0, half), 2: (1, half)}
+    for theta in (np.nextafter(1 / 466, 1.0), np.nextafter(0.5, 0.0), 0.3):
+        pa = params("ukh", 1.0, 1.3, 144, 233, theta=theta)
+        assert spectra._corners(pa, grid, *_nodes(pa, grid)) == {}
+
+
 # -- SpectrumSet invariants --------------------------------------------------------------
 
 
