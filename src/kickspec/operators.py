@@ -22,7 +22,10 @@ pairs, real symmetric matrices with the eigenvalues of H, which the h and uh
 sweeps solve instead (Chambers' relation).  At a corner node, where 2 q x
 and 2 q theta are integers, the UKH and UORDKR matrices commute with an
 involution P = D^t C^{-s} R_0 (``_parity_blocks``), and split into two
-blocks of about q/2.
+blocks of about q/2.  Where 2 q times the theta kick's phase is an integer
+(2 q theta for UKH, at any x; 2 q (x + theta) for UORDKR), the matrix is
+time-reversal symmetric: a diagonal gauge G (``_reversal_gauge``) makes
+conj(G) U G complex symmetric, and each corner block with it.
 Phases are assembled from exact integer arithmetic modulo q (or 2q), so
 large q does not lose accuracy to argument reduction.
 """
@@ -200,12 +203,14 @@ def _dcp_arrays(p: int, q: int, shift: int) -> tuple[np.ndarray, np.ndarray, np.
     k = np.arange(q, dtype=np.int64)
     values = roots[(2 * k + odd) % (2 * q)].copy()
 
-    # Entry phase in units of pi/q: nu_k^j * w^{-p j(j-1)/2} at row (j p) mod q.
-    j = k[:, None]
-    t = (j * (2 * k[None, :] + odd) - p * j * (j - 1)) % (2 * q)
-    rows = (p * k) % q
-    e = np.zeros((q, q), dtype=np.complex128)
-    e[rows, :] = roots[t] / np.sqrt(q)
+    # Entry phase in units of pi/q: nu_k^j * w^{-p j(j-1)/2} at row r = (j p) mod q,
+    # so row r holds j = r p^{-1} mod q.  The table is built and reduced in place.
+    j = k * pow(p, -1, q) % q
+    t = np.multiply.outer(j, 2 * k + odd)
+    t -= (p * j * (j - 1))[:, None]
+    t %= 2 * q
+    e = np.take(roots / np.sqrt(q), t)
+    del t
 
     values.setflags(write=False)
     e.setflags(write=False)
@@ -310,6 +315,47 @@ def _parity_blocks(alpha: RationalAlpha, half_x: int, half_theta: int) -> tuple[
         for arr in block:
             arr.setflags(write=False)
     return tuple(block for block in blocks if block[0].size)
+
+
+@lru_cache(maxsize=64)
+def _reversal_chirp(alpha: RationalAlpha, kind: OperatorKind, half: int) -> np.ndarray:
+    """The theta kick's half of the gauge of _reversal_gauge, exp(i pi n_j / q); cached, read-only.
+
+    U = A T is the x kick A = diag(a_j) times the theta kick T.  At an
+    integer half, the reflection of T's phase makes T^T = M* T M for a
+    diagonal M: ukh's circulant T has M = D^t, t = -p^{-1} half mod q (the
+    t of _parity_blocks), since F carries the reversed kick diagonal to
+    the shifted one; uordkr's T = E D_beta E* has M = diag(w^{n_j}), n_j =
+    -p^{-1} j (j + half), read off the phase table of _dcp_arrays, where
+    row j p and column k of E add up to w^{n_{jp}} against column -2 q beta
+    - k: D_beta takes one to the other.  So U^T = Gamma* U Gamma with Gamma
+    = A M, and n_j here is that of M^{1/2}, up to signs (-1)^j.
+    """
+    p, q = alpha.p, alpha.q
+    j = np.arange(q, dtype=np.int64)
+    step = half if kind is OperatorKind.UKH else j + half
+    n = -pow(p, -1, q) * j * step % (2 * q)
+    chirp = np.exp(1j * np.pi * n / q)
+    chirp.setflags(write=False)
+    return chirp
+
+
+def _reversal_gauge(params: OperatorParams, xs, half_theta: int, half_x: int = 0) -> np.ndarray:
+    """Diagonal gauges G, shape (len(xs), q), with conj(G) U G complex symmetric.
+
+    A node is on the time-reversal line when 2 q times its theta kick's
+    phase is an integer: half_theta = 2 q theta for ukh, at any x, and
+    half_x + half_theta = 2 q (x + theta) for uordkr, whose kick phase is
+    beta = x + theta + shift / (2q); ukh does not read half_x.  There U^T =
+    Gamma* U Gamma with Gamma = A M (_reversal_chirp), and G is an entrywise
+    square root of Gamma, so conj(G) U G is complex symmetric and its
+    Cayley matrix real.  At a corner, block (k, sigma(k), a, b) of
+    _parity_blocks takes G[k]: its a are real and each b^2 / |b|^2 =
+    Gamma_sigma(k) / Gamma_k.
+    """
+    half = half_theta + half_x * (params.kind is OperatorKind.UORDKR)
+    kick = np.exp(-1j * params.kappa * cos_rows(1, xs, params.alpha.q))
+    return kick * _reversal_chirp(params.alpha, params.kind, half)
 
 
 def harper_jacobi_stack(params: OperatorParams, xs, thetas) -> np.ndarray:

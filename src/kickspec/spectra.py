@@ -40,7 +40,11 @@ grid).  A node that the joint reflection fixes, a corner where 2 q x and
 2 q theta are integers (_corners), is not folded but split: at q >=
 _SPLIT_FLOOR the ukh and uordkr sweeps solve its matrix as the two blocks
 of about q/2 of its parity involution (operators._parity_blocks), and its
-row is their values side by side.  The h and uh sweeps solve, at each
+row is their values side by side.  Those blocks, and every chunk of a
+fixed-theta ukh sweep at an integer 2 q theta, are on the
+time-reversal line: the solver takes their gauge
+(operators._reversal_gauge) and solves a real Cayley matrix.  Every other
+chunk is solved complex.  The h and uh sweeps solve, at each
 node, the real Jacobi matrix with the Harper eigenvalues
 (operators.harper_jacobi_stack), not the complex circulant one.
 """
@@ -68,6 +72,7 @@ from .operators import (
     OperatorKind,
     OperatorParams,
     _parity_blocks,
+    _reversal_gauge,
     dcp_eigensystem,
     harper_jacobi_stack,
     operator_stack,
@@ -271,8 +276,10 @@ def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = No
     The one sweep kernel: it sizes the sweep for its route (``_ROUTES``),
     then builds and solves the route's matrices one chunk at a time at the
     nodes of _orbits, each split corner (_corners) in a chunk of its own.
-    uh eigenvalues are exp(-i kappa w) for the Harper eigenvalues w
-    (spectral mapping), so the Hermitian route of a uh sweep solves the
+    The Cayley route solves the corners' blocks, and the chunks of a
+    fixed-theta ukh sweep at an integer 2 q theta, with their time-reversal
+    gauges.  uh eigenvalues are exp(-i kappa w) for the Harper eigenvalues
+    w (spectral mapping), so the Hermitian route of a uh sweep solves the
     Harper matrices.  On a solver failure the nodes are re-run
     one by one, so that the error names the first grid point that fails on
     its own.
@@ -285,18 +292,23 @@ def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = No
     _, image, pairs = _orbits(params, grid)
     xv, tv = pairs()
     step = _chunk_rows(params.alpha.q)
-    split = route == "cayley" and params.alpha.q >= _SPLIT_FLOOR
-    corners = _corners(params, grid, xv, tv) if split else {}
+    cayley = route == "cayley"
+    corners = _corners(params, grid, xv, tv) if cayley and params.alpha.q >= _SPLIT_FLOOR else {}
+    # A fixed-theta ukh sweep at an integer 2 q theta is on the time-reversal line at every x.
+    on_line = cayley and params.kind is OperatorKind.UKH and not params.is_mother
+    line = _half_theta(params) if on_line else -1
     # Chunks of step nodes, each corner a chunk of its own.
     cuts = sorted({*range(0, xv.size, step), *corners, *(i + 1 for i in corners)} - {xv.size})
 
     def nodes(lo: int, hi: int) -> np.ndarray:
         stack = build(built, xv[lo:hi], tv[lo:hi])
-        if lo not in corners:
-            return solve(stack)
-        # The corner's row: its two blocks' values side by side.
-        blocks = _parity_blocks(params.alpha, *corners[lo])
-        return np.concatenate([solve(_block(stack, *b)) for b in blocks], axis=-1)
+        if lo in corners:
+            # The corner's row: its two blocks' values side by side, each block gauged real.
+            hx, ht = corners[lo]
+            gauge = _reversal_gauge(params, xv[lo:hi], ht, hx)
+            blocks = _parity_blocks(params.alpha, hx, ht)
+            return np.concatenate([solve(_block(stack, *b), gauge[:, b[0]]) for b in blocks], axis=-1)
+        return solve(stack) if line < 0 else solve(stack, _reversal_gauge(params, xv[lo:hi], line))
 
     try:
         values = np.concatenate([nodes(lo, hi) for lo, hi in zip(cuts, [*cuts[1:], xv.size])])
@@ -405,7 +417,8 @@ def _corners(params: OperatorParams, grid: GridSpec, xv: np.ndarray, tv: np.ndar
 
     A corner is a node whose half steps 2 q x and 2 q theta are integers:
     the joint reflection fixes it, and its ukh or uordkr matrix splits by the
-    involution of operators._parity_blocks.  The test is on integers: grid
+    involution of operators._parity_blocks, into two blocks that are each
+    solved real (operators._reversal_gauge).  The test is on integers: grid
     node j of an axis of n nodes is a corner when 2j/n is one (j = 0, and
     n/2 at even n), and a fixed theta when it is the double nearest K/(2q)
     for the integer K nearest 2 q theta.  So a mother sweep has at most 4
@@ -421,13 +434,16 @@ def _corners(params: OperatorParams, grid: GridSpec, xv: np.ndarray, tv: np.ndar
         return out
 
     hx = half_steps(xv, grid.xs(q))
-    if params.is_mother:
-        ht = half_steps(tv, grid.thetas(q))
-    else:
-        theta = params.fixed_theta()
-        k = round(2 * q * theta)
-        ht = np.full(tv.size, k if k / (2 * q) == theta else -1)
+    ht = half_steps(tv, grid.thetas(q)) if params.is_mother else np.full(tv.size, _half_theta(params))
     return {int(i): (int(hx[i]), int(ht[i])) for i in np.flatnonzero((hx >= 0) & (ht >= 0))}
+
+
+def _half_theta(params: OperatorParams) -> int:
+    """2 q theta of a fixed theta that is the double nearest K/(2q), for the integer K
+    nearest 2 q theta; else -1."""
+    q, theta = params.alpha.q, params.fixed_theta()
+    k = round(2 * q * theta)
+    return k if k / (2 * q) == theta else -1
 
 
 def _block(stack: np.ndarray, k, sk, a, b) -> np.ndarray:

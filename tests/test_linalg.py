@@ -16,7 +16,7 @@ from kickspec.linalg import (
     principal_args,
     unitary_eigvals_stack,
 )
-from kickspec.operators import OperatorParams, RationalAlpha, operator_stack
+from kickspec.operators import OperatorParams, RationalAlpha, _reversal_gauge, operator_stack
 from oracles import clock_shift, dft, unitary_eigvals
 
 ROOT8 = 2.0 * np.sqrt(2.0)  # eigenvalues of [[2,2],[2,-2]]: roots of t^2 - 8
@@ -183,9 +183,9 @@ def routed_rows(monkeypatch):
     seen = {"cayley": [], "eigvals": []}
 
     def spy(route, real):
-        def solve(stack):
+        def solve(stack, *gauge):
             seen[route].append(len(stack))
-            return real(stack)
+            return real(stack, *gauge)
         return solve
 
     monkeypatch.setattr(linalg, "_cayley_eigvals", spy("cayley", linalg._cayley_eigvals))
@@ -194,9 +194,9 @@ def routed_rows(monkeypatch):
 
 
 def rotate_to_pole(u, delta):
-    """u times a phase that puts one of its eigenvalues delta from -1."""
-    phase = np.angle(np.linalg.eigvals(u)[0])
-    return u * np.exp(1j * (np.pi - delta - phase))
+    """Each matrix of u times the phase that puts its first eigenvalue delta from -1."""
+    phase = np.angle(np.linalg.eigvals(u)[..., 0])
+    return u * np.exp(1j * (np.pi - delta - phase))[..., None, None]
 
 
 @st.composite
@@ -237,11 +237,10 @@ def both_poles():
 
 
 # Each pole matrix is retried as -U; eigvals solves only the one that the retry
-# flags too.  near_pole_q233's column phases leave it eigenphases within 9e-4
-# of both -1 and +1.
+# flags too, the matrix with eigenphases near both -1 and +1.
 @pytest.mark.parametrize("make,general", [
     (exact_pole_ukh, []),
-    (near_pole_q233, [1]),
+    (near_pole_q233, []),
     (lambda: -np.eye(3, dtype=complex)[None], []),  # I + U exactly singular
     (lambda: both_poles()[None], [1]),
 ], ids=["exact-pole-ukh", "near-pole-q233", "minus-identity", "both-poles"])
@@ -274,6 +273,106 @@ def test_unitary_stack_rejects_non_unitary(bad):
     stack = np.stack([random_unitary(rng, bad.shape[0]), bad, random_unitary(rng, bad.shape[0])])
     with pytest.raises(NumericalError, match="unitary eigenvalues off the circle"):
         unitary_eigvals_stack(stack)
+
+
+# -- the real route: a gauge G with conj(G) U G complex symmetric -------------------
+
+
+def symmetric_unitary(rng, n, phases=None):
+    """O diag(exp(i phases)) O^T with O real orthogonal: a complex symmetric unitary."""
+    o, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    phases = rng.uniform(-np.pi, np.pi, n) if phases is None else np.asarray(phases)
+    return (o * np.exp(1j * phases)) @ o.T
+
+
+def gauged(w, rng):
+    """(G w conj(G), G) for random phases G: the stack the gauge G takes back to w."""
+    g = np.exp(1j * rng.uniform(-np.pi, np.pi, w.shape[:-1]))
+    return g[..., :, None] * w * g.conj()[..., None, :], g
+
+
+@pytest.fixture
+def real_rows(monkeypatch):
+    """Record the matrices of each eigvalsh call that the real route makes and of each complex one."""
+    seen = {"real": [], "complex": []}
+    real = linalg.eigvalsh_stack
+
+    def spy(stack):
+        seen["complex" if np.iscomplexobj(stack) else "real"].append(len(stack))
+        return real(stack)
+
+    monkeypatch.setattr(linalg, "eigvalsh_stack", spy)
+    return seen
+
+
+def exact_pole_ukh_gauged():
+    params = OperatorParams("ukh", np.pi / 4, 1.0, RationalAlpha(0, 1), 0.0)
+    return operator_stack(params, [0.0], [0.0]), _reversal_gauge(params, [0.0], 0)
+
+
+def near_pole_q233_gauged():
+    # theta = 0 is on the time-reversal line at any x.
+    params = OperatorParams("ukh", 1.0, 1.0, RationalAlpha(144, 233), 0.0)
+    stack = rotate_to_pole(operator_stack(params, [0.001], [0.0]), 1e-8)
+    return stack, _reversal_gauge(params, [0.001], 0)
+
+
+def both_poles_gauged():
+    rng = np.random.default_rng(11)
+    w = symmetric_unitary(rng, 6, [np.pi - 1e-3, 1e-3, 1.0, -1.0, 2.0, -2.0])
+    return gauged(w[None], rng)
+
+
+# The pole cases of the complex route, each with its gauge: the same retries, and
+# every Cayley solve real.  At minus-identity, I + U is exactly singular, and the
+# first solve has no matrix for eigvalsh.
+@pytest.mark.parametrize("make,general,real", [
+    (exact_pole_ukh_gauged, [], [1, 1]),
+    (near_pole_q233_gauged, [], [1, 1]),
+    (lambda: (-np.eye(3, dtype=complex)[None], np.ones((1, 3), complex)), [], [1]),
+    (both_poles_gauged, [1], [1, 1]),
+], ids=["exact-pole-ukh", "near-pole-q233", "minus-identity", "both-poles"])
+def test_the_real_route_takes_the_same_fallbacks(make, general, real, routed_rows, real_rows):
+    stack, gauge = make()
+    values = unitary_eigvals_stack(stack, gauge)
+    assert routed_rows == {"cayley": [1, 1], "eigvals": general}
+    assert real_rows == {"real": real, "complex": []}
+    assert eigvals_dev(values, stack) <= 1e-12
+
+
+def test_the_real_route_matches_the_complex_route(real_rows):
+    rng = np.random.default_rng(5)
+    w = np.stack([symmetric_unitary(rng, 9) for _ in range(5)])
+    stack, gauge = gauged(w, rng)
+    values = unitary_eigvals_stack(stack, gauge)
+    assert real_rows == {"real": [5], "complex": []}
+    complex_values = unitary_eigvals_stack(stack)
+    for a, b in zip(values, complex_values):
+        assert set_distance(a, b) <= 1e-13
+    assert eigvals_dev(values, stack) <= 1e-12
+
+
+def test_a_gauge_that_leaves_k_complex_is_solved_complex(real_rows):
+    # Row 1's gauge is off by a random phase per entry: its gauged K is not real.
+    rng = np.random.default_rng(6)
+    stack, gauge = gauged(np.stack([symmetric_unitary(rng, 7) for _ in range(3)]), rng)
+    gauge[1] *= np.exp(1j * rng.uniform(-np.pi, np.pi, 7))
+    values = unitary_eigvals_stack(stack, gauge)
+    assert real_rows == {"real": [2], "complex": [1]}
+    assert eigvals_dev(values, stack) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [
+    2.0 * np.eye(3),
+    np.diag([1.0, 1.0 + 1e-6]),
+])
+def test_the_real_route_rejects_non_unitary(bad):
+    # Both inputs are real diagonal, so symmetric under any diagonal gauge.
+    rng = np.random.default_rng(3)
+    n = bad.shape[0]
+    stack, gauge = gauged(np.stack([symmetric_unitary(rng, n), bad, symmetric_unitary(rng, n)]), rng)
+    with pytest.raises(NumericalError, match="unitary eigenvalues off the circle"):
+        unitary_eigvals_stack(stack, gauge)
 
 
 @pytest.mark.parametrize("name,solve,message", [

@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 from kickspec.errors import InvalidParams
 from kickspec.operators import (
     MOTHER,
+    OperatorKind,
     OperatorParams,
     RationalAlpha,
     _parity_blocks,
+    _reversal_chirp,
+    _reversal_gauge,
     cos_rows,
     dcp_eigensystem,
     harper_jacobi_stack,
 )
-from oracles import clock_shift, cos_diag, dft, matrix_at, operator_matrix, unitary_eigvals
+from kickspec.spectra import _block
+from oracles import clock_shift, cos_diag, dft, kick, matrix_at, operator_matrix, unitary_eigvals
 
 ROOT8 = 2.0 * np.sqrt(2.0)
 
@@ -294,6 +298,88 @@ def test_parity_involution_commutes_with_the_kicked_matrices(kind, p, q):
         for hx in (0, 1):
             pm = involution(p, q, hx, 0)
             assert np.abs(pm @ u - u @ pm).max() > 1e-3
+
+
+# -- the time-reversal gauge -------------------------------------------------------------
+
+
+def cayley(u):
+    """K = i (I - U)(I + U)^{-1}, by numpy's inverse."""
+    eye = np.eye(len(u))
+    return 1j * (eye - u) @ np.linalg.inv(eye + u)
+
+
+def gauged(m, g):
+    return g.conj()[:, None] * m * g[None, :]
+
+
+@pytest.mark.parametrize("kind", ["ukh", "uordkr"])
+@pytest.mark.parametrize("p,q", [(1, 3), (3, 4), (2, 5), (5, 8), (8, 13), (21, 34), (144, 233)])
+def test_each_gauge_makes_the_cayley_matrix_real(kind, p, q):
+    # Integer half steps (2 q x, 2 q theta), corners with both parity blocks, and for ukh
+    # 2 q x in {0.37, 1.6} too, off the corners but on its line.  3/4 and 21/34 have even
+    # q; 3/4, 5/8 and 21/34 an odd p(q-1), where the oracle's rotor phase leaves out
+    # operators' phi.
+    alpha = RationalAlpha(p, q)
+    off = [0.37, 1.6] if kind == "ukh" else [2, 3]
+    halves = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 3), (off[0], 2), (off[1], 3)]
+    for i, (hx, ht) in enumerate(halves):
+        kappa, lam = _KICKS[i % len(_KICKS)]
+        x = hx / (2 * q)
+        u = operator_matrix(kind, kappa, lam, p, q, x, ht / (2 * q))
+        g = _reversal_gauge(params(kind, kappa, lam, p, q), [x], ht, hx)[0]
+        parts = [(u, g)]
+        if float(hx).is_integer():  # a corner: both parity blocks, each with G[k]
+            parts += [(_block(u[None], *b)[0], g[b[0]]) for b in _parity_blocks(alpha, hx, ht)]
+        for m, gm in parts:
+            w = gauged(m, gm)
+            assert np.abs(w - w.T).max() <= 1e-12
+            k = cayley(m)
+            # |K| at least 1, K's rounding scale (a 1 x 1 block at U = 1 has K = 0).  At
+            # kappa = 30 most of these matrices have an eigenphase near pi, where K carries
+            # U's rounding (1e-14 at kick phases of 60) times up to |K|^2.
+            scale = max(1.0, np.abs(k).max())
+            bound = 1e-12 * scale * (scale if kappa == 30 else 1.0)
+            assert np.abs(gauged(k, gm).imag).max() <= bound
+    # Control: off the line, 2 q theta (ukh) or 2 q beta (uordkr) = 0.41, no chirp helps.
+    x, theta = (0.0, 0.41 / (2 * q)) if kind == "ukh" else (0.41 / (2 * q), 0.0)
+    u = operator_matrix(kind, 1.0, 0.7, p, q, x, theta)
+    k = cayley(u)
+    for half in range(2 * q):
+        g = _reversal_gauge(params(kind, 1.0, 0.7, p, q), [x], half)[0]
+        assert np.abs(gauged(k, g).imag).max() > 1e-3 * np.abs(k).max()
+
+
+def _fitted_chirp(t):
+    """exp(i pi (a j^2 + b j) / q) for the integers (a, b) mod 2q with Gamma* T Gamma
+    nearest T^T, by a search over all of them."""
+    q = len(t)
+    j = np.arange(q)
+    best, chirp = np.inf, None
+    for a in range(2 * q):
+        n = (a * j**2 + np.arange(2 * q)[:, None] * j) % (2 * q)  # b on axis 0
+        gam = np.exp(1j * np.pi * n / q)
+        res = np.abs(gam.conj()[:, :, None] * t * gam[:, None, :] - t.T).max(axis=(1, 2))
+        if res.min() < best:
+            best, chirp = res.min(), gam[res.argmin()]
+    return best, chirp
+
+
+@pytest.mark.parametrize("q", range(3, 22))
+def test_the_rotor_chirp_is_the_numeric_fit(q):
+    # T_beta, the rotor's theta kick, taken from the oracle's uordkr matrix at x = 0:
+    # there 2 q beta - shift = 2 q theta = half.  The closed form's square is the
+    # Gamma_beta that the fit finds, up to its (a, b) -> (a + q, b + q) twin.  T's
+    # entries decay like (kappa lambda)^n / n! with their distance n in steps of p,
+    # so kappa lambda = -3 keeps them above the fit's residual.
+    for i, p in enumerate(p for p in range(1, q) if math.gcd(p, q) == 1):
+        half = (0, 1, q, 2 * q - 1)[i % 4]
+        u = operator_matrix("uordkr", 2.3, -1.3, p, q, 0.0, half / (2 * q))
+        t = kick(1, 0.0, q, 2.3).conj() @ u
+        residual, fitted = _fitted_chirp(t)
+        assert residual <= 1e-13
+        closed = _reversal_chirp(RationalAlpha(p, q), OperatorKind.UORDKR, half)
+        assert np.abs(closed**2 - fitted).max() <= 1e-13
 
 
 # -- DC^p eigensystem ------------------------------------------------------------------

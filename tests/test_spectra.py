@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import kickspec.linalg as linalg
 import kickspec.spectra as spectra
 from kickspec.errors import InvalidParams, NumericalError
 from kickspec.operators import (
@@ -759,6 +760,59 @@ def test_a_split_sweep_is_the_unsplit_sweep(kind, p, q, monkeypatch):
         assert 0 in corners
         if pa.is_mother and grid.n_x <= 2:
             assert len(corners) == spectra._orbits(pa, grid)[0]
+
+
+def _reversal_scopes(q):
+    """Mother grids of 1, 2 and 4, and fixed theta in {0, 1/(2q), 0.3} on x grids of 2 and 4."""
+    mother = [(MOTHER, GridSpec(n, n)) for n in (1, 2, 4)]
+    return mother + [(th, GridSpec(n)) for th in (0.0, 1 / (2 * q), 0.3) for n in (2, 4)]
+
+
+@pytest.mark.parametrize("kind", ["ukh", "uordkr"])
+@pytest.mark.parametrize("p,q", [(1, 2), (3, 4), (21, 34), (144, 233)])
+def test_the_real_route_is_the_complex_route(kind, p, q, monkeypatch):
+    # Split (floor 1) and whole (floor 10^9) sweeps, each against the same sweep with
+    # the real route off: the solver called without its gauge.
+    solve, gauged, complex_solves = spectra.unitary_eigvals_stack, [], []
+    eigvalsh = linalg.eigvalsh_stack
+    monkeypatch.setattr(linalg, "eigvalsh_stack",
+                        lambda k: complex_solves.append(np.iscomplexobj(k)) or eigvalsh(k))
+
+    def spy(stack, *gauge):
+        gauged.append(bool(gauge))
+        return solve(stack, *gauge)
+
+    for (theta, grid), (kappa, lam) in zip(_reversal_scopes(q), _SPLIT_KICKS, strict=True):
+        pa = params(kind, kappa, lam, p, q, theta=theta)
+        xv, tv = _nodes(pa, grid)
+        oracle = {}
+        for floor in (1, 10**9):
+            monkeypatch.setattr(spectra, "_SPLIT_FLOOR", floor)
+            monkeypatch.setattr(spectra, "unitary_eigvals_stack", spy)
+            gauged.clear()
+            complex_solves.clear()
+            values = spectra._sweep_values(pa, grid)
+            solved_complex = any(complex_solves)
+            monkeypatch.setattr(spectra, "unitary_eigvals_stack", lambda stack, *gauge: solve(stack))
+            reference = spectra._sweep_values(pa, grid)
+            # The nodes on the time-reversal line: every node of a fixed-theta ukh sweep at
+            # an integer 2 q theta, else the corners of a split sweep.
+            line = set(spectra._corners(pa, grid, xv, tv)) if floor == 1 else set()
+            if kind == "ukh" and theta != MOTHER and theta != 0.3:
+                line = set(range(xv.size))
+            assert any(gauged) == bool(line)
+            if len(line) == xv.size and kappa < 2:  # every node on the line, none near a pole
+                assert not solved_complex
+            if not line:
+                assert np.array_equal(values, reference)
+                continue
+            # Each row within 1e-13, or where an eigenphase nears pi, within the route's own error.
+            for a, b in zip(values, reference):
+                assert set_distance(a, b) <= max(1e-13, _cayley_noise(b))
+            for j in line:  # the real rows, against each node's own matrix and eigvals
+                if j not in oracle:
+                    oracle[j] = _oracle_values(kind, kappa, lam, pa.alpha, xv[j], tv[j])
+                assert set_distance(values[j], oracle[j]) <= 1e-12
 
 
 def test_below_the_floor_a_sweep_builds_and_solves_as_without_the_split(monkeypatch):
