@@ -10,11 +10,12 @@ takes the real symmetric Jacobi stacks of the h and uh sweeps as they are
 (LAPACK's real routine, about half the work of the complex one).
 Unitary stacks go there too, through the Cayley transform
 K = i (I - U)(I + U)^-1: K is Hermitian because U is normal, and an
-eigenvalue w of K is the eigenvalue (i - w)/(i + w) of U.  The transform has
-a pole at -1, where the eigenphase error grows like eps * max|w|, so a
-matrix with an eigenvalue close to -1, or whose K is not Hermitian, is
-solved again as -U, which moves the pole to U's +1; only a matrix that the
-retry flags as well is re-solved by the general solver (``eigvals``).
+eigenvalue w of K is the eigenvalue (i - w)/(i + w) of U, of phase
+2 arctan(w).  The transform has a pole at -1, where the eigenphase error
+grows like eps * max|w|, so a matrix with an eigenvalue close to -1, or
+whose K is not Hermitian, is solved again turned by a phase that puts its
+widest eigenphase gap at -1 (unitary_eigvals_stack); no unitary matrix goes
+to the general solver.
 Given a diagonal gauge G that makes conj(G) U G complex symmetric, the
 gauged K is real symmetric, and the real ``eigvalsh`` solves it; the
 inverse and its Hermitian guard stay complex, and a realness guard
@@ -67,16 +68,6 @@ def expm_i_hermitian_stack(stack: np.ndarray, s: float) -> np.ndarray:
     return (v * np.exp(-1j * s * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _on_unit_circle(values: np.ndarray) -> np.ndarray:
-    """values / |values|; NumericalError if any |value| is off 1 by more than
-    UNIT_MODULUS_TOL."""
-    mods = np.abs(values)
-    dev = np.abs(mods - 1.0)
-    if values.size and dev.max() > UNIT_MODULUS_TOL:
-        raise NumericalError(f"unitary eigenvalues off the circle by {dev.max():.3e}")
-    return values / mods
-
-
 # Largest |w| the Cayley route accepts.  Its eigenphase error is about
 # 2 eps max|w| (eigvalsh is accurate to eps ||K|| = eps max|w| in w, and
 # d(phase)/dw = 2 / (1 + w^2) <= 2), so 1e3 keeps it near 4e-13, under a
@@ -94,11 +85,8 @@ _REAL_TOL = np.finfo(np.float64).eps * _CAYLEY_LIMIT
 
 
 def _general_eigvals(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a stack of square matrices by the general solver.
-
-    The fallback of unitary_eigvals_stack, and the solver of the sweep's
-    general route.  Row order is the solver's; values are not renormalized.
-    """
+    """Eigenvalues of a stack of square matrices by the general solver: the
+    sweep's general route.  Row order is the solver's; not renormalized."""
     try:
         return np.linalg.eigvals(stack)
     except np.linalg.LinAlgError as exc:
@@ -113,22 +101,23 @@ def _gauged_eigvalsh(k: np.ndarray) -> np.ndarray:
     if real.all():
         return eigvalsh_stack(k.real)
     w = np.empty(k.shape[:-1])
-    w[real] = eigvalsh_stack(k.real[real])
-    w[~real] = eigvalsh_stack(k[~real])
+    for rows, part in ((real, k.real), (~real, k)):
+        if rows.any():
+            w[rows] = eigvalsh_stack(part[rows])
     return w
 
 
 def _cayley_eigvals(stack: np.ndarray, gauge: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(values, bad): eigenvalues through the Cayley transform, and a mask of
-    the matrices whose values are not to be trusted.  A gauge takes K to
-    conj(G) K G, real where conj(G) U G is complex symmetric."""
+    """(w, bad): the eigenvalues w of each Cayley matrix K, and a mask of the
+    matrices whose w are not to be trusted; w is NaN where K is not finite.
+    A gauge takes K to conj(G) K G, real where conj(G) U G is complex symmetric."""
     eye = np.eye(stack.shape[-1], dtype=np.complex128)
     try:
         k = np.linalg.inv(stack + eye)
     except np.linalg.LinAlgError:
         # I + U is exactly singular somewhere in the batch, and the batched
         # inverse does not say where.
-        return np.empty(stack.shape[:-1], dtype=np.complex128), np.ones(stack.shape[:-2], bool)
+        return np.full(stack.shape[:-1], np.nan), np.ones(stack.shape[:-2], bool)
     k *= 2j
     k -= 1j * eye  # K = i (I - U)(I + U)^-1 = 2i (I + U)^-1 - iI
     if gauge is not None:
@@ -136,40 +125,66 @@ def _cayley_eigvals(stack: np.ndarray, gauge: np.ndarray | None = None) -> tuple
         k *= gauge[..., None, :]
     kh = k.conj().swapaxes(-1, -2)
     # Every eigenvalue of U lies within ||K - K*||_2 of the unit circle, so a
-    # matrix past the modulus tolerance (or with non-finite entries) goes to
-    # the general solver, whose unit-modulus check then reports it.  The
-    # Frobenius norm bounds ||K - K*||_2; summed over the float64 view, it
-    # costs a third of np.linalg.norm's complex path.
+    # matrix past the modulus tolerance (or with non-finite entries) is
+    # flagged.  The Frobenius norm bounds ||K - K*||_2; summed over the
+    # float64 view, it costs a third of np.linalg.norm's complex path.
     d = (k - kh).view(np.float64).reshape(*k.shape[:-2], -1)
-    bad = ~(np.sqrt(np.einsum("...i,...i->...", d, d)) <= UNIT_MODULUS_TOL)
+    norm = np.sqrt(np.einsum("...i,...i->...", d, d))
+    bad = ~(norm <= UNIT_MODULUS_TOL)
     k += kh
-    k[bad] = 0.0  # their values come from the general solver
+    lost = ~np.isfinite(norm)  # a non-finite entry of K makes its norm non-finite
+    k[lost] = 0.0
     w = eigvalsh_stack(k) if gauge is None else _gauged_eigvalsh(k)
     w /= 2.0
+    w[lost] = np.nan
     bad |= ~(np.abs(w).max(axis=-1) <= _CAYLEY_LIMIT)
-    return (1j - w) / (1j + w), bad
+    return w, bad
+
+
+def _turn(phases: np.ndarray) -> np.ndarray:
+    """exp(it) per row of eigenphases, t putting the centre of their widest
+    gap, taken round the circle, at -1; t = pi where the row is NaN."""
+    phi = np.sort(phases, axis=-1)
+    ends = np.concatenate([phi, phi[:, :1] + 2.0 * np.pi], axis=-1)
+    j = np.argmax(np.diff(ends, axis=-1), axis=-1)[:, None]
+    centre = (np.take_along_axis(ends, j, -1) + np.take_along_axis(ends, j + 1, -1)) / 2.0
+    return np.exp(1j * np.nan_to_num(np.pi - centre, nan=np.pi))
+
+
+def _folded_phases(stack: np.ndarray) -> np.ndarray:
+    """+-arccos of the eigenvalues cos(phase) of (U + U*)/2: every eigenphase
+    of U is among them, and no pole can spoil them."""
+    c = eigvalsh_stack((stack + stack.conj().swapaxes(-1, -2)) / 2.0)
+    a = np.arccos(np.clip(c, -1.0, 1.0))
+    return np.concatenate([a, -a], axis=-1)
 
 
 def unitary_eigvals_stack(stack: np.ndarray, gauge: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues of a stack of unitary matrices, renormalized to |z| = 1.
 
-    Solved through the Cayley transform and ``eigvalsh``.  The matrices it
-    flags (an eigenvalue within about 2e-3 of -1, or a K that is not
-    Hermitian) are solved again as -U, whose pole is U's +1; those the
-    retry flags too (eigenvalues near both -1 and +1, or a U that is not
-    unitary) are re-solved by the general solver.  ``gauge``, shape
-    ``stack.shape[:-1]``, is a unit-modulus diagonal G per matrix with
-    conj(G) U G complex symmetric (time-reversal symmetric U): then K is
-    real symmetric after the same gauge, and the real ``eigvalsh`` solves
-    it, as it does -U's.  Row order is the solver's; callers pool and
-    re-sort, so no per-row ordering is imposed here.
+    A matrix the Cayley solve flags (an eigenvalue within about 2e-3 of -1,
+    or a K that is not Hermitian) is solved again as exp(it) U, t putting
+    the centre of the widest gap between the first solve's eigenphases at
+    -1.  A q x q unitary has a gap of at least 2 pi / q, so the turned matrix
+    has max|w| <= cot(pi / 2q), under _CAYLEY_LIMIT for q <= 1,570.  An
+    exact eigenvalue -1 can spoil those phases: a matrix flagged again is
+    turned once more by the gap of _folded_phases (at least pi / q wide:
+    q <= 785), and one flagged even then is not unitary: NumericalError.
+    ``gauge`` (shape ``stack.shape[:-1]``) is a unit-modulus diagonal G per
+    matrix with conj(G) U G complex symmetric, for the real ``eigvalsh`` of
+    every gauged K.  Row order is the solver's; callers pool and re-sort.
     """
-    values, bad = _cayley_eigvals(stack, gauge)
-    if bad.any():
-        retry = stack[bad]
-        flipped, still = _cayley_eigvals(-retry, None if gauge is None else gauge[bad])
-        flipped *= -1.0
-        if still.any():
-            flipped[still] = _general_eigvals(retry[still])
-        values[bad] = flipped
-    return _on_unit_circle(values)
+    w, bad = _cayley_eigvals(stack, gauge)
+    turn, retry = np.ones(w.shape[:-1] + (1,), complex), bad.copy()
+    for folded in (False, True):
+        if retry.any():
+            u, g = stack[retry], None if gauge is None else gauge[retry]
+            turn[retry] = _turn(_folded_phases(u) if folded else 2.0 * np.arctan(w[retry]))
+            w[retry], retry[retry] = _cayley_eigvals(turn[retry][..., None] * u, g)
+    if retry.any():
+        raise NumericalError(
+            f"unitary eigenvalues off the circle: {retry.sum()} of {len(stack)} matrices "
+            "fail every turned Cayley solve")
+    values = (1j - w) / (1j + w)
+    values[bad] *= turn[bad].conj()
+    return values / np.abs(values)

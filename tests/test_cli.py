@@ -1076,13 +1076,19 @@ V0100_KEYS = {
     "h": "f9ff6ea06dfae28bbd869cf19c0ca54f9b06d54ee1773f230e252892738db14a",
 }
 
+# Keys of version 0.11.0, which retried a flagged Cayley matrix as -U and then by eigvals.
+V0110_KEYS = {
+    "ukh": "8269238dd3639806dc51b93c711db01f4cca2d33093102e935f424fbca6d0c11",
+    "h": "4135dc71f78caab8fa3ca9ca72f2ce6d1326595a46b5c7c95fe62c276c8d7f2c",
+}
+
 
 def test_cache_keys_are_pinned():
     # Entries written by earlier versions stay valid only while these hold.
     ukh = cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER), GridSpec(5, 5))
     h = cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7))
-    assert ukh == "8269238dd3639806dc51b93c711db01f4cca2d33093102e935f424fbca6d0c11"
-    assert h == "4135dc71f78caab8fa3ca9ca72f2ce6d1326595a46b5c7c95fe62c276c8d7f2c"
+    assert ukh == "b0ddeceee5a8cfe6b8e4cb143329900cf6034abbac021c603c1a9e83cb822ffe"
+    assert h == "b0d3f4403737679a1a8e184b6d71135936d23d89c6ec0579f43c552d5a919ef8"
     # Version 0.1.0 swept every grid node, 0.2.0 built the theta kicks as
     # dense Fourier products, 0.3.0 wrote no rows_sha256 line, and 0.4.0
     # solved both nodes of each self-dual swap pair; their entries differ in
@@ -1095,6 +1101,8 @@ def test_cache_keys_are_pinned():
     # 0.9.0 solved each corner node of a ukh or uordkr sweep at q >= 80 whole, not
     # as its two parity blocks, whose values differ in the last bits.  0.10.0 solved
     # the matrices on the time-reversal line by the complex eigvalsh, not the real one.
+    # 0.11.0 retried a flagged Cayley matrix as -U and then by eigvals, not turned
+    # to its widest eigenphase gap, whose values differ in the last bits.
     assert {ukh, h}.isdisjoint(V010_KEYS.values())
     assert {ukh, h}.isdisjoint(V020_KEYS.values())
     assert {ukh, h}.isdisjoint(V030_KEYS.values())
@@ -1105,6 +1113,7 @@ def test_cache_keys_are_pinned():
     assert {ukh, h}.isdisjoint(V080_KEYS.values())
     assert {ukh, h}.isdisjoint(V090_KEYS.values())
     assert {ukh, h}.isdisjoint(V0100_KEYS.values())
+    assert {ukh, h}.isdisjoint(V0110_KEYS.values())
 
 
 def test_parent_cache_entry_is_not_served(tmp_path):
@@ -1115,11 +1124,12 @@ def test_parent_cache_entry_is_not_served(tmp_path):
     assert dispatch(argv + ["--out", cold]) == 0
     s = read_spectrum_csv(cold)
     planted = SpectrumSet.build(s.kind, s.points * np.exp(0.125j), params=s.params, grid=s.grid)
-    for keys in (V010_KEYS, V050_KEYS, V060_KEYS, V070_KEYS, V080_KEYS, V090_KEYS, V0100_KEYS):
+    for keys in (V010_KEYS, V050_KEYS, V060_KEYS, V070_KEYS, V080_KEYS, V090_KEYS, V0100_KEYS,
+                 V0110_KEYS):
         write_spectrum_csv(planted, str(cache / (keys["ukh"] + ".csv")))
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", warm]) == 0
     assert open(warm, "rb").read() == open(cold, "rb").read()
-    assert len(os.listdir(cache)) == 8
+    assert len(os.listdir(cache)) == 9
 
 
 def test_cache_differential_and_clear(tmp_path):

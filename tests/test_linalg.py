@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kickspec.linalg as linalg
@@ -165,7 +165,7 @@ def test_principal_args_wraps_minus_pi_to_pi():
     assert args[2] == pytest.approx(np.pi / 2)
 
 
-# -- unitary_eigvals_stack: Cayley route, guard and general-solver fallback -----
+# -- unitary_eigvals_stack: Cayley route, guard and turned retries -------------
 
 
 def eigvals_dev(values, stack):
@@ -178,7 +178,8 @@ def routed_rows(monkeypatch):
     """Record how many matrices each Cayley solve and each general solve receives.
 
     unitary_eigvals_stack's first Cayley solve takes the whole stack; a second
-    one is the -U retry of the matrices the first flagged.
+    one is the turned retry of the matrices the first flagged.  Neither ever
+    hands a matrix to the general solver.
     """
     seen = {"cayley": [], "eigvals": []}
 
@@ -199,23 +200,44 @@ def rotate_to_pole(u, delta):
     return u * np.exp(1j * (np.pi - delta - phase))[..., None, None]
 
 
+def move_to_one(u, delta):
+    """u times the rank-one unitary factor I + (c - 1) v v* that moves the
+    eigenvalue of u farthest from -1, with unit eigenvector v, to exp(i delta)."""
+    values, vectors = np.linalg.eig(u)
+    j = np.argmax(np.abs(values + 1.0), axis=-1)[..., None]
+    v = np.take_along_axis(vectors, j[..., None, :], -1)
+    v /= np.linalg.norm(v, axis=-2, keepdims=True)
+    c = np.exp(1j * (delta - np.angle(np.take_along_axis(values, j, -1))))
+    return u + (c[..., None] - 1.0) * (u @ v) @ v.conj().swapaxes(-1, -2)
+
+
 @st.composite
 def kicked_matrix(draw):
+    """A ukh or uordkr matrix, optionally turned to put an eigenvalue 0, 1e-8 or
+    1e-3 from -1, and optionally with another eigenvalue moved as far from +1."""
     q = draw(st.integers(1, 21))
     p = draw(st.sampled_from([p for p in range(q) if math.gcd(p, q) == 1] or [0]))
     kind = draw(st.sampled_from(["ukh", "uordkr"]))
     kappa, lam = draw(st.floats(-4, 4)), draw(st.floats(-3, 3))
     x, theta = draw(st.floats(0, 1, exclude_max=True)), draw(st.floats(0, 1, exclude_max=True))
     params = OperatorParams(kind, kappa, lam, RationalAlpha(p, q), theta)
-    return operator_stack(params, [x], [theta])
+    stack = operator_stack(params, [x], [theta])
+    pole = draw(st.sampled_from([None, 0.0, 1e-8, 1e-3]))
+    if pole is not None:
+        stack = rotate_to_pole(stack, pole)
+    one = draw(st.sampled_from([None, 0.0, 1e-8, 1e-3]))
+    if one is not None and q > 1:
+        stack = move_to_one(stack, one)
+    return stack
 
 
-@given(kicked_matrix())
-@settings(max_examples=200, deadline=None)
-def test_unitary_stack_matches_general_solver(stack):
+@given(stack=kicked_matrix())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_unitary_stack_matches_general_solver(stack, routed_rows):
     values = unitary_eigvals_stack(stack)
     assert np.abs(np.abs(values) - 1.0).max() <= 1e-15
     assert eigvals_dev(values, stack) <= 1e-12
+    assert routed_rows["eigvals"] == []  # the fixture is shared by every example
 
 
 def exact_pole_ukh():
@@ -236,18 +258,40 @@ def both_poles():
     return (u * np.exp(1j * np.array([np.pi - 1e-3, 1e-3, 1.0, -1.0, 2.0, -2.0]))) @ u.conj().T
 
 
-# Each pole matrix is retried as -U; eigvals solves only the one that the retry
-# flags too, the matrix with eigenphases near both -1 and +1.
-@pytest.mark.parametrize("make,general", [
-    (exact_pole_ukh, []),
-    (near_pole_q233, []),
-    (lambda: -np.eye(3, dtype=complex)[None], []),  # I + U exactly singular
-    (lambda: both_poles()[None], [1]),
-], ids=["exact-pole-ukh", "near-pole-q233", "minus-identity", "both-poles"])
-def test_unitary_stack_pole_takes_the_fallback(make, general, routed_rows):
+def one_sided():
+    # Eigenphases on one half of the circle and 1e-8 from pi: the widest gap is
+    # centred near pi / 2, and its mirror image -pi / 2 holds an eigenvalue.
+    u = random_unitary(np.random.default_rng(12), 5)
+    return (u * np.exp(1j * np.array([np.pi - 1e-8, -np.pi / 2, -1.0, -2.0, 0.0]))) @ u.conj().T
+
+
+def degenerate_poles_ukh():
+    # A corner node with eigenvalues -1, -1, +1, +1: the double pole puts the
+    # first solve's phases of +1 at about +-1.6 rad, so their widest gap is
+    # centred on +1, and the turn by it puts +1 on the pole.
+    params = OperatorParams("ukh", 1.5 * np.pi, 0.5, RationalAlpha(1, 4), "mother")
+    return operator_stack(params, [0.0], [0.0])
+
+
+# Each pole matrix is retried, turned to put its widest eigenphase gap at -1,
+# even the one with eigenphases near both -1 and +1; eigvals solves none.
+# Where the first solve's phases misplace the gap (at exact-both-poles, -1
+# makes I + U exactly singular and the turn by pi puts +1 there; a double
+# pole spoils the other phases), the phases folded from U + U* place it.
+@pytest.mark.parametrize("make,cayley", [
+    (exact_pole_ukh, [1, 1]),
+    (near_pole_q233, [1, 1]),
+    (lambda: -np.eye(3, dtype=complex)[None], [1, 1]),  # I + U exactly singular
+    (lambda: both_poles()[None], [1, 1]),
+    (lambda: one_sided()[None], [1, 1]),
+    (lambda: np.diag([-1.0, 1.0, -1j])[None], [1, 1, 1]),
+    (degenerate_poles_ukh, [1, 1, 1]),
+], ids=["exact-pole-ukh", "near-pole-q233", "minus-identity", "both-poles", "one-sided",
+        "exact-both-poles", "degenerate-poles-ukh"])
+def test_unitary_stack_pole_takes_the_fallback(make, cayley, routed_rows):
     stack = make()
     values = unitary_eigvals_stack(stack)
-    assert routed_rows == {"cayley": [1, 1], "eigvals": general}
+    assert routed_rows == {"cayley": cayley, "eigvals": []}
     assert eigvals_dev(values, stack) <= 1e-12
 
 
@@ -262,6 +306,24 @@ def test_unitary_stack_mixed_fallback_equals_per_matrix(routed_rows):
     for i, u in enumerate(stack):
         assert np.array_equal(values[i], unitary_eigvals_stack(u[None])[0])
     assert eigvals_dev(values, stack) <= 1e-12
+
+
+@pytest.mark.parametrize("above", [True, False])
+def test_the_turned_retry_needs_a_gap_of_2_pi_over_q(above, monkeypatch, routed_rows):
+    # The cyclic shift's eigenphases are 2 pi / 13 apart, so turned to put the
+    # centre of a gap at -1 its largest |w| is cot(pi / 26).  Turned first to
+    # put an eigenvalue 1e-8 from -1, it is flagged and retried; below the
+    # bound the folded phases' retry finds no wider gap, and it raises.
+    c, _ = clock_shift(13)
+    stack = c[None] * np.exp(1j * (np.pi - 1e-8))
+    limit = 1.0 / np.tan(np.pi / 26)
+    monkeypatch.setattr(linalg, "_CAYLEY_LIMIT", limit + (1e-6 if above else -1e-6))
+    if above:
+        assert eigvals_dev(unitary_eigvals_stack(stack), stack) <= 1e-12
+    else:
+        with pytest.raises(NumericalError, match="unitary eigenvalues off the circle"):
+            unitary_eigvals_stack(stack)
+    assert routed_rows == {"cayley": [1, 1] if above else [1, 1, 1], "eigvals": []}
 
 
 @pytest.mark.parametrize("bad", [
@@ -324,19 +386,23 @@ def both_poles_gauged():
 
 
 # The pole cases of the complex route, each with its gauge: the same retries, and
-# every Cayley solve real.  At minus-identity, I + U is exactly singular, and the
-# first solve has no matrix for eigvalsh.
-@pytest.mark.parametrize("make,general,real", [
-    (exact_pole_ukh_gauged, [], [1, 1]),
-    (near_pole_q233_gauged, [], [1, 1]),
-    (lambda: (-np.eye(3, dtype=complex)[None], np.ones((1, 3), complex)), [], [1]),
-    (both_poles_gauged, [1], [1, 1]),
-], ids=["exact-pole-ukh", "near-pole-q233", "minus-identity", "both-poles"])
-def test_the_real_route_takes_the_same_fallbacks(make, general, real, routed_rows, real_rows):
+# every turned Cayley solve real.  At minus-identity and exact-both-poles, I + U
+# is exactly singular, and the first solve has no matrix for eigvalsh; the
+# complex solve of exact-both-poles is of (U + U*)/2, for its folded phases.
+# At near-pole-q233 the first solve's K, a pole 1e-8 away, is too far from
+# real for the realness guard.
+@pytest.mark.parametrize("make,cayley,real,complex_", [
+    (exact_pole_ukh_gauged, [1, 1], [1, 1], []),
+    (near_pole_q233_gauged, [1, 1], [1], [1]),
+    (lambda: (-np.eye(3, dtype=complex)[None], np.ones((1, 3), complex)), [1, 1], [1], []),
+    (both_poles_gauged, [1, 1], [1, 1], []),
+    (lambda: (np.diag([-1.0, 1.0, -1j])[None], np.ones((1, 3), complex)), [1, 1, 1], [1, 1], [1]),
+], ids=["exact-pole-ukh", "near-pole-q233", "minus-identity", "both-poles", "exact-both-poles"])
+def test_the_real_route_takes_the_same_fallbacks(make, cayley, real, complex_, routed_rows, real_rows):
     stack, gauge = make()
     values = unitary_eigvals_stack(stack, gauge)
-    assert routed_rows == {"cayley": [1, 1], "eigvals": general}
-    assert real_rows == {"real": real, "complex": []}
+    assert routed_rows == {"cayley": cayley, "eigvals": []}
+    assert real_rows == {"real": real, "complex": complex_}
     assert eigvals_dev(values, stack) <= 1e-12
 
 
