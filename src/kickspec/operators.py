@@ -21,11 +21,13 @@ batch of phase pairs at once.  ``harper_jacobi_stack`` builds, for the same
 pairs, real symmetric matrices with the eigenvalues of H, which the h and uh
 sweeps solve instead (Chambers' relation).  At a corner node, where 2 q x
 and 2 q theta are integers, the UKH and UORDKR matrices commute with an
-involution P = D^t C^{-s} R_0 (``_parity_blocks``), and split into two
-blocks of about q/2.  Where 2 q times the theta kick's phase is an integer
-(2 q theta for UKH, at any x; 2 q (x + theta) for UORDKR), the matrix is
-time-reversal symmetric: a diagonal gauge G (``_reversal_gauge``) makes
-conj(G) U G complex symmetric, and each corner block with it.
+involution P = D^t C^{-s} R_0 (``_parity_blocks``), and H's Jacobi matrix
+with a reflection of its ring, so each splits into two blocks of about
+q/2, which ``_corner_blocks`` builds without the q x q matrix.  Where
+2 q times the theta kick's phase is an integer (2 q theta for UKH, at any
+x; 2 q (x + theta) for UORDKR), the matrix is time-reversal symmetric: a
+diagonal gauge G (``_reversal_gauge``) makes conj(G) U G complex
+symmetric, and each corner block with it.
 Phases are assembled from exact integer arithmetic modulo q (or 2q), so
 large q does not lose accuracy to argument reduction.
 """
@@ -196,7 +198,10 @@ class DcpEigensystem:
         return _dcp_arrays(self.p, self.q, self.shift)[1]
 
 
-@lru_cache(maxsize=None)
+# A sweep reads E for one alpha, and a command that sweeps many (a Farey
+# butterfly) reads each once, so a few entries serve both; unbounded, the
+# arrays of every alpha swept stayed for the life of the process.
+@lru_cache(maxsize=8)
 def _dcp_arrays(p: int, q: int, shift: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     odd = shift - p
     roots = np.exp(1j * np.pi * np.arange(2 * q) / q)  # 2q-th roots of unity
@@ -222,7 +227,7 @@ def _dcp_arrays(p: int, q: int, shift: int) -> tuple[np.ndarray, np.ndarray, np.
 def dcp_eigensystem(alpha: RationalAlpha) -> DcpEigensystem:
     """Eigenvalues, eigenvectors, phase offset phi and shift of D C^p for alpha = p/q.
 
-    The arrays are memoized per (p, q) and read-only.
+    The arrays are memoized for the last few (p, q) and read-only.
     """
     if not isinstance(alpha, RationalAlpha):
         raise InvalidParams("dcp_eigensystem expects a RationalAlpha")
@@ -249,8 +254,8 @@ def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
 
     Diagonal kicks are exponentiated entrywise, so only UH needs an
     eigensolver.  The F-conjugated theta kicks are circulants, gathered
-    from the inverse FFT of their diagonal through one q x q int64 index;
-    the x kicks are applied to the stack in place.
+    from the inverse FFT of their diagonal through the q x q index of
+    _circulant_index; the x kicks are applied to the stack in place.
     """
     kind = params.kind
     p, q = params.alpha.p, params.alpha.q
@@ -273,15 +278,28 @@ def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
     row = cos_rows(p, t_unique, q)
     if kind is OperatorKind.UKH:
         row = np.exp(-2j * kap * lam * row)
-    j = np.arange(q)
-    stack = np.take(np.fft.ifft(row), (j[:, None] - j) % q, axis=1)[t_inv]
+    stack = np.take(np.fft.ifft(row), _circulant_index(q), axis=1)[t_inv]
     if kind is OperatorKind.UKH:
         return np.multiply(np.exp(-2j * kap * cos_rows(1, xs, q))[:, :, None], stack, out=stack)
     stack *= 2.0 * lam
+    j = np.arange(q)
     stack[:, j, j] += 2.0 * cos_rows(1, xs, q)
     if kind is OperatorKind.H:
         return stack
     return expm_i_hermitian_stack(stack, kap)
+
+
+# Like E, cached for the last few q: the index is what a sweep's chunks share.
+# It stays for the life of the process, so it is kept in the smallest unsigned
+# type that holds q - 1 (one byte up to q = 256): as int64 the entries kept
+# raised a CLI session's peak RSS by about 0.4 MB.
+@lru_cache(maxsize=8)
+def _circulant_index(q: int) -> np.ndarray:
+    """The q x q index (j - k) mod q of a circulant's first column; read-only."""
+    j = np.arange(q)
+    index = ((j[:, None] - j) % q).astype(np.min_scalar_type(q - 1))
+    index.setflags(write=False)
+    return index
 
 
 @lru_cache(maxsize=64)
@@ -403,3 +421,97 @@ def harper_jacobi_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
     stack *= scale
     return stack
 
+
+def _corner_blocks(params: OperatorParams, half_x: int, half_theta: int) -> list[tuple]:
+    """The parity blocks of params.kind's matrix at the corner (half_x, half_theta) / (2q).
+
+    Returns (block, gauge) per nonempty block, built without the q x q
+    matrix.  H's blocks are those of its real Jacobi matrix (_jacobi_blocks)
+    and UH's their exponentials exp(-i kappa B), with no gauge.  For UKH and
+    UORDKR, V's columns a e_k + b e_sigma(k) (one block of _parity_blocks)
+    span an eigenspace of P, which commutes with the x kick A (diagonal, with
+    A_sigma(k) = A_k) and with the theta kick T, so V* U V = diag(A_k) V* T V,
+    and T keeps the eigenspace, so (V* T V)[m, n] = (T V)[k_m, n] / a_m.
+    Both kinds' T are chirped circulants, T[r, l] = X_r conj(X_l) c_(j_r - j_l)
+    with c the inverse FFT of T's kick diagonal: UKH's in j_r = r with X = 1,
+    and UORDKR's E D_beta E* in j_r = r p^-1 (mod q), X_r q^-1/2 being E's
+    column 0 (its rows r = j p carry the phases j (2k + odd) - p j (j - 1) in
+    units of pi/q, _dcp_arrays).  So each block is two gathers from c, O(q^2)
+    with no q x q index, E or product.  A kicked block's gauge is the node's
+    _reversal_gauge G at its k.
+    """
+    kind, alpha, kap, lam = params.kind, params.alpha, params.kappa, params.lam
+    if kind in (OperatorKind.H, OperatorKind.UH):
+        blocks = _jacobi_blocks(alpha, lam, half_x, half_theta)
+        if kind is OperatorKind.UH:
+            blocks = [expm_i_hermitian_stack(b, kap) for b in blocks]
+        return [(b, None) for b in blocks]
+    p, q = alpha.p, alpha.q
+    x, theta = half_x / (2 * q), half_theta / (2 * q)
+    x_kick = np.exp(-2j * kap * cos_rows(1, [x], q))[0]
+    gauge = _reversal_gauge(params, [x], half_theta, half_x)[0]
+    if kind is OperatorKind.UKH:
+        phase, j, chirp = cos_rows(p, [theta], q)[0], np.arange(q), np.ones(q)
+    else:
+        dcp = dcp_eigensystem(alpha)
+        phase = cos_rows(1, [x + theta + alpha.value / 2.0 + dcp.phi], q)[0]
+        j = np.arange(q) * pow(p, -1, q) % q
+        chirp = np.exp(1j * np.pi * ((j * (dcp.shift - p) - p * j * (j - 1)) % (2 * q)) / q)
+    c = np.fft.ifft(np.exp(-2j * kap * lam * phase))
+    c = np.concatenate((c, c))  # c_(j - l) at j - l + q: no reduction
+    out = []
+    for k, sk, ak, bk in _parity_blocks(alpha, half_x, half_theta):
+        block = c[j[k][:, None] - j[k] + q] * (ak * chirp[k].conj())
+        block += c[j[k][:, None] - j[sk] + q] * (bk * chirp[sk].conj())
+        block *= (x_kick[k] * chirp[k] / ak)[:, None]
+        out.append((block, gauge[k]))
+    return out
+
+
+def _jacobi_blocks(alpha: RationalAlpha, lam: float, half_x: int, half_theta: int) -> list:
+    """The parity blocks of H's real Jacobi matrix at the corner (half_x, half_theta) / (2q).
+
+    At the node itself (not the x' of Chambers' map, which leaves the
+    corners) harper_jacobi_stack's matrix has diagonal d_m = 2 cos pi (u +
+    2 m p) / q, hops lambda and the corner bond (-1)^v lambda, with u =
+    half_x and v = half_theta; for |lambda| > 1 it is lambda times the
+    Fourier frame's, hops 1/lambda, u and v swapped.  The reflection m ->
+    s - m, p s = -u (mod q), keeps d and maps bonds to bonds.  It fixes two
+    points of the ring: a site and a bond at odd q, two sites at even s, two
+    bonds at odd s.  A sign gauge puts the sign of the bonds' product,
+    (-1)^v sign(hop)^q, on a fixed bond, where the reflection keeps it; with
+    two fixed sites a product of -1 makes the symmetry S R instead, S = -1
+    on one arc between them, which moves the far site to the odd block.
+    The half ring n from one fixed point to the other carries both blocks as
+    open chains, even and odd: a pair (e_n +- e_(s - n)) / sqrt 2 has
+    diagonal d_n, a fixed site (even block) couples by sqrt 2 |hop|, and a
+    fixed bond adds +- its value to its pair's diagonal.  O(q) entries, real
+    symmetric, of sizes summing to q.
+    """
+    p, q = alpha.p, alpha.q
+    scale, hop, u, v = (1.0, lam, half_x, half_theta)
+    if abs(lam) > 1.0:
+        scale, hop, u, v = lam, 1.0 / lam, half_theta, half_x
+    s, t = -u * pow(p, -1, q) % q, abs(hop)
+    flux = (-1.0) ** v * np.sign(hop) ** q
+    # Whether each end of the half ring is a fixed site (else a fixed bond), and its sites.
+    first, last = q % 2 == 1 or s % 2 == 0, q % 2 == 0 and s % 2 == 0
+    n = np.arange(q // 2 + first) + ((s + q * (s % 2)) // 2 if first else (s + 1) // 2)
+    diag = 2.0 * np.cos(np.pi * ((u + 2 * p * n) % (2 * q)) / q)
+    if q == 1:  # the one site is its own pair across the one bond, taken both ways
+        return [np.array([[scale * (diag[0] + 2.0 * flux * t)]])]
+    hops = np.full(n.size - 1, t)
+    hops[:1] *= np.sqrt(2.0) if first else 1.0
+    hops[-1:] *= np.sqrt(2.0) if last else 1.0
+    blocks = []
+    for sign in (1.0, -1.0):
+        d = diag.copy()
+        d[0] += 0.0 if first else sign * t
+        d[-1] += 0.0 if last else sign * flux * t
+        lo, hi = int(first and sign < 0), n.size - int(last and sign * flux < 0)
+        block = np.diag(d[lo:hi])
+        i = np.arange(hi - lo - 1)
+        block[i, i + 1] = block[i + 1, i] = hops[lo:hi - 1]
+        if block.size:
+            blocks.append(scale * block)
+    return blocks

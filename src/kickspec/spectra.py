@@ -36,17 +36,17 @@ eigenvalues as the full grid in exact arithmetic, so the sampled set, and
 with it the grid error bound, is unchanged.  The nodes are evaluated as
 one batched eigensolver call per chunk; results are pooled, sorted and
 deduplicated, so the outcome is a deterministic function of (params,
-grid).  A node that the joint reflection fixes, a corner where 2 q x and
-2 q theta are integers (_corners), is not folded but split: at q >=
-_SPLIT_FLOOR the ukh and uordkr sweeps solve its matrix as the two blocks
-of about q/2 of its parity involution (operators._parity_blocks), and its
-row is their values side by side.  Those blocks, and every chunk of a
-fixed-theta ukh sweep at an integer 2 q theta, are on the
-time-reversal line: the solver takes their gauge
-(operators._reversal_gauge) and solves a real Cayley matrix.  Every other
-chunk is solved complex.  The h and uh sweeps solve, at each
-node, the real Jacobi matrix with the Harper eigenvalues
-(operators.harper_jacobi_stack), not the complex circulant one.
+grid).  The h and uh sweeps solve, at each node, the real Jacobi matrix
+with the Harper eigenvalues (operators.harper_jacobi_stack), not the
+complex circulant one.  A node that the joint reflection fixes, a corner
+where 2 q x and 2 q theta are integers (_corners), is not folded but
+split: at q >= _SPLIT_FLOOR, on all but the general route, the sweep
+builds the two blocks of about q/2 of its parity symmetry, never the
+q x q matrix (operators._corner_blocks), and its row is their values
+side by side.  The kicked corners' blocks, and every chunk of a
+fixed-theta ukh sweep at an integer 2 q theta, are on the time-reversal
+line: the solver takes their gauge (operators._reversal_gauge) and
+solves a real Cayley matrix.  Every other chunk is solved complex.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .operators import (
     MOTHER,
     OperatorKind,
     OperatorParams,
-    _parity_blocks,
+    _corner_blocks,
     _reversal_gauge,
     dcp_eigensystem,
     harper_jacobi_stack,
@@ -99,12 +99,13 @@ TWO_PI = 2.0 * np.pi
 # (_sweep_bytes), so at q = 233 a chunk of four or more would set the peak RSS.
 _CHUNK_COMPLEX = 1 << 16
 
-# Smallest q at which the Cayley route solves a corner node (_corners) as the
-# two half-size blocks of its parity involution, in a chunk of its own.
-# Measured on whole ukh and uordkr sweeps (mother grids of 1 to 10, fixed
-# theta): below q = 64 the extra builds and solver calls cost more than the
-# blocks save; from q = 80 every case gains.
-_SPLIT_FLOOR = 80
+# Smallest q at which a sweep solves its corner nodes (_corners) as the
+# half-size parity blocks of operators._corner_blocks.  Measured on whole
+# sweeps of all four kinds (mother grids of 1 to 10, fixed theta on 2 and 4
+# x nodes): a sweep of corners alone gains from q = 48, but below q = 89 the
+# solver calls that a corner among other nodes adds (one per block size)
+# cost up to 17% more than its blocks save; from q = 89 no case loses.
+_SPLIT_FLOOR = 89
 
 
 class SpectrumKind(str, Enum):
@@ -275,14 +276,15 @@ def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = No
 
     The one sweep kernel: it sizes the sweep for its route (``_ROUTES``),
     then builds and solves the route's matrices one chunk at a time at the
-    nodes of _orbits, each split corner (_corners) in a chunk of its own.
-    The Cayley route solves the corners' blocks, and the chunks of a
-    fixed-theta ukh sweep at an integer 2 q theta, with their time-reversal
-    gauges.  uh eigenvalues are exp(-i kappa w) for the Harper eigenvalues
-    w (spectral mapping), so the Hermitian route of a uh sweep solves the
-    Harper matrices.  On a solver failure the nodes are re-run
-    one by one, so that the error names the first grid point that fails on
-    its own.
+    nodes of _orbits that are not split corners (_corners).  The corners'
+    parity blocks (operators._corner_blocks) are solved by size, the blocks
+    of one size from every corner in one chunk, and on the Cayley route with
+    their time-reversal gauges, as are the chunks of a fixed-theta ukh sweep
+    at an integer 2 q theta.  uh eigenvalues are exp(-i kappa w) for the
+    Harper eigenvalues w (spectral mapping), so the Hermitian route of a uh
+    sweep solves the Harper matrices.  On a solver failure the nodes are
+    re-run one by one, so that the error names the first grid point that
+    fails on its own.
     """
     route = _route(params, route)
     _preflight(params, grid, route)
@@ -291,36 +293,45 @@ def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = No
     built = replace(params, kind=OperatorKind.H) if mapped else params
     _, image, pairs = _orbits(params, grid)
     xv, tv = pairs()
-    step = _chunk_rows(params.alpha.q)
-    cayley = route == "cayley"
-    corners = _corners(params, grid, xv, tv) if cayley and params.alpha.q >= _SPLIT_FLOOR else {}
+    split = route != "general" and params.alpha.q >= _SPLIT_FLOOR
+    corners = _corners(params, grid, xv, tv) if split else {}
     # A fixed-theta ukh sweep at an integer 2 q theta is on the time-reversal line at every x.
-    on_line = cayley and params.kind is OperatorKind.UKH and not params.is_mother
+    on_line = route == "cayley" and params.kind is OperatorKind.UKH and not params.is_mother
     line = _half_theta(params) if on_line else -1
-    # Chunks of step nodes, each corner a chunk of its own.
-    cuts = sorted({*range(0, xv.size, step), *corners, *(i + 1 for i in corners)} - {xv.size})
 
-    def nodes(lo: int, hi: int) -> np.ndarray:
-        stack = build(built, xv[lo:hi], tv[lo:hi])
-        if lo in corners:
-            # The corner's row: its two blocks' values side by side, each block gauged real.
-            hx, ht = corners[lo]
-            gauge = _reversal_gauge(params, xv[lo:hi], ht, hx)
-            blocks = _parity_blocks(params.alpha, hx, ht)
-            return np.concatenate([solve(_block(stack, *b), gauge[:, b[0]]) for b in blocks], axis=-1)
-        return solve(stack) if line < 0 else solve(stack, _reversal_gauge(params, xv[lo:hi], line))
+    def nodes(at) -> np.ndarray:
+        stack = build(built, xv[at], tv[at])
+        return solve(stack) if line < 0 else solve(stack, _reversal_gauge(params, xv[at], line))
 
+    def split_rows(at) -> np.ndarray:
+        # Each corner's row is its blocks' values side by side, ascending on the Hermitian route.
+        blocks = [(row, *b) for row, i in enumerate(at) for b in _corner_blocks(built, *corners[i])]
+        rows = [[] for _ in at]
+        for size in sorted({len(b) for _, b, _ in blocks}):
+            same = [block for block in blocks if len(block[1]) == size]
+            for lo in range(0, len(same), _chunk_rows(size)):
+                owner, stack, gauge = zip(*same[lo:lo + _chunk_rows(size)])
+                gauged = () if gauge[0] is None else (np.stack(gauge),)
+                for row, w in zip(owner, solve(np.stack(stack), *gauged)):
+                    rows[row].append(w)
+        values = np.array([np.concatenate(row) for row in rows])
+        return np.sort(values, axis=-1) if route == "hermitian" else values
+
+    rest, step = np.delete(np.arange(xv.size), list(corners)), _chunk_rows(params.alpha.q)
     try:
-        values = np.concatenate([nodes(lo, hi) for lo, hi in zip(cuts, [*cuts[1:], xv.size])])
+        values = np.concatenate([nodes(rest[lo:lo + step]) for lo in range(0, rest.size, step)]
+                                + ([split_rows(list(corners))] if corners else []))
     except NumericalError as exc:
         for i, (x, t) in enumerate(zip(xv, tv)):
             try:
-                nodes(i, i + 1)
+                split_rows([i]) if i in corners else nodes([i])
             except NumericalError:
                 raise NumericalError(
                     f"eigensolver failed at grid point x={float(x)!r}, theta={float(t)!r}: {exc}"
                 ) from exc
         raise
+    if corners:  # back in node order: the corners' rows came last
+        values[np.concatenate((rest, list(corners)))] = values.copy()
     if image:
         # The shifted nodes' rows: negated (and kept ascending) for the built
         # Harper matrices, conjugated for the unitary ones.
@@ -416,9 +427,9 @@ def _corners(params: OperatorParams, grid: GridSpec, xv: np.ndarray, tv: np.ndar
     """The solved nodes (xv, tv) that split, decided once per sweep: {index: (2 q x, 2 q theta)}.
 
     A corner is a node whose half steps 2 q x and 2 q theta are integers:
-    the joint reflection fixes it, and its ukh or uordkr matrix splits by the
-    involution of operators._parity_blocks, into two blocks that are each
-    solved real (operators._reversal_gauge).  The test is on integers: grid
+    the joint reflection fixes it, and every kind's matrix splits there into
+    two parity blocks (operators._corner_blocks), each solved real, a kicked
+    one through operators._reversal_gauge.  The test is on integers: grid
     node j of an axis of n nodes is a corner when 2j/n is one (j = 0, and
     n/2 at even n), and a fixed theta when it is the double nearest K/(2q)
     for the integer K nearest 2 q theta.  So a mother sweep has at most 4
@@ -446,20 +457,6 @@ def _half_theta(params: OperatorParams) -> int:
     return k if k / (2 * q) == theta else -1
 
 
-def _block(stack: np.ndarray, k, sk, a, b) -> np.ndarray:
-    """V* U V for each U of the stack, V's columns a_j e_k[j] + b_j e_sk[j] (a parity block).
-
-    Each entry is gathered from 4 entries of U: O(q^2), not a product with V.
-    """
-    uv = stack[..., :, k]
-    uv *= a
-    uv += stack[..., :, sk] * b
-    out = uv[..., k, :]
-    out *= a[:, None]
-    out += uv[..., sk, :] * b.conj()[:, None]
-    return out
-
-
 def _sweep_bytes(params: OperatorParams, grid: GridSpec, route: str | None = None) -> int:
     """Bytes a sweep holds at its peak, from its solved node count m (_orbits).
 
@@ -470,7 +467,7 @@ def _sweep_bytes(params: OperatorParams, grid: GridSpec, route: str | None = Non
     and for uordkr one more, the product stack @ E* that its build makes
     next to the stack.  Per chunk, the int64 circulant index and the
     rotor's q x q E, and for uordkr E*, cached beside E.  A split corner
-    (_corners) holds less than a whole node: its blocks are about q/2.
+    (_corners) holds its blocks of about q/2, never a q x q matrix.
     LAPACK allocates a further 2-4 MB of workspace on first use, which this
     leaves out, so for a sweep below about 10 MB the figure is an estimate,
     not an upper bound.

@@ -1002,6 +1002,19 @@ def test_an_oversized_alpha_list_is_refused_before_it_is_made(tmp_path, monkeypa
     assert not out.exists()
 
 
+def test_a_rotor_butterfly_keeps_the_eigensystems_of_a_few_alphas(tmp_path):
+    # The rotor's E and E* are cached per alpha; a Farey list of 45 alphas keeps a
+    # few of them, not all, so a long list does not grow the process by q^2 per entry.
+    import kickspec.operators as operators
+
+    operators._dcp_arrays.cache_clear()
+    out = tmp_path / "b.csv"
+    argv = ["butterfly", "--kind", "uordkr", "--alpha-list", "farey:12", "--grid", "2"]
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    cache = operators._dcp_arrays.cache_info()
+    assert cache.misses == 45 and cache.currsize == cache.maxsize == 8
+
+
 # Keys of version 0.1.0 for the two configurations of test_cache_keys_are_pinned.
 V010_KEYS = {
     "ukh": "9bb4495a3a94acb3549b173fb7e833ea7bd5fbd6c02527b2114bc5111d3009eb",
@@ -1082,13 +1095,20 @@ V0110_KEYS = {
     "h": "4135dc71f78caab8fa3ca9ca72f2ce6d1326595a46b5c7c95fe62c276c8d7f2c",
 }
 
+# Keys of version 0.12.0, which solved h and uh corner nodes whole and built each kicked
+# corner's q x q matrix before gathering its parity blocks.
+V0120_KEYS = {
+    "ukh": "b0ddeceee5a8cfe6b8e4cb143329900cf6034abbac021c603c1a9e83cb822ffe",
+    "h": "b0d3f4403737679a1a8e184b6d71135936d23d89c6ec0579f43c552d5a919ef8",
+}
+
 
 def test_cache_keys_are_pinned():
     # Entries written by earlier versions stay valid only while these hold.
     ukh = cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER), GridSpec(5, 5))
     h = cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7))
-    assert ukh == "b0ddeceee5a8cfe6b8e4cb143329900cf6034abbac021c603c1a9e83cb822ffe"
-    assert h == "b0d3f4403737679a1a8e184b6d71135936d23d89c6ec0579f43c552d5a919ef8"
+    assert ukh == "e3af088918cbec55e272b42ee12dc6d3bddd08efccafa6b7a4b73b4c7a87cff6"
+    assert h == "6e0961508e9a0f3c02c0eb509d3ed3c4f6b3238b3ed506310e2718e7e878fcc1"
     # Version 0.1.0 swept every grid node, 0.2.0 built the theta kicks as
     # dense Fourier products, 0.3.0 wrote no rows_sha256 line, and 0.4.0
     # solved both nodes of each self-dual swap pair; their entries differ in
@@ -1103,6 +1123,8 @@ def test_cache_keys_are_pinned():
     # the matrices on the time-reversal line by the complex eigvalsh, not the real one.
     # 0.11.0 retried a flagged Cayley matrix as -U and then by eigvals, not turned
     # to its widest eigenphase gap, whose values differ in the last bits.
+    # 0.12.0 solved the h and uh corner nodes whole, and the kicked corners' blocks
+    # gathered from the built q x q matrix, whose values differ in the last bits.
     assert {ukh, h}.isdisjoint(V010_KEYS.values())
     assert {ukh, h}.isdisjoint(V020_KEYS.values())
     assert {ukh, h}.isdisjoint(V030_KEYS.values())
@@ -1114,6 +1136,7 @@ def test_cache_keys_are_pinned():
     assert {ukh, h}.isdisjoint(V090_KEYS.values())
     assert {ukh, h}.isdisjoint(V0100_KEYS.values())
     assert {ukh, h}.isdisjoint(V0110_KEYS.values())
+    assert {ukh, h}.isdisjoint(V0120_KEYS.values())
 
 
 def test_parent_cache_entry_is_not_served(tmp_path):
@@ -1125,11 +1148,11 @@ def test_parent_cache_entry_is_not_served(tmp_path):
     s = read_spectrum_csv(cold)
     planted = SpectrumSet.build(s.kind, s.points * np.exp(0.125j), params=s.params, grid=s.grid)
     for keys in (V010_KEYS, V050_KEYS, V060_KEYS, V070_KEYS, V080_KEYS, V090_KEYS, V0100_KEYS,
-                 V0110_KEYS):
+                 V0110_KEYS, V0120_KEYS):
         write_spectrum_csv(planted, str(cache / (keys["ukh"] + ".csv")))
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", warm]) == 0
     assert open(warm, "rb").read() == open(cold, "rb").read()
-    assert len(os.listdir(cache)) == 9
+    assert len(os.listdir(cache)) == 10
 
 
 def test_cache_differential_and_clear(tmp_path):

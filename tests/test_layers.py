@@ -17,7 +17,7 @@ ALLOWED = {
     ("spectra", "_sweep_values"): {"analysis"},
     ("spectra", "_preflight"): {"analysis", "cli"},
     ("linalg", "_general_eigvals"): {"spectra"},
-    ("operators", "_parity_blocks"): {"spectra"},
+    ("operators", "_corner_blocks"): {"spectra"},
     ("operators", "_reversal_gauge"): {"spectra"},
     ("analysis", "_PARSE"): {"cli"},
 }

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from kickspec.operators import (
     OperatorKind,
     OperatorParams,
     RationalAlpha,
+    _corner_blocks,
     _parity_blocks,
     _reversal_chirp,
     _reversal_gauge,
@@ -18,7 +20,6 @@ from kickspec.operators import (
     dcp_eigensystem,
     harper_jacobi_stack,
 )
-from kickspec.spectra import _block
 from oracles import clock_shift, cos_diag, dft, kick, matrix_at, operator_matrix, unitary_eigvals
 
 ROOT8 = 2.0 * np.sqrt(2.0)
@@ -300,6 +301,34 @@ def test_parity_involution_commutes_with_the_kicked_matrices(kind, p, q):
             assert np.abs(pm @ u - u @ pm).max() > 1e-3
 
 
+# -- the corner builder: each kind's parity blocks, without the q x q matrix ---------------
+
+
+@pytest.mark.parametrize("kind", ["h", "uh", "ukh", "uordkr"])
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (5, 13), (8, 13),
+                                 (13, 34), (21, 34), (34, 89), (55, 89)])
+def test_corner_blocks_pool_to_the_eigenvalues_of_the_node(kind, p, q):
+    # Every corner (2 q x, 2 q theta) in {0, 1}^2 at each lambda: a negative lambda^q at odd
+    # q, |lambda| > 1 in h's Fourier frame; odd and even q put the Jacobi reflection's fixed
+    # points on sites or bonds, and (0, 1) at even q gives its two fixed sites a sign.
+    for lam, hx, ht in itertools.product([1.0, 0.7, -1.3, 2.0], (0, 1), (0, 1)):
+        blocks = _corner_blocks(params(kind, 1.1, lam, p, q), hx, ht)
+        assert sum(len(b) for b, _ in blocks) == q
+        m = operator_matrix(kind, 1.1, lam, p, q, hx / (2 * q), ht / (2 * q))
+        if kind == "h":
+            got, want = [np.linalg.eigvalsh(b) for b, _ in blocks], np.linalg.eigvalsh(m)
+        else:
+            got, want = [np.linalg.eigvals(b) for b, _ in blocks], unitary_eigvals(m)
+        assert set_distance(np.concatenate(got), want) <= 1e-13, (lam, hx, ht)
+        for b, g in blocks:  # h's blocks are real symmetric; a kicked block's gauge makes it
+            if kind == "h":  # complex symmetric
+                assert g is None and b.dtype == np.float64 and np.array_equal(b, b.T)
+            elif kind == "uh":
+                assert g is None
+            else:
+                assert np.abs(gauged(b, g) - gauged(b, g).T).max() <= 1e-12
+
+
 # -- the time-reversal gauge -------------------------------------------------------------
 
 
@@ -330,7 +359,9 @@ def test_each_gauge_makes_the_cayley_matrix_real(kind, p, q):
         g = _reversal_gauge(params(kind, kappa, lam, p, q), [x], ht, hx)[0]
         parts = [(u, g)]
         if float(hx).is_integer():  # a corner: both parity blocks, each with G[k]
-            parts += [(_block(u[None], *b)[0], g[b[0]]) for b in _parity_blocks(alpha, hx, ht)]
+            for b in _parity_blocks(alpha, hx, ht):
+                v = block_vectors(q, *b)
+                parts.append((v.conj().T @ u @ v, g[b[0]]))
         for m, gm in parts:
             w = gauged(m, gm)
             assert np.abs(w - w.T).max() <= 1e-12

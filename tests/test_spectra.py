@@ -267,6 +267,26 @@ def test_solver_failure_names_the_grid_point(run, monkeypatch):
         run(pa, GridSpec(2, 2))
 
 
+@pytest.mark.parametrize("kind", ["h", "ukh"])
+def test_a_split_corner_that_fails_is_named_by_its_grid_point(kind, monkeypatch):
+    # Both nodes of the folded 2 x 2 grid are corners, whose blocks of one size are
+    # solved together; the failure of node (1, 0)'s blocks is traced back to it.
+    pa = params(kind, 1.0, 1.0, 1, 3, theta=MOTHER)
+    monkeypatch.setattr(spectra, "_SPLIT_FLOOR", 1)
+    bad = [b for b, _ in spectra._corner_blocks(pa, 1, 0)]
+    name = "eigvalsh_stack" if kind == "h" else "unitary_eigvals_stack"
+    real = getattr(spectra, name)
+
+    def fail_at_bad(stack, *gauge):
+        if any(np.array_equal(m, b) for m in stack for b in bad):
+            raise NumericalError("injected")
+        return real(stack, *gauge)
+
+    monkeypatch.setattr(spectra, name, fail_at_bad)
+    with pytest.raises(NumericalError, match=re.escape(f"grid point x={1 / 6!r}, theta=0.0:")):
+        mother_spectrum(pa, GridSpec(2, 2))
+
+
 def test_a_chunk_failure_that_no_node_repeats_alone_is_raised_as_is(monkeypatch):
     pa = params("h", 0.0, 1.0, 1, 3, theta=MOTHER)
     real = spectra.eigvalsh_stack
@@ -738,7 +758,7 @@ def _cayley_noise(row):
     return 4 * np.finfo(float).eps * np.abs(np.tan(np.angle(row) / 2)).max()
 
 
-@pytest.mark.parametrize("kind", ["ukh", "uordkr"])
+@pytest.mark.parametrize("kind", ["h", "uh", "ukh", "uordkr"])
 @pytest.mark.parametrize("p,q", [(1, 2), (3, 4), (21, 34), (55, 89), (144, 233)])
 def test_a_split_sweep_is_the_unsplit_sweep(kind, p, q, monkeypatch):
     for (theta, grid), (kappa, lam) in zip(_split_scopes(q), _SPLIT_KICKS, strict=True):
@@ -750,9 +770,13 @@ def test_a_split_sweep_is_the_unsplit_sweep(kind, p, q, monkeypatch):
         monkeypatch.setattr(spectra, "_SPLIT_FLOOR", 10**9)
         whole = spectra._sweep_values(pa, grid)
         assert split.shape == whole.shape
-        # Each row within 1e-13, or where an eigenphase nears pi, within the route's own error.
+        if kind == "h":  # rows ascending, as the half-shift image and _tracked read them
+            assert np.all(np.diff(split, axis=1) >= 0)
+        # Each row within 1e-13, or where a Cayley eigenphase nears pi, within the route's
+        # own error; the Hermitian route (h, and uh through it) has no pole.
         for a, b in zip(split, whole):
-            assert set_distance(a, b) <= max(1e-13, _cayley_noise(b))
+            noise = _cayley_noise(b) if kind in ("ukh", "uordkr") else 0.0
+            assert set_distance(a, b) <= max(1e-13, noise)
         for j in corners:  # the split rows, against each node's own matrix and eigvals
             oracle = _oracle_values(kind, kappa, lam, pa.alpha, xv[j], tv[j])
             assert set_distance(split[j], oracle) <= 1e-12
@@ -816,30 +840,33 @@ def test_the_real_route_is_the_complex_route(kind, p, q, monkeypatch):
 
 
 def test_below_the_floor_a_sweep_builds_and_solves_as_without_the_split(monkeypatch):
-    builds, blocks = [], []
-    build, parity = spectra.operator_stack, spectra._parity_blocks
-    monkeypatch.setattr(spectra, "operator_stack",
-                        lambda pa, xs, ts: builds.append(len(xs)) or build(pa, xs, ts))
-    monkeypatch.setattr(spectra, "_parity_blocks", lambda *key: blocks.append(key) or parity(*key))
+    builds, corners = [], []
+    for name in ("operator_stack", "harper_jacobi_stack"):
+        build = getattr(spectra, name)
+        monkeypatch.setattr(spectra, name, lambda pa, xs, ts, build=build:
+                            builds.append(len(xs)) or build(pa, xs, ts))
+    corner_blocks = spectra._corner_blocks
+    monkeypatch.setattr(spectra, "_corner_blocks", lambda pa, hx, ht:
+                        corners.append((hx, ht)) or corner_blocks(pa, hx, ht))
     floor, grid = spectra._SPLIT_FLOOR, GridSpec(4, 4)
-    for kind in ("ukh", "uordkr"):
-        # One q below the floor: one chunk of every node, no blocks, the same values
-        # as with the split out of reach.
+    for kind in ("h", "uh", "ukh", "uordkr"):
+        # One q below the floor (1/88): every node built in chunks of 2^16 // 88^2 = 8, no
+        # blocks, the same values as with the split out of reach.
         below = params(kind, 1.0, 1.3, 1, floor - 1, theta=MOTHER)
         builds.clear()
         values = spectra._sweep_values(below, grid)
-        assert builds == [spectra._orbits(below, grid)[0]] and blocks == []
+        assert builds == [8, 1] and spectra._orbits(below, grid)[0] == 9 and corners == []
         monkeypatch.setattr(spectra, "_SPLIT_FLOOR", 10**9)
         assert np.array_equal(spectra._sweep_values(below, grid), values)
         monkeypatch.setattr(spectra, "_SPLIT_FLOOR", floor)
-        # At the floor (1/80, no image): corners 0, 2, 6 and 8 of the 3 x 3 quarter grid,
-        # uordkr's in its sheared phases too, are each a chunk of their own, split in two.
+        # At the floor (1/89, odd q: the half shift keeps 5 of the 3 x 3 quarter grid's
+        # nodes): corners 0 and 2, uordkr's in its sheared phases too, are built as blocks,
+        # never through the builder, which builds the other 3 in one chunk.
         builds.clear()
         spectra._sweep_values(params(kind, 1.0, 1.3, 1, floor, theta=MOTHER), grid)
-        assert builds == [1, 1, 1, 3, 1, 1, 1]
-        assert sorted(blocks) == sorted((RationalAlpha(1, floor), hx, ht)
-                                        for hx in (0, 1) for ht in (0, 1))
-        blocks.clear()
+        assert builds == [3]
+        assert sorted(corners) == [(0, 0), (0, 1)]
+        corners.clear()
 
 
 @pytest.mark.parametrize("n_x,n_theta", [(1, 1), (2, 2), (3, 3), (4, 4), (6, 6), (4, 6), (5, 2)])
