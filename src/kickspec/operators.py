@@ -493,7 +493,7 @@ def _jacobi_blocks(alpha: RationalAlpha, lam: float, half_x: int, half_theta: in
     if abs(lam) > 1.0:
         scale, hop, u, v = lam, 1.0 / lam, half_theta, half_x
     s, t = -u * pow(p, -1, q) % q, abs(hop)
-    flux = (-1.0) ** v * np.sign(hop) ** q
+    flux = (-1.0) ** (v + (hop < 0) * q)  # +1 at lambda = 0, where no bond carries a sign
     # Whether each end of the half ring is a fixed site (else a fixed bond), and its sites.
     first, last = q % 2 == 1 or s % 2 == 0, q % 2 == 0 and s % 2 == 0
     n = np.arange(q // 2 + first) + ((s + q * (s % 2)) // 2 if first else (s + 1) // 2)

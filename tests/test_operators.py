@@ -309,9 +309,10 @@ def test_parity_involution_commutes_with_the_kicked_matrices(kind, p, q):
                                  (13, 34), (21, 34), (34, 89), (55, 89)])
 def test_corner_blocks_pool_to_the_eigenvalues_of_the_node(kind, p, q):
     # Every corner (2 q x, 2 q theta) in {0, 1}^2 at each lambda: a negative lambda^q at odd
-    # q, |lambda| > 1 in h's Fourier frame; odd and even q put the Jacobi reflection's fixed
-    # points on sites or bonds, and (0, 1) at even q gives its two fixed sites a sign.
-    for lam, hx, ht in itertools.product([1.0, 0.7, -1.3, 2.0], (0, 1), (0, 1)):
+    # q, |lambda| > 1 in h's Fourier frame, no hops at all; odd and even q put the Jacobi
+    # reflection's fixed points on sites or bonds, and (0, 1) at even q gives its two fixed
+    # sites a sign.
+    for lam, hx, ht in itertools.product([1.0, 0.7, -1.3, 2.0, 0.0], (0, 1), (0, 1)):
         blocks = _corner_blocks(params(kind, 1.1, lam, p, q), hx, ht)
         assert sum(len(b) for b, _ in blocks) == q
         m = operator_matrix(kind, 1.1, lam, p, q, hx / (2 * q), ht / (2 * q))
