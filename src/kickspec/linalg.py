@@ -16,11 +16,13 @@ grows like eps * max|w|, so a matrix with an eigenvalue close to -1, or
 whose K is not Hermitian, is solved again turned by a phase that puts its
 widest eigenphase gap at -1 (unitary_eigvals_stack); no unitary matrix goes
 to the general solver.
-Given a diagonal gauge G that makes conj(G) U G complex symmetric, the
-gauged K is real symmetric, and the real ``eigvalsh`` solves it; the
-inverse and its Hermitian guard stay complex, and a realness guard
-(``_REAL_TOL``) sends a K whose imaginary part could move an eigenphase
-by more than the route's own error back to the complex solve.  The tests
+Given a diagonal gauge G that makes S = conj(G) U G complex symmetric,
+S = X + iY with X and Y real, and K is real: one real solve of
+(I + X) K = Y, corrected by the residual of the other half, K Y = I - X,
+takes the place of the complex inverse, and the real ``eigvalsh`` solves
+it.  That residual and K's asymmetry certify the row against a threshold
+that scales with the conditioning of I + X (_symmetric_cayley); a row
+that fails it is solved by the complex inverse, ungauged.  The tests
 compare the Cayley route against ``np.linalg.eigvals``.  The contracts
 below (ordering, modulus bounds) are what is normative, not the solver.
 """
@@ -72,16 +74,10 @@ def expm_i_hermitian_stack(stack: np.ndarray, s: float) -> np.ndarray:
 # 2 eps max|w| (eigvalsh is accurate to eps ||K|| = eps max|w| in w, and
 # d(phase)/dw = 2 / (1 + w^2) <= 2), so 1e3 keeps it near 4e-13, under a
 # 1e-12 target with room for LAPACK's growth in q.  |w| > 1e3 means an
-# eigenphase within about 2e-3 of pi.
+# eigenphase within about 2e-3 of pi.  The real route's solve adds a few
+# eps per eigenphase to first order (see _symmetric_cayley), and the same
+# limit holds there.
 _CAYLEY_LIMIT = 1e3
-
-# Largest ||Im H||_F, H = (K + K*)/2, that the real route drops.  Im H is
-# antisymmetric and ||Im H||_2 <= ||Im H||_F, so by Weyl dropping it moves
-# each w by at most this, and each eigenphase by at most twice as much:
-# eps _CAYLEY_LIMIT caps that at the route's own error, 2 eps max|w|, at the
-# largest max|w| it accepts.  The two together stay near 9e-13, under the
-# 1e-12 target.  A gauged K past it is solved complex.
-_REAL_TOL = np.finfo(np.float64).eps * _CAYLEY_LIMIT
 
 
 def _general_eigvals(stack: np.ndarray) -> np.ndarray:
@@ -93,24 +89,10 @@ def _general_eigvals(stack: np.ndarray) -> np.ndarray:
         raise NumericalError(f"general eigensolver failed: {exc}") from exc
 
 
-def _gauged_eigvalsh(k: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each Hermitian k of a stack that a gauge made real, each row ascending:
-    of Re k where ||Im k||_F passes the realness guard (_REAL_TOL), else of k."""
-    im = k.imag
-    real = np.einsum("...ij,...ij->...", im, im) <= (2.0 * _REAL_TOL) ** 2  # k is 2H
-    if real.all():
-        return eigvalsh_stack(k.real)
-    w = np.empty(k.shape[:-1])
-    for rows, part in ((real, k.real), (~real, k)):
-        if rows.any():
-            w[rows] = eigvalsh_stack(part[rows])
-    return w
-
-
-def _cayley_eigvals(stack: np.ndarray, gauge: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(w, bad): the eigenvalues w of each Cayley matrix K, and a mask of the
-    matrices whose w are not to be trusted; w is NaN where K is not finite.
-    A gauge takes K to conj(G) K G, real where conj(G) U G is complex symmetric."""
+def _hermitian_cayley(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, bad) by the complex inverse: the eigenvalues w of each Cayley matrix
+    K, and a mask of the matrices whose K is not Hermitian; w is NaN where K
+    is not finite."""
     eye = np.eye(stack.shape[-1], dtype=np.complex128)
     try:
         k = np.linalg.inv(stack + eye)
@@ -120,9 +102,6 @@ def _cayley_eigvals(stack: np.ndarray, gauge: np.ndarray | None = None) -> tuple
         return np.full(stack.shape[:-1], np.nan), np.ones(stack.shape[:-2], bool)
     k *= 2j
     k -= 1j * eye  # K = i (I - U)(I + U)^-1 = 2i (I + U)^-1 - iI
-    if gauge is not None:
-        k *= gauge.conj()[..., :, None]
-        k *= gauge[..., None, :]
     kh = k.conj().swapaxes(-1, -2)
     # Every eigenvalue of U lies within ||K - K*||_2 of the unit circle, so a
     # matrix past the modulus tolerance (or with non-finite entries) is
@@ -134,9 +113,97 @@ def _cayley_eigvals(stack: np.ndarray, gauge: np.ndarray | None = None) -> tuple
     k += kh
     lost = ~np.isfinite(norm)  # a non-finite entry of K makes its norm non-finite
     k[lost] = 0.0
-    w = eigvalsh_stack(k) if gauge is None else _gauged_eigvalsh(k)
+    w = eigvalsh_stack(k)
     w /= 2.0
     w[lost] = np.nan
+    return w, bad
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """||a||_F of each real matrix of a stack."""
+    return np.sqrt(np.einsum("...ij,...ij->...", a, a))
+
+
+# The real route.  Let S = conj(G) U G = X + iY be complex symmetric and
+# unitary: X and Y are real symmetric and commute, X^2 + Y^2 = I, and the
+# Cayley matrix K of S is real and solves both halves of
+# K (I + S) = i (I - S): K (I + X) = Y and K Y = I - X.
+#
+# Solve.  One real solve of the first half, (I + X) Z = Y, gives Z = K^T.
+# Alone it is too sensitive near the pole: an eigenvalue r e^(i phi) of S
+# off the circle (S's rounding, or the solve's backward error) moves
+# r sin(phi) / (1 + r cos(phi)) by (r - 1) (1 + w^2) w / 2, an eigenphase
+# error of about eps |w| (measured: up to 32 eps max|w| off eigvals, where
+# the complex route is within 4.3 eps max|w|).  The residual of the second
+# half, C = Y Z + X - I, is (X^2 + Y^2 - I)(I + X)^-1, (r^2 - 1)(1 + w^2) / 2
+# there, so Z (I - C/2) cancels that first-order term: to first order in
+# S's rounding and the solve's backward error, each w of the corrected Z
+# moves by a few eps times (1 + w^2) / 2, each eigenphase by a few eps, and
+# the real eigvalsh of K + K^T adds the route's 2 eps max|w|.
+#
+# Certificate.  c = ||C||_F + ||A||_F, A = Z - Z^T of the corrected Z,
+# costs the product Y Z (the correction is one more).  With
+# H = (Z + Z^T) / 2 and R and C' the residuals of the corrected Z in the
+# two halves,
+#   (S - S_H)(iI + H) = R + iC' - (I + S) A / 2,  S_H = (iI - H)(iI + H)^-1,
+# and ||(iI + H)^-1|| <= 1, so for a unitary S each eigenvalue h of H is,
+# as the point (i - h) / (i + h) of the circle, within
+# (||R|| + ||C'|| + ||A||) / sqrt(1 + h^2) <= (1 + c/2)(||R0|| + 3c/2) / sqrt(1 + h^2)
+# of an eigenvalue of S, R0 = (I + X) Z - Y the solve's own residual
+# (R = R0 - (Y + R0) C/2 and C' = (I + X) C/2 - C^2/2), about
+# eps ||I + X|| ||K|| <= 2 eps max|w| for a backward-stable solve.  For a
+# unitary S, C grows with the conditioning of I + X,
+# ||(I + X)^-1|| = (1 + max|w|^2) / 2 (1 + cos(phi) = 2 / (1 + w^2)), while,
+# as above, the eigenphases do not (measured at 1/610, the node (0, 0),
+# kappa = lambda = 1, max|w| = 295: c = 1.5e-11 to 2.6e-11, 1.5 to 2.7 eps
+# (1 + max|w|^2) / 2, and each eigenphase within 9e-15 of eigvals).  So a
+# row passes when c <= UNIT_MODULUS_TOL (1 + ||H||_F^2) / 2, with
+# ||H||_F >= max|w| read before eigvalsh.  A gauge that leaves S not
+# symmetric fails it by O(1), and an S with an eigenvalue of modulus r puts
+# (r^2 - 1)(1 + w^2) / 2 into C: past the threshold wherever |r - 1| is
+# past UNIT_MODULUS_TOL at the largest |w|.
+
+
+def _symmetric_cayley(stack: np.ndarray, gauge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, bad) by the real solve of the gauged Cayley matrix (see above); a
+    row that fails the certificate is solved by _hermitian_cayley, ungauged."""
+    n = stack.shape[-1]
+    s = stack * gauge.conj()[..., :, None]
+    s *= gauge[..., None, :]
+    b, y = s.real + np.eye(n), np.ascontiguousarray(s.imag)  # matmul's BLAS path needs y contiguous
+    del s
+    try:
+        z = np.linalg.solve(b, y)  # Z = K^T: (I + X) K^T = Y
+    except np.linalg.LinAlgError:
+        # As for the inverse: I + X is exactly singular somewhere in the batch.
+        return np.full(stack.shape[:-1], np.nan), np.ones(stack.shape[:-2], bool)
+    c = y @ z
+    c += b
+    c -= 2.0 * np.eye(n)  # C = Y Z + X - I
+    del b, y
+    cert = _frobenius(c)
+    zc = z @ c
+    zc /= 2.0
+    z -= zc  # Z (I - C/2)
+    cert += _frobenius(np.subtract(z, z.swapaxes(-1, -2), out=c))
+    k = np.add(z, z.swapaxes(-1, -2), out=c)  # 2H = K + K^T
+    scale = _frobenius(k) ** 2 / 4.0  # ||H||_F^2 >= max|w|^2
+    ok = (cert <= UNIT_MODULUS_TOL * (1.0 + scale) / 2.0) & np.isfinite(scale)
+    bad = np.zeros(stack.shape[:-2], bool)
+    if ok.all():
+        return eigvalsh_stack(k) / 2.0, bad
+    w = np.empty(stack.shape[:-1])
+    if ok.any():
+        w[ok] = eigvalsh_stack(k[ok]) / 2.0
+    w[~ok], bad[~ok] = _hermitian_cayley(stack[~ok])
+    return w, bad
+
+
+def _cayley_eigvals(stack: np.ndarray, gauge: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(w, bad): the eigenvalues w of each Cayley matrix K, and a mask of the
+    matrices whose w are not to be trusted; w is NaN where K is not finite.
+    With a gauge, K is the real one of conj(G) U G, where its certificate passes."""
+    w, bad = _hermitian_cayley(stack) if gauge is None else _symmetric_cayley(stack, gauge)
     bad |= ~(np.abs(w).max(axis=-1) <= _CAYLEY_LIMIT)
     return w, bad
 
@@ -171,8 +238,9 @@ def unitary_eigvals_stack(stack: np.ndarray, gauge: np.ndarray | None = None) ->
     turned once more by the gap of _folded_phases (at least pi / q wide:
     q <= 785), and one flagged even then is not unitary: NumericalError.
     ``gauge`` (shape ``stack.shape[:-1]``) is a unit-modulus diagonal G per
-    matrix with conj(G) U G complex symmetric, for the real ``eigvalsh`` of
-    every gauged K.  Row order is the solver's; callers pool and re-sort.
+    matrix with conj(G) U G complex symmetric, for the real solve of every
+    gauged K, the turned ones too (exp(it) conj(G) U G is still symmetric).
+    Row order is the solver's; callers pool and re-sort.
     """
     w, bad = _cayley_eigvals(stack, gauge)
     turn, retry = np.ones(w.shape[:-1] + (1,), complex), bad.copy()

@@ -122,10 +122,11 @@ class OperatorParams:
     def __post_init__(self) -> None:
         kind = OperatorKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        kappa = 0.0 if kind is OperatorKind.H else float(self.kappa)
-        lam = float(self.lam)
+        kappa, lam = float(self.kappa), float(self.lam)
         if not (np.isfinite(kappa) and np.isfinite(lam)):
             raise InvalidParams(f"kappa and lambda must be finite, got {kappa}, {lam}")
+        if kind is OperatorKind.H:
+            kappa = 0.0
         # Bounds every kick phase, the hopping scale 2 lambda, the uh phase
         # kappa * (2 + 2 |lambda|) and the grid Lipschitz constants.
         if not np.isfinite(4.0 * np.pi * max(abs(kappa), 1.0) * (1.0 + abs(lam))):

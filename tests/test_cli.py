@@ -1102,13 +1102,19 @@ V0120_KEYS = {
     "h": "b0d3f4403737679a1a8e184b6d71135936d23d89c6ec0579f43c552d5a919ef8",
 }
 
+# Keys of version 0.13.0, which solved every gauged Cayley matrix by the complex inverse.
+V0130_KEYS = {
+    "ukh": "e3af088918cbec55e272b42ee12dc6d3bddd08efccafa6b7a4b73b4c7a87cff6",
+    "h": "6e0961508e9a0f3c02c0eb509d3ed3c4f6b3238b3ed506310e2718e7e878fcc1",
+}
+
 
 def test_cache_keys_are_pinned():
     # Entries written by earlier versions stay valid only while these hold.
     ukh = cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER), GridSpec(5, 5))
     h = cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7))
-    assert ukh == "e3af088918cbec55e272b42ee12dc6d3bddd08efccafa6b7a4b73b4c7a87cff6"
-    assert h == "6e0961508e9a0f3c02c0eb509d3ed3c4f6b3238b3ed506310e2718e7e878fcc1"
+    assert ukh == "0cd04fc9070491ef047bdc6b2344761bd03d43644570391532a0dfbbb44a542e"
+    assert h == "bea0bdc1d0544a465741c2b3fbe2499f0d484b093f94ef1bd6a5b9221443a6c0"
     # Version 0.1.0 swept every grid node, 0.2.0 built the theta kicks as
     # dense Fourier products, 0.3.0 wrote no rows_sha256 line, and 0.4.0
     # solved both nodes of each self-dual swap pair; their entries differ in
@@ -1125,6 +1131,8 @@ def test_cache_keys_are_pinned():
     # to its widest eigenphase gap, whose values differ in the last bits.
     # 0.12.0 solved the h and uh corner nodes whole, and the kicked corners' blocks
     # gathered from the built q x q matrix, whose values differ in the last bits.
+    # 0.13.0 solved each gauged Cayley matrix by the complex inverse, not one real
+    # solve, whose values differ in the last bits.
     assert {ukh, h}.isdisjoint(V010_KEYS.values())
     assert {ukh, h}.isdisjoint(V020_KEYS.values())
     assert {ukh, h}.isdisjoint(V030_KEYS.values())
@@ -1137,6 +1145,7 @@ def test_cache_keys_are_pinned():
     assert {ukh, h}.isdisjoint(V0100_KEYS.values())
     assert {ukh, h}.isdisjoint(V0110_KEYS.values())
     assert {ukh, h}.isdisjoint(V0120_KEYS.values())
+    assert {ukh, h}.isdisjoint(V0130_KEYS.values())
 
 
 def test_parent_cache_entry_is_not_served(tmp_path):
@@ -1148,11 +1157,11 @@ def test_parent_cache_entry_is_not_served(tmp_path):
     s = read_spectrum_csv(cold)
     planted = SpectrumSet.build(s.kind, s.points * np.exp(0.125j), params=s.params, grid=s.grid)
     for keys in (V010_KEYS, V050_KEYS, V060_KEYS, V070_KEYS, V080_KEYS, V090_KEYS, V0100_KEYS,
-                 V0110_KEYS, V0120_KEYS):
+                 V0110_KEYS, V0120_KEYS, V0130_KEYS):
         write_spectrum_csv(planted, str(cache / (keys["ukh"] + ".csv")))
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", warm]) == 0
     assert open(warm, "rb").read() == open(cold, "rb").read()
-    assert len(os.listdir(cache)) == 10
+    assert len(os.listdir(cache)) == 11
 
 
 def test_cache_differential_and_clear(tmp_path):

@@ -387,16 +387,18 @@ def both_poles_gauged():
 
 # The pole cases of the complex route, each with its gauge: the same retries, and
 # every turned Cayley solve real.  At minus-identity and exact-both-poles, I + U
-# is exactly singular, and the first solve has no matrix for eigvalsh; the
-# complex solve of exact-both-poles is of (U + U*)/2, for its folded phases.
-# At near-pole-q233 the first solve's K, a pole 1e-8 away, is too far from
-# real for the realness guard.
+# is exactly singular, and the first solve has no matrix for eigvalsh; so is
+# I + X at exact-pole-ukh, whose U is -1 up to the last bit of its imaginary
+# part, and at exact-both-poles' first turn, by a phase pi that leaves -1 on the
+# diagonal; the complex solve of exact-both-poles is of (U + U*)/2, for its
+# folded phases.  At near-pole-q233 the first solve's real K, a pole 1e-8 away,
+# passes its certificate and is flagged by |w| alone.
 @pytest.mark.parametrize("make,cayley,real,complex_", [
-    (exact_pole_ukh_gauged, [1, 1], [1, 1], []),
-    (near_pole_q233_gauged, [1, 1], [1], [1]),
+    (exact_pole_ukh_gauged, [1, 1], [1], []),
+    (near_pole_q233_gauged, [1, 1], [1, 1], []),
     (lambda: (-np.eye(3, dtype=complex)[None], np.ones((1, 3), complex)), [1, 1], [1], []),
     (both_poles_gauged, [1, 1], [1, 1], []),
-    (lambda: (np.diag([-1.0, 1.0, -1j])[None], np.ones((1, 3), complex)), [1, 1, 1], [1, 1], [1]),
+    (lambda: (np.diag([-1.0, 1.0, -1j])[None], np.ones((1, 3), complex)), [1, 1, 1], [1], [1]),
 ], ids=["exact-pole-ukh", "near-pole-q233", "minus-identity", "both-poles", "exact-both-poles"])
 def test_the_real_route_takes_the_same_fallbacks(make, cayley, real, complex_, routed_rows, real_rows):
     stack, gauge = make()

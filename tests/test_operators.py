@@ -64,8 +64,11 @@ def test_alpha_rejects_bad_input():
     (lambda: OperatorParams("ukh", 1.0, 1.0, "1/2"), "alpha must be a RationalAlpha"),
     (lambda: params("ukh", 1.0, 1.0, 1, 2, theta="fixed"), "theta must be a real in"),
     (lambda: params("ukh", 1.0, 1.0, 1, 2, theta=float("inf")), "theta must be finite"),
+    # h records kappa as 0.0, but only once the kappa it was given is finite.
+    (lambda: params("h", float("nan"), 1.0, 1, 2), "kappa and lambda must be finite"),
     (lambda: dcp_eigensystem("1/2"), "dcp_eigensystem expects a RationalAlpha"),
-], ids=["params-alpha-str", "params-theta-word", "params-theta-inf", "dcp-alpha-str"])
+], ids=["params-alpha-str", "params-theta-word", "params-theta-inf", "params-h-kappa-nan",
+        "dcp-alpha-str"])
 def test_an_alpha_that_is_not_rational_or_a_theta_that_is_not_a_phase_is_refused(make, message):
     with pytest.raises(InvalidParams, match=message):
         make()
