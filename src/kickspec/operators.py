@@ -17,9 +17,12 @@ Four operator kinds are covered:
               the closed-form eigensystem of D C^p.
 
 ``operator_stack`` is the one place any of them is assembled, for a whole
-batch of phase pairs at once.  ``harper_jacobi_stack`` builds, for the same
-pairs, real symmetric matrices with the eigenvalues of H, which the h and uh
-sweeps solve instead (Chambers' relation).  At a corner node, where 2 q x
+batch of phase pairs at once.  Each theta term is a circulant gathered
+from the inverse FFT of its diagonal (``_theta_kick``), UORDKR's E D_beta
+E* relabelled by j -> j p^{-1} mod q and chirped, so no sweep builds E.
+``harper_jacobi_stack`` builds, for the same pairs, real symmetric
+matrices with the eigenvalues of H, which the h and uh sweeps solve
+instead (Chambers' relation).  At a corner node, where 2 q x
 and 2 q theta are integers, the UKH and UORDKR matrices commute with an
 involution P = D^t C^{-s} R_0 (``_parity_blocks``), and H's Jacobi matrix
 with a reflection of its ring, so each splits into two blocks of about
@@ -175,7 +178,7 @@ class DcpEigensystem:
     with mu = exp(i 2 pi phi).  ``vectors`` is the unitary matrix E of
     normalized eigenvectors, columns ordered to match ``values``, built from
     the index recursion u_{jp+1} = w^{-p j(j-1)/2} nu^j u_1 with indices
-    taken mod q and u_1 = 1/sqrt(q).  The arrays are built on first read, so
+    taken mod q and u_1 = 1/sqrt(q).  The arrays are built when read, so
     shift and phi cost no q x q work.
     """
 
@@ -199,36 +202,23 @@ class DcpEigensystem:
         return _dcp_arrays(self.p, self.q, self.shift)[1]
 
 
-# A sweep reads E for one alpha, and a command that sweeps many (a Farey
-# butterfly) reads each once, so a few entries serve both; unbounded, the
-# arrays of every alpha swept stayed for the life of the process.
-@lru_cache(maxsize=8)
-def _dcp_arrays(p: int, q: int, shift: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _dcp_arrays(p: int, q: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
     odd = shift - p
     roots = np.exp(1j * np.pi * np.arange(2 * q) / q)  # 2q-th roots of unity
     k = np.arange(q, dtype=np.int64)
-    values = roots[(2 * k + odd) % (2 * q)].copy()
+    values = roots[(2 * k + odd) % (2 * q)]
 
     # Entry phase in units of pi/q: nu_k^j * w^{-p j(j-1)/2} at row r = (j p) mod q,
-    # so row r holds j = r p^{-1} mod q.  The table is built and reduced in place.
+    # so row r holds j = r p^{-1} mod q.
     j = k * pow(p, -1, q) % q
-    t = np.multiply.outer(j, 2 * k + odd)
-    t -= (p * j * (j - 1))[:, None]
-    t %= 2 * q
-    e = np.take(roots / np.sqrt(q), t)
-    del t
-
-    values.setflags(write=False)
-    e.setflags(write=False)
-    e_conj = e.conj()  # E^{-1} = E*, kept as the transposed view that operator_stack takes
-    e_conj.setflags(write=False)
-    return values, e, e_conj.T
+    t = (np.multiply.outer(j, 2 * k + odd) - (p * j * (j - 1))[:, None]) % (2 * q)
+    return values, np.take(roots / np.sqrt(q), t)
 
 
 def dcp_eigensystem(alpha: RationalAlpha) -> DcpEigensystem:
     """Eigenvalues, eigenvectors, phase offset phi and shift of D C^p for alpha = p/q.
 
-    The arrays are memoized for the last few (p, q) and read-only.
+    The arrays are built on each read; no sweep reads them (_theta_kick).
     """
     if not isinstance(alpha, RationalAlpha):
         raise InvalidParams("dcp_eigensystem expects a RationalAlpha")
@@ -254,34 +244,30 @@ def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
               eigensystem.
 
     Diagonal kicks are exponentiated entrywise, so only UH needs an
-    eigensolver.  The F-conjugated theta kicks are circulants, gathered
-    from the inverse FFT of their diagonal through the q x q index of
-    _circulant_index; the x kicks are applied to the stack in place.
+    eigensolver.  Every theta term is a chirped circulant (_theta_kick),
+    gathered once per distinct kick phase through the q x q index of
+    _circulant_index; the rotor's chirp and the x kicks are applied in place.
     """
     kind = params.kind
-    p, q = params.alpha.p, params.alpha.q
-    kap, lam = params.kappa, params.lam
+    q, kap, lam = params.alpha.q, params.kappa, params.lam
     xs = np.asarray(xs, dtype=np.float64) % 1.0
     thetas = np.asarray(thetas, dtype=np.float64) % 1.0
+    kicked = kind in (OperatorKind.UKH, OperatorKind.UORDKR)
 
-    if kind is OperatorKind.UORDKR:
-        dcp = dcp_eigensystem(params.alpha)
-        _, e, e_inv = _dcp_arrays(p, q, dcp.shift)
-        beta = xs + thetas + params.alpha.value / 2.0 + dcp.phi
-        stack = np.exp(-2j * kap * cos_rows(1, xs, q))[:, :, None] * e
-        stack *= np.exp(-2j * kap * lam * cos_rows(1, beta, q))[:, None, :]
-        return stack @ e_inv
-
-    # F diag(r) F^{-1} = [c[(j - k) mod q]] with c = ifft(r), since F carries D^p
-    # to a power of C.  Built once per distinct theta, by np.take, which keeps
-    # the stack C-ordered for the solvers (a fancy index would not).
-    t_unique, t_inv = np.unique(thetas, return_inverse=True)
-    row = cos_rows(p, t_unique, q)
-    if kind is OperatorKind.UKH:
-        row = np.exp(-2j * kap * lam * row)
-    stack = np.take(np.fft.ifft(row), _circulant_index(q), axis=1)[t_inv]
-    if kind is OperatorKind.UKH:
-        return np.multiply(np.exp(-2j * kap * cos_rows(1, xs, q))[:, :, None], stack, out=stack)
+    rows, inverse, step, chirp = _theta_kick(params, xs, thetas)
+    if kicked:
+        rows = np.exp(-2j * kap * lam * rows)
+    # Gathered by np.take, which keeps the stack C-ordered for the solvers (a
+    # fancy index would not).
+    stack = np.take(np.fft.ifft(rows), _circulant_index(q, step), axis=1)
+    if chirp is not None:  # conj(X_l) per distinct phase; X_r joins the x kick
+        stack *= chirp.conj()
+    stack = stack[inverse]
+    if kicked:
+        x_kick = np.exp(-2j * kap * cos_rows(1, xs, q))
+        if chirp is not None:
+            x_kick *= chirp
+        return np.multiply(x_kick[:, :, None], stack, out=stack)
     stack *= 2.0 * lam
     j = np.arange(q)
     stack[:, j, j] += 2.0 * cos_rows(1, xs, q)
@@ -290,14 +276,37 @@ def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
     return expm_i_hermitian_stack(stack, kap)
 
 
-# Like E, cached for the last few q: the index is what a sweep's chunks share.
+def _theta_kick(params: OperatorParams, xs, thetas) -> tuple:
+    """The theta term of params.kind as a chirped circulant: (rows, inverse, step, chirp).
+
+    T[r, l] = X_r conj(X_l) c_((j_r - j_l) mod q), j_r = r step mod q, with c
+    the inverse FFT of the term's diagonal, a function of ``rows``, the
+    cos_rows of each distinct kick phase (``inverse`` maps nodes to them).
+    F carries D^p to a power of C, so UKH's kick (and H's theta term) has
+    rows G(p, theta), step 1 and no chirp (None).  E's rows r = j p carry
+    the phases j (2 k + odd) - p j (j - 1) in units of pi/q (_dcp_arrays),
+    so E D_beta E* has rows G(1, beta), step p^-1 and X_r = sqrt q E[r, 0].
+    """
+    alpha = params.alpha
+    p, q = alpha.p, alpha.q
+    phase, mult, step, chirp = thetas, p, 1, None
+    if params.kind is OperatorKind.UORDKR:
+        dcp, step = dcp_eigensystem(alpha), pow(p, -1, q)
+        phase, mult = xs + thetas + alpha.value / 2.0 + dcp.phi, 1
+        j = np.arange(q) * step % q
+        chirp = np.exp(1j * np.pi * ((j * (dcp.shift - p) - p * j * (j - 1)) % (2 * q)) / q)
+    unique, inverse = np.unique(phase, return_inverse=True)
+    return cos_rows(mult, unique, q), inverse, step, chirp
+
+
+# Cached for the last few (q, step): the index is what a sweep's chunks share.
 # It stays for the life of the process, so it is kept in the smallest unsigned
 # type that holds q - 1 (one byte up to q = 256): as int64 the entries kept
 # raised a CLI session's peak RSS by about 0.4 MB.
 @lru_cache(maxsize=8)
-def _circulant_index(q: int) -> np.ndarray:
-    """The q x q index (j - k) mod q of a circulant's first column; read-only."""
-    j = np.arange(q)
+def _circulant_index(q: int, step: int) -> np.ndarray:
+    """The q x q index (j_r - j_l) mod q of _theta_kick's circulants, j_r = r step; read-only."""
+    j = np.arange(q) * step % q
     index = ((j[:, None] - j) % q).astype(np.min_scalar_type(q - 1))
     index.setflags(write=False)
     return index
@@ -433,12 +442,9 @@ def _corner_blocks(params: OperatorParams, half_x: int, half_theta: int) -> list
     span an eigenspace of P, which commutes with the x kick A (diagonal, with
     A_sigma(k) = A_k) and with the theta kick T, so V* U V = diag(A_k) V* T V,
     and T keeps the eigenspace, so (V* T V)[m, n] = (T V)[k_m, n] / a_m.
-    Both kinds' T are chirped circulants, T[r, l] = X_r conj(X_l) c_(j_r - j_l)
-    with c the inverse FFT of T's kick diagonal: UKH's in j_r = r with X = 1,
-    and UORDKR's E D_beta E* in j_r = r p^-1 (mod q), X_r q^-1/2 being E's
-    column 0 (its rows r = j p carry the phases j (2k + odd) - p j (j - 1) in
-    units of pi/q, _dcp_arrays).  So each block is two gathers from c, O(q^2)
-    with no q x q index, E or product.  A kicked block's gauge is the node's
+    Both kinds' T are chirped circulants (_theta_kick), T[r, l] = X_r
+    conj(X_l) c_(j_r - j_l), so each block is two gathers from c, O(q^2) with
+    no q x q index or matrix.  A kicked block's gauge is the node's
     _reversal_gauge G at its k.
     """
     kind, alpha, kap, lam = params.kind, params.alpha, params.kappa, params.lam
@@ -447,18 +453,13 @@ def _corner_blocks(params: OperatorParams, half_x: int, half_theta: int) -> list
         if kind is OperatorKind.UH:
             blocks = [expm_i_hermitian_stack(b, kap) for b in blocks]
         return [(b, None) for b in blocks]
-    p, q = alpha.p, alpha.q
+    q = alpha.q
     x, theta = half_x / (2 * q), half_theta / (2 * q)
     x_kick = np.exp(-2j * kap * cos_rows(1, [x], q))[0]
     gauge = _reversal_gauge(params, [x], half_theta, half_x)[0]
-    if kind is OperatorKind.UKH:
-        phase, j, chirp = cos_rows(p, [theta], q)[0], np.arange(q), np.ones(q)
-    else:
-        dcp = dcp_eigensystem(alpha)
-        phase = cos_rows(1, [x + theta + alpha.value / 2.0 + dcp.phi], q)[0]
-        j = np.arange(q) * pow(p, -1, q) % q
-        chirp = np.exp(1j * np.pi * ((j * (dcp.shift - p) - p * j * (j - 1)) % (2 * q)) / q)
-    c = np.fft.ifft(np.exp(-2j * kap * lam * phase))
+    rows, _, step, chirp = _theta_kick(params, np.array([x]), np.array([theta]))
+    j, chirp = np.arange(q) * step % q, np.ones(q) if chirp is None else chirp
+    c = np.fft.ifft(np.exp(-2j * kap * lam * rows[0]))
     c = np.concatenate((c, c))  # c_(j - l) at j - l + q: no reduction
     out = []
     for k, sk, ak, bk in _parity_blocks(alpha, half_x, half_theta):

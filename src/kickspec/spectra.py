@@ -253,15 +253,15 @@ def _chunk_rows(q: int) -> int:
 # the real Jacobi matrices of the Harper problem and holds them and the
 # solver's copy (two real arrays, the bytes of one complex one); the Cayley
 # route (ukh and uordkr sweeps) builds the unitary matrices and also holds
-# I, I + U, its inverse and the inverse's two solver buffers (measured: up to
-# 8, E included); the general route (SPECTRAL_MAPPING's eigvals of the uh
-# matrices, AUBRY_ANDRE's of the circulant h matrices) the uh build's H, its
-# eigenvectors and their products, and the solver's copy (measured: 4.6 at
-# q = 610).
+# I, I + U, its inverse and the inverse's two solver buffers; the general
+# route (SPECTRAL_MAPPING's eigvals of the uh matrices, AUBRY_ANDRE's of the
+# circulant h matrices) the uh build's H, its eigenvectors and their
+# products, and the solver's copy.  Measured at one whole node of q = 610,
+# peak RSS growth less _sweep_bytes' other terms: 0.85, 6.3-6.5 and 5.5.
 _ROUTES = {
     "hermitian": ("harper_jacobi_stack", "eigvalsh_stack", 1),
     "cayley": ("operator_stack", "unitary_eigvals_stack", 7),
-    "general": ("operator_stack", "_general_eigvals", 5),
+    "general": ("operator_stack", "_general_eigvals", 6),
 }
 
 
@@ -463,20 +463,17 @@ def _sweep_bytes(params: OperatorParams, grid: GridSpec, route: str | None = Non
     Per node, two float64 phases; per row of values (two per node where the
     half shift folds), q eigenvalues, held up to five times over as
     complex128 while pooled and sorted (measured: up to 72 B each).  Per
-    chunk row, the q x q complex arrays of the solver route (``_ROUTES``),
-    and for uordkr one more, the product stack @ E* that its build makes
-    next to the stack.  Per chunk, the int64 circulant index and the
-    rotor's q x q E, and for uordkr E*, cached beside E.  A split corner
-    (_corners) holds its blocks of about q/2, never a q x q matrix.
+    chunk row, the q x q complex arrays of the solver route (``_ROUTES``).
+    Per chunk, the int64 circulant index.  A split corner (_corners) holds
+    its blocks of about q/2, never a q x q matrix.
     LAPACK allocates a further 2-4 MB of workspace on first use, which this
     leaves out, so for a sweep below about 10 MB the figure is an estimate,
     not an upper bound.
     """
     m, image, _ = _orbits(params, grid)
-    q, rotor = params.alpha.q, params.kind is OperatorKind.UORDKR
+    q = params.alpha.q
     rows = 2 * m if image else m
-    arrays = _ROUTES[_route(params, route)][2] + rotor
-    per_chunk = 16 * arrays * min(m, _chunk_rows(q)) + 8 + 16 + 16 * rotor
+    per_chunk = 16 * _ROUTES[_route(params, route)][2] * min(m, _chunk_rows(q)) + 8
     return m * 2 * 8 + rows * 5 * 16 * q + per_chunk * q * q
 
 

@@ -575,10 +575,10 @@ def test_dispatch_builds_its_parser_once(tmp_path, monkeypatch, capsys):
 
 def test_preflight_counts_the_q_by_q_arrays(tmp_path, monkeypatch, capsys):
     # One grid node at q = 1499: 24 kB of pairs and eigenvalues, but about
-    # 90 MB of q x q matrices, so 64 MiB of physical memory refuses it.
+    # 54 MB of q x q matrices, so 32 MiB of physical memory refuses it.
     import kickspec.spectra as spectra
 
-    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64 * 2**20 // 4096}
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 32 * 2**20 // 4096}
     monkeypatch.setattr(spectra.os, "sysconf", sizes.__getitem__)
     out = tmp_path / "x.csv"
     code = dispatch(["compute", "--kind", "h", "--alpha", "1/1499", "--grid", "1",
@@ -1002,17 +1002,19 @@ def test_an_oversized_alpha_list_is_refused_before_it_is_made(tmp_path, monkeypa
     assert not out.exists()
 
 
-def test_a_rotor_butterfly_keeps_the_eigensystems_of_a_few_alphas(tmp_path):
-    # The rotor's E and E* are cached per alpha; a Farey list of 45 alphas keeps a
-    # few of them, not all, so a long list does not grow the process by q^2 per entry.
+def test_no_rotor_sweep_builds_the_eigenvectors(tmp_path, monkeypatch):
+    # uordkr's theta kick is gathered from the closed form of E's entries, so no
+    # sweep builds E (q^2 complex entries per alpha): not the mother sweeps of a
+    # Farey butterfly of 45 alphas, nor the whole (non-corner) nodes at 144/233.
     import kickspec.operators as operators
 
-    operators._dcp_arrays.cache_clear()
-    out = tmp_path / "b.csv"
+    built = []
+    monkeypatch.setattr(operators, "_dcp_arrays", lambda *key: built.append(key))
     argv = ["butterfly", "--kind", "uordkr", "--alpha-list", "farey:12", "--grid", "2"]
-    assert dispatch(argv + ["--out", str(out)]) == 0
-    cache = operators._dcp_arrays.cache_info()
-    assert cache.misses == 45 and cache.currsize == cache.maxsize == 8
+    assert dispatch(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+    argv = ["compute", "--kind", "uordkr", "--alpha", "144/233", "--theta", "0.123456"]
+    assert dispatch(argv + ["--grid", "2", "--out", str(tmp_path / "c.csv")]) == 0
+    assert built == []
 
 
 # Keys of version 0.1.0 for the two configurations of test_cache_keys_are_pinned.
@@ -1108,13 +1110,19 @@ V0130_KEYS = {
     "h": "6e0961508e9a0f3c02c0eb509d3ed3c4f6b3238b3ed506310e2718e7e878fcc1",
 }
 
+# Keys of version 0.14.0, which built each whole uordkr matrix as the product (A E D_beta) E*.
+V0140_KEYS = {
+    "ukh": "0cd04fc9070491ef047bdc6b2344761bd03d43644570391532a0dfbbb44a542e",
+    "h": "bea0bdc1d0544a465741c2b3fbe2499f0d484b093f94ef1bd6a5b9221443a6c0",
+}
+
 
 def test_cache_keys_are_pinned():
     # Entries written by earlier versions stay valid only while these hold.
     ukh = cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER), GridSpec(5, 5))
     h = cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7))
-    assert ukh == "0cd04fc9070491ef047bdc6b2344761bd03d43644570391532a0dfbbb44a542e"
-    assert h == "bea0bdc1d0544a465741c2b3fbe2499f0d484b093f94ef1bd6a5b9221443a6c0"
+    assert ukh == "59a5531311ec82ed6f9025001b6514f8cf95220569c1501af6d51f7b1d7aa224"
+    assert h == "f393743a5cf1dad67887e41a4fbd6ada5da3e9ed41e3135b689a118c94cffaeb"
     # Version 0.1.0 swept every grid node, 0.2.0 built the theta kicks as
     # dense Fourier products, 0.3.0 wrote no rows_sha256 line, and 0.4.0
     # solved both nodes of each self-dual swap pair; their entries differ in
@@ -1132,7 +1140,9 @@ def test_cache_keys_are_pinned():
     # 0.12.0 solved the h and uh corner nodes whole, and the kicked corners' blocks
     # gathered from the built q x q matrix, whose values differ in the last bits.
     # 0.13.0 solved each gauged Cayley matrix by the complex inverse, not one real
-    # solve, whose values differ in the last bits.
+    # solve, whose values differ in the last bits.  0.14.0 built each whole uordkr
+    # matrix as a product with E*, not gathered from its chirped circulant, whose
+    # values differ in the last bits.
     assert {ukh, h}.isdisjoint(V010_KEYS.values())
     assert {ukh, h}.isdisjoint(V020_KEYS.values())
     assert {ukh, h}.isdisjoint(V030_KEYS.values())
@@ -1146,6 +1156,7 @@ def test_cache_keys_are_pinned():
     assert {ukh, h}.isdisjoint(V0110_KEYS.values())
     assert {ukh, h}.isdisjoint(V0120_KEYS.values())
     assert {ukh, h}.isdisjoint(V0130_KEYS.values())
+    assert {ukh, h}.isdisjoint(V0140_KEYS.values())
 
 
 def test_parent_cache_entry_is_not_served(tmp_path):
@@ -1157,11 +1168,11 @@ def test_parent_cache_entry_is_not_served(tmp_path):
     s = read_spectrum_csv(cold)
     planted = SpectrumSet.build(s.kind, s.points * np.exp(0.125j), params=s.params, grid=s.grid)
     for keys in (V010_KEYS, V050_KEYS, V060_KEYS, V070_KEYS, V080_KEYS, V090_KEYS, V0100_KEYS,
-                 V0110_KEYS, V0120_KEYS, V0130_KEYS):
+                 V0110_KEYS, V0120_KEYS, V0130_KEYS, V0140_KEYS):
         write_spectrum_csv(planted, str(cache / (keys["ukh"] + ".csv")))
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", warm]) == 0
     assert open(warm, "rb").read() == open(cold, "rb").read()
-    assert len(os.listdir(cache)) == 11
+    assert len(os.listdir(cache)) == 12
 
 
 def test_cache_differential_and_clear(tmp_path):

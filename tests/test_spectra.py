@@ -641,36 +641,35 @@ def test_pair_count_is_the_number_of_grid_pairs(kind):
 def test_sweep_size_estimate():
     # m pairs (two float64 phases), 2m rows of values where the half shift
     # folds, else m (q eigenvalues held as up to five complex128 copies while
-    # pooled), 1 (Hermitian route: two real arrays), 7 (Cayley route) or 5
+    # pooled), 1 (Hermitian route: two real arrays), 7 (Cayley route) or 6
     # (general route) complex q x q arrays per row of a chunk of
-    # min(m, 2^16 // q^2) matrices, and the int64 circulant index with the
-    # rotor's complex E.  uordkr's build adds one array per row (the product
-    # stack @ E*) and, per chunk, the copy E*.
+    # min(m, 2^16 // q^2) matrices, and the int64 circulant index.
     ukh = params("ukh", 1.0, 1.3, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(ukh, GridSpec(48, 48)) == (
-        313 * 2 * 8 + 626 * 5 * 16 * 13 + (16 * 7 * 313 + 8 + 16) * 169)
-    # The rotor folds its sheared phases to the same 313 pairs.
+        313 * 2 * 8 + 626 * 5 * 16 * 13 + (16 * 7 * 313 + 8) * 169)
+    # The rotor folds its sheared phases to the same 313 pairs, and its build
+    # holds no array that ukh's does not.
     rotor = params("uordkr", 1.0, 1.3, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(rotor, GridSpec(48, 48)) == (
-        313 * 16 + 626 * 1040 + (16 * 8 * 313 + 40) * 169)
+        313 * 16 + 626 * 1040 + (16 * 7 * 313 + 8) * 169)
     huge = GridSpec(3_000_000, 3_000_000)
     m = 1_500_001 ** 2 // 2 + 1
-    assert spectra._sweep_bytes(ukh, huge) == m * 16 + 2 * m * 1040 + (16 * 7 * 387 + 24) * 169
+    assert spectra._sweep_bytes(ukh, huge) == m * 16 + 2 * m * 1040 + (16 * 7 * 387 + 8) * 169
     # At lambda = 1 the swap leaves 169 pairs, fewer than a chunk holds.
     dual = params("ukh", 1.0, 1.0, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(dual, GridSpec(48, 48)) == (
-        169 * 16 + 338 * 1040 + (16 * 7 * 169 + 24) * 169)
+        169 * 16 + 338 * 1040 + (16 * 7 * 169 + 8) * 169)
     # Even q and fixed-theta h do not fold.
     assert spectra._sweep_bytes(params("ukh", 1.0, 1.3, 5, 8, theta=MOTHER), GridSpec(48, 48)) == (
-        625 * (16 + 5 * 16 * 8) + (16 * 7 * 625 + 24) * 64)
+        625 * (16 + 5 * 16 * 8) + (16 * 7 * 625 + 8) * 64)
     assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 3), huge) == (
-        1_500_001 * (16 + 240) + (16 * 7281 + 24) * 9)
+        1_500_001 * (16 + 240) + (16 * 7281 + 8) * 9)
     # One matrix at large q: the q x q arrays, not the eigenvalues, dominate.
     assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 1499), GridSpec(1)) == (
-        (16 + 1499 * 80) + (16 + 24) * 1499 ** 2)
-    # SPECTRAL_MAPPING's general solve of the uh matrices holds 5 per row.
+        (16 + 1499 * 80) + (16 + 8) * 1499 ** 2)
+    # SPECTRAL_MAPPING's general solve of the uh matrices holds 6 per row.
     assert spectra._sweep_bytes(params("uh", 1.0, 1.0, 1, 1499), GridSpec(1), "general") == (
-        (16 + 1499 * 80) + (16 * 5 + 24) * 1499 ** 2)
+        (16 + 1499 * 80) + (16 * 6 + 8) * 1499 ** 2)
 
 
 # The peak RSS of the process's own address space (VmHWM, in kB).  ru_maxrss
@@ -684,11 +683,11 @@ def peak():
     with open("/proc/self/status") as fh:
         return next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith("VmHWM:"))
 
-kind, route = sys.argv[1], sys.argv[2:]
-pa, grid = OperatorParams(kind, 1.0, 1.0, RationalAlpha(1, 610), 0.0), GridSpec(1)
+kind, theta, route = sys.argv[1], float(sys.argv[2]), sys.argv[3:]
+pa, grid = OperatorParams(kind, 1.0, 1.0, RationalAlpha(1, 610), theta), GridSpec(1)
 before = peak()
 if route:  # SPECTRAL_MAPPING: the uh sweep, then the general solve of the same node
-    run_check("SPECTRAL_MAPPING", {"alpha": "1/610", "n": 1, "theta": 0.0})
+    run_check("SPECTRAL_MAPPING", {"alpha": "1/610", "n": 1, "theta": theta})
 else:
     spectrum_fixed_theta(pa, grid)
 print(peak() - before, _sweep_bytes(pa, grid, *route))
@@ -696,10 +695,14 @@ print(peak() - before, _sweep_bytes(pa, grid, *route))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
-@pytest.mark.parametrize("argv", [["h"], ["uh"], ["ukh"], ["uordkr"], ["uh", "general"]],
-                         ids=["h", "uh", "ukh", "uordkr", "spectral-mapping"])
+@pytest.mark.parametrize("argv", [
+    ["h", "0"], ["uh", "0"], ["ukh", "0"], ["uordkr", "0"], ["uh", "0", "general"],
+    ["h", "0.123456"], ["ukh", "0.123456"], ["uordkr", "0.123456"],
+], ids=["h", "uh", "ukh", "uordkr", "spectral-mapping", "h-whole", "ukh-whole", "uordkr-whole"])
 def test_one_node_peak_memory_is_within_the_estimate(argv):
-    # A fresh process, so that the peak RSS growth is this one sweep's.
+    # A fresh process, so that the peak RSS growth is this one sweep's.  At
+    # theta = 0 the node (0, 0) is a corner, split into its parity blocks; at
+    # 2 q theta = 150.6 it is not, and the q x q matrix of each route is built.
     src = os.path.dirname(os.path.dirname(spectra.__file__))
     out = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src})
