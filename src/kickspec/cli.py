@@ -81,6 +81,92 @@ def _fmt(v: float) -> str:
     return repr(v)
 
 
+@functools.cache
+def _digits4() -> np.ndarray:
+    """Every 4-digit group, 0000..9999, as 4 ASCII bytes; built on first use, by the
+    int64 divmod that _fixed17 runs too (a broadcast build costs more resident memory)."""
+    rest, table = np.arange(10_000), np.empty((10_000, 4), np.uint8)
+    for i in (3, 2, 1, 0):
+        rest, table[:, i] = np.divmod(rest, 10)
+    table += ord("0")
+    return table
+
+
+def _halves(x):
+    """Dekker's split x = hi + lo, each half of at most 26 significant bits."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _fixed17(v: np.ndarray) -> np.ndarray:
+    """_fmt's fields of values with 1/16 <= |v| < 10, as NUL-padded (len(v), 20) uint8 rows.
+
+    N = |v| 10^17 rounded half-even is found exactly: p = fl(|v| 1e17) is an
+    integer below 2^60, and its error e, from Dekker's product, is a multiple
+    of 2^-39 with |e| <= 64, so p and e 2^39 both convert to int64 exactly.
+    """
+    a = np.abs(v)
+    p = a * 1e17
+    ah, al = _halves(a)
+    bh, bl = _halves(1e17)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    n, r = np.divmod((e * 2.0**39).astype(np.int64), 1 << 39)
+    n += p.astype(np.int64)
+    n += (r > 1 << 38) | ((r == 1 << 38) & (n % 2 == 1))
+    lead, rest = np.divmod(n, 10**16)
+    out = np.zeros((len(v), 20), np.uint8)
+    out[:, 0] = np.where(np.signbit(v), ord("-"), 0)
+    out[:, 1] = lead // 10 + ord("0")
+    out[:, 2] = ord(".")
+    out[:, 3] = lead % 10 + ord("0")
+    for end in (20, 16, 12, 8):
+        rest, group = np.divmod(rest, 10_000)
+        out[:, end - 4:end] = _digits4()[group]
+    return out
+
+
+# Rows per block of _csv_body, which bounds its temporaries whatever the table's length.
+_BLOCK_ROWS = 1 << 13
+
+
+def _csv_body(columns) -> bytes:
+    """CSV rows of equal-length columns, each row ending in a newline.
+
+    An integer column's fields are written as str writes them, a float
+    column's as _fmt does; _fmt itself runs only for the fields outside
+    1/16 <= |v| < 10, and _fixed17 writes the rest.
+    """
+    columns = [np.asarray(col) for col in columns]
+    return b"".join(_csv_block([col[i:i + _BLOCK_ROWS] for col in columns])
+                    for i in range(0, len(columns[0]), _BLOCK_ROWS))
+
+
+def _csv_block(columns: list[np.ndarray]) -> bytes:
+    """_csv_body's rows of one block: every field sits in one NUL-padded uint8
+    table with its separator, and the NULs are dropped at the end."""
+    fields = []
+    for col in columns:
+        if col.dtype.kind == "f":
+            fast = (0.0625 <= np.abs(col)) & (np.abs(col) < 10.0)
+            slow = np.array([_fmt(v) for v in col[~fast].tolist()], "S")
+        else:
+            fast, slow = np.zeros(len(col), bool), col.astype("S")
+        fields.append((col, fast, slow))
+    widths = [max(slow.itemsize, 20 if fast.any() else 0) + 1 for _, fast, slow in fields]
+    table = np.zeros((len(fields[0][0]), sum(widths)), np.uint8)
+    start = 0
+    for (col, fast, slow), width in zip(fields, widths):
+        cell = table[:, start:start + width]
+        if fast.any():
+            cell[fast, :20] = _fixed17(col[fast])
+        cell[~fast, :slow.itemsize] = slow.view(np.uint8).reshape(-1, slow.itemsize)
+        cell[:, -1] = ord(",")
+        start += width
+    table[:, -1] = ord("\n")
+    return table.tobytes().translate(None, b"\0")
+
+
 def _atomic_write(path: str, text: str) -> None:
     """Write whole files only: temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -121,14 +207,11 @@ def spectrum_csv_text(s: SpectrumSet) -> str:
     """The spectrum CSV of a sweep's spectrum; any other spectrum is refused."""
     if s.params is None or s.grid is None:
         raise InvalidParams("only a sweep's spectrum, with its params and grid, is written")
-    if s.kind is SpectrumKind.REAL_LINE:
-        rows = [_fmt(v) for v in s.points]
-    else:
-        phases = principal_args(s.points)
-        rows = [f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(ph)}" for z, ph in zip(s.points, phases)]
-    body = "\n".join([*rows, ""])
+    z = s.points
+    body = _csv_body([z] if s.kind is SpectrumKind.REAL_LINE
+                     else [z.real, z.imag, principal_args(z)])
     return "\n".join([*_header_lines(s.params, s.grid),
-                      f"# rows_sha256={_rows_sha256(body.encode('utf-8'))}", body])
+                      f"# rows_sha256={_rows_sha256(body)}", body.decode("ascii")])
 
 
 def write_spectrum_csv(s: SpectrumSet, path: str) -> str:
@@ -337,6 +420,11 @@ def _emit(text: str, out: str | None) -> None:
         _atomic_write(out, text)
 
 
+def _emit_table(lines: list[str], columns, out: str | None) -> None:
+    """Emit a table: its header lines, then the CSV rows of its columns."""
+    _emit("\n".join(lines) + "\n" + _csv_body(columns).decode("ascii"), out)
+
+
 def _add_operator_flags(p: argparse.ArgumentParser, alpha: bool = True, theta: bool = True) -> None:
     p.add_argument("--kind", choices=[k.value for k in OperatorKind], default="ukh")
     if alpha:
@@ -430,6 +518,7 @@ def _cmd_bandwidth(args) -> int:
     lines = [ln for ln in _header_lines(params[0], grid)
              if not ln.startswith(("# alpha=", "# error_bound="))]
     lines += [f"# merge_gap={args.merge_gap}", "p,q,alpha,bands,width,error_bound"]
+    rows = []
     for pa in params:
         if gap == "track":
             bands = tracked_bands(pa, grid)
@@ -437,11 +526,9 @@ def _cmd_bandwidth(args) -> int:
             s, _ = compute_spectrum(pa, grid, args.cache_dir)
             bands = merge_bands(s, auto_merge_gap(s, gap))
         alpha = pa.alpha
-        lines.append(
-            f"{alpha.p},{alpha.q},{_fmt(alpha.value)},{len(bands)},"
-            f"{_fmt(total_bandwidth(bands))},{_fmt(grid_error_bound(pa, grid))}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+        rows.append((alpha.p, alpha.q, alpha.value, len(bands), total_bandwidth(bands),
+                     grid_error_bound(pa, grid)))
+    _emit_table(lines, zip(*rows), args.out)
     return 0
 
 
@@ -456,8 +543,7 @@ def _cmd_butterfly(args) -> int:
     request = OperatorParams(ds.kind, ds.kappa, ds.lam, first, MOTHER)
     lines = [*_header_lines(request, grid)[:3], f"# q_max={ds.q_max}", f"# grid_n={ds.grid_n}",
              "p,q,value"]
-    lines.extend(f"{p},{q},{_fmt(v)}" for p, q, v in zip(ds.p, ds.q, ds.values))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit_table(lines, [ds.p, ds.q, ds.values], args.out)
     return 0
 
 
@@ -473,9 +559,11 @@ def _cmd_zoom(args) -> int:
         f"# factors={args.factors}",
         "window,lo,hi,phase",
     ]
-    for i, w in enumerate(windows):
-        lines.extend(f"{i},{_fmt(w.lo)},{_fmt(w.hi)},{_fmt(p)}" for p in w.points)
-    _emit("\n".join(lines) + "\n", args.out)
+    sizes = [w.points.size for w in windows]
+    _emit_table(lines, [np.repeat(np.arange(len(windows)), sizes),
+                        np.repeat([w.lo for w in windows], sizes),
+                        np.repeat([w.hi for w in windows], sizes),
+                        np.concatenate([w.points for w in windows])], args.out)
     return 0
 
 

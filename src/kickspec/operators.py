@@ -178,8 +178,8 @@ class DcpEigensystem:
     with mu = exp(i 2 pi phi).  ``vectors`` is the unitary matrix E of
     normalized eigenvectors, columns ordered to match ``values``, built from
     the index recursion u_{jp+1} = w^{-p j(j-1)/2} nu^j u_1 with indices
-    taken mod q and u_1 = 1/sqrt(q).  The arrays are built when read, so
-    shift and phi cost no q x q work.
+    taken mod q and u_1 = 1/sqrt(q).  The arrays are built when read, and
+    only ``vectors`` is q x q, so shift, phi and values cost no q x q work.
     """
 
     p: int
@@ -195,24 +195,24 @@ class DcpEigensystem:
 
     @property
     def values(self) -> np.ndarray:
-        return _dcp_arrays(self.p, self.q, self.shift)[0]
+        k = np.arange(self.q, dtype=np.int64)
+        return np.exp(1j * np.pi * ((2 * k + self.shift - self.p) % (2 * self.q)) / self.q)
 
     @property
     def vectors(self) -> np.ndarray:
-        return _dcp_arrays(self.p, self.q, self.shift)[1]
+        return _dcp_arrays(self.p, self.q, self.shift)
 
 
-def _dcp_arrays(p: int, q: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+def _dcp_arrays(p: int, q: int, shift: int) -> np.ndarray:
     odd = shift - p
     roots = np.exp(1j * np.pi * np.arange(2 * q) / q)  # 2q-th roots of unity
     k = np.arange(q, dtype=np.int64)
-    values = roots[(2 * k + odd) % (2 * q)]
 
     # Entry phase in units of pi/q: nu_k^j * w^{-p j(j-1)/2} at row r = (j p) mod q,
     # so row r holds j = r p^{-1} mod q.
     j = k * pow(p, -1, q) % q
     t = (np.multiply.outer(j, 2 * k + odd) - (p * j * (j - 1))[:, None]) % (2 * q)
-    return values, np.take(roots / np.sqrt(q), t)
+    return np.take(roots / np.sqrt(q), t)
 
 
 def dcp_eigensystem(alpha: RationalAlpha) -> DcpEigensystem:

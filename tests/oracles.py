@@ -8,15 +8,22 @@ lists the Farey rationals by the gcd filter and a sort, the route the
 package's next-term recurrence is checked against.
 ``bands_in_window`` and ``alpha_jump_witness`` are the measures that
 ``test_11`` and ``test_12`` take of the paper's zoom and alpha-jump claims;
-no command or check uses them.
+no command or check uses them.  The CSV row functions at the end write the
+spectrum CSV and the butterfly, zoom and bandwidth rows one value at a time
+by the scalar rule ``cli._fmt``: the reference the CLI's column formatter
+is checked against, byte for byte.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from kickspec.analysis import total_bandwidth
+from kickspec.cli import _fmt, _header_lines
 from kickspec.errors import InvalidParams
+from kickspec.linalg import principal_args
 from kickspec.operators import operator_stack
 from kickspec.spectra import BandList, SpectrumKind
 
@@ -144,3 +151,35 @@ def alpha_jump_witness(lam: float, alpha1: float, alpha2: float, theta: float, n
         * np.sin(np.pi * n * (alpha1 - alpha2))
     )
     return float(vals.max())
+
+
+# -- CSV rows, one value at a time ----------------------------------------------
+
+
+def spectrum_csv_text(s):
+    """cli.spectrum_csv_text, each field written by _fmt."""
+    if s.kind is SpectrumKind.REAL_LINE:
+        rows = [_fmt(v) for v in s.points]
+    else:
+        phases = principal_args(s.points)
+        rows = [f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(ph)}" for z, ph in zip(s.points, phases)]
+    body = "\n".join([*rows, ""])
+    sha = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return "\n".join([*_header_lines(s.params, s.grid), f"# rows_sha256={sha}", body])
+
+
+def butterfly_rows(ds):
+    """The rows of a butterfly table of dataset ds."""
+    return [f"{p},{q},{_fmt(v)}" for p, q, v in zip(ds.p, ds.q, ds.values)]
+
+
+def zoom_rows(windows):
+    """The rows of a zoom table of the ZoomWindows windows."""
+    return [f"{i},{_fmt(w.lo)},{_fmt(w.hi)},{_fmt(p)}"
+            for i, w in enumerate(windows) for p in w.points]
+
+
+def bandwidth_row(alpha, bands, error_bound):
+    """The row of a bandwidth table for one alpha's bands."""
+    return (f"{alpha.p},{alpha.q},{_fmt(alpha.value)},{len(bands)},"
+            f"{_fmt(total_bandwidth(bands))},{_fmt(error_bound)}")

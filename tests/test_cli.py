@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from kickspec.cli import (
+    _csv_body,
     _fmt,
     _header_lines,
     build_parser,
@@ -24,16 +26,21 @@ from kickspec.cli import (
     write_rings_svg,
     write_spectrum_csv,
 )
-from kickspec.analysis import CHECK_IDS
+from kickspec.analysis import _PARSE, CHECK_IDS, zoom_windows
+from kickspec.analysis import butterfly as butterfly_dataset
 from kickspec.errors import InvalidParams, MalformedSpectrumFile, NumericalError
 from kickspec.operators import MOTHER, OperatorParams, RationalAlpha
 from kickspec.spectra import (
     GridSpec,
     SpectrumKind,
     SpectrumSet,
+    auto_merge_gap,
+    eigenphases,
     grid_error_bound,
+    merge_bands,
     mother_spectrum,
     spectrum_fixed_theta,
+    tracked_bands,
 )
 
 
@@ -68,6 +75,87 @@ def test_fmt_is_numpys_17_digit_positional_form():
         if 0.0625 <= abs(v) < 1e16:
             assert _fmt(v) == np.format_float_positional(v, precision=17, unique=False,
                                                          fractional=True, trim="k")
+
+
+def _fmt_rows(columns):
+    """The CSV rows of columns, each field written on its own: ints by str, floats by _fmt."""
+    return "".join(",".join(str(v) if isinstance(v, np.integer) else _fmt(v) for v in row) + "\n"
+                   for row in zip(*columns)).encode("ascii")
+
+
+# |v| 10^17 is the half-integer m 5^17 / 2 at v = m / 2^18 with m odd: the
+# exact ties of the 17th digit, rounded half-even, both up and down.
+_TIES = np.arange(2**14 + 1, 2**14 + 200, 2) / 2.0**18
+_EDGES = np.array([
+    0.0, -0.0, 1 / 16, -1 / 16, np.nextafter(1 / 16, 0), -np.nextafter(1 / 16, 0),
+    np.nextafter(10.0, 0), -np.nextafter(10.0, 0), 10.0, -10.0, 5e-324, -5e-324,
+    np.nextafter(1e16, 0), -np.nextafter(1e16, 0), 1e16, (10 * 2**18 - 1) / 2**18,
+    -(10 * 2**18 - 1) / 2**18, 0.5 + 1 / 2**18, -(0.5 + 3 / 2**18), *_TIES, *-_TIES,
+])
+
+
+def test_csv_body_is_fmt_at_every_branch_edge():
+    # Each float column mixes the 17-digit fast fields with both _fmt fallbacks.
+    rng = np.random.default_rng(7)
+    columns = [np.arange(_EDGES.size) - 9, _EDGES, rng.permutation(_EDGES), _EDGES[::-1]]
+    assert _csv_body(columns) == _fmt_rows(columns)
+    assert _csv_body([_EDGES[:0], _EDGES[:0]]) == b""
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10**12, 10**12), _FINITE,
+                          st.one_of(_FINITE, st.floats(-10.0, 10.0))), min_size=1, max_size=30))
+def test_csv_body_is_fmt_on_any_finite_double(rows):
+    columns = [np.array(col) for col in zip(*rows)]
+    assert _csv_body(columns) == _fmt_rows(columns)
+
+
+def test_a_zoom_window_with_no_rows_writes_none(tmp_path):
+    out = tmp_path / "z.csv"
+    assert dispatch(["zoom", "--alpha", "1/3", "--grid", "2", "--center", "3.1",
+                     "--factors", "1000", "--out", str(out)]) == 0
+    windows = zoom_windows(eigenphases(mother_spectrum(params(), GridSpec(2, 2))), 3.1, [1000.0])
+    assert windows[1].points.size == 0
+    assert out.read_text() == "\n".join(["# center=3.1", "# factors=1000", "window,lo,hi,phase",
+                                         *oracles.zoom_rows(windows), ""])
+
+
+def test_csv_outputs_are_the_per_value_rows(tmp_path):
+    # Byte-identity pin: an h, a ukh and a uordkr spectrum CSV at 8/13, and the
+    # bandwidth, butterfly and zoom tables of the cli_survey benchmark's argv
+    # list, against the rows the oracles write one value at a time.
+    alpha = RationalAlpha(8, 13)
+    for s in [spectrum_fixed_theta(OperatorParams("h", 1.0, 1.0, alpha, 0.0211), GridSpec(2000)),
+              mother_spectrum(OperatorParams("ukh", 1.0, 1.0, alpha, MOTHER), GridSpec(40, 40)),
+              mother_spectrum(OperatorParams("uordkr", 1.0, 1.0, alpha, MOTHER), GridSpec(40, 40))]:
+        assert spectrum_csv_text(s) == oracles.spectrum_csv_text(s)
+
+    def rows(argv):
+        out = tmp_path / "t.csv"
+        assert dispatch(argv + ["--out", str(out)]) == 0
+        lines = out.read_text().split("\n")
+        return lines[[ln.startswith("#") for ln in lines].index(False) + 1:]
+
+    grid = GridSpec(8, 8)
+    for gap, cache in (("auto", ["--cache-dir", str(tmp_path / "c")]), ("track", [])):
+        expected = []
+        for a in _PARSE["alpha_list"]("fib:5..8"):
+            pa = OperatorParams("ukh", 1.0, 1.0, a, MOTHER)
+            s = mother_spectrum(pa, grid)
+            bands = tracked_bands(pa, grid) if gap == "track" else merge_bands(s, auto_merge_gap(s))
+            expected.append(oracles.bandwidth_row(a, bands, grid_error_bound(pa, grid)))
+        assert rows(["bandwidth", "--alpha-list", "fib:5..8", "--grid", "8", "--merge-gap", gap,
+                     *cache]) == [*expected, ""]
+    ds = butterfly_dataset("ukh", 0.5, 1.0, 13, 48)
+    assert rows(["butterfly", "--kind", "ukh", "--kappa", "0.5", "--alpha-list", "farey:13",
+                 "--grid", "48"]) == [*oracles.butterfly_rows(ds), ""]
+    phases = eigenphases(mother_spectrum(params(p=89, q=144), GridSpec(3, 3)))
+    windows = zoom_windows(phases, float(np.median(phases)), [20.0, 10.0])
+    assert rows(["zoom", "--alpha", "89/144", "--grid", "3", "--factors", "20,10"]) == [
+        *oracles.zoom_rows(windows), ""]
 
 
 def test_single_point_csv_row():

@@ -473,6 +473,20 @@ def test_dcp_shift_builds_no_q_by_q_array(monkeypatch):
     assert built == []
 
 
+def test_dcp_values_build_no_q_by_q_array(monkeypatch):
+    # values[k] = exp(i pi (2k + shift - p) / q) in O(q); only vectors builds E.
+    import kickspec.operators as operators
+
+    built = []
+    monkeypatch.setattr(operators, "_dcp_arrays", lambda *key: built.append(key))
+    q = 10**6
+    values = dcp_eigensystem(RationalAlpha(1, q)).values
+    assert values.shape == (q,)
+    expected = np.exp(1j * np.pi * np.array([1, 3, 2 * q - 1]) / q)
+    assert np.abs(values[[0, 1, q - 1]] - expected).max() <= 1e-15
+    assert built == []
+
+
 # -- double kicked rotor -----------------------------------------------------------------
 
 
