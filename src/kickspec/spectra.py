@@ -47,12 +47,20 @@ side by side.  The kicked corners' blocks, and every chunk of a
 fixed-theta ukh sweep at an integer 2 q theta, are on the time-reversal
 line: the solver takes their gauge (operators._reversal_gauge) and
 solves a real Cayley matrix.  Every other chunk is solved complex.
+
+The alphas p/q and (q - p)/q share a sampled set for h, uh and ukh: the
+theta term's diagonal G(q - p, theta) = diag cos 2 pi (theta - p j / q) is
+G(p, -theta), and the x term does not read p, so their matrices at
+(q - p)/q and (x, theta) are those at p/q and (x, -theta) (u -> u* in the
+rotation algebra), which the mirror above maps onto the grid with the same
+eigenvalues; analysis.butterfly solves p <= q/2 only.  uordkr's kick phase
+beta moves with alpha, so its two sampled sets differ.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -271,73 +279,104 @@ def _route(params: OperatorParams, route: str | None) -> str:
     return route or ("cayley" if kicked else "hermitian")
 
 
-def _sweep_values(params: OperatorParams, grid: GridSpec, route: str | None = None) -> np.ndarray:
+def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridSpec,
+                  route: str | None = None) -> np.ndarray | list[np.ndarray]:
     """Eigenvalues at the m solved nodes, then their m images where the half shift folds.
 
-    The one sweep kernel: it sizes the sweep for its route (``_ROUTES``),
-    then builds and solves the route's matrices one chunk at a time at the
-    nodes of _orbits that are not split corners (_corners).  The corners'
-    parity blocks (operators._corner_blocks) are solved by size, the blocks
-    of one size from every corner in one chunk, and on the Cayley route with
+    The one sweep kernel.  ``params`` is one request, or a batch of requests
+    that share q, kind and theta (a Farey butterfly's numerators of one q),
+    for which it returns one such array per request, in order.  It sizes the
+    sweep for its route (``_ROUTES``), lays the nodes of each request's
+    _orbits end to end, and builds and solves the route's matrices one chunk
+    at a time at the nodes that are not split corners (_corners): a chunk may
+    span requests, each run of one request's nodes built by its own params,
+    and is solved in one call.  The corners' parity blocks
+    (operators._corner_blocks) are solved by size, the blocks of one size
+    from every corner of the batch in one chunk, and on the Cayley route with
     their time-reversal gauges, as are the chunks of a fixed-theta ukh sweep
     at an integer 2 q theta.  uh eigenvalues are exp(-i kappa w) for the
     Harper eigenvalues w (spectral mapping), so the Hermitian route of a uh
     sweep solves the Harper matrices.  On a solver failure the nodes are
-    re-run one by one, so that the error names the first grid point that
-    fails on its own.
+    re-run one by one, so that the error names the alpha and grid point of
+    the first node that fails on its own.  A batch is not checked for a
+    shared q, kind and theta.
     """
-    route = _route(params, route)
-    _preflight(params, grid, route)
+    batch = _requests(params)
+    first = batch[0]
+    route = _route(first, route)
+    _preflight(batch, grid, route)
     build, solve = (globals()[name] for name in _ROUTES[route][:2])
-    mapped = params.kind is OperatorKind.UH and route == "hermitian"
-    built = replace(params, kind=OperatorKind.H) if mapped else params
-    _, image, pairs = _orbits(params, grid)
-    xv, tv = pairs()
-    split = route != "general" and params.alpha.q >= _SPLIT_FLOOR
-    corners = _corners(params, grid, xv, tv) if split else {}
+    mapped = first.kind is OperatorKind.UH and route == "hermitian"
+    built = [replace(pa, kind=OperatorKind.H) if mapped else pa for pa in batch]
+    orbits = [_orbits(pa, grid) for pa in batch]
+    image, counts = orbits[0][1], [m for m, _, _ in orbits]
+    pairs = [nodes() for _, _, nodes in orbits]
+    xv, tv = (np.concatenate(axis) for axis in zip(*pairs))
+    owner = np.repeat(np.arange(len(batch)), counts)  # the request of each node
+    split = route != "general" and first.alpha.q >= _SPLIT_FLOOR
+    corners = _corners(first, grid, xv, tv) if split else {}
     # A fixed-theta ukh sweep at an integer 2 q theta is on the time-reversal line at every x.
-    on_line = route == "cayley" and params.kind is OperatorKind.UKH and not params.is_mother
-    line = _half_theta(params) if on_line else -1
+    on_line = route == "cayley" and first.kind is OperatorKind.UKH and not first.is_mother
+    line = _half_theta(first) if on_line else -1
 
     def nodes(at) -> np.ndarray:
-        stack = build(built, xv[at], tv[at])
-        return solve(stack) if line < 0 else solve(stack, _reversal_gauge(params, xv[at], line))
+        runs = [at]  # one per request, each built by its own params: owner ascends
+        if owner[at[0]] != owner[at[-1]]:
+            runs = np.split(at, np.flatnonzero(np.diff(owner[at])) + 1)
+        stacks = [build(built[owner[run[0]]], xv[run], tv[run]) for run in runs]
+        stack = stacks[0] if len(runs) == 1 else np.concatenate(stacks)
+        del stacks  # a batch's pieces, before it is solved
+        if line < 0:
+            return solve(stack)
+        return solve(stack, np.concatenate(
+            [_reversal_gauge(batch[owner[run[0]]], xv[run], line) for run in runs]))
 
     def split_rows(at) -> np.ndarray:
         # Each corner's row is its blocks' values side by side, ascending on the Hermitian route.
-        blocks = [(row, *b) for row, i in enumerate(at) for b in _corner_blocks(built, *corners[i])]
+        blocks = [(row, *b) for row, i in enumerate(at)
+                  for b in _corner_blocks(built[owner[i]], *corners[i])]
         rows = [[] for _ in at]
         for size in sorted({len(b) for _, b, _ in blocks}):
             same = [block for block in blocks if len(block[1]) == size]
             for lo in range(0, len(same), _chunk_rows(size)):
-                owner, stack, gauge = zip(*same[lo:lo + _chunk_rows(size)])
+                row_of, stack, gauge = zip(*same[lo:lo + _chunk_rows(size)])
                 gauged = () if gauge[0] is None else (np.stack(gauge),)
-                for row, w in zip(owner, solve(np.stack(stack), *gauged)):
+                for row, w in zip(row_of, solve(np.stack(stack), *gauged)):
                     rows[row].append(w)
         values = np.array([np.concatenate(row) for row in rows])
         return np.sort(values, axis=-1) if route == "hermitian" else values
 
-    rest, step = np.delete(np.arange(xv.size), list(corners)), _chunk_rows(params.alpha.q)
+    rest, step = np.delete(np.arange(xv.size), list(corners)), _chunk_rows(first.alpha.q)
     try:
         values = np.concatenate([nodes(rest[lo:lo + step]) for lo in range(0, rest.size, step)]
                                 + ([split_rows(list(corners))] if corners else []))
     except NumericalError as exc:
         for i, (x, t) in enumerate(zip(xv, tv)):
             try:
-                split_rows([i]) if i in corners else nodes([i])
+                split_rows([i]) if i in corners else nodes(np.array([i]))
             except NumericalError:
                 raise NumericalError(
-                    f"eigensolver failed at grid point x={float(x)!r}, theta={float(t)!r}: {exc}"
+                    f"eigensolver failed at alpha={batch[owner[i]].alpha}, grid point "
+                    f"x={float(x)!r}, theta={float(t)!r}: {exc}"
                 ) from exc
         raise
     if corners:  # back in node order: the corners' rows came last
         values[np.concatenate((rest, list(corners)))] = values.copy()
-    if image:
-        # The shifted nodes' rows: negated (and kept ascending) for the built
-        # Harper matrices, conjugated for the unitary ones.
-        shifted = -values[:, ::-1] if built.kind is OperatorKind.H else values.conj()
-        values = np.concatenate((values, shifted))
-    return np.exp(-1j * params.kappa * values) if mapped else values
+    out, lo = [], 0
+    for pa, m in zip(batch, counts):
+        rows, lo = values[lo:lo + m], lo + m
+        if image:
+            # The shifted nodes' rows: negated (and kept ascending) for the built
+            # Harper matrices, conjugated for the unitary ones.
+            shifted = -rows[:, ::-1] if built[0].kind is OperatorKind.H else rows.conj()
+            rows = np.concatenate((rows, shifted))
+        out.append(np.exp(-1j * pa.kappa * rows) if mapped else rows)
+    return out[0] if isinstance(params, OperatorParams) else out
+
+
+def _requests(params: OperatorParams | Sequence[OperatorParams]) -> tuple[OperatorParams, ...]:
+    """The requests of a sweep: one, or a batch (_sweep_values)."""
+    return (params,) if isinstance(params, OperatorParams) else tuple(params)
 
 
 def _spectrum(params: OperatorParams, grid: GridSpec, values: np.ndarray) -> SpectrumSet:
@@ -457,7 +496,8 @@ def _half_theta(params: OperatorParams) -> int:
     return k if k / (2 * q) == theta else -1
 
 
-def _sweep_bytes(params: OperatorParams, grid: GridSpec, route: str | None = None) -> int:
+def _sweep_bytes(params: OperatorParams | Sequence[OperatorParams], grid: GridSpec,
+                 route: str | None = None) -> int:
     """Bytes a sweep holds at its peak, from its solved node count m (_orbits).
 
     Per node, two float64 phases; per row of values (two per node where the
@@ -465,26 +505,31 @@ def _sweep_bytes(params: OperatorParams, grid: GridSpec, route: str | None = Non
     complex128 while pooled and sorted (measured: up to 72 B each).  Per
     chunk row, the q x q complex arrays of the solver route (``_ROUTES``).
     Per chunk, the int64 circulant index.  A split corner (_corners) holds
-    its blocks of about q/2, never a q x q matrix.
+    its blocks of about q/2, never a q x q matrix.  A batch (_sweep_values)
+    counts the nodes and rows of all its requests and one chunk.
     LAPACK allocates a further 2-4 MB of workspace on first use, which this
     leaves out, so for a sweep below about 10 MB the figure is an estimate,
     not an upper bound.
     """
-    m, image, _ = _orbits(params, grid)
-    q = params.alpha.q
-    rows = 2 * m if image else m
-    per_chunk = 16 * _ROUTES[_route(params, route)][2] * min(m, _chunk_rows(q)) + 8
+    batch = _requests(params)
+    sizes = [_orbits(pa, grid)[:2] for pa in batch]
+    m, q = sum(n for n, _ in sizes), batch[0].alpha.q
+    rows = 2 * m if sizes[0][1] else m
+    per_chunk = 16 * _ROUTES[_route(batch[0], route)][2] * min(m, _chunk_rows(q)) + 8
     return m * 2 * 8 + rows * 5 * 16 * q + per_chunk * q * q
 
 
-def _preflight(params: OperatorParams, grid: GridSpec, route: str | None = None) -> None:
-    """Refuse a sweep whose arrays would exceed the machine's physical memory."""
-    need = _sweep_bytes(params, grid, route)
+def _preflight(params: OperatorParams | Sequence[OperatorParams], grid: GridSpec,
+               route: str | None = None, held: int = 0) -> None:
+    """Refuse a sweep whose arrays, with the ``held`` bytes its caller keeps beside
+    them, would exceed the machine's physical memory."""
+    need = _sweep_bytes(params, grid, route) + held
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
+        kept = f", {held / 2**30:.3g} GiB of it the rows kept beside it" if held else ""
         raise InvalidParams(
-            f"grid {grid.n_x}x{grid.n_theta} at q = {params.alpha.q} needs about "
-            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
+            f"grid {grid.n_x}x{grid.n_theta} at q = {_requests(params)[0].alpha.q} needs about "
+            f"{need / 2**30:.3g} GiB{kept}, more than the {have / 2**30:.3g} GiB of physical memory"
         )
 
 

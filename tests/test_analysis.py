@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,9 +19,19 @@ from kickspec.analysis import (
     total_bandwidth,
     zoom_windows,
 )
-from kickspec.errors import InvalidParams
-from kickspec.operators import OperatorKind, RationalAlpha
-from kickspec.spectra import BandList, SpectrumKind, SpectrumSet, merge_bands
+import kickspec.linalg as linalg
+import kickspec.spectra as spectra
+from kickspec.errors import InvalidParams, NumericalError
+from kickspec.operators import MOTHER, OperatorKind, OperatorParams, RationalAlpha, operator_stack
+from kickspec.spectra import (
+    BandList,
+    GridSpec,
+    SpectrumKind,
+    SpectrumSet,
+    eigenphases,
+    merge_bands,
+    mother_spectrum,
+)
 from oracles import alpha_jump_witness, bands_in_window, farey_reference
 
 
@@ -225,6 +236,106 @@ def test_butterfly_rows_sorted_and_coprime():
     assert rows == sorted(rows)
     assert all(math.gcd(p, q) == 1 for p, q in zip(ds.p, ds.q))
     assert ds.q.max() <= 5
+
+
+# The Cayley route's documented eigenphase error, 2 eps max|w| up to its limit
+# (linalg._CAYLEY_LIMIT), against 1e-13 for the Hermitian route.
+_ROUTE_ERROR = {"h": 1e-13, "uh": 1e-13,
+                "ukh": max(1e-13, 2 * np.finfo(float).eps * linalg._CAYLEY_LIMIT),
+                "uordkr": max(1e-13, 2 * np.finfo(float).eps * linalg._CAYLEY_LIMIT)}
+
+
+def _same_rows(kind, got, want):
+    """Same row count, and each value within the route's error of the other set, on the
+    circle as the points exp(i phase), so that no eigenphase near pi wraps."""
+    assert got.size == want.size
+    if kind != "h":
+        got, want = np.exp(1j * got), np.exp(1j * want)
+    assert brute_hausdorff(got, want) <= _ROUTE_ERROR[kind]
+
+
+@pytest.mark.parametrize("kind", ["h", "uh", "ukh", "uordkr"])
+@pytest.mark.parametrize("kappa,lam,q_max,grid_n", [(0.5, 1.0, 13, 48), (1.0, 1.3, 21, 16),
+                                                    (2.0, -0.7, 9, 20)])
+def test_the_stacked_butterfly_is_the_per_alpha_sweeps(kind, kappa, lam, q_max, grid_n):
+    # Each (p, q) group against its own mother sweep, unbatched and unfolded: h, uh and
+    # ukh solve only p <= q/2 and reuse it for q - p; uordkr solves every alpha.
+    ds = butterfly(kind, kappa, lam, q_max, grid_n)
+    alphas = list(farey_rationals(q_max))
+    assert sorted(set(zip(ds.p.tolist(), ds.q.tolist()))) == sorted((a.p, a.q) for a in alphas)
+    for a in alphas:
+        n = max(1, round(grid_n / a.q))
+        s = mother_spectrum(OperatorParams(kind, kappa, lam, a, MOTHER), GridSpec(n, n))
+        direct = s.points if kind == "h" else eigenphases(s)
+        _same_rows(kind, ds.values[(ds.p == a.p) & (ds.q == a.q)], direct)
+
+
+@pytest.mark.parametrize("kind", ["h", "uh", "ukh", "uordkr"])
+def test_a_same_q_batch_above_the_split_floor_is_the_per_alpha_sweeps(kind, monkeypatch):
+    # Every numerator of 89 on a 2 x 2 grid: all nodes are corners, whose blocks of one
+    # size join one solver call across the numerators.
+    assert spectra._SPLIT_FLOOR <= 89
+    grid = GridSpec(2, 2)
+    batch = [OperatorParams(kind, 1.0, 1.3, RationalAlpha(p, 89), MOTHER) for p in range(1, 89)]
+    calls = []
+    for name in ("eigvalsh_stack", "unitary_eigvals_stack"):
+        solve = getattr(spectra, name)
+        monkeypatch.setattr(spectra, name, lambda stack, *gauge, solve=solve:
+                            calls.append(len(stack)) or solve(stack, *gauge))
+    stacked = spectra._sweep_values(batch, grid)
+    # 2 corner nodes per alpha (89 is odd: the half shift keeps 2 of the quarter's 4), two
+    # blocks each, of sizes 44 and 45: 176 blocks of each size, 33 and 32 to a chunk, so
+    # 6 calls each.
+    assert (len(calls), sum(calls)) == (12, 2 * 2 * 88)
+    for pa, values in zip(batch, stacked, strict=True):
+        single = spectra._sweep_values(pa, grid)
+        assert values.shape == single.shape
+        assert np.array_equal(values, single)
+
+
+@pytest.mark.parametrize("kind", ["h", "uh", "ukh", "uordkr"])
+def test_the_butterfly_solves_each_denominator_in_one_call(kind, monkeypatch):
+    # farey:13 on a grid of 48: one solver call per q = 2..13 where there were 57, one
+    # per alpha.  h, uh and ukh solve the p <= q/2 half: 91 matrices at q = 2 (1/2 is its
+    # own mirror, on a 24 x 24 grid) and half of the other 456; uordkr, whose nodes fold
+    # by its own rule, solves every alpha.
+    calls = []
+    for name in ("eigvalsh_stack", "unitary_eigvals_stack"):
+        solve = getattr(spectra, name)
+        monkeypatch.setattr(spectra, name, lambda stack, *gauge, solve=solve:
+                            calls.append(len(stack)) or solve(stack, *gauge))
+    for a in farey_rationals(13):
+        n = max(1, round(48 / a.q))
+        mother_spectrum(OperatorParams(kind, 0.5, 1.0, a, MOTHER), GridSpec(n, n))
+    per_alpha = 574 if kind == "uordkr" else 547
+    assert (len(calls), sum(calls)) == (57, per_alpha)
+    calls.clear()
+    butterfly(kind, 0.5, 1.0, 13, 48)
+    assert (len(calls), sum(calls)) == (12, 574 if kind == "uordkr" else 91 + (547 - 91) // 2)
+
+
+def test_a_solver_failure_in_a_stacked_batch_names_its_alpha_and_grid_point(monkeypatch):
+    # Node (1, 0) of 2/13's 4 x 4 grid fails; q = 13's six numerators are one chunk of
+    # 4 nodes each (the triangle's 6, halved by the shift), which fails as a whole, and
+    # each node is retried alone until that one fails again.
+    bad = operator_stack(OperatorParams("ukh", 0.5, 1.0, RationalAlpha(2, 13), MOTHER),
+                         [1 / 52], [0.0])[0]
+    solve, sizes = spectra.unitary_eigvals_stack, []
+
+    def fail_at_bad(stack, *gauge):
+        if any(np.array_equal(m, bad) for m in stack):
+            sizes.append(-len(stack))
+            raise NumericalError("injected")
+        sizes.append(len(stack))
+        return solve(stack, *gauge)
+
+    monkeypatch.setattr(spectra, "unitary_eigvals_stack", fail_at_bad)
+    with pytest.raises(NumericalError,
+                       match=re.escape(f"alpha=2/13, grid point x={1 / 52!r}, theta=0.0: injected")):
+        butterfly("ukh", 0.5, 1.0, 13, 48)
+    # The batch fails, then 1/13's four nodes pass and 2/13's (0, 0) and (1, 0) are
+    # solved one at a time.
+    assert sizes[-7:] == [-6 * 4, 1, 1, 1, 1, 1, -1]
 
 
 # -- zoom windows ------------------------------------------------------------------------------

@@ -1090,6 +1090,33 @@ def test_an_oversized_alpha_list_is_refused_before_it_is_made(tmp_path, monkeypa
     assert not out.exists()
 
 
+def test_a_butterfly_table_larger_than_memory_is_refused_before_the_first_sweep(
+        tmp_path, monkeypatch, built, capsys):
+    # farey:150 on a grid of 2 keeps up to 686,732 values (one node an alpha from q = 3),
+    # about 84 MiB at analysis._ROW_BYTES, while its largest sweep needs under 4 MiB: with
+    # 16 MiB every sweep passes its own check, and the table is refused before any is run.
+    # (farey:1000 at 8 GiB is this case: each sweep under 120 MB, a table of 2e8 values.)
+    import kickspec.analysis as analysis
+    import kickspec.spectra as spectra
+
+    sweeps = analysis._butterfly_sweeps("ukh", 1.0, 1.0, 150, 2)
+    rows = sum(grid.n_x * grid.n_theta * pa.alpha.q for pa, grid in sweeps)
+    assert rows == 686732
+    assert max(spectra._sweep_bytes(pa, grid) for pa, grid in sweeps) < 4 * 2**20
+    assert rows * analysis._ROW_BYTES > 64 * 2**20
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16 * 2**20 // 4096}
+    monkeypatch.setattr(spectra.os, "sysconf", sizes.__getitem__)
+    out = tmp_path / "b.csv"
+    code = dispatch(["butterfly", "--alpha-list", "farey:150", "--grid", "2", "--out", str(out)])
+    assert code == 2
+    assert "GiB of it the rows kept beside it, more than the 0.0156 GiB" in capsys.readouterr().err
+    assert built == []
+    assert not out.exists()
+    # With the memory the table needs, the same request runs.
+    sizes["SC_PHYS_PAGES"] = 2**30 // 4096
+    assert len(analysis._butterfly_sweeps("ukh", 1.0, 1.0, 150, 2)) == len(sweeps)
+
+
 def test_no_rotor_sweep_builds_the_eigenvectors(tmp_path, monkeypatch):
     # uordkr's theta kick is gathered from the closed form of E's entries, so no
     # sweep builds E (q^2 complex entries per alpha): not the mother sweeps of a

@@ -361,6 +361,38 @@ def test_phase_swap_fails_off_the_self_dual_coupling_and_for_the_rotor(kind, lam
     assert np.all(_swapped_distances(kind, lam, alphas, np.random.default_rng(14)) > 1e-3)
 
 
+@pytest.mark.parametrize("kind", ["h", "uh", "ukh"])
+def test_the_complementary_alpha_has_the_eigenvalues_of_the_mirrored_node(kind):
+    # G(q - p, theta) = G(p, -theta), so at (q - p)/q and (x, theta) h, uh and ukh are
+    # their matrices at p/q and (x, -theta): the butterfly's fold.  At q = 2..34, p = 1
+    # and the largest p <= q/2 prime to q, one random node each, at every (kappa,
+    # lambda); both sides are oracles.operator_eigvals, not operator_stack.
+    rng = np.random.default_rng(31)
+    kicks = itertools.product([0.5] if kind == "h" else [0.5, 2.0], [1.0, 0.7, -1.3])
+    for (kappa, lam), q in itertools.product(list(kicks), range(2, 35)):
+        for p in {1, max(p for p in range(1, q // 2 + 1) if np.gcd(p, q) == 1)}:
+            x, t = rng.random(2)
+            mirrored = operator_eigvals(kind, kappa, lam, q - p, q, x, t)
+            assert set_distance(operator_eigvals(kind, kappa, lam, p, q, x, -t),
+                                mirrored) <= 1e-13, (kappa, lam, p, q)
+
+
+def test_the_rotor_sampled_set_does_not_close_under_the_complementary_alpha():
+    # uordkr's theta kick has the phase beta = x + theta + alpha/2 + phi, which moves with
+    # alpha, so its sampled set at 3/5 is not that of 2/5 (the butterfly solves both).  Both
+    # sample the one mother spectrum, so they stay within the sum of their grid bounds.
+    grid = GridSpec(3, 3)
+    sampled = {}
+    for p in (2, 3):
+        pa = params("uordkr", 1.0, 1.0, p, 5, theta=MOTHER)
+        nodes = zip(*_full_pairs(pa, grid))
+        sampled[p] = np.concatenate([operator_eigvals("uordkr", 1.0, 1.0, p, 5, x, t)
+                                     for x, t in nodes])
+    moved = set_distance(sampled[2], sampled[3])
+    assert moved > 1e-3
+    assert moved <= 2 * grid_error_bound(params("uordkr", 1.0, 1.0, 2, 5, theta=MOTHER), grid)
+
+
 def _shear(p, q, n):
     """s = n q (alpha/2 + phi) of an n x n grid, phi = 1/(2q) when p (q - 1) is odd."""
     return n * (p + p * (q - 1) % 2) / 2
