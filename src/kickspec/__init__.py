@@ -7,7 +7,7 @@ The package exports the public names of its four layer modules, each
 declared once, in that module's ``__all__``.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .analysis import *
 from .analysis import __all__ as _analysis

@@ -182,22 +182,38 @@ _ROW_BYTES = 128
 
 def _butterfly_sweeps(kind, kappa: float, lam: float, q_max: int,
                       grid_n: int) -> list[tuple[OperatorParams, GridSpec]]:
-    """The (params, grid) of each butterfly sweep, in Farey order, each size-checked
-    as it is drawn, so that an oversized request is refused before the rest is made.
+    """The (params, grid) of each butterfly sweep, in Farey order, made only once
+    the request is size-checked, so that an oversized one is refused before its
+    list is drawn.
 
-    Then the table is: each alpha keeps at most its grid's n^2 q eigenvalues,
-    at _ROW_BYTES each, and the last sweep, of the largest q, runs beside them
-    all, so a table too large for memory is refused before the first sweep.
+    First each sweep: of the sweeps of one q, 1/q is the largest (uordkr's
+    sheared fold at lambda = 1 keeps fewer nodes at some other p, never more)
+    and the first in Farey order, so checking 1/q from q = q_max down refuses
+    the sweep that the Farey order meets first.  Then the table: phi(q)
+    alphas of each q keep at most their grid's n^2 q eigenvalues each, at
+    _ROW_BYTES, and the last sweep, (q_max - 1)/q_max, runs beside them all.
     """
-    sweeps, rows = [], 0
-    for alpha in farey_rationals(q_max):
+    def request(alpha: RationalAlpha) -> tuple[OperatorParams, GridSpec]:
         n = max(1, round(grid_n / alpha.q))
-        sweeps.append((OperatorParams(kind, kappa, lam, alpha, MOTHER), GridSpec(n, n)))
-        _preflight(*sweeps[-1])
-        rows += n * n * alpha.q
-    if sweeps:
-        _preflight(*sweeps[-1], held=rows * _ROW_BYTES)
-    return sweeps
+        return OperatorParams(kind, kappa, lam, alpha, MOTHER), GridSpec(n, n)
+
+    first = next(farey_rationals(q_max), None)  # 1/q_max; a bad q_max is refused here
+    for q in range(q_max, 1, -1):
+        _preflight(*request(first if q == q_max else RationalAlpha(1, q)))
+    if q_max >= 2:  # a 1/q check bounds q_max^2 by the memory, and so the sieve
+        phi = _totients(q_max)
+        rows = sum(int(phi[q]) * q * max(1, round(grid_n / q)) ** 2 for q in range(2, q_max + 1))
+        _preflight(*request(RationalAlpha(q_max - 1, q_max)), held=rows * _ROW_BYTES)
+    return [request(alpha) for alpha in farey_rationals(q_max)]
+
+
+def _totients(n: int) -> np.ndarray:
+    """Euler's phi(0..n): phi(m) = m prod (1 - 1/r) over the primes r dividing m."""
+    phi = np.arange(n + 1)
+    for r in range(2, n + 1):
+        if phi[r] == r:  # no smaller prime divides r
+            phi[r::r] -= phi[r::r] // r
+    return phi
 
 
 def butterfly(kind, kappa: float, lam: float, q_max: int, grid_n: int) -> ButterflyDataset:

@@ -25,9 +25,23 @@ that scales with the conditioning of I + X (_symmetric_cayley); a row
 that fails it is solved by the complex inverse, ungauged.  The tests
 compare the Cayley route against ``np.linalg.eigvals``.  The contracts
 below (ordering, modulus bounds) are what is normative, not the solver.
+
+Threads: a solver call whose matrices have fewer rows than its route's
+floor runs on one BLAS thread (_one_thread_below), which sets OpenBLAS's
+thread count to 1 for the call and then restores the caller's.  Below the
+floor a second thread shortens a call little or not at all, and spins,
+doubling its CPU time (BENCH_threads.json); at or above it the count is
+left as it is.  The OpenBLAS that numpy loaded is found once, at the first
+small call, by its path in /proc/self/maps and its thread-count symbols;
+with any other BLAS the rule does nothing.  So the values of a small call
+do not depend on the BLAS thread count, and those of a larger one still
+may, in the last bits.
 """
 
 from __future__ import annotations
+
+import ctypes
+import threading
 
 import numpy as np
 
@@ -49,6 +63,68 @@ def principal_args(values: np.ndarray) -> np.ndarray:
     """Principal arguments in (-pi, pi]; an argument of exactly -pi wraps to +pi."""
     ang = np.angle(values)
     return np.where(ang <= -np.pi, ang + 2.0 * np.pi, ang)
+
+
+# -- the BLAS thread rule -------------------------------------------------------
+
+# (set, get) symbol pairs of OpenBLAS's thread count: scipy-openblas's
+# 64-bit-integer build (numpy's wheels), OpenBLAS's own 64-bit build, and
+# its plain one.  Both take and return a C int in each build.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+_blas: tuple | None = None  # (set, get) of the loaded OpenBLAS, () if none: looked up once
+_blas_lock = threading.Lock()
+_blas_depth = 0  # calls inside _one_thread_below; the first sets 1 thread, the last restores
+_blas_saved = 0  # the caller's thread count, while _blas_depth > 0
+
+
+def _openblas() -> tuple:
+    """(set, get) of the thread count of the OpenBLAS this process loaded, or ()."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({ln.split(maxsplit=5)[-1].strip() for ln in fh
+                            if "openblas" in ln.lower()})
+    except OSError:
+        return ()
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return ()
+
+
+def _one_thread_below(floor: int, solve, stack: np.ndarray, *args):
+    """solve(stack, *args), on one BLAS thread where the stack's matrices have
+    fewer than ``floor`` rows (module docstring).  The caller's thread count is
+    restored once, when the last of any nested or concurrent such calls
+    returns or raises."""
+    if stack.shape[-1] >= floor:
+        return solve(stack, *args)
+    global _blas, _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas is None:
+            _blas = _openblas()
+        if _blas and _blas_depth == 0:
+            _blas_saved = _blas[1]()
+            _blas[0](1)
+        _blas_depth += 1
+    try:
+        return solve(stack, *args)
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas and _blas_depth == 0:
+                _blas[0](_blas_saved)
 
 
 # -- batched kernels (stacks of matrices, shape (m, q, q), or one matrix) ------

@@ -436,11 +436,12 @@ def _corner_blocks(params: OperatorParams, half_x: int, half_theta: int) -> list
     """The parity blocks of params.kind's matrix at the corner (half_x, half_theta) / (2q).
 
     Returns (block, gauge) per nonempty block, built without the q x q
-    matrix.  H's blocks are those of its real Jacobi matrix (_jacobi_blocks)
-    and UH's their exponentials exp(-i kappa B), with no gauge.  For UKH and
-    UORDKR, V's columns a e_k + b e_sigma(k) (one block of _parity_blocks)
-    span an eigenspace of P, which commutes with the x kick A (diagonal, with
-    A_sigma(k) = A_k) and with the theta kick T, so V* U V = diag(A_k) V* T V,
+    matrix, for H, UKH or UORDKR: a uh sweep solves, and splits, the H
+    matrices.  H's blocks are those of its real Jacobi matrix
+    (_jacobi_blocks), with no gauge.  For UKH and UORDKR, V's columns
+    a e_k + b e_sigma(k) (one block of _parity_blocks) span an eigenspace of
+    P, which commutes with the x kick A (diagonal, with A_sigma(k) = A_k)
+    and with the theta kick T, so V* U V = diag(A_k) V* T V,
     and T keeps the eigenspace, so (V* T V)[m, n] = (T V)[k_m, n] / a_m.
     Both kinds' T are chirped circulants (_theta_kick), T[r, l] = X_r
     conj(X_l) c_(j_r - j_l), so each block is two gathers from c, O(q^2) with
@@ -448,11 +449,8 @@ def _corner_blocks(params: OperatorParams, half_x: int, half_theta: int) -> list
     _reversal_gauge G at its k.
     """
     kind, alpha, kap, lam = params.kind, params.alpha, params.kappa, params.lam
-    if kind in (OperatorKind.H, OperatorKind.UH):
-        blocks = _jacobi_blocks(alpha, lam, half_x, half_theta)
-        if kind is OperatorKind.UH:
-            blocks = [expm_i_hermitian_stack(b, kap) for b in blocks]
-        return [(b, None) for b in blocks]
+    if kind is OperatorKind.H:
+        return [(b, None) for b in _jacobi_blocks(alpha, lam, half_x, half_theta)]
     q = alpha.q
     x, theta = half_x / (2 * q), half_theta / (2 * q)
     x_kick = np.exp(-2j * kap * cos_rows(1, [x], q))[0]

@@ -71,6 +71,7 @@ from .linalg import (
     DEDUP_TOL,
     UNIT_MODULUS_TOL,
     _general_eigvals,
+    _one_thread_below,
     eigvalsh_stack,
     principal_args,
     unitary_eigvals_stack,
@@ -266,10 +267,16 @@ def _chunk_rows(q: int) -> int:
 # circulant h matrices) the uh build's H, its eigenvectors and their
 # products, and the solver's copy.  Measured at one whole node of q = 610,
 # peak RSS growth less _sweep_bytes' other terms: 0.85, 6.3-6.5 and 5.5.
+# Last, the route's thread floor: a solver call on matrices of fewer rows
+# runs on one BLAS thread (linalg._one_thread_below).  One call's median
+# wall time on one OpenBLAS thread over two, 2 cores (BENCH_threads.json):
+# Cayley calls 1.03-1.17 at 117-178 rows, 1.35-1.59 from 500; the real
+# eigvalsh and eigvals at most 1.09 below 500 rows, 1.01-1.34 from 500.  The
+# second thread about doubles the CPU time wherever OpenBLAS wakes it.
 _ROUTES = {
-    "hermitian": ("harper_jacobi_stack", "eigvalsh_stack", 1),
-    "cayley": ("operator_stack", "unitary_eigvals_stack", 7),
-    "general": ("operator_stack", "_general_eigvals", 6),
+    "hermitian": ("harper_jacobi_stack", "eigvalsh_stack", 1, 500),
+    "cayley": ("operator_stack", "unitary_eigvals_stack", 7, 128),
+    "general": ("operator_stack", "_general_eigvals", 6, 500),
 }
 
 
@@ -294,7 +301,9 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
     (operators._corner_blocks) are solved by size, the blocks of one size
     from every corner of the batch in one chunk, and on the Cayley route with
     their time-reversal gauges, as are the chunks of a fixed-theta ukh sweep
-    at an integer 2 q theta.  uh eigenvalues are exp(-i kappa w) for the
+    at an integer 2 q theta.  Each solver call, whole nodes or blocks of one
+    size, runs on one BLAS thread where its matrices are under the route's
+    thread floor (``_ROUTES``).  uh eigenvalues are exp(-i kappa w) for the
     Harper eigenvalues w (spectral mapping), so the Hermitian route of a uh
     sweep solves the Harper matrices.  On a solver failure the nodes are
     re-run one by one, so that the error names the alpha and grid point of
@@ -306,6 +315,7 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
     route = _route(first, route)
     _preflight(batch, grid, route)
     build, solve = (globals()[name] for name in _ROUTES[route][:2])
+    floor = _ROUTES[route][3]
     mapped = first.kind is OperatorKind.UH and route == "hermitian"
     built = [replace(pa, kind=OperatorKind.H) if mapped else pa for pa in batch]
     orbits = [_orbits(pa, grid) for pa in batch]
@@ -327,8 +337,8 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
         stack = stacks[0] if len(runs) == 1 else np.concatenate(stacks)
         del stacks  # a batch's pieces, before it is solved
         if line < 0:
-            return solve(stack)
-        return solve(stack, np.concatenate(
+            return _one_thread_below(floor, solve, stack)
+        return _one_thread_below(floor, solve, stack, np.concatenate(
             [_reversal_gauge(batch[owner[run[0]]], xv[run], line) for run in runs]))
 
     def split_rows(at) -> np.ndarray:
@@ -341,7 +351,8 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
             for lo in range(0, len(same), _chunk_rows(size)):
                 row_of, stack, gauge = zip(*same[lo:lo + _chunk_rows(size)])
                 gauged = () if gauge[0] is None else (np.stack(gauge),)
-                for row, w in zip(row_of, solve(np.stack(stack), *gauged)):
+                solved = _one_thread_below(floor, solve, np.stack(stack), *gauged)
+                for row, w in zip(row_of, solved):
                     rows[row].append(w)
         values = np.array([np.concatenate(row) for row in rows])
         return np.sort(values, axis=-1) if route == "hermitian" else values

@@ -1117,6 +1117,35 @@ def test_a_butterfly_table_larger_than_memory_is_refused_before_the_first_sweep(
     assert len(analysis._butterfly_sweeps("ukh", 1.0, 1.0, 150, 2)) == len(sweeps)
 
 
+def test_an_oversized_butterfly_table_is_refused_before_its_list_is_drawn(
+        tmp_path, monkeypatch, built, capsys):
+    # farey:1000 on a grid of 2 names 304,191 alphas and a table of about 2e8 values,
+    # 24 GiB at analysis._ROW_BYTES, while each sweep fits 8 GiB.  The table's size comes
+    # from the totient counts per q, so the refusal makes one request per q (each q's
+    # largest sweep, 1/q, and the last alpha), not one per alpha.
+    import kickspec.analysis as analysis
+    import kickspec.spectra as spectra
+
+    made = []
+
+    class Counted(OperatorParams):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(analysis, "OperatorParams", Counted)
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8 * 2**30 // 4096}
+    monkeypatch.setattr(spectra.os, "sysconf", sizes.__getitem__)
+    out = tmp_path / "b.csv"
+    argv = ["butterfly", "--kind", "ukh", "--alpha-list", "farey:1000", "--grid", "2"]
+    assert dispatch(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "grid 1x1 at q = 1000 needs" in err and "GiB of it the rows kept beside it" in err
+    assert 0 < len(made) <= 1000
+    assert built == []
+    assert not out.exists()
+
+
 def test_no_rotor_sweep_builds_the_eigenvectors(tmp_path, monkeypatch):
     # uordkr's theta kick is gathered from the closed form of E's entries, so no
     # sweep builds E (q^2 complex entries per alpha): not the mother sweeps of a
@@ -1231,13 +1260,19 @@ V0140_KEYS = {
     "h": "bea0bdc1d0544a465741c2b3fbe2499f0d484b093f94ef1bd6a5b9221443a6c0",
 }
 
+# Keys of version 0.15.0, which left every solver call on the default BLAS thread count.
+V0150_KEYS = {
+    "ukh": "59a5531311ec82ed6f9025001b6514f8cf95220569c1501af6d51f7b1d7aa224",
+    "h": "f393743a5cf1dad67887e41a4fbd6ada5da3e9ed41e3135b689a118c94cffaeb",
+}
+
 
 def test_cache_keys_are_pinned():
     # Entries written by earlier versions stay valid only while these hold.
     ukh = cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER), GridSpec(5, 5))
     h = cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7))
-    assert ukh == "59a5531311ec82ed6f9025001b6514f8cf95220569c1501af6d51f7b1d7aa224"
-    assert h == "f393743a5cf1dad67887e41a4fbd6ada5da3e9ed41e3135b689a118c94cffaeb"
+    assert ukh == "abb98557848f02c3337cfdc6e484f132df0745d6fb104ac1ccbec51cd50c8cae"
+    assert h == "186e3fe867e634ed4f633fd53a88441f38ea2243e39358c605294b88401e1260"
     # Version 0.1.0 swept every grid node, 0.2.0 built the theta kicks as
     # dense Fourier products, 0.3.0 wrote no rows_sha256 line, and 0.4.0
     # solved both nodes of each self-dual swap pair; their entries differ in
@@ -1257,7 +1292,9 @@ def test_cache_keys_are_pinned():
     # 0.13.0 solved each gauged Cayley matrix by the complex inverse, not one real
     # solve, whose values differ in the last bits.  0.14.0 built each whole uordkr
     # matrix as a product with E*, not gathered from its chirped circulant, whose
-    # values differ in the last bits.
+    # values differ in the last bits.  0.15.0 ran solver calls under the thread
+    # floor on the default BLAS thread count, not one thread, whose values differ
+    # in the last bits.
     assert {ukh, h}.isdisjoint(V010_KEYS.values())
     assert {ukh, h}.isdisjoint(V020_KEYS.values())
     assert {ukh, h}.isdisjoint(V030_KEYS.values())
@@ -1272,6 +1309,7 @@ def test_cache_keys_are_pinned():
     assert {ukh, h}.isdisjoint(V0120_KEYS.values())
     assert {ukh, h}.isdisjoint(V0130_KEYS.values())
     assert {ukh, h}.isdisjoint(V0140_KEYS.values())
+    assert {ukh, h}.isdisjoint(V0150_KEYS.values())
 
 
 def test_parent_cache_entry_is_not_served(tmp_path):
@@ -1283,11 +1321,11 @@ def test_parent_cache_entry_is_not_served(tmp_path):
     s = read_spectrum_csv(cold)
     planted = SpectrumSet.build(s.kind, s.points * np.exp(0.125j), params=s.params, grid=s.grid)
     for keys in (V010_KEYS, V050_KEYS, V060_KEYS, V070_KEYS, V080_KEYS, V090_KEYS, V0100_KEYS,
-                 V0110_KEYS, V0120_KEYS, V0130_KEYS, V0140_KEYS):
+                 V0110_KEYS, V0120_KEYS, V0130_KEYS, V0140_KEYS, V0150_KEYS):
         write_spectrum_csv(planted, str(cache / (keys["ukh"] + ".csv")))
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", warm]) == 0
     assert open(warm, "rb").read() == open(cold, "rb").read()
-    assert len(os.listdir(cache)) == 12
+    assert len(os.listdir(cache)) == 13
 
 
 def test_cache_differential_and_clear(tmp_path):

@@ -455,3 +455,118 @@ def test_a_lapack_failure_is_a_numerical_error(name, solve, message, monkeypatch
     monkeypatch.setattr(np.linalg, name, fail)
     with pytest.raises(NumericalError, match=f"{message}: did not converge"):
         solve(np.eye(2, dtype=complex)[None])
+
+
+# -- the BLAS thread rule ------------------------------------------------------------------
+
+
+def test_a_call_below_the_floor_runs_on_one_blas_thread(blas):
+    _, get_threads = blas
+    seen = []
+
+    def solver(stack, *args):
+        seen.append((stack.shape[-1], args, get_threads()))
+        return "values"
+
+    stack = np.zeros((3, 127, 127))
+    assert linalg._one_thread_below(128, solver, stack, "gauge") == "values"
+    assert seen == [(127, ("gauge",), 1)]
+    assert get_threads() == 2
+
+
+def test_the_callers_thread_count_is_back_after_a_numerical_error(blas):
+    _, get_threads = blas
+
+    def fail(stack):
+        assert get_threads() == 1
+        raise NumericalError("injected")
+
+    with pytest.raises(NumericalError, match="injected"):
+        linalg._one_thread_below(128, fail, np.zeros((1, 5, 5)))
+    assert get_threads() == 2
+
+
+def test_a_call_at_or_above_the_floor_leaves_the_thread_count(blas):
+    _, get_threads = blas
+    seen = []
+    for n in (128, 129, 233):
+        linalg._one_thread_below(128, lambda stack: seen.append(get_threads()),
+                                 np.zeros((1, n, n)))
+    assert seen == [2, 2, 2]
+    assert get_threads() == 2
+
+
+def test_nested_and_concurrent_calls_restore_the_count_once(blas):
+    import threading
+
+    _, get_threads = blas
+    inner_done, outer_may_end = threading.Event(), threading.Event()
+    seen = []
+
+    def inner(stack):
+        seen.append(("inner", get_threads()))
+        return "inner"
+
+    def outer(stack):
+        seen.append(("outer", get_threads()))
+        assert linalg._one_thread_below(8, inner, stack) == "inner"  # nested: still 1 after it
+        seen.append(("nested", get_threads()))
+        inner_done.set()
+        assert outer_may_end.wait(10)
+        return "outer"
+
+    result = []
+    worker = threading.Thread(target=lambda: result.append(
+        linalg._one_thread_below(8, outer, np.zeros((1, 4, 4)))))
+    worker.start()
+    assert inner_done.wait(10)
+    # A second caller enters and leaves while the first is still inside: the count stays 1.
+    linalg._one_thread_below(8, inner, np.zeros((1, 4, 4)))
+    seen.append(("concurrent", get_threads()))
+    outer_may_end.set()
+    worker.join(10)
+    assert result == ["outer"]
+    assert seen == [("outer", 1), ("inner", 1), ("nested", 1), ("inner", 1), ("concurrent", 1)]
+    assert get_threads() == 2 and linalg._blas_depth == 0
+
+
+def test_many_threads_entering_at_once_never_see_the_default_inside_nor_leave_one_after(blas):
+    import threading
+    import time
+
+    _, get_threads = blas
+    inside, errors = [], []
+
+    def solver(stack):
+        time.sleep(1e-4)  # let the other workers enter and leave meanwhile
+        inside.append(get_threads())
+        return stack
+
+    def worker():
+        try:
+            for _ in range(50):
+                linalg._one_thread_below(8, solver, np.zeros((1, 4, 4)))
+        except Exception as exc:  # a worker's failure is read after the join
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(w.is_alive() for w in workers) and errors == []
+    assert len(inside) == 400 and set(inside) == {1}
+    assert get_threads() == 2 and linalg._blas_depth == 0
+
+
+def test_without_openblas_the_rule_runs_the_solver_as_is(monkeypatch):
+    # Another BLAS, or none found: the lookup gives (), and every call is the solver's own.
+    monkeypatch.setattr(linalg, "_blas", ())
+    stack = np.zeros((2, 3, 3))
+    assert linalg._one_thread_below(128, lambda s, g: (s, g), stack, 7) == (stack, 7)
+    assert linalg._blas_depth == 0

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kickspec.errors import InvalidParams
+from kickspec.linalg import expm_i_hermitian_stack
 from kickspec.operators import (
     MOTHER,
     OperatorKind,
@@ -316,7 +317,11 @@ def test_corner_blocks_pool_to_the_eigenvalues_of_the_node(kind, p, q):
     # reflection's fixed points on sites or bonds, and (0, 1) at even q gives its two fixed
     # sites a sign.
     for lam, hx, ht in itertools.product([1.0, 0.7, -1.3, 2.0, 0.0], (0, 1), (0, 1)):
-        blocks = _corner_blocks(params(kind, 1.1, lam, p, q), hx, ht)
+        if kind == "uh":  # a uh sweep splits the h matrices: its blocks are exp(-i kappa B)
+            blocks = [(expm_i_hermitian_stack(b, 1.1), g)
+                      for b, g in _corner_blocks(params("h", 1.1, lam, p, q), hx, ht)]
+        else:
+            blocks = _corner_blocks(params(kind, 1.1, lam, p, q), hx, ht)
         assert sum(len(b) for b, _ in blocks) == q
         m = operator_matrix(kind, 1.1, lam, p, q, hx / (2 * q), ht / (2 * q))
         if kind == "h":

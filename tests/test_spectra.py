@@ -886,6 +886,23 @@ def test_the_real_route_is_the_complex_route(kind, p, q, monkeypatch):
                 assert set_distance(values[j], oracle[j]) <= 1e-12
 
 
+@pytest.mark.parametrize("kind,solver,whole", [
+    ("ukh", "unitary_eigvals_stack", 2), ("uordkr", "unitary_eigvals_stack", 2),
+    ("h", "eigvalsh_stack", 1), ("uh", "eigvalsh_stack", 1)])
+def test_each_solver_call_takes_its_routes_thread_floor_by_its_matrix_size(kind, solver, whole,
+                                                                           blas, monkeypatch):
+    # 144/233 on a 4 x 4 mother grid: three whole 233-row nodes, one chunk each, and the
+    # corners' parity blocks, one call per size (116 and 117 rows).  The blocks are under
+    # every route's floor; the whole nodes are under the Hermitian route's, not the Cayley's.
+    _, get_threads = blas
+    calls, solve = [], getattr(spectra, solver)
+    monkeypatch.setattr(spectra, solver, lambda stack, *gauge: calls.append(
+        (stack.shape[-1], get_threads())) or solve(stack, *gauge))
+    mother_spectrum(params(kind, 1.0, 1.3, 144, 233, theta=MOTHER), GridSpec(4, 4))
+    assert calls == [(233, whole)] * 3 + [(116, 1), (117, 1)]
+    assert get_threads() == 2
+
+
 def test_below_the_floor_a_sweep_builds_and_solves_as_without_the_split(monkeypatch):
     builds, corners = [], []
     for name in ("operator_stack", "harper_jacobi_stack"):
