@@ -37,13 +37,12 @@ from .spectra import (
     TWO_PI,
     _preflight,
     _sweep_values,
+    _tracked,
     auto_merge_gap,
     eigenphases,
     grid_error_bound,
     merge_bands,
     mother_spectrum,
-    spectrum_fixed_theta,
-    tracked_bands,
 )
 
 __all__ = [
@@ -221,11 +220,11 @@ def butterfly(kind, kappa: float, lam: float, q_max: int, grid_n: int) -> Butter
 
     Each alpha = p/q gets an n x n grid with n = max(1, round(grid_n / q)),
     keeping the total point budget roughly flat across denominators.  The
-    sweeps of one q share that grid and are solved as one batch
-    (spectra._sweep_values).  h, uh and ukh have the same sampled set at p/q
-    and (q - p)/q (the spectra module docstring derives it), so only
-    p <= q/2 is solved and its points stand for q - p too; uordkr's nodes
-    move with alpha, and each of its alphas is solved.
+    sweeps of one q share that grid and are solved as one batch (_spectra).
+    h, uh and ukh have the same sampled set at p/q and (q - p)/q (the
+    spectra module docstring derives it), so only p <= q/2 is solved and its
+    points stand for q - p too; uordkr's nodes move with alpha, and each of
+    its alphas is solved.
     """
     sweeps = _butterfly_sweeps(kind, kappa, lam, q_max, grid_n)
     fold = OperatorKind(kind) is not OperatorKind.UORDKR
@@ -236,10 +235,8 @@ def butterfly(kind, kappa: float, lam: float, q_max: int, grid_n: int) -> Butter
     for q, (grid, batch) in sorted(by_q.items()):
         batch.sort(key=lambda pa: pa.alpha.p)
         solved = [pa for pa in batch if not fold or 2 * pa.alpha.p <= q]
-        points = {}
-        for pa, values in zip(solved, _sweep_values(solved, grid)):
-            s = SpectrumSet.build(SpectrumKind.of(kind), values)
-            points[pa.alpha.p] = s.points if s.kind is SpectrumKind.REAL_LINE else eigenphases(s)
+        points = {pa.alpha.p: s.points if s.kind is SpectrumKind.REAL_LINE else eigenphases(s)
+                  for pa, s in zip(solved, _spectra(solved, grid))}
         for p in (pa.alpha.p for pa in batch):
             ps.append(p)
             qs.append(q)
@@ -312,6 +309,13 @@ class CheckReport:
         return d
 
 
+def _spectra(batch: list[OperatorParams], grid: GridSpec) -> list[SpectrumSet]:
+    """Each request's sweep spectrum, in order, from one kernel batch
+    (spectra._sweep_values): the requests share one q and one route."""
+    return [SpectrumSet.build(SpectrumKind.of(pa.kind), values, params=pa, grid=grid)
+            for pa, values in zip(batch, _sweep_values(batch, grid))]
+
+
 def _mother(kind, kappa, lam, alpha, n) -> SpectrumSet:
     params = OperatorParams(kind, kappa, lam, alpha, MOTHER)
     return mother_spectrum(params, GridSpec(n, n))
@@ -337,12 +341,10 @@ _MATCHED_GRID_TOL = 1e-10
 
 def _check_theta_period(cfg):
     grid, rng = GridSpec(cfg["n"]), np.random.default_rng(cfg["seed"])
-    worst = 0.0
-    for _ in range(cfg["trials"]):
-        th = float(rng.uniform())
-        s1 = spectrum_fixed_theta(_at(cfg, th), grid)
-        s2 = spectrum_fixed_theta(_at(cfg, th + 1.0 / cfg["alpha"].q), grid)
-        worst = max(worst, hausdorff(s1, s2))
+    thetas = [float(rng.uniform()) for _ in range(cfg["trials"])]
+    # Every trial's two spectra from one batch: sigma(theta), sigma(theta + 1/q) in turn.
+    s = _spectra([_at(cfg, th + d) for th in thetas for d in (0.0, 1.0 / cfg["alpha"].q)], grid)
+    worst = max(hausdorff(s1, s2) for s1, s2 in zip(s[::2], s[1::2]))
     # At each x the matrices at theta and theta + 1/q are permutation-similar.
     bound = min(2.0 * grid_error_bound(_at(cfg, 0.0), grid), _MATCHED_GRID_TOL)
     return worst, bound, (f"max d_H(sigma(theta), sigma(theta + 1/q)) over {cfg['trials']} "
@@ -356,12 +358,10 @@ def _check_theta_continuity(cfg):
     # (At q = 2 the spectral distance saturates this, so no smaller
     # coefficient can hold.)
     lip = 4.0 * _kick_scale(cfg)
-    worst = -np.inf
-    for _ in range(cfg["trials"]):
-        t1, t2 = (float(v) for v in rng.uniform(size=2))
-        s1 = spectrum_fixed_theta(_at(cfg, t1), grid)
-        s2 = spectrum_fixed_theta(_at(cfg, t2), grid)
-        worst = max(worst, hausdorff(s1, s2) - lip * abs(math.sin(math.pi * (t1 - t2))))
+    pairs = [tuple(float(v) for v in rng.uniform(size=2)) for _ in range(cfg["trials"])]
+    s = _spectra([_at(cfg, t) for pair in pairs for t in pair], grid)
+    worst = max(hausdorff(s1, s2) - lip * abs(math.sin(math.pi * (t1 - t2)))
+                for (t1, t2), s1, s2 in zip(pairs, s[::2], s[1::2]))
     return (worst, _theta_continuity_bound(cfg),
             "max over random theta pairs of d_H minus the sine modulus bound")
 
@@ -372,8 +372,9 @@ def _theta_continuity_bound(cfg) -> float:
 
 def _check_mother_equality(cfg):
     alpha, n = cfg["alpha"], cfg["n"]
-    s_kh = _mother(OperatorKind.UKH, cfg["kappa"], cfg["lambda"], alpha, n)
-    s_or = _mother(OperatorKind.UORDKR, cfg["kappa"], cfg["lambda"], alpha, n)
+    # One batch, each kind's nodes built by its own builder.
+    s_kh, s_or = _spectra([OperatorParams(kind, cfg["kappa"], cfg["lambda"], alpha, MOTHER)
+                           for kind in (OperatorKind.UKH, OperatorKind.UORDKR)], GridSpec(n, n))
     bound = s_kh.error_bound + s_or.error_bound
     # The rotor's theta kick sits at beta = x + theta + alpha/2 + phi, an
     # offset of shift/(2q).  When that is a whole number of theta steps
@@ -445,8 +446,10 @@ def _check_kappa_cubed(cfg):
     # The uh spectra are exp(-i kappa w) of one kappa-independent Harper sweep w.
     harper = OperatorParams(OperatorKind.H, 0.0, cfg["lambda"], cfg["alpha"], MOTHER)
     w = _sweep_values(harper, grid)
-    for k in sorted({k for base in kappas for k in (base, 2.0 * base)}):
-        s_kh = _mother(OperatorKind.UKH, k, cfg["lambda"], cfg["alpha"], cfg["n"])
+    ks = sorted({k for base in kappas for k in (base, 2.0 * base)})
+    ukh = _spectra([OperatorParams(OperatorKind.UKH, k, cfg["lambda"], cfg["alpha"], MOTHER)
+                    for k in ks], grid)
+    for k, s_kh in zip(ks, ukh):
         s_uh = SpectrumSet.build(SpectrumKind.UNIT_CIRCLE, np.exp(-1j * k * w))
         dist[k] = hausdorff(s_kh, s_uh)
     ratios = [dist[2.0 * k] / dist[k] for k in kappas]
@@ -458,11 +461,11 @@ def _check_kappa_cubed(cfg):
 
 def _check_last_measure_trend(cfg):
     alphas, lams, grid = cfg["alphas"], cfg["lambdas"], GridSpec(cfg["n"], cfg["n"])
-    widths = {
-        (alpha, lam): total_bandwidth(
-            tracked_bands(OperatorParams(OperatorKind.H, 0.0, lam, alpha, MOTHER), grid))
-        for alpha in alphas for lam in lams
-    }
+    widths = {}
+    for alpha in alphas:  # each alpha's couplings in one batch
+        batch = [OperatorParams(OperatorKind.H, 0.0, lam, alpha, MOTHER) for lam in lams]
+        for lam, pa, values in zip(lams, batch, _sweep_values(batch, grid)):
+            widths[(alpha, lam)] = total_bandwidth(_tracked(pa, values))
     margins = [widths[(a, 1.0)] - min(widths[(a, lam)] for lam in lams if lam != 1.0)
                for a in alphas]
     margins += [widths[(b, 1.0)] - widths[(a, 1.0)] for a, b in zip(alphas, alphas[1:])]

@@ -47,6 +47,10 @@ side by side.  The kicked corners' blocks, and every chunk of a
 fixed-theta ukh sweep at an integer 2 q theta, are on the time-reversal
 line: the solver takes their gauge (operators._reversal_gauge) and
 solves a real Cayley matrix.  Every other chunk is solved complex.
+Requests that share one q and one route are swept as one batch (a
+check's spectra at several theta, kappa or lambda, or of both kicked
+kinds; a butterfly's numerators of one q): their nodes share chunks, and
+each request keeps its own fold, image, uh mapping, line and corners.
 
 The alphas p/q and (q - p)/q share a sampled set for h, uh and ukh: the
 theta term's diagonal G(q - p, theta) = diag cos 2 pi (theta - p j / q) is
@@ -59,6 +63,7 @@ beta moves with alpha, so its two sampled sets differ.
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
@@ -291,43 +296,50 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
     """Eigenvalues at the m solved nodes, then their m images where the half shift folds.
 
     The one sweep kernel.  ``params`` is one request, or a batch of requests
-    that share q, kind and theta (a Farey butterfly's numerators of one q),
-    for which it returns one such array per request, in order.  It sizes the
-    sweep for its route (``_ROUTES``), lays the nodes of each request's
-    _orbits end to end, and builds and solves the route's matrices one chunk
-    at a time at the nodes that are not split corners (_corners): a chunk may
-    span requests, each run of one request's nodes built by its own params,
-    and is solved in one call.  The corners' parity blocks
-    (operators._corner_blocks) are solved by size, the blocks of one size
-    from every corner of the batch in one chunk, and on the Cayley route with
-    their time-reversal gauges, as are the chunks of a fixed-theta ukh sweep
-    at an integer 2 q theta.  Each solver call, whole nodes or blocks of one
-    size, runs on one BLAS thread where its matrices are under the route's
-    thread floor (``_ROUTES``).  uh eigenvalues are exp(-i kappa w) for the
-    Harper eigenvalues w (spectral mapping), so the Hermitian route of a uh
-    sweep solves the Harper matrices.  On a solver failure the nodes are
-    re-run one by one, so that the error names the alpha and grid point of
-    the first node that fails on its own.  A batch is not checked for a
-    shared q, kind and theta.
+    that share one q and one route (a check's spectra at several theta,
+    kappa or lambda, the two kicked kinds of a mother comparison, a Farey
+    butterfly's numerators of one q), for which it returns one such array
+    per request, in order.  It sizes the sweep for its route (``_ROUTES``),
+    lays the nodes of each request's _orbits end to end, and builds and
+    solves the route's matrices one chunk at a time at the nodes that are
+    not split corners (_corners): a chunk may span requests, each run of
+    one request's nodes built by its own params, and is solved in one call.
+    The corners' parity blocks (operators._corner_blocks) are solved by
+    size, the blocks of one size from every corner of the batch in one
+    chunk, and on the Cayley route with their time-reversal gauges, as are
+    the chunks of a fixed-theta ukh request at an integer 2 q theta; those
+    gauged nodes are chunked apart from the rest, so no call mixes gauged
+    and ungauged rows.  Each request's half-shift image, uh mapping,
+    time-reversal line and corners are its own.  Each solver call, whole
+    nodes or blocks of one size, runs on one BLAS thread where its matrices
+    are under the route's thread floor (``_ROUTES``).  uh eigenvalues are
+    exp(-i kappa w) for the Harper eigenvalues w (spectral mapping), so the
+    Hermitian route of a uh request solves the Harper matrices.  On a solver
+    failure the nodes are re-run one by one, so that the error names the
+    alpha and grid point of the first node that fails on its own.  A batch
+    is not checked for a shared q and route.
     """
     batch = _requests(params)
-    first = batch[0]
-    route = _route(first, route)
+    q = batch[0].alpha.q
+    route = _route(batch[0], route)
     _preflight(batch, grid, route)
     build, solve = (globals()[name] for name in _ROUTES[route][:2])
     floor = _ROUTES[route][3]
-    mapped = first.kind is OperatorKind.UH and route == "hermitian"
-    built = [replace(pa, kind=OperatorKind.H) if mapped else pa for pa in batch]
+    mapped = [pa.kind is OperatorKind.UH and route == "hermitian" for pa in batch]
+    built = [replace(pa, kind=OperatorKind.H) if uh else pa for pa, uh in zip(batch, mapped)]
     orbits = [_orbits(pa, grid) for pa in batch]
-    image, counts = orbits[0][1], [m for m, _, _ in orbits]
-    pairs = [nodes() for _, _, nodes in orbits]
-    xv, tv = (np.concatenate(axis) for axis in zip(*pairs))
+    counts = [m for m, _, _ in orbits]
+    xv, tv = (np.concatenate(axis) for axis in zip(*(nodes() for _, _, nodes in orbits)))
     owner = np.repeat(np.arange(len(batch)), counts)  # the request of each node
-    split = route != "general" and first.alpha.q >= _SPLIT_FLOOR
-    corners = _corners(first, grid, xv, tv) if split else {}
-    # A fixed-theta ukh sweep at an integer 2 q theta is on the time-reversal line at every x.
-    on_line = route == "cayley" and first.kind is OperatorKind.UKH and not first.is_mother
-    line = _half_theta(first) if on_line else -1
+    starts = list(itertools.accumulate(counts, initial=0))
+    corners = {}
+    if route != "general" and q >= _SPLIT_FLOOR:
+        for pa, lo, m in zip(batch, starts, counts):
+            found = _corners(pa, grid, xv[lo:lo + m], tv[lo:lo + m])
+            corners.update((lo + i, half) for i, half in found.items())
+    # A fixed-theta ukh request at an integer 2 q theta is on the time-reversal line at every x.
+    lines = [_half_theta(pa) if route == "cayley" and pa.kind is OperatorKind.UKH
+             and not pa.is_mother else -1 for pa in batch]
 
     def nodes(at) -> np.ndarray:
         runs = [at]  # one per request, each built by its own params: owner ascends
@@ -336,10 +348,11 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
         stacks = [build(built[owner[run[0]]], xv[run], tv[run]) for run in runs]
         stack = stacks[0] if len(runs) == 1 else np.concatenate(stacks)
         del stacks  # a batch's pieces, before it is solved
-        if line < 0:
+        if lines[owner[at[0]]] < 0:
             return _one_thread_below(floor, solve, stack)
-        return _one_thread_below(floor, solve, stack, np.concatenate(
-            [_reversal_gauge(batch[owner[run[0]]], xv[run], line) for run in runs]))
+        gauges = [_reversal_gauge(batch[owner[run[0]]], xv[run], lines[owner[run[0]]])
+                  for run in runs]
+        return _one_thread_below(floor, solve, stack, np.concatenate(gauges))
 
     def split_rows(at) -> np.ndarray:
         # Each corner's row is its blocks' values side by side, ascending on the Hermitian route.
@@ -357,9 +370,14 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
         values = np.array([np.concatenate(row) for row in rows])
         return np.sort(values, axis=-1) if route == "hermitian" else values
 
-    rest, step = np.delete(np.arange(xv.size), list(corners)), _chunk_rows(first.alpha.q)
+    rest, step = np.delete(np.arange(xv.size), list(corners)), _chunk_rows(q)
+    groups = [rest]
+    if len({line >= 0 for line in lines}) > 1:  # the gauged nodes in chunks of their own
+        on_line = (np.array(lines) >= 0)[owner[rest]]
+        groups = [rest[~on_line], rest[on_line]]
+    chunks = [run[lo:lo + step] for run in groups for lo in range(0, run.size, step)]
     try:
-        values = np.concatenate([nodes(rest[lo:lo + step]) for lo in range(0, rest.size, step)]
+        values = np.concatenate([nodes(at) for at in chunks]
                                 + ([split_rows(list(corners))] if corners else []))
     except NumericalError as exc:
         for i, (x, t) in enumerate(zip(xv, tv)):
@@ -371,17 +389,17 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
                     f"x={float(x)!r}, theta={float(t)!r}: {exc}"
                 ) from exc
         raise
-    if corners:  # back in node order: the corners' rows came last
-        values[np.concatenate((rest, list(corners)))] = values.copy()
-    out, lo = [], 0
-    for pa, m in zip(batch, counts):
-        rows, lo = values[lo:lo + m], lo + m
+    if corners or len(groups) > 1:  # back in node order: gauged nodes' and corners' rows came last
+        values[np.concatenate([*groups, np.array(list(corners), dtype=int)])] = values.copy()
+    out = []
+    for pa, b, uh, (m, image, _), lo in zip(batch, built, mapped, orbits, starts):
+        rows = values[lo:lo + m]
         if image:
             # The shifted nodes' rows: negated (and kept ascending) for the built
             # Harper matrices, conjugated for the unitary ones.
-            shifted = -rows[:, ::-1] if built[0].kind is OperatorKind.H else rows.conj()
+            shifted = -rows[:, ::-1] if b.kind is OperatorKind.H else rows.conj()
             rows = np.concatenate((rows, shifted))
-        out.append(np.exp(-1j * pa.kappa * rows) if mapped else rows)
+        out.append(np.exp(-1j * pa.kappa * rows) if uh else rows)
     return out[0] if isinstance(params, OperatorParams) else out
 
 
@@ -517,7 +535,7 @@ def _sweep_bytes(params: OperatorParams | Sequence[OperatorParams], grid: GridSp
     chunk row, the q x q complex arrays of the solver route (``_ROUTES``).
     Per chunk, the int64 circulant index.  A split corner (_corners) holds
     its blocks of about q/2, never a q x q matrix.  A batch (_sweep_values)
-    counts the nodes and rows of all its requests and one chunk.
+    counts the nodes and rows of each of its requests, and one chunk.
     LAPACK allocates a further 2-4 MB of workspace on first use, which this
     leaves out, so for a sweep below about 10 MB the figure is an estimate,
     not an upper bound.
@@ -525,7 +543,7 @@ def _sweep_bytes(params: OperatorParams | Sequence[OperatorParams], grid: GridSp
     batch = _requests(params)
     sizes = [_orbits(pa, grid)[:2] for pa in batch]
     m, q = sum(n for n, _ in sizes), batch[0].alpha.q
-    rows = 2 * m if sizes[0][1] else m
+    rows = sum(2 * n if image else n for n, image in sizes)
     per_chunk = 16 * _ROUTES[_route(batch[0], route)][2] * min(m, _chunk_rows(q)) + 8
     return m * 2 * 8 + rows * 5 * 16 * q + per_chunk * q * q
 

@@ -314,6 +314,26 @@ def test_the_butterfly_solves_each_denominator_in_one_call(kind, monkeypatch):
     assert (len(calls), sum(calls)) == (12, 574 if kind == "uordkr" else 91 + (547 - 91) // 2)
 
 
+@pytest.mark.parametrize("check,cfg,calls", [
+    # 10 trials' 20 fixed-theta ukh sweeps at 8/13, 13 of 25 x nodes each.
+    ("THETA_PERIOD", {}, [("inv", 260), ("eigvalsh", 260)]),
+    ("THETA_CONTINUITY", {}, [("inv", 260), ("eigvalsh", 260)]),
+    # The Harper sweep, then the ukh sweeps of kappa = 0.025, 0.05, 0.1 and 0.2, 16 nodes each.
+    ("KAPPA_CUBED", {"n": 12}, [("eigvalsh", 16), ("inv", 64), ("eigvalsh", 64)]),
+    ("MOTHER_EQUALITY", {"n": 12}, [("inv", 32), ("eigvalsh", 32)]),
+    # One call per alpha for its three couplings; 8 is even, so 5/8 has no half-shift fold.
+    ("LAST_MEASURE_TREND", {"n": 12}, [("eigvalsh", 126), ("eigvalsh", 66), ("eigvalsh", 66)]),
+])
+def test_a_check_solves_its_sweeps_of_one_q_in_one_call(check, cfg, calls, monkeypatch):
+    seen = []
+    for name in ("inv", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, name=name, solve=solve:
+                            seen.append((name, len(a))) or solve(a))
+    assert run_check(check, cfg).passed
+    assert seen == calls
+
+
 def test_a_solver_failure_in_a_stacked_batch_names_its_alpha_and_grid_point(monkeypatch):
     # Node (1, 0) of 2/13's 4 x 4 grid fails; q = 13's six numerators are one chunk of
     # 4 nodes each (the triangle's 6, halved by the shift), which fails as a whole, and

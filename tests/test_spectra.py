@@ -244,6 +244,38 @@ def test_chunked_sweep_is_identical(kind, monkeypatch):
     assert np.array_equal(chunked, single)
 
 
+_MIXED_BATCHES = {
+    # Fixed-theta ukh on and off the time-reversal line (2 q theta = 0 and 0.3): only the
+    # first is gauged, and at 144/233 only it has corners.
+    "line-8/13": ([params("ukh", 1.0, 1.3, 8, 13, theta=t) for t in (0.0, 0.3)], GridSpec(6)),
+    "line-144/233": ([params("ukh", 1.0, 1.3, 144, 233, theta=t) for t in (0.0, 0.3)],
+                     GridSpec(4)),
+    # Every node of a 2 x 2 mother grid is a corner: both kinds' blocks of one size share a call.
+    "kinds-144/233": ([params(k, 1.0, 1.3, 144, 233, theta=MOTHER) for k in ("ukh", "uordkr")],
+                      GridSpec(2, 2)),
+    # uh is solved as h on the Hermitian route and mapped through exp(-i kappa w); h is not.
+    "hermitian-8/13": ([params(k, 1.0, 1.3, 8, 13, theta=MOTHER) for k in ("h", "uh")],
+                       GridSpec(5, 5)),
+    "hermitian-144/233": ([params(k, 1.0, 1.3, 144, 233, theta=MOTHER) for k in ("h", "uh")],
+                          GridSpec(2, 2)),
+    # Only uordkr folds the half-shift image at fixed theta (odd q, even n_x).
+    "image-8/13": ([params(k, 1.0, 1.3, 8, 13, theta=0.3) for k in ("ukh", "uordkr")],
+                   GridSpec(4)),
+    # Kappa and lambda, which set each node's build and, at lambda = 1, its fold.
+    "couplings-8/13": ([params("ukh", k, lam, 8, 13, theta=MOTHER)
+                        for k, lam in ((0.5, 1.0), (1.0, 1.3), (2.0, 0.7))], GridSpec(6, 6)),
+}
+
+
+@pytest.mark.parametrize("case", list(_MIXED_BATCHES))
+def test_each_request_of_a_mixed_batch_is_its_sweep_alone(case):
+    batch, grid = _MIXED_BATCHES[case]
+    for order in (batch, batch[::-1]):
+        for pa, values in zip(order, spectra._sweep_values(order, grid), strict=True):
+            alone = spectra._sweep_values(pa, grid)
+            assert values.shape == alone.shape and np.array_equal(values, alone), pa
+
+
 def test_sweep_deterministic():
     pa = params("uordkr", 1.0, 1.0, 3, 5, theta=MOTHER)
     s1 = mother_spectrum(pa, GridSpec(7, 7))
@@ -699,6 +731,10 @@ def test_sweep_size_estimate():
     # One matrix at large q: the q x q arrays, not the eigenvalues, dominate.
     assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 1499), GridSpec(1)) == (
         (16 + 1499 * 80) + (16 + 8) * 1499 ** 2)
+    # A batch counts each request's rows: at fixed theta ukh keeps 3 of 4 x nodes and
+    # uordkr 2, each with its half-shift image, so 5 nodes hold 7 rows.
+    batch = [params(k, 1.0, 1.3, 8, 13, theta=0.3) for k in ("ukh", "uordkr")]
+    assert spectra._sweep_bytes(batch, GridSpec(4)) == 5 * 16 + 7 * 1040 + (16 * 7 * 5 + 8) * 169
     # SPECTRAL_MAPPING's general solve of the uh matrices holds 6 per row.
     assert spectra._sweep_bytes(params("uh", 1.0, 1.0, 1, 1499), GridSpec(1), "general") == (
         (16 + 1499 * 80) + (16 * 6 + 8) * 1499 ** 2)
