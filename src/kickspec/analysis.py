@@ -36,6 +36,7 @@ from .spectra import (
     SpectrumSet,
     TWO_PI,
     _preflight,
+    _spectrum,
     _sweep_values,
     _tracked,
     auto_merge_gap,
@@ -312,8 +313,7 @@ class CheckReport:
 def _spectra(batch: list[OperatorParams], grid: GridSpec) -> list[SpectrumSet]:
     """Each request's sweep spectrum, in order, from one kernel batch
     (spectra._sweep_values): the requests share one q and one route."""
-    return [SpectrumSet.build(SpectrumKind.of(pa.kind), values, params=pa, grid=grid)
-            for pa, values in zip(batch, _sweep_values(batch, grid))]
+    return [_spectrum(pa, grid, values) for pa, values in zip(batch, _sweep_values(batch, grid))]
 
 
 def _mother(kind, kappa, lam, alpha, n) -> SpectrumSet:

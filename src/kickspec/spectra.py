@@ -299,25 +299,22 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
     that share one q and one route (a check's spectra at several theta,
     kappa or lambda, the two kicked kinds of a mother comparison, a Farey
     butterfly's numerators of one q), for which it returns one such array
-    per request, in order.  It sizes the sweep for its route (``_ROUTES``),
-    lays the nodes of each request's _orbits end to end, and builds and
-    solves the route's matrices one chunk at a time at the nodes that are
-    not split corners (_corners): a chunk may span requests, each run of
-    one request's nodes built by its own params, and is solved in one call.
-    The corners' parity blocks (operators._corner_blocks) are solved by
-    size, the blocks of one size from every corner of the batch in one
-    chunk, and on the Cayley route with their time-reversal gauges, as are
-    the chunks of a fixed-theta ukh request at an integer 2 q theta; those
-    gauged nodes are chunked apart from the rest, so no call mixes gauged
-    and ungauged rows.  Each request's half-shift image, uh mapping,
-    time-reversal line and corners are its own.  Each solver call, whole
-    nodes or blocks of one size, runs on one BLAS thread where its matrices
-    are under the route's thread floor (``_ROUTES``).  uh eigenvalues are
-    exp(-i kappa w) for the Harper eigenvalues w (spectral mapping), so the
-    Hermitian route of a uh request solves the Harper matrices.  On a solver
-    failure the nodes are re-run one by one, so that the error names the
-    alpha and grid point of the first node that fails on its own.  A batch
-    is not checked for a shared q and route.
+    per request, in order.  It sizes the sweep for its route (``_ROUTES``)
+    and lays the nodes of each request's _orbits end to end.  First it plans
+    its solver calls, each a list of pieces: matrices (built when the call
+    runs), a gauge or none, and the rows and columns of the values they
+    fill.  The whole nodes come in chunks of _chunk_rows(q), a piece per run
+    of one request's nodes, the ungauged before those on the time-reversal
+    line; then the split corners' (_corners) parity blocks
+    (operators._corner_blocks), gauged on the Cayley route, those of one
+    size chunked together.  Then one loop solves each call, on one BLAS
+    thread under the route's thread floor, into one (nodes, q) array; a
+    corner's row is its blocks' values, the smaller first, ascending on the
+    Hermitian route.  Each request's half-shift image, uh mapping (its Harper
+    eigenvalues w map to exp(-i kappa w)), line and corners are its own.  On
+    a solver failure each node's plan runs alone in turn, and the error
+    names the alpha and grid point of the first node that fails on its own.
+    A batch is not checked for a shared q and route.
     """
     batch = _requests(params)
     q = batch[0].alpha.q
@@ -332,65 +329,68 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
     xv, tv = (np.concatenate(axis) for axis in zip(*(nodes() for _, _, nodes in orbits)))
     owner = np.repeat(np.arange(len(batch)), counts)  # the request of each node
     starts = list(itertools.accumulate(counts, initial=0))
-    corners = {}
+    # A fixed-theta ukh request at an integer 2 q theta is on the time-reversal line at every x.
+    lines = [_half_theta(pa) if route == "cayley" and pa.kind is OperatorKind.UKH
+             and not pa.is_mother else -1 for pa in batch]
+    # Each node's part of the plan: a whole node off (0) or on (1) the line, or a split corner (2).
+    part_of, corners = (np.array(lines) >= 0)[owner].astype(int), {}
     if route != "general" and q >= _SPLIT_FLOOR:
         for pa, lo, m in zip(batch, starts, counts):
             found = _corners(pa, grid, xv[lo:lo + m], tv[lo:lo + m])
             corners.update((lo + i, half) for i, half in found.items())
-    # A fixed-theta ukh request at an integer 2 q theta is on the time-reversal line at every x.
-    lines = [_half_theta(pa) if route == "cayley" and pa.kind is OperatorKind.UKH
-             and not pa.is_mother else -1 for pa in batch]
+        part_of[list(corners)] = 2
+    values = np.empty((xv.size, q), np.float64 if route == "hermitian" else np.complex128)
 
-    def nodes(at) -> np.ndarray:
-        runs = [at]  # one per request, each built by its own params: owner ascends
-        if owner[at[0]] != owner[at[-1]]:
-            runs = np.split(at, np.flatnonzero(np.diff(owner[at])) + 1)
-        stacks = [build(built[owner[run[0]]], xv[run], tv[run]) for run in runs]
-        stack = stacks[0] if len(runs) == 1 else np.concatenate(stacks)
-        del stacks  # a batch's pieces, before it is solved
-        if lines[owner[at[0]]] < 0:
-            return _one_thread_below(floor, solve, stack)
-        gauges = [_reversal_gauge(batch[owner[run[0]]], xv[run], lines[owner[run[0]]])
-                  for run in runs]
-        return _one_thread_below(floor, solve, stack, np.concatenate(gauges))
+    def whole(run: np.ndarray) -> tuple:
+        r = owner[run[0]]  # one request's run of nodes, built by its params
+        stack = build(built[r], xv[run], tv[run])
+        return stack, None if lines[r] < 0 else _reversal_gauge(batch[r], xv[run], lines[r])
 
-    def split_rows(at) -> np.ndarray:
-        # Each corner's row is its blocks' values side by side, ascending on the Hermitian route.
-        blocks = [(row, *b) for row, i in enumerate(at)
-                  for b in _corner_blocks(built[owner[i]], *corners[i])]
-        rows = [[] for _ in at]
-        for size in sorted({len(b) for _, b, _ in blocks}):
-            same = [block for block in blocks if len(block[1]) == size]
-            for lo in range(0, len(same), _chunk_rows(size)):
-                row_of, stack, gauge = zip(*same[lo:lo + _chunk_rows(size)])
-                gauged = () if gauge[0] is None else (np.stack(gauge),)
-                solved = _one_thread_below(floor, solve, np.stack(stack), *gauged)
-                for row, w in zip(row_of, solved):
-                    rows[row].append(w)
-        values = np.array([np.concatenate(row) for row in rows])
-        return np.sort(values, axis=-1) if route == "hermitian" else values
+    def plan(at: np.ndarray) -> list:
+        calls, step, parts = [], _chunk_rows(q), part_of[at]
+        for rest in (at[parts == 0], at[parts == 1]):
+            for chunk in (rest[lo:lo + step] for lo in range(0, rest.size, step)):
+                runs = [chunk]  # one per request, each built by its own params: owner ascends
+                if owner[chunk[0]] != owner[chunk[-1]]:
+                    runs = np.split(chunk, np.flatnonzero(np.diff(owner[chunk])) + 1)
+                calls.append([(lambda run=run: whole(run), run, slice(None)) for run in runs])
+        blocks = []  # (size, piece)
+        for i in at[parts == 2]:
+            lo, found = 0, _corner_blocks(built[owner[i]], *corners[i])
+            for b, g in sorted(found, key=lambda bg: len(bg[0])):
+                blocks.append((len(b), (lambda b=b, g=g: (b[None], g if g is None else g[None]),
+                                        [i], slice(lo, lo + len(b)))))
+                lo += len(b)
+        for size in sorted({size for size, _ in blocks}):
+            same, step = [piece for n, piece in blocks if n == size], _chunk_rows(size)
+            calls += [same[lo:lo + step] for lo in range(0, len(same), step)]
+        return calls
 
-    rest, step = np.delete(np.arange(xv.size), list(corners)), _chunk_rows(q)
-    groups = [rest]
-    if len({line >= 0 for line in lines}) > 1:  # the gauged nodes in chunks of their own
-        on_line = (np.array(lines) >= 0)[owner[rest]]
-        groups = [rest[~on_line], rest[on_line]]
-    chunks = [run[lo:lo + step] for run in groups for lo in range(0, run.size, step)]
+    def execute(calls: list) -> None:
+        for call in calls:
+            stacks, gauges = zip(*(make() for make, _, _ in call))
+            stack = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+            del stacks  # a call's pieces, before it is solved
+            gauge = () if gauges[0] is None else (np.concatenate(gauges),)
+            solved = _one_thread_below(floor, solve, stack, *gauge)
+            del stack  # and its stack, before the next call is built
+            for _, rows, cols in call:
+                values[rows, cols], solved = solved[:len(rows)], solved[len(rows):]
+
     try:
-        values = np.concatenate([nodes(at) for at in chunks]
-                                + ([split_rows(list(corners))] if corners else []))
+        execute(plan(np.arange(xv.size)))
     except NumericalError as exc:
         for i, (x, t) in enumerate(zip(xv, tv)):
             try:
-                split_rows([i]) if i in corners else nodes(np.array([i]))
+                execute(plan(np.array([i])))
             except NumericalError:
                 raise NumericalError(
                     f"eigensolver failed at alpha={batch[owner[i]].alpha}, grid point "
                     f"x={float(x)!r}, theta={float(t)!r}: {exc}"
                 ) from exc
         raise
-    if corners or len(groups) > 1:  # back in node order: gauged nodes' and corners' rows came last
-        values[np.concatenate([*groups, np.array(list(corners), dtype=int)])] = values.copy()
+    if route == "hermitian" and corners:  # a corner's row, its blocks' values, ascending
+        values[list(corners)] = np.sort(values[list(corners)], axis=-1)
     out = []
     for pa, b, uh, (m, image, _), lo in zip(batch, built, mapped, orbits, starts):
         rows = values[lo:lo + m]

@@ -9,15 +9,16 @@ SRC = pathlib.Path(kickspec.__file__).parent
 MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
 
 # Each private name a module may take from another, and the modules that may
-# take it: the sweep kernel, its size check and the tracked bands of its values
-# from spectra, the general solver of spectra's general route, the BLAS thread
-# rule that spectra runs each solver call through, the corner nodes' parity
-# blocks and the time-reversal gauges that the sweep solves with, and the
-# per-key parsers the command line shares with the checks.
+# take it: the sweep kernel, its size check, and the set and the tracked bands
+# of its values from spectra, the general solver of spectra's general route,
+# the BLAS thread rule that spectra runs each solver call through, the corner
+# nodes' parity blocks and the time-reversal gauges that the sweep solves with,
+# and the per-key parsers the command line shares with the checks.
 ALLOWED = {
     ("spectra", "_sweep_values"): {"analysis"},
     ("spectra", "_preflight"): {"analysis", "cli"},
     ("spectra", "_tracked"): {"analysis"},
+    ("spectra", "_spectrum"): {"analysis"},
     ("linalg", "_general_eigvals"): {"spectra"},
     ("linalg", "_one_thread_below"): {"spectra"},
     ("operators", "_corner_blocks"): {"spectra"},

@@ -245,31 +245,41 @@ def test_chunked_sweep_is_identical(kind, monkeypatch):
 
 
 _MIXED_BATCHES = {
-    # Fixed-theta ukh on and off the time-reversal line (2 q theta = 0 and 0.3): only the
-    # first is gauged, and at 144/233 only it has corners.
-    "line-8/13": ([params("ukh", 1.0, 1.3, 8, 13, theta=t) for t in (0.0, 0.3)], GridSpec(6)),
+    # Each batch, its grid, and the solver calls its sweep makes, in order: (matrices, rows,
+    # gauged).  Fixed-theta ukh on and off the time-reversal line (2 q theta = 0 and 0.3):
+    # only the first is gauged, and at 144/233 only it has corners.
+    "line-8/13": ([params("ukh", 1.0, 1.3, 8, 13, theta=t) for t in (0.0, 0.3)], GridSpec(6),
+                  [(4, 13, False), (4, 13, True)]),
     "line-144/233": ([params("ukh", 1.0, 1.3, 144, 233, theta=t) for t in (0.0, 0.3)],
-                     GridSpec(4)),
+                     GridSpec(4),
+                     [(1, 233, False)] * 3 + [(1, 233, True), (2, 116, True), (2, 117, True)]),
     # Every node of a 2 x 2 mother grid is a corner: both kinds' blocks of one size share a call.
     "kinds-144/233": ([params(k, 1.0, 1.3, 144, 233, theta=MOTHER) for k in ("ukh", "uordkr")],
-                      GridSpec(2, 2)),
+                      GridSpec(2, 2), [(4, 116, True), (4, 117, True)]),
     # uh is solved as h on the Hermitian route and mapped through exp(-i kappa w); h is not.
     "hermitian-8/13": ([params(k, 1.0, 1.3, 8, 13, theta=MOTHER) for k in ("h", "uh")],
-                       GridSpec(5, 5)),
+                       GridSpec(5, 5), [(18, 13, False)]),
     "hermitian-144/233": ([params(k, 1.0, 1.3, 144, 233, theta=MOTHER) for k in ("h", "uh")],
-                          GridSpec(2, 2)),
+                          GridSpec(2, 2), [(4, 116, False), (4, 117, False)]),
     # Only uordkr folds the half-shift image at fixed theta (odd q, even n_x).
     "image-8/13": ([params(k, 1.0, 1.3, 8, 13, theta=0.3) for k in ("ukh", "uordkr")],
-                   GridSpec(4)),
+                   GridSpec(4), [(5, 13, False)]),
     # Kappa and lambda, which set each node's build and, at lambda = 1, its fold.
     "couplings-8/13": ([params("ukh", k, lam, 8, 13, theta=MOTHER)
-                        for k, lam in ((0.5, 1.0), (1.0, 1.3), (2.0, 0.7))], GridSpec(6, 6)),
+                        for k, lam in ((0.5, 1.0), (1.0, 1.3), (2.0, 0.7))], GridSpec(6, 6),
+                       [(22, 13, False)]),
 }
 
 
 @pytest.mark.parametrize("case", list(_MIXED_BATCHES))
-def test_each_request_of_a_mixed_batch_is_its_sweep_alone(case):
-    batch, grid = _MIXED_BATCHES[case]
+def test_each_request_of_a_mixed_batch_is_its_sweep_alone(case, monkeypatch):
+    batch, grid, expected = _MIXED_BATCHES[case]
+    name = "eigvalsh_stack" if batch[0].kind in ("h", "uh") else "unitary_eigvals_stack"
+    solve, calls = getattr(spectra, name), []
+    monkeypatch.setattr(spectra, name, lambda stack, *gauge: calls.append(
+        (len(stack), stack.shape[-1], bool(gauge))) or solve(stack, *gauge))
+    spectra._sweep_values(batch, grid)
+    assert calls == expected
     for order in (batch, batch[::-1]):
         for pa, values in zip(order, spectra._sweep_values(order, grid), strict=True):
             alone = spectra._sweep_values(pa, grid)
@@ -317,6 +327,27 @@ def test_a_split_corner_that_fails_is_named_by_its_grid_point(kind, monkeypatch)
     monkeypatch.setattr(spectra, name, fail_at_bad)
     with pytest.raises(NumericalError, match=re.escape(f"grid point x={1 / 6!r}, theta=0.0:")):
         mother_spectrum(pa, GridSpec(2, 2))
+
+
+def test_a_gauged_line_node_that_fails_is_retried_alone_with_its_gauge(monkeypatch):
+    # 8/13 on 6 x nodes at theta = 0 (on the time-reversal line, gauged) and 0.3: one
+    # ungauged chunk, then one gauged chunk, which fails at theta = 0's node x = 1/78.
+    batch = [params("ukh", 1.0, 1.3, 8, 13, theta=t) for t in (0.0, 0.3)]
+    bad = spectra.operator_stack(batch[0], [1 / 78], [0.0])[0]
+    solve, calls = spectra.unitary_eigvals_stack, []
+
+    def fail_at_bad(stack, *gauge):
+        calls.append((len(stack), bool(gauge)))
+        if any(np.array_equal(m, bad) for m in stack):
+            raise NumericalError("injected")
+        return solve(stack, *gauge)
+
+    monkeypatch.setattr(spectra, "unitary_eigvals_stack", fail_at_bad)
+    with pytest.raises(NumericalError,
+                       match=re.escape(f"alpha=8/13, grid point x={1 / 78!r}, theta=0.0: injected")):
+        spectra._sweep_values(batch, GridSpec(6))
+    # The gauged chunk fails; node 0 passes alone and node 1 fails alone, both gauged.
+    assert calls == [(4, False), (4, True), (1, True), (1, True)]
 
 
 def test_a_chunk_failure_that_no_node_repeats_alone_is_raised_as_is(monkeypatch):
