@@ -19,7 +19,7 @@ Four operator kinds are covered:
 ``operator_stack`` is the one place any of them is assembled, for a whole
 batch of phase pairs at once.  Each theta term is a circulant gathered
 from the inverse FFT of its diagonal (``_theta_kick``), UORDKR's E D_beta
-E* relabelled by j -> j p^{-1} mod q and chirped, so no sweep builds E.
+E* relabelled by j -> j p^{-1} mod q and chirped, so E is never built.
 ``harper_jacobi_stack`` builds, for the same pairs, real symmetric
 matrices with the eigenvalues of H, which the h and uh sweeps solve
 instead (Chambers' relation).  At a corner node, where 2 q x
@@ -170,16 +170,12 @@ def cos_rows(k: int, ys, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DcpEigensystem:
-    """Closed-form eigensystem of D C^p at alpha = p/q.
+    """The shift and phase offset phi of D C^p's closed-form eigensystem at alpha = p/q.
 
-    ``shift`` = p + 2 q phi is the one integer that sets the rest, with
-    phi = 0 when p(q-1) is even and 1/(2q) when odd, so that
-    alpha/2 + phi = shift / (2q).  ``values[k]`` = mu * w^k (k = 0..q-1)
-    with mu = exp(i 2 pi phi).  ``vectors`` is the unitary matrix E of
-    normalized eigenvectors, columns ordered to match ``values``, built from
-    the index recursion u_{jp+1} = w^{-p j(j-1)/2} nu^j u_1 with indices
-    taken mod q and u_1 = 1/sqrt(q).  The arrays are built when read, and
-    only ``vectors`` is q x q, so shift, phi and values cost no q x q work.
+    D C^p has the eigenvalues mu w^k (k = 0..q-1), mu = exp(i 2 pi phi), with
+    phi = 0 when p(q-1) is even and 1/(2q) when odd.  ``shift`` = p + 2 q phi
+    is the one integer behind both: alpha/2 + phi = shift / (2q).  The tests'
+    oracles dcp_values and dcp_vectors build the eigenvalues and eigenvectors.
     """
 
     p: int
@@ -193,33 +189,9 @@ class DcpEigensystem:
     def phi(self) -> float:
         return (self.shift - self.p) / (2 * self.q)
 
-    @property
-    def values(self) -> np.ndarray:
-        k = np.arange(self.q, dtype=np.int64)
-        return np.exp(1j * np.pi * ((2 * k + self.shift - self.p) % (2 * self.q)) / self.q)
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return _dcp_arrays(self.p, self.q, self.shift)
-
-
-def _dcp_arrays(p: int, q: int, shift: int) -> np.ndarray:
-    odd = shift - p
-    roots = np.exp(1j * np.pi * np.arange(2 * q) / q)  # 2q-th roots of unity
-    k = np.arange(q, dtype=np.int64)
-
-    # Entry phase in units of pi/q: nu_k^j * w^{-p j(j-1)/2} at row r = (j p) mod q,
-    # so row r holds j = r p^{-1} mod q.
-    j = k * pow(p, -1, q) % q
-    t = (np.multiply.outer(j, 2 * k + odd) - (p * j * (j - 1))[:, None]) % (2 * q)
-    return np.take(roots / np.sqrt(q), t)
-
 
 def dcp_eigensystem(alpha: RationalAlpha) -> DcpEigensystem:
-    """Eigenvalues, eigenvectors, phase offset phi and shift of D C^p for alpha = p/q.
-
-    The arrays are built on each read; no sweep reads them (_theta_kick).
-    """
+    """The shift and phase offset phi of D C^p's eigensystem for alpha = p/q."""
     if not isinstance(alpha, RationalAlpha):
         raise InvalidParams("dcp_eigensystem expects a RationalAlpha")
     return DcpEigensystem(alpha.p, alpha.q)
@@ -283,8 +255,8 @@ def _theta_kick(params: OperatorParams, xs, thetas) -> tuple:
     the inverse FFT of the term's diagonal, a function of ``rows``, the
     cos_rows of each distinct kick phase (``inverse`` maps nodes to them).
     F carries D^p to a power of C, so UKH's kick (and H's theta term) has
-    rows G(p, theta), step 1 and no chirp (None).  E's rows r = j p carry
-    the phases j (2 k + odd) - p j (j - 1) in units of pi/q (_dcp_arrays),
+    rows G(p, theta), step 1 and no chirp (None).  E's rows r = j p carry the
+    phases j (2 k + odd) - p j (j - 1) in units of pi/q (oracles.dcp_vectors),
     so E D_beta E* has rows G(1, beta), step p^-1 and X_r = sqrt q E[r, 0].
     """
     alpha = params.alpha
@@ -354,10 +326,10 @@ def _reversal_chirp(alpha: RationalAlpha, kind: OperatorKind, half: int) -> np.n
     diagonal M: ukh's circulant T has M = D^t, t = -p^{-1} half mod q (the
     t of _parity_blocks), since F carries the reversed kick diagonal to
     the shifted one; uordkr's T = E D_beta E* has M = diag(w^{n_j}), n_j =
-    -p^{-1} j (j + half), read off the phase table of _dcp_arrays, where
-    row j p and column k of E add up to w^{n_{jp}} against column -2 q beta
-    - k: D_beta takes one to the other.  So U^T = Gamma* U Gamma with Gamma
-    = A M, and n_j here is that of M^{1/2}, up to signs (-1)^j.
+    -p^{-1} j (j + half), read off E's phase table (oracles.dcp_vectors),
+    where row j p and column k of E add up to w^{n_{jp}} against column
+    -2 q beta - k: D_beta takes one to the other.  So U^T = Gamma* U Gamma
+    with Gamma = A M, and n_j here is that of M^{1/2}, up to signs (-1)^j.
     """
     p, q = alpha.p, alpha.q
     j = np.arange(q, dtype=np.int64)

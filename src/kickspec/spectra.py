@@ -311,9 +311,9 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
     thread under the route's thread floor, into one (nodes, q) array; a
     corner's row is its blocks' values, the smaller first, ascending on the
     Hermitian route.  Each request's half-shift image, uh mapping (its Harper
-    eigenvalues w map to exp(-i kappa w)), line and corners are its own.  On
-    a solver failure each node's plan runs alone in turn, and the error
-    names the alpha and grid point of the first node that fails on its own.
+    eigenvalues w map to exp(-i kappa w)), line and corners are its own.  If
+    a call fails, each of its nodes' part of it runs alone in turn, and the
+    error names the alpha and grid point of the first that fails on its own.
     A batch is not checked for a shared q and route.
     """
     batch = _requests(params)
@@ -366,29 +366,32 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
             calls += [same[lo:lo + step] for lo in range(0, len(same), step)]
         return calls
 
-    def execute(calls: list) -> None:
-        for call in calls:
-            stacks, gauges = zip(*(make() for make, _, _ in call))
-            stack = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-            del stacks  # a call's pieces, before it is solved
-            gauge = () if gauges[0] is None else (np.concatenate(gauges),)
-            solved = _one_thread_below(floor, solve, stack, *gauge)
-            del stack  # and its stack, before the next call is built
-            for _, rows, cols in call:
-                values[rows, cols], solved = solved[:len(rows)], solved[len(rows):]
+    def execute(call: list) -> None:
+        stacks, gauges = zip(*(make() for make, _, _ in call))
+        stack = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        del stacks  # a call's pieces, before it is solved
+        gauge = () if gauges[0] is None else (np.concatenate(gauges),)
+        solved = _one_thread_below(floor, solve, stack, *gauge)
+        del stack  # and its stack, before the next call is built
+        for _, rows, cols in call:
+            values[rows, cols], solved = solved[:len(rows)], solved[len(rows):]
 
-    try:
-        execute(plan(np.arange(xv.size)))
-    except NumericalError as exc:
-        for i, (x, t) in enumerate(zip(xv, tv)):
-            try:
-                execute(plan(np.array([i])))
-            except NumericalError:
-                raise NumericalError(
-                    f"eigensolver failed at alpha={batch[owner[i]].alpha}, grid point "
-                    f"x={float(x)!r}, theta={float(t)!r}: {exc}"
-                ) from exc
-        raise
+    for call in plan(np.arange(xv.size)):
+        try:
+            execute(call)
+        except NumericalError as exc:
+            for i in np.unique(np.concatenate([rows for _, rows, _ in call])):
+                part = [cols for _, rows, cols in call if i in rows]  # a corner's: one block size
+                try:
+                    for alone in plan(np.array([i])):
+                        if alone[0][2] in part:
+                            execute(alone)
+                except NumericalError:
+                    raise NumericalError(
+                        f"eigensolver failed at alpha={batch[owner[i]].alpha}, grid point "
+                        f"x={float(xv[i])!r}, theta={float(tv[i])!r}: {exc}"
+                    ) from exc
+            raise
     if route == "hermitian" and corners:  # a corner's row, its blocks' values, ascending
         values[list(corners)] = np.sort(values[list(corners)], axis=-1)
     out = []

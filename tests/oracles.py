@@ -2,7 +2,10 @@
 and the two test-only measures of the acceptance suite.
 
 The matrices read nothing of ``kickspec``: they are the independent route
-the tests check the package's arrays against.  ``matrix_at`` is the
+the tests check the package's arrays against.  ``dcp_values`` and
+``dcp_vectors`` are the closed-form eigensystem of D C^p, its eigenvalues
+and the unitary E, which the package never builds: it gathers the rotor's
+theta kick E D_beta E* as a chirped circulant.  ``matrix_at`` is the
 exception, a convenience that calls the code under test.  ``farey_reference``
 lists the Farey rationals by the gcd filter and a sort, the route the
 package's next-term recurrence is checked against.
@@ -58,6 +61,28 @@ def expm_i(a, s):
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def dcp_values(p, q):
+    """Eigenvalues mu w^k of D C^p at alpha = p/q, k = 0..q-1, w = exp(2 pi i / q).
+
+    mu = exp(2 pi i phi), with phi = 0 when p(q-1) is even and 1/(2q) when odd.
+    """
+    k = np.arange(q)
+    return np.exp(1j * np.pi * ((2 * k + p * (q - 1) % 2) % (2 * q)) / q)
+
+
+def dcp_vectors(p, q):
+    """The unitary E of D C^p's normalized eigenvectors, column k for dcp_values(p, q)[k].
+
+    From the index recursion u_{jp+1} = w^{-p j(j-1)/2} nu_k^j u_1, indices
+    taken mod q and u_1 = 1/sqrt(q): row r = j p mod q holds the phase
+    j (2 k + odd) - p j (j - 1) in units of pi/q, odd = p(q-1) mod 2.
+    """
+    k = np.arange(q)
+    j = k * pow(p, -1, q) % q  # row r holds j = r p^{-1} mod q
+    t = (np.outer(j, 2 * k + p * (q - 1) % 2) - (p * j * (j - 1))[:, None]) % (2 * q)
+    return np.exp(1j * np.pi * t / q) / np.sqrt(q)
 
 
 def unitary_eigvals(u):

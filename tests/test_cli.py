@@ -1064,13 +1064,11 @@ def test_an_oversized_alpha_list_is_refused_before_it_is_made(tmp_path, monkeypa
                                                                capsys, argv, refused, most):
     # The lists hold 10^5 and about 1.2 * 10^8 alphas.  Each alpha is made as
     # it is drawn and size-checked at once, so the command stops at the first
-    # too large for 8 GiB, having made a handful, and builds no matrix, not
-    # even the rotor's D C^p eigenvectors.
+    # too large for 8 GiB, having made a handful, and builds no matrix.
     import kickspec.analysis as analysis
-    import kickspec.operators as operators
     import kickspec.spectra as spectra
 
-    made, eigensystems = [], []
+    made = []
 
     class Counted(RationalAlpha):
         def __post_init__(self):
@@ -1079,14 +1077,13 @@ def test_an_oversized_alpha_list_is_refused_before_it_is_made(tmp_path, monkeypa
             super().__post_init__()
 
     monkeypatch.setattr(analysis, "RationalAlpha", Counted)
-    monkeypatch.setattr(operators, "_dcp_arrays", lambda *key: eigensystems.append(key))
     sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8 * 2**30 // 4096}
     monkeypatch.setattr(spectra.os, "sysconf", sizes.__getitem__)
     out = tmp_path / "t.csv"
     assert dispatch(argv + ["--grid", "2", "--out", str(out)]) == 2
     assert f"at q = {refused} needs" in capsys.readouterr().err
     assert 0 < len(made) <= most
-    assert built == [] and eigensystems == []
+    assert built == []
     assert not out.exists()
 
 
@@ -1144,21 +1141,6 @@ def test_an_oversized_butterfly_table_is_refused_before_its_list_is_drawn(
     assert 0 < len(made) <= 1000
     assert built == []
     assert not out.exists()
-
-
-def test_no_rotor_sweep_builds_the_eigenvectors(tmp_path, monkeypatch):
-    # uordkr's theta kick is gathered from the closed form of E's entries, so no
-    # sweep builds E (q^2 complex entries per alpha): not the mother sweeps of a
-    # Farey butterfly of 45 alphas, nor the whole (non-corner) nodes at 144/233.
-    import kickspec.operators as operators
-
-    built = []
-    monkeypatch.setattr(operators, "_dcp_arrays", lambda *key: built.append(key))
-    argv = ["butterfly", "--kind", "uordkr", "--alpha-list", "farey:12", "--grid", "2"]
-    assert dispatch(argv + ["--out", str(tmp_path / "b.csv")]) == 0
-    argv = ["compute", "--kind", "uordkr", "--alpha", "144/233", "--theta", "0.123456"]
-    assert dispatch(argv + ["--grid", "2", "--out", str(tmp_path / "c.csv")]) == 0
-    assert built == []
 
 
 # Keys of version 0.1.0 for the two configurations of test_cache_keys_are_pinned.

@@ -17,11 +17,22 @@ from kickspec.operators import (
     _parity_blocks,
     _reversal_chirp,
     _reversal_gauge,
+    _theta_kick,
     cos_rows,
     dcp_eigensystem,
     harper_jacobi_stack,
 )
-from oracles import clock_shift, cos_diag, dft, kick, matrix_at, operator_matrix, unitary_eigvals
+from oracles import (
+    clock_shift,
+    cos_diag,
+    dcp_values,
+    dcp_vectors,
+    dft,
+    kick,
+    matrix_at,
+    operator_matrix,
+    unitary_eigvals,
+)
 
 ROOT8 = 2.0 * np.sqrt(2.0)
 
@@ -428,16 +439,16 @@ def test_the_rotor_chirp_is_the_numeric_fit(q):
 def test_dcp_q2_matches_hand_oracle():
     dc = dcp_eigensystem(RationalAlpha(1, 2))
     assert dc.phi == pytest.approx(0.25)  # p(q-1) = 1 odd -> mu = i
-    assert set_distance(dc.values, [1j, -1j]) <= 1e-14
+    assert set_distance(dcp_values(1, 2), [1j, -1j]) <= 1e-14
     brute = unitary_eigvals(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    assert set_distance(dc.values, brute) <= 1e-12
+    assert set_distance(dcp_values(1, 2), brute) <= 1e-12
 
 
 def test_dcp_q3_is_cube_roots():
     dc = dcp_eigensystem(RationalAlpha(1, 3))
     assert dc.phi == 0.0  # p(q-1) = 2 even -> mu = 1
     expected = np.exp(2j * np.pi * np.arange(3) / 3)
-    assert set_distance(dc.values, expected) <= 1e-14
+    assert set_distance(dcp_values(1, 3), expected) <= 1e-14
 
 
 @pytest.mark.parametrize("q", range(1, 13))
@@ -447,11 +458,11 @@ def test_dcp_against_brute_force(q):
         if q > 1 and math.gcd(p, q) != 1:
             continue
         alpha = RationalAlpha(p, q)
-        dc = dcp_eigensystem(alpha)
+        dc, e, mu = dcp_eigensystem(alpha), dcp_vectors(p, q), dcp_values(p, q)
         m = d @ np.linalg.matrix_power(c, p)
-        assert np.abs(m @ dc.vectors - dc.vectors * dc.values[None, :]).max() <= 1e-10
-        assert np.abs(dc.vectors @ dc.vectors.conj().T - np.eye(q)).max() <= 1e-10
-        assert set_distance(dc.values, unitary_eigvals(m)) <= 1e-10
+        assert np.abs(m @ e - e * mu[None, :]).max() <= 1e-10
+        assert np.abs(e @ e.conj().T - np.eye(q)).max() <= 1e-10
+        assert set_distance(mu, unitary_eigvals(m)) <= 1e-10
         expected_phi = 0.0 if (p * (q - 1)) % 2 == 0 else 1.0 / (2 * q)
         assert dc.phi == pytest.approx(expected_phi)
 
@@ -466,30 +477,6 @@ def test_dcp_shift_is_the_one_integer_behind_phi():
             assert dc.shift == p + round(2 * q * dc.phi)
             assert dc.shift - p in (0, 1)
             assert p / (2 * q) + dc.phi == pytest.approx(dc.shift / (2 * q), abs=1e-15)
-
-
-def test_dcp_shift_builds_no_q_by_q_array(monkeypatch):
-    import kickspec.operators as operators
-
-    built = []
-    monkeypatch.setattr(operators, "_dcp_arrays", lambda *key: built.append(key))
-    dc = dcp_eigensystem(RationalAlpha(1, 10**6))
-    assert (dc.shift, dc.phi) == (2, 1 / (2 * 10**6))
-    assert built == []
-
-
-def test_dcp_values_build_no_q_by_q_array(monkeypatch):
-    # values[k] = exp(i pi (2k + shift - p) / q) in O(q); only vectors builds E.
-    import kickspec.operators as operators
-
-    built = []
-    monkeypatch.setattr(operators, "_dcp_arrays", lambda *key: built.append(key))
-    q = 10**6
-    values = dcp_eigensystem(RationalAlpha(1, q)).values
-    assert values.shape == (q,)
-    expected = np.exp(1j * np.pi * np.array([1, 3, 2 * q - 1]) / q)
-    assert np.abs(values[[0, 1, q - 1]] - expected).max() <= 1e-15
-    assert built == []
 
 
 # -- double kicked rotor -----------------------------------------------------------------
@@ -534,6 +521,23 @@ def test_ordkr_two_routes_random_params(pq):
     )
     x = float(rng.uniform())
     assert np.abs(matrix_at(pa, x) - _ordkr_via_exponential(pa, x)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("pq", [(1, 2), (1, 3), (2, 5), (3, 8), (8, 13), (13, 21), (55, 89)])
+def test_the_rotor_build_is_the_oracles_e_d_beta_e_star(pq):
+    # _theta_kick gathers E D_beta E* as a circulant relabelled by p^-1 and chirped by
+    # X_r = sqrt q E[r, 0]; the oracle writes E out, and the matrix as A E D_beta E*.
+    p, q = pq
+    rng = np.random.default_rng(q)
+    kappa, lam, x, theta = rng.uniform(0.2, 2.0), rng.uniform(0.3, 1.8), *rng.uniform(size=2)
+    pa = params("uordkr", kappa, lam, p, q, theta=theta)
+    _, _, step, chirp = _theta_kick(pa, np.array([x]), np.array([theta]))
+    e = dcp_vectors(p, q)
+    assert step == pow(p, -1, q)
+    assert np.abs(chirp - np.sqrt(q) * e[:, 0]).max() <= 1e-13
+    beta = x + theta + (p + p * (q - 1) % 2) / (2 * q)  # shift / (2q)
+    expected = kick(1, x, q, kappa) @ e @ kick(1, beta, q, kappa * lam) @ e.conj().T
+    assert np.abs(matrix_at(pa, x) - expected).max() <= 1e-13
 
 
 def test_builders_are_unitary_or_hermitian():

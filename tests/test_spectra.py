@@ -350,6 +350,33 @@ def test_a_gauged_line_node_that_fails_is_retried_alone_with_its_gauge(monkeypat
     assert calls == [(4, False), (4, True), (1, True), (1, True)]
 
 
+@pytest.mark.parametrize("size, expected", [
+    (48, [28, 20] + [1] * 20),
+    (49, [28, 20, 27, 21] + [1] * 21),
+])
+def test_only_the_failed_call_is_retried_node_by_node(size, expected, monkeypatch):
+    # A Farey butterfly's 48 folded numerators at q = 97 on a 1 x 1 mother grid: one corner
+    # each, whose 48-row blocks take calls of 28 and 20 and whose 49-row blocks of 27 and
+    # 21.  When the last corner's block of one size fails, in that size's second call, only
+    # that call's blocks run again, one node at a time, until the last fails: at size 48,
+    # 22 calls on 68 matrices, where re-running every node's whole plan took 97 on 143.
+    batch = [params("ukh", 1.0, 1.0, p, 97, theta=MOTHER) for p in range(1, 49)]
+    bad = [b for b, _ in spectra._corner_blocks(batch[-1], 0, 0) if len(b) == size]
+    solve, calls = spectra.unitary_eigvals_stack, []
+
+    def fail_at_bad(stack, *gauge):
+        calls.append(len(stack))
+        if any(np.array_equal(m, b) for m in stack for b in bad):
+            raise NumericalError("injected")
+        return solve(stack, *gauge)
+
+    monkeypatch.setattr(spectra, "unitary_eigvals_stack", fail_at_bad)
+    with pytest.raises(NumericalError,
+                       match=re.escape("alpha=48/97, grid point x=0.0, theta=0.0: injected")):
+        spectra._sweep_values(batch, GridSpec(1, 1))
+    assert calls == expected
+
+
 def test_a_chunk_failure_that_no_node_repeats_alone_is_raised_as_is(monkeypatch):
     pa = params("h", 0.0, 1.0, 1, 3, theta=MOTHER)
     real = spectra.eigvalsh_stack
