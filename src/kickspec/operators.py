@@ -22,15 +22,15 @@ from the inverse FFT of its diagonal (``_theta_kick``), UORDKR's E D_beta
 E* relabelled by j -> j p^{-1} mod q and chirped, so E is never built.
 ``harper_jacobi_stack`` builds, for the same pairs, real symmetric
 matrices with the eigenvalues of H, which the h and uh sweeps solve
-instead (Chambers' relation).  At a corner node, where 2 q x
-and 2 q theta are integers, the UKH and UORDKR matrices commute with an
-involution P = D^t C^{-s} R_0 (``_parity_blocks``), and H's Jacobi matrix
-with a reflection of its ring, so each splits into two blocks of about
-q/2, which ``_corner_blocks`` builds without the q x q matrix.  Where
-2 q times the theta kick's phase is an integer (2 q theta for UKH, at any
-x; 2 q (x + theta) for UORDKR), the matrix is time-reversal symmetric: a
-diagonal gauge G (``_reversal_gauge``) makes conj(G) U G complex
-symmetric, and each corner block with it.
+instead (Chambers' relation).  At a corner node, where 2 q x and 2 q theta
+are integers, the UKH and UORDKR matrices commute with an involution
+P = D^t C^{-s} R_0 (``_parity_blocks``), and H's Jacobi matrix with a
+reflection of its ring, so each splits into two blocks of about q/2, which
+``_corner_blocks`` sizes from integers and builds on demand, without the
+q x q matrix.  Where 2 q times the theta kick's phase is an integer
+(2 q theta for UKH, at any x; 2 q (x + theta) for UORDKR), the matrix is
+time-reversal symmetric: a diagonal gauge G (``_reversal_gauge``) makes
+conj(G) U G complex symmetric, and each corner block with it.
 Phases are assembled from exact integer arithmetic modulo q (or 2q), so
 large q does not lose accuracy to argument reduction.
 """
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -407,37 +407,39 @@ def harper_jacobi_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
 def _corner_blocks(params: OperatorParams, half_x: int, half_theta: int) -> list[tuple]:
     """The parity blocks of params.kind's matrix at the corner (half_x, half_theta) / (2q).
 
-    Returns (block, gauge) per nonempty block, built without the q x q
-    matrix, for H, UKH or UORDKR: a uh sweep solves, and splits, the H
-    matrices.  H's blocks are those of its real Jacobi matrix
-    (_jacobi_blocks), with no gauge.  For UKH and UORDKR, V's columns
-    a e_k + b e_sigma(k) (one block of _parity_blocks) span an eigenspace of
-    P, which commutes with the x kick A (diagonal, with A_sigma(k) = A_k)
-    and with the theta kick T, so V* U V = diag(A_k) V* T V,
-    and T keeps the eigenspace, so (V* T V)[m, n] = (T V)[k_m, n] / a_m.
-    Both kinds' T are chirped circulants (_theta_kick), T[r, l] = X_r
-    conj(X_l) c_(j_r - j_l), so each block is two gathers from c, O(q^2) with
-    no q x q index or matrix.  A kicked block's gauge is the node's
-    _reversal_gauge G at its k.
+    Returns (size, make) per nonempty block, for H, UKH or UORDKR: a uh
+    sweep solves, and splits, the H matrices.  size, the block's rows, comes
+    from integers alone; make() builds (block, gauge) without the q x q
+    matrix, so a sweep holds a block only while its solver call runs.  H's
+    blocks are those of its real Jacobi matrix (_jacobi_blocks), with no
+    gauge.  For UKH and UORDKR, V's columns a e_k + b e_sigma(k) (one block
+    of _parity_blocks) span an eigenspace of P, which commutes with the x
+    kick A (diagonal, with A_sigma(k) = A_k) and with the theta kick T, so
+    V* U V = diag(A_k) V* T V, and T keeps the eigenspace, so (V* T V)[m, n]
+    = (T V)[k_m, n] / a_m.  Both kinds' T are chirped circulants
+    (_theta_kick), T[r, l] = X_r conj(X_l) c_(j_r - j_l), so each block is
+    two gathers from c, O(q^2) with no q x q index.  A kicked block's gauge
+    is the node's _reversal_gauge G at its k.  The O(q) kicks, gauge and c
+    are computed once per corner, here.
     """
     kind, alpha, kap, lam = params.kind, params.alpha, params.kappa, params.lam
     if kind is OperatorKind.H:
-        return [(b, None) for b in _jacobi_blocks(alpha, lam, half_x, half_theta)]
+        return _jacobi_blocks(alpha, lam, half_x, half_theta)
     q = alpha.q
     x, theta = half_x / (2 * q), half_theta / (2 * q)
     x_kick = np.exp(-2j * kap * cos_rows(1, [x], q))[0]
     gauge = _reversal_gauge(params, [x], half_theta, half_x)[0]
     rows, _, step, chirp = _theta_kick(params, np.array([x]), np.array([theta]))
-    j, chirp = np.arange(q) * step % q, np.ones(q) if chirp is None else chirp
+    chirp = np.ones(q) if chirp is None else chirp
     c = np.fft.ifft(np.exp(-2j * kap * lam * rows[0]))
-    c = np.concatenate((c, c))  # c_(j - l) at j - l + q: no reduction
-    out = []
-    for k, sk, ak, bk in _parity_blocks(alpha, half_x, half_theta):
-        block = c[j[k][:, None] - j[k] + q] * (ak * chirp[k].conj())
-        block += c[j[k][:, None] - j[sk] + q] * (bk * chirp[sk].conj())
+
+    def make(k, sk, ak, bk) -> tuple:
+        jk, jsk, cc = k * step % q, sk * step % q, np.concatenate((c, c))
+        block = cc[jk[:, None] - jk + q] * (ak * chirp[k].conj())  # c_(j - l) at j - l + q
+        block += cc[jk[:, None] - jsk + q] * (bk * chirp[sk].conj())
         block *= (x_kick[k] * chirp[k] / ak)[:, None]
-        out.append((block, gauge[k]))
-    return out
+        return block, gauge[k]
+    return [(b[0].size, partial(make, *b)) for b in _parity_blocks(alpha, half_x, half_theta)]
 
 
 def _jacobi_blocks(alpha: RationalAlpha, lam: float, half_x: int, half_theta: int) -> list:
@@ -457,8 +459,8 @@ def _jacobi_blocks(alpha: RationalAlpha, lam: float, half_x: int, half_theta: in
     The half ring n from one fixed point to the other carries both blocks as
     open chains, even and odd: a pair (e_n +- e_(s - n)) / sqrt 2 has
     diagonal d_n, a fixed site (even block) couples by sqrt 2 |hop|, and a
-    fixed bond adds +- its value to its pair's diagonal.  O(q) entries, real
-    symmetric, of sizes summing to q.
+    fixed bond adds +- its value to its pair's diagonal.  Returns
+    _corner_blocks' (size, make): real symmetric blocks, sizes summing to q.
     """
     p, q = alpha.p, alpha.q
     scale, hop, u, v = (1.0, lam, half_x, half_theta)
@@ -471,19 +473,19 @@ def _jacobi_blocks(alpha: RationalAlpha, lam: float, half_x: int, half_theta: in
     n = np.arange(q // 2 + first) + ((s + q * (s % 2)) // 2 if first else (s + 1) // 2)
     diag = 2.0 * np.cos(np.pi * ((u + 2 * p * n) % (2 * q)) / q)
     if q == 1:  # the one site is its own pair across the one bond, taken both ways
-        return [np.array([[scale * (diag[0] + 2.0 * flux * t)]])]
+        return [(1, lambda: (np.array([[scale * (diag[0] + 2.0 * flux * t)]]), None))]
     hops = np.full(n.size - 1, t)
     hops[:1] *= np.sqrt(2.0) if first else 1.0
     hops[-1:] *= np.sqrt(2.0) if last else 1.0
-    blocks = []
-    for sign in (1.0, -1.0):
+
+    def make(sign, lo, hi) -> tuple:
         d = diag.copy()
         d[0] += 0.0 if first else sign * t
         d[-1] += 0.0 if last else sign * flux * t
-        lo, hi = int(first and sign < 0), n.size - int(last and sign * flux < 0)
         block = np.diag(d[lo:hi])
         i = np.arange(hi - lo - 1)
         block[i, i + 1] = block[i + 1, i] = hops[lo:hi - 1]
-        if block.size:
-            blocks.append(scale * block)
-    return blocks
+        return scale * block, None
+    ends = [(sign, int(first and sign < 0), n.size - int(last and sign * flux < 0))
+            for sign in (1.0, -1.0)]
+    return [(hi - lo, partial(make, sign, lo, hi)) for sign, lo, hi in ends if hi > lo]

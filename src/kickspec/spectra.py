@@ -301,24 +301,24 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
     butterfly's numerators of one q), for which it returns one such array
     per request, in order.  It sizes the sweep for its route (``_ROUTES``)
     and lays the nodes of each request's _orbits end to end.  First it plans
-    its solver calls, each a list of pieces: matrices (built when the call
-    runs), a gauge or none, and the rows and columns of the values they
-    fill.  The whole nodes come in chunks of _chunk_rows(q), a piece per run
-    of one request's nodes, the ungauged before those on the time-reversal
-    line; then the split corners' (_corners) parity blocks
-    (operators._corner_blocks), gauged on the Cayley route, those of one
-    size chunked together.  Then one loop solves each call, on one BLAS
+    its solver calls, each a list of pieces (make, rows, cols): make(rows)
+    builds the piece's matrices and gauge, or none, when its call runs, so
+    the sweep holds one call's matrices at a time.  The whole nodes come in
+    chunks of _chunk_rows(q), a piece per run of one request's nodes, the
+    ungauged before those on the time-reversal line; then the split
+    corners' (_corners) parity blocks (operators._corner_blocks, planned by
+    their sizes), gauged on the Cayley route, those of one size chunked
+    together.  Then one loop solves each call, on one BLAS
     thread under the route's thread floor, into one (nodes, q) array; a
     corner's row is its blocks' values, the smaller first, ascending on the
     Hermitian route.  Each request's half-shift image, uh mapping (its Harper
     eigenvalues w map to exp(-i kappa w)), line and corners are its own.  If
-    a call fails, each of its nodes' part of it runs alone in turn, and the
-    error names the alpha and grid point of the first that fails on its own.
+    a call fails, its pieces run again one node i at a time, make([i]), and
+    the error names the alpha and grid point of the first that fails alone.
     A batch is not checked for a shared q and route.
     """
     batch = _requests(params)
-    q = batch[0].alpha.q
-    route = _route(batch[0], route)
+    q, route = batch[0].alpha.q, _route(batch[0], route)
     _preflight(batch, grid, route)
     build, solve = (globals()[name] for name in _ROUTES[route][:2])
     floor = _ROUTES[route][3]
@@ -341,33 +341,31 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
         part_of[list(corners)] = 2
     values = np.empty((xv.size, q), np.float64 if route == "hermitian" else np.complex128)
 
-    def whole(run: np.ndarray) -> tuple:
+    def whole(run) -> tuple:
         r = owner[run[0]]  # one request's run of nodes, built by its params
         stack = build(built[r], xv[run], tv[run])
         return stack, None if lines[r] < 0 else _reversal_gauge(batch[r], xv[run], lines[r])
 
-    def plan(at: np.ndarray) -> list:
-        calls, step, parts = [], _chunk_rows(q), part_of[at]
-        for rest in (at[parts == 0], at[parts == 1]):
-            for chunk in (rest[lo:lo + step] for lo in range(0, rest.size, step)):
-                runs = [chunk]  # one per request, each built by its own params: owner ascends
-                if owner[chunk[0]] != owner[chunk[-1]]:
-                    runs = np.split(chunk, np.flatnonzero(np.diff(owner[chunk])) + 1)
-                calls.append([(lambda run=run: whole(run), run, slice(None)) for run in runs])
-        blocks = []  # (size, piece)
-        for i in at[parts == 2]:
-            lo, found = 0, _corner_blocks(built[owner[i]], *corners[i])
-            for b, g in sorted(found, key=lambda bg: len(bg[0])):
-                blocks.append((len(b), (lambda b=b, g=g: (b[None], g if g is None else g[None]),
-                                        [i], slice(lo, lo + len(b)))))
-                lo += len(b)
-        for size in sorted({size for size, _ in blocks}):
-            same, step = [piece for n, piece in blocks if n == size], _chunk_rows(size)
-            calls += [same[lo:lo + step] for lo in range(0, len(same), step)]
-        return calls
+    def block(make: Callable) -> Callable:  # one corner's, whatever rows it is asked for
+        return lambda _: tuple(a if a is None else a[None] for a in make())
+
+    calls, step, blocks = [], _chunk_rows(q), []  # blocks: (size, piece)
+    for rest in (np.flatnonzero(part_of == 0), np.flatnonzero(part_of == 1)):
+        for chunk in (rest[lo:lo + step] for lo in range(0, rest.size, step)):
+            runs = [chunk]  # one per request, each built by its own params: owner ascends
+            if owner[chunk[0]] != owner[chunk[-1]]:
+                runs = np.split(chunk, np.flatnonzero(np.diff(owner[chunk])) + 1)
+            calls.append([(whole, run, slice(None)) for run in runs])
+    for i in np.flatnonzero(part_of == 2):  # each corner's blocks, the smaller first
+        sized = sorted(_corner_blocks(built[owner[i]], *corners[i]), key=lambda b: b[0])
+        ends = itertools.accumulate(n for n, _ in sized)
+        blocks += [(n, (block(make), [i], slice(e - n, e))) for (n, make), e in zip(sized, ends)]
+    for size in sorted({size for size, _ in blocks}):
+        same, step = [piece for n, piece in blocks if n == size], _chunk_rows(size)
+        calls += [same[lo:lo + step] for lo in range(0, len(same), step)]
 
     def execute(call: list) -> None:
-        stacks, gauges = zip(*(make() for make, _, _ in call))
+        stacks, gauges = zip(*(make(rows) for make, rows, _ in call))
         stack = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
         del stacks  # a call's pieces, before it is solved
         gauge = () if gauges[0] is None else (np.concatenate(gauges),)
@@ -376,16 +374,13 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
         for _, rows, cols in call:
             values[rows, cols], solved = solved[:len(rows)], solved[len(rows):]
 
-    for call in plan(np.arange(xv.size)):
+    for call in calls:
         try:
             execute(call)
         except NumericalError as exc:
             for i in np.unique(np.concatenate([rows for _, rows, _ in call])):
-                part = [cols for _, rows, cols in call if i in rows]  # a corner's: one block size
-                try:
-                    for alone in plan(np.array([i])):
-                        if alone[0][2] in part:
-                            execute(alone)
+                try:  # node i's pieces of the call: its run's node, or its blocks of one size
+                    execute([(make, [i], cols) for make, rows, cols in call if i in rows])
                 except NumericalError:
                     raise NumericalError(
                         f"eigensolver failed at alpha={batch[owner[i]].alpha}, grid point "
@@ -535,20 +530,23 @@ def _sweep_bytes(params: OperatorParams | Sequence[OperatorParams], grid: GridSp
     Per node, two float64 phases; per row of values (two per node where the
     half shift folds), q eigenvalues, held up to five times over as
     complex128 while pooled and sorted (measured: up to 72 B each).  Per
-    chunk row, the q x q complex arrays of the solver route (``_ROUTES``).
-    Per chunk, the int64 circulant index.  A split corner (_corners) holds
-    its blocks of about q/2, never a q x q matrix.  A batch (_sweep_values)
-    counts the nodes and rows of each of its requests, and one chunk.
+    matrix of the one solver call it holds at a time, the route's complex
+    arrays of its size (``_ROUTES``): of min(m, _chunk_rows(q)) whole nodes,
+    or where corners split (_corners) of min(2 m, _chunk_rows(h)) blocks of
+    one size, h = ceil(q/2) + 1 rows at most, whichever holds more.  Per
+    chunk, the int64 circulant index.  A batch (_sweep_values) counts the
+    nodes and rows of each of its requests.
     LAPACK allocates a further 2-4 MB of workspace on first use, which this
     leaves out, so for a sweep below about 10 MB the figure is an estimate,
     not an upper bound.
     """
     batch = _requests(params)
     sizes = [_orbits(pa, grid)[:2] for pa in batch]
-    m, q = sum(n for n, _ in sizes), batch[0].alpha.q
+    m, q, route = sum(n for n, _ in sizes), batch[0].alpha.q, _route(batch[0], route)
     rows = sum(2 * n if image else n for n, image in sizes)
-    per_chunk = 16 * _ROUTES[_route(batch[0], route)][2] * min(m, _chunk_rows(q)) + 8
-    return m * 2 * 8 + rows * 5 * 16 * q + per_chunk * q * q
+    split, h = route != "general" and q >= _SPLIT_FLOOR, -(-q // 2) + 1
+    chunk = max(min(m, _chunk_rows(q)) * q * q, split * min(2 * m, _chunk_rows(h)) * h * h)
+    return m * 2 * 8 + rows * 5 * 16 * q + 16 * _ROUTES[route][2] * chunk + 8 * q * q
 
 
 def _preflight(params: OperatorParams | Sequence[OperatorParams], grid: GridSpec,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,11 +329,12 @@ def test_corner_blocks_pool_to_the_eigenvalues_of_the_node(kind, p, q):
     # reflection's fixed points on sites or bonds, and (0, 1) at even q gives its two fixed
     # sites a sign.
     for lam, hx, ht in itertools.product([1.0, 0.7, -1.3, 2.0, 0.0], (0, 1), (0, 1)):
+        # Each block is announced by its size, then built.
+        sized = _corner_blocks(params("h" if kind == "uh" else kind, 1.1, lam, p, q), hx, ht)
+        blocks = [make() for _, make in sized]
+        assert [size for size, _ in sized] == [len(b) for b, _ in blocks]
         if kind == "uh":  # a uh sweep splits the h matrices: its blocks are exp(-i kappa B)
-            blocks = [(expm_i_hermitian_stack(b, 1.1), g)
-                      for b, g in _corner_blocks(params("h", 1.1, lam, p, q), hx, ht)]
-        else:
-            blocks = _corner_blocks(params(kind, 1.1, lam, p, q), hx, ht)
+            blocks = [(expm_i_hermitian_stack(b, 1.1), g) for b, g in blocks]
         assert sum(len(b) for b, _ in blocks) == q
         m = operator_matrix(kind, 1.1, lam, p, q, hx / (2 * q), ht / (2 * q))
         if kind == "h":
@@ -347,6 +349,19 @@ def test_corner_blocks_pool_to_the_eigenvalues_of_the_node(kind, p, q):
                 assert g is None
             else:
                 assert np.abs(gauged(b, g) - gauged(b, g).T).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["h", "ukh", "uordkr"])
+def test_corner_blocks_are_built_when_asked(kind):
+    # At 1/610 the corner (1, 1) announces its blocks by size; the O(q) kicks, gauge and
+    # inverse FFT that it computes for them take less than one block of about 305 rows.
+    tracemalloc.start()
+    try:
+        sized = _corner_blocks(params(kind, 1.0, 1.0, 1, 610), 1, 1)
+        held = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held < min(make()[0].nbytes for _, make in sized)
 
 
 # -- the time-reversal gauge -------------------------------------------------------------

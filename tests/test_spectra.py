@@ -315,7 +315,7 @@ def test_a_split_corner_that_fails_is_named_by_its_grid_point(kind, monkeypatch)
     # solved together; the failure of node (1, 0)'s blocks is traced back to it.
     pa = params(kind, 1.0, 1.0, 1, 3, theta=MOTHER)
     monkeypatch.setattr(spectra, "_SPLIT_FLOOR", 1)
-    bad = [b for b, _ in spectra._corner_blocks(pa, 1, 0)]
+    bad = [make()[0] for _, make in spectra._corner_blocks(pa, 1, 0)]
     name = "eigvalsh_stack" if kind == "h" else "unitary_eigvals_stack"
     real = getattr(spectra, name)
 
@@ -361,7 +361,7 @@ def test_only_the_failed_call_is_retried_node_by_node(size, expected, monkeypatc
     # that call's blocks run again, one node at a time, until the last fails: at size 48,
     # 22 calls on 68 matrices, where re-running every node's whole plan took 97 on 143.
     batch = [params("ukh", 1.0, 1.0, p, 97, theta=MOTHER) for p in range(1, 49)]
-    bad = [b for b, _ in spectra._corner_blocks(batch[-1], 0, 0) if len(b) == size]
+    bad = [make()[0] for n, make in spectra._corner_blocks(batch[-1], 0, 0) if n == size]
     solve, calls = spectra.unitary_eigvals_stack, []
 
     def fail_at_bad(stack, *gauge):
@@ -796,19 +796,35 @@ def test_sweep_size_estimate():
     # SPECTRAL_MAPPING's general solve of the uh matrices holds 6 per row.
     assert spectra._sweep_bytes(params("uh", 1.0, 1.0, 1, 1499), GridSpec(1), "general") == (
         (16 + 1499 * 80) + (16 * 6 + 8) * 1499 ** 2)
+    # Above the split floor a solver call holds whole nodes or corner blocks of one size,
+    # at most 118 rows at q = 233, two per corner: four of them, 2^16 // 118^2, hold more
+    # than one 233-row node.  60 uordkr numerators on a 2 x 2 grid keep 2 of 4 nodes each.
+    batch = [params("uordkr", 1.0, 1.0, p, 233, theta=MOTHER) for p in range(1, 61)]
+    assert spectra._sweep_bytes(batch, GridSpec(2, 2)) == (
+        120 * 16 + 240 * 5 * 16 * 233 + 16 * 7 * 4 * 118 ** 2 + 8 * 233 ** 2)
 
 
 # The peak RSS of the process's own address space (VmHWM, in kB).  ru_maxrss
 # would not do: exec carries the launching process's peak over into it.
 _PEAK_RSS = """
 import sys
+from math import gcd
 from kickspec import GridSpec, OperatorParams, RationalAlpha, run_check, spectrum_fixed_theta
+from kickspec.analysis import _spectra
 from kickspec.spectra import _sweep_bytes
 
 def peak():
     with open("/proc/self/status") as fh:
         return next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith("VmHWM:"))
 
+if sys.argv[1] == "batch":  # a butterfly's: the first 60 reduced p <= q/2, 2 x 2 mother grid
+    kind, q, grid = sys.argv[2], int(sys.argv[3]), GridSpec(2, 2)
+    ps = [p for p in range(1, q // 2 + 1) if gcd(p, q) == 1][:60]
+    batch = [OperatorParams(kind, 1.0, 1.0, RationalAlpha(p, q), "mother") for p in ps]
+    before = peak()
+    _spectra(batch, grid)
+    print(peak() - before, _sweep_bytes(batch, grid))
+    sys.exit()
 kind, theta, route = sys.argv[1], float(sys.argv[2]), sys.argv[3:]
 pa, grid = OperatorParams(kind, 1.0, 1.0, RationalAlpha(1, 610), theta), GridSpec(1)
 before = peak()
@@ -829,12 +845,28 @@ def test_one_node_peak_memory_is_within_the_estimate(argv):
     # A fresh process, so that the peak RSS growth is this one sweep's.  At
     # theta = 0 the node (0, 0) is a corner, split into its parity blocks; at
     # 2 q theta = 150.6 it is not, and the q x q matrix of each route is built.
+    grown, estimate = _peak_growth(argv)
+    assert 0 < grown <= estimate
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+@pytest.mark.parametrize("q", [233, 377])
+@pytest.mark.parametrize("kind", ["h", "ukh", "uordkr"])
+def test_a_batch_of_corners_peak_memory_is_within_the_estimate(kind, q):
+    # Every node of the 60 numerators' 2 x 2 grids is a split corner.  A sweep that
+    # built every corner's blocks before its first solver call grew 161 MiB at ukh,
+    # q = 377, against an estimate of 23.
+    grown, estimate = _peak_growth(["batch", kind, str(q)])
+    assert 0 < grown <= estimate
+
+
+def _peak_growth(argv):
+    """The peak RSS growth of _PEAK_RSS's sweep in a fresh process, and its estimate."""
     src = os.path.dirname(os.path.dirname(spectra.__file__))
     out = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
-    grown, estimate = (int(v) for v in out.stdout.split())
-    assert 0 < grown <= estimate
+    return tuple(int(v) for v in out.stdout.split())
 
 
 @pytest.mark.parametrize("kind", ["h", "uh", "ukh", "uordkr"])
