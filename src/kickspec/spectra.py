@@ -39,14 +39,14 @@ deduplicated, so the outcome is a deterministic function of (params,
 grid).  The h and uh sweeps solve, at each node, the real Jacobi matrix
 with the Harper eigenvalues (operators.harper_jacobi_stack), not the
 complex circulant one.  A node that the joint reflection fixes, a corner
-where 2 q x and 2 q theta are integers (_corners), is not folded but
-split: at q >= _SPLIT_FLOOR, on all but the general route, the sweep
-builds the two blocks of about q/2 of its parity symmetry, never the
-q x q matrix (operators._corner_blocks), and its row is their values
-side by side.  The kicked corners' blocks, and every chunk of a
-fixed-theta ukh sweep at an integer 2 q theta, are on the time-reversal
-line: the solver takes their gauge (operators._reversal_gauge) and
-solves a real Cayley matrix.  Every other chunk is solved complex.
+where its half steps 2 q x and 2 q theta (which _orbits lists with it)
+are integers, is not folded but split: at q >= _SPLIT_FLOOR, on all but
+the general route, the sweep builds the two blocks of about q/2 of its
+parity symmetry, never the q x q matrix (operators._corner_blocks), and
+its row is their values side by side.  The kicked corners' blocks, and
+every node of a fixed-theta ukh sweep at an integer 2 q theta, are on the
+time-reversal line: the solver takes their gauge (operators._reversal_gauge)
+and solves a real Cayley matrix.  Every other chunk is solved complex.
 Requests that share one q and one route are swept as one batch (a
 check's spectra at several theta, kappa or lambda, or of both kicked
 kinds; a butterfly's numerators of one q): their nodes share chunks, and
@@ -113,12 +113,12 @@ TWO_PI = 2.0 * np.pi
 # (_sweep_bytes), so at q = 233 a chunk of four or more would set the peak RSS.
 _CHUNK_COMPLEX = 1 << 16
 
-# Smallest q at which a sweep solves its corner nodes (_corners) as the
-# half-size parity blocks of operators._corner_blocks.  Measured on whole
-# sweeps of all four kinds (mother grids of 1 to 10, fixed theta on 2 and 4
-# x nodes): a sweep of corners alone gains from q = 48, but below q = 89 the
-# solver calls that a corner among other nodes adds (one per block size)
-# cost up to 17% more than its blocks save; from q = 89 no case loses.
+# Smallest q at which a sweep solves its corners (both half steps integers,
+# _orbits) as the parity blocks of operators._corner_blocks.  Whole sweeps of
+# all four kinds (BENCH_splitfloor.json): corners alone gain from q = 48-55
+# (a fixed-theta ukh line from 89), but below 89 the solver calls that a
+# corner among other nodes adds cost up to 24% more than its blocks save;
+# from q = 89 no case is more than 5%, one measurement's noise, slower.
 _SPLIT_FLOOR = 89
 
 
@@ -300,13 +300,16 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
     kappa or lambda, the two kicked kinds of a mother comparison, a Farey
     butterfly's numerators of one q), for which it returns one such array
     per request, in order.  It sizes the sweep for its route (``_ROUTES``)
-    and lays the nodes of each request's _orbits end to end.  First it plans
-    its solver calls, each a list of pieces (make, rows, cols): make(rows)
-    builds the piece's matrices and gauge, or none, when its call runs, so
-    the sweep holds one call's matrices at a time.  The whole nodes come in
-    chunks of _chunk_rows(q), a piece per run of one request's nodes, the
-    ungauged before those on the time-reversal line; then the split
-    corners' (_corners) parity blocks (operators._corner_blocks, planned by
+    and lays the nodes of each request's _orbits end to end.  Their half
+    steps (hx, ht) decide each node's part: on the time-reversal line, a
+    fixed-theta ukh node on the Cayley route with ht >= 0, or a split corner,
+    hx >= 0 and ht >= 0 at q >= _SPLIT_FLOOR off the general route.  First
+    it plans its solver calls, each a list of pieces (make, rows, cols):
+    make(rows) builds the piece's matrices and gauge, or none, when its call
+    runs, so the sweep holds one call's matrices at a time.  The whole nodes
+    come in chunks of _chunk_rows(q), a piece per run of one request's
+    nodes, the ungauged before those on the line; then the split
+    corners' parity blocks (operators._corner_blocks at (hx, ht), planned by
     their sizes), gauged on the Cayley route, those of one size chunked
     together.  Then one loop solves each call, on one BLAS
     thread under the route's thread floor, into one (nodes, q) array; a
@@ -326,25 +329,21 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
     built = [replace(pa, kind=OperatorKind.H) if uh else pa for pa, uh in zip(batch, mapped)]
     orbits = [_orbits(pa, grid) for pa in batch]
     counts = [m for m, _, _ in orbits]
-    xv, tv = (np.concatenate(axis) for axis in zip(*(nodes() for _, _, nodes in orbits)))
+    xv, tv, hx, ht = (np.concatenate(axis) for axis in zip(*(nodes() for _, _, nodes in orbits)))
     owner = np.repeat(np.arange(len(batch)), counts)  # the request of each node
     starts = list(itertools.accumulate(counts, initial=0))
-    # A fixed-theta ukh request at an integer 2 q theta is on the time-reversal line at every x.
-    lines = [_half_theta(pa) if route == "cayley" and pa.kind is OperatorKind.UKH
-             and not pa.is_mother else -1 for pa in batch]
-    # Each node's part of the plan: a whole node off (0) or on (1) the line, or a split corner (2).
-    part_of, corners = (np.array(lines) >= 0)[owner].astype(int), {}
+    # Each node's part of the plan: a whole node off (0) or on (1) the time-reversal line, as a
+    # fixed-theta ukh node is at an integer 2 q theta, or a split corner (2), where 2 q x is too.
+    fixed_ukh = np.array([pa.kind is OperatorKind.UKH and not pa.is_mother for pa in batch])
+    part_of = (fixed_ukh[owner] & (ht >= 0) & (route == "cayley")).astype(int)
     if route != "general" and q >= _SPLIT_FLOOR:
-        for pa, lo, m in zip(batch, starts, counts):
-            found = _corners(pa, grid, xv[lo:lo + m], tv[lo:lo + m])
-            corners.update((lo + i, half) for i, half in found.items())
-        part_of[list(corners)] = 2
+        part_of[(hx >= 0) & (ht >= 0)] = 2
     values = np.empty((xv.size, q), np.float64 if route == "hermitian" else np.complex128)
 
     def whole(run) -> tuple:
         r = owner[run[0]]  # one request's run of nodes, built by its params
         stack = build(built[r], xv[run], tv[run])
-        return stack, None if lines[r] < 0 else _reversal_gauge(batch[r], xv[run], lines[r])
+        return stack, _reversal_gauge(batch[r], xv[run], ht[run[0]]) if part_of[run[0]] else None
 
     def block(make: Callable) -> Callable:  # one corner's, whatever rows it is asked for
         return lambda _: tuple(a if a is None else a[None] for a in make())
@@ -356,8 +355,9 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
             if owner[chunk[0]] != owner[chunk[-1]]:
                 runs = np.split(chunk, np.flatnonzero(np.diff(owner[chunk])) + 1)
             calls.append([(whole, run, slice(None)) for run in runs])
-    for i in np.flatnonzero(part_of == 2):  # each corner's blocks, the smaller first
-        sized = sorted(_corner_blocks(built[owner[i]], *corners[i]), key=lambda b: b[0])
+    corners = np.flatnonzero(part_of == 2)
+    for i in corners:  # each corner's blocks, the smaller first
+        sized = sorted(_corner_blocks(built[owner[i]], hx[i], ht[i]), key=lambda b: b[0])
         ends = itertools.accumulate(n for n, _ in sized)
         blocks += [(n, (block(make), [i], slice(e - n, e))) for (n, make), e in zip(sized, ends)]
     for size in sorted({size for size, _ in blocks}):
@@ -387,8 +387,8 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
                         f"x={float(xv[i])!r}, theta={float(tv[i])!r}: {exc}"
                     ) from exc
             raise
-    if route == "hermitian" and corners:  # a corner's row, its blocks' values, ascending
-        values[list(corners)] = np.sort(values[list(corners)], axis=-1)
+    if route == "hermitian" and corners.size:  # a corner's row, its blocks' values, ascending
+        values[corners] = np.sort(values[corners], axis=-1)
     out = []
     for pa, b, uh, (m, image, _), lo in zip(batch, built, mapped, orbits, starts):
         rows = values[lo:lo + m]
@@ -415,8 +415,11 @@ def _orbits(params: OperatorParams, grid: GridSpec) -> tuple[int, bool, Callable
     """The grid's fold, decided once: (m, image, nodes).
 
     m nodes are solved, one per orbit of the maps that fold the grid
-    (module docstring); ``nodes()`` lists them as flat x and theta arrays,
-    and only it builds arrays, so a size check costs O(1).  ``image`` says
+    (module docstring); ``nodes()`` lists them as flat arrays (x, theta,
+    hx, ht), and only it builds arrays, so a size check costs O(1).  hx and
+    ht, the half steps 2 q x and 2 q theta, or -1 where not integers, come
+    from the grid indices, 2j/n for node j of an axis of n (j = 0, and n/2
+    at even n), and at a fixed theta from _half_theta.  ``image`` says
     whether each solved row also stands for its half-shifted node's: at odd
     q, where the axes the shift moves have even n (n_x and n_theta of a
     mother sweep, n_x alone for uordkr, in either scope).
@@ -443,11 +446,21 @@ def _orbits(params: OperatorParams, grid: GridSpec) -> tuple[int, bool, Callable
     rotor = params.kind is OperatorKind.UORDKR
     image = q % 2 == 1 and n_x % 2 == 0 and (rotor or (params.is_mother and n_t % 2 == 0))
 
+    def halves(n: int) -> np.ndarray:  # of each node j of an axis of n: 2j/n, or -1
+        steps = np.full(n, -1)  # an integer at j = 0 and, at even n, j = n/2
+        steps[n // 2] = 1 if n % 2 == 0 else -1
+        steps[0] = 0
+        return steps
+
+    def at(j: np.ndarray, k: np.ndarray) -> tuple:
+        return grid.xs(q)[j], grid.thetas(q)[k], halves(n_x)[j], halves(n_t)[k]
+
     if not params.is_mother:
         m = (n_x // 2 if image else n_x) if rotor else half_x
 
         def nodes():
-            return grid.xs(q)[:m], np.full(m, params.fixed_theta(), dtype=np.float64)
+            theta = np.full(m, params.fixed_theta(), dtype=np.float64)
+            return grid.xs(q)[:m], theta, halves(n_x)[:m], np.full(m, _half_theta(params))
         return m, image, nodes
 
     if rotor and n_x != n_t:
@@ -459,8 +472,8 @@ def _orbits(params: OperatorParams, grid: GridSpec) -> tuple[int, bool, Callable
 
         def nodes():
             width = np.where(fold * np.arange(rows) % n_x == 0, half_t, n_t)
-            xv = np.repeat(grid.xs(q)[:rows], width)
-            return xv, grid.thetas(q)[np.arange(m) - np.repeat(np.cumsum(width) - width, width)]
+            j = np.repeat(np.arange(rows), width)
+            return at(j, np.arange(m) - np.repeat(np.cumsum(width) - width, width))
         return m, image, nodes
 
     two_s = n_x * dcp_eigensystem(params.alpha).shift if rotor else 0
@@ -483,36 +496,8 @@ def _orbits(params: OperatorParams, grid: GridSpec) -> tuple[int, bool, Callable
 
     def nodes():
         j, k = quarter()
-        if rotor:
-            k = (k - j - two_s // 2) % n_t
-        return grid.xs(q)[j], grid.thetas(q)[k]
+        return at(j, (k - j - two_s // 2) % n_t if rotor else k)
     return m, image, nodes
-
-
-def _corners(params: OperatorParams, grid: GridSpec, xv: np.ndarray, tv: np.ndarray) -> dict:
-    """The solved nodes (xv, tv) that split, decided once per sweep: {index: (2 q x, 2 q theta)}.
-
-    A corner is a node whose half steps 2 q x and 2 q theta are integers:
-    the joint reflection fixes it, and every kind's matrix splits there into
-    two parity blocks (operators._corner_blocks), each solved real, a kicked
-    one through operators._reversal_gauge.  The test is on integers: grid
-    node j of an axis of n nodes is a corner when 2j/n is one (j = 0, and
-    n/2 at even n), and a fixed theta when it is the double nearest K/(2q)
-    for the integer K nearest 2 q theta.  So a mother sweep has at most 4
-    corners, all its nodes at n <= 2, and a fixed-theta sweep at most 2.
-    """
-    q = params.alpha.q
-
-    def half_steps(values: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        n, out = ys.size, np.full(values.size, -1)
-        for j in (0, n // 2):
-            if 2 * j % n == 0:
-                out[values == ys[j]] = 2 * j // n
-        return out
-
-    hx = half_steps(xv, grid.xs(q))
-    ht = half_steps(tv, grid.thetas(q)) if params.is_mother else np.full(tv.size, _half_theta(params))
-    return {int(i): (int(hx[i]), int(ht[i])) for i in np.flatnonzero((hx >= 0) & (ht >= 0))}
 
 
 def _half_theta(params: OperatorParams) -> int:
@@ -527,12 +512,13 @@ def _sweep_bytes(params: OperatorParams | Sequence[OperatorParams], grid: GridSp
                  route: str | None = None) -> int:
     """Bytes a sweep holds at its peak, from its solved node count m (_orbits).
 
-    Per node, two float64 phases; per row of values (two per node where the
-    half shift folds), q eigenvalues, held up to five times over as
-    complex128 while pooled and sorted (measured: up to 72 B each).  Per
-    matrix of the one solver call it holds at a time, the route's complex
-    arrays of its size (``_ROUTES``): of min(m, _chunk_rows(q)) whole nodes,
-    or where corners split (_corners) of min(2 m, _chunk_rows(h)) blocks of
+    Per node, the four arrays of _orbits' list: its float64 x and theta and
+    its int64 half steps 2 q x and 2 q theta; per row of values (two per
+    node where the half shift folds), q eigenvalues, held up to five times
+    over as complex128 while pooled and sorted (measured: up to 72 B each).
+    Per matrix of the one solver call it holds at a time, the route's
+    complex arrays of its size (``_ROUTES``): of min(m, _chunk_rows(q)) whole
+    nodes, or where corners split of min(2 m, _chunk_rows(h)) blocks of
     one size, h = ceil(q/2) + 1 rows at most, whichever holds more.  Per
     chunk, the int64 circulant index.  A batch (_sweep_values) counts the
     nodes and rows of each of its requests.
@@ -546,7 +532,7 @@ def _sweep_bytes(params: OperatorParams | Sequence[OperatorParams], grid: GridSp
     rows = sum(2 * n if image else n for n, image in sizes)
     split, h = route != "general" and q >= _SPLIT_FLOOR, -(-q // 2) + 1
     chunk = max(min(m, _chunk_rows(q)) * q * q, split * min(2 * m, _chunk_rows(h)) * h * h)
-    return m * 2 * 8 + rows * 5 * 16 * q + 16 * _ROUTES[route][2] * chunk + 8 * q * q
+    return m * 4 * 8 + rows * 5 * 16 * q + 16 * _ROUTES[route][2] * chunk + 8 * q * q
 
 
 def _preflight(params: OperatorParams | Sequence[OperatorParams], grid: GridSpec,

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,7 +42,13 @@ def params(kind, kappa, lam, p, q, theta=0.0):
 
 def _nodes(pa, grid):
     """The (x, theta) nodes a sweep solves, as spectra._orbits lists them."""
-    return spectra._orbits(pa, grid)[2]()
+    return spectra._orbits(pa, grid)[2]()[:2]
+
+
+def _corners(pa, grid):
+    """The nodes that a sweep splits above the floor: {index: (2 q x, 2 q theta)}, both integers."""
+    _, _, hx, ht = spectra._orbits(pa, grid)[2]()
+    return {int(i): (int(hx[i]), int(ht[i])) for i in np.flatnonzero((hx >= 0) & (ht >= 0))}
 
 
 def circle_set(phases, **kw):
@@ -599,10 +606,23 @@ def _full_pairs(pa, grid):
     return grid.xs(q), np.full(grid.n_x, pa.theta)
 
 
+def _half_step(v, n, q):
+    """2 q v where that is an integer, else -1, for v a node of an axis of n nodes per 1/q.
+
+    Decided by exact fractions: the grid's x_j = j/(n q) is the double
+    nearest a fraction of denominator at most n q, and a fixed theta K/(2q)
+    one of at most 2 q (n = 2).
+    """
+    twice = 2 * q * Fraction(float(v)).limit_denominator(n * q)
+    return int(twice) if twice.denominator == 1 else -1
+
+
 def _full_orbits(pa, grid):
-    """spectra._orbits of a grid that nothing folds: every node, and no images."""
-    xv, tv = _full_pairs(pa, grid)
-    return xv.size, False, lambda: (xv, tv)
+    """spectra._orbits of a grid that nothing folds: every node, its half steps, and no images."""
+    q, (xv, tv) = pa.alpha.q, _full_pairs(pa, grid)
+    hx = np.array([_half_step(x, grid.n_x, q) for x in xv])
+    ht = np.array([_half_step(t, grid.n_theta if pa.is_mother else 2, q) for t in tv])
+    return xv.size, False, lambda: (xv, tv, hx, ht)
 
 
 def _assert_reduced_matches_full(pa, grid, monkeypatch):
@@ -761,47 +781,47 @@ def test_pair_count_is_the_number_of_grid_pairs(kind):
 
 
 def test_sweep_size_estimate():
-    # m pairs (two float64 phases), 2m rows of values where the half shift
-    # folds, else m (q eigenvalues held as up to five complex128 copies while
-    # pooled), 1 (Hermitian route: two real arrays), 7 (Cayley route) or 6
-    # (general route) complex q x q arrays per row of a chunk of
-    # min(m, 2^16 // q^2) matrices, and the int64 circulant index.
+    # m nodes (float64 x and theta, int64 half steps 2 q x and 2 q theta), 2m
+    # rows of values where the half shift folds, else m (q eigenvalues held as
+    # up to five complex128 copies while pooled), 1 (Hermitian route: two real
+    # arrays), 7 (Cayley route) or 6 (general route) complex q x q arrays per
+    # row of a chunk of min(m, 2^16 // q^2) matrices, and the int64 circulant index.
     ukh = params("ukh", 1.0, 1.3, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(ukh, GridSpec(48, 48)) == (
-        313 * 2 * 8 + 626 * 5 * 16 * 13 + (16 * 7 * 313 + 8) * 169)
+        313 * 4 * 8 + 626 * 5 * 16 * 13 + (16 * 7 * 313 + 8) * 169)
     # The rotor folds its sheared phases to the same 313 pairs, and its build
     # holds no array that ukh's does not.
     rotor = params("uordkr", 1.0, 1.3, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(rotor, GridSpec(48, 48)) == (
-        313 * 16 + 626 * 1040 + (16 * 7 * 313 + 8) * 169)
+        313 * 32 + 626 * 1040 + (16 * 7 * 313 + 8) * 169)
     huge = GridSpec(3_000_000, 3_000_000)
     m = 1_500_001 ** 2 // 2 + 1
-    assert spectra._sweep_bytes(ukh, huge) == m * 16 + 2 * m * 1040 + (16 * 7 * 387 + 8) * 169
+    assert spectra._sweep_bytes(ukh, huge) == m * 32 + 2 * m * 1040 + (16 * 7 * 387 + 8) * 169
     # At lambda = 1 the swap leaves 169 pairs, fewer than a chunk holds.
     dual = params("ukh", 1.0, 1.0, 8, 13, theta=MOTHER)
     assert spectra._sweep_bytes(dual, GridSpec(48, 48)) == (
-        169 * 16 + 338 * 1040 + (16 * 7 * 169 + 8) * 169)
+        169 * 32 + 338 * 1040 + (16 * 7 * 169 + 8) * 169)
     # Even q and fixed-theta h do not fold.
     assert spectra._sweep_bytes(params("ukh", 1.0, 1.3, 5, 8, theta=MOTHER), GridSpec(48, 48)) == (
-        625 * (16 + 5 * 16 * 8) + (16 * 7 * 625 + 8) * 64)
+        625 * (32 + 5 * 16 * 8) + (16 * 7 * 625 + 8) * 64)
     assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 3), huge) == (
-        1_500_001 * (16 + 240) + (16 * 7281 + 8) * 9)
+        1_500_001 * (32 + 240) + (16 * 7281 + 8) * 9)
     # One matrix at large q: the q x q arrays, not the eigenvalues, dominate.
     assert spectra._sweep_bytes(params("h", 0.0, 1.0, 1, 1499), GridSpec(1)) == (
-        (16 + 1499 * 80) + (16 + 8) * 1499 ** 2)
+        (32 + 1499 * 80) + (16 + 8) * 1499 ** 2)
     # A batch counts each request's rows: at fixed theta ukh keeps 3 of 4 x nodes and
     # uordkr 2, each with its half-shift image, so 5 nodes hold 7 rows.
     batch = [params(k, 1.0, 1.3, 8, 13, theta=0.3) for k in ("ukh", "uordkr")]
-    assert spectra._sweep_bytes(batch, GridSpec(4)) == 5 * 16 + 7 * 1040 + (16 * 7 * 5 + 8) * 169
+    assert spectra._sweep_bytes(batch, GridSpec(4)) == 5 * 32 + 7 * 1040 + (16 * 7 * 5 + 8) * 169
     # SPECTRAL_MAPPING's general solve of the uh matrices holds 6 per row.
     assert spectra._sweep_bytes(params("uh", 1.0, 1.0, 1, 1499), GridSpec(1), "general") == (
-        (16 + 1499 * 80) + (16 * 6 + 8) * 1499 ** 2)
+        (32 + 1499 * 80) + (16 * 6 + 8) * 1499 ** 2)
     # Above the split floor a solver call holds whole nodes or corner blocks of one size,
     # at most 118 rows at q = 233, two per corner: four of them, 2^16 // 118^2, hold more
     # than one 233-row node.  60 uordkr numerators on a 2 x 2 grid keep 2 of 4 nodes each.
     batch = [params("uordkr", 1.0, 1.0, p, 233, theta=MOTHER) for p in range(1, 61)]
     assert spectra._sweep_bytes(batch, GridSpec(2, 2)) == (
-        120 * 16 + 240 * 5 * 16 * 233 + 16 * 7 * 4 * 118 ** 2 + 8 * 233 ** 2)
+        120 * 32 + 240 * 5 * 16 * 233 + 16 * 7 * 4 * 118 ** 2 + 8 * 233 ** 2)
 
 
 # The peak RSS of the process's own address space (VmHWM, in kB).  ru_maxrss
@@ -900,14 +920,17 @@ def test_preflight_refuses_a_sweep_larger_than_memory(monkeypatch):
 
 # -- corner nodes split by their parity involution ---------------------------------------
 
-# Each (kind, alpha) sweeps the nine scopes of _split_scopes, one per (kappa, lambda) pair.
-_SPLIT_KICKS = list(itertools.product([0.5, 1.0, 2.3], [1.0, 0.7, -1.3]))
+# Each (kind, alpha) sweeps the eleven scopes of _split_scopes, one per (kappa, lambda) pair;
+# the first nine are also _reversal_scopes' pairs.
+_SPLIT_KICKS = [*itertools.product([0.5, 1.0, 2.3], [1.0, 0.7, -1.3]), (1.1, 1.0), (0.7, -0.8)]
 
 
 def _split_scopes(q):
-    """Mother grids of 1, 2 and 4, and fixed theta in {0, 1/(2q), 1/2} on x grids of 2 and 4."""
+    """Mother grids of 1, 2 and 4, fixed theta in {0, 1/(2q), 1/2} on x grids of 2 and 4, and
+    the rectangular mother grids 4 x 6 and 6 x 4, where uordkr folds only the joint mirror."""
     mother = [(MOTHER, GridSpec(n, n)) for n in (1, 2, 4)]
-    return mother + [(th, GridSpec(n)) for th in (0.0, 1 / (2 * q), 0.5) for n in (2, 4)]
+    fixed = [(th, GridSpec(n)) for th in (0.0, 1 / (2 * q), 0.5) for n in (2, 4)]
+    return mother + fixed + [(MOTHER, GridSpec(4, 6)), (MOTHER, GridSpec(6, 4))]
 
 
 def _cayley_noise(row):
@@ -925,7 +948,7 @@ def test_a_split_sweep_is_the_unsplit_sweep(kind, p, q, monkeypatch):
     for (theta, grid), (kappa, lam) in zip(_split_scopes(q), _SPLIT_KICKS, strict=True):
         pa = params(kind, kappa, lam, p, q, theta=theta)
         xv, tv = _nodes(pa, grid)
-        corners = spectra._corners(pa, grid, xv, tv)
+        corners = _corners(pa, grid)
         monkeypatch.setattr(spectra, "_SPLIT_FLOOR", 1)
         split = spectra._sweep_values(pa, grid)
         monkeypatch.setattr(spectra, "_SPLIT_FLOOR", 10**9)
@@ -960,7 +983,7 @@ def _reversal_cases(q):
     with max|w| like the conditioning of I + X (1e-12 fails it)."""
     if q == 610:
         return [((0.0, GridSpec(1)), (1.0, 1.0))]
-    return list(zip(_reversal_scopes(q), _SPLIT_KICKS, strict=True))
+    return list(zip(_reversal_scopes(q), _SPLIT_KICKS[:9], strict=True))
 
 
 @pytest.mark.parametrize("kind", ["ukh", "uordkr"])
@@ -994,7 +1017,7 @@ def test_the_real_route_is_the_complex_route(kind, p, q, monkeypatch):
             reference = spectra._sweep_values(pa, grid)
             # The nodes on the time-reversal line: every node of a fixed-theta ukh sweep at
             # an integer 2 q theta, else the corners of a split sweep.
-            line = set(spectra._corners(pa, grid, xv, tv)) if floor == 1 else set()
+            line = set(_corners(pa, grid)) if floor == 1 else set()
             if kind == "ukh" and theta != MOTHER and theta != 0.3:
                 line = set(range(xv.size))
             assert any(gauged) == bool(line)
@@ -1059,16 +1082,25 @@ def test_below_the_floor_a_sweep_builds_and_solves_as_without_the_split(monkeypa
         corners.clear()
 
 
-@pytest.mark.parametrize("n_x,n_theta", [(1, 1), (2, 2), (3, 3), (4, 4), (6, 6), (4, 6), (5, 2)])
+@pytest.mark.parametrize("n_x,n_theta",
+                         [(1, 1), (2, 2), (3, 3), (4, 4), (6, 6), (4, 6), (6, 4), (5, 2)])
 def test_corners_are_the_grid_nodes_whose_half_steps_are_integers(n_x, n_theta):
+    # Every node that _orbits lists carries its half steps 2 q x and 2 q theta where
+    # they are integers, else -1, which the kernel reads for its corners and its
+    # time-reversal line; here they are decided by exact fractions.  The branches:
+    # h's and ukh's quarter grids, the lambda = 1 triangle on square grids, the odd-q
+    # half-shift image (89/233 on even grids), uordkr's sheared square grid at an
+    # integer and a half-integer s (3/5 at n = 3), its joint mirror on rectangular
+    # grids, with the image at 89/233 and 3/5 and without it at 89/144 or odd n_x,
+    # and fixed theta, whose half step is the same at every x.
     grid = GridSpec(n_x, n_theta)
-    for kind in ("ukh", "uordkr"):
-        pa = params(kind, 1.0, 1.3, 89, 144, theta=MOTHER)
-        xv, tv = _nodes(pa, grid)
-        j, k = np.rint(xv * n_x * 144).astype(int), np.rint(tv * n_theta * 144).astype(int)
-        expected = {i: (2 * j[i] // n_x, 2 * k[i] // n_theta) for i in range(xv.size)
-                    if 2 * j[i] % n_x == 0 and 2 * k[i] % n_theta == 0}
-        assert spectra._corners(pa, grid, xv, tv) == expected
+    for kind, lam, (p, q) in itertools.product(("h", "ukh", "uordkr"), (1.3, 1.0),
+                                               [(89, 144), (89, 233), (3, 5)]):
+        for theta in (MOTHER, 0.0, 1 / (2 * q), 0.5, 0.3):
+            pa = params(kind, 1.0, lam, p, q, theta=theta)
+            xv, tv, hx, ht = spectra._orbits(pa, grid)[2]()
+            assert hx.tolist() == [_half_step(x, n_x, q) for x in xv]
+            assert ht.tolist() == [_half_step(t, n_theta if pa.is_mother else 2, q) for t in tv]
 
 
 def test_a_fixed_theta_is_a_corner_when_it_is_the_double_nearest_a_half_step():
@@ -1076,10 +1108,10 @@ def test_a_fixed_theta_is_a_corner_when_it_is_the_double_nearest_a_half_step():
     grid = GridSpec(4)
     for text, half in [("0", 0), (repr(1 / 466), 1), ("0.5", 233), (repr(465 / 466), 465)]:
         pa = params("ukh", 1.0, 1.3, 144, 233, theta=float(text))
-        assert spectra._corners(pa, grid, *_nodes(pa, grid)) == {0: (0, half), 2: (1, half)}
+        assert _corners(pa, grid) == {0: (0, half), 2: (1, half)}
     for theta in (np.nextafter(1 / 466, 1.0), np.nextafter(0.5, 0.0), 0.3):
         pa = params("ukh", 1.0, 1.3, 144, 233, theta=theta)
-        assert spectra._corners(pa, grid, *_nodes(pa, grid)) == {}
+        assert _corners(pa, grid) == {}
 
 
 # -- SpectrumSet invariants --------------------------------------------------------------
