@@ -22,13 +22,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .linalg import principal_args
-from .operators import (
-    MOTHER,
-    OperatorKind,
-    OperatorParams,
-    RationalAlpha,
-    dcp_eigensystem,
-)
+from .operators import MOTHER, OperatorKind, OperatorParams, RationalAlpha, rotor_shift
 from .spectra import (
     BandList,
     GridSpec,
@@ -377,9 +371,9 @@ def _check_mother_equality(cfg):
                            for kind in (OperatorKind.UKH, OperatorKind.UORDKR)], GridSpec(n, n))
     bound = s_kh.error_bound + s_or.error_bound
     # The rotor's theta kick sits at beta = x + theta + alpha/2 + phi, an
-    # offset of shift/(2q).  When that is a whole number of theta steps
+    # offset of rotor_shift/(2q).  When that is a whole number of theta steps
     # 1/(n q), both sweeps visit equivalent matrices node for node.
-    if n * dcp_eigensystem(alpha).shift % 2 == 0:
+    if n * rotor_shift(alpha) % 2 == 0:
         bound = min(bound, _MATCHED_GRID_TOL)
     return (hausdorff(s_kh, s_or), bound,
             "kicked Harper vs double kicked rotor mother spectra share a true spectrum")

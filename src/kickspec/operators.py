@@ -52,10 +52,9 @@ __all__ = [
     "OperatorKind",
     "RationalAlpha",
     "OperatorParams",
-    "DcpEigensystem",
     "operator_stack",
     "harper_jacobi_stack",
-    "dcp_eigensystem",
+    "rotor_shift",
 ]
 
 #: Sentinel for the theta scope that unions over the whole phase torus.
@@ -168,33 +167,13 @@ def cos_rows(k: int, ys, q: int) -> np.ndarray:
     return np.cos(2.0 * np.pi * (np.asarray(ys, dtype=np.float64)[:, None] + j / q))
 
 
-@dataclass(frozen=True)
-class DcpEigensystem:
-    """The shift and phase offset phi of D C^p's closed-form eigensystem at alpha = p/q.
-
-    D C^p has the eigenvalues mu w^k (k = 0..q-1), mu = exp(i 2 pi phi), with
-    phi = 0 when p(q-1) is even and 1/(2q) when odd.  ``shift`` = p + 2 q phi
-    is the one integer behind both: alpha/2 + phi = shift / (2q).  The tests'
-    oracles dcp_values and dcp_vectors build the eigenvalues and eigenvectors.
-    """
-
-    p: int
-    q: int
-
-    @property
-    def shift(self) -> int:
-        return self.p + self.p * (self.q - 1) % 2
-
-    @property
-    def phi(self) -> float:
-        return (self.shift - self.p) / (2 * self.q)
-
-
-def dcp_eigensystem(alpha: RationalAlpha) -> DcpEigensystem:
-    """The shift and phase offset phi of D C^p's eigensystem for alpha = p/q."""
+def rotor_shift(alpha: RationalAlpha) -> int:
+    """shift = p + 2 q phi at alpha = p/q, with phi = 0 when p(q-1) is even and 1/(2q) when odd:
+    D C^p has the eigenvalues exp(i 2 pi phi) w^k (oracles.dcp_values), and the rotor's theta
+    kick sits at beta = x + theta + alpha/2 + phi = x + theta + shift / (2q)."""
     if not isinstance(alpha, RationalAlpha):
-        raise InvalidParams("dcp_eigensystem expects a RationalAlpha")
-    return DcpEigensystem(alpha.p, alpha.q)
+        raise InvalidParams("rotor_shift expects a RationalAlpha")
+    return alpha.p + alpha.p * (alpha.q - 1) % 2
 
 
 # -- operator matrices ----------------------------------------------------------
@@ -212,8 +191,7 @@ def operator_stack(params: OperatorParams, xs, thetas) -> np.ndarray:
     * UH      exp(-i kappa H), by linalg.expm_i_hermitian_stack,
     * UKH     exp(-i 2 kappa G(1, x)) F exp(-i 2 kappa lambda G(p, theta)) F^{-1},
     * UORDKR  exp(-i 2 kappa G(1, x)) E exp(-i 2 kappa lambda G(1, beta)) E^{-1}
-              with beta = x + theta + alpha/2 + phi and (E, phi) the D C^p
-              eigensystem.
+              with E D C^p's eigenvectors and beta = x + theta + rotor_shift / (2q).
 
     Diagonal kicks are exponentiated entrywise, so only UH needs an
     eigensolver.  Every theta term is a chirped circulant (_theta_kick),
@@ -263,10 +241,10 @@ def _theta_kick(params: OperatorParams, xs, thetas) -> tuple:
     p, q = alpha.p, alpha.q
     phase, mult, step, chirp = thetas, p, 1, None
     if params.kind is OperatorKind.UORDKR:
-        dcp, step = dcp_eigensystem(alpha), pow(p, -1, q)
-        phase, mult = xs + thetas + alpha.value / 2.0 + dcp.phi, 1
+        shift, step = rotor_shift(alpha), pow(p, -1, q)
+        phase, mult = xs + thetas + alpha.value / 2.0 + (shift - p) / (2 * q), 1
         j = np.arange(q) * step % q
-        chirp = np.exp(1j * np.pi * ((j * (dcp.shift - p) - p * j * (j - 1)) % (2 * q)) / q)
+        chirp = np.exp(1j * np.pi * ((j * (shift - p) - p * j * (j - 1)) % (2 * q)) / q)
     unique, inverse = np.unique(phase, return_inverse=True)
     return cos_rows(mult, unique, q), inverse, step, chirp
 

@@ -87,9 +87,9 @@ from .operators import (
     OperatorParams,
     _corner_blocks,
     _reversal_gauge,
-    dcp_eigensystem,
     harper_jacobi_stack,
     operator_stack,
+    rotor_shift,
 )
 
 __all__ = [
@@ -120,6 +120,11 @@ _CHUNK_COMPLEX = 1 << 16
 # corner among other nodes adds cost up to 24% more than its blocks save;
 # from q = 89 no case is more than 5%, one measurement's noise, slower.
 _SPLIT_FLOOR = 89
+
+
+def _splits(q: int, route: str) -> bool:
+    """Whether a sweep at q on route splits its corners: read by _sweep_values and _sweep_bytes."""
+    return route != "general" and q >= _SPLIT_FLOOR
 
 
 class SpectrumKind(str, Enum):
@@ -303,7 +308,7 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
     and lays the nodes of each request's _orbits end to end.  Their half
     steps (hx, ht) decide each node's part: on the time-reversal line, a
     fixed-theta ukh node on the Cayley route with ht >= 0, or a split corner,
-    hx >= 0 and ht >= 0 at q >= _SPLIT_FLOOR off the general route.  First
+    hx >= 0 and ht >= 0 where the sweep splits (_splits).  First
     it plans its solver calls, each a list of pieces (make, rows, cols):
     make(rows) builds the piece's matrices and gauge, or none, when its call
     runs, so the sweep holds one call's matrices at a time.  The whole nodes
@@ -336,8 +341,7 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
     # fixed-theta ukh node is at an integer 2 q theta, or a split corner (2), where 2 q x is too.
     fixed_ukh = np.array([pa.kind is OperatorKind.UKH and not pa.is_mother for pa in batch])
     part_of = (fixed_ukh[owner] & (ht >= 0) & (route == "cayley")).astype(int)
-    if route != "general" and q >= _SPLIT_FLOOR:
-        part_of[(hx >= 0) & (ht >= 0)] = 2
+    part_of[(hx >= 0) & (ht >= 0) & _splits(q, route)] = 2
     values = np.empty((xv.size, q), np.float64 if route == "hermitian" else np.complex128)
 
     def whole(run) -> tuple:
@@ -436,7 +440,7 @@ def _orbits(params: OperatorParams, grid: GridSpec) -> tuple[int, bool, Callable
     n_theta/2 - k), of which the first half in flat order is kept, and the
     triangle by the reflection across j + k = n/2, of which j + k <= n/2 is
     kept.  uordkr on a square grid keeps the same set in (j, b), b = j + k +
-    s with s = n q (alpha/2 + phi) = n shift / 2 (operators.DcpEigensystem),
+    s with s = n q (alpha/2 + phi) = n shift / 2 (operators.rotor_shift),
     mapped back through k = (b - j - s) mod n: at a half-integer s (p, q and
     n odd) its b runs over 1/2..n/2, whose mirror orbits under b -> -b it
     covers once.
@@ -476,7 +480,7 @@ def _orbits(params: OperatorParams, grid: GridSpec) -> tuple[int, bool, Callable
             return at(j, np.arange(m) - np.repeat(np.cumsum(width) - width, width))
         return m, image, nodes
 
-    two_s = n_x * dcp_eigensystem(params.alpha).shift if rotor else 0
+    two_s = n_x * rotor_shift(params.alpha) if rotor else 0
     if params.lam == 1.0 and n_x == n_t and two_s % 2 == 0:
         triangle = half_x * (half_x + 1) // 2
         m = (triangle + n_x // 4 + 1) // 2 if image else triangle
@@ -530,7 +534,7 @@ def _sweep_bytes(params: OperatorParams | Sequence[OperatorParams], grid: GridSp
     sizes = [_orbits(pa, grid)[:2] for pa in batch]
     m, q, route = sum(n for n, _ in sizes), batch[0].alpha.q, _route(batch[0], route)
     rows = sum(2 * n if image else n for n, image in sizes)
-    split, h = route != "general" and q >= _SPLIT_FLOOR, -(-q // 2) + 1
+    split, h = _splits(q, route), -(-q // 2) + 1
     chunk = max(min(m, _chunk_rows(q)) * q * q, split * min(2 * m, _chunk_rows(h)) * h * h)
     return m * 4 * 8 + rows * 5 * 16 * q + 16 * _ROUTES[route][2] * chunk + 8 * q * q
 

@@ -625,6 +625,24 @@ def test_theta_continuity_keeps_a_line_bound_below_the_lines_diameter():
     assert r.bound == pytest.approx(2 * np.pi) and r.passed
 
 
+# The six checks that bound a distance between spectra, and the kind of those spectra where
+# the config does not name it.
+_DISTANCE_CHECKS = {"THETA_PERIOD": None, "THETA_CONTINUITY": None, "MOTHER_EQUALITY": "ukh",
+                    "SPECTRAL_MAPPING": "uh", "AUBRY_ANDRE": "h", "ALPHA_CONTINUITY": None}
+
+
+@pytest.mark.parametrize("check_id", sorted(_DISTANCE_CHECKS))
+def test_each_distance_checks_default_bound_is_below_the_farthest_its_spectra_can_be_apart(
+        check_id):
+    # A bound at or past that reach passes whatever the spectra are, so it measures nothing:
+    # the chord 2 on the circle, 4 + 4 |lambda| on the line, since ||H|| <= 2 + 2 |lambda|.
+    r = run_check(check_id)
+    kind = _DISTANCE_CHECKS[check_id] or r.params["kind"]
+    reach = (2.0 if SpectrumKind.of(kind) is SpectrumKind.UNIT_CIRCLE
+             else 4.0 + 4.0 * abs(r.params["lambda"]))
+    assert r.bound < reach
+
+
 def test_checks_are_deterministic():
     cfg = {"alpha": "2/3", "n": 10, "trials": 4, "seed": 5}
     r1 = run_check("THETA_CONTINUITY", cfg)

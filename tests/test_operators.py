@@ -20,8 +20,8 @@ from kickspec.operators import (
     _reversal_gauge,
     _theta_kick,
     cos_rows,
-    dcp_eigensystem,
     harper_jacobi_stack,
+    rotor_shift,
 )
 from oracles import (
     clock_shift,
@@ -79,7 +79,7 @@ def test_alpha_rejects_bad_input():
     (lambda: params("ukh", 1.0, 1.0, 1, 2, theta=float("inf")), "theta must be finite"),
     # h records kappa as 0.0, but only once the kappa it was given is finite.
     (lambda: params("h", float("nan"), 1.0, 1, 2), "kappa and lambda must be finite"),
-    (lambda: dcp_eigensystem("1/2"), "dcp_eigensystem expects a RationalAlpha"),
+    (lambda: rotor_shift("1/2"), "rotor_shift expects a RationalAlpha"),
 ], ids=["params-alpha-str", "params-theta-word", "params-theta-inf", "params-h-kappa-nan",
         "dcp-alpha-str"])
 def test_an_alpha_that_is_not_rational_or_a_theta_that_is_not_a_phase_is_refused(make, message):
@@ -452,16 +452,16 @@ def test_the_rotor_chirp_is_the_numeric_fit(q):
 
 
 def test_dcp_q2_matches_hand_oracle():
-    dc = dcp_eigensystem(RationalAlpha(1, 2))
-    assert dc.phi == pytest.approx(0.25)  # p(q-1) = 1 odd -> mu = i
+    phi = (rotor_shift(RationalAlpha(1, 2)) - 1) / (2 * 2)
+    assert phi == pytest.approx(0.25)  # p(q-1) = 1 odd -> mu = i
     assert set_distance(dcp_values(1, 2), [1j, -1j]) <= 1e-14
     brute = unitary_eigvals(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert set_distance(dcp_values(1, 2), brute) <= 1e-12
 
 
 def test_dcp_q3_is_cube_roots():
-    dc = dcp_eigensystem(RationalAlpha(1, 3))
-    assert dc.phi == 0.0  # p(q-1) = 2 even -> mu = 1
+    phi = (rotor_shift(RationalAlpha(1, 3)) - 1) / (2 * 3)
+    assert phi == 0.0  # p(q-1) = 2 even -> mu = 1
     expected = np.exp(2j * np.pi * np.arange(3) / 3)
     assert set_distance(dcp_values(1, 3), expected) <= 1e-14
 
@@ -473,13 +473,13 @@ def test_dcp_against_brute_force(q):
         if q > 1 and math.gcd(p, q) != 1:
             continue
         alpha = RationalAlpha(p, q)
-        dc, e, mu = dcp_eigensystem(alpha), dcp_vectors(p, q), dcp_values(p, q)
+        e, mu = dcp_vectors(p, q), dcp_values(p, q)
         m = d @ np.linalg.matrix_power(c, p)
         assert np.abs(m @ e - e * mu[None, :]).max() <= 1e-10
         assert np.abs(e @ e.conj().T - np.eye(q)).max() <= 1e-10
         assert set_distance(mu, unitary_eigvals(m)) <= 1e-10
         expected_phi = 0.0 if (p * (q - 1)) % 2 == 0 else 1.0 / (2 * q)
-        assert dc.phi == pytest.approx(expected_phi)
+        assert (rotor_shift(alpha) - p) / (2 * q) == pytest.approx(expected_phi)
 
 
 def test_dcp_shift_is_the_one_integer_behind_phi():
@@ -488,10 +488,11 @@ def test_dcp_shift_is_the_one_integer_behind_phi():
         for p in range(q) if q > 1 else [0]:
             if math.gcd(p, q) != 1:
                 continue
-            dc = dcp_eigensystem(RationalAlpha(p, q))
-            assert dc.shift == p + round(2 * q * dc.phi)
-            assert dc.shift - p in (0, 1)
-            assert p / (2 * q) + dc.phi == pytest.approx(dc.shift / (2 * q), abs=1e-15)
+            shift = rotor_shift(RationalAlpha(p, q))
+            phi = np.angle(dcp_values(p, q)[0]) / (2 * np.pi)  # the oracle's mu = exp(i 2 pi phi)
+            assert shift == p + round(2 * q * phi)
+            assert shift - p in (0, 1)
+            assert p / (2 * q) + phi == pytest.approx(shift / (2 * q), abs=1e-15)
 
 
 # -- double kicked rotor -----------------------------------------------------------------

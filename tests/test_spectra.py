@@ -17,6 +17,7 @@ from kickspec.operators import (
     OperatorParams,
     RationalAlpha,
     harper_jacobi_stack,
+    operator_stack,
 )
 from kickspec.spectra import (
     GridSpec,
@@ -446,6 +447,34 @@ def _swapped_distances(kind, lam, alphas, rng):
 def test_phase_swap_holds_at_the_self_dual_coupling(kind):
     alphas = [(0, 1), (1, 2), (2, 7), (8, 13), (55, 89), (144, 233)]
     assert np.all(_swapped_distances(kind, 1.0, alphas, np.random.default_rng(13)) <= 1e-12)
+
+
+def _dual_eigvals(path, kind, kappa, lam, p, q, x, theta):
+    """Eigenvalues at one node from the oracle's formula, or from operator_stack."""
+    if path == "oracle":
+        return operator_eigvals(kind, kappa, lam, p, q, x, theta)
+    m = operator_stack(params(kind, kappa, lam, p, q), [x], [theta])[0]
+    return np.linalg.eigvalsh(m) if kind == "h" else unitary_eigvals(m)
+
+
+@pytest.mark.parametrize("path", ["oracle", "stack"])
+@pytest.mark.parametrize("kind", ["h", "uh", "ukh"])
+def test_kicked_aubry_duality_holds_node_by_node(kind, path):
+    # In the rotation algebra u -> v, v -> u* takes the operator at (kappa, lambda; x, theta) to
+    # the one at (kappa lambda, 1/lambda; theta, x) with its kicks in the other order, which
+    # has the same eigenvalues; for h, to lambda times the dual H.  The mother sweeps' lambda = 1
+    # swap fold (spectra._orbits) rests on it, and a fault shared by both kicked kinds, which
+    # MOTHER_EQUALITY cannot see, breaks it.
+    rng, worst = np.random.default_rng(17), 0.0
+    alphas = [(1, 2), (2, 3), (3, 5), (5, 8), (8, 13), (13, 21), (21, 34)]
+    for lam, kappa, (p, q) in itertools.product((1.6, -1.3, 2.5), (0.5, 1.0, 3.0), alphas):
+        # h's dual side is scaled by lambda, and its tolerance by ||H|| <= 2 + 2 |lambda|.
+        factor, tol = (lam, 1e-13 * (2.0 + 2.0 * abs(lam))) if kind == "h" else (1.0, 1e-13)
+        for x, theta in rng.random((2, 2)):
+            at = _dual_eigvals(path, kind, kappa, lam, p, q, x, theta)
+            dual = _dual_eigvals(path, kind, kappa * lam, 1.0 / lam, p, q, theta, x)
+            worst = max(worst, set_distance(at, factor * dual) / tol)
+    assert worst <= 1.0
 
 
 @pytest.mark.parametrize("kind,lam", [
