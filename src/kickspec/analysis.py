@@ -364,18 +364,27 @@ def _theta_continuity_bound(cfg) -> float:
     return 2.0 * grid_error_bound(_at(cfg, 0.0), GridSpec(cfg["n"]))
 
 
-def _check_mother_equality(cfg):
-    alpha, n = cfg["alpha"], cfg["n"]
-    # One batch, each kind's nodes built by its own builder.
-    s_kh, s_or = _spectra([OperatorParams(kind, cfg["kappa"], cfg["lambda"], alpha, MOTHER)
-                           for kind in (OperatorKind.UKH, OperatorKind.UORDKR)], GridSpec(n, n))
-    bound = s_kh.error_bound + s_or.error_bound
+def _kicked_pair(cfg) -> list[OperatorParams]:
+    """MOTHER_EQUALITY's two mother requests, ukh and uordkr."""
+    return [OperatorParams(kind, cfg["kappa"], cfg["lambda"], cfg["alpha"], MOTHER)
+            for kind in (OperatorKind.UKH, OperatorKind.UORDKR)]
+
+
+def _mother_equality_bound(cfg) -> float:
+    grid = GridSpec(cfg["n"], cfg["n"])
+    bound = sum(grid_error_bound(pa, grid) for pa in _kicked_pair(cfg))
     # The rotor's theta kick sits at beta = x + theta + alpha/2 + phi, an
     # offset of rotor_shift/(2q).  When that is a whole number of theta steps
     # 1/(n q), both sweeps visit equivalent matrices node for node.
-    if n * rotor_shift(alpha) % 2 == 0:
+    if cfg["n"] * rotor_shift(cfg["alpha"]) % 2 == 0:
         bound = min(bound, _MATCHED_GRID_TOL)
-    return (hausdorff(s_kh, s_or), bound,
+    return bound
+
+
+def _check_mother_equality(cfg):
+    # One batch, each kind's nodes built by its own builder.
+    s_kh, s_or = _spectra(_kicked_pair(cfg), GridSpec(cfg["n"], cfg["n"]))
+    return (hausdorff(s_kh, s_or), _mother_equality_bound(cfg),
             "kicked Harper vs double kicked rotor mother spectra share a true spectrum")
 
 
@@ -425,14 +434,19 @@ def _check_band_count(cfg):
 
 
 def _check_alpha_continuity(cfg):
-    a1, a2 = cfg["alpha1"], cfg["alpha2"]
-    s1 = _mother(cfg["kind"], cfg["kappa"], cfg["lambda"], a1, cfg["n"])
-    s2 = _mother(cfg["kind"], cfg["kappa"], cfg["lambda"], a2, cfg["n"])
-    dalpha = abs(a2.value - a1.value)
-    bound = (36.0 * math.sqrt(6.0 * math.pi * _kick_scale(cfg) * dalpha)
-             + s1.error_bound + s2.error_bound)
-    return (hausdorff(s1, s2), bound,
+    s1, s2 = (_mother(cfg["kind"], cfg["kappa"], cfg["lambda"], cfg[a], cfg["n"])
+              for a in ("alpha1", "alpha2"))
+    return (hausdorff(s1, s2), _alpha_continuity_bound(cfg),
             "mother spectra of nearby rationals within the square-root modulus")
+
+
+def _alpha_continuity_bound(cfg) -> float:
+    grid, dalpha = GridSpec(cfg["n"], cfg["n"]), abs(cfg["alpha2"].value - cfg["alpha1"].value)
+    bound = 36.0 * math.sqrt(6.0 * math.pi * _kick_scale(cfg) * dalpha)
+    for a in ("alpha1", "alpha2"):  # each spectrum's grid bound, added in turn
+        pa = OperatorParams(cfg["kind"], cfg["kappa"], cfg["lambda"], cfg[a], MOTHER)
+        bound += grid_error_bound(pa, grid)
+    return bound
 
 
 def _check_kappa_cubed(cfg):
@@ -583,6 +597,13 @@ _CHECKS = {
 
 CHECK_IDS = tuple(_CHECKS)
 
+# The checks whose bound can reach past the farthest their spectra can be apart (it
+# grows with the grid's bound, and ALPHA_CONTINUITY's with the alphas' distance), each
+# with the bound it reports, from the parsed config alone.
+_BOUNDS = {"THETA_CONTINUITY": _theta_continuity_bound,
+           "MOTHER_EQUALITY": _mother_equality_bound,
+           "ALPHA_CONTINUITY": _alpha_continuity_bound}
+
 
 def _canonical(check_id: str) -> str:
     cid = str(check_id).strip().replace("-", "_").upper()
@@ -624,14 +645,16 @@ def check_config(check_id: str, cfg: dict) -> dict:
     if cid == "KAPPA_CUBED" and 0.0 in parsed["kappas"]:
         raise InvalidParams("KAPPA_CUBED requires kappas != 0: at kappa = 0 both spectra "
                             "are the point 1")
-    if cid == "THETA_CONTINUITY":
+    if cid in _BOUNDS:
         # The farthest two spectra can be apart: the chord 2 on the circle, and
-        # 4 + 4 |lambda| on the line, since ||H|| <= 2 + 2 |lambda|.
-        reach = (2.0 if SpectrumKind.of(parsed["kind"]) is SpectrumKind.UNIT_CIRCLE
+        # 4 + 4 |lambda| on the line, since ||H|| <= 2 + 2 |lambda|.  MOTHER_EQUALITY's
+        # spectra, of the two kicked kinds, are on the circle.
+        kind = parsed.get("kind", OperatorKind.UKH)
+        reach = (2.0 if SpectrumKind.of(kind) is SpectrumKind.UNIT_CIRCLE
                  else 4.0 + 4.0 * abs(parsed["lambda"]))
-        bound = _theta_continuity_bound(parsed)
+        bound = _BOUNDS[cid](parsed)
         if bound >= reach:
-            raise InvalidParams(f"THETA_CONTINUITY requires a grid whose bound is below {reach:g}, "
+            raise InvalidParams(f"{cid} requires a bound below {reach:g}, "
                                 f"the farthest its spectra can be apart: got {bound:.4g} at "
                                 f"n = {parsed['n']}")
     if cid == "LAST_MEASURE_TREND" and parsed["n"] < 2:

@@ -26,20 +26,20 @@ that fails it is solved by the complex inverse, ungauged.  The tests
 compare the Cayley route against ``np.linalg.eigvals``.  The contracts
 below (ordering, modulus bounds) are what is normative, not the solver.
 
-Threads: a solver call whose matrices have fewer rows than its route's
-floor runs on one BLAS thread (_one_thread_below), which sets OpenBLAS's
-thread count to 1 for the call and then restores the caller's.  Below the
-floor a second thread shortens a call little or not at all, and spins,
-doubling its CPU time (BENCH_threads.json); at or above it the count is
-left as it is.  The OpenBLAS that numpy loaded is found once, at the first
-small call, by its path in /proc/self/maps and its thread-count symbols;
-with any other BLAS the rule does nothing.  So the values of a small call
-do not depend on the BLAS thread count, and those of a larger one still
-may, in the last bits.
+Threads: the sweep kernel runs each sweep inside _one_blas_thread, which
+sets OpenBLAS's thread count to 1 for the sweep's builds and solves and then
+restores the caller's.  OpenBLAS's second thread shortens a call little,
+and once woken it spins through the work that follows, doubling the CPU
+time (BENCH_threads.json); a large sweep runs its large calls side by side
+instead (spectra._POOL_ROWS).  So every value is a one-thread value, whatever
+the thread count.  The OpenBLAS that numpy loaded is found once, at the
+first sweep, by its path in /proc/self/maps and its thread-count symbols;
+any other BLAS keeps its own thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import threading
 
@@ -77,7 +77,7 @@ _OPENBLAS_SYMBOLS = (
 )
 _blas: tuple | None = None  # (set, get) of the loaded OpenBLAS, () if none: looked up once
 _blas_lock = threading.Lock()
-_blas_depth = 0  # calls inside _one_thread_below; the first sets 1 thread, the last restores
+_blas_depth = 0  # sweeps inside _one_blas_thread; the first sets 1 thread, the last restores
 _blas_saved = 0  # the caller's thread count, while _blas_depth > 0
 
 
@@ -103,13 +103,11 @@ def _openblas() -> tuple:
     return ()
 
 
-def _one_thread_below(floor: int, solve, stack: np.ndarray, *args):
-    """solve(stack, *args), on one BLAS thread where the stack's matrices have
-    fewer than ``floor`` rows (module docstring).  The caller's thread count is
-    restored once, when the last of any nested or concurrent such calls
-    returns or raises."""
-    if stack.shape[-1] >= floor:
-        return solve(stack, *args)
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread for the block (module docstring).  The caller's
+    count is restored once, when the last of any nested or concurrent such
+    blocks returns or raises."""
     global _blas, _blas_depth, _blas_saved
     with _blas_lock:
         if _blas is None:
@@ -119,7 +117,7 @@ def _one_thread_below(floor: int, solve, stack: np.ndarray, *args):
             _blas[0](1)
         _blas_depth += 1
     try:
-        return solve(stack, *args)
+        yield
     finally:
         with _blas_lock:
             _blas_depth -= 1

@@ -65,7 +65,10 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
+from collections import deque
 from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -76,7 +79,7 @@ from .linalg import (
     DEDUP_TOL,
     UNIT_MODULUS_TOL,
     _general_eigvals,
-    _one_thread_below,
+    _one_blas_thread,
     eigvalsh_stack,
     principal_args,
     unitary_eigvals_stack,
@@ -108,10 +111,17 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-# Complex entries per chunk, the one bound on how many matrices a sweep
-# builds and solves at once.  A chunk row holds up to 7 q x q temporaries
+# Complex entries per chunk, the bound on how many matrices a sweep builds
+# and solves at once.  A chunk row holds up to 7 q x q temporaries
 # (_sweep_bytes), so at q = 233 a chunk of four or more would set the peak RSS.
 _CHUNK_COMPLEX = 1 << 16
+
+# Eigenvalues a chunk holds at least.  numpy's eigvalsh and eigvals keep the
+# GIL unless their stack's matrices times rows pass 500, and a call that keeps
+# it cannot run beside another on the pool (_POOL_ROWS; BENCH_pool.json), so
+# where _CHUNK_COMPLEX holds fewer (q = 115-125 and from 129), a chunk holds
+# ceil(501 / q) matrices, up to 3 x 7 complex q x q arrays at q = 233.
+_CHUNK_EIGENVALUES = 501
 
 # Smallest q at which a sweep solves its corners (both half steps integers,
 # _orbits) as the parity blocks of operators._corner_blocks.  Whole sweeps of
@@ -261,33 +271,59 @@ def grid_error_bound(params: OperatorParams, grid: GridSpec) -> float:
 # -- the sweep kernel ---------------------------------------------------------
 
 def _chunk_rows(q: int) -> int:
-    return max(1, _CHUNK_COMPLEX // q ** 2)
+    return max(_CHUNK_COMPLEX // q ** 2, -(-_CHUNK_EIGENVALUES // q))
 
 
 # The routes of a sweep.  A row names the builder of its chunks' matrices
 # and their solver, both looked up as module globals when a sweep runs (so a
 # rebound one, a tracer or a test double, runs and is sized as the one it
 # stands in for), and the q x q complex arrays one chunk row holds while the
-# route builds and solves it.  The Hermitian route (h and uh sweeps) builds
-# the real Jacobi matrices of the Harper problem and holds them and the
-# solver's copy (two real arrays, the bytes of one complex one); the Cayley
-# route (ukh and uordkr sweeps) builds the unitary matrices and also holds
-# I, I + U, its inverse and the inverse's two solver buffers; the general
-# route (SPECTRAL_MAPPING's eigvals of the uh matrices, AUBRY_ANDRE's of the
-# circulant h matrices) the uh build's H, its eigenvectors and their
-# products, and the solver's copy.  Measured at one whole node of q = 610,
+# route builds and solves it.  Every route builds and solves on one BLAS
+# thread, and no route has a thread rule of its own (_POOL_ROWS).  The
+# Hermitian route (h and uh sweeps) builds the real Jacobi matrices of the
+# Harper problem and holds them and the solver's copy (two real arrays, the
+# bytes of one complex one); the Cayley route (ukh and uordkr sweeps) builds
+# the unitary matrices and also holds I, I + U, its inverse and the inverse's
+# two solver buffers; the general route (SPECTRAL_MAPPING's eigvals of the uh
+# matrices, AUBRY_ANDRE's of the circulant h matrices) the uh build's H, its
+# eigenvectors and their products, and the solver's copy.  Measured at one whole node of q = 610,
 # peak RSS growth less _sweep_bytes' other terms: 0.85, 6.3-6.5 and 5.5.
-# Last, the route's thread floor: a solver call on matrices of fewer rows
-# runs on one BLAS thread (linalg._one_thread_below).  One call's median
-# wall time on one OpenBLAS thread over two, 2 cores (BENCH_threads.json):
-# Cayley calls 1.03-1.17 at 117-178 rows, 1.35-1.59 from 500; the real
-# eigvalsh and eigvals at most 1.09 below 500 rows, 1.01-1.34 from 500.  The
-# second thread about doubles the CPU time wherever OpenBLAS wakes it.
 _ROUTES = {
-    "hermitian": ("harper_jacobi_stack", "eigvalsh_stack", 1, 500),
-    "cayley": ("operator_stack", "unitary_eigvals_stack", 7, 128),
-    "general": ("operator_stack", "_general_eigvals", 6, 500),
+    "hermitian": ("harper_jacobi_stack", "eigvalsh_stack", 1),
+    "cayley": ("operator_stack", "unitary_eigvals_stack", 7),
+    "general": ("operator_stack", "_general_eigvals", 6),
 }
+
+# Rows from which a sweep's solver calls run side by side, on a pool of one
+# thread per usable core; smaller calls run one at a time, in plan order.
+# Every call, pooled or not, runs on one BLAS thread (linalg._one_blas_thread).
+# A whole sweep's wall time on a pool of two over serial, 2 cores
+# (BENCH_pool.json): Cayley calls 0.45-0.78 at 144-501 rows and 0.50 at 610,
+# Hermitian calls 0.57-0.78 at 144-501 rows and 0.50-0.72 at 610, but q = 233's
+# 116- and 117-row corner blocks 0.99 and 1.13 (calls of a few small matrices,
+# _CHUNK_EIGENVALUES).  128 rows is also where two BLAS threads had run a
+# Cayley call 3-17% faster than one (BENCH_threads.json).
+_POOL_ROWS = 128
+_pool: ThreadPoolExecutor | None = None  # made by the first sweep that pools
+_pool_lock = threading.Lock()
+
+
+def _workers() -> int:
+    """The pool's width: the cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solver_pool() -> ThreadPoolExecutor | None:
+    """The pool of side-by-side solver calls, made once; None on one core."""
+    global _pool
+    if _workers() < 2:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_workers(), thread_name_prefix="kickspec-solve")
+    return _pool
 
 
 def _route(params: OperatorParams, route: str | None) -> str:
@@ -311,25 +347,27 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
     hx >= 0 and ht >= 0 where the sweep splits (_splits).  First
     it plans its solver calls, each a list of pieces (make, rows, cols):
     make(rows) builds the piece's matrices and gauge, or none, when its call
-    runs, so the sweep holds one call's matrices at a time.  The whole nodes
+    runs, so the sweep holds the matrices of the calls that run.  The whole nodes
     come in chunks of _chunk_rows(q), a piece per run of one request's
     nodes, the ungauged before those on the line; then the split
     corners' parity blocks (operators._corner_blocks at (hx, ht), planned by
     their sizes), gauged on the Cayley route, those of one size chunked
-    together.  Then one loop solves each call, on one BLAS
-    thread under the route's thread floor, into one (nodes, q) array; a
+    together.  Then one loop solves each call on one BLAS thread
+    (linalg._one_blas_thread), those of _POOL_ROWS rows or more side by
+    side on the pool where there are two or more, the others one at a
+    time, into one (nodes, q) array; a
     corner's row is its blocks' values, the smaller first, ascending on the
     Hermitian route.  Each request's half-shift image, uh mapping (its Harper
     eigenvalues w map to exp(-i kappa w)), line and corners are its own.  If
     a call fails, its pieces run again one node i at a time, make([i]), and
-    the error names the alpha and grid point of the first that fails alone.
+    the error names the alpha and grid point of the first that fails alone:
+    of the first failing call in plan order, however the pool ran them.
     A batch is not checked for a shared q and route.
     """
     batch = _requests(params)
     q, route = batch[0].alpha.q, _route(batch[0], route)
     _preflight(batch, grid, route)
     build, solve = (globals()[name] for name in _ROUTES[route][:2])
-    floor = _ROUTES[route][3]
     mapped = [pa.kind is OperatorKind.UH and route == "hermitian" for pa in batch]
     built = [replace(pa, kind=OperatorKind.H) if uh else pa for pa, uh in zip(batch, mapped)]
     orbits = [_orbits(pa, grid) for pa in batch]
@@ -358,7 +396,7 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
             runs = [chunk]  # one per request, each built by its own params: owner ascends
             if owner[chunk[0]] != owner[chunk[-1]]:
                 runs = np.split(chunk, np.flatnonzero(np.diff(owner[chunk])) + 1)
-            calls.append([(whole, run, slice(None)) for run in runs])
+            calls.append((q, [(whole, run, slice(None)) for run in runs]))
     corners = np.flatnonzero(part_of == 2)
     for i in corners:  # each corner's blocks, the smaller first
         sized = sorted(_corner_blocks(built[owner[i]], hx[i], ht[i]), key=lambda b: b[0])
@@ -366,21 +404,21 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
         blocks += [(n, (block(make), [i], slice(e - n, e))) for (n, make), e in zip(sized, ends)]
     for size in sorted({size for size, _ in blocks}):
         same, step = [piece for n, piece in blocks if n == size], _chunk_rows(size)
-        calls += [same[lo:lo + step] for lo in range(0, len(same), step)]
+        calls += [(size, same[lo:lo + step]) for lo in range(0, len(same), step)]
 
     def execute(call: list) -> None:
         stacks, gauges = zip(*(make(rows) for make, rows, _ in call))
         stack = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
         del stacks  # a call's pieces, before it is solved
         gauge = () if gauges[0] is None else (np.concatenate(gauges),)
-        solved = _one_thread_below(floor, solve, stack, *gauge)
+        solved = solve(stack, *gauge)
         del stack  # and its stack, before the next call is built
         for _, rows, cols in call:
             values[rows, cols], solved = solved[:len(rows)], solved[len(rows):]
 
-    for call in calls:
+    def settle(call: list, outcome: Callable) -> None:
         try:
-            execute(call)
+            outcome()
         except NumericalError as exc:
             for i in np.unique(np.concatenate([rows for _, rows, _ in call])):
                 try:  # node i's pieces of the call: its run's node, or its blocks of one size
@@ -391,6 +429,32 @@ def _sweep_values(params: OperatorParams | Sequence[OperatorParams], grid: GridS
                         f"x={float(xv[i])!r}, theta={float(tv[i])!r}: {exc}"
                     ) from exc
             raise
+
+    # A call of _POOL_ROWS rows or more goes to the pool as the loop meets it, where two or
+    # more such calls can overlap; any other call first settles those, so the sweep holds
+    # the pool's calls or one call of its own, and a failure is settled as the first
+    # failing call in plan order, as in a serial run.
+    pool = _solver_pool() if sum(size >= _POOL_ROWS for size, _ in calls) > 1 else None
+    running = deque()  # (call, future) of the pooled calls not yet settled, in plan order
+
+    def settle_running() -> None:
+        while running:
+            call, future = running.popleft()
+            settle(call, future.result)
+
+    with _one_blas_thread():
+        try:
+            for size, call in calls:
+                if pool and size >= _POOL_ROWS:
+                    running.append((call, pool.submit(execute, call)))
+                else:
+                    settle_running()
+                    settle(call, lambda: execute(call))
+            settle_running()
+        finally:  # no call runs on after the sweep returns or raises; later failures are dropped
+            for _, future in running:
+                future.cancel()
+            wait([future for _, future in running])
     if route == "hermitian" and corners.size:  # a corner's row, its blocks' values, ascending
         values[corners] = np.sort(values[corners], axis=-1)
     out = []
@@ -520,10 +584,11 @@ def _sweep_bytes(params: OperatorParams | Sequence[OperatorParams], grid: GridSp
     its int64 half steps 2 q x and 2 q theta; per row of values (two per
     node where the half shift folds), q eigenvalues, held up to five times
     over as complex128 while pooled and sorted (measured: up to 72 B each).
-    Per matrix of the one solver call it holds at a time, the route's
-    complex arrays of its size (``_ROUTES``): of min(m, _chunk_rows(q)) whole
-    nodes, or where corners split of min(2 m, _chunk_rows(h)) blocks of
-    one size, h = ceil(q/2) + 1 rows at most, whichever holds more.  Per
+    Per matrix of the solver calls it holds at a time, the route's complex
+    arrays of its size (``_ROUTES``): of the whole nodes, min(m, w _chunk_rows(q)),
+    or where corners split of the blocks, min(2 m, w _chunk_rows(h)), h =
+    ceil(q/2) + 1 rows at most, whichever holds more; w is the pool's width
+    (_workers) where the calls have _POOL_ROWS rows or more, else 1.  Per
     chunk, the int64 circulant index.  A batch (_sweep_values) counts the
     nodes and rows of each of its requests.
     LAPACK allocates a further 2-4 MB of workspace on first use, which this
@@ -534,8 +599,11 @@ def _sweep_bytes(params: OperatorParams | Sequence[OperatorParams], grid: GridSp
     sizes = [_orbits(pa, grid)[:2] for pa in batch]
     m, q, route = sum(n for n, _ in sizes), batch[0].alpha.q, _route(batch[0], route)
     rows = sum(2 * n if image else n for n, image in sizes)
-    split, h = _splits(q, route), -(-q // 2) + 1
-    chunk = max(min(m, _chunk_rows(q)) * q * q, split * min(2 * m, _chunk_rows(h)) * h * h)
+    split, h, width = _splits(q, route), -(-q // 2) + 1, _workers()
+
+    def held(n: int, size: int) -> int:  # entries of the calls of size rows that run at once
+        return min(n, (width if size >= _POOL_ROWS else 1) * _chunk_rows(size)) * size * size
+    chunk = max(held(m, q), split * held(2 * m, h))
     return m * 4 * 8 + rows * 5 * 16 * q + 16 * _ROUTES[route][2] * chunk + 8 * q * q
 
 

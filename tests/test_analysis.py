@@ -463,6 +463,9 @@ def test_run_check_rejects_a_value_that_does_not_parse(cid, cfg, built):
     # 4 + 4 |lambda| on the line.
     ("THETA_CONTINUITY", {"alpha": "0/1", "n": 2}),
     ("THETA_CONTINUITY", {"kind": "h", "alpha": "0/1", "lambda": 0.0, "n": 1}),
+    ("MOTHER_EQUALITY", {"alpha": "1/3", "n": 1, "kappa": 1.0}),
+    ("ALPHA_CONTINUITY", {"alpha1": "1/2", "alpha2": "1/3", "n": 2}),
+    ("ALPHA_CONTINUITY", {"kind": "h", "alpha1": "1/2", "alpha2": "1/3", "lambda": 0.2, "n": 2}),
 ])
 def test_a_config_that_measures_nothing_is_a_usage_error(cid, cfg, built):
     # Zero trials, an empty sweep or a one-node grid (every tracked band of
@@ -501,7 +504,8 @@ _QUICK = {
     "SPECTRAL_MAPPING": {"alpha": "3/5", "n": 10},
     "AUBRY_ANDRE": {"alpha": "3/5", "lambda": 2.0, "n": 8},
     "BAND_COUNT": {"alpha": "1/3", "n": 80},
-    "ALPHA_CONTINUITY": {"alpha1": "3/5", "alpha2": "5/8", "n": 8},
+    # 3/5 and 5/8 at kappa = 1 have a bound of 25: past every chordal distance.
+    "ALPHA_CONTINUITY": {"alpha1": "21/34", "alpha2": "34/55", "n": 4, "kappa": 0.2},
     "KAPPA_CUBED": {"alpha": "3/5", "n": 24, "kappas": [0.05, 0.1]},
     "LAST_MEASURE_TREND": {"alphas": ["3/5", "5/8"], "n": 30},
 }
@@ -629,6 +633,25 @@ def test_theta_continuity_keeps_a_line_bound_below_the_lines_diameter():
 # the config does not name it.
 _DISTANCE_CHECKS = {"THETA_PERIOD": None, "THETA_CONTINUITY": None, "MOTHER_EQUALITY": "ukh",
                     "SPECTRAL_MAPPING": "uh", "AUBRY_ANDRE": "h", "ALPHA_CONTINUITY": None}
+
+
+@pytest.mark.parametrize("check_id,cfg", [
+    ("THETA_CONTINUITY", {"alpha": "1/2", "n": 4, "trials": 1}),
+    ("MOTHER_EQUALITY", {"alpha": "1/3", "n": 5, "kappa": 1.0}),
+    ("ALPHA_CONTINUITY", {"alpha1": "21/34", "alpha2": "34/55", "n": 4, "kappa": 0.2}),
+    ("ALPHA_CONTINUITY", {"kind": "h", "alpha1": "21/34", "alpha2": "34/55", "n": 4}),
+])
+def test_a_distance_check_reports_the_bound_it_refuses_on(check_id, cfg):
+    # check_config computes the bound from the parsed config, before any sweep, and refuses
+    # it at the farthest the spectra can be apart; the report carries that same bound.
+    from kickspec.analysis import _BOUNDS, check_config
+
+    r = run_check(check_id, cfg)
+    assert r.bound == _BOUNDS[check_id](check_config(check_id, cfg))
+    kind = _DISTANCE_CHECKS[check_id] or r.params["kind"]
+    reach = (2.0 if SpectrumKind.of(kind) is SpectrumKind.UNIT_CIRCLE
+             else 4.0 + 4.0 * abs(r.params["lambda"]))
+    assert 0 < r.bound < reach
 
 
 @pytest.mark.parametrize("check_id", sorted(_DISTANCE_CHECKS))

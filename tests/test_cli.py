@@ -592,13 +592,16 @@ _REFUSED = [
      "KAPPA_CUBED requires lambda != 0 and q >= 2"),
     # Its bound there, 6.28, passes every chordal distance.
     (["--alpha", "0/1", "--grid", "2"], "THETA_CONTINUITY",
-     "THETA_CONTINUITY requires a grid whose bound is below 2"),
+     "THETA_CONTINUITY requires a bound below 2"),
+    # Two grid bounds of 4.19 at odd n times the rotor shift: past every chordal distance.
+    (["--alpha", "1/3", "--grid", "1", "--kappa", "1"], "MOTHER_EQUALITY",
+     "MOTHER_EQUALITY requires a bound below 2"),
 ]
 
 
 @pytest.mark.parametrize("argv,check,message", _REFUSED,
                          ids=["lambda-0", "kappa-cubed-lambda-0", "grid-1", "lambda-1",
-                              "kappa-cubed-q-1", "theta-continuity-q-1"])
+                              "kappa-cubed-q-1", "theta-continuity-q-1", "mother-equality-q-3"])
 def test_verify_refuses_a_config_that_measures_nothing_before_it_sweeps(argv, check, message,
                                                                         built, capsys):
     assert dispatch(["verify", "--check", check, *argv]) == 2
@@ -1077,6 +1080,7 @@ def test_an_oversized_alpha_list_is_refused_before_it_is_made(tmp_path, monkeypa
             super().__post_init__()
 
     monkeypatch.setattr(analysis, "RationalAlpha", Counted)
+    monkeypatch.setattr(spectra, "_workers", lambda: 1)  # the estimate counts the pool's width
     sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8 * 2**30 // 4096}
     monkeypatch.setattr(spectra.os, "sysconf", sizes.__getitem__)
     out = tmp_path / "t.csv"
@@ -1248,13 +1252,20 @@ V0150_KEYS = {
     "h": "f393743a5cf1dad67887e41a4fbd6ada5da3e9ed41e3135b689a118c94cffaeb",
 }
 
+# Keys of version 0.16.0, which ran solver calls at or above their route's thread floor on
+# the default BLAS thread count.
+V0160_KEYS = {
+    "ukh": "abb98557848f02c3337cfdc6e484f132df0745d6fb104ac1ccbec51cd50c8cae",
+    "h": "186e3fe867e634ed4f633fd53a88441f38ea2243e39358c605294b88401e1260",
+}
+
 
 def test_cache_keys_are_pinned():
     # Entries written by earlier versions stay valid only while these hold.
     ukh = cache_key(OperatorParams("ukh", 1.0, 1.0, RationalAlpha(8, 13), MOTHER), GridSpec(5, 5))
     h = cache_key(OperatorParams("h", 1.0, 0.5, RationalAlpha(1, 3), 0.25), GridSpec(7))
-    assert ukh == "abb98557848f02c3337cfdc6e484f132df0745d6fb104ac1ccbec51cd50c8cae"
-    assert h == "186e3fe867e634ed4f633fd53a88441f38ea2243e39358c605294b88401e1260"
+    assert ukh == "280c62184d4a4a803ed2ae0167f3fa3c445cb366d897a032ca2ad8040b9ee818"
+    assert h == "d7e2fcc230b3e3767bbe8357fa3c5b430a3234b56d3c464da1e8b630e5554737"
     # Version 0.1.0 swept every grid node, 0.2.0 built the theta kicks as
     # dense Fourier products, 0.3.0 wrote no rows_sha256 line, and 0.4.0
     # solved both nodes of each self-dual swap pair; their entries differ in
@@ -1276,7 +1287,7 @@ def test_cache_keys_are_pinned():
     # matrix as a product with E*, not gathered from its chirped circulant, whose
     # values differ in the last bits.  0.15.0 ran solver calls under the thread
     # floor on the default BLAS thread count, not one thread, whose values differ
-    # in the last bits.
+    # in the last bits.  0.16.0 ran those at or above it on the default count too.
     assert {ukh, h}.isdisjoint(V010_KEYS.values())
     assert {ukh, h}.isdisjoint(V020_KEYS.values())
     assert {ukh, h}.isdisjoint(V030_KEYS.values())
@@ -1292,6 +1303,7 @@ def test_cache_keys_are_pinned():
     assert {ukh, h}.isdisjoint(V0130_KEYS.values())
     assert {ukh, h}.isdisjoint(V0140_KEYS.values())
     assert {ukh, h}.isdisjoint(V0150_KEYS.values())
+    assert {ukh, h}.isdisjoint(V0160_KEYS.values())
 
 
 def test_parent_cache_entry_is_not_served(tmp_path):
@@ -1303,11 +1315,11 @@ def test_parent_cache_entry_is_not_served(tmp_path):
     s = read_spectrum_csv(cold)
     planted = SpectrumSet.build(s.kind, s.points * np.exp(0.125j), params=s.params, grid=s.grid)
     for keys in (V010_KEYS, V050_KEYS, V060_KEYS, V070_KEYS, V080_KEYS, V090_KEYS, V0100_KEYS,
-                 V0110_KEYS, V0120_KEYS, V0130_KEYS, V0140_KEYS, V0150_KEYS):
+                 V0110_KEYS, V0120_KEYS, V0130_KEYS, V0140_KEYS, V0150_KEYS, V0160_KEYS):
         write_spectrum_csv(planted, str(cache / (keys["ukh"] + ".csv")))
     assert dispatch(argv + ["--cache-dir", str(cache), "--out", warm]) == 0
     assert open(warm, "rb").read() == open(cold, "rb").read()
-    assert len(os.listdir(cache)) == 13
+    assert len(os.listdir(cache)) == 14
 
 
 def test_cache_differential_and_clear(tmp_path):

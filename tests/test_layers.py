@@ -11,7 +11,7 @@ MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
 # Each private name a module may take from another, and the modules that may
 # take it: the sweep kernel, its size check, and the set and the tracked bands
 # of its values from spectra, the general solver of spectra's general route,
-# the BLAS thread rule that spectra runs each solver call through, the corner
+# the BLAS thread rule that spectra runs each sweep's calls under, the corner
 # nodes' parity blocks and the time-reversal gauges that the sweep solves with,
 # and the per-key parsers the command line shares with the checks.
 ALLOWED = {
@@ -20,7 +20,7 @@ ALLOWED = {
     ("spectra", "_tracked"): {"analysis"},
     ("spectra", "_spectrum"): {"analysis"},
     ("linalg", "_general_eigvals"): {"spectra"},
-    ("linalg", "_one_thread_below"): {"spectra"},
+    ("linalg", "_one_blas_thread"): {"spectra"},
     ("operators", "_corner_blocks"): {"spectra"},
     ("operators", "_reversal_gauge"): {"spectra"},
     ("analysis", "_PARSE"): {"cli"},

@@ -260,7 +260,7 @@ _MIXED_BATCHES = {
                   [(4, 13, False), (4, 13, True)]),
     "line-144/233": ([params("ukh", 1.0, 1.3, 144, 233, theta=t) for t in (0.0, 0.3)],
                      GridSpec(4),
-                     [(1, 233, False)] * 3 + [(1, 233, True), (2, 116, True), (2, 117, True)]),
+                     [(3, 233, False), (1, 233, True), (2, 116, True), (2, 117, True)]),
     # Every node of a 2 x 2 mother grid is a corner: both kinds' blocks of one size share a call.
     "kinds-144/233": ([params(k, 1.0, 1.3, 144, 233, theta=MOTHER) for k in ("ukh", "uordkr")],
                       GridSpec(2, 2), [(4, 116, True), (4, 117, True)]),
@@ -281,6 +281,7 @@ _MIXED_BATCHES = {
 
 @pytest.mark.parametrize("case", list(_MIXED_BATCHES))
 def test_each_request_of_a_mixed_batch_is_its_sweep_alone(case, monkeypatch):
+    monkeypatch.setattr(spectra, "_workers", lambda: 1)  # the calls in plan order, no pool
     batch, grid, expected = _MIXED_BATCHES[case]
     name = "eigvalsh_stack" if batch[0].kind in ("h", "uh") else "unitary_eigvals_stack"
     solve, calls = getattr(spectra, name), []
@@ -809,7 +810,7 @@ def test_pair_count_is_the_number_of_grid_pairs(kind):
             assert spectra._orbits(pa, grid)[0] == _nodes(pa, grid)[0].size
 
 
-def test_sweep_size_estimate():
+def test_sweep_size_estimate(monkeypatch):
     # m nodes (float64 x and theta, int64 half steps 2 q x and 2 q theta), 2m
     # rows of values where the half shift folds, else m (q eigenvalues held as
     # up to five complex128 copies while pooled), 1 (Hermitian route: two real
@@ -846,11 +847,17 @@ def test_sweep_size_estimate():
     assert spectra._sweep_bytes(params("uh", 1.0, 1.0, 1, 1499), GridSpec(1), "general") == (
         (32 + 1499 * 80) + (16 * 6 + 8) * 1499 ** 2)
     # Above the split floor a solver call holds whole nodes or corner blocks of one size,
-    # at most 118 rows at q = 233, two per corner: four of them, 2^16 // 118^2, hold more
-    # than one 233-row node.  60 uordkr numerators on a 2 x 2 grid keep 2 of 4 nodes each.
+    # at most 118 rows at q = 233, two per corner.  A chunk holds at least 501 eigenvalues:
+    # five 118-row blocks, or three 233-row nodes, which hold more.  60 uordkr numerators
+    # on a 2 x 2 grid keep 2 of 4 nodes each.  From _POOL_ROWS rows the pool's width of
+    # calls run at once: on two cores, two chunks of three 233-row nodes.
     batch = [params("uordkr", 1.0, 1.0, p, 233, theta=MOTHER) for p in range(1, 61)]
+    monkeypatch.setattr(spectra, "_workers", lambda: 1)
     assert spectra._sweep_bytes(batch, GridSpec(2, 2)) == (
-        120 * 32 + 240 * 5 * 16 * 233 + 16 * 7 * 4 * 118 ** 2 + 8 * 233 ** 2)
+        120 * 32 + 240 * 5 * 16 * 233 + 16 * 7 * 3 * 233 ** 2 + 8 * 233 ** 2)
+    monkeypatch.setattr(spectra, "_workers", lambda: 2)
+    assert spectra._sweep_bytes(batch, GridSpec(2, 2)) == (
+        120 * 32 + 240 * 5 * 16 * 233 + 16 * 7 * 6 * 233 ** 2 + 8 * 233 ** 2)
 
 
 # The peak RSS of the process's own address space (VmHWM, in kB).  ru_maxrss
@@ -866,6 +873,14 @@ def peak():
     with open("/proc/self/status") as fh:
         return next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith("VmHWM:"))
 
+if sys.argv[1] == "pooled":  # two whole ukh nodes at 1/610, solved side by side
+    import kickspec.spectra as spectra
+    spectra._workers = lambda: 2
+    pa, grid = OperatorParams("ukh", 1.0, 1.0, RationalAlpha(1, 610), 0.123456), GridSpec(2)
+    before = peak()
+    spectrum_fixed_theta(pa, grid)
+    print(peak() - before, _sweep_bytes(pa, grid))
+    sys.exit()
 if sys.argv[1] == "batch":  # a butterfly's: the first 60 reduced p <= q/2, 2 x 2 mother grid
     kind, q, grid = sys.argv[2], int(sys.argv[3]), GridSpec(2, 2)
     ps = [p for p in range(1, q // 2 + 1) if gcd(p, q) == 1][:60]
@@ -906,6 +921,14 @@ def test_a_batch_of_corners_peak_memory_is_within_the_estimate(kind, q):
     # built every corner's blocks before its first solver call grew 161 MiB at ukh,
     # q = 377, against an estimate of 23.
     grown, estimate = _peak_growth(["batch", kind, str(q)])
+    assert 0 < grown <= estimate
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+def test_a_pooled_sweep_peak_memory_is_within_the_estimate():
+    # The two 610-row calls run at once, each holding its own matrices; the estimate
+    # counts the pool's width of them.
+    grown, estimate = _peak_growth(["pooled"])
     assert 0 < grown <= estimate
 
 
@@ -1064,21 +1087,182 @@ def test_the_real_route_is_the_complex_route(kind, p, q, monkeypatch):
                 assert set_distance(values[j], oracle[j]) <= 1e-12
 
 
-@pytest.mark.parametrize("kind,solver,whole", [
-    ("ukh", "unitary_eigvals_stack", 2), ("uordkr", "unitary_eigvals_stack", 2),
-    ("h", "eigvalsh_stack", 1), ("uh", "eigvalsh_stack", 1)])
-def test_each_solver_call_takes_its_routes_thread_floor_by_its_matrix_size(kind, solver, whole,
-                                                                           blas, monkeypatch):
-    # 144/233 on a 4 x 4 mother grid: three whole 233-row nodes, one chunk each, and the
-    # corners' parity blocks, one call per size (116 and 117 rows).  The blocks are under
-    # every route's floor; the whole nodes are under the Hermitian route's, not the Cayley's.
+@pytest.mark.parametrize("kind,solver", [
+    ("ukh", "unitary_eigvals_stack"), ("uordkr", "unitary_eigvals_stack"),
+    ("h", "eigvalsh_stack"), ("uh", "eigvalsh_stack")])
+def test_every_solver_call_and_build_of_a_sweep_runs_on_one_thread(kind, solver, blas,
+                                                                   monkeypatch):
+    # 144/233 on a 6 x 6 mother grid: six whole 233-row nodes in two chunks of three, which
+    # the pool solves side by side, and the corners' parity blocks, one call per size (116
+    # and 117 rows), solved in turn.  Each call and each build, on whichever thread, sees one.
     _, get_threads = blas
-    calls, solve = [], getattr(spectra, solver)
+    monkeypatch.setattr(spectra, "_workers", lambda: 2)
+    calls, builds, solve = [], [], getattr(spectra, solver)
     monkeypatch.setattr(spectra, solver, lambda stack, *gauge: calls.append(
         (stack.shape[-1], get_threads())) or solve(stack, *gauge))
-    mother_spectrum(params(kind, 1.0, 1.3, 144, 233, theta=MOTHER), GridSpec(4, 4))
-    assert calls == [(233, whole)] * 3 + [(116, 1), (117, 1)]
+    for name in ("operator_stack", "harper_jacobi_stack"):
+        build = getattr(spectra, name)
+        monkeypatch.setattr(spectra, name, lambda *a, build=build: builds.append(
+            get_threads()) or build(*a))
+    corner_blocks = spectra._corner_blocks
+    monkeypatch.setattr(spectra, "_corner_blocks", lambda *a: [
+        (n, lambda make=make: builds.append(get_threads()) or make())
+        for n, make in corner_blocks(*a)])
+    mother_spectrum(params(kind, 1.0, 1.3, 144, 233, theta=MOTHER), GridSpec(6, 6))
+    assert sorted(calls) == [(116, 1), (117, 1), (233, 1), (233, 1)]
+    assert len(builds) > 2 and set(builds) == {1}  # two chunks, and each corner's blocks
     assert get_threads() == 2
+
+
+def test_the_general_routes_builds_run_on_one_thread(blas, monkeypatch):
+    # SPECTRAL_MAPPING's general route builds exp(-i kappa H) by eigh and a product.
+    import kickspec.operators as operators
+
+    _, get_threads = blas
+    seen, expm, eigvals = [], operators.expm_i_hermitian_stack, spectra._general_eigvals
+    monkeypatch.setattr(operators, "expm_i_hermitian_stack",
+                        lambda *a: seen.append(("build", get_threads())) or expm(*a))
+    monkeypatch.setattr(spectra, "_general_eigvals",
+                        lambda stack: seen.append(("solve", get_threads())) or eigvals(stack))
+    monkeypatch.setattr(spectra, "_workers", lambda: 2)
+    spectra._sweep_values(params("uh", 1.0, 1.0, 55, 144, theta=0.3), GridSpec(8), "general")
+    assert sorted(seen) == [("build", 1)] * 2 + [("solve", 1)] * 2  # 5 nodes, 2 pooled calls
+    assert get_threads() == 2
+
+
+def test_a_sweep_without_two_large_calls_makes_no_pool(monkeypatch):
+    # The corners of 144/233 on a 2 x 2 grid are 116- and 117-row blocks, and at theta = 0.3
+    # two x nodes are one 233-row call: nothing for a pool to run side by side.
+    monkeypatch.setattr(spectra, "_workers", lambda: 2)
+    asked, solver_pool = [], spectra._solver_pool
+    monkeypatch.setattr(spectra, "_solver_pool", lambda: asked.append(1) or solver_pool())
+    for kind in ("h", "ukh"):
+        mother_spectrum(params(kind, 1.0, 1.0, 144, 233, theta=MOTHER), GridSpec(2, 2))
+        spectrum_fixed_theta(params(kind, 1.0, 1.3, 89, 233, theta=0.3), GridSpec(2))
+    assert asked == []
+    spectrum_fixed_theta(params("ukh", 1.0, 1.3, 89, 233, theta=0.3), GridSpec(8))
+    assert asked == [1]
+
+
+def _failing_solver(monkeypatch, bad):
+    """Rebind the Cayley solver to fail on any stack that holds one of the bad matrices; return
+    the sizes of the stacks it is called on from the main thread, in order."""
+    import threading
+
+    solve, main = spectra.unitary_eigvals_stack, []
+
+    def fail_at_bad(stack, *gauge):
+        if threading.current_thread() is threading.main_thread():
+            main.append(len(stack))
+        if any(np.array_equal(m, b) for m in stack for b in bad):
+            raise NumericalError("injected")
+        return solve(stack, *gauge)
+
+    monkeypatch.setattr(spectra, "unitary_eigvals_stack", fail_at_bad)
+    return main
+
+
+def test_a_pooled_call_that_fails_is_named_as_in_the_serial_run(monkeypatch):
+    # 55/144 at theta = 0.3 and 0.4 on 10 x nodes: twelve whole 144-row nodes, in calls of
+    # 4, 4 and 4.  The second call (theta = 0.3's x = 4/1440 and 5/1440, theta = 0.4's
+    # first two) and the third fail.  Serially the first two calls run and node 4 is
+    # retried alone; with the pool every call runs off the main thread, which retries
+    # node 4 alone: the first failing call in plan order, and its first failing node.
+    batch = [params("ukh", 1.0, 1.3, 55, 144, theta=t) for t in (0.3, 0.4)]
+    bad = [spectra.operator_stack(pa, [x], [pa.theta])[0] for pa, x in
+           ((batch[0], 4 / 1440), (batch[1], 5 / 1440))]
+    message = re.escape(f"alpha=55/144, grid point x={4 / 1440!r}, theta=0.3: injected")
+    monkeypatch.setattr(spectra, "_workers", lambda: 2)
+    for rows, expected in ((spectra._POOL_ROWS, [1]), (10**9, [4, 4, 1])):
+        monkeypatch.setattr(spectra, "_POOL_ROWS", rows)
+        main = _failing_solver(monkeypatch, bad)
+        with pytest.raises(NumericalError, match=message):
+            spectra._sweep_values(batch, GridSpec(10))
+        assert main == expected
+
+
+def test_the_callers_thread_count_is_back_after_a_pooled_call_fails(blas, monkeypatch):
+    _, get_threads = blas
+    monkeypatch.setattr(spectra, "_workers", lambda: 2)
+    pa = params("ukh", 1.0, 1.3, 55, 144, theta=0.3)  # six 144-row nodes, two pooled calls
+    _failing_solver(monkeypatch, [spectra.operator_stack(pa, [0.0], [0.3])[0]])
+    with pytest.raises(NumericalError, match="injected"):
+        spectra._sweep_values(pa, GridSpec(10))
+    assert get_threads() == 2 and linalg._blas_depth == 0
+
+
+def test_nested_and_concurrent_sweeps_restore_the_callers_thread_count(blas, monkeypatch):
+    # Four pooled sweeps at once from four threads, more than the cores, with a short switch
+    # interval, and a sweep run from inside one of their solver calls: every call sees one
+    # thread, each sweep's values are those it gives alone, and the count is back at the end.
+    import threading
+
+    _, get_threads = blas
+    monkeypatch.setattr(spectra, "_workers", lambda: 2)
+    # Each sweep: six 144-row nodes, in two pooled calls of 4 and 2.
+    sweeps = [params("ukh", 1.0, 1.3, 55, 144, theta=t) for t in (0.3, 0.35, 0.4, 0.45)]
+    alone = {pa.theta: spectra._sweep_values(pa, GridSpec(10)) for pa in sweeps}
+    seen, solve, nested, once = [], spectra.unitary_eigvals_stack, [], threading.Lock()
+    small = params("ukh", 1.0, 1.3, 8, 13, theta=0.3)
+
+    def spy(stack, *gauge):
+        seen.append(get_threads())
+        if stack.shape[-1] == 144 and once.acquire(blocking=False):
+            nested.append(spectra._sweep_values(small, GridSpec(4)))
+        return solve(stack, *gauge)
+
+    monkeypatch.setattr(spectra, "unitary_eigvals_stack", spy)
+    got = {}
+    workers = [threading.Thread(target=lambda pa=pa: got.__setitem__(
+        pa.theta, spectra._sweep_values(pa, GridSpec(10)))) for pa in sweeps]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(w.is_alive() for w in workers) and len(nested) == 1
+    assert {t: v.tobytes() for t, v in got.items()} == {t: v.tobytes() for t, v in alone.items()}
+    assert set(seen) == {1} and len(seen) == 4 * 2 + 1
+    assert get_threads() == 2 and linalg._blas_depth == 0
+
+
+def _pool_cases(p, q):
+    """(params, grid) of each kind on a 1 x 1 mother grid (one corner: two pooled block calls),
+    and of h and uh at theta = 0.3 on 2 x nodes (whole nodes, a pooled call each).  The
+    kicked kinds' fixed-theta nodes, where a whole Cayley node takes 0.06 s at q = 610 and
+    0.3-0.7 s at q = 987, are the mixed batch's at q = 610."""
+    return [(params(kind, 1.0, 1.3, p, q, theta=MOTHER), GridSpec(1, 1))
+            for kind in ("h", "uh", "ukh", "uordkr")] + [
+        (params(kind, 1.0, 1.3, p, q, theta=0.3), GridSpec(2)) for kind in ("h", "uh")]
+
+
+@pytest.mark.parametrize("p,q", [(377, 610), (610, 987)])
+def test_the_pool_does_not_change_a_sweeps_values(p, q, monkeypatch):
+    import threading
+
+    monkeypatch.setattr(spectra, "_workers", lambda: 2)
+    # A mixed batch at 377/610 on 3 x nodes, each kicked kind at a fixed theta: a corner's
+    # blocks and a gauged whole node (ukh on the time-reversal line, theta = 0), beside
+    # ungauged ukh and uordkr nodes, on one route.
+    batch = [params(kind, 1.0, 1.3, 377, 610, theta=t) for kind, t in
+             (("ukh", 0.0), ("ukh", 0.3), ("uordkr", 0.3))]
+    cases = _pool_cases(p, q) + ([(batch, GridSpec(3))] if q == 610 else [])
+    threads, solve = set(), spectra.unitary_eigvals_stack
+    monkeypatch.setattr(spectra, "unitary_eigvals_stack", lambda *a: threads.add(
+        threading.current_thread().name) or solve(*a))
+    pooled = [spectra._sweep_values(pa, grid) for pa, grid in cases]
+    assert any(name.startswith("kickspec-solve") for name in threads)
+    monkeypatch.setattr(spectra, "_POOL_ROWS", 10**9)
+
+    def raw(values):  # one request's array, or a batch's, as bytes
+        return b"".join(a.tobytes() for a in (values if isinstance(values, list) else [values]))
+
+    for (pa, grid), values in zip(cases, pooled):
+        assert raw(values) == raw(spectra._sweep_values(pa, grid)), pa
 
 
 def test_below_the_floor_a_sweep_builds_and_solves_as_without_the_split(monkeypatch):
